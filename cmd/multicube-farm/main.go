@@ -63,34 +63,35 @@ Run "multicube-farm <command> -h" for per-command flags.
 `)
 }
 
-func serveMain(args []string) error {
+// serveConfig parses the serve command's flags into the server's
+// configuration, the listen address and the drain budget.
+func serveConfig(args []string) (cfg farm.Config, listen string, drain time.Duration) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	listen := fs.String("listen", ":8344", "address to listen on")
-	workers := fs.Int("workers", 4, "job worker pool size")
-	queueDepth := fs.Int("queue", 64, "max queued jobs before 429 backpressure")
-	cacheDir := fs.String("cache-dir", "", "on-disk result cache directory (empty: memory only)")
-	cacheMem := fs.Int("cache-mem", 256, "in-memory cache entries")
-	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "per-job execution ceiling")
-	mcWorkers := fs.Int("mc-workers", 1, "explorer parallelism per mc job")
-	rate := fs.Float64("rate", 50, "per-client requests/sec (0 disables limiting)")
-	burst := fs.Int("burst", 100, "per-client burst allowance")
-	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
+	fs.StringVar(&listen, "listen", ":8344", "address to listen on")
+	fs.IntVar(&cfg.Workers, "workers", 4, "job worker pool size")
+	fs.IntVar(&cfg.QueueDepth, "queue", 64, "max queued jobs before 429 backpressure")
+	fs.StringVar(&cfg.CacheDir, "cache-dir", "", "on-disk result cache directory (empty: memory only)")
+	fs.IntVar(&cfg.CacheMemEntries, "cache-mem", 256, "in-memory cache entries")
+	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 2*time.Minute, "per-job execution ceiling")
+	fs.IntVar(&cfg.MCWorkers, "mc-workers", 1, "explorer parallelism per mc job")
+	fs.Float64Var(&cfg.RatePerSec, "rate", 50, "per-client requests/sec (0 disables limiting)")
+	fs.IntVar(&cfg.RateBurst, "burst", 100, "per-client burst allowance")
+	fs.DurationVar(&drain, "drain", 30*time.Second, "graceful shutdown drain budget")
 	fs.Parse(args)
+	if cfg.RatePerSec == 0 {
+		// The library's zero value means "default"; off is negative.
+		cfg.RatePerSec = -1
+	}
+	return cfg, listen, drain
+}
 
-	srv, err := farm.New(farm.Config{
-		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		CacheDir:        *cacheDir,
-		CacheMemEntries: *cacheMem,
-		JobTimeout:      *jobTimeout,
-		MCWorkers:       *mcWorkers,
-		RatePerSec:      *rate,
-		RateBurst:       *burst,
-	})
+func serveMain(args []string) error {
+	cfg, listen, drain := serveConfig(args)
+	srv, err := farm.New(cfg)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	hs := &http.Server{Addr: listen, Handler: srv.Handler()}
 
 	// SIGTERM/SIGINT: stop accepting, drain the queue, then exit. Jobs
 	// still running when the drain budget expires are canceled via their
@@ -99,15 +100,15 @@ func serveMain(args []string) error {
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "multicube-farm: serving on %s (%d workers, queue %d)\n", *listen, *workers, *queueDepth)
+	fmt.Fprintf(os.Stderr, "multicube-farm: serving on %s (%d workers, queue %d)\n", listen, cfg.Workers, cfg.QueueDepth)
 
 	select {
 	case err := <-serveErr:
 		return err
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "multicube-farm: %v: draining (budget %s)\n", sig, *drain)
+		fmt.Fprintf(os.Stderr, "multicube-farm: %v: draining (budget %s)\n", sig, drain)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	closeErr := srv.Close(ctx)
 	hs.Shutdown(ctx)

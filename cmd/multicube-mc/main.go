@@ -190,6 +190,10 @@ func run() int {
 	}
 	fmt.Printf("elapsed   %v\n", elapsed)
 	fmt.Printf("fp        %d component recomputes, %d cache hits\n", res.FPRecomputes, res.FPIncremental)
+	if res.Steps > 0 {
+		fmt.Printf("replay    %d of %d kernel steps (%.1f %%)\n", res.ReplaySteps, res.Steps,
+			100*float64(res.ReplaySteps)/float64(res.Steps))
+	}
 	if res.SCVerdict != "" {
 		fmt.Printf("sc        %d histories checked (%d undecided): %s\n",
 			res.SCChecks, res.SCUndecided, res.SCVerdict)

@@ -169,7 +169,31 @@ type Bus struct {
 
 // New returns an idle bus using the given arbitration policy.
 func New(k *sim.Kernel, name string, arb Arbitration) *Bus {
-	return &Bus{k: k, name: name, arb: arb, last: -1}
+	b := &Bus{k: k, name: name, arb: arb}
+	b.Reset()
+	return b
+}
+
+// Reset returns the bus to the state New leaves it in — idle, nothing
+// queued, no chooser, counters cleared — keeping its attached agents and
+// the capacity of its queues. Events the bus scheduled on its kernel are
+// the caller's to discard (sim.Kernel.Reset).
+func (b *Bus) Reset() {
+	b.gen = 0
+	clear(b.fifo)
+	b.fifo = b.fifo[:0]
+	for i, q := range b.perSrc {
+		clear(q)
+		b.perSrc[i] = q[:0]
+	}
+	b.queued = 0
+	b.busy = false
+	b.last = -1
+	b.chooser = nil
+	b.deferGrants = false
+	b.grantPending = false
+	b.inflight = nil
+	b.stats = Stats{}
 }
 
 // Name returns the diagnostic name.

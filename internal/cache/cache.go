@@ -141,6 +141,18 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
+// Reset empties the cache — every line and retained tag, the replacement
+// clock, the counters — back to the state New leaves it in, keeping its
+// configuration and the memory of its sets and index.
+func (c *Cache) Reset() {
+	clear(c.table)
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.clock = 0
+	c.stats = Stats{}
+}
+
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
 

@@ -5,6 +5,7 @@ import (
 
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/fphash"
 	"multicube/internal/memory"
 )
 
@@ -28,8 +29,8 @@ import (
 // are factored out of the cached hashes and folded in per permutation
 // during the combine.
 //
-// The hash VALUES differ from System.Fingerprint (word-level FNV-1a over
-// component hashes instead of one byte-level walk), but the induced
+// The hash VALUES differ from System.Fingerprint (component hashes
+// combined per relabeling instead of one walk), but the induced
 // equivalence partition is identical: both encodings are injective on
 // exactly the same set of protocol-visible fields, and the explorer
 // depends only on fingerprint equality. mc's cross-check mode
@@ -78,7 +79,7 @@ type busQ struct {
 type ExtraTagFunc func(tag any) (row, col int, rest uint64, ok bool)
 
 // FPCache incrementally fingerprints one System. It is not safe for
-// concurrent use; each explorer worker owns one (pooled across runs).
+// concurrent use; each explorer worker owns one, kept across its runs.
 type FPCache struct {
 	sys   *System
 	n     int
@@ -117,9 +118,10 @@ func NewFPCache(s *System) *FPCache {
 	return f
 }
 
-// Reset rebinds the cache to s (possibly a fresh machine from a pooled
-// run) and marks every component dirty. Buffers are reused when the grid
-// size matches. Counters for Stats are zeroed; cp stays monotonic.
+// Reset rebinds the cache to s — another machine, or the same one after
+// System.Reset rewound its generation counters — and marks every
+// component dirty. Buffers are reused when the grid size matches.
+// Counters for Stats are zeroed; cp stays monotonic.
 func (f *FPCache) Reset(s *System) {
 	n := s.cfg.N
 	f.sys = s
@@ -309,15 +311,15 @@ func (f *FPCache) FPRC(perm, inv, cperm, cinv []int) uint64 {
 			break
 		}
 	}
-	h := fnvOffset
+	h := fphash.New()
 	for cr := 0; cr < n; cr++ {
 		r := inv[cr]
 		for cc := 0; cc < n; cc++ {
-			h.u64(f.nodeH[r][cinv[cc]])
+			h.Word(f.nodeH[r][cinv[cc]])
 		}
 	}
 	for cc := 0; cc < n; cc++ {
-		h.u64(f.memH[cinv[cc]])
+		h.Word(f.memH[cinv[cc]])
 	}
 	for cr := 0; cr < n; cr++ {
 		f.busFP(&h, &f.rowQ[inv[cr]], false, perm, inv, cperm, cinv)
@@ -343,28 +345,28 @@ func (f *FPCache) FPRC(perm, inv, cperm, cinv []int) uint64 {
 		evH[j] = v
 	}
 	f.evH = evH
-	h.u64(uint64(len(evH)))
+	h.Word(uint64(len(evH)))
 	for _, v := range evH {
-		h.u64(v)
+		h.Word(v)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
-func (f *FPCache) busFP(h *fnv, q *busQ, colBus bool, perm, inv, cperm, cinv []int) {
-	h.bit(q.busy)
-	h.bit(q.inflight != nil)
+func (f *FPCache) busFP(h *fphash.Hash, q *busQ, colBus bool, perm, inv, cperm, cinv []int) {
+	h.Bit(q.busy)
+	h.Bit(q.inflight != nil)
 	if q.inflight != nil {
-		h.u64(f.opPermFP(q.inflight, perm, inv, cperm, cinv))
+		h.Word(f.opPermFP(q.inflight, perm, inv, cperm, cinv))
 	}
-	h.u64(uint64(q.nonEmpty))
+	h.Word(uint64(q.nonEmpty))
 	emit := func(canonSrc int, ops []*Op) {
 		if len(ops) == 0 {
 			return
 		}
-		h.u64(uint64(int64(canonSrc)))
-		h.u64(uint64(len(ops)))
+		h.Word(uint64(int64(canonSrc)))
+		h.Word(uint64(len(ops)))
 		for _, op := range ops {
-			h.u64(f.opPermFP(op, perm, inv, cperm, cinv))
+			h.Word(f.opPermFP(op, perm, inv, cperm, cinv))
 		}
 	}
 	if !colBus {
@@ -391,34 +393,34 @@ func (f *FPCache) busFP(h *fnv, q *busQ, colBus bool, perm, inv, cperm, cinv []i
 }
 
 func (f *FPCache) evHash(e *evRec, perm, inv, cperm, cinv []int) uint64 {
-	h := fnvOffset
+	h := fphash.New()
 	switch e.kind {
 	case evEnqueue:
-		h.u64(0x10)
-		h.u64(permRowWord(perm, e.row))
-		h.u64(permRowWord(cperm, e.col))
-		h.u64(uint64(e.dim))
-		h.u64(e.busKind)
-		h.u64(f.busCanon(e.busKind, e.busIdx, perm, cperm))
-		h.u64(f.opPermFP(e.op, perm, inv, cperm, cinv))
+		h.Word(0x10)
+		h.Word(permRowWord(perm, e.row))
+		h.Word(permRowWord(cperm, e.col))
+		h.Word(uint64(e.dim))
+		h.Word(e.busKind)
+		h.Word(f.busCanon(e.busKind, e.busIdx, perm, cperm))
+		h.Word(f.opPermFP(e.op, perm, inv, cperm, cinv))
 	case evGrant:
-		h.u64(0x11)
-		h.u64(e.busKind)
-		h.u64(f.busCanon(e.busKind, e.busIdx, perm, cperm))
+		h.Word(0x11)
+		h.Word(e.busKind)
+		h.Word(f.busCanon(e.busKind, e.busIdx, perm, cperm))
 	case evDeliver:
-		h.u64(0x12)
-		h.u64(e.busKind)
-		h.u64(f.busCanon(e.busKind, e.busIdx, perm, cperm))
-		h.u64(f.opPermFP(e.op, perm, inv, cperm, cinv))
+		h.Word(0x12)
+		h.Word(e.busKind)
+		h.Word(f.busCanon(e.busKind, e.busIdx, perm, cperm))
+		h.Word(f.opPermFP(e.op, perm, inv, cperm, cinv))
 	case evExtra:
-		h.u64(0x13)
-		h.u64(permRowWord(perm, e.row))
-		h.u64(permRowWord(cperm, e.col))
-		h.u64(e.rest)
+		h.Word(0x13)
+		h.Word(permRowWord(perm, e.row))
+		h.Word(permRowWord(cperm, e.col))
+		h.Word(e.rest)
 	default:
-		h.u64(0x1f)
+		h.Word(0x1f)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 func (f *FPCache) busCanon(kind uint64, idx int, perm, cperm []int) uint64 {
@@ -449,18 +451,18 @@ func (f *FPCache) opPermFP(op *Op, perm, inv, cperm, cinv []int) uint64 {
 		op.fpBase = opBaseFP(op)
 		op.fpBaseOK = true
 	}
-	h := fnvOffset
-	h.u64(op.fpBase)
-	h.u64(permRowWord(perm, op.Origin.Row))
-	h.u64(permRowWord(cperm, op.Origin.Col))
+	h := fphash.New()
+	h.Word(op.fpBase)
+	h.Word(permRowWord(perm, op.Origin.Row))
+	h.Word(permRowWord(cperm, op.Origin.Col))
 	if op.Flags&XFER != 0 {
-		h.u64(permRowWord(perm, op.Target.Row))
-		h.u64(permRowWord(cperm, op.Target.Col))
+		h.Word(permRowWord(perm, op.Target.Row))
+		h.Word(permRowWord(cperm, op.Target.Col))
 	}
 	if f.snarf && op.Txn == READ && op.Data != nil {
-		h.u64(f.snarfWord(op, inv, cinv))
+		h.Word(f.snarfWord(op, inv, cinv))
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 // opBaseFP hashes the placement-independent fields of an op. Every
@@ -468,16 +470,16 @@ func (f *FPCache) opPermFP(op *Op, perm, inv, cperm, cinv []int) uint64 {
 // (snapshot.go hashes the same set), so callers memoize the result on
 // the op.
 func opBaseFP(op *Op) uint64 {
-	h := fnvOffset
-	h.byte(byte(op.Txn))
-	h.u64(uint64(op.Flags))
-	h.u64(uint64(op.Line))
-	h.bit(op.Data != nil)
-	h.u64(uint64(len(op.Data)))
+	h := fphash.New()
+	h.Word(uint64(op.Txn))
+	h.Word(uint64(op.Flags))
+	h.Word(uint64(op.Line))
+	h.Bit(op.Data != nil)
+	h.Word(uint64(len(op.Data)))
 	for _, w := range op.Data {
-		h.u64(w)
+		h.Word(w)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 // snarfWord folds the born-vs-purgedAt eligibility relation (one bit per
@@ -489,14 +491,14 @@ func opBaseFP(op *Op) uint64 {
 func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
 	n := f.n
 	if n > 8 {
-		h := fnvOffset
+		h := fphash.New()
 		for cr := 0; cr < n; cr++ {
 			for cc := 0; cc < n; cc++ {
 				t, ok := f.sys.nodes[inv[cr]][cinv[cc]].purgedAt[op.Line]
-				h.bit(ok && op.born <= t)
+				h.Bit(ok && op.born <= t)
 			}
 		}
-		return uint64(h)
+		return h.Sum()
 	}
 	if op.fpSnarfCP != f.cp {
 		var bits uint64
@@ -533,55 +535,55 @@ func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
 // write-back continuation — the same fields snapshot.go walks, none of
 // which name a row index.
 func nodeHash(nd *Node) uint64 {
-	h := fnvOffset
-	h.u64(0x01)
-	sub := fnvOffset
+	h := fphash.New()
+	h.Word(0x01)
+	sub := fphash.New()
 	count := 0
 	nd.l2.ForEach(func(e *cache.Entry) {
 		count++
-		sub.u64(uint64(e.Line))
-		sub.byte(byte(e.State))
-		sub.bit(e.Pinned)
+		sub.Word(uint64(e.Line))
+		sub.Word(uint64(e.State))
+		sub.Bit(e.Pinned)
 		for _, w := range e.Data {
-			sub.u64(w)
+			sub.Word(w)
 		}
 	})
-	h.u64(uint64(count))
-	h.u64(uint64(sub))
-	h.u64(0x02)
+	h.Word(uint64(count))
+	h.Word(sub.Sum())
+	h.Word(0x02)
 	lines := nd.table.Lines()
-	h.u64(uint64(len(lines)))
+	h.Word(uint64(len(lines)))
 	for _, l := range lines {
-		h.u64(uint64(l))
+		h.Word(uint64(l))
 	}
-	h.u64(0x03)
-	h.bit(nd.pend != nil)
+	h.Word(0x03)
+	h.Bit(nd.pend != nil)
 	if p := nd.pend; p != nil {
-		h.byte(byte(p.txn))
-		h.u64(uint64(p.flags))
-		h.u64(uint64(p.line))
-		h.bit(p.poisoned)
-		h.bit(p.queued)
+		h.Word(uint64(p.txn))
+		h.Word(uint64(p.flags))
+		h.Word(uint64(p.line))
+		h.Bit(p.poisoned)
+		h.Bit(p.queued)
 	}
-	h.bit(nd.wbCont != nil)
-	return uint64(h)
+	h.Bit(nd.wbCont != nil)
+	return h.Sum()
 }
 
 // memHash hashes one memory module's contents and valid bits.
 func memHash(m *Memory) uint64 {
-	h := fnvOffset
-	h.u64(0x04)
-	sub := fnvOffset
+	h := fphash.New()
+	h.Word(0x04)
+	sub := fphash.New()
 	count := 0
 	m.store.ForEach(func(line memory.Line, valid bool, data []uint64) {
 		count++
-		sub.u64(uint64(line))
-		sub.bit(valid)
+		sub.Word(uint64(line))
+		sub.Bit(valid)
 		for _, w := range data {
-			sub.u64(w)
+			sub.Word(w)
 		}
 	})
-	h.u64(uint64(count))
-	h.u64(uint64(sub))
-	return uint64(h)
+	h.Word(uint64(count))
+	h.Word(sub.Sum())
+	return h.Sum()
 }

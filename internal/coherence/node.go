@@ -134,6 +134,19 @@ func newNode(s *System, id topology.Coord) (*Node, error) {
 	}, nil
 }
 
+// reset is the node's share of System.reset: empty cache and table, no
+// outstanding transaction or writeback, no purge history, no hook.
+func (n *Node) reset() {
+	n.gen = 0
+	n.l2.Reset()
+	n.table.Reset()
+	n.pend = nil
+	n.wbCont = nil
+	n.OnInvalidate = nil
+	clear(n.purgedAt)
+	n.stats = NodeStats{}
+}
+
 // ID returns the node's grid coordinate.
 func (n *Node) ID() topology.Coord { return n.id }
 

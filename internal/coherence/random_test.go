@@ -29,6 +29,14 @@ func (s *splitmix64) intn(n int) int { return int(s.next() % uint64(n)) }
 // verify they only ever observe deposited values (or zero).
 func runRandomWorkload(t *testing.T, k *sim.Kernel, s *System, seed uint64, opsPerNode, lines int) sim.Time {
 	t.Helper()
+	launchRandomWorkload(t, k, s, seed, opsPerNode, lines)
+	return k.Run()
+}
+
+// launchRandomWorkload schedules runRandomWorkload's programs without
+// running the kernel.
+func launchRandomWorkload(t *testing.T, k *sim.Kernel, s *System, seed uint64, opsPerNode, lines int) {
+	t.Helper()
 	written := map[uint64]bool{0: true}
 	nextVal := uint64(1)
 	n := s.Config().N
@@ -74,7 +82,6 @@ func runRandomWorkload(t *testing.T, k *sim.Kernel, s *System, seed uint64, opsP
 			launch(s.Node(topology.Coord{Row: r, Col: c}), &rng, opsPerNode)
 		}
 	}
-	return k.Run()
 }
 
 func TestRandomWorkloadInvariants(t *testing.T) {

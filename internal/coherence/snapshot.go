@@ -3,6 +3,7 @@ package coherence
 import (
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/fphash"
 	"multicube/internal/memory"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
@@ -23,30 +24,6 @@ import (
 // accepts a column relabeling, sound exactly when it fixes the home
 // column of every line the run can touch (the caller's obligation;
 // internal/mc derives the admissible set from the scenario).
-
-// fnv is an incremental FNV-1a 64 hasher.
-type fnv uint64
-
-const fnvOffset fnv = 14695981039346656037
-const fnvPrime fnv = 1099511628211
-
-func (h *fnv) byte(b byte) {
-	*h = (*h ^ fnv(b)) * fnvPrime
-}
-
-func (h *fnv) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnv) bit(b bool) {
-	if b {
-		h.byte(1)
-	} else {
-		h.byte(0)
-	}
-}
 
 // Fingerprint hashes the complete protocol-visible machine state under
 // the given row relabeling: caches, modified line tables, pending
@@ -106,7 +83,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 		cinv[canon] = phys
 	}
 
-	h := fnvOffset
+	h := fphash.New()
 
 	permRow := func(r int) int {
 		if r < 0 {
@@ -122,8 +99,8 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	}
 
 	hashCoord := func(c topology.Coord) {
-		h.u64(uint64(int64(permRow(c.Row))))
-		h.u64(uint64(int64(permCol(c.Col))))
+		h.Word(uint64(int64(permRow(c.Row))))
+		h.Word(uint64(int64(permCol(c.Col))))
 	}
 
 	// opFP hashes one bus operation's protocol-visible fields. Transient
@@ -134,9 +111,9 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	// gates the snarf), so it is folded in as one bit per node even
 	// though both absolute times are excluded.
 	hashOp := func(op *Op) {
-		h.byte(byte(op.Txn))
-		h.u64(uint64(op.Flags))
-		h.u64(uint64(op.Line))
+		h.Word(uint64(op.Txn))
+		h.Word(uint64(op.Flags))
+		h.Word(uint64(op.Line))
 		hashCoord(op.Origin)
 		if op.Flags&XFER != 0 {
 			// Target is meaningful only for SYNC handoffs; on every
@@ -145,16 +122,16 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 			// states. XFER ops are already segregated by Flags above.
 			hashCoord(op.Target)
 		}
-		h.bit(op.Data != nil)
+		h.Bit(op.Data != nil)
 		for _, w := range op.Data {
-			h.u64(w)
+			h.Word(w)
 		}
 		if s.cfg.Snarf && op.Txn == READ && op.Data != nil {
 			for cr := 0; cr < n; cr++ {
 				for cc := 0; cc < n; cc++ {
 					nd := s.nodes[inv[cr]][cinv[cc]]
 					t, ok := nd.purgedAt[op.Line]
-					h.bit(ok && op.born <= t)
+					h.Bit(ok && op.born <= t)
 				}
 			}
 		}
@@ -164,40 +141,40 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	for cr := 0; cr < n; cr++ {
 		for cc := 0; cc < n; cc++ {
 			nd := s.nodes[inv[cr]][cinv[cc]]
-			h.byte(0x01)
+			h.Word(0x01)
 			nd.l2.ForEach(func(e *cache.Entry) {
-				h.u64(uint64(e.Line))
-				h.byte(byte(e.State))
-				h.bit(e.Pinned)
+				h.Word(uint64(e.Line))
+				h.Word(uint64(e.State))
+				h.Bit(e.Pinned)
 				for _, w := range e.Data {
-					h.u64(w)
+					h.Word(w)
 				}
 			})
-			h.byte(0x02)
+			h.Word(0x02)
 			for _, l := range nd.table.Lines() { // already sorted
-				h.u64(uint64(l))
+				h.Word(uint64(l))
 			}
-			h.byte(0x03)
-			h.bit(nd.pend != nil)
+			h.Word(0x03)
+			h.Bit(nd.pend != nil)
 			if p := nd.pend; p != nil {
-				h.byte(byte(p.txn))
-				h.u64(uint64(p.flags))
-				h.u64(uint64(p.line))
-				h.bit(p.poisoned)
-				h.bit(p.queued)
+				h.Word(uint64(p.txn))
+				h.Word(uint64(p.flags))
+				h.Word(uint64(p.line))
+				h.Bit(p.poisoned)
+				h.Bit(p.queued)
 			}
-			h.bit(nd.wbCont != nil)
+			h.Bit(nd.wbCont != nil)
 		}
 	}
 
 	// Memory modules, in canonical column order.
 	for cc := 0; cc < n; cc++ {
-		h.byte(0x04)
+		h.Word(0x04)
 		s.mems[cinv[cc]].store.ForEach(func(line memory.Line, valid bool, data []uint64) {
-			h.u64(uint64(line))
-			h.bit(valid)
+			h.Word(uint64(line))
+			h.Bit(valid)
 			for _, w := range data {
-				h.u64(w)
+				h.Word(w)
 			}
 		})
 	}
@@ -221,7 +198,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	}
 
 	hashBus := func(b *bus.Bus, permSrc func(int) int) {
-		h.bit(b.Busy())
+		h.Bit(b.Busy())
 		if p := b.Inflight(); p != nil {
 			hashOp(p.(*Op))
 		}
@@ -252,8 +229,8 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 			groups[i], groups[min] = groups[min], groups[i]
 		}
 		for _, g := range groups {
-			h.u64(uint64(int64(g.src)))
-			h.u64(uint64(len(g.ops)))
+			h.Word(uint64(int64(g.src)))
+			h.Word(uint64(len(g.ops)))
 			for _, op := range g.ops {
 				hashOp(op)
 			}
@@ -262,7 +239,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 
 	rowSrc := func(src int) int { return cperm[src] } // sources are column indices
 	for cr := 0; cr < n; cr++ {
-		h.byte(0x05)
+		h.Word(0x05)
 		hashBus(s.rows[inv[cr]], rowSrc)
 	}
 	colSrc := func(src int) int {
@@ -272,7 +249,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 		return src // the memory module
 	}
 	for cc := 0; cc < n; cc++ {
-		h.byte(0x06)
+		h.Word(0x06)
 		hashBus(s.cols[cinv[cc]], colSrc)
 	}
 
@@ -281,47 +258,47 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	// events matters).
 	var evs []uint64
 	s.k.ForEachPending(func(at sim.Time, tag any) {
-		var eh fnv = fnvOffset
+		eh := fphash.New()
 		switch t := tag.(type) {
 		case EnqueueTag:
-			eh.byte(0x10)
-			eh.u64(uint64(int64(permRow(t.Issuer.Row))))
-			eh.u64(uint64(int64(permCol(t.Issuer.Col))))
-			eh.byte(byte(t.Dim))
+			eh.Word(0x10)
+			eh.Word(uint64(int64(permRow(t.Issuer.Row))))
+			eh.Word(uint64(int64(permCol(t.Issuer.Col))))
+			eh.Word(uint64(t.Dim))
 			kind, id := busID(t.bus)
-			eh.u64(kind)
-			eh.u64(id)
+			eh.Word(kind)
+			eh.Word(id)
 			sub := h
-			h = fnvOffset
+			h = fphash.New()
 			hashOp(t.Op)
-			eh.u64(uint64(h))
+			eh.Word(h.Sum())
 			h = sub
 		case bus.GrantTag:
-			eh.byte(0x11)
+			eh.Word(0x11)
 			kind, id := busID(t.B)
-			eh.u64(kind)
-			eh.u64(id)
+			eh.Word(kind)
+			eh.Word(id)
 		case bus.DeliverTag:
-			eh.byte(0x12)
+			eh.Word(0x12)
 			kind, id := busID(t.B)
-			eh.u64(kind)
-			eh.u64(id)
+			eh.Word(kind)
+			eh.Word(id)
 			sub := h
-			h = fnvOffset
+			h = fphash.New()
 			hashOp(t.Pkt.(*Op))
-			eh.u64(uint64(h))
+			eh.Word(h.Sum())
 			h = sub
 		default:
 			if extraTag != nil {
 				if fp, ok := extraTag(tag); ok {
-					eh.byte(0x13)
-					eh.u64(fp)
+					eh.Word(0x13)
+					eh.Word(fp)
 					break
 				}
 			}
-			eh.byte(0x1f) // opaque: untagged or unrecognized event
+			eh.Word(0x1f) // opaque: untagged or unrecognized event
 		}
-		evs = append(evs, uint64(eh))
+		evs = append(evs, eh.Sum())
 	})
 	for i := range evs {
 		min := i
@@ -332,12 +309,12 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 		}
 		evs[i], evs[min] = evs[min], evs[i]
 	}
-	h.byte(0x07)
+	h.Word(0x07)
 	for _, e := range evs {
-		h.u64(e)
+		h.Word(e)
 	}
 
-	return uint64(h)
+	return h.Sum()
 }
 
 // --- event-tag classification for partial-order reduction ----------------
@@ -397,20 +374,20 @@ func opIdentFP(op *Op) uint64 {
 	if op.fpIdentOK {
 		return op.fpIdent
 	}
-	h := fnvOffset
-	h.byte(byte(op.Txn))
-	h.u64(uint64(op.Flags))
-	h.u64(uint64(op.Line))
-	h.u64(uint64(int64(op.Origin.Row)))
-	h.u64(uint64(int64(op.Origin.Col)))
-	h.u64(uint64(int64(op.Target.Row)))
-	h.u64(uint64(int64(op.Target.Col)))
-	h.bit(op.Data != nil)
+	h := fphash.New()
+	h.Word(uint64(op.Txn))
+	h.Word(uint64(op.Flags))
+	h.Word(uint64(op.Line))
+	h.Word(uint64(int64(op.Origin.Row)))
+	h.Word(uint64(int64(op.Origin.Col)))
+	h.Word(uint64(int64(op.Target.Row)))
+	h.Word(uint64(int64(op.Target.Col)))
+	h.Bit(op.Data != nil)
 	for _, w := range op.Data {
-		h.u64(w)
+		h.Word(w)
 	}
-	op.fpIdent, op.fpIdentOK = uint64(h), true
-	return uint64(h)
+	op.fpIdent, op.fpIdentOK = h.Sum(), true
+	return h.Sum()
 }
 
 // TagInfo classifies tag for the model checker; ok is false for tags the
@@ -418,30 +395,30 @@ func opIdentFP(op *Op) uint64 {
 func (s *System) TagInfo(tag any) (info TagInfo, ok bool) {
 	switch t := tag.(type) {
 	case EnqueueTag:
-		h := fnvOffset
-		h.byte(0x10)
-		h.u64(uint64(int64(t.Issuer.Row)))
-		h.u64(uint64(int64(t.Issuer.Col)))
-		h.byte(byte(t.Dim))
+		h := fphash.New()
+		h.Word(0x10)
+		h.Word(uint64(int64(t.Issuer.Row)))
+		h.Word(uint64(int64(t.Issuer.Col)))
+		h.Word(uint64(t.Dim))
 		b := s.busIndex(t.bus)
-		h.u64(uint64(int64(b)))
-		h.u64(opIdentFP(t.Op))
-		return TagInfo{Kind: TagEnqueue, Bus: b, Issuer: t.Issuer, FP: uint64(h)}, true
+		h.Word(uint64(int64(b)))
+		h.Word(opIdentFP(t.Op))
+		return TagInfo{Kind: TagEnqueue, Bus: b, Issuer: t.Issuer, FP: h.Sum()}, true
 	case bus.GrantTag:
-		h := fnvOffset
-		h.byte(0x11)
+		h := fphash.New()
+		h.Word(0x11)
 		b := s.busIndex(t.B)
-		h.u64(uint64(int64(b)))
-		return TagInfo{Kind: TagGrant, Bus: b, FP: uint64(h)}, true
+		h.Word(uint64(int64(b)))
+		return TagInfo{Kind: TagGrant, Bus: b, FP: h.Sum()}, true
 	case bus.DeliverTag:
-		h := fnvOffset
-		h.byte(0x12)
+		h := fphash.New()
+		h.Word(0x12)
 		b := s.busIndex(t.B)
-		h.u64(uint64(int64(b)))
+		h.Word(uint64(int64(b)))
 		if op, isOp := t.Pkt.(*Op); isOp {
-			h.u64(opIdentFP(op))
+			h.Word(opIdentFP(op))
 		}
-		return TagInfo{Kind: TagDeliver, Bus: b, FP: uint64(h)}, true
+		return TagInfo{Kind: TagDeliver, Bus: b, FP: h.Sum()}, true
 	}
 	return TagInfo{Bus: -1}, false
 }

@@ -5,6 +5,7 @@ import (
 
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/fphash"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
 )
@@ -54,20 +55,20 @@ func (c *canonChooser) permCol(col int) int {
 }
 
 func (c *canonChooser) key(tag any) uint64 {
-	h := fnvOffset
+	h := fphash.New()
 	hashOp := func(op *Op) {
-		h.byte(byte(op.Txn))
-		h.u64(uint64(op.Flags))
-		h.u64(uint64(op.Line))
-		h.u64(uint64(int64(c.permRow(op.Origin.Row))))
-		h.u64(uint64(int64(c.permCol(op.Origin.Col))))
+		h.Word(uint64(op.Txn))
+		h.Word(uint64(op.Flags))
+		h.Word(uint64(op.Line))
+		h.Word(uint64(int64(c.permRow(op.Origin.Row))))
+		h.Word(uint64(int64(c.permCol(op.Origin.Col))))
 		if op.Flags&XFER != 0 {
-			h.u64(uint64(int64(c.permRow(op.Target.Row))))
-			h.u64(uint64(int64(c.permCol(op.Target.Col))))
+			h.Word(uint64(int64(c.permRow(op.Target.Row))))
+			h.Word(uint64(int64(c.permCol(op.Target.Col))))
 		}
-		h.bit(op.Data != nil)
+		h.Bit(op.Data != nil)
 		for _, w := range op.Data {
-			h.u64(w)
+			h.Word(w)
 		}
 	}
 	hashBus := func(b *bus.Bus) {
@@ -78,32 +79,32 @@ func (c *canonChooser) key(tag any) uint64 {
 		case idx >= n && idx < 2*n:
 			idx = n + c.permCol(idx-n) // column buses with their columns
 		}
-		h.u64(uint64(int64(idx)))
+		h.Word(uint64(int64(idx)))
 	}
 	switch t := tag.(type) {
 	case EnqueueTag:
-		h.byte(0x10)
-		h.u64(uint64(int64(c.permRow(t.Issuer.Row))))
-		h.u64(uint64(int64(c.permCol(t.Issuer.Col))))
-		h.byte(byte(t.Dim))
+		h.Word(0x10)
+		h.Word(uint64(int64(c.permRow(t.Issuer.Row))))
+		h.Word(uint64(int64(c.permCol(t.Issuer.Col))))
+		h.Word(uint64(t.Dim))
 		hashBus(t.TargetBus())
 		hashOp(t.Op)
 	case bus.GrantTag:
-		h.byte(0x11)
+		h.Word(0x11)
 		hashBus(t.B)
 	case bus.DeliverTag:
-		h.byte(0x12)
+		h.Word(0x12)
 		hashBus(t.B)
 		if op, ok := t.Pkt.(*Op); ok {
 			hashOp(op)
 		}
 	case *Op: // a queued packet at a bus "grant" choice point
-		h.byte(0x13)
+		h.Word(0x13)
 		hashOp(t)
 	default:
-		h.byte(0x1f)
+		h.Word(0x1f)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 func (c *canonChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {

@@ -318,7 +318,54 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		m.busIdx = s.cols[c].Attach(memAgent{m})
 		s.mems[c] = m
 	}
+	s.reset()
 	return s, nil
+}
+
+// Reset returns the machine to the state NewSystem built it in: the
+// kernel at time zero with nothing pending, buses idle, caches, modified
+// line tables and memories empty, no outstanding transaction, every
+// counter and generation zero, and every hook removed — OpLog, Fault,
+// SuppressSignal, Observer, DisableStaleReplyPoisoning, the nodes'
+// OnInvalidate and the registered inclusion views. The structure (grid,
+// wiring, configuration) and the memory behind it are kept, which is the
+// point: the model checker resets one machine between its thousands of
+// executions instead of rebuilding it. Anything keyed on the generation
+// counters (an FPCache) must be rebound afterwards. Only a sequential
+// machine can be reset; a parallel one's kernels belong to its Runner.
+func (s *System) Reset() {
+	if s.par != nil {
+		panic("coherence: Reset of a parallel-mode machine")
+	}
+	s.k.Reset()
+	s.reset()
+}
+
+// reset puts everything but the kernels into the initial state. NewSystem
+// ends with it and Reset is it plus a kernel reset, so the initial state
+// is defined here and nowhere else.
+func (s *System) reset() {
+	for _, sh := range s.shards {
+		clear(sh.txnStats)
+		sh.strays = 0
+	}
+	for i := range s.rows {
+		s.rows[i].Reset()
+		s.cols[i].Reset()
+	}
+	for _, row := range s.nodes {
+		for _, nd := range row {
+			nd.reset()
+		}
+	}
+	for _, m := range s.mems {
+		m.reset()
+	}
+	s.OpLog, s.Fault, s.SuppressSignal, s.Observer = nil, nil, nil, nil
+	s.DisableStaleReplyPoisoning = false
+	s.obsSink = nil
+	s.inclusions = nil
+	s.dropped = 0
 }
 
 // MustNewSystem is NewSystem but panics on error.
@@ -425,6 +472,23 @@ func (s *System) StrayReplies() uint64 {
 	var n uint64
 	for _, sh := range s.shards {
 		n += sh.strays
+	}
+	return n
+}
+
+// Reissues counts requests retransmitted after lost races, summed over
+// every controller and memory module (the per-agent figures are in
+// NodeStats and memory.Stats). The model checker bounds it after every
+// kernel step.
+func (s *System) Reissues() uint64 {
+	var n uint64
+	for _, row := range s.nodes {
+		for _, nd := range row {
+			n += nd.stats.Reissues
+		}
+	}
+	for _, m := range s.mems {
+		n += m.store.Stats().Reissues
 	}
 	return n
 }

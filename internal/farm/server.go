@@ -57,8 +57,8 @@ type Config struct {
 	CacheMaxDiskBytes int64
 	// CacheMaxAge expires disk-tier entries by age. 0 = no expiry.
 	CacheMaxAge time.Duration
-	// RatePerSec and RateBurst are the per-client token bucket; rate 0
-	// disables limiting. Defaults: 50/s, burst 100.
+	// RatePerSec and RateBurst are the per-client token bucket: a rate
+	// < 0 disables limiting, 0 means the default of 50/s (burst: 100).
 	RatePerSec float64
 	RateBurst  int
 	// MaxBodyBytes bounds a submission body; default 1MiB.
@@ -191,11 +191,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		cache:      cache,
-		corpus:     corpus,
-		limiter:    newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
-		start:      time.Now(),
+		cfg:     cfg,
+		cache:   cache,
+		corpus:  corpus,
+		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
+		start:   time.Now(),
 		exec: executor{
 			mcWorkers:         cfg.MCWorkers,
 			mcDistParts:       cfg.MCDistParts,

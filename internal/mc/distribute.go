@@ -34,8 +34,9 @@ func (e *explorer) passDistributed(depth, parts int) passOut {
 	queues[0] = []workItem{{}}
 	cond := sync.NewCond(&mu)
 	var wg sync.WaitGroup
-	worker := func(own int) {
+	drain := func(own int) {
 		defer wg.Done()
+		w := &worker{e: e}
 		for {
 			mu.Lock()
 			for len(queues[own]) == 0 && outstanding > 0 && !stop {
@@ -57,7 +58,7 @@ func (e *explorer) passDistributed(depth, parts int) passOut {
 			queues[own] = q[:len(q)-1]
 			mu.Unlock()
 
-			r := e.runOwned(it, depth, own)
+			r := w.run(it, depth, own)
 			kids := e.children(it, r)
 
 			mu.Lock()
@@ -94,7 +95,7 @@ func (e *explorer) passDistributed(depth, parts int) passOut {
 		// order and every counterexample is re-derived sequentially, so the
 		// verdict is schedule-independent.
 		//multicube:chooser-ok partition workers; results canonicalized and replays sequential
-		go worker(p)
+		go drain(p)
 	}
 	wg.Wait()
 	return out
@@ -106,11 +107,4 @@ func frontierLen(queues [][]workItem) int {
 		n += len(q)
 	}
 	return n
-}
-
-// runOwned executes a work item on behalf of partition own.
-func (e *explorer) runOwned(it workItem, depth, own int) runOut {
-	ck := newChecker(e.sc, e.sh)
-	ch := newMCChooser(ck, e.n, it, depth, &e.opts)
-	return e.execute(ck, ch, len(it.prefix), true, own, it.skip)
 }

@@ -100,9 +100,10 @@ type Options struct {
 	// though the verdict does not, so snapshots are for reporting, not
 	// for cross-run comparison.
 	Progress func(Progress)
-	// Instrument, when non-nil, is called on every freshly built grid
-	// machine (once per from-scratch execution) before the programs
-	// start, so harnesses can install passive observation hooks — e.g.
+	// Instrument, when non-nil, is called on the grid machine — freshly
+	// built or reset to its initial state, hooks included — once per
+	// from-scratch execution, before the programs start, so harnesses
+	// can install passive observation hooks — e.g.
 	// the conformance observer of internal/protocol sets
 	// coherence.System.Observer. Hooks must be passive: installing one
 	// must not change protocol behavior, fingerprints, or verdicts.
@@ -232,6 +233,13 @@ type Result struct {
 	// parallel pass's sequential re-derivation are not included.
 	SCChecks    uint64
 	SCUndecided uint64
+	// Steps counts the kernel steps of every execution of the search and
+	// ReplaySteps those among them that only re-executed a work item's
+	// prefix — taken before the prefix's last choice, in states the
+	// spawning run had already checked and recorded. Their ratio is what
+	// statelessness costs. Summed like the FP counters.
+	Steps       uint64
+	ReplaySteps uint64
 	// SCVerdict summarizes the cross-address checks: "" when the scenario
 	// does not request them, else "ok", "undecided" (some search hit the
 	// node budget), or "violation" (the reported Violation is "sc-total").
@@ -249,15 +257,19 @@ type Result struct {
 	Spills    int
 	DiskBytes int64
 	// Handoffs counts cross-partition work transfers under DistParts.
-	Handoffs int
+	Handoffs  int
 	Violation *Violation
 }
 
-// checker is one from-scratch execution of a scenario on some machine —
-// the Multicube (instance) or the single-bus baseline (sbInstance).
-// Everything the explorer needs is behind this seam, so the same search,
-// reduction, witness, and replay machinery checks both.
+// checker runs from-scratch executions of a scenario on some machine —
+// the Multicube (instance) or the single-bus baseline (sbInstance) —
+// one at a time: newChecker returns it at the start of the first, reset
+// starts the next. Everything the explorer needs is behind this seam, so
+// the same search, reduction, witness, and replay machinery checks both.
 type checker interface {
+	// reset abandons the execution in progress and starts another from
+	// the scenario's initial state.
+	reset()
 	kernel() *sim.Kernel
 	enableMC(ch sim.Chooser)
 	stepCheck(maxReissues int) *Violation
@@ -274,8 +286,6 @@ type checker interface {
 	// scStats reports this execution's sequential-consistency checks and
 	// how many were cut by the node budget (zero unless Scenario.CheckSC).
 	scStats() (checks, undecided uint64)
-	// release returns pooled fingerprint state to sh for the next run.
-	release()
 }
 
 func newChecker(sc *Scenario, sh *shared) checker {
@@ -353,24 +363,30 @@ type mcChooser struct {
 	clsScratch []tagClass
 }
 
-func newMCChooser(ck checker, n int, it workItem, depth int, opts *Options) *mcChooser {
-	c := &mcChooser{
-		n:         n,
-		classify:  ck.classify,
-		grantCls:  ck.grantClass,
-		prefix:    it.prefix,
-		depth:     depth,
-		eager:     !opts.DisablePOR,
-		legacy:    opts.legacyAmple,
-		sleepOn:   !opts.DisablePOR && !opts.DisableSleep && !opts.legacyAmple,
-		initSleep: it.sleep,
+// newMCChooser returns a chooser bound to ck under the options'
+// reduction; start scripts it for one execution.
+func newMCChooser(ck checker, n int, opts *Options) *mcChooser {
+	return &mcChooser{
+		n:        n,
+		classify: ck.classify,
+		grantCls: ck.grantClass,
+		eager:    !opts.DisablePOR,
+		legacy:   opts.legacyAmple,
+		sleepOn:  !opts.DisablePOR && !opts.DisableSleep && !opts.legacyAmple,
 	}
+}
+
+// start scripts the chooser for one execution of the work item under the
+// depth bound, keeping the buffers of the execution before.
+func (c *mcChooser) start(it workItem, depth int) {
+	c.prefix, c.depth, c.initSleep = it.prefix, depth, it.sleep
+	c.sleep, c.armed, c.active = nil, false, false
+	c.taken = c.taken[:0]
+	c.limitHit, c.blocked = false, false
 	if c.sleepOn && len(c.prefix) == 0 {
 		c.active = true
 		c.sleep = c.initSleep
 	}
-	c.taken = make([]take, 0, len(c.prefix)+64)
-	return c
 }
 
 // replayChooser scripts a counterexample re-execution: prefix picks,
@@ -378,14 +394,10 @@ func newMCChooser(ck checker, n int, it workItem, depth int, opts *Options) *mcC
 // sets (a Violation's Choices records every resolved choice point up to
 // the failure, so the replay is exact either way).
 func replayChooser(ck checker, n int, prefix []int, opts *Options) *mcChooser {
-	return &mcChooser{
-		n:        n,
-		classify: ck.classify,
-		grantCls: ck.grantClass,
-		prefix:   prefix,
-		eager:    !opts.DisablePOR,
-		legacy:   opts.legacyAmple,
-	}
+	c := newMCChooser(ck, n, opts)
+	c.sleepOn = false
+	c.start(workItem{prefix: prefix}, 0)
+	return c
 }
 
 func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
@@ -545,6 +557,8 @@ type explorer struct {
 	fpInc   atomic.Uint64
 	scRuns  atomic.Uint64
 	scUndec atomic.Uint64
+	steps   atomic.Uint64
+	replay  atomic.Uint64
 
 	// scenH/optH pin checkpoints to this exploration; totalPrev carries
 	// run counts of completed deepening iterations into checkpoints.
@@ -571,18 +585,39 @@ type runOut struct {
 	handoffTo int
 }
 
-// run executes the scenario from scratch under the given work item.
-// When track is set, states beyond the prefix are checked against and
-// added to the visited table (prefix replay must not consult it: those
-// states were recorded by the run that spawned this branch, and
-// truncating the replay would orphan it).
-func (e *explorer) run(it workItem, depth int, track bool) runOut {
-	ck := newChecker(e.sc, e.sh)
-	ch := newMCChooser(ck, e.n, it, depth, &e.opts)
-	return e.execute(ck, ch, len(it.prefix), track, -1, 0)
+// worker is the execution state one exploration goroutine keeps from run
+// to run: the machine is reset, not rebuilt, and the chooser keeps its
+// buffers. Both are built by the first run.
+type worker struct {
+	e  *explorer
+	ck checker
+	ch *mcChooser
 }
 
-// execute drives one from-scratch execution. own >= 0 enables the
+// run executes the scenario from scratch under the given work item,
+// checking states beyond the prefix against the visited table and adding
+// them to it. Inside the prefix it neither consults the table nor runs
+// the per-step oracle: those states were recorded and checked by the run
+// that spawned this branch, and truncating the replay would orphan it.
+// own and the item's skip are execute's; a search that is not
+// distributed passes own -1. The returned runOut's taken is valid until
+// the worker's next run.
+func (w *worker) run(it workItem, depth, own int) runOut {
+	if w.ck == nil {
+		w.ck = newChecker(w.e.sc, w.e.sh)
+		w.ch = newMCChooser(w.ck, w.e.n, &w.e.opts)
+	} else {
+		w.ck.reset()
+	}
+	w.ch.start(it, depth)
+	return w.e.execute(w.ck, w.ch, len(it.prefix), true, own, it.skip)
+}
+
+// execute drives one from-scratch execution. track marks an exploration
+// run, whose prefix replays states the spawning run already checked and
+// recorded: they skip the per-step oracle and the visited table, and
+// states beyond are tracked. A replay (track unset) checks every step —
+// its violation may sit inside the prefix. own >= 0 enables the
 // ownership discipline of distributed exploration: tracked states in a
 // foreign fingerprint range stop the run with a handoff instead of a
 // visit, and the first skip tracked states beyond the prefix — already
@@ -591,7 +626,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 	ck.enableMC(ch)
 	k := ck.kernel()
 	var out runOut
-	steps := 0
+	steps, replayed := 0, 0
 	skipLeft := skip
 	// sinceChoice counts tracked states (skipped included) since the run
 	// last resolved a choice point; a handoff's skip is sinceChoice-1,
@@ -609,11 +644,15 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 			out.blocked = true
 			break
 		}
+		if track && len(ch.taken) < prefixLen {
+			replayed++
+			continue
+		}
 		if v := ck.stepCheck(e.opts.MaxReissues); v != nil {
 			out.violation = v
 			break
 		}
-		if track && len(ch.taken) >= prefixLen {
+		if track {
 			if len(ch.taken) != lastTaken {
 				lastTaken = len(ch.taken)
 				sinceChoice = 0
@@ -657,7 +696,8 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 	scc, scu := ck.scStats()
 	e.scRuns.Add(scc)
 	e.scUndec.Add(scu)
-	ck.release()
+	e.steps.Add(uint64(steps))
+	e.replay.Add(uint64(replayed))
 	return out
 }
 
@@ -744,6 +784,7 @@ func (e *explorer) pass(depth int, stack []workItem, out passOut) passOut {
 		ckptEvery = e.opts.CheckpointEvery
 	}
 	sinceCkpt := 0
+	w := &worker{e: e}
 	for len(stack) > 0 && !e.budget.Load() {
 		if e.ctxDone() {
 			out.canceled = true
@@ -751,7 +792,7 @@ func (e *explorer) pass(depth int, stack []workItem, out passOut) passOut {
 		}
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		r := e.run(it, depth, true)
+		r := w.run(it, depth, -1)
 		out.runs++
 		out.limitAny = out.limitAny || r.limitHit
 		out.stepsAny = out.stepsAny || r.stepsHit
@@ -792,8 +833,9 @@ func (e *explorer) passParallel(depth, workers int) passOut {
 	)
 	cond := sync.NewCond(&mu)
 	var wg sync.WaitGroup
-	worker := func() {
+	drain := func() {
 		defer wg.Done()
+		w := &worker{e: e}
 		for {
 			mu.Lock()
 			for len(queue) == 0 && outstanding > 0 && !stop {
@@ -814,7 +856,7 @@ func (e *explorer) passParallel(depth, workers int) passOut {
 			queue = queue[:len(queue)-1]
 			mu.Unlock()
 
-			r := e.run(it, depth, true)
+			r := w.run(it, depth, -1)
 			kids := e.children(it, r)
 
 			mu.Lock()
@@ -846,7 +888,7 @@ func (e *explorer) passParallel(depth, workers int) passOut {
 		// canonical order and every counterexample is re-derived by a
 		// sequential replay, so the explored verdict is schedule-independent.
 		//multicube:chooser-ok worker pool; results canonicalized and replays sequential
-		go worker()
+		go drain()
 	}
 	wg.Wait()
 	return out
@@ -972,6 +1014,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.FPIncremental = e.fpInc.Load()
 		res.SCChecks = e.scRuns.Load()
 		res.SCUndecided = e.scUndec.Load()
+		res.Steps = e.steps.Load()
+		res.ReplaySteps = e.replay.Load()
 		res.Spills = e.visited.Spills()
 		res.DiskBytes = e.visited.DiskBytes()
 		res.Handoffs += p.handoffs
@@ -1033,7 +1077,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 }
 
 // replayRun re-executes a bare choice prefix with defaults beyond it and
-// no sleep sets — the semantics Violation.Choices is defined against.
+// no sleep sets — the semantics Violation.Choices is defined against —
+// on a machine of its own, checking every step.
 func (e *explorer) replayRun(prefix []int) runOut {
 	ck := newChecker(e.sc, e.sh)
 	ch := replayChooser(ck, e.n, prefix, &e.opts)

@@ -6,6 +6,7 @@ import (
 
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
+	"multicube/internal/fphash"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
 )
@@ -20,8 +21,10 @@ type stepTag struct {
 
 func (t stepTag) String() string { return fmt.Sprintf("proc%d step %d", t.proc, t.step) }
 
-// instance is one from-scratch execution of a scenario: a fresh kernel
-// and machine, the per-processor program counters, and the witness.
+// instance runs from-scratch executions of a grid scenario, one after the
+// other, on one kernel and machine that reset rewinds between them: the
+// per-processor program counters, the witness and the fingerprint caches
+// belong to the execution in progress.
 type instance struct {
 	sc  *Scenario
 	sh  *shared
@@ -32,13 +35,15 @@ type instance struct {
 	completed int        // ops completed across all processors
 	held      [][]uint64 // sorted held lock lines per processor
 	wit       *witness
+	// issueFn[p] is the kernel event body issuing processor p's next op.
+	issueFn []func()
 
 	// Cross-address SC check counters (Scenario.CheckSC only).
 	scChecks    uint64
 	scUndecided uint64
 
-	// Incremental fingerprint state: the pooled machine-component cache,
-	// plus per-processor driver hashes behind dirty flags.
+	// Incremental fingerprint state: the machine-component cache, plus
+	// per-processor driver hashes behind dirty flags.
 	fpc      *coherence.FPCache
 	drvH     []uint64
 	drvDirty []bool
@@ -57,6 +62,8 @@ type instance struct {
 	failure string
 }
 
+// newInstance builds the machine and returns it at the start of its
+// first execution.
 func newInstance(sc *Scenario, sh *shared) *instance {
 	sc.FillDefaults()
 	k := sim.NewKernel()
@@ -69,10 +76,6 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 		MLTAssoc:   sc.MLTAssoc,
 		Snarf:      sc.Snarf,
 	})
-	sys.DisableStaleReplyPoisoning = sc.InjectStaleReply
-	if sh.instrument != nil {
-		sh.instrument(sys)
-	}
 	in := &instance{
 		sc:       sc,
 		sh:       sh,
@@ -81,21 +84,47 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 		pc:       make([]int, len(sc.Procs)),
 		held:     make([][]uint64, len(sc.Procs)),
 		wit:      newWitness(sc),
-		fpc:      sh.getFPC(sys),
+		issueFn:  make([]func(), len(sc.Procs)),
+		fpc:      coherence.NewFPCache(sys),
 		drvH:     make([]uint64, len(sc.Procs)),
 		drvDirty: make([]bool, len(sc.Procs)),
 		modLines: make([][]cache.Line, sc.N*sc.N),
 		modGen:   make([]uint64, sc.N*sc.N),
 	}
+	for p := range sc.Procs {
+		p := p
+		in.issueFn[p] = func() { in.issue(p) }
+	}
+	in.reset()
+	return in
+}
+
+// reset puts the instance at the start of a from-scratch execution: the
+// machine in its initial state (coherence.System.Reset) with the
+// scenario's switches and the harness's hooks installed, the driver and
+// every cache keyed on the machine's generation counters cleared, and
+// each processor's first step pending.
+func (in *instance) reset() {
+	in.sys.Reset()
+	in.sys.DisableStaleReplyPoisoning = in.sc.InjectStaleReply
+	if in.sh.instrument != nil {
+		in.sh.instrument(in.sys)
+	}
+	in.completed = 0
+	in.wit.reset()
+	in.scChecks, in.scUndecided = 0, 0
+	in.fpc.Reset(in.sys)
+	in.drvRec, in.drvInc = 0, 0
 	for i := range in.modGen {
 		in.modGen[i] = ^uint64(0)
 	}
-	for p := range sc.Procs {
+	in.failure = ""
+	for p := range in.sc.Procs {
+		in.pc[p] = 0
+		in.held[p] = in.held[p][:0]
 		in.drvDirty[p] = true
-		p := p
-		k.AtTagged(0, stepTag{proc: p, step: 0}, func() { in.issue(p) })
+		in.k.AtTagged(0, stepTag{proc: p, step: 0}, in.issueFn[p])
 	}
-	return in
 }
 
 // writeValue assigns each (processor, step) write a unique nonzero value
@@ -191,7 +220,7 @@ func (in *instance) complete(p int) {
 	in.pc[p]++
 	in.completed++
 	if next := in.pc[p]; next < len(in.sc.Procs[p].Ops) {
-		in.k.AfterTagged(0, stepTag{proc: p, step: next}, func() { in.issue(p) })
+		in.k.AfterTagged(0, stepTag{proc: p, step: next}, in.issueFn[p])
 	}
 }
 
@@ -214,11 +243,11 @@ func (in *instance) classify(tag any) tagClass {
 		if cls := in.sh.stepCls; st.proc < len(cls) && st.step < len(cls[st.proc]) {
 			return cls[st.proc][st.step]
 		}
-		m := newMixer()
-		m.word(0x20)
-		m.word(uint64(st.proc))
-		m.word(uint64(st.step))
-		return tagClass{kind: tkStep, bus: -1, at: in.sc.Procs[st.proc].At, fp: uint64(m)}
+		m := fphash.New()
+		m.Word(0x20)
+		m.Word(uint64(st.proc))
+		m.Word(uint64(st.step))
+		return tagClass{kind: tkStep, bus: -1, at: in.sc.Procs[st.proc].At, fp: m.Sum()}
 	}
 	if ti, ok := in.sys.TagInfo(tag); ok {
 		kind := tkOther
@@ -240,13 +269,13 @@ func (in *instance) classify(tag any) tagClass {
 // transition identities.
 func (in *instance) grantClass(busName string, tag any) tagClass {
 	idx := in.sys.BusIndexByName(busName)
-	m := newMixer()
-	m.word(0x11)
-	m.word(uint64(int64(idx)))
+	m := fphash.New()
+	m.Word(0x11)
+	m.Word(uint64(int64(idx)))
 	if fp, ok := in.sys.PacketFP(tag); ok {
-		m.word(fp)
+		m.Word(fp)
 	}
-	return tagClass{kind: tkGrant, bus: idx, fp: uint64(m)}
+	return tagClass{kind: tkGrant, bus: idx, fp: m.Sum()}
 }
 
 // --- per-step and quiescence oracles ------------------------------------
@@ -304,16 +333,7 @@ func (in *instance) stepCheck(maxReissues int) *Violation {
 	if dup {
 		return in.dupModifiedScan()
 	}
-	reissues := uint64(0)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			reissues += in.sys.Node(topology.Coord{Row: r, Col: c}).Stats().Reissues
-		}
-	}
-	for c := 0; c < n; c++ {
-		reissues += in.sys.MemoryAt(c).Store().Stats().Reissues
-	}
-	if maxReissues > 0 && reissues > uint64(maxReissues) {
+	if reissues := in.sys.Reissues(); maxReissues > 0 && reissues > uint64(maxReissues) {
 		return &Violation{Kind: "livelock",
 			Msg: fmt.Sprintf("%d retransmissions exceed the bound of %d: possible livelock", reissues, maxReissues)}
 	}
@@ -391,17 +411,6 @@ func (in *instance) quiescenceCheck() *Violation {
 
 // --- canonical fingerprints ----------------------------------------------
 
-// mix is FNV-1a over a word sequence, for combining hash components.
-type mixer uint64
-
-func newMixer() mixer { return 14695981039346656037 }
-
-func (m *mixer) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		*m = (*m ^ mixer(byte(v>>(8*i)))) * 1099511628211
-	}
-}
-
 // canonicalFP fingerprints the machine AND driver state (program
 // counters, lock bookkeeping, remaining programs), minimized over all
 // row relabelings crossed with the admissible column relabelings
@@ -428,10 +437,10 @@ func (in *instance) canonicalFP() uint64 {
 	best := ^uint64(0)
 	for ri, perm := range in.sh.perms {
 		for ci, cperm := range in.sh.cperms {
-			m := newMixer()
-			m.word(in.fpc.FPRC(perm, in.sh.invs[ri], cperm, in.sh.cinvs[ci]))
-			m.word(in.driverCombine(ri*nc+ci, perm, cperm, in.drvH))
-			if fp := uint64(m); fp < best {
+			m := fphash.New()
+			m.Word(in.fpc.FPRC(perm, in.sh.invs[ri], cperm, in.sh.cinvs[ci]))
+			m.Word(in.driverCombine(ri*nc+ci, perm, cperm, in.drvH))
+			if fp := m.Sum(); fp < best {
 				best = fp
 			}
 		}
@@ -450,22 +459,22 @@ func (in *instance) extraRow(tag any) (row, col int, rest uint64, ok bool) {
 		return 0, 0, 0, false
 	}
 	at := in.sc.Procs[st.proc].At
-	m := newMixer()
-	m.word(uint64(st.step))
-	return at.Row, at.Col, uint64(m), true
+	m := fphash.New()
+	m.Word(uint64(st.step))
+	return at.Row, at.Col, m.Sum(), true
 }
 
 // driverHash computes one processor's driver-state hash: program
 // counter, static program, and held lock lines.
 func (in *instance) driverHash(p int) uint64 {
-	m := newMixer()
-	m.word(uint64(in.pc[p]))
-	m.word(in.sh.progH[p])
-	m.word(uint64(len(in.held[p])))
+	m := fphash.New()
+	m.Word(uint64(in.pc[p]))
+	m.Word(in.sh.progH[p])
+	m.Word(uint64(len(in.held[p])))
 	for _, l := range in.held[p] {
-		m.word(l)
+		m.Word(l)
 	}
-	return uint64(m)
+	return m.Sum()
 }
 
 func (in *instance) refreshDriver() {
@@ -484,14 +493,14 @@ func (in *instance) refreshDriver() {
 // (permuted row, permuted col) order — precomputed per relabeling pair
 // in shared (permIdx = ri*len(cperms)+ci).
 func (in *instance) driverCombine(permIdx int, perm, cperm []int, drvH []uint64) uint64 {
-	m := newMixer()
+	m := fphash.New()
 	for _, p := range in.sh.procOrder[permIdx] {
 		at := in.sc.Procs[p].At
-		m.word(uint64(perm[at.Row]))
-		m.word(uint64(cperm[at.Col]))
-		m.word(drvH[p])
+		m.Word(uint64(perm[at.Row]))
+		m.Word(uint64(cperm[at.Col]))
+		m.Word(drvH[p])
 	}
-	return uint64(m)
+	return m.Sum()
 }
 
 // crossCheckFP recomputes the canonical fingerprint from scratch — a
@@ -511,10 +520,10 @@ func (in *instance) crossCheckFP(got uint64) {
 	best := ^uint64(0)
 	for ri, perm := range in.sh.perms {
 		for ci, cperm := range in.sh.cperms {
-			m := newMixer()
-			m.word(fresh.FPRC(perm, in.sh.invs[ri], cperm, in.sh.cinvs[ci]))
-			m.word(in.driverCombine(ri*nc+ci, perm, cperm, drv))
-			if fp := uint64(m); fp < best {
+			m := fphash.New()
+			m.Word(fresh.FPRC(perm, in.sh.invs[ri], cperm, in.sh.cinvs[ci]))
+			m.Word(in.driverCombine(ri*nc+ci, perm, cperm, drv))
+			if fp := m.Sum(); fp < best {
 				best = fp
 			}
 		}
@@ -538,16 +547,16 @@ func (in *instance) canonicalFPLegacy() uint64 {
 					return 0, false
 				}
 				at := in.sc.Procs[st.proc].At
-				m := newMixer()
-				m.word(uint64(perm[at.Row]))
-				m.word(uint64(cperm[at.Col]))
-				m.word(uint64(st.step))
-				return uint64(m), true
+				m := fphash.New()
+				m.Word(uint64(perm[at.Row]))
+				m.Word(uint64(cperm[at.Col]))
+				m.Word(uint64(st.step))
+				return m.Sum(), true
 			}
-			m := newMixer()
-			m.word(in.sys.FingerprintRC(perm, cperm, extra))
-			m.word(in.driverFP(perm, cperm))
-			if fp := uint64(m); fp < best {
+			m := fphash.New()
+			m.Word(in.sys.FingerprintRC(perm, cperm, extra))
+			m.Word(in.driverFP(perm, cperm))
+			if fp := m.Sum(); fp < best {
 				best = fp
 			}
 		}
@@ -562,17 +571,17 @@ func (in *instance) driverFP(perm, cperm []int) uint64 {
 	}
 	ents := make([]ent, 0, len(in.sc.Procs))
 	for p, pr := range in.sc.Procs {
-		m := newMixer()
-		m.word(uint64(in.pc[p]))
-		m.word(uint64(len(pr.Ops)))
+		m := fphash.New()
+		m.Word(uint64(in.pc[p]))
+		m.Word(uint64(len(pr.Ops)))
 		for _, op := range pr.Ops {
-			m.word(uint64(op.Kind))
-			m.word(op.Line)
+			m.Word(uint64(op.Kind))
+			m.Word(op.Line)
 		}
 		for _, l := range in.held[p] { // already sorted
-			m.word(l)
+			m.Word(l)
 		}
-		ents = append(ents, ent{r: perm[pr.At.Row], c: cperm[pr.At.Col], fp: uint64(m)})
+		ents = append(ents, ent{r: perm[pr.At.Row], c: cperm[pr.At.Col], fp: m.Sum()})
 	}
 	sort.Slice(ents, func(i, j int) bool {
 		if ents[i].r != ents[j].r {
@@ -580,13 +589,13 @@ func (in *instance) driverFP(perm, cperm []int) uint64 {
 		}
 		return ents[i].c < ents[j].c
 	})
-	m := newMixer()
+	m := fphash.New()
 	for _, e := range ents {
-		m.word(uint64(e.r))
-		m.word(uint64(e.c))
-		m.word(e.fp)
+		m.Word(uint64(e.r))
+		m.Word(uint64(e.c))
+		m.Word(e.fp)
 	}
-	return uint64(m)
+	return m.Sum()
 }
 
 // fpStats reports incremental-fingerprint effectiveness: component
@@ -598,15 +607,6 @@ func (in *instance) fpStats() (recomputes, incremental uint64) {
 
 func (in *instance) scStats() (checks, undecided uint64) {
 	return in.scChecks, in.scUndecided
-}
-
-// release returns pooled resources; the instance must not fingerprint
-// afterwards.
-func (in *instance) release() {
-	if in.fpc != nil {
-		in.sh.put(in.fpc)
-		in.fpc = nil
-	}
 }
 
 // rowPermutations enumerates all relabelings of n rows. Beyond 4 rows

@@ -32,8 +32,13 @@ func scenarioHash(sc *Scenario) string {
 // which states the search visits, and a resume legitimately runs with
 // different paths. Checkpointing forbids Workers>1 and distribution, so
 // those cannot differ across a checkpoint/resume pair either.
+//
+// The leading version scopes fingerprint values: a checkpoint's run files
+// hold the fingerprints of the hasher that wrote them, so a change of
+// hasher bumps it and older checkpoints are refused as mismatched
+// (v1: byte-wise FNV-1a; v2: internal/fphash).
 func optionsHash(o *Options) string {
-	s := fmt.Sprintf("v1|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
+	s := fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyAmple, o.legacyFP)
 	return fmt.Sprintf("%016x", fnvString(s))
@@ -119,6 +124,8 @@ func (e *explorer) counterMap(p *passOut) map[string]uint64 {
 		"fp_inc":          e.fpInc.Load(),
 		"sc_checks":       e.scRuns.Load(),
 		"sc_undec":        e.scUndec.Load(),
+		"steps":           e.steps.Load(),
+		"replay_steps":    e.replay.Load(),
 	}
 }
 
@@ -133,6 +140,8 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	e.fpInc.Store(c["fp_inc"])
 	e.scRuns.Store(c["sc_checks"])
 	e.scUndec.Store(c["sc_undec"])
+	e.steps.Store(c["steps"])
+	e.replay.Store(c["replay_steps"])
 }
 
 // checkpoint atomically persists the search at a frontier boundary. The

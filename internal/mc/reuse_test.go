@@ -1,0 +1,170 @@
+package mc
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// exploreRebuilding is the sequential search with a new worker — and so
+// a newly built machine and chooser — for every run: the reference the
+// machine-reusing explorer must match. Only the loop of explorer.pass is
+// repeated here; runs, children and the visited table are the explorer's.
+func exploreRebuilding(sc Scenario, opts Options) Result {
+	sc.FillDefaults()
+	opts.fillDefaults()
+	e := newExplorer(&sc, opts)
+	res := Result{Scenario: sc.Name}
+	stack := []workItem{{}}
+	cut := false
+	for len(stack) > 0 && !e.budget.Load() {
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		r := (&worker{e: e}).run(it, opts.MaxDepth, -1)
+		res.Runs++
+		cut = cut || r.limitHit || r.stepsHit
+		if r.violation != nil {
+			res.Violation = r.violation
+			break
+		}
+		stack = append(stack, e.children(it, r)...)
+	}
+	res.TotalRuns = res.Runs
+	res.States = e.visited.States()
+	res.BudgetHit = e.budget.Load()
+	res.Exhausted = res.Violation == nil && !res.BudgetHit && !cut
+	res.FPRecomputes, res.FPIncremental = e.fpRec.Load(), e.fpInc.Load()
+	res.SCChecks, res.SCUndecided = e.scRuns.Load(), e.scUndec.Load()
+	res.Steps, res.ReplaySteps = e.steps.Load(), e.replay.Load()
+	return res
+}
+
+// TestReusedMachineMatchesRebuilt explores swarm scenarios on both
+// machines with the explorer's reset-between-runs workers and with a
+// machine built per run, and requires identical Results — every counter
+// included, and the unminimized counterexample where the injected bug
+// makes one. Four workers, each resetting a machine of its own, must
+// reach the sequential verdict; under -race that also proves the
+// workers share no machine state.
+func TestReusedMachineMatchesRebuilt(t *testing.T) {
+	var searches, states, violations int
+	for seed := int64(17000); seed <= 17011; seed++ {
+		for _, singleBus := range []bool{false, true} {
+			for _, inject := range []bool{false, true} {
+				if inject && singleBus {
+					continue // the injected bug is the grid machine's
+				}
+				sc := SwarmScenario(seed, singleBus)
+				sc.InjectStaleReply = inject
+				name := fmt.Sprintf("%s singleBus=%v inject=%v", sc.Name, singleBus, inject)
+				opts := Options{MaxStates: 20000, NoMinimize: true}
+				reused, err := Explore(sc, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if rebuilt := exploreRebuilding(sc, opts); !reflect.DeepEqual(reused, rebuilt) {
+					t.Fatalf("%s: machine reuse changed the search:\n reused:  %+v\n rebuilt: %+v", name, reused, rebuilt)
+				}
+				searches++
+				states += reused.States
+				if reused.Violation != nil {
+					violations++
+				}
+				if reused.Runs > 1 && reused.ReplaySteps == 0 {
+					t.Fatalf("%s: %d runs replayed no prefix step", name, reused.Runs)
+				}
+
+				opts.NoMinimize = false
+				seq, err := Explore(sc, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				opts.Workers = 4
+				par, err := Explore(sc, opts)
+				if err != nil {
+					t.Fatalf("%s workers=4: %v", name, err)
+				}
+				// A parallel pass's state and run counts vary with
+				// scheduling (Options.Workers); its verdict must not.
+				if !reflect.DeepEqual(seq.Violation, par.Violation) || seq.Exhausted != par.Exhausted {
+					t.Fatalf("%s: workers=4 differs from workers=1:\n seq: %+v\n par: %+v", name, seq, par)
+				}
+			}
+		}
+	}
+	if violations == 0 {
+		t.Fatal("no swarm scenario tripped the injected bug; the counterexample path went untested")
+	}
+	t.Logf("%d searches, %d states, %d with a violation: reused ≡ rebuilt", searches, states, violations)
+}
+
+// countingChecker counts the per-step oracle's invocations.
+type countingChecker struct {
+	checker
+	checks uint64
+}
+
+func (c *countingChecker) stepCheck(maxReissues int) *Violation {
+	c.checks++
+	return c.checker.stepCheck(maxReissues)
+}
+
+// TestOnlyExplorationSkipsPrefixChecks executes one deep work item both
+// ways: as an exploration run, which must skip the per-step oracle
+// exactly on the steps before its prefix's last choice (the spawning run
+// checked those states), and as a replay — what minimize and the
+// violation re-derivation use — which must check every step, because a
+// replayed violation may sit inside the prefix.
+func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
+	sc, err := Preset("read-race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.FillDefaults()
+	var opts Options
+	opts.fillDefaults()
+	e := newExplorer(&sc, opts)
+	w := &worker{e: e}
+	// Descend the leftmost branch a few levels for a long prefix.
+	it := workItem{}
+	for depth := 0; depth < 6; depth++ {
+		kids := e.children(it, w.run(it, 0, -1))
+		if len(kids) == 0 {
+			break
+		}
+		it = kids[len(kids)-1]
+	}
+	if len(it.prefix) < 4 {
+		t.Fatalf("work item prefix %v too short to mean anything", it.prefix)
+	}
+	for _, explore := range []bool{true, false} {
+		cc := &countingChecker{checker: newChecker(&sc, e.sh)}
+		ch := replayChooser(cc, e.n, it.prefix, &e.opts)
+		if explore {
+			ch = newMCChooser(cc, e.n, &e.opts)
+			ch.start(it, 0)
+		}
+		steps, replayed := e.steps.Load(), e.replay.Load()
+		r := e.execute(cc, ch, len(it.prefix), explore, -1, 0)
+		steps, replayed = e.steps.Load()-steps, e.replay.Load()-replayed
+		if r.violation != nil {
+			t.Fatalf("explore=%v: %v", explore, r.violation)
+		}
+		want := steps
+		if explore {
+			if replayed == 0 {
+				t.Fatal("an exploration run with a prefix counted no replay steps")
+			}
+			want -= replayed
+			if r.blocked {
+				want-- // the blocked step ends the run before its check
+			}
+		} else if replayed != 0 {
+			t.Fatalf("a replay counted %d of its %d steps as prefix replay", replayed, steps)
+		}
+		if cc.checks != want {
+			t.Fatalf("explore=%v: per-step oracle ran %d times over %d steps (%d of them prefix replay), want %d",
+				explore, cc.checks, steps, replayed, want)
+		}
+	}
+}

@@ -5,11 +5,12 @@ import (
 
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/fphash"
 	"multicube/internal/sim"
 	"multicube/internal/singlebus"
 )
 
-// sbInstance is one from-scratch execution of a SingleBus scenario: the
+// sbInstance runs from-scratch executions of a SingleBus scenario: the
 // write-once baseline machine (internal/singlebus) driven through the
 // same checker seam as the Multicube, with per-processor bounded
 // programs, per-step and quiescence oracles, and the same per-address
@@ -41,30 +42,43 @@ type sbInstance struct {
 
 func newSBInstance(sc *Scenario, sh *shared) *sbInstance {
 	sc.FillDefaults()
-	m := singlebus.MustNew(singlebus.Config{
-		Processors: len(sc.Procs),
-		BlockWords: sc.BlockWords,
-		CacheLines: sc.CacheLines,
-		CacheAssoc: sc.CacheAssoc,
-		Protocol:   sc.Protocol,
-	})
 	in := &sbInstance{
 		sc:       sc,
 		sh:       sh,
-		k:        m.Kernel(),
-		m:        m,
 		pc:       make([]int, len(sc.Procs)),
 		wit:      newWitness(sc),
-		fpc:      sh.getSBFPC(m),
+		fpc:      new(singlebus.FPCache), // bound to each execution's machine by reset
 		drvH:     make([]uint64, len(sc.Procs)),
 		drvDirty: make([]bool, len(sc.Procs)),
 	}
-	for p := range sc.Procs {
+	in.reset()
+	return in
+}
+
+// reset puts the instance at the start of a from-scratch execution. The
+// baseline machine has no Reset of its own, so each execution gets a new
+// one; the driver's buffers and the fingerprint cache are kept.
+func (in *sbInstance) reset() {
+	in.m = singlebus.MustNew(singlebus.Config{
+		Processors: len(in.sc.Procs),
+		BlockWords: in.sc.BlockWords,
+		CacheLines: in.sc.CacheLines,
+		CacheAssoc: in.sc.CacheAssoc,
+		Protocol:   in.sc.Protocol,
+	})
+	in.k = in.m.Kernel()
+	in.fpc.Reset(in.m)
+	in.completed = 0
+	in.wit.reset()
+	in.scChecks, in.scUndecided = 0, 0
+	in.drvRec, in.drvInc = 0, 0
+	in.failure = ""
+	for p := range in.sc.Procs {
+		in.pc[p] = 0
 		in.drvDirty[p] = true
 		p := p
 		in.k.AtTagged(0, stepTag{proc: p, step: 0}, func() { in.issue(p) })
 	}
-	return in
 }
 
 func (in *sbInstance) addr(line uint64) singlebus.Addr {
@@ -117,14 +131,14 @@ func (in *sbInstance) classify(tag any) tagClass {
 }
 
 func (in *sbInstance) grantClass(busName string, tag any) tagClass {
-	m := newMixer()
-	m.word(0x11)
+	m := fphash.New()
+	m.Word(0x11)
 	if pkt, ok := tag.(bus.Packet); ok {
 		if fp, ok := in.m.PacketFP(pkt); ok {
-			m.word(fp)
+			m.Word(fp)
 		}
 	}
-	return tagClass{kind: tkOther, bus: -1, fp: uint64(m)}
+	return tagClass{kind: tkOther, bus: -1, fp: m.Sum()}
 }
 
 // stepCheck verifies the invariant that must hold in EVERY state: at
@@ -206,10 +220,10 @@ func (in *sbInstance) canonicalFP() uint64 {
 	in.refreshDriver()
 	best := ^uint64(0)
 	for i, perm := range in.sh.perms {
-		m := newMixer()
-		m.word(in.fpc.FP(perm, in.sh.invs[i]))
-		m.word(in.driverCombine(in.sh.invs[i], in.drvH))
-		if fp := uint64(m); fp < best {
+		m := fphash.New()
+		m.Word(in.fpc.FP(perm, in.sh.invs[i]))
+		m.Word(in.driverCombine(in.sh.invs[i], in.drvH))
+		if fp := m.Sum(); fp < best {
 			best = fp
 		}
 	}
@@ -224,16 +238,16 @@ func (in *sbInstance) extraRow(tag any) (int, uint64, bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	m := newMixer()
-	m.word(uint64(st.step))
-	return st.proc, uint64(m), true
+	m := fphash.New()
+	m.Word(uint64(st.step))
+	return st.proc, m.Sum(), true
 }
 
 func (in *sbInstance) driverHash(p int) uint64 {
-	m := newMixer()
-	m.word(uint64(in.pc[p]))
-	m.word(in.sh.progH[p])
-	return uint64(m)
+	m := fphash.New()
+	m.Word(uint64(in.pc[p]))
+	m.Word(in.sh.progH[p])
+	return m.Sum()
 }
 
 func (in *sbInstance) refreshDriver() {
@@ -251,11 +265,11 @@ func (in *sbInstance) refreshDriver() {
 // driverCombine folds the per-processor driver hashes in canonical
 // order: canonical slot cp holds physical processor inv[cp].
 func (in *sbInstance) driverCombine(inv []int, drvH []uint64) uint64 {
-	m := newMixer()
+	m := fphash.New()
 	for _, p := range inv {
-		m.word(drvH[p])
+		m.Word(drvH[p])
 	}
-	return uint64(m)
+	return m.Sum()
 }
 
 // crossCheckFP recomputes the canonical fingerprint from scratch and
@@ -272,10 +286,10 @@ func (in *sbInstance) crossCheckFP(got uint64) {
 	}
 	best := ^uint64(0)
 	for i, perm := range in.sh.perms {
-		m := newMixer()
-		m.word(fresh.FP(perm, in.sh.invs[i]))
-		m.word(in.driverCombine(in.sh.invs[i], drv))
-		if fp := uint64(m); fp < best {
+		m := fphash.New()
+		m.Word(fresh.FP(perm, in.sh.invs[i]))
+		m.Word(in.driverCombine(in.sh.invs[i], drv))
+		if fp := m.Sum(); fp < best {
 			best = fp
 		}
 	}
@@ -295,15 +309,15 @@ func (in *sbInstance) canonicalFPLegacy() uint64 {
 			if !ok {
 				return 0, false
 			}
-			m := newMixer()
-			m.word(uint64(perm[st.proc]))
-			m.word(uint64(st.step))
-			return uint64(m), true
+			m := fphash.New()
+			m.Word(uint64(perm[st.proc]))
+			m.Word(uint64(st.step))
+			return m.Sum(), true
 		}
-		m := newMixer()
-		m.word(in.m.Fingerprint(perm, extra))
-		m.word(in.driverFP(perm))
-		if fp := uint64(m); fp < best {
+		m := fphash.New()
+		m.Word(in.m.Fingerprint(perm, extra))
+		m.Word(in.driverFP(perm))
+		if fp := m.Sum(); fp < best {
 			best = fp
 		}
 	}
@@ -313,20 +327,20 @@ func (in *sbInstance) canonicalFPLegacy() uint64 {
 func (in *sbInstance) driverFP(perm []int) uint64 {
 	fps := make([]uint64, len(in.sc.Procs))
 	for p, pr := range in.sc.Procs {
-		m := newMixer()
-		m.word(uint64(in.pc[p]))
-		m.word(uint64(len(pr.Ops)))
+		m := fphash.New()
+		m.Word(uint64(in.pc[p]))
+		m.Word(uint64(len(pr.Ops)))
 		for _, op := range pr.Ops {
-			m.word(uint64(op.Kind))
-			m.word(op.Line)
+			m.Word(uint64(op.Kind))
+			m.Word(op.Line)
 		}
-		fps[perm[p]] = uint64(m)
+		fps[perm[p]] = m.Sum()
 	}
-	m := newMixer()
+	m := fphash.New()
 	for _, f := range fps {
-		m.word(f)
+		m.Word(f)
 	}
-	return uint64(m)
+	return m.Sum()
 }
 
 func (in *sbInstance) fpStats() (recomputes, incremental uint64) {
@@ -336,11 +350,4 @@ func (in *sbInstance) fpStats() (recomputes, incremental uint64) {
 
 func (in *sbInstance) scStats() (checks, undecided uint64) {
 	return in.scChecks, in.scUndecided
-}
-
-func (in *sbInstance) release() {
-	if in.fpc != nil {
-		in.sh.put(in.fpc)
-		in.fpc = nil
-	}
 }

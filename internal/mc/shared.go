@@ -2,19 +2,17 @@ package mc
 
 import (
 	"sort"
-	"sync"
 
 	"multicube/internal/coherence"
-	"multicube/internal/singlebus"
+	"multicube/internal/fphash"
 )
 
 // shared holds the cross-run immutable data of one exploration, computed
 // once instead of per from-scratch execution: the row (or processor)
 // relabelings with their precomputed inverses, the per-relabeling driver
-// combine order, the static per-processor program hashes, and a pool of
-// incremental fingerprint caches recycled across the explorer's
-// thousands of runs. It is safe for concurrent use by parallel workers:
-// everything but the pool is read-only after construction.
+// combine order, and the static per-processor program hashes. It is safe
+// for concurrent use by parallel workers: everything is read-only after
+// construction.
 type shared struct {
 	perms [][]int
 	invs  [][]int
@@ -46,8 +44,6 @@ type shared struct {
 	// instrument is Options.Instrument: a passive per-machine hook
 	// installer for grid scenarios.
 	instrument func(*coherence.System)
-
-	pool sync.Pool // *coherence.FPCache or *singlebus.FPCache (never mixed)
 }
 
 func newShared(sc *Scenario, opts *Options) *shared {
@@ -67,23 +63,23 @@ func newShared(sc *Scenario, opts *Options) *shared {
 	}
 	sh.progH = make([]uint64, len(sc.Procs))
 	for p, pr := range sc.Procs {
-		m := newMixer()
-		m.word(uint64(len(pr.Ops)))
+		m := fphash.New()
+		m.Word(uint64(len(pr.Ops)))
 		for _, op := range pr.Ops {
-			m.word(uint64(op.Kind))
-			m.word(op.Line)
+			m.Word(uint64(op.Kind))
+			m.Word(op.Line)
 		}
-		sh.progH[p] = uint64(m)
+		sh.progH[p] = m.Sum()
 	}
 	sh.stepCls = make([][]tagClass, len(sc.Procs))
 	for p, pr := range sc.Procs {
 		sh.stepCls[p] = make([]tagClass, len(pr.Ops)+1)
 		for step := range sh.stepCls[p] {
-			m := newMixer()
-			m.word(0x20)
-			m.word(uint64(p))
-			m.word(uint64(step))
-			sh.stepCls[p][step] = tagClass{kind: tkStep, bus: -1, at: pr.At, fp: uint64(m)}
+			m := fphash.New()
+			m.Word(0x20)
+			m.Word(uint64(p))
+			m.Word(uint64(step))
+			sh.stepCls[p][step] = tagClass{kind: tkStep, bus: -1, at: pr.At, fp: m.Sum()}
 		}
 	}
 	if !sc.SingleBus {
@@ -117,26 +113,6 @@ func newShared(sc *Scenario, opts *Options) *shared {
 	}
 	return sh
 }
-
-func (sh *shared) getFPC(sys *coherence.System) *coherence.FPCache {
-	if v := sh.pool.Get(); v != nil {
-		f := v.(*coherence.FPCache)
-		f.Reset(sys)
-		return f
-	}
-	return coherence.NewFPCache(sys)
-}
-
-func (sh *shared) getSBFPC(m *singlebus.Machine) *singlebus.FPCache {
-	if v := sh.pool.Get(); v != nil {
-		f := v.(*singlebus.FPCache)
-		f.Reset(m)
-		return f
-	}
-	return singlebus.NewFPCache(m)
-}
-
-func (sh *shared) put(f any) { sh.pool.Put(f) }
 
 // heldAdd inserts line into the sorted held-lines slice (no-op if
 // present). The slices are tiny — at most a program's lock count.

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -317,5 +318,70 @@ func TestResumeNothingToResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(comparable(base), comparable(res)) {
 		t.Fatalf("fresh checkpointed run differs from plain run:\n  base: %+v\n  got:  %+v", base, res)
+	}
+}
+
+// TestResumeRejectsOlderHasherCheckpoint re-stamps a checkpoint with the
+// options hash its manifest would carry had the byte-wise-FNV explorer
+// written it ("v1|…"): the run files would then hold fingerprints this
+// explorer never computes, so resume must refuse it as mismatched, say
+// so, and search afresh to the uninterrupted result.
+func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
+	sc, err := Preset("read-race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Explore(sc, Options{MaxStates: 400000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
+	func() {
+		defer func() { recover() }()
+		o := opts
+		o.faultHook = func(p string) {
+			if p == "post-checkpoint" {
+				panic(crashPanic{})
+			}
+		}
+		_, _ = Explore(sc, o)
+	}()
+
+	o := opts
+	o.fillDefaults()
+	current := optionsHash(&o)
+	v1 := fmt.Sprintf("%016x", fnvString(fmt.Sprintf("v1|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
+		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyAmple, o.legacyFP)))
+	if v1 == current {
+		t.Fatal("the options hash did not change with the hasher")
+	}
+	manifest := filepath.Join(dir, "MANIFEST.json")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatalf("no checkpoint to re-stamp: %v", err)
+	}
+	if strings.Count(string(data), current) != 1 {
+		t.Fatalf("manifest does not carry the current options hash %s exactly once", current)
+	}
+	if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), current, v1, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	o = opts
+	o.Resume = true
+	res, err := Explore(sc, o)
+	if err != nil {
+		t.Fatalf("resume over a v1 checkpoint: %v", err)
+	}
+	if res.Resumed {
+		t.Fatal("resumed against run files hashed by the older hasher")
+	}
+	if !strings.Contains(res.ResumeNote, "does not match") {
+		t.Fatalf("ResumeNote %q does not report the mismatch", res.ResumeNote)
+	}
+	if !reflect.DeepEqual(comparable(base), comparable(res)) {
+		t.Fatalf("fresh search after the refusal differs:\n  base: %+v\n  got:  %+v", base, res)
 	}
 }

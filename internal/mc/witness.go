@@ -39,6 +39,9 @@ func newWitness(sc *Scenario) *witness {
 	return &witness{tracked: tracked}
 }
 
+// reset forgets the recorded history, for the next execution.
+func (w *witness) reset() { w.hist = memmodel.History{} }
+
 func (w *witness) write(proc int, line, old, val uint64) {
 	if w.tracked[line] {
 		w.hist.Write(proc, line, old, val)

@@ -60,6 +60,14 @@ func MustNewStore(blockWords int) *Store {
 	return s
 }
 
+// Reset returns the module to its boot state — every line zero-filled
+// and valid, counters cleared — keeping the memory of its maps.
+func (s *Store) Reset() {
+	clear(s.data)
+	clear(s.invalid)
+	s.reads, s.writes, s.invalidates, s.reissues = 0, 0, 0, 0
+}
+
 // BlockWords returns the block size in words.
 func (s *Store) BlockWords() int { return s.blockWords }
 

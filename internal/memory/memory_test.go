@@ -105,3 +105,26 @@ func TestPropertyLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetRestoresBootState: after Reset every line is zero-filled and
+// valid again and the counters are zero.
+func TestResetRestoresBootState(t *testing.T) {
+	s := MustNewStore(4)
+	s.Write(3, []uint64{1, 2, 3, 4})
+	s.Invalidate(3)
+	s.Invalidate(5)
+	s.Read(3)
+	s.CountReissue()
+	s.Reset()
+	if s.Stats() != (Stats{}) || s.InvalidLines() != 0 || !s.Valid(3) || !s.Valid(5) {
+		t.Fatalf("after Reset stats=%+v invalid=%d", s.Stats(), s.InvalidLines())
+	}
+	for _, w := range s.Peek(3) {
+		if w != 0 {
+			t.Fatalf("line 3 after Reset: %v", s.Peek(3))
+		}
+	}
+	s.ForEach(func(line Line, valid bool, data []uint64) {
+		t.Fatalf("line %d differs from the boot state after Reset", line)
+	})
+}

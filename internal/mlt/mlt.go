@@ -98,6 +98,17 @@ func MustNew(cfg Config) *Table {
 	return t
 }
 
+// Reset empties the table and clears its counters, back to the state New
+// leaves it in, keeping its configuration and memory.
+func (t *Table) Reset() {
+	clear(t.table)
+	for _, set := range t.sets {
+		clear(set)
+	}
+	t.clock = 0
+	t.inserts, t.removes, t.failures, t.overflows = 0, 0, 0, 0
+}
+
 func (t *Table) bounded() bool { return t.cfg.Entries > 0 }
 
 func (t *Table) setOf(line Line) []entry {

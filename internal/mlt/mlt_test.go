@@ -167,3 +167,30 @@ func TestPropertyCapacityAndConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetEqualsNew: a used table, bounded or not, is empty after Reset
+// with zero counters, and then overflows exactly as a new one does.
+func TestResetEqualsNew(t *testing.T) {
+	for _, cfg := range []Config{{Entries: 4, Assoc: 2}, {}} {
+		tb := MustNew(cfg)
+		for _, l := range []Line{0, 2, 0, 4, 1} {
+			tb.Insert(l)
+		}
+		tb.Remove(1)
+		tb.Remove(7)
+		tb.Reset()
+		if tb.Len() != 0 || tb.Stats() != (Stats{}) || tb.Contains(0) || tb.Contains(4) {
+			t.Fatalf("%+v: after Reset len=%d stats=%+v", cfg, tb.Len(), tb.Stats())
+		}
+		fresh := MustNew(cfg)
+		for _, l := range []Line{0, 2, 0} {
+			tb.Insert(l)
+			fresh.Insert(l)
+		}
+		gv, gov := tb.Insert(4)
+		wv, wov := fresh.Insert(4)
+		if gv != wv || gov != wov || !Equal(tb, fresh) || tb.Stats() != fresh.Stats() {
+			t.Fatalf("%+v: reset table Insert(4) = (%d,%v) stats %+v, a new one (%d,%v) stats %+v", cfg, gv, gov, tb.Stats(), wv, wov, fresh.Stats())
+		}
+	}
+}

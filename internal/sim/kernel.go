@@ -363,6 +363,22 @@ func NewKernel() *Kernel {
 	return &Kernel{}
 }
 
+// Reset returns the kernel to the state NewKernel leaves it in — time
+// zero, no pending events, no chooser, counters cleared — keeping the
+// heap's and the scratch buffers' capacity, so a model checker can rerun
+// a machine from its initial state without rebuilding it. Every spawned
+// Proc must have finished (an unfinished one would leak its goroutine),
+// and the kernel must not belong to a parallel Runner.
+func (k *Kernel) Reset() {
+	for _, p := range k.procs {
+		if !p.finished {
+			panic(fmt.Sprintf("sim: Reset with process %q unfinished", p.name))
+		}
+	}
+	clear(k.events) // drop the closures the dead events hold
+	*k = Kernel{events: k.events[:0], ordered: k.ordered[:0], cands: k.cands[:0]}
+}
+
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 

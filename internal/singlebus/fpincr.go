@@ -3,6 +3,7 @@ package singlebus
 import (
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/fphash"
 	"multicube/internal/memory"
 )
 
@@ -37,7 +38,7 @@ const (
 type ExtraTagFunc func(tag any) (row int, rest uint64, ok bool)
 
 // FPCache incrementally fingerprints one Machine. Not safe for
-// concurrent use; each explorer worker owns one (pooled across runs).
+// concurrent use; each explorer worker owns one, kept across its runs.
 type FPCache struct {
 	m *Machine
 	n int
@@ -66,8 +67,8 @@ func NewFPCache(m *Machine) *FPCache {
 	return f
 }
 
-// Reset rebinds the cache to m (possibly a fresh machine from a pooled
-// run) and marks every component dirty.
+// Reset rebinds the cache to m (the next run's machine) and marks every
+// component dirty.
 func (f *FPCache) Reset(m *Machine) {
 	n := len(m.procs)
 	f.m = m
@@ -155,26 +156,26 @@ func (f *FPCache) BeginPoint(extra ExtraTagFunc) {
 // relabeling perm (inv its inverse, both caller-owned).
 func (f *FPCache) FP(perm, inv []int) uint64 {
 	n := f.n
-	h := sbfnvOffset
+	h := fphash.New()
 	for cp := 0; cp < n; cp++ {
-		h.u64(f.procH[inv[cp]])
+		h.Word(f.procH[inv[cp]])
 	}
-	h.u64(f.memH)
+	h.Word(f.memH)
 
-	h.bit(f.busy)
-	h.bit(f.inflight != nil)
+	h.Bit(f.busy)
+	h.Bit(f.inflight != nil)
 	if f.inflight != nil {
-		h.u64(f.inflight.fp(perm))
+		h.Word(f.inflight.fp(perm))
 	}
-	h.u64(uint64(f.nonEmpty))
+	h.Word(uint64(f.nonEmpty))
 	emit := func(canonSrc int, ops []*op) {
 		if len(ops) == 0 {
 			return
 		}
-		h.u64(uint64(canonSrc))
-		h.u64(uint64(len(ops)))
+		h.Word(uint64(canonSrc))
+		h.Word(uint64(len(ops)))
 		for _, o := range ops {
-			h.u64(o.fp(perm))
+			h.Word(o.fp(perm))
 		}
 	}
 	// Processor sources in canonical order; the memory module attaches
@@ -194,21 +195,21 @@ func (f *FPCache) FP(perm, inv []int) uint64 {
 	evH := f.evH[:0]
 	for i := range f.evs {
 		e := &f.evs[i]
-		eh := sbfnvOffset
+		eh := fphash.New()
 		switch e.kind {
 		case evGrant:
-			eh.u64(0x11)
+			eh.Word(0x11)
 		case evDeliver:
-			eh.u64(0x12)
-			eh.u64(e.op.fp(perm))
+			eh.Word(0x12)
+			eh.Word(e.op.fp(perm))
 		case evExtra:
-			eh.u64(0x13)
-			eh.u64(uint64(perm[e.row]))
-			eh.u64(e.rest)
+			eh.Word(0x13)
+			eh.Word(uint64(perm[e.row]))
+			eh.Word(e.rest)
 		default:
-			eh.u64(0x1f)
+			eh.Word(0x1f)
 		}
-		v := uint64(eh)
+		v := eh.Sum()
 		j := len(evH)
 		evH = append(evH, v)
 		for j > 0 && evH[j-1] > v {
@@ -218,56 +219,56 @@ func (f *FPCache) FP(perm, inv []int) uint64 {
 		evH[j] = v
 	}
 	f.evH = evH
-	h.u64(uint64(len(evH)))
+	h.Word(uint64(len(evH)))
 	for _, v := range evH {
-		h.u64(v)
+		h.Word(v)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 // procHash hashes one processor's cache contents and pending request —
 // the same fields Machine.Fingerprint walks, none of which name a
 // processor index.
 func procHash(p *Processor) uint64 {
-	h := sbfnvOffset
-	h.u64(0x01)
-	sub := sbfnvOffset
+	h := fphash.New()
+	h.Word(0x01)
+	sub := fphash.New()
 	count := 0
 	p.cache.ForEach(func(e *cache.Entry) {
 		count++
-		sub.u64(uint64(e.Line))
-		sub.byte(byte(e.State))
+		sub.Word(uint64(e.Line))
+		sub.Word(uint64(e.State))
 		for _, w := range e.Data {
-			sub.u64(w)
+			sub.Word(w)
 		}
 	})
-	h.u64(uint64(count))
-	h.u64(uint64(sub))
-	h.u64(0x02)
-	h.bit(p.pend != nil)
+	h.Word(uint64(count))
+	h.Word(sub.Sum())
+	h.Word(0x02)
+	h.Bit(p.pend != nil)
 	if r := p.pend; r != nil {
-		h.u64(uint64(r.line))
-		h.bit(r.write)
-		h.u64(uint64(r.offset))
-		h.u64(r.value)
+		h.Word(uint64(r.line))
+		h.Bit(r.write)
+		h.Word(uint64(r.offset))
+		h.Word(r.value)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 func sbMemHash(mm *memModule) uint64 {
-	h := sbfnvOffset
-	h.u64(0x03)
-	sub := sbfnvOffset
+	h := fphash.New()
+	h.Word(0x03)
+	sub := fphash.New()
 	count := 0
 	mm.store.ForEach(func(line memory.Line, valid bool, data []uint64) {
 		count++
-		sub.u64(uint64(line))
-		sub.bit(valid)
+		sub.Word(uint64(line))
+		sub.Bit(valid)
 		for _, w := range data {
-			sub.u64(w)
+			sub.Word(w)
 		}
 	})
-	h.u64(uint64(count))
-	h.u64(uint64(sub))
-	return uint64(h)
+	h.Word(uint64(count))
+	h.Word(sub.Sum())
+	return h.Sum()
 }

@@ -3,6 +3,7 @@ package singlebus
 import (
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/fphash"
 	"multicube/internal/memory"
 	"multicube/internal/sim"
 )
@@ -19,53 +20,32 @@ import (
 // minimum over all of them. The memory module is unique and maps to
 // itself.
 
-type sbfnv uint64
-
-const sbfnvOffset sbfnv = 14695981039346656037
-const sbfnvPrime sbfnv = 1099511628211
-
-func (h *sbfnv) byte(b byte) { *h = (*h ^ sbfnv(b)) * sbfnvPrime }
-
-func (h *sbfnv) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *sbfnv) bit(b bool) {
-	if b {
-		h.byte(1)
-	} else {
-		h.byte(0)
-	}
-}
-
 // opFP hashes one bus operation's protocol-visible fields under the
 // given processor relabeling. Occupancy (a pure function of the kind)
 // and the enqueue time are excluded; the probe-phase wires (inhibit,
 // confirmed) are included because they persist on a granted operation
 // until delivery.
 func (o *op) fp(perm []int) uint64 {
-	h := sbfnvOffset
-	h.byte(byte(o.kind))
-	h.u64(uint64(perm[o.origin]))
-	h.u64(uint64(o.line))
-	h.u64(uint64(o.offset))
-	h.u64(o.value)
-	h.bit(o.data != nil)
+	h := fphash.New()
+	h.Word(uint64(o.kind))
+	h.Word(uint64(perm[o.origin]))
+	h.Word(uint64(o.line))
+	h.Word(uint64(o.offset))
+	h.Word(o.value)
+	h.Bit(o.data != nil)
 	for _, w := range o.data {
-		h.u64(w)
+		h.Word(w)
 	}
-	h.bit(o.inhibit)
-	h.bit(o.confirmed)
-	h.bit(o.canceled)
+	h.Bit(o.inhibit)
+	h.Bit(o.confirmed)
+	h.Bit(o.canceled)
 	if o.shared {
-		// MESI sharers wire. Hashed only when asserted so write-once
-		// fingerprints are byte-identical to the pre-MESI encoding; in
-		// write-once mode the wire is never driven.
-		h.byte(1)
+		// MESI sharers wire. Hashed only when asserted, so write-once
+		// machines feed the word sequence they fed before MESI existed;
+		// in write-once mode the wire is never driven.
+		h.Word(1)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 // Fingerprint hashes the complete protocol-visible machine state under
@@ -88,36 +68,36 @@ func (m *Machine) Fingerprint(perm []int, extraTag func(tag any) (uint64, bool))
 		inv[canon] = phys
 	}
 
-	h := sbfnvOffset
+	h := fphash.New()
 
 	// Processors, in canonical order.
 	for cp := 0; cp < n; cp++ {
 		p := m.procs[inv[cp]]
-		h.byte(0x01)
+		h.Word(0x01)
 		p.cache.ForEach(func(e *cache.Entry) {
-			h.u64(uint64(e.Line))
-			h.byte(byte(e.State))
+			h.Word(uint64(e.Line))
+			h.Word(uint64(e.State))
 			for _, w := range e.Data {
-				h.u64(w)
+				h.Word(w)
 			}
 		})
-		h.byte(0x02)
-		h.bit(p.pend != nil)
+		h.Word(0x02)
+		h.Bit(p.pend != nil)
 		if r := p.pend; r != nil {
-			h.u64(uint64(r.line))
-			h.bit(r.write)
-			h.u64(uint64(r.offset))
-			h.u64(r.value)
+			h.Word(uint64(r.line))
+			h.Bit(r.write)
+			h.Word(uint64(r.offset))
+			h.Word(r.value)
 		}
 	}
 
 	// Memory.
-	h.byte(0x03)
+	h.Word(0x03)
 	m.mem.store.ForEach(func(line memory.Line, valid bool, data []uint64) {
-		h.u64(uint64(line))
-		h.bit(valid)
+		h.Word(uint64(line))
+		h.Bit(valid)
 		for _, w := range data {
-			h.u64(w)
+			h.Word(w)
 		}
 	})
 
@@ -130,10 +110,10 @@ func (m *Machine) Fingerprint(perm []int, extraTag func(tag any) (uint64, bool))
 		}
 		return src // the memory module
 	}
-	h.byte(0x04)
-	h.bit(m.bus.Busy())
+	h.Word(0x04)
+	h.Bit(m.bus.Busy())
 	if p := m.bus.Inflight(); p != nil {
-		h.u64(p.(*op).fp(perm))
+		h.Word(p.(*op).fp(perm))
 	}
 	type group struct {
 		src int
@@ -161,34 +141,34 @@ func (m *Machine) Fingerprint(perm []int, extraTag func(tag any) (uint64, bool))
 		groups[i], groups[min] = groups[min], groups[i]
 	}
 	for _, g := range groups {
-		h.u64(uint64(g.src))
-		h.u64(uint64(len(g.ops)))
+		h.Word(uint64(g.src))
+		h.Word(uint64(len(g.ops)))
 		for _, o := range g.ops {
-			h.u64(o.fp(perm))
+			h.Word(o.fp(perm))
 		}
 	}
 
 	// Pending kernel events, as a multiset.
 	var evs []uint64
 	m.k.ForEachPending(func(at sim.Time, tag any) {
-		var eh sbfnv = sbfnvOffset
+		eh := fphash.New()
 		switch t := tag.(type) {
 		case bus.GrantTag:
-			eh.byte(0x11)
+			eh.Word(0x11)
 		case bus.DeliverTag:
-			eh.byte(0x12)
-			eh.u64(t.Pkt.(*op).fp(perm))
+			eh.Word(0x12)
+			eh.Word(t.Pkt.(*op).fp(perm))
 		default:
 			if extraTag != nil {
 				if fp, ok := extraTag(tag); ok {
-					eh.byte(0x13)
-					eh.u64(fp)
+					eh.Word(0x13)
+					eh.Word(fp)
 					break
 				}
 			}
-			eh.byte(0x1f)
+			eh.Word(0x1f)
 		}
-		evs = append(evs, uint64(eh))
+		evs = append(evs, eh.Sum())
 	})
 	for i := range evs {
 		min := i
@@ -199,12 +179,12 @@ func (m *Machine) Fingerprint(perm []int, extraTag func(tag any) (uint64, bool))
 		}
 		evs[i], evs[min] = evs[min], evs[i]
 	}
-	h.byte(0x05)
+	h.Word(0x05)
 	for _, e := range evs {
-		h.u64(e)
+		h.Word(e)
 	}
 
-	return uint64(h)
+	return h.Sum()
 }
 
 // PacketFP fingerprints one bus operation under the identity relabeling,
