@@ -193,6 +193,7 @@ func run() int {
 	if res.Steps > 0 {
 		fmt.Printf("replay    %d of %d kernel steps (%.1f %%)\n", res.ReplaySteps, res.Steps,
 			100*float64(res.ReplaySteps)/float64(res.Steps))
+		fmt.Printf("restore   %d of %d runs from a saved boundary (peak %d alive)\n", res.Restores, res.TotalRuns, res.PeakBoundaries)
 	}
 	if res.SCVerdict != "" {
 		fmt.Printf("sc        %d histories checked (%d undecided): %s\n",

@@ -194,3 +194,13 @@ func render(fs []analysis.Finding) string {
 	}
 	return b.String()
 }
+
+// TestLoadFixture pins the rewind seam's entries in the substrate-mutator
+// table: the repository's own DefaultConfig.Mutators, applied to a fixture
+// package, flags a caller that loads a saved cache, table or memory
+// without touching the owner's generation, and passes one that restores
+// the generation in the same function.
+func TestLoadFixture(t *testing.T) {
+	cfg := genbump.Config{Packages: []string{"loadfix"}, Mutators: genbump.DefaultConfig.Mutators}
+	analysistest.Run(t, filepath.Join("testdata", "loadfix"), genbump.New(cfg))
+}

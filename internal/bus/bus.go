@@ -196,6 +196,53 @@ func (b *Bus) Reset() {
 	b.stats = Stats{}
 }
 
+// Saved is a caller-owned buffer holding a bus at a kernel-step boundary:
+// its queues, the operation in flight, the arbitration pointer, the
+// generation and the counters. Save fills it and keeps its capacity.
+type Saved struct {
+	fifo         []pending
+	perSrc       [][]pending
+	queued       int
+	busy         bool
+	last         int
+	grantPending bool
+	inflight     Packet
+	gen          uint64
+	stats        Stats
+}
+
+// Save copies the bus's mutable state into st. The grant and delivery
+// events the bus has pending belong to its kernel and are saved with it
+// (sim.Kernel.Save); their closures name only the bus and the packet.
+func (b *Bus) Save(st *Saved) {
+	st.fifo = append(st.fifo[:0], b.fifo...)
+	for len(st.perSrc) < len(b.perSrc) {
+		st.perSrc = append(st.perSrc, nil)
+	}
+	for i, q := range b.perSrc {
+		st.perSrc[i] = append(st.perSrc[i][:0], q...)
+	}
+	st.queued, st.busy, st.last, st.grantPending = b.queued, b.busy, b.last, b.grantPending
+	st.inflight, st.gen, st.stats = b.inflight, b.gen, b.stats
+}
+
+// Load rewinds the bus to a state Save took from it, leaving its agents,
+// chooser and grant mode alone. The generation comes back with the state
+// it counts, so a cache keyed on it must be rewound or invalidated too:
+// generation g of the abandoned future is not generation g of the next.
+//
+//multicube:fpexempt restores the fingerprint-visible fields together with the generation that counts them
+func (b *Bus) Load(st *Saved) {
+	clear(b.fifo)
+	b.fifo = append(b.fifo[:0], st.fifo...)
+	for i, q := range b.perSrc {
+		clear(q)
+		b.perSrc[i] = append(q[:0], st.perSrc[i]...)
+	}
+	b.queued, b.busy, b.last, b.grantPending = st.queued, st.busy, st.last, st.grantPending
+	b.inflight, b.gen, b.stats = st.inflight, st.gen, st.stats
+}
+
 // Name returns the diagnostic name.
 func (b *Bus) Name() string { return b.name }
 

@@ -300,3 +300,75 @@ func TestResetEqualsNew(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveLoadRewinds saves a bus (with its kernel) at every step of a
+// contended run — requests queued, an operation in flight, a deferred
+// grant pending — runs on, loads, and requires the rest of the run to
+// repeat itself: same deliveries at the same times, same counters, same
+// generation. The chooser and grant mode are not state and must survive.
+func TestSaveLoadRewinds(t *testing.T) {
+	for _, arb := range []Arbitration{FIFO, RoundRobin, Priority} {
+		for _, deferGrants := range []bool{false, true} {
+			k := sim.NewKernel()
+			b, r := New(k, "b", arb), &recorder{}
+			for i := 0; i < 3; i++ {
+				b.Attach(r)
+			}
+			b.SetChooser(sim.DefaultChooser{}, deferGrants)
+			for _, at := range []sim.Time{0, 150, 1000} {
+				at := at
+				k.At(at, func() {
+					for src := 0; src < 3; src++ {
+						b.Request(src, testPkt{id: int(at) + src, occ: 100})
+					}
+				})
+			}
+			var ks sim.KernelState
+			var st Saved
+			var queued, inflight, grants int
+			for stop := 0; ; stop++ {
+				if !k.Step() {
+					break
+				}
+				k.Save(&ks)
+				b.Save(&st)
+				b.ForEachQueued(func(int, Packet) { queued++ })
+				if b.Inflight() != nil {
+					inflight++
+				}
+				if b.grantPending {
+					grants++
+				}
+				gen, stats, seen := b.Gen(), b.Stats(), len(r.snoops)
+
+				k.Run()
+				want := append([]snooped{}, r.snoops[seen:]...)
+				wantStats, wantGen := b.Stats(), b.Gen()
+
+				k.Load(&ks)
+				b.Load(&st)
+				if b.Gen() != gen || b.Stats() != stats || b.chooser == nil || b.deferGrants != deferGrants {
+					t.Fatalf("%v defer=%v stop %d: after Load gen=%d stats=%+v chooser=%v defer=%v, saved gen=%d stats=%+v",
+						arb, deferGrants, stop, b.Gen(), b.Stats(), b.chooser, b.deferGrants, gen, stats)
+				}
+				r.snoops = r.snoops[:seen]
+				k.Run()
+				if got := r.snoops[seen:]; !reflect.DeepEqual(got, want) || b.Stats() != wantStats || b.Gen() != wantGen {
+					t.Fatalf("%v defer=%v stop %d: after Load the bus delivered %v (stats %+v gen %d), the first time %v (stats %+v gen %d)",
+						arb, deferGrants, stop, got, b.Stats(), b.Gen(), want, wantStats, wantGen)
+				}
+				// Back to the stop, to take the next step from it.
+				k.Load(&ks)
+				b.Load(&st)
+				r.snoops = r.snoops[:seen]
+			}
+			if len(r.snoops) != 27 {
+				t.Fatalf("%v defer=%v: %d snoops in all, want 27", arb, deferGrants, len(r.snoops))
+			}
+			if queued == 0 || inflight == 0 || (deferGrants && grants == 0) {
+				t.Fatalf("%v defer=%v: the stops caught %d queued operations, %d in flight, %d pending grants",
+					arb, deferGrants, queued, inflight, grants)
+			}
+		}
+	}
+}

@@ -103,6 +103,9 @@ type Cache struct {
 	// invariant checkers call on every model-checker step.
 	lineScratch []Line
 	refScratch  []entryRef
+	// spare is Load's scratch: the entries in place, while it rebuilds the
+	// unbounded cache's index out of them.
+	spare []*Entry
 }
 
 // entryRef pairs a resident line with its entry for ForEach's ordered
@@ -151,6 +154,86 @@ func (c *Cache) Reset() {
 	}
 	c.clock = 0
 	c.stats = Stats{}
+}
+
+// Saved is a caller-owned buffer holding a cache's contents: every tagged
+// line with its data, the replacement clock and the counters. Save fills
+// it and keeps its capacity.
+type Saved struct {
+	// entries are the bounded cache's slots in set order (untagged ones
+	// included), or the unbounded cache's lines in no particular order,
+	// without their data: words holds one block per tagged entry, in the
+	// same order.
+	entries []Entry
+	words   []uint64
+	clock   uint64
+	stats   Stats
+}
+
+// Save copies the cache's contents into st.
+func (c *Cache) Save(st *Saved) {
+	st.entries, st.words = st.entries[:0], st.words[:0]
+	add := func(e *Entry) {
+		st.words = append(st.words, e.Data...)
+		st.entries = append(st.entries, *e)
+		st.entries[len(st.entries)-1].Data = nil
+	}
+	for _, set := range c.sets {
+		for i := range set {
+			add(&set[i])
+		}
+	}
+	//multicube:detrange-ok copied as a set; Load rebuilds the index from it
+	for _, e := range c.table {
+		add(e)
+	}
+	st.clock, st.stats = c.clock, c.stats
+}
+
+// Load replaces the cache's contents with what Save copied from it (or
+// from a cache of the same configuration). Entries are rewritten in
+// place or rebuilt, so an *Entry obtained before Load is dead after it.
+func (c *Cache) Load(st *Saved) {
+	words := st.words
+	fill := func(dst *Entry, src *Entry) {
+		data := dst.Data[:0]
+		*dst = *src
+		if src.valid {
+			dst.Data = append(data, words[:c.cfg.BlockWords]...)
+			words = words[c.cfg.BlockWords:]
+		}
+	}
+	if c.bounded() {
+		i := 0
+		for _, set := range c.sets {
+			for j := range set {
+				fill(&set[j], &st.entries[i])
+				i++
+			}
+		}
+	} else {
+		// The entries in place are rewritten rather than reallocated;
+		// any the saved cache has no use for go to the collector.
+		spare := c.spare[:0]
+		//multicube:detrange-ok collects the entries as a set, for reuse
+		for _, e := range c.table {
+			spare = append(spare, e)
+		}
+		clear(c.table)
+		for i := range st.entries {
+			var e *Entry
+			if n := len(spare); n > 0 {
+				e, spare = spare[n-1], spare[:n-1]
+			} else {
+				e = new(Entry)
+			}
+			fill(e, &st.entries[i])
+			c.table[e.Line] = e
+		}
+		clear(spare)
+		c.spare = spare[:0]
+	}
+	c.clock, c.stats = st.clock, st.stats
 }
 
 // Config returns the configuration the cache was built with.

@@ -340,7 +340,7 @@ func (n *Node) colWritebackRemove(op *Op) {
 		return
 	}
 	cont := n.wbCont
-	n.wbCont = nil
+	n.wbCont, n.wbTrace = nil, nil
 	if cont != nil {
 		cont()
 	}

@@ -92,6 +92,9 @@ type Node struct {
 	//
 	//multicube:fpfield
 	wbCont func()
+	// wbTrace is that WRITEBACK's trace, which the continuation captures:
+	// kept here so Save reaches it once the operations carrying it are gone.
+	wbTrace *TxnTrace
 
 	// OnInvalidate, when set, is called whenever a line leaves the
 	// snooping cache for coherence reasons; the machine layer uses it to
@@ -141,7 +144,7 @@ func (n *Node) reset() {
 	n.l2.Reset()
 	n.table.Reset()
 	n.pend = nil
-	n.wbCont = nil
+	n.wbCont, n.wbTrace = nil, nil
 	n.OnInvalidate = nil
 	clear(n.purgedAt)
 	n.stats = NodeStats{}
@@ -426,7 +429,7 @@ func (n *Node) startWriteback(line cache.Line, trace *TxnTrace, cont func()) {
 	if n.wbCont != nil {
 		panic(fmt.Sprintf("coherence: node %v has two outstanding writebacks", n.id))
 	}
-	n.wbCont = cont
+	n.wbCont, n.wbTrace = cont, trace
 	n.issueCol(n.sys.addrOp(WRITEBACK, REMOVE, n.id, line, trace))
 }
 

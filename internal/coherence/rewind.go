@@ -1,0 +1,316 @@
+package coherence
+
+import (
+	"multicube/internal/bus"
+	"multicube/internal/cache"
+	"multicube/internal/memory"
+	"multicube/internal/mlt"
+	"multicube/internal/sim"
+	"multicube/internal/topology"
+)
+
+// This file makes the sequential machine rewindable in place: Save copies
+// everything that changes while the machine runs into a caller-owned
+// buffer, and Load writes it back into the same objects, so a model
+// checker can return to a state it passed through without re-executing
+// the path that led there (DESIGN.md §5.9).
+//
+// A machine cannot be copied — its pending events, its outstanding
+// transactions and its writeback continuations are closures — but every
+// one of those closures captures only the machine's own long-lived
+// objects (nodes, buses, memory modules, the system, the driver) and
+// immutable values, so restoring the data they read restores what they
+// will do. The saved state therefore keeps the closures and is good only
+// for the machine it was taken from. Two kinds of object are shared
+// between the saved past and the abandoned future and are repaired by
+// Load rather than copied: bus operations (their probe wires are only
+// ever set, and a rewound operation is delivered again) and transaction
+// traces (their bus-operation counts keep growing).
+
+// Saved is a caller-owned buffer holding one machine at a kernel-step
+// boundary. Save fills it and keeps its capacity, so a recycled buffer
+// saves without allocating.
+type Saved struct {
+	sys     *System // the machine it was taken from; Load accepts no other
+	k       sim.KernelState
+	rows    []bus.Saved
+	cols    []bus.Saved
+	nodes   []nodeSaved // row-major
+	mems    []memSaved
+	shards  []shardSaved
+	dropped uint64
+	// traces are the transaction traces reachable from the saved state,
+	// with the values they had.
+	traces []traceSaved
+}
+
+type nodeSaved struct {
+	l2      cache.Saved
+	table   mlt.Saved
+	hasPend bool
+	pend    pending
+	wbCont  func()
+	wbTrace *TxnTrace
+	purged  []purgeSaved
+	gen     uint64
+	stats   NodeStats
+}
+
+type purgeSaved struct {
+	line cache.Line
+	at   sim.Time
+}
+
+type memSaved struct {
+	store memory.Saved
+	gen   uint64
+}
+
+type shardSaved struct {
+	txns   []txnSaved
+	strays uint64
+}
+
+type txnSaved struct {
+	txn   Txn
+	stats TxnStats
+}
+
+type traceSaved struct {
+	tr  *TxnTrace
+	val TxnTrace
+}
+
+// Save copies the machine's state — kernel, buses, caches, modified line
+// tables, memories, outstanding transactions and writebacks, purge
+// history, generations and every counter — into st. Hooks, chooser and
+// wiring are not state. Call it at a kernel-step boundary: between steps,
+// or from a scheduling Chooser (see sim.Kernel.Save), never from inside
+// an event. Only a sequential machine can be saved.
+func (s *System) Save(st *Saved) {
+	if s.par != nil {
+		panic("coherence: Save of a parallel-mode machine")
+	}
+	st.sys = s
+	s.k.Save(&st.k)
+	n := s.cfg.N
+	if len(st.rows) != n {
+		st.rows, st.cols = make([]bus.Saved, n), make([]bus.Saved, n)
+		st.nodes, st.mems = make([]nodeSaved, n*n), make([]memSaved, n)
+		st.shards = make([]shardSaved, len(s.shards))
+	}
+	st.traces = st.traces[:0]
+	for i := 0; i < n; i++ {
+		s.rows[i].Save(&st.rows[i])
+		s.cols[i].Save(&st.cols[i])
+		s.mems[i].save(&st.mems[i])
+		for c, nd := range s.nodes[i] {
+			nd.save(&st.nodes[i*n+c])
+			if nd.pend != nil {
+				st.addTrace(nd.pend.trace)
+			}
+			st.addTrace(nd.wbTrace)
+		}
+	}
+	for i, sh := range s.shards {
+		sh.save(&st.shards[i])
+	}
+	st.dropped = s.dropped
+	s.forEachLiveOp(func(op *Op) { st.addTrace(op.trace) })
+}
+
+// addTrace records a trace's current value. A trace shared by several
+// operations is recorded once per holder, which costs a few words and
+// spares a search; Load writes the same value each time.
+func (st *Saved) addTrace(tr *TxnTrace) {
+	if tr != nil {
+		st.traces = append(st.traces, traceSaved{tr, *tr})
+	}
+}
+
+// Load rewinds the machine to a state Save took from it, writing into
+// the same nodes, buses and memories and leaving hooks, chooser and
+// wiring alone. The generation counters come back with the state they
+// count: generation g of the abandoned future is not generation g of the
+// next one, so anything keyed on them — an FPCache — must be loaded with
+// the machine or invalidated. The kernel's Executed restarts at zero.
+//
+//multicube:fpexempt restores fingerprint-visible state together with the generations that count it
+func (s *System) Load(st *Saved) {
+	if st.sys != s {
+		panic("coherence: Load of a state another machine saved")
+	}
+	s.k.Load(&st.k)
+	n := s.cfg.N
+	for i := 0; i < n; i++ {
+		s.rows[i].Load(&st.rows[i])
+		s.cols[i].Load(&st.cols[i])
+		s.mems[i].load(&st.mems[i])
+		for c, nd := range s.nodes[i] {
+			nd.load(&st.nodes[i*n+c])
+		}
+	}
+	for i, sh := range s.shards {
+		sh.load(&st.shards[i])
+	}
+	s.dropped = st.dropped
+	for _, t := range st.traces {
+		*t.tr = t.val
+	}
+	// An operation alive at the boundary may have been delivered in the
+	// future now abandoned and will be delivered again: its probe wires,
+	// which delivery only ever sets, go back to unasserted.
+	s.forEachLiveOp(func(op *Op) {
+		op.modified, op.claimed, op.claimant = false, false, topology.Coord{}
+		op.suppressed, op.holderPresent, op.willServe = false, false, false
+	})
+}
+
+// forEachLiveOp visits every bus operation the machine still has to act
+// on: queued on a bus, holding one, or waiting out a device latency in a
+// pending kernel event. An operation may be visited more than once.
+func (s *System) forEachLiveOp(fn func(*Op)) {
+	visit := func(_ int, pkt bus.Packet) { fn(pkt.(*Op)) }
+	for i := range s.rows {
+		for _, b := range [2]*bus.Bus{s.rows[i], s.cols[i]} {
+			b.ForEachQueued(visit)
+			if pkt := b.Inflight(); pkt != nil {
+				fn(pkt.(*Op))
+			}
+		}
+	}
+	s.k.ForEachPendingTag(func(tag any) {
+		switch t := tag.(type) {
+		case EnqueueTag:
+			fn(t.Op)
+		case bus.DeliverTag:
+			fn(t.Pkt.(*Op))
+		}
+	})
+}
+
+func (n *Node) save(st *nodeSaved) {
+	n.l2.Save(&st.l2)
+	n.table.Save(&st.table)
+	if st.hasPend = n.pend != nil; st.hasPend {
+		st.pend = *n.pend
+	} else {
+		st.pend = pending{}
+	}
+	st.wbCont, st.wbTrace = n.wbCont, n.wbTrace
+	st.purged = st.purged[:0]
+	//multicube:detrange-ok copied as a set; load rebuilds the map from it
+	for l, at := range n.purgedAt {
+		st.purged = append(st.purged, purgeSaved{l, at})
+	}
+	st.gen, st.stats = n.gen, n.stats
+}
+
+//multicube:fpexempt restores fingerprint-visible state together with the generation that counts it
+func (n *Node) load(st *nodeSaved) {
+	n.l2.Load(&st.l2)
+	n.table.Load(&st.table)
+	if st.hasPend {
+		// Nothing keeps a *pending across kernel steps, so the one in
+		// place is as good as a new one.
+		if n.pend == nil {
+			n.pend = new(pending)
+		}
+		*n.pend = st.pend
+	} else {
+		n.pend = nil
+	}
+	n.wbCont, n.wbTrace = st.wbCont, st.wbTrace
+	clear(n.purgedAt)
+	for _, p := range st.purged {
+		n.purgedAt[p.line] = p.at
+	}
+	n.gen, n.stats = st.gen, st.stats
+}
+
+func (m *Memory) save(st *memSaved) {
+	m.store.Save(&st.store)
+	st.gen = m.gen
+}
+
+//multicube:fpexempt restores fingerprint-visible state together with the generation that counts it
+func (m *Memory) load(st *memSaved) {
+	m.store.Load(&st.store)
+	m.gen = st.gen
+}
+
+func (sh *sysShard) save(st *shardSaved) {
+	st.txns = st.txns[:0]
+	//multicube:detrange-ok copied as a set; load rebuilds the map from it
+	for t, ts := range sh.txnStats {
+		st.txns = append(st.txns, txnSaved{t, *ts})
+	}
+	st.strays = sh.strays
+}
+
+func (sh *sysShard) load(st *shardSaved) {
+	for _, t := range st.txns {
+		ts := sh.txnStats[t.txn]
+		if ts == nil {
+			ts = new(TxnStats)
+			sh.txnStats[t.txn] = ts
+		}
+		*ts = t.stats
+	}
+	if len(sh.txnStats) > len(st.txns) {
+		// The abandoned future completed a transaction type the saved
+		// past had not seen; Stats reports every key it finds.
+		//multicube:detrange-ok deletes a set of keys
+		for txn := range sh.txnStats {
+			if !st.has(txn) {
+				delete(sh.txnStats, txn)
+			}
+		}
+	}
+	sh.strays = st.strays
+}
+
+func (st *shardSaved) has(txn Txn) bool {
+	for _, t := range st.txns {
+		if t.txn == txn {
+			return true
+		}
+	}
+	return false
+}
+
+// FPSaved is a caller-owned buffer holding an FPCache's node and memory
+// hashes with the generations they were taken at.
+type FPSaved struct {
+	nodeH, nodeGen []uint64 // row-major
+	memH, memGen   []uint64
+}
+
+// Save copies the cached component hashes into st. Save it with the
+// machine (System.Save) at the same boundary.
+func (f *FPCache) Save(st *FPSaved) {
+	st.nodeH, st.nodeGen = st.nodeH[:0], st.nodeGen[:0]
+	for r := 0; r < f.n; r++ {
+		st.nodeH = append(st.nodeH, f.nodeH[r]...)
+		st.nodeGen = append(st.nodeGen, f.nodeGen[r]...)
+	}
+	st.memH = append(st.memH[:0], f.memH...)
+	st.memGen = append(st.memGen[:0], f.memGen...)
+}
+
+// Load rewinds the cache to hashes saved from it, for the machine rewound
+// to the same boundary (System.Load): a hash is served again exactly
+// where its generation is the machine's own once more. The bus snapshots
+// are cheap to retake and are invalidated instead of saved. The Stats
+// counters restart, as after Reset.
+func (f *FPCache) Load(st *FPSaved) {
+	n := f.n
+	for r := 0; r < n; r++ {
+		copy(f.nodeH[r], st.nodeH[r*n:])
+		copy(f.nodeGen[r], st.nodeGen[r*n:])
+		f.rowQ[r].valid, f.colQ[r].valid = false, false
+	}
+	copy(f.memH, st.memH)
+	copy(f.memGen, st.memGen)
+	f.recomputes, f.reused = 0, 0
+}

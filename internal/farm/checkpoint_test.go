@@ -31,13 +31,19 @@ func mcSpec(t *testing.T, body string) (*jobspec.Spec, string) {
 	return spec, fp
 }
 
-// stripResume removes the fields a resumed run legitimately differs in;
-// everything else must match an uninterrupted execution exactly.
+// stripResume removes the fields a resumed run legitimately differs in —
+// provenance, the store's disk tier, and the host-cost counters (a
+// resumed search replays its checkpointed frontier from reset; see
+// comparable in internal/mc's tests); everything else must match an
+// uninterrupted execution exactly.
 func stripResume(r mc.Result) mc.Result {
 	r.Resumed = false
 	r.ResumeNote = ""
 	r.Spills = 0
 	r.DiskBytes = 0
+	r.Steps, r.ReplaySteps = 0, 0
+	r.FPRecomputes, r.FPIncremental = 0, 0
+	r.Restores, r.PeakBoundaries = 0, 0
 	return r
 }
 

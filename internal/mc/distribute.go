@@ -60,6 +60,7 @@ func (e *explorer) passDistributed(depth, parts int) passOut {
 
 			r := w.run(it, depth, own)
 			kids := e.children(it, r)
+			w.retire(it, r)
 
 			mu.Lock()
 			out.runs++

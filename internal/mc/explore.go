@@ -87,8 +87,7 @@ type Options struct {
 	// intended for tests and debugging the fingerprint fast path.
 	CheckFP bool
 	// Ctx, when non-nil, cancels the exploration cooperatively: it is
-	// consulted at frontier boundaries (between from-scratch executions),
-	// so a cancel returns within one bounded run — MaxStepsPerRun kernel
+	// consulted at frontier boundaries (between executions), so a cancel returns within one bounded run — MaxStepsPerRun kernel
 	// steps — rather than leaking a worker for the rest of the search.
 	// A canceled exploration returns its partial statistics with
 	// Result.Canceled set and never claims Exhausted.
@@ -100,13 +99,15 @@ type Options struct {
 	// though the verdict does not, so snapshots are for reporting, not
 	// for cross-run comparison.
 	Progress func(Progress)
-	// Instrument, when non-nil, is called on the grid machine — freshly
-	// built or reset to its initial state, hooks included — once per
-	// from-scratch execution, before the programs start, so harnesses
-	// can install passive observation hooks — e.g.
-	// the conformance observer of internal/protocol sets
-	// coherence.System.Observer. Hooks must be passive: installing one
-	// must not change protocol behavior, fingerprints, or verdicts.
+	// Instrument, when non-nil, is called on the grid machine once per
+	// execution, before it runs, so harnesses can install passive
+	// observation hooks — e.g. the conformance observer of
+	// internal/protocol sets coherence.System.Observer. The machine is
+	// freshly built, or reset to its initial state (hooks included), or
+	// rewound to a boundary an earlier execution saved on it (hooks left
+	// as they were), so a hook must be installed idempotently. Hooks
+	// must be passive: installing one must not change protocol behavior,
+	// fingerprints, or verdicts.
 	// Single-bus scenarios are not instrumented (the seam is the grid
 	// coherence machine).
 	Instrument func(*coherence.System)
@@ -187,14 +188,20 @@ type Progress struct {
 	// States is the number of distinct canonical states visited so far
 	// in the current deepening iteration.
 	States int
-	// Runs is the number of from-scratch executions completed so far in
-	// the current pass.
+	// Runs is the number of executions (one per work item) completed so
+	// far in the current pass.
 	Runs int
 	// Depth is the current choice-depth bound (0 = unlimited).
 	Depth int
 	// Frontier is the number of pending work items (unexplored branch
 	// prefixes) queued at the snapshot.
 	Frontier int
+	// Steps, ReplaySteps and Restores are Result's host-cost counters so
+	// far: kernel steps executed, those among them that replayed a prefix,
+	// and runs that started from a saved boundary instead of from reset.
+	Steps       uint64
+	ReplaySteps uint64
+	Restores    uint64
 }
 
 // Result summarizes an exploration.
@@ -203,7 +210,8 @@ type Result struct {
 	// States is the number of distinct canonical states visited (in the
 	// deepest iteration, under iterative deepening).
 	States int
-	// Runs is the number of from-scratch executions (deepest iteration).
+	// Runs is the number of executions, one per work item (deepest
+	// iteration).
 	Runs int
 	// TotalRuns counts executions across all deepening iterations.
 	TotalRuns int
@@ -223,7 +231,12 @@ type Result struct {
 	// cache hits in the incremental fingerprint path, summed over every
 	// execution of the search whose result this is (minimization replays
 	// and a parallel pass's sequential re-derivation keep their own
-	// explorers and are not included). Zero under legacyFP.
+	// explorers and are not included). Zero under legacyFP. Like Steps,
+	// ReplaySteps, Restores and PeakBoundaries below they measure what the
+	// search cost this host, not what it found: they depend on which runs
+	// had a saved boundary to start from (a resumed search replays its
+	// checkpointed frontier from reset), so two searches with identical
+	// results can differ in them, as they do in elapsed time.
 	FPRecomputes  uint64
 	FPIncremental uint64
 	// SCChecks counts completed executions whose history was checked for
@@ -233,13 +246,21 @@ type Result struct {
 	// parallel pass's sequential re-derivation are not included.
 	SCChecks    uint64
 	SCUndecided uint64
-	// Steps counts the kernel steps of every execution of the search and
+	// Steps counts the kernel steps the search actually executed and
 	// ReplaySteps those among them that only re-executed a work item's
 	// prefix — taken before the prefix's last choice, in states the
-	// spawning run had already checked and recorded. Their ratio is what
-	// statelessness costs. Summed like the FP counters.
+	// spawning run had already checked and recorded. A run that starts
+	// from a saved boundary executes neither the steps before it nor
+	// counts them. Summed like the FP counters; host cost, like them.
 	Steps       uint64
 	ReplaySteps uint64
+	// Restores counts the runs that started from a boundary their spawning
+	// run saved instead of from reset (summed and checkpointed like
+	// Steps), and PeakBoundaries is the most saved boundaries alive at
+	// once — a maximum over this process's part of the search, not
+	// carried across a resume. Host cost, like Steps.
+	Restores       uint64
+	PeakBoundaries int
 	// SCVerdict summarizes the cross-address checks: "" when the scenario
 	// does not request them, else "ok", "undecided" (some search hit the
 	// node budget), or "violation" (the reported Violation is "sc-total").
@@ -261,10 +282,10 @@ type Result struct {
 	Violation *Violation
 }
 
-// checker runs from-scratch executions of a scenario on some machine —
-// the Multicube (instance) or the single-bus baseline (sbInstance) —
-// one at a time: newChecker returns it at the start of the first, reset
-// starts the next. Everything the explorer needs is behind this seam, so
+// checker runs executions of a scenario on some machine — the Multicube
+// (instance) or the single-bus baseline (sbInstance) — one at a time:
+// newChecker returns it at the start of the first, reset starts the next
+// from the initial state (a rewinder can also start it elsewhere). Everything the explorer needs is behind this seam, so
 // the same search, reduction, witness, and replay machinery checks both.
 type checker interface {
 	// reset abandons the execution in progress and starts another from
@@ -288,6 +309,15 @@ type checker interface {
 	scStats() (checks, undecided uint64)
 }
 
+// rewinder is a checker whose execution can be saved at a kernel-step
+// boundary and resumed from there in place of reset and replay. The grid
+// instance is one; the single-bus baseline, which has no Reset either,
+// is not, and keeps rebuilding and replaying.
+type rewinder interface {
+	save(st *execState)
+	load(st *execState)
+}
+
 func newChecker(sc *Scenario, sh *shared) checker {
 	if sc.SingleBus {
 		return newSBInstance(sc, sh)
@@ -305,6 +335,21 @@ type take struct {
 	sleepAt sleepSet
 }
 
+// leavesSibling reports whether children will spawn a branch at this
+// choice point: an alternative to the pick that is not slept (any
+// alternative, with sleep sets off).
+func (t *take) leavesSibling() bool {
+	if t.cands == nil {
+		return t.n > 1
+	}
+	for alt := range t.cands {
+		if alt != t.pick && !t.sleepAt.contains(t.cands[alt].fp) {
+			return true
+		}
+	}
+	return false
+}
+
 func picksOf(taken []take) []int {
 	out := make([]int, len(taken))
 	for i := range taken {
@@ -317,11 +362,29 @@ func picksOf(taken []take) []int {
 // that becomes active once the prefix is replayed. skip, used by
 // distributed handoffs, is the number of tracked states beyond the
 // prefix the previous owner already processed; the receiver replays them
-// without consulting the visited table.
+// without consulting the visited table. from, when set, is a boundary on
+// the prefix's path that the spawning run saved; an item read back from
+// a checkpoint or handed to another partition has none.
 type workItem struct {
 	prefix []int
 	sleep  sleepSet
 	skip   int
+	from   *boundary
+}
+
+// boundary is an execution saved at a kernel-step boundary: the machine
+// as it stood when the scheduler was about to resolve choice point pos
+// of its run, having resolved pos before it. It lives in the worker whose
+// machine it was taken from and is usable on that machine only (the
+// events it holds are that machine's closures). Every work item spawned
+// at or after the point holds it; when the last of them has run, the
+// worker takes it back for its next save.
+type boundary struct {
+	owner *worker
+	refs  atomic.Int32 // work items holding it
+	pos   int          // choice points resolved on the path before it
+	steps int          // kernel steps on the path before it
+	st    execState
 }
 
 // mcChooser scripts an execution: the first len(prefix) choice points
@@ -361,6 +424,15 @@ type mcChooser struct {
 	// clsScratch backs classesOf between choice points; retained class
 	// slices (take.cands) are copied out of it.
 	clsScratch []tagClass
+
+	// atBoundary, when set, is told about every scheduler choice point
+	// beyond the prefix that leaves an alternative for a sibling branch,
+	// before the pick is returned: the kernel consults the chooser before
+	// it touches its heap or its clock, so the machine is still at the
+	// step boundary and can be saved there. pos is the point's index in
+	// taken. Arbitration choice points sit in the middle of a grant event
+	// and are not reported.
+	atBoundary func(pos int)
 }
 
 // newMCChooser returns a chooser bound to ck under the options'
@@ -377,11 +449,16 @@ func newMCChooser(ck checker, n int, opts *Options) *mcChooser {
 }
 
 // start scripts the chooser for one execution of the work item under the
-// depth bound, keeping the buffers of the execution before.
-func (c *mcChooser) start(it workItem, depth int) {
+// depth bound, keeping the buffers of the execution before. The machine
+// has already resolved the first covered choice points of the prefix —
+// it starts from a boundary saved there — so they count as taken.
+func (c *mcChooser) start(it workItem, depth, covered int) {
 	c.prefix, c.depth, c.initSleep = it.prefix, depth, it.sleep
 	c.sleep, c.armed, c.active = nil, false, false
 	c.taken = c.taken[:0]
+	for _, pick := range it.prefix[:covered] {
+		c.taken = append(c.taken, take{pick: pick})
+	}
 	c.limitHit, c.blocked = false, false
 	if c.sleepOn && len(c.prefix) == 0 {
 		c.active = true
@@ -396,7 +473,7 @@ func (c *mcChooser) start(it workItem, depth int) {
 func replayChooser(ck checker, n int, prefix []int, opts *Options) *mcChooser {
 	c := newMCChooser(ck, n, opts)
 	c.sleepOn = false
-	c.start(workItem{prefix: prefix}, 0)
+	c.start(workItem{prefix: prefix}, 0, 0)
 	return c
 }
 
@@ -459,6 +536,9 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 	if !scripted && c.sleepOn {
 		tk.cands = append([]tagClass(nil), classesOf()...)
 		tk.sleepAt = c.sleep
+	}
+	if !scripted && isSched && c.atBoundary != nil && tk.leavesSibling() {
+		c.atBoundary(len(c.taken))
 	}
 	c.taken = append(c.taken, tk)
 	if c.sleepOn && len(c.taken) == len(c.prefix) {
@@ -559,6 +639,11 @@ type explorer struct {
 	scUndec atomic.Uint64
 	steps   atomic.Uint64
 	replay  atomic.Uint64
+	// restores counts runs started from a saved boundary; alive and peak
+	// the boundaries currently held by work items and their high-water
+	// mark.
+	restores    atomic.Uint64
+	alive, peak atomic.Int64
 
 	// scenH/optH pin checkpoints to this exploration; totalPrev carries
 	// run counts of completed deepening iterations into checkpoints.
@@ -583,50 +668,129 @@ type runOut struct {
 	// run that reached a state owned by partition handoffTo.
 	handoff   *workItem
 	handoffTo int
+	// saved are the boundaries the run saved, in path order, and from the
+	// one it started from (nil after a reset); children hands them to the
+	// branches it spawns.
+	saved []*boundary
+	from  *boundary
 }
 
 // worker is the execution state one exploration goroutine keeps from run
-// to run: the machine is reset, not rebuilt, and the chooser keeps its
+// to run: the machine is rewound, not rebuilt, and the chooser keeps its
 // buffers. Both are built by the first run.
 type worker struct {
 	e  *explorer
 	ck checker
+	rw rewinder // ck, if its executions can be saved and resumed
 	ch *mcChooser
+
+	// base is the number of kernel steps on the path before the boundary
+	// the run in progress started from, and saved the boundaries it has
+	// saved so far. free are dead boundaries awaiting reuse: a boundary is
+	// a few kilobytes of buffers that the next save fills without
+	// allocating.
+	base  int
+	saved []*boundary
+	free  []*boundary
 }
 
-// run executes the scenario from scratch under the given work item,
-// checking states beyond the prefix against the visited table and adding
-// them to it. Inside the prefix it neither consults the table nor runs
-// the per-step oracle: those states were recorded and checked by the run
-// that spawned this branch, and truncating the replay would orphan it.
-// own and the item's skip are execute's; a search that is not
-// distributed passes own -1. The returned runOut's taken is valid until
-// the worker's next run.
+// run executes the scenario under the given work item: from the item's
+// boundary if it has one this worker's machine saved, else from reset.
+// States beyond the prefix are checked against the visited table and
+// added to it. Inside the prefix — what is left of it after the boundary
+// — it neither consults the table nor runs the per-step oracle: those
+// states were recorded and checked by the run that spawned this branch,
+// and truncating the replay would orphan it. own and the item's skip are
+// execute's; a search that is not distributed passes own -1. The
+// returned runOut's taken and saved are valid until the worker's next
+// run.
 func (w *worker) run(it workItem, depth, own int) runOut {
-	if w.ck == nil {
+	from := it.from
+	if from != nil && from.owner != w {
+		from = nil // another worker's machine saved it
+	}
+	switch {
+	case w.ck == nil:
 		w.ck = newChecker(w.e.sc, w.e.sh)
 		w.ch = newMCChooser(w.ck, w.e.n, &w.e.opts)
-	} else {
+		if w.rw, _ = w.ck.(rewinder); w.rw != nil {
+			w.ch.atBoundary = w.saveBoundary
+		}
+	case from != nil:
+		w.rw.load(&from.st)
+		w.e.restores.Add(1)
+	default:
 		w.ck.reset()
 	}
-	w.ch.start(it, depth)
-	return w.e.execute(w.ck, w.ch, len(it.prefix), true, own, it.skip)
+	w.base, w.saved = 0, w.saved[:0]
+	covered := 0
+	if from != nil {
+		w.base, covered = from.steps, from.pos
+	}
+	w.ch.start(it, depth, covered)
+	out := w.e.execute(w.ck, w.ch, len(it.prefix), true, own, it.skip, w.base)
+	out.saved, out.from = w.saved, from
+	return out
 }
 
-// execute drives one from-scratch execution. track marks an exploration
-// run, whose prefix replays states the spawning run already checked and
-// recorded: they skip the per-step oracle and the visited table, and
-// states beyond are tracked. A replay (track unset) checks every step —
-// its violation may sit inside the prefix. own >= 0 enables the
+// saveBoundary is the chooser's atBoundary: it saves the execution in
+// progress, which is about to resolve choice point pos.
+func (w *worker) saveBoundary(pos int) {
+	var b *boundary
+	if n := len(w.free); n > 0 {
+		b, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		b = &boundary{owner: w}
+	}
+	w.rw.save(&b.st)
+	b.pos = pos
+	b.steps = w.base + int(w.ck.kernel().Executed())
+	w.saved = append(w.saved, b)
+	for n := w.e.alive.Add(1); ; {
+		if p := w.e.peak.Load(); n <= p || w.e.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+}
+
+// retire ends a run's bookkeeping once its children are spawned: the item
+// lets go of the boundary it held, and a boundary no work item holds any
+// more goes back to the free list of the worker that owns it (to the
+// collector, if that is another worker: free lists are not shared).
+func (w *worker) retire(it workItem, r runOut) {
+	for _, b := range r.saved {
+		if b.refs.Load() == 0 {
+			w.recycle(b)
+		}
+	}
+	if b := it.from; b != nil && b.refs.Add(-1) == 0 {
+		w.recycle(b)
+	}
+}
+
+func (w *worker) recycle(b *boundary) {
+	w.e.alive.Add(-1)
+	if b.owner == w {
+		w.free = append(w.free, b)
+	}
+}
+
+// execute drives one execution to its end. The machine stands base kernel
+// steps into the path (zero after a reset): the step guard counts from
+// there, the steps counter only what is executed here. track marks an
+// exploration run, whose prefix replays states the spawning run already
+// checked and recorded: they skip the per-step oracle and the visited
+// table, and states beyond are tracked. A replay (track unset) checks
+// every step — its violation may sit inside the prefix. own >= 0 enables the
 // ownership discipline of distributed exploration: tracked states in a
 // foreign fingerprint range stop the run with a handoff instead of a
 // visit, and the first skip tracked states beyond the prefix — already
 // processed by the previous owner — are replayed without visiting.
-func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool, own, skip int) runOut {
+func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool, own, skip, base int) runOut {
 	ck.enableMC(ch)
 	k := ck.kernel()
 	var out runOut
-	steps, replayed := 0, 0
+	steps, replayed := base, 0
 	skipLeft := skip
 	// sinceChoice counts tracked states (skipped included) since the run
 	// last resolved a choice point; a handoff's skip is sinceChoice-1,
@@ -696,7 +860,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 	scc, scu := ck.scStats()
 	e.scRuns.Add(scc)
 	e.scUndec.Add(scu)
-	e.steps.Add(uint64(steps))
+	e.steps.Add(uint64(steps - base))
 	e.replay.Add(uint64(replayed))
 	return out
 }
@@ -706,13 +870,31 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 // ancestor runs). Under the sleep-set reduction, alternatives already
 // slept at the point are skipped, and each spawned sibling inherits the
 // point's sleep set plus its earlier siblings, filtered to the members
-// independent of its own pick.
+// independent of its own pick. Each sibling also takes hold of the last
+// boundary the run saved at or before its choice point — for a scheduler
+// point the one saved at the point itself, for an arbitration point an
+// earlier one, a step or two back — or, failing that, the boundary the
+// run itself started from.
 func (e *explorer) children(it workItem, r runOut) []workItem {
 	var out []workItem
+	nsaved := len(r.saved)
 	for p := len(r.taken) - 1; p >= len(it.prefix); p-- {
 		t := r.taken[p]
 		if t.n < 2 {
 			continue
+		}
+		for nsaved > 0 && r.saved[nsaved-1].pos > p {
+			nsaved--
+		}
+		from := r.from
+		if nsaved > 0 {
+			from = r.saved[nsaved-1]
+		}
+		spawn := func(prefix []int, sleep sleepSet) {
+			out = append(out, workItem{prefix: prefix, sleep: sleep, from: from})
+			if from != nil {
+				from.refs.Add(1)
+			}
 		}
 		base := make([]int, p)
 		for i := 0; i < p; i++ {
@@ -721,7 +903,7 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 		if t.cands == nil {
 			// Sleep sets off: spawn every alternative.
 			for alt := t.n - 1; alt >= 1; alt-- {
-				out = append(out, workItem{prefix: append(append([]int(nil), base...), alt)})
+				spawn(append(append([]int(nil), base...), alt), nil)
 			}
 			continue
 		}
@@ -734,10 +916,7 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 			if t.sleepAt.contains(cls.fp) {
 				continue
 			}
-			out = append(out, workItem{
-				prefix: append(append([]int(nil), base...), alt),
-				sleep:  childSleep(e.n, t.sleepAt, done, cls),
-			})
+			spawn(append(append([]int(nil), base...), alt), childSleep(e.n, t.sleepAt, done, cls))
 			done = append(done, cls)
 		}
 	}
@@ -757,8 +936,7 @@ type passOut struct {
 }
 
 // ctxDone reports cooperative cancellation; checked only at frontier
-// boundaries so a cancel never interrupts a from-scratch execution
-// midway (runs stay pure functions of their work items).
+// boundaries so a cancel never interrupts an execution midway (runs stay pure functions of their work items).
 func (e *explorer) ctxDone() bool {
 	return e.opts.Ctx != nil && e.opts.Ctx.Err() != nil
 }
@@ -768,7 +946,8 @@ func (e *explorer) ctxDone() bool {
 // race.
 func (e *explorer) report(runs, depth, frontier int) {
 	if e.opts.Progress != nil {
-		e.opts.Progress(Progress{States: e.visited.States(), Runs: runs, Depth: depth, Frontier: frontier})
+		e.opts.Progress(Progress{States: e.visited.States(), Runs: runs, Depth: depth, Frontier: frontier,
+			Steps: e.steps.Load(), ReplaySteps: e.replay.Load(), Restores: e.restores.Load()})
 	}
 }
 
@@ -801,6 +980,7 @@ func (e *explorer) pass(depth int, stack []workItem, out passOut) passOut {
 			return out
 		}
 		stack = append(stack, e.children(it, r)...)
+		w.retire(it, r)
 		if err := e.visited.Err(); err != nil {
 			out.err = err
 			return out
@@ -858,6 +1038,7 @@ func (e *explorer) passParallel(depth, workers int) passOut {
 
 			r := w.run(it, depth, -1)
 			kids := e.children(it, r)
+			w.retire(it, r)
 
 			mu.Lock()
 			out.runs++
@@ -1016,6 +1197,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.SCUndecided = e.scUndec.Load()
 		res.Steps = e.steps.Load()
 		res.ReplaySteps = e.replay.Load()
+		res.Restores = e.restores.Load()
+		res.PeakBoundaries = int(e.peak.Load())
 		res.Spills = e.visited.Spills()
 		res.DiskBytes = e.visited.DiskBytes()
 		res.Handoffs += p.handoffs
@@ -1071,6 +1254,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 			return res, err
 		}
 		e.budget.Store(false)
+		e.alive.Store(0) // the frontier that held the last pass's boundaries is gone
 		stack = []workItem{{}}
 		init = passOut{}
 	}
@@ -1082,7 +1266,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 func (e *explorer) replayRun(prefix []int) runOut {
 	ck := newChecker(e.sc, e.sh)
 	ch := replayChooser(ck, e.n, prefix, &e.opts)
-	return e.execute(ck, ch, len(prefix), false, -1, 0)
+	return e.execute(ck, ch, len(prefix), false, -1, 0, 0)
 }
 
 // minimize greedily shrinks a counterexample: repeatedly lower the

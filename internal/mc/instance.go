@@ -7,6 +7,7 @@ import (
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/fphash"
+	"multicube/internal/memmodel"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
 )
@@ -21,10 +22,11 @@ type stepTag struct {
 
 func (t stepTag) String() string { return fmt.Sprintf("proc%d step %d", t.proc, t.step) }
 
-// instance runs from-scratch executions of a grid scenario, one after the
-// other, on one kernel and machine that reset rewinds between them: the
-// per-processor program counters, the witness and the fingerprint caches
-// belong to the execution in progress.
+// instance runs executions of a grid scenario, one after the other, on
+// one kernel and machine that reset (to the initial state) or load (to a
+// saved boundary) rewinds between them: the per-processor program
+// counters, the witness and the fingerprint caches belong to the
+// execution in progress.
 type instance struct {
 	sc  *Scenario
 	sh  *shared
@@ -107,24 +109,81 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 func (in *instance) reset() {
 	in.sys.Reset()
 	in.sys.DisableStaleReplyPoisoning = in.sc.InjectStaleReply
-	if in.sh.instrument != nil {
-		in.sh.instrument(in.sys)
-	}
+	in.fpc.Reset(in.sys)
+	in.begin()
 	in.completed = 0
 	in.wit.reset()
-	in.scChecks, in.scUndecided = 0, 0
-	in.fpc.Reset(in.sys)
-	in.drvRec, in.drvInc = 0, 0
-	for i := range in.modGen {
-		in.modGen[i] = ^uint64(0)
-	}
 	in.failure = ""
 	for p := range in.sc.Procs {
 		in.pc[p] = 0
 		in.held[p] = in.held[p][:0]
-		in.drvDirty[p] = true
 		in.k.AtTagged(0, stepTag{proc: p, step: 0}, in.issueFn[p])
 	}
+}
+
+// begin is what reset and load share: the machine and the fingerprint
+// cache stand where the execution starts, their generation counters
+// rewound, so the harness's hook fires, everything else keyed on those
+// counters (the modified-line lists, the driver hashes) is invalidated,
+// and the per-execution counters start over.
+func (in *instance) begin() {
+	if in.sh.instrument != nil {
+		in.sh.instrument(in.sys)
+	}
+	in.scChecks, in.scUndecided = 0, 0
+	in.drvRec, in.drvInc = 0, 0
+	for i := range in.modGen {
+		in.modGen[i] = ^uint64(0)
+	}
+	for p := range in.drvDirty {
+		in.drvDirty[p] = true
+	}
+}
+
+// execState is one grid execution frozen at a kernel-step boundary: the
+// machine, the fingerprint cache's hashes with the generations they were
+// taken at, and the driver. save fills it, keeping its capacity.
+type execState struct {
+	sys       coherence.Saved
+	fpc       coherence.FPSaved
+	pc        []int
+	held      [][]uint64
+	completed int
+	hist      memmodel.History
+	failure   string
+}
+
+// save copies the execution in progress into st. The caller is at a
+// kernel-step boundary (see coherence.System.Save).
+func (in *instance) save(st *execState) {
+	in.sys.Save(&st.sys)
+	in.fpc.Save(&st.fpc)
+	st.pc = append(st.pc[:0], in.pc...)
+	if st.held == nil {
+		st.held = make([][]uint64, len(in.held))
+	}
+	for p, h := range in.held {
+		st.held[p] = append(st.held[p][:0], h...)
+	}
+	st.completed, st.failure = in.completed, in.failure
+	st.hist.CopyFrom(&in.wit.hist)
+}
+
+var _ rewinder = (*instance)(nil)
+
+// load rewinds the instance to an execution state it saved, in place of
+// reset and the replay of the choices that led there. Unlike reset it
+// leaves the machine's hooks installed (Load does not touch them).
+func (in *instance) load(st *execState) {
+	in.sys.Load(&st.sys)
+	in.fpc.Load(&st.fpc)
+	in.begin()
+	copy(in.pc, st.pc)
+	for p, h := range st.held {
+		in.held[p] = append(in.held[p][:0], h...)
+	}
+	in.completed, in.failure = st.completed, st.failure
+	in.wit.hist.CopyFrom(&st.hist)
 }
 
 // writeValue assigns each (processor, step) write a unique nonzero value

@@ -126,6 +126,7 @@ func (e *explorer) counterMap(p *passOut) map[string]uint64 {
 		"sc_undec":        e.scUndec.Load(),
 		"steps":           e.steps.Load(),
 		"replay_steps":    e.replay.Load(),
+		"restores":        e.restores.Load(),
 	}
 }
 
@@ -142,6 +143,7 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	e.scUndec.Store(c["sc_undec"])
 	e.steps.Store(c["steps"])
 	e.replay.Store(c["replay_steps"])
+	e.restores.Store(c["restores"])
 }
 
 // checkpoint atomically persists the search at a frontier boundary. The

@@ -6,21 +6,31 @@ import (
 	"testing"
 )
 
-// exploreRebuilding is the sequential search with a new worker — and so
-// a newly built machine and chooser — for every run: the reference the
-// machine-reusing explorer must match. Only the loop of explorer.pass is
-// repeated here; runs, children and the visited table are the explorer's.
-func exploreRebuilding(sc Scenario, opts Options) Result {
+// exploreFromReset is the sequential search with every run started from
+// the initial state and its whole prefix replayed — the reference the
+// boundary-resuming explorer must match. With rebuild, every run also
+// gets a new worker, and so a newly built machine and chooser (a boundary
+// is usable only on the machine that saved it, so none is); without, one
+// worker serves all runs and each item's boundary is withheld from it.
+// Only the loop of explorer.pass is repeated here; runs, children and the
+// visited table are the explorer's.
+func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 	sc.FillDefaults()
 	opts.fillDefaults()
 	e := newExplorer(&sc, opts)
 	res := Result{Scenario: sc.Name}
 	stack := []workItem{{}}
 	cut := false
+	w := &worker{e: e}
 	for len(stack) > 0 && !e.budget.Load() {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		r := (&worker{e: e}).run(it, opts.MaxDepth, -1)
+		if rebuild {
+			w = &worker{e: e}
+		}
+		held := it
+		it.from = nil
+		r := w.run(it, opts.MaxDepth, -1)
 		res.Runs++
 		cut = cut || r.limitHit || r.stepsHit
 		if r.violation != nil {
@@ -28,6 +38,7 @@ func exploreRebuilding(sc Scenario, opts Options) Result {
 			break
 		}
 		stack = append(stack, e.children(it, r)...)
+		w.retire(held, r)
 	}
 	res.TotalRuns = res.Runs
 	res.States = e.visited.States()
@@ -36,18 +47,23 @@ func exploreRebuilding(sc Scenario, opts Options) Result {
 	res.FPRecomputes, res.FPIncremental = e.fpRec.Load(), e.fpInc.Load()
 	res.SCChecks, res.SCUndecided = e.scRuns.Load(), e.scUndec.Load()
 	res.Steps, res.ReplaySteps = e.steps.Load(), e.replay.Load()
+	res.Restores = e.restores.Load()
 	return res
 }
 
 // TestReusedMachineMatchesRebuilt explores swarm scenarios on both
-// machines with the explorer's reset-between-runs workers and with a
-// machine built per run, and requires identical Results — every counter
-// included, and the unminimized counterexample where the injected bug
-// makes one. Four workers, each resetting a machine of its own, must
-// reach the sequential verdict; under -race that also proves the
-// workers share no machine state.
+// machines three ways — the explorer as it is, resuming each run from a
+// boundary its spawning run saved; one machine reset for every run, the
+// boundaries withheld; a machine built per run — and requires the same
+// search from all three: every result field, and the unminimized
+// counterexample where the injected bug makes one. Four workers, each
+// rewinding a machine of its own, must reach the sequential verdict;
+// under -race that also proves the workers share no machine state, and
+// coherence.System.Load panics on a state another machine saved, so no
+// worker resumed from a boundary that was not its own.
 func TestReusedMachineMatchesRebuilt(t *testing.T) {
 	var searches, states, violations int
+	var steps, resetSteps, restores, parRestores uint64
 	for seed := int64(17000); seed <= 17011; seed++ {
 		for _, singleBus := range []bool{false, true} {
 			for _, inject := range []bool{false, true} {
@@ -62,16 +78,29 @@ func TestReusedMachineMatchesRebuilt(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if rebuilt := exploreRebuilding(sc, opts); !reflect.DeepEqual(reused, rebuilt) {
-					t.Fatalf("%s: machine reuse changed the search:\n reused:  %+v\n rebuilt: %+v", name, reused, rebuilt)
+				withheld := exploreFromReset(sc, opts, false)
+				if !reflect.DeepEqual(comparable(reused), comparable(withheld)) {
+					t.Fatalf("%s: resuming from saved boundaries changed the search:\n resumed:  %+v\n withheld: %+v", name, reused, withheld)
+				}
+				if rebuilt := exploreFromReset(sc, opts, true); !reflect.DeepEqual(withheld, rebuilt) {
+					t.Fatalf("%s: machine reuse changed the search:\n reused:  %+v\n rebuilt: %+v", name, withheld, rebuilt)
 				}
 				searches++
 				states += reused.States
 				if reused.Violation != nil {
 					violations++
 				}
-				if reused.Runs > 1 && reused.ReplaySteps == 0 {
-					t.Fatalf("%s: %d runs replayed no prefix step", name, reused.Runs)
+				if withheld.Runs > 1 && withheld.ReplaySteps == 0 {
+					t.Fatalf("%s: %d runs from reset replayed no prefix step", name, withheld.Runs)
+				}
+				if withheld.Restores != 0 || (singleBus && reused.Restores != 0) {
+					t.Fatalf("%s: %d runs resumed from a boundary none should have had (%d on the single-bus machine)",
+						name, withheld.Restores, reused.Restores)
+				}
+				if !singleBus {
+					steps += reused.Steps
+					resetSteps += withheld.Steps
+					restores += reused.Restores
 				}
 
 				opts.NoMinimize = false
@@ -89,13 +118,21 @@ func TestReusedMachineMatchesRebuilt(t *testing.T) {
 				if !reflect.DeepEqual(seq.Violation, par.Violation) || seq.Exhausted != par.Exhausted {
 					t.Fatalf("%s: workers=4 differs from workers=1:\n seq: %+v\n par: %+v", name, seq, par)
 				}
+				if par.Violation == nil {
+					parRestores += par.Restores // else par is the sequential re-derivation
+				}
 			}
 		}
 	}
 	if violations == 0 {
 		t.Fatal("no swarm scenario tripped the injected bug; the counterexample path went untested")
 	}
-	t.Logf("%d searches, %d states, %d with a violation: reused ≡ rebuilt", searches, states, violations)
+	if restores == 0 || parRestores == 0 || steps >= resetSteps {
+		t.Fatalf("boundaries went unused: %d runs resumed sequentially, %d under four workers; %d kernel steps against %d from reset",
+			restores, parRestores, steps, resetSteps)
+	}
+	t.Logf("%d searches, %d states, %d with a violation: resumed ≡ withheld ≡ rebuilt; %d of %d kernel steps",
+		searches, states, violations, steps, resetSteps)
 }
 
 // countingChecker counts the per-step oracle's invocations.
@@ -142,10 +179,10 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 		ch := replayChooser(cc, e.n, it.prefix, &e.opts)
 		if explore {
 			ch = newMCChooser(cc, e.n, &e.opts)
-			ch.start(it, 0)
+			ch.start(it, 0, 0)
 		}
 		steps, replayed := e.steps.Load(), e.replay.Load()
-		r := e.execute(cc, ch, len(it.prefix), explore, -1, 0)
+		r := e.execute(cc, ch, len(it.prefix), explore, -1, 0, 0)
 		steps, replayed = e.steps.Load()-steps, e.replay.Load()-replayed
 		if r.violation != nil {
 			t.Fatalf("explore=%v: %v", explore, r.violation)

@@ -6,15 +6,24 @@
 // oracle, a per-address sequential-consistency witness, and program
 // completion at the end of every execution.
 //
-// The checker is stateless in the Stateless Model Checking sense: the
-// protocol engine's state lives in closures and cannot be snapshotted,
-// so each execution replays a choice-sequence prefix from the initial
-// state and continues with default choices. Exploration is an
-// iterative-deepening DFS over choice sequences with a visited-state
-// table keyed by canonical fingerprints (internal/coherence's
-// Fingerprint, minimized over row relabelings), and an optional
-// ample-set partial-order reduction that eager-fires device-latency
-// enqueue events that provably commute with every other enabled event.
+// A branch of the search is a choice sequence: an execution follows its
+// prefix and continues with default choices. The protocol engine's state
+// lives partly in closures (pending events, outstanding transactions), so
+// a machine cannot be copied — but it can be rewound in place, because
+// those closures capture only the machine's own long-lived objects and
+// immutable values: at every scheduler choice point that leaves a sibling
+// branch, the run saves the machine's data into a reusable buffer
+// (coherence.System.Save), and the sibling starts by loading it back into
+// the same machine instead of resetting it and re-executing the prefix.
+// Where no boundary is usable — the first run, work read back from a
+// checkpoint or handed to another worker, the single-bus machine — the
+// branch replays its prefix from the initial state, which is the same
+// code path with nothing to load. Exploration is an iterative-deepening
+// DFS over choice sequences with a visited-state table keyed by canonical
+// fingerprints (internal/coherence's Fingerprint, minimized over row
+// relabelings), and an optional ample-set partial-order reduction that
+// eager-fires device-latency enqueue events that provably commute with
+// every other enabled event.
 //
 // Nondeterminism model: the machine is explored under the untimed
 // interpretation — any pending event (a bus grant, a delivery, a

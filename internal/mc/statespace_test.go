@@ -13,16 +13,24 @@ import (
 	"testing"
 )
 
-// comparable strips the fields a resumed or disk-backed Result
-// legitimately differs in: Resumed/ResumeNote report provenance, and
+// comparable strips the fields two searches with the same result
+// legitimately differ in: Resumed/ResumeNote report provenance,
 // Spills/DiskBytes depend on the memory budget and on how many
-// checkpoints forced flushes. Everything else — verdict, state count,
-// counterexample, all search counters — must be byte-identical.
+// checkpoints forced flushes, and Steps, ReplaySteps, FPRecomputes,
+// FPIncremental, Restores and PeakBoundaries count what the search cost
+// the host, which depends on which runs had a saved boundary to start
+// from (a resumed search replays its checkpointed frontier from reset).
+// Everything else — States, Runs, TotalRuns, Depth, Exhausted, BudgetHit,
+// the SC counters and verdict, the counterexample — must be
+// byte-identical.
 func comparable(r Result) Result {
 	r.Resumed = false
 	r.ResumeNote = ""
 	r.Spills = 0
 	r.DiskBytes = 0
+	r.Steps, r.ReplaySteps = 0, 0
+	r.FPRecomputes, r.FPIncremental = 0, 0
+	r.Restores, r.PeakBoundaries = 0, 0
 	return r
 }
 

@@ -117,6 +117,9 @@ func (h *History) Procs() int {
 // Reset empties the history, retaining capacity.
 func (h *History) Reset() { h.events = h.events[:0] }
 
+// CopyFrom makes h a copy of src, retaining h's capacity.
+func (h *History) CopyFrom(src *History) { h.events = append(h.events[:0], src.events...) }
+
 // String renders the history one event per line, in observation order.
 func (h *History) String() string {
 	var b []byte

@@ -32,6 +32,9 @@ type Store struct {
 	blockWords int
 	data       map[Line][]uint64
 	invalid    map[Line]bool
+	// spare is Load's scratch: the blocks in place, while it rebuilds the
+	// map out of them.
+	spare [][]uint64
 
 	reads       uint64
 	writes      uint64
@@ -66,6 +69,60 @@ func (s *Store) Reset() {
 	clear(s.data)
 	clear(s.invalid)
 	s.reads, s.writes, s.invalidates, s.reissues = 0, 0, 0, 0
+}
+
+// Saved is a caller-owned buffer holding a module's contents, valid bits
+// and counters. Save fills it and keeps its capacity.
+type Saved struct {
+	// lines are the written lines in no particular order; words holds one
+	// block per line, in the same order.
+	lines   []Line
+	words   []uint64
+	invalid []Line
+	stats   Stats
+}
+
+// Save copies the module's contents into st.
+func (s *Store) Save(st *Saved) {
+	st.lines, st.words, st.invalid = st.lines[:0], st.words[:0], st.invalid[:0]
+	//multicube:detrange-ok copied as a set; Load rebuilds the map from it
+	for l, buf := range s.data {
+		st.lines = append(st.lines, l)
+		st.words = append(st.words, buf...)
+	}
+	//multicube:detrange-ok copied as a set; Load rebuilds the map from it
+	for l := range s.invalid {
+		st.invalid = append(st.invalid, l)
+	}
+	st.stats = s.Stats()
+}
+
+// Load replaces the module's contents with what Save copied from it (or
+// from a module of the same block size), reusing the blocks it holds.
+func (s *Store) Load(st *Saved) {
+	spare := s.spare[:0]
+	//multicube:detrange-ok collects the blocks as a set, for reuse
+	for _, buf := range s.data {
+		spare = append(spare, buf)
+	}
+	clear(s.data)
+	for i, l := range st.lines {
+		var buf []uint64
+		if n := len(spare); n > 0 {
+			buf, spare = spare[n-1], spare[:n-1]
+		} else {
+			buf = make([]uint64, s.blockWords)
+		}
+		copy(buf, st.words[i*s.blockWords:])
+		s.data[l] = buf
+	}
+	clear(spare) // blocks the saved module has no use for go to the collector
+	s.spare = spare[:0]
+	clear(s.invalid)
+	for _, l := range st.invalid {
+		s.invalid[l] = true
+	}
+	s.reads, s.writes, s.invalidates, s.reissues = st.stats.Reads, st.stats.Writes, st.stats.Invalidates, st.stats.Reissues
 }
 
 // BlockWords returns the block size in words.

@@ -1,6 +1,8 @@
 package memory
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -127,4 +129,63 @@ func TestResetRestoresBootState(t *testing.T) {
 	s.ForEach(func(line Line, valid bool, data []uint64) {
 		t.Fatalf("line %d differs from the boot state after Reset", line)
 	})
+}
+
+// TestSaveLoadRewinds: a module saved, driven through an unrelated future
+// and loaded must be what it was at the save — contents, valid bits and
+// counters — over many rounds through one reused buffer, and twice from
+// the same save.
+func TestSaveLoadRewinds(t *testing.T) {
+	mutate := func(s *Store, rng *rand.Rand) {
+		line := Line(rng.Intn(8))
+		switch rng.Intn(5) {
+		case 0, 1:
+			s.Write(line, []uint64{rng.Uint64(), rng.Uint64()})
+		case 2:
+			s.Invalidate(line)
+		case 3:
+			s.Read(line)
+		case 4:
+			s.CountReissue()
+		}
+	}
+	dump := func(s *Store) string {
+		out := fmt.Sprintf("%+v invalid=%d written=%d", s.Stats(), s.InvalidLines(), len(s.data))
+		for l := Line(0); l < 8; l++ {
+			out += fmt.Sprintf(" %d:%v%v", l, s.Valid(l), s.Peek(l))
+		}
+		return out
+	}
+	s := MustNewStore(4)
+	rng := rand.New(rand.NewSource(1))
+	var st Saved
+	invalid := 0
+	for round := 0; round < 200; round++ {
+		for i := rng.Intn(5); i > 0; i-- {
+			mutate(s, rng)
+		}
+		s.Save(&st)
+		want := dump(s)
+		invalid += s.InvalidLines()
+		for pass := 0; pass < 2; pass++ {
+			if round%2 == 0 {
+				s.Reset()
+			}
+			for i := rng.Intn(20); i > 0; i-- {
+				mutate(s, rng)
+			}
+			s.Load(&st)
+			if got := dump(s); got != want {
+				t.Fatalf("round %d pass %d: after Load %s, at the save %s", round, pass, got, want)
+			}
+		}
+	}
+	// Load's scratch holds nothing between calls: blocks the saved module
+	// had no use for must not pile up over a long search.
+	if len(s.spare) != 0 || cap(s.spare) > 16 {
+		t.Fatalf("%d blocks (cap %d) left in Load's scratch after 400 loads", len(s.spare), cap(s.spare))
+	}
+	if invalid == 0 || s.Stats().Reissues == 0 {
+		t.Fatalf("the saves caught no invalid line, or the history counted no reissue: %+v", s.Stats())
+	}
 }

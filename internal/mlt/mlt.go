@@ -109,6 +109,43 @@ func (t *Table) Reset() {
 	t.inserts, t.removes, t.failures, t.overflows = 0, 0, 0, 0
 }
 
+// Saved is a caller-owned buffer holding a table's contents, replacement
+// clock and counters. Save fills it and keeps its capacity.
+type Saved struct {
+	entries []entry // the bounded table's slots, in set order
+	lines   []Line  // the unbounded table's lines, in no particular order
+	clock   uint64
+	stats   Stats
+}
+
+// Save copies the table's contents into st.
+func (t *Table) Save(st *Saved) {
+	st.entries, st.lines = st.entries[:0], st.lines[:0]
+	for _, set := range t.sets {
+		st.entries = append(st.entries, set...)
+	}
+	//multicube:detrange-ok copied as a set; Load rebuilds the index from it
+	for l := range t.table {
+		st.lines = append(st.lines, l)
+	}
+	st.clock, st.stats = t.clock, t.Stats()
+}
+
+// Load replaces the table's contents with what Save copied from it (or
+// from a table of the same configuration).
+func (t *Table) Load(st *Saved) {
+	entries := st.entries
+	for _, set := range t.sets {
+		entries = entries[copy(set, entries):]
+	}
+	clear(t.table)
+	for _, l := range st.lines {
+		t.table[l] = struct{}{}
+	}
+	t.clock = st.clock
+	t.inserts, t.removes, t.failures, t.overflows = st.stats.Inserts, st.stats.Removes, st.stats.Failures, st.stats.Overflows
+}
+
 func (t *Table) bounded() bool { return t.cfg.Entries > 0 }
 
 func (t *Table) setOf(line Line) []entry {

@@ -1,6 +1,8 @@
 package mlt
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +193,50 @@ func TestResetEqualsNew(t *testing.T) {
 		wv, wov := fresh.Insert(4)
 		if gv != wv || gov != wov || !Equal(tb, fresh) || tb.Stats() != fresh.Stats() {
 			t.Fatalf("%+v: reset table Insert(4) = (%d,%v) stats %+v, a new one (%d,%v) stats %+v", cfg, gv, gov, tb.Stats(), wv, wov, fresh.Stats())
+		}
+	}
+}
+
+// TestSaveLoadRewinds: a table of either shape, saved, driven through an
+// unrelated future and loaded must be what it was at the save — entries,
+// replacement order and counters — over many rounds through one reused
+// buffer, and twice from the same save.
+func TestSaveLoadRewinds(t *testing.T) {
+	mutate := func(tb *Table, rng *rand.Rand) {
+		if l := Line(rng.Intn(10)); rng.Intn(3) > 0 {
+			tb.Insert(l)
+		} else {
+			tb.Remove(l)
+		}
+	}
+	dump := func(tb *Table) string {
+		return fmt.Sprintf("%v %+v clock=%d slots=%+v", tb.Lines(), tb.Stats(), tb.clock, tb.sets)
+	}
+	for _, cfg := range []Config{{Entries: 4, Assoc: 2}, {}} {
+		tb := MustNew(cfg)
+		rng := rand.New(rand.NewSource(1))
+		var st Saved
+		for round := 0; round < 200; round++ {
+			for i := rng.Intn(5); i > 0; i-- {
+				mutate(tb, rng)
+			}
+			tb.Save(&st)
+			want := dump(tb)
+			for pass := 0; pass < 2; pass++ {
+				if round%2 == 0 {
+					tb.Reset()
+				}
+				for i := rng.Intn(20); i > 0; i-- {
+					mutate(tb, rng)
+				}
+				tb.Load(&st)
+				if got := dump(tb); got != want {
+					t.Fatalf("%+v round %d pass %d: after Load %s, at the save %s", cfg, round, pass, got, want)
+				}
+			}
+		}
+		if tb.Stats().Failures == 0 || (cfg.Entries > 0 && tb.Stats().Overflows == 0) {
+			t.Fatalf("%+v: the common history had no failed remove or no overflow: %+v", cfg, tb.Stats())
 		}
 	}
 }

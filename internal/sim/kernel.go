@@ -379,13 +379,55 @@ func (k *Kernel) Reset() {
 	*k = Kernel{events: k.events[:0], ordered: k.ordered[:0], cands: k.cands[:0]}
 }
 
+// KernelState is a caller-owned buffer holding a kernel at a step
+// boundary: the clock, the sequence counter and every pending event with
+// its closure and tag. Save fills it and keeps its capacity, so one
+// buffer serves many saves.
+type KernelState struct {
+	now    Time
+	seq    uint64
+	events eventHeap
+}
+
+// Save copies the kernel's clock, sequence counter and pending events
+// into st. The events keep their closures: a saved state is only good
+// for rewinding the kernel it was taken from, and only if restoring the
+// data those closures read restores what they will do — the caller's
+// obligation. The chooser and the dispatch counter are not part of it.
+// Call it between steps (a Chooser's Choose counts: stepChosen consults
+// it before touching the heap or the clock). A kernel with processes has
+// goroutines parked mid-program, and a parallel Runner's kernel lineage
+// state, neither of which a copy captures, so both panic.
+func (k *Kernel) Save(st *KernelState) {
+	if len(k.procs) > 0 || k.stamper != nil {
+		panic("sim: Save of a kernel with processes or under a parallel Runner")
+	}
+	st.now, st.seq = k.now, k.seq
+	clear(st.events) // drop the closures of the state saved here before
+	st.events = append(st.events[:0], k.events...)
+}
+
+// Load rewinds the kernel to a state Save took from it: same clock, same
+// sequence counter, the same events in the same heap positions. The
+// chooser stays installed. Executed restarts at zero — it counts the
+// events this kernel really dispatched since it was last reset or
+// loaded, which is what a harness timing a run wants to read.
+func (k *Kernel) Load(st *KernelState) {
+	k.now, k.seq = st.now, st.seq
+	clear(k.events) // drop the closures of the abandoned future
+	k.events = append(k.events[:0], st.events...)
+	k.executed = 0
+}
+
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of events waiting to run.
 func (k *Kernel) Pending() int { return len(k.events) }
 
-// Executed reports the total number of events dispatched so far.
+// Executed reports the number of events dispatched since the kernel was
+// built, Reset or Loaded: host work done, not a position in simulated
+// history.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // At schedules fn to run at absolute time t. Scheduling in the past

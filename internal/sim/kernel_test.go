@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -288,4 +289,89 @@ func TestResetRefusesLiveProc(t *testing.T) {
 	}()
 	k.Run() // let the process finish
 	k.Reset()
+}
+
+// TestSaveLoadRewinds: a kernel saved between steps, run on, and loaded
+// must dispatch from the save point exactly as it did the first time —
+// same order, same clock, same tie-breaks among events scheduled after —
+// with the chooser still installed, Executed restarted, and the events of
+// the abandoned future gone.
+func TestSaveLoadRewinds(t *testing.T) {
+	k := NewKernel()
+	k.SetChooser(DefaultChooser{}, true)
+	var log []string
+	var spawn func(name string, depth int) func()
+	spawn = func(name string, depth int) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("%v %s", k.Now(), name))
+			if depth > 0 {
+				// Equal times on purpose: the sequence counter breaks the tie.
+				k.AfterTagged(10, name+"a", spawn(name+"a", depth-1))
+				k.AfterTagged(10, name+"b", spawn(name+"b", depth-1))
+			}
+		}
+	}
+	k.AtTagged(0, "x", spawn("x", 3))
+	k.AtTagged(5, "y", spawn("y", 3))
+	for i := 0; i < 4; i++ {
+		k.Step()
+	}
+	var st KernelState
+	k.Save(&st)
+	now, pending, before := k.Now(), k.Pending(), len(log)
+	var tags []any
+	k.ForEachPending(func(_ Time, tag any) { tags = append(tags, tag) })
+
+	k.Run()
+	first := append([]string(nil), log[before:]...)
+	if len(first) == 0 {
+		t.Fatal("nothing ran after the save point")
+	}
+	for round := 0; round < 2; round++ {
+		// The second round loads over a drained kernel, the first over one
+		// whose buffer still holds the abandoned future's events.
+		if round == 0 {
+			k.At(k.Now()+1, func() { t.Error("an event of the abandoned future fired") })
+		}
+		k.Load(&st)
+		if k.Now() != now || k.Pending() != pending || k.Executed() != 0 || k.chooser == nil || !k.allEvents {
+			t.Fatalf("after Load: now=%v pending=%d executed=%d chooser=%v allEvents=%v, saved at now=%v pending=%d",
+				k.Now(), k.Pending(), k.Executed(), k.chooser, k.allEvents, now, pending)
+		}
+		var got []any
+		k.ForEachPending(func(_ Time, tag any) { got = append(got, tag) })
+		if !reflect.DeepEqual(got, tags) {
+			t.Fatalf("pending tags after Load %v, at the save %v", got, tags)
+		}
+		log = log[:before]
+		k.Run()
+		if again := log[before:]; !reflect.DeepEqual(again, first) {
+			t.Fatalf("round %d: after Load the kernel ran\n%v\nthe first time\n%v", round, again, first)
+		}
+		if int(k.Executed()) != len(first) {
+			t.Fatalf("Executed %d after Load and %d events; it counts from the Load", k.Executed(), len(first))
+		}
+	}
+}
+
+// TestSaveRefusesProcsAndRunners: a parked goroutine and a parallel
+// Runner's lineage are state a copy of the event heap does not capture.
+func TestSaveRefusesProcsAndRunners(t *testing.T) {
+	mustPanic := func(name string, k *Kernel) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Save of a kernel %s did not panic", name)
+			}
+		}()
+		k.Save(new(KernelState))
+	}
+	k := NewKernel()
+	k.Spawn("sleeper", func(p *Proc) { p.Sleep(100) })
+	k.RunUntil(50)
+	mustPanic("with a process", k)
+	k.Run()
+
+	g := NewKernel()
+	NewRunner(g, []*Kernel{NewKernel(), NewKernel()}, 50, 1)
+	mustPanic("under a Runner", g)
 }
