@@ -8,22 +8,15 @@
 //
 // Each experiment prints a table: figures have one row per x value and
 // one column per curve, matching how the paper's plots read. See
-// EXPERIMENTS.md for the paper-versus-measured record.
-//
-// With -bench FILE, the parallel-engine speedup measurement (sequential
-// vs worker counts, events/sec, identity receipts, MVA cross-check) is
-// merged into FILE under "parallel", preserving other top-level keys —
-// the same merge discipline multicube-farm load -bench uses for
-// BENCH_mc.json. -bench-n and -bench-requests size that run.
+// EXPERIMENTS.md for the paper-versus-measured record. Host performance
+// is measured by `go run ./benchmark`, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"time"
 
 	"multicube/internal/experiments"
 	"multicube/internal/stats"
@@ -45,9 +38,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit JSON Lines (one object per table row; see README for the schema)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchFile := flag.String("bench", "", "run the parallel speedup measurement and merge it into this BENCH_sim.json under \"parallel\"")
-	benchN := flag.Int("bench-n", 8, "machine edge for -bench (N×N processors)")
-	benchReqs := flag.Int("bench-requests", 0, "references per processor for -bench (0 = experiment default)")
 	flag.Parse()
 	if *csv && *jsonOut {
 		fmt.Fprintln(os.Stderr, "multicube-bench: -csv and -json are mutually exclusive")
@@ -105,18 +95,6 @@ func run() int {
 		{"parallel", func() renderable { return experiments.Parallel(experiments.ParallelConfig{}) }},
 	}
 
-	if *benchFile != "" {
-		rep := experiments.MeasureParallel(experiments.ParallelConfig{N: *benchN, Requests: *benchReqs})
-		rep.Date = time.Now().UTC().Format("2006-01-02")
-		if err := mergeBench(*benchFile, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "multicube-bench: -bench: %v\n", err)
-			return 1
-		}
-		b, _ := json.MarshalIndent(rep, "", " ")
-		fmt.Printf("merged parallel speedup report into %s:\n%s\n", *benchFile, b)
-		return 0
-	}
-
 	found := false
 	for _, r := range runs {
 		if *experiment != "all" && *experiment != r.name {
@@ -148,25 +126,4 @@ func run() int {
 		return 2
 	}
 	return 0
-}
-
-// mergeBench rewrites path with a "parallel" key holding rep, preserving
-// every other top-level field (the file is shared history, not a dump).
-func mergeBench(path string, rep experiments.ParallelReport) error {
-	doc := map[string]json.RawMessage{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return err
-		}
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["parallel"] = b
-	out, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

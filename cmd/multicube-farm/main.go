@@ -150,8 +150,7 @@ func (st *loadStats) percentile(p float64) time.Duration {
 	return st.latencies[idx]
 }
 
-// loadReport is the machine-readable outcome, merged into BENCH_mc.json
-// under "farm" when -bench is given.
+// loadReport is the machine-readable outcome (-json).
 type loadReport struct {
 	Date          string  `json:"date"`
 	DurationSec   float64 `json:"duration_sec"`
@@ -180,7 +179,6 @@ func loadMain(args []string) error {
 	uniq := fs.Int("uniq", 64, "unique spec pool size")
 	seed := fs.Int64("seed", 1, "client RNG seed")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON on stdout")
-	benchFile := fs.String("bench", "", "merge the report into this BENCH_mc.json under \"farm\"")
 	fs.Parse(args)
 
 	// The unique pool is cheap swarm singletons: each explores a couple
@@ -329,34 +327,8 @@ func loadMain(args []string) error {
 			rep.CacheHits, rep.DedupHits, rep.JobsQueued, rep.CacheHitRatio)
 		fmt.Printf("pressure   %d rejected (429), %d errors, %d losses\n", rep.Rejected, rep.Errors, rep.JobLosses)
 	}
-	if *benchFile != "" {
-		if err := mergeBench(*benchFile, rep); err != nil {
-			return fmt.Errorf("bench merge: %w", err)
-		}
-	}
 	if losses > 0 {
 		return fmt.Errorf("%d jobs lost", losses)
 	}
 	return nil
-}
-
-// mergeBench rewrites path with a "farm" key holding rep, preserving
-// every other top-level field.
-func mergeBench(path string, rep loadReport) error {
-	doc := map[string]json.RawMessage{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return err
-		}
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["farm"] = b
-	out, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

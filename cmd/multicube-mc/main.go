@@ -10,7 +10,7 @@
 //	             [-workers 1] [-inject] [-no-por] [-no-sleep]
 //	             [-no-minimize] [-quiet] [-json] [-checkfp]
 //	             [-store dir] [-mem-budget bytes] [-checkpoint dir]
-//	             [-checkpoint-every n] [-resume] [-dist-parts n]
+//	             [-checkpoint-every n] [-resume]
 //	             [-cpuprofile f] [-memprofile f]
 //	multicube-mc -list
 //
@@ -61,7 +61,6 @@ func run() int {
 	ckptDir := flag.String("checkpoint", "", "directory for periodic search checkpoints (requires -workers 1)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "executions between checkpoints (default 512)")
 	resume := flag.Bool("resume", false, "resume from the newest matching checkpoint in -checkpoint")
-	distParts := flag.Int("dist-parts", 0, "split the search across n fingerprint-range partitions with handoff (0 = off)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout instead of text")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -134,7 +133,6 @@ func run() int {
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
-		DistParts:       *distParts,
 	}
 
 	start := time.Now()
@@ -176,9 +174,6 @@ func run() int {
 	fmt.Printf("runs      %d executions (%d across deepening)\n", res.Runs, res.TotalRuns)
 	if res.Spills > 0 || res.DiskBytes > 0 {
 		fmt.Printf("store     %d spills, %d bytes on disk\n", res.Spills, res.DiskBytes)
-	}
-	if res.Handoffs > 0 {
-		fmt.Printf("handoffs  %d cross-partition transfers\n", res.Handoffs)
 	}
 	switch {
 	case res.Exhausted:

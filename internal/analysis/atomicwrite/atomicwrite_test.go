@@ -17,9 +17,9 @@ func TestFixture(t *testing.T) {
 	analysistest.Golden(t, filepath.Join("testdata", "atomfix"), findings, "atomfix.go")
 }
 
-// stripSync removes one exact occurrence of needle from the named repo
-// file, returning an overlay; the test fails if the anchor drifted.
-func stripSync(t *testing.T, modRoot, relPath, needle string) map[string][]byte {
+// rewrite replaces one exact occurrence of needle in the named repo file
+// with repl, returning an overlay; the test fails if the anchor drifted.
+func rewrite(t *testing.T, modRoot, relPath, needle, repl string) map[string][]byte {
 	t.Helper()
 	path := filepath.Join(modRoot, filepath.FromSlash(relPath))
 	src, err := os.ReadFile(path)
@@ -29,7 +29,7 @@ func stripSync(t *testing.T, modRoot, relPath, needle string) map[string][]byte 
 	if !bytes.Contains(src, []byte(needle)) {
 		t.Fatalf("%s no longer contains %q; update the overlay anchor", relPath, needle)
 	}
-	mod := bytes.Replace(src, []byte(needle), nil, 1)
+	mod := bytes.Replace(src, []byte(needle), []byte(repl), 1)
 	return map[string][]byte{path: mod}
 }
 
@@ -79,26 +79,31 @@ func assertSyncFinding(t *testing.T, findings []analysis.Finding, file string) {
 }
 
 // TestDetectsStrippedSyncCheckpoint is the acceptance proof over real
-// code: deleting the manifest writer's Sync in internal/statespace —
-// the exact pre-audit shape, where a crash after the rename could leave
-// a torn manifest that a resume then trusts — must produce a finding,
-// while the fixed package stays clean.
+// code: the checkpoint writers in internal/statespace publish through
+// durable.WriteFile, and deleting that writer's Sync — the pre-audit
+// shape, where a crash after the rename could leave a torn manifest that
+// a resume then trusts — must produce a finding, while the fixed packages
+// stay clean.
 func TestDetectsStrippedSyncCheckpoint(t *testing.T) {
 	modRoot := analysistest.ModuleRoot(t)
 	assertClean(t, modRoot, "./internal/statespace")
+	assertClean(t, modRoot, "./internal/durable")
 
-	overlay := stripSync(t, modRoot, "internal/statespace/checkpoint.go",
-		"\tif err := tmp.Sync(); err != nil {\n\t\ttmp.Close()\n\t\tos.Remove(tmp.Name())\n\t\treturn fmt.Errorf(\"statespace: manifest: %w\", err)\n\t}\n")
-	assertSyncFinding(t, runAtomicwrite(t, modRoot, "./internal/statespace", overlay), "checkpoint.go")
+	overlay := rewrite(t, modRoot, "internal/durable/durable.go",
+		"\tif err == nil {\n\t\terr = tmp.Sync()\n\t}\n", "")
+	assertSyncFinding(t, runAtomicwrite(t, modRoot, "./internal/durable", overlay), "durable.go")
 }
 
-// TestDetectsStrippedSyncFarmCache does the same for the farm result
-// cache's Put writer.
+// TestDetectsStrippedSyncFarmCache proves the helper cannot be bypassed
+// quietly: putting the farm result cache's Put back on a hand-rolled
+// temp+rename without the Sync must produce the finding in cache.go.
 func TestDetectsStrippedSyncFarmCache(t *testing.T) {
 	modRoot := analysistest.ModuleRoot(t)
 	assertClean(t, modRoot, "./internal/farm")
 
-	overlay := stripSync(t, modRoot, "internal/farm/cache.go",
-		"\tif err := tmp.Sync(); err != nil {\n\t\ttmp.Close()\n\t\tos.Remove(tmp.Name())\n\t\treturn fmt.Errorf(\"farm: cache put: %w\", err)\n\t}\n")
+	overlay := rewrite(t, modRoot, "internal/farm/cache.go",
+		"\tif err := durable.WriteFile(path, data); err != nil {\n\t\treturn fmt.Errorf(\"farm: cache put: %w\", err)\n\t}\n",
+		"\t_ = durable.WriteFile\n\ttmp, err := os.CreateTemp(filepath.Dir(path), fp+\".tmp*\")\n\tif err != nil {\n\t\treturn err\n\t}\n"+
+			"\ttmp.Write(data)\n\ttmp.Close()\n\tif err := os.Rename(tmp.Name(), path); err != nil {\n\t\treturn err\n\t}\n")
 	assertSyncFinding(t, runAtomicwrite(t, modRoot, "./internal/farm", overlay), "cache.go")
 }

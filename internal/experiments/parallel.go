@@ -8,7 +8,6 @@ import (
 	"multicube/internal/bus"
 	"multicube/internal/core"
 	"multicube/internal/mva"
-	"multicube/internal/sim"
 	"multicube/internal/stats"
 	"multicube/internal/workload"
 )
@@ -22,8 +21,7 @@ import (
 type ParallelConfig struct {
 	// N is the machine edge (N×N processors); default 8.
 	N int
-	// Requests per processor; default 2000 (the committed BENCH_sim.json
-	// run uses 1e6 references machine-wide scaled to the grid).
+	// Requests per processor; default 2000.
 	Requests int
 	// Workers lists the parallel worker counts to measure; default
 	// {1, 2, 4, 8}.
@@ -65,15 +63,13 @@ func (c *ParallelConfig) fill() {
 	}
 }
 
-// ParallelRun is one measured mode of the speedup experiment, the
-// machine-readable row merged into BENCH_sim.json.
+// ParallelRun is one measured mode of the speedup experiment.
 type ParallelRun struct {
-	Mode         string  `json:"mode"` // "sequential" or "parallel-<w>"
-	Workers      int     `json:"workers"`
-	Events       uint64  `json:"events"`
-	WallSec      float64 `json:"wall_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_sequential"`
+	Mode         string // "sequential" or "parallel-<w>"
+	Events       uint64
+	WallSec      float64
+	EventsPerSec float64
+	Speedup      float64 // over the sequential run
 	// Parallelism is the engine's available parallelism on this run:
 	// total dispatched work over the critical path (serial boundary
 	// steps plus each window's largest partition share). Wall-clock
@@ -81,10 +77,9 @@ type ParallelRun struct {
 	// cores; on fewer cores it is capped by the core count, which is
 	// why the report records the host's CPU budget. Zero for the
 	// sequential run.
-	Parallelism  float64 `json:"available_parallelism,omitempty"`
-	ElapsedSimNS uint64  `json:"elapsed_sim_ns"`
-	Efficiency   float64 `json:"efficiency"`
-	Identical    bool    `json:"identical_to_sequential"`
+	Parallelism  float64
+	ElapsedSimNS uint64
+	Identical    bool // same metrics, events and simulated time as sequential
 }
 
 // ParallelReport is the full speedup measurement plus the analytic
@@ -93,19 +88,16 @@ type ParallelRun struct {
 // both modes (which are identical by construction — Identical is the
 // per-run receipt).
 type ParallelReport struct {
-	Date     string  `json:"date"`
-	N        int     `json:"n"`
-	Requests int     `json:"requests_per_proc"`
-	Seed     uint64  `json:"seed"`
-	PShared  float64 `json:"p_shared"`
-	// NumCPU and Gomaxprocs record the measuring host's CPU budget:
-	// wall-clock speedup is capped by min(workers, cores), so on a
-	// single-CPU host the honest wall numbers hover near 1.0 and the
-	// available_parallelism column carries the scaling claim.
-	NumCPU        int           `json:"num_cpu"`
-	Gomaxprocs    int           `json:"gomaxprocs"`
-	Runs          []ParallelRun `json:"runs"`
-	MVAEfficiency float64       `json:"mva_efficiency_at_measured_rate"`
+	N        int
+	Requests int // per processor
+	PShared  float64
+	// NumCPU records the measuring host's CPU budget: wall-clock speedup
+	// is capped by min(workers, cores), so on a single-CPU host the honest
+	// wall numbers hover near 1.0 and the parallelism column carries the
+	// scaling claim.
+	NumCPU        int
+	Runs          []ParallelRun
+	MVAEfficiency float64 // the MVA model solved at the measured request rate
 }
 
 // MeasureParallel runs the same seeded workload on the sequential kernel
@@ -118,17 +110,15 @@ func MeasureParallel(cfg ParallelConfig) ParallelReport {
 		PShared: cfg.PShared, PWrite: 0.3,
 	}
 	rep := ParallelReport{
-		N: cfg.N, Requests: cfg.Requests, Seed: cfg.Seed, PShared: cfg.PShared,
-		NumCPU: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0),
+		N: cfg.N, Requests: cfg.Requests, PShared: cfg.PShared, NumCPU: runtime.NumCPU(),
 	}
 
 	// Each mode runs Reps times; results are identical across reps (the
 	// metrics string is asserted to repeat), so only the best wall time
 	// is kept.
-	run := func(workers int) (ParallelRun, string, sim.Time) {
+	run := func(workers int) (ParallelRun, string) {
 		var r ParallelRun
 		var metrics string
-		var elapsed sim.Time
 		for rep := 0; rep < cfg.Reps; rep++ {
 			m := core.MustNew(core.Config{N: cfg.N, Parallel: workers})
 			start := time.Now()
@@ -143,14 +133,12 @@ func MeasureParallel(cfg ParallelConfig) ParallelReport {
 				}
 				continue
 			}
-			metrics, elapsed = m.Metrics().String(), wrep.Elapsed
+			metrics = m.Metrics().String()
 			r = ParallelRun{
 				Mode:         "sequential",
-				Workers:      workers,
 				Events:       m.Executed(),
 				WallSec:      wall.Seconds(),
 				ElapsedSimNS: uint64(wrep.Elapsed),
-				Efficiency:   wrep.Efficiency(),
 			}
 			if workers > 0 {
 				r.Mode = fmt.Sprintf("parallel-%d", m.Runner().Workers())
@@ -158,15 +146,15 @@ func MeasureParallel(cfg ParallelConfig) ParallelReport {
 			}
 		}
 		r.EventsPerSec = float64(r.Events) / r.WallSec
-		return r, metrics, elapsed
+		return r, metrics
 	}
 
-	seq, seqMetrics, _ := run(0)
+	seq, seqMetrics := run(0)
 	seq.Identical = true
 	seq.Speedup = 1
 	rep.Runs = append(rep.Runs, seq)
 	for _, w := range cfg.Workers {
-		r, metrics, _ := run(w)
+		r, metrics := run(w)
 		r.Speedup = seq.WallSec / r.WallSec
 		r.Identical = metrics == seqMetrics && r.Events == seq.Events &&
 			r.ElapsedSimNS == seq.ElapsedSimNS
@@ -175,8 +163,7 @@ func MeasureParallel(cfg ParallelConfig) ParallelReport {
 
 	// Analytic cross-check: solve the paper's MVA model at the measured
 	// request rate. The generator's mix differs from the Figure 2
-	// parameterization, so agreement is approximate — the committed runs
-	// record both numbers side by side.
+	// parameterization, so agreement is approximate.
 	m := core.MustNew(core.Config{N: cfg.N})
 	wrep := workload.Run(m, wl)
 	p := mva.Defaults(cfg.N)

@@ -13,8 +13,8 @@
 // legitimately uses the wall clock and goroutines and is therefore
 // deliberately NOT marked //multicube:deterministic. The disk tiers
 // (result cache, corpus, job checkpoints) are durable state, so the
-// package IS marked for multicube-vet's atomicwrite pass: writers must
-// use temp+sync+rename, deletes must name their retention rule.
+// package IS marked for multicube-vet's atomicwrite pass: writers go
+// through internal/durable, deletes must name their retention rule.
 //
 //multicube:durable
 package farm
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"multicube/internal/durable"
 	"multicube/internal/farm/jobspec"
 )
 
@@ -180,7 +181,7 @@ func (c *Cache) Get(fp string) (data []byte, tier string, ok bool) {
 }
 
 // Put stores the canonical result bytes under fp in both tiers. The
-// disk write is atomic: a same-directory temp file renamed into place.
+// disk write is atomic (durable.WriteFile).
 func (c *Cache) Put(fp string, data []byte) error {
 	c.insertMem(fp, data)
 	if c.dir == "" {
@@ -194,26 +195,7 @@ func (c *Cache) Put(fp string, data []byte) error {
 	if fi, err := os.Stat(path); err == nil {
 		overwritten = fi.Size()
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), fp+".tmp*")
-	if err != nil {
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(path, data); err != nil {
 		return fmt.Errorf("farm: cache put: %w", err)
 	}
 	c.mu.Lock()

@@ -100,56 +100,29 @@ func TestExecutorCheckpointResume(t *testing.T) {
 }
 
 // TestExecutorCheckpointSkippedWhenParallel pins the guard: with
-// explorer parallelism or distribution on, checkpointing is skipped
-// (not an error) and jobs still complete.
+// explorer parallelism on, checkpointing is skipped (not an error) and
+// jobs still complete.
 func TestExecutorCheckpointSkippedWhenParallel(t *testing.T) {
 	root := t.TempDir()
 	spec, fp := mcSpec(t, `{"kind":"mc","mc":{"preset":"sb-writeonce-race"}}`)
-	for _, x := range []executor{
-		{mcWorkers: 2, checkpointRoot: root},
-		{mcWorkers: 1, mcDistParts: 2, checkpointRoot: root},
-	} {
-		res := x.run(context.Background(), spec, fp, nil)
-		if res.Verdict != "ok" {
-			t.Fatalf("executor %+v: verdict = %q (err %q), want ok", x, res.Verdict, res.Error)
-		}
-		if res.MC.Resumed {
-			t.Fatalf("executor %+v: parallel job claims a resume", x)
-		}
+	x := executor{mcWorkers: 2, checkpointRoot: root}
+	res := x.run(context.Background(), spec, fp, nil)
+	if res.Verdict != "ok" {
+		t.Fatalf("verdict = %q (err %q), want ok", res.Verdict, res.Error)
+	}
+	if res.MC.Resumed {
+		t.Fatal("parallel job claims a resume")
 	}
 	if _, err := os.Stat(filepath.Join(root, fpShard(fp), fp)); !os.IsNotExist(err) {
 		t.Fatal("parallel executor wrote a checkpoint directory")
 	}
 }
 
-// TestExecutorDistParts pins that the farm's partition knob reaches the
-// explorer: a distributed job reports cross-partition handoffs and the
-// sequential verdict.
-func TestExecutorDistParts(t *testing.T) {
-	x := executor{mcWorkers: 1, mcDistParts: 3}
-	spec, fp := mcSpec(t, `{"kind":"mc","mc":{"preset":"read-race"}}`)
-	seq, err := mc.Explore(*spec.MC.Scenario, spec.MC.ExploreOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := x.run(context.Background(), spec, fp, nil)
-	if res.Verdict != "ok" {
-		t.Fatalf("distributed job verdict = %q (err %q), want ok", res.Verdict, res.Error)
-	}
-	if res.MC.Handoffs == 0 {
-		t.Fatal("distributed job reports no handoffs")
-	}
-	if res.MC.States != seq.States || res.MC.Exhausted != seq.Exhausted {
-		t.Fatalf("distributed coverage differs: got states=%d exhausted=%v, want %d/%v",
-			res.MC.States, res.MC.Exhausted, seq.States, seq.Exhausted)
-	}
-}
-
 // TestServerSurfacesResumeMetrics checks the /metrics plumbing for the
-// new gauges without requiring actual resumes: a fresh server reports
-// the fields at zero and a distributed run bumps mc_handoffs.
+// resume gauge without requiring an actual resume: a server that ran a
+// job from scratch reports it at zero.
 func TestServerSurfacesResumeMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MCDistParts: 2})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	_, st := postJob(t, ts, `{"kind":"mc","mc":{"preset":"read-race"}}`)
 	waitDone(t, ts, st.JobID)
 
@@ -161,9 +134,6 @@ func TestServerSurfacesResumeMetrics(t *testing.T) {
 	var m Metrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
-	}
-	if m.MCHandoffs == 0 {
-		t.Fatal("metrics report no handoffs after a distributed mc job")
 	}
 	if m.MCJobsResumed != 0 {
 		t.Fatalf("mc_jobs_resumed = %d on a farm that never resumed", m.MCJobsResumed)

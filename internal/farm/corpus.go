@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"multicube/internal/durable"
 	"multicube/internal/farm/jobspec"
 )
 
@@ -92,27 +93,7 @@ func (c *Corpus) Add(e CorpusEntry) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		path := filepath.Join(c.dir, key+".json")
-		tmp, err := os.CreateTemp(c.dir, key+".tmp*")
-		if err != nil {
-			return false, fmt.Errorf("farm: corpus add: %w", err)
-		}
-		if _, err := tmp.Write(append(b, '\n')); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return false, fmt.Errorf("farm: corpus add: %w", err)
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return false, fmt.Errorf("farm: corpus add: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return false, fmt.Errorf("farm: corpus add: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			os.Remove(tmp.Name())
+		if err := durable.WriteFile(filepath.Join(c.dir, key+".json"), append(b, '\n')); err != nil {
 			return false, fmt.Errorf("farm: corpus add: %w", err)
 		}
 	}

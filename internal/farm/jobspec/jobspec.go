@@ -109,9 +109,8 @@ type MCSpec struct {
 // MCOptions mirrors the result-affecting subset of mc.Options. Worker
 // count deliberately has no field: it changes run statistics but never
 // the verdict, so it is a server-side execution policy, not job
-// identity. The same reasoning excludes the distribution partition
-// count (DistParts) and the checkpoint/store placement: where the
-// search spills, checkpoints, or hands off never changes what it
+// identity. The same reasoning excludes the checkpoint/store placement:
+// where the search spills or checkpoints never changes what it
 // concludes, so those knobs live in farm.Config, not here.
 type MCOptions struct {
 	MaxStates      int  `json:"max_states,omitempty"`

@@ -25,8 +25,7 @@ type counters struct {
 	busyNS          atomic.Int64
 	busyWorkers     atomic.Int64
 
-	mcResumed  atomic.Uint64
-	mcHandoffs atomic.Uint64
+	mcResumed atomic.Uint64
 }
 
 // Metrics is the /metrics snapshot.
@@ -66,9 +65,8 @@ type Metrics struct {
 	EventsSimulated uint64  `json:"events_simulated"`
 	StatesPerSec    float64 `json:"states_per_sec"`
 
-	// Checkpoint/resume and distributed-exploration activity.
+	// Checkpoint/resume activity.
 	MCJobsResumed uint64 `json:"mc_jobs_resumed"`
-	MCHandoffs    uint64 `json:"mc_handoffs"`
 
 	CorpusSize int `json:"corpus_size"`
 }
@@ -103,6 +101,5 @@ func (c *counters) snapshot(start time.Time) Metrics {
 		EventsSimulated: c.eventsSimulated.Load(),
 		StatesPerSec:    statesPerSec,
 		MCJobsResumed:   c.mcResumed.Load(),
-		MCHandoffs:      c.mcHandoffs.Load(),
 	}
 }

@@ -36,18 +36,13 @@ type Config struct {
 	// MCWorkers is explorer parallelism per mc job; default 1 (the farm
 	// parallelizes across jobs, not within them).
 	MCWorkers int
-	// MCDistParts splits each mc exploration across n fingerprint-range
-	// partitions with cross-partition handoff (mc.Options.DistParts).
-	// Like MCWorkers it is execution policy, not job identity: verdicts
-	// are partition-count independent. Default 0 (off).
-	MCDistParts int
 	// MCCheckpointDir, when set, makes mc jobs resumable: each job
 	// checkpoints its search under <dir>/<fp-prefix>/<fingerprint>, and a
 	// resubmission of a killed or timed-out job (which is never cached)
 	// resumes from the last checkpoint instead of starting over.
 	// Checkpoints of completed jobs are deleted — the cached result
-	// supersedes them. Requires MCWorkers <= 1 and MCDistParts <= 1;
-	// otherwise checkpointing is silently skipped.
+	// supersedes them. Requires MCWorkers <= 1; otherwise checkpointing
+	// is silently skipped.
 	MCCheckpointDir string
 	// MCCheckpointEvery is the executions-between-checkpoints cadence
 	// for resumable mc jobs; 0 uses the explorer default.
@@ -198,7 +193,6 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		exec: executor{
 			mcWorkers:         cfg.MCWorkers,
-			mcDistParts:       cfg.MCDistParts,
 			checkpointRoot:    cfg.MCCheckpointDir,
 			mcCheckpointEvery: cfg.MCCheckpointEvery,
 		},
@@ -282,11 +276,8 @@ func (s *Server) runJob(j *job) {
 	})
 	s.ctr.busyNS.Add(int64(time.Since(begin)))
 
-	if res.MC != nil {
-		if res.MC.Resumed {
-			s.ctr.mcResumed.Add(1)
-		}
-		s.ctr.mcHandoffs.Add(uint64(res.MC.Handoffs))
+	if res.MC != nil && res.MC.Resumed {
+		s.ctr.mcResumed.Add(1)
 	}
 
 	// Persist swarm catches before publishing the result, so a client

@@ -39,14 +39,10 @@ type executor struct {
 	// throughput lever is the worker pool, so this defaults to 1; raise
 	// it on big machines serving few, huge explorations.
 	mcWorkers int
-	// mcDistParts splits each mc search across fingerprint-range
-	// partitions (mc.Options.DistParts); like mcWorkers it never changes
-	// a verdict, so it stays out of job identity.
-	mcDistParts int
 	// checkpointRoot, when non-empty, gives each mc job a checkpoint
 	// directory keyed by its fingerprint, making killed jobs resumable
 	// on resubmission. Checkpointing composes only with the sequential
-	// pass, so it is skipped when mcWorkers or mcDistParts exceed 1.
+	// pass, so it is skipped when mcWorkers exceeds 1.
 	checkpointRoot string
 	// mcCheckpointEvery overrides the checkpoint cadence (0 = explorer
 	// default).
@@ -84,9 +80,8 @@ func (x *executor) runMC(ctx context.Context, spec *jobspec.MCSpec, res *jobspec
 	opts := spec.ExploreOptions()
 	opts.Ctx = ctx
 	opts.Workers = x.mcWorkers
-	opts.DistParts = x.mcDistParts
 	ckdir := ""
-	if x.checkpointRoot != "" && x.mcWorkers <= 1 && x.mcDistParts <= 1 {
+	if x.checkpointRoot != "" && x.mcWorkers <= 1 {
 		// Per-job checkpoint directory under the job fingerprint, sharded
 		// like the result cache. Resume is unconditional: a fresh job sees
 		// an empty directory (ErrNoCheckpoint → fresh start), a resubmitted

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"multicube/internal/bus"
 	"multicube/internal/coherence"
 	"multicube/internal/sim"
 	"multicube/internal/statespace"
@@ -57,14 +56,19 @@ type Options struct {
 	// default of 128. The protocol legitimately retries lost races, so
 	// the bound is generous rather than tight.
 	MaxReissues int
-	// Workers sets the number of concurrent exploration workers (the
-	// -workers flag); zero or one means a single-threaded search. The
-	// verdict and the reported counterexample are deterministic
-	// regardless of Workers — a violation found by a parallel pass is
-	// re-derived by the sequential search, which is a pure function of
-	// the scenario and options, before being reported — but the
-	// States/Runs statistics of a violation-free parallel search can
-	// vary from run to run with worker scheduling.
+	// Workers sets the number of goroutines draining the frontier (the
+	// -workers flag); zero or one means a single-threaded search, run on
+	// the caller's goroutine. The verdict and the reported counterexample
+	// are deterministic regardless of Workers — a violation found by a
+	// parallel pass is re-derived by the sequential search, which is a
+	// pure function of the scenario and options, before being reported —
+	// but the States/Runs statistics of a violation-free parallel search
+	// can vary from run to run with worker scheduling. More workers are
+	// not a speed-up today: measured on 2 CPUs, two workers take
+	// 0.82–1.18× the single worker's rate (EXPERIMENTS.md, "PR 16"),
+	// because a saved boundary is usable only on the machine that saved
+	// it, so an item popped by another worker replays its prefix from
+	// reset (5.6–7× the kernel steps).
 	Workers int
 	// DisablePOR turns off the partial-order reduction entirely (both
 	// the persistent-set eager-firing and the sleep sets), for
@@ -121,8 +125,8 @@ type Options struct {
 	MemBudget int64
 	// CheckpointDir enables periodic atomic checkpoints of the search
 	// (frontier + visited shards + counters) under the given directory
-	// (the -checkpoint flag). Requires a sequential search (Workers <= 1,
-	// DistParts <= 1); StoreDir defaults to CheckpointDir when unset.
+	// (the -checkpoint flag). Requires a sequential search (Workers <= 1);
+	// StoreDir defaults to CheckpointDir when unset.
 	CheckpointDir string
 	// CheckpointEvery is the number of from-scratch executions between
 	// checkpoints; zero means a default of 512. Ignored without
@@ -135,21 +139,11 @@ type Options struct {
 	// whether a checkpoint was actually used, and a corrupt or mismatched
 	// checkpoint falls back to a fresh run with Result.ResumeNote set.
 	Resume bool
-	// DistParts, when > 1, splits the search across that many workers by
-	// fingerprint-range ownership with cross-partition handoff (see
-	// distribute.go) — the in-process form of farm-distributed
-	// exploration. Like Workers, the verdict is deterministic but the
-	// statistics of a violation-free search can vary with scheduling.
-	DistParts int
 
 	// faultHook, when non-nil, is called at checkpoint boundaries with
 	// "pre-checkpoint"/"post-checkpoint" so crash-injection tests can die
 	// exactly there (by panicking or killing the process).
 	faultHook func(string)
-	// legacyAmple swaps the persistent-set rule for PR 1's conservative
-	// ample rule and disables sleep sets, so tests can compare the two
-	// reductions' state counts on identical scenarios.
-	legacyAmple bool
 	// legacyFP swaps the incremental component-hashed fingerprint for the
 	// original full-walk Fingerprint, so tests can assert the two induce
 	// the same state partition (identical States counts and verdicts).
@@ -176,9 +170,6 @@ func (o *Options) fillDefaults() {
 		if o.CheckpointEvery <= 0 {
 			o.CheckpointEvery = 512
 		}
-	}
-	if o.DistParts < 0 {
-		o.DistParts = 0
 	}
 }
 
@@ -277,8 +268,6 @@ type Result struct {
 	// (both zero for a memory-only table).
 	Spills    int
 	DiskBytes int64
-	// Handoffs counts cross-partition work transfers under DistParts.
-	Handoffs  int
 	Violation *Violation
 }
 
@@ -359,16 +348,12 @@ func picksOf(taken []take) []int {
 }
 
 // workItem is one pending branch: a choice prefix plus the sleep set
-// that becomes active once the prefix is replayed. skip, used by
-// distributed handoffs, is the number of tracked states beyond the
-// prefix the previous owner already processed; the receiver replays them
-// without consulting the visited table. from, when set, is a boundary on
-// the prefix's path that the spawning run saved; an item read back from
-// a checkpoint or handed to another partition has none.
+// that becomes active once the prefix is replayed. from, when set, is a
+// boundary on the prefix's path that the spawning run saved; an item read
+// back from a checkpoint has none.
 type workItem struct {
 	prefix []int
 	sleep  sleepSet
-	skip   int
 	from   *boundary
 }
 
@@ -391,8 +376,8 @@ type boundary struct {
 // follow the prefix, the rest pick the first non-slept candidate (plain
 // 0 when sleep sets are off). Reduction happens here — an eager pick is
 // NOT recorded as a choice point, which is sound because the persistent
-// (or legacy ample) decision is a pure function of the candidate set and
-// therefore replays identically.
+// decision is a pure function of the candidate set and therefore replays
+// identically.
 //
 // Sleep bookkeeping: the chooser implements sim.DispatchObserver, so it
 // sees every dispatched kernel event — including single-candidate
@@ -410,7 +395,6 @@ type mcChooser struct {
 	prefix    []int
 	depth     int
 	eager     bool
-	legacy    bool
 	sleepOn   bool
 	initSleep sleepSet
 
@@ -443,8 +427,7 @@ func newMCChooser(ck checker, n int, opts *Options) *mcChooser {
 		classify: ck.classify,
 		grantCls: ck.grantClass,
 		eager:    !opts.DisablePOR,
-		legacy:   opts.legacyAmple,
-		sleepOn:  !opts.DisablePOR && !opts.DisableSleep && !opts.legacyAmple,
+		sleepOn:  !opts.DisablePOR && !opts.DisableSleep,
 	}
 }
 
@@ -497,11 +480,7 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 		return classes
 	}
 	if c.eager && isSched {
-		if c.legacy {
-			if i := ampleIndex(cands); i >= 0 {
-				return i
-			}
-		} else if i := persistentIndex(c.n, classesOf()); i >= 0 {
+		if i := persistentIndex(c.n, classesOf()); i >= 0 {
 			return i
 		}
 	}
@@ -575,47 +554,6 @@ func (c *mcChooser) picks(upto int) []int {
 	return out
 }
 
-// ampleIndex is PR 1's conservative eager rule, kept (behind
-// Options.legacyAmple) so tests can show the persistent/sleep reduction
-// explores strictly fewer states. It finds a pending enqueue that
-// commutes with every other enabled event under a coarser dependence:
-// any delivery or processor step conflicts with any enqueue.
-func ampleIndex(cands []sim.Candidate) int {
-	for i, c := range cands {
-		et, ok := c.Tag.(coherence.EnqueueTag)
-		if !ok {
-			continue
-		}
-		safe := true
-		for j, o := range cands {
-			if j == i {
-				continue
-			}
-			switch t := o.Tag.(type) {
-			case coherence.EnqueueTag:
-				if t.TargetBus() == et.TargetBus() && t.Issuer == et.Issuer {
-					safe = false
-				}
-			case bus.GrantTag:
-				if t.B == et.TargetBus() {
-					safe = false
-				}
-			default:
-				// Deliveries, processor steps, and anything unknown may
-				// enqueue inline.
-				safe = false
-			}
-			if !safe {
-				break
-			}
-		}
-		if safe {
-			return i
-		}
-	}
-	return -1
-}
-
 // The visited-state table lives in internal/statespace: each canonical
 // fingerprint maps to the smallest sleep set (as sorted transition
 // fingerprints) it has been explored with — arriving with a superset
@@ -623,7 +561,7 @@ func ampleIndex(cands []sim.Candidate) int {
 // re-explores and the table keeps the intersection. An empty stored set
 // — always the case with sleep sets off — truncates every revisit, PR
 // 1's behavior. statespace.Store preserves that contract bit-for-bit
-// while adding the disk tier, checkpoints, and the ownership partition.
+// while adding the disk tier and checkpoints.
 
 // explorer holds the cross-run state of one exploration.
 type explorer struct {
@@ -664,10 +602,6 @@ type runOut struct {
 	stepsHit  bool // the per-run step guard fired
 	blocked   bool // every enabled transition was slept
 	budgetCut bool // this run hit the state budget
-	// handoff, under distributed exploration, is the continuation of a
-	// run that reached a state owned by partition handoffTo.
-	handoff   *workItem
-	handoffTo int
 	// saved are the boundaries the run saved, in path order, and from the
 	// one it started from (nil after a reset); children hands them to the
 	// branches it spawns.
@@ -700,11 +634,9 @@ type worker struct {
 // added to it. Inside the prefix — what is left of it after the boundary
 // — it neither consults the table nor runs the per-step oracle: those
 // states were recorded and checked by the run that spawned this branch,
-// and truncating the replay would orphan it. own and the item's skip are
-// execute's; a search that is not distributed passes own -1. The
-// returned runOut's taken and saved are valid until the worker's next
-// run.
-func (w *worker) run(it workItem, depth, own int) runOut {
+// and truncating the replay would orphan it. The returned runOut's taken
+// and saved are valid until the worker's next run.
+func (w *worker) run(it workItem, depth int) runOut {
 	from := it.from
 	if from != nil && from.owner != w {
 		from = nil // another worker's machine saved it
@@ -728,7 +660,7 @@ func (w *worker) run(it workItem, depth, own int) runOut {
 		w.base, covered = from.steps, from.pos
 	}
 	w.ch.start(it, depth, covered)
-	out := w.e.execute(w.ck, w.ch, len(it.prefix), true, own, it.skip, w.base)
+	out := w.e.execute(w.ck, w.ch, len(it.prefix), true, w.base)
 	out.saved, out.from = w.saved, from
 	return out
 }
@@ -781,22 +713,12 @@ func (w *worker) recycle(b *boundary) {
 // exploration run, whose prefix replays states the spawning run already
 // checked and recorded: they skip the per-step oracle and the visited
 // table, and states beyond are tracked. A replay (track unset) checks
-// every step — its violation may sit inside the prefix. own >= 0 enables the
-// ownership discipline of distributed exploration: tracked states in a
-// foreign fingerprint range stop the run with a handoff instead of a
-// visit, and the first skip tracked states beyond the prefix — already
-// processed by the previous owner — are replayed without visiting.
-func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool, own, skip, base int) runOut {
+// every step — its violation may sit inside the prefix.
+func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool, base int) runOut {
 	ck.enableMC(ch)
 	k := ck.kernel()
 	var out runOut
 	steps, replayed := base, 0
-	skipLeft := skip
-	// sinceChoice counts tracked states (skipped included) since the run
-	// last resolved a choice point; a handoff's skip is sinceChoice-1,
-	// covering everything before the foreign state itself.
-	sinceChoice := 0
-	lastTaken := prefixLen
 	for k.Pending() > 0 {
 		if steps >= e.opts.MaxStepsPerRun {
 			out.stepsHit = true
@@ -817,24 +739,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 			break
 		}
 		if track {
-			if len(ch.taken) != lastTaken {
-				lastTaken = len(ch.taken)
-				sinceChoice = 0
-			}
-			sinceChoice++
-			if skipLeft > 0 {
-				skipLeft--
-				continue
-			}
-			fp := ck.canonicalFP()
-			if own >= 0 {
-				if to := statespace.Owner(fp, e.opts.DistParts); to != own {
-					out.handoff = &workItem{prefix: picksOf(ch.taken), sleep: ch.sleep, skip: sinceChoice - 1}
-					out.handoffTo = to
-					break
-				}
-			}
-			switch e.visited.Visit(fp, ch.sleep.fps(), e.opts.MaxStates) {
+			switch e.visited.Visit(ck.canonicalFP(), ch.sleep.fps(), e.opts.MaxStates) {
 			case statespace.OutcomeSeen:
 				out.truncated = true
 			case statespace.OutcomeBudget:
@@ -846,7 +751,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 			}
 		}
 	}
-	if out.violation == nil && !out.truncated && !out.blocked && !out.stepsHit && !out.budgetCut && out.handoff == nil && k.Pending() == 0 {
+	if out.violation == nil && !out.truncated && !out.blocked && !out.stepsHit && !out.budgetCut && k.Pending() == 0 {
 		out.violation = ck.quiescenceCheck()
 	}
 	out.taken = ch.taken
@@ -929,7 +834,6 @@ type passOut struct {
 	limitAny  bool
 	stepsAny  bool
 	canceled  bool
-	handoffs  int
 	// err is a store failure (spill I/O, checkpoint write); the pass
 	// stops at the frontier boundary that observed it.
 	err error
@@ -951,65 +855,29 @@ func (e *explorer) report(runs, depth, frontier int) {
 	}
 }
 
-// pass runs one depth-bounded sequential DFS over choice sequences,
-// starting from the given stack and carried counters (fresh ones on a
-// normal run, a checkpoint's on a resume). Its outcome — including which
-// violation is found first — is a pure function of the scenario,
-// options, and starting state (absent a Ctx cancellation), which is what
-// makes a resumed search byte-identical to an uninterrupted one.
-func (e *explorer) pass(depth int, stack []workItem, out passOut) passOut {
+// drive runs one depth-bounded pass: a LIFO frontier, starting from the
+// given stack and carried counters (fresh ones on a normal run, a
+// checkpoint's on a resume), drained by workers goroutines that each own
+// a worker — the caller's goroutine is the first of them. With one worker
+// the pass is a sequential DFS whose outcome — including which violation
+// is found first — is a pure function of the scenario, options, and
+// starting state (absent a Ctx cancellation), which is what makes a
+// resumed search byte-identical to an uninterrupted one. With more, which
+// worker pops which item depends on scheduling: the pass keeps the
+// shortlex-least violation any worker found and the caller re-derives the
+// canonical one sequentially. The pass stops at the first frontier
+// boundary — the merge of a finished run — that sees a violation, a store
+// failure, the state budget hit or Ctx canceled.
+func (e *explorer) drive(depth, workers int, stack []workItem, out passOut) passOut {
 	ckptEvery := 0
 	if e.opts.CheckpointDir != "" {
 		ckptEvery = e.opts.CheckpointEvery
 	}
-	sinceCkpt := 0
-	w := &worker{e: e}
-	for len(stack) > 0 && !e.budget.Load() {
-		if e.ctxDone() {
-			out.canceled = true
-			return out
-		}
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := w.run(it, depth, -1)
-		out.runs++
-		out.limitAny = out.limitAny || r.limitHit
-		out.stepsAny = out.stepsAny || r.stepsHit
-		if r.violation != nil {
-			out.violation = r.violation
-			return out
-		}
-		stack = append(stack, e.children(it, r)...)
-		w.retire(it, r)
-		if err := e.visited.Err(); err != nil {
-			out.err = err
-			return out
-		}
-		e.report(out.runs, depth, len(stack))
-		sinceCkpt++
-		if ckptEvery > 0 && sinceCkpt >= ckptEvery && len(stack) > 0 {
-			if err := e.checkpoint(depth, stack, &out); err != nil {
-				out.err = err
-				return out
-			}
-			sinceCkpt = 0
-		}
-	}
-	return out
-}
-
-// passParallel is the worker-pool frontier: a shared LIFO of work items
-// drained by Workers goroutines against the sharded visited table. On a
-// violation the pass stops early, keeping the shortlex-least violation
-// any worker found (the caller re-derives the canonical one
-// sequentially).
-func (e *explorer) passParallel(depth, workers int) passOut {
 	var (
-		mu          sync.Mutex
-		queue       = []workItem{{}}
-		outstanding = 1
-		stop        bool
-		out         passOut
+		mu        sync.Mutex // guards stack, out and the three below
+		running   int        // items popped whose runs are not merged yet
+		stop      bool
+		sinceCkpt int
 	)
 	cond := sync.NewCond(&mu)
 	var wg sync.WaitGroup
@@ -1018,59 +886,66 @@ func (e *explorer) passParallel(depth, workers int) passOut {
 		w := &worker{e: e}
 		for {
 			mu.Lock()
-			for len(queue) == 0 && outstanding > 0 && !stop {
+			for len(stack) == 0 && running > 0 && !stop {
 				cond.Wait()
 			}
-			if stop || len(queue) == 0 {
+			if stop || len(stack) == 0 || e.budget.Load() {
 				mu.Unlock()
 				return
 			}
 			if e.ctxDone() {
-				out.canceled = true
-				stop = true
+				out.canceled, stop = true, true
 				cond.Broadcast()
 				mu.Unlock()
 				return
 			}
-			it := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+			it := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			running++
 			mu.Unlock()
 
-			r := w.run(it, depth, -1)
+			r := w.run(it, depth)
 			kids := e.children(it, r)
 			w.retire(it, r)
 
 			mu.Lock()
+			running--
 			out.runs++
 			out.limitAny = out.limitAny || r.limitHit
 			out.stepsAny = out.stepsAny || r.stepsHit
-			if r.violation != nil {
+			err := e.visited.Err()
+			switch {
+			case r.violation != nil:
 				if out.violation == nil || shortlexLess(r.violation.Choices, out.violation.Choices) {
 					out.violation = r.violation
 				}
 				stop = true
+			case err != nil:
+				out.err, stop = err, true
+			case !stop:
+				stack = append(stack, kids...)
+				e.report(out.runs, depth, len(stack))
+				sinceCkpt++
+				if ckptEvery > 0 && sinceCkpt >= ckptEvery && len(stack) > 0 {
+					// Quiescent: checkpointing is refused with workers > 1.
+					out.err = e.checkpoint(depth, stack, &out)
+					stop = out.err != nil
+					sinceCkpt = 0
+				}
 			}
-			if r.budgetCut {
-				stop = true
-			}
-			if !stop {
-				queue = append(queue, kids...)
-				outstanding += len(kids)
-				e.report(out.runs, depth, len(queue))
-			}
-			outstanding--
 			cond.Broadcast()
 			mu.Unlock()
 		}
 	}
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for i := 1; i < workers; i++ {
 		// Workers race on the shared frontier, but results are merged into
 		// canonical order and every counterexample is re-derived by a
 		// sequential replay, so the explored verdict is schedule-independent.
 		//multicube:chooser-ok worker pool; results canonicalized and replays sequential
 		go drain()
 	}
+	drain() // the caller is the first worker and, sequentially, the only one
 	wg.Wait()
 	return out
 }
@@ -1098,21 +973,18 @@ func Explore(sc Scenario, opts Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if (opts.Workers > 1 || opts.DistParts > 1) && res.Violation != nil {
-		// Deterministic reporting: which violation a parallel or
-		// distributed pass trips first depends on worker scheduling, so
-		// re-derive the whole result with the sequential search. It finds
-		// a violation too (the concurrent pass proved one reachable)
-		// unless the sequential order burns the state budget first; then
-		// fall back to minimizing the shortlex-least find. The
-		// re-derivation is memory-only: it must not disturb the primary
-		// search's store or checkpoint directories.
+	if opts.Workers > 1 && res.Violation != nil {
+		// Deterministic reporting: which violation a parallel pass trips
+		// first depends on worker scheduling, so re-derive the whole
+		// result with the sequential search. It finds a violation too (the
+		// parallel pass proved one reachable) unless the sequential order
+		// burns the state budget first; then fall back to minimizing the
+		// shortlex-least find. The re-derivation is memory-only: it must
+		// not disturb the primary search's store or checkpoint directories.
 		seq := opts
 		seq.Workers = 1
-		seq.DistParts = 0
 		seq.StoreDir, seq.MemBudget, seq.CheckpointDir, seq.CheckpointEvery, seq.Resume = "", 0, "", 0, false
 		if sres, serr := exploreBounded(&sc, seq); serr == nil && sres.Violation != nil {
-			sres.Handoffs = res.Handoffs
 			res = sres
 		} else if !opts.NoMinimize {
 			e := newExplorer(&sc, seq)
@@ -1127,8 +999,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 	res := Result{Scenario: sc.Name}
 
 	ckptOn := opts.CheckpointDir != ""
-	if ckptOn && (opts.Workers > 1 || opts.DistParts > 1) {
-		return res, fmt.Errorf("mc: checkpointing requires a sequential search (workers=1, no distribution)")
+	if ckptOn && opts.Workers > 1 {
+		return res, fmt.Errorf("mc: checkpointing requires a sequential search (workers=1)")
 	}
 	e.scenH, e.optH = scenarioHash(sc), optionsHash(&opts)
 	cfg := statespace.Config{Dir: opts.StoreDir, MemBudget: opts.MemBudget, CheckpointDir: opts.CheckpointDir}
@@ -1172,19 +1044,9 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 	defer e.visited.Close()
 
 	for {
-		var p passOut
-		switch {
-		case opts.Workers > 1:
-			p = e.passParallel(depth, opts.Workers)
-		case opts.DistParts > 1:
-			p = e.passDistributed(depth, opts.DistParts)
-		default:
-			p = e.pass(depth, stack, init)
-		}
+		p := e.drive(depth, opts.Workers, stack, init)
 		if p.err == nil {
-			if serr := e.visited.Err(); serr != nil {
-				p.err = serr
-			}
+			p.err = e.visited.Err()
 		}
 		res.TotalRuns = e.totalPrev + p.runs
 		res.Runs = p.runs
@@ -1201,7 +1063,6 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.PeakBoundaries = int(e.peak.Load())
 		res.Spills = e.visited.Spills()
 		res.DiskBytes = e.visited.DiskBytes()
-		res.Handoffs += p.handoffs
 		if p.err != nil {
 			return res, p.err
 		}
@@ -1217,7 +1078,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		}
 		if p.violation != nil {
 			v := p.violation
-			if opts.Workers <= 1 && opts.DistParts <= 1 && !opts.NoMinimize {
+			if opts.Workers <= 1 && !opts.NoMinimize {
 				v = e.minimize(v)
 			}
 			res.Violation = v
@@ -1266,7 +1127,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 func (e *explorer) replayRun(prefix []int) runOut {
 	ck := newChecker(e.sc, e.sh)
 	ch := replayChooser(ck, e.n, prefix, &e.opts)
-	return e.execute(ck, ch, len(prefix), false, -1, 0, 0)
+	return e.execute(ck, ch, len(prefix), false, 0)
 }
 
 // minimize greedily shrinks a counterexample: repeatedly lower the

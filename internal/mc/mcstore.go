@@ -30,17 +30,19 @@ func scenarioHash(sc *Scenario) string {
 // Reporting and execution-policy knobs (Workers, NoMinimize, CheckFP,
 // Progress, store/checkpoint paths) are excluded: they never change
 // which states the search visits, and a resume legitimately runs with
-// different paths. Checkpointing forbids Workers>1 and distribution, so
-// those cannot differ across a checkpoint/resume pair either.
+// different paths. Checkpointing forbids Workers>1, so that cannot
+// differ across a checkpoint/resume pair either.
 //
-// The leading version scopes fingerprint values: a checkpoint's run files
-// hold the fingerprints of the hasher that wrote them, so a change of
-// hasher bumps it and older checkpoints are refused as mismatched
-// (v1: byte-wise FNV-1a; v2: internal/fphash).
+// The leading version scopes what a checkpoint's files hold: run files
+// carry the fingerprints of the hasher that wrote them and frontier files
+// the record layout of the explorer that wrote them, so a change of
+// either bumps it and older checkpoints are refused as mismatched
+// (v1: byte-wise FNV-1a; v2: internal/fphash; v3: the frontier record
+// lost its skip word, and the hashed string PR 1's ample-rule field).
 func optionsHash(o *Options) string {
-	s := fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
+	s := fmt.Sprintf("v3|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyAmple, o.legacyFP)
+		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
 	return fmt.Sprintf("%016x", fnvString(s))
 }
 
@@ -92,7 +94,7 @@ func unpackSleep(w []uint64) sleepSet {
 func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
 	out := make([]statespace.FrontierItem, len(stack))
 	for i, it := range stack {
-		out[i] = statespace.FrontierItem{Prefix: it.prefix, Sleep: packSleep(it.sleep), Skip: it.skip}
+		out[i] = statespace.FrontierItem{Prefix: it.prefix, Sleep: packSleep(it.sleep)}
 	}
 	return out
 }
@@ -100,7 +102,7 @@ func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
 func frontierToItems(items []statespace.FrontierItem) []workItem {
 	out := make([]workItem, len(items))
 	for i, f := range items {
-		out[i] = workItem{prefix: f.Prefix, sleep: unpackSleep(f.Sleep), skip: f.Skip}
+		out[i] = workItem{prefix: f.Prefix, sleep: unpackSleep(f.Sleep)}
 	}
 	return out
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestWorkersSameVerdict explores every 2×2 preset single-threaded and
-// with eight workers and requires the same verdict. The parallel pass's
+// TestWorkersSameVerdict explores every 2×2 preset with one, two and
+// eight workers and requires the same verdict. A parallel pass's
 // States/Runs statistics may vary with scheduling, but whether a
 // violation exists — and which counterexample is reported — must not.
 func TestWorkersSameVerdict(t *testing.T) {
@@ -27,17 +27,19 @@ func TestWorkersSameVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Explore(sc, Options{MaxStates: budget, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (seq.Violation == nil) != (par.Violation == nil) {
-			t.Fatalf("%s: workers=1 violation=%v, workers=8 violation=%v",
-				name, seq.Violation, par.Violation)
-		}
-		if seq.Exhausted != par.Exhausted {
-			t.Fatalf("%s: workers=1 exhausted=%v, workers=8 exhausted=%v",
-				name, seq.Exhausted, par.Exhausted)
+		for _, workers := range []int{2, 8} {
+			par, err := Explore(sc, Options{MaxStates: budget, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (seq.Violation == nil) != (par.Violation == nil) {
+				t.Fatalf("%s: workers=1 violation=%v, workers=%d violation=%v",
+					name, seq.Violation, workers, par.Violation)
+			}
+			if seq.Exhausted != par.Exhausted {
+				t.Fatalf("%s: workers=1 exhausted=%v, workers=%d exhausted=%v",
+					name, seq.Exhausted, workers, par.Exhausted)
+			}
 		}
 		t.Logf("%s: verdict agrees (violation=%v, exhausted=%v)",
 			name, seq.Violation != nil, seq.Exhausted)
@@ -45,8 +47,8 @@ func TestWorkersSameVerdict(t *testing.T) {
 }
 
 // TestWorkersSameCounterexample injects the §5.6a protocol gap and
-// requires the eight-worker search to report exactly the minimized
-// counterexample the single-threaded search reports: parallel
+// requires the two- and eight-worker searches to report exactly the
+// minimized counterexample the single-threaded search reports: parallel
 // exploration must not perturb what the user sees.
 func TestWorkersSameCounterexample(t *testing.T) {
 	sc, err := Preset("read-race")
@@ -58,59 +60,21 @@ func TestWorkersSameCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Explore(sc, Options{MaxStates: 400000, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Violation == nil || par.Violation == nil {
-		t.Fatalf("injected bug missed: workers=1 %v, workers=8 %v", seq.Violation, par.Violation)
-	}
-	if seq.Violation.Kind != par.Violation.Kind || seq.Violation.Msg != par.Violation.Msg {
-		t.Fatalf("violations differ:\n  workers=1: %v\n  workers=8: %v", seq.Violation, par.Violation)
-	}
-	if !reflect.DeepEqual(seq.Violation.Choices, par.Violation.Choices) {
-		t.Fatalf("minimized counterexamples differ:\n  workers=1: %v\n  workers=8: %v",
-			seq.Violation.Choices, par.Violation.Choices)
-	}
-}
-
-// TestSleepBeatsAmple pits the persistent/sleep-set reduction against PR
-// 1's ample rule on identical scenarios: the new reduction must visit
-// strictly fewer states, exhaust the same bounded space, and agree that
-// no violation exists. (On the single-bus baseline both reductions are
-// deliberately inert — everything shares the one bus — so that preset is
-// checked for agreement, not improvement.)
-func TestSleepBeatsAmple(t *testing.T) {
-	presets := []string{"read-race"}
-	if !testing.Short() {
-		presets = append(presets, "readmod-race", "readmod-race-3x3", "mlt-overflow-lock")
-	}
-	for _, name := range presets {
-		sc, err := Preset(name)
+	for _, workers := range []int{2, 8} {
+		par, err := Explore(sc, Options{MaxStates: 400000, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := Explore(sc, Options{MaxStates: 400000, legacyAmple: true})
-		if err != nil {
-			t.Fatal(err)
+		if seq.Violation == nil || par.Violation == nil {
+			t.Fatalf("injected bug missed: workers=1 %v, workers=%d %v", seq.Violation, workers, par.Violation)
 		}
-		reduced, err := Explore(sc, Options{MaxStates: 400000})
-		if err != nil {
-			t.Fatal(err)
+		if seq.Violation.Kind != par.Violation.Kind || seq.Violation.Msg != par.Violation.Msg {
+			t.Fatalf("violations differ:\n  workers=1: %v\n  workers=%d: %v", seq.Violation, workers, par.Violation)
 		}
-		if legacy.Violation != nil || reduced.Violation != nil {
-			t.Fatalf("%s: unexpected violation (ample %v, sleep %v)", name, legacy.Violation, reduced.Violation)
+		if !reflect.DeepEqual(seq.Violation.Choices, par.Violation.Choices) {
+			t.Fatalf("minimized counterexamples differ:\n  workers=1: %v\n  workers=%d: %v",
+				seq.Violation.Choices, workers, par.Violation.Choices)
 		}
-		if !legacy.Exhausted || !reduced.Exhausted {
-			t.Fatalf("%s: not exhausted (ample %v, sleep %v)", name, legacy.Exhausted, reduced.Exhausted)
-		}
-		if reduced.States >= legacy.States {
-			t.Fatalf("%s: sleep-set reduction visited %d states, ample visited %d — no improvement",
-				name, reduced.States, legacy.States)
-		}
-		t.Logf("%s: ample %d states, persistent+sleep %d states (%.1f%% fewer)",
-			name, legacy.States, reduced.States,
-			100*float64(legacy.States-reduced.States)/float64(legacy.States))
 	}
 }
 
@@ -125,7 +89,6 @@ func TestSleepFindsInjectedBug(t *testing.T) {
 	for _, opts := range []Options{
 		{MaxStates: 400000},                     // persistent + sleep
 		{MaxStates: 400000, DisableSleep: true}, // persistent only
-		{MaxStates: 400000, legacyAmple: true},  // PR 1's ample rule
 	} {
 		res, err := Explore(sc, opts)
 		if err != nil {

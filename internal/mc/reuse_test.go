@@ -30,7 +30,7 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 		}
 		held := it
 		it.from = nil
-		r := w.run(it, opts.MaxDepth, -1)
+		r := w.run(it, opts.MaxDepth)
 		res.Runs++
 		cut = cut || r.limitHit || r.stepsHit
 		if r.violation != nil {
@@ -165,7 +165,7 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 	// Descend the leftmost branch a few levels for a long prefix.
 	it := workItem{}
 	for depth := 0; depth < 6; depth++ {
-		kids := e.children(it, w.run(it, 0, -1))
+		kids := e.children(it, w.run(it, 0))
 		if len(kids) == 0 {
 			break
 		}
@@ -182,7 +182,7 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 			ch.start(it, 0, 0)
 		}
 		steps, replayed := e.steps.Load(), e.replay.Load()
-		r := e.execute(cc, ch, len(it.prefix), explore, -1, 0, 0)
+		r := e.execute(cc, ch, len(it.prefix), explore, 0)
 		steps, replayed = e.steps.Load()-steps, e.replay.Load()-replayed
 		if r.violation != nil {
 			t.Fatalf("explore=%v: %v", explore, r.violation)

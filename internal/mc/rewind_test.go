@@ -11,7 +11,7 @@ import (
 // a spawned branch that holds a boundary.
 func firstSiblingWithBoundary(t *testing.T, e *explorer, w *worker) workItem {
 	t.Helper()
-	for _, it := range e.children(workItem{}, w.run(workItem{}, 0, -1)) {
+	for _, it := range e.children(workItem{}, w.run(workItem{}, 0)) {
 		if it.from != nil {
 			return it
 		}
@@ -81,7 +81,7 @@ func TestStepGuardCountsThePath(t *testing.T) {
 	var defaults Options
 	defaults.fillDefaults()
 	e := newExplorer(&sc, defaults)
-	(&worker{e: e}).run(workItem{}, 0, -1)
+	(&worker{e: e}).run(workItem{}, 0)
 	guard := int(e.steps.Load()) / 2 // half the first path
 	opts := Options{MaxStates: 20000, NoMinimize: true, MaxStepsPerRun: guard}
 	resumed, err := Explore(sc, opts)

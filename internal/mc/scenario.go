@@ -16,14 +16,15 @@
 // (coherence.System.Save), and the sibling starts by loading it back into
 // the same machine instead of resetting it and re-executing the prefix.
 // Where no boundary is usable — the first run, work read back from a
-// checkpoint or handed to another worker, the single-bus machine — the
+// checkpoint or popped by another worker, the single-bus machine — the
 // branch replays its prefix from the initial state, which is the same
 // code path with nothing to load. Exploration is an iterative-deepening
 // DFS over choice sequences with a visited-state table keyed by canonical
-// fingerprints (internal/coherence's Fingerprint, minimized over row
-// relabelings), and an optional ample-set partial-order reduction that
-// eager-fires device-latency enqueue events that provably commute with
-// every other enabled event.
+// fingerprints (internal/coherence's Fingerprint, minimized over row and
+// column relabelings), and a partial-order reduction (sleep.go): a
+// persistent-set rule that eager-fires an enabled event independent of
+// every other enabled one, and sleep sets that prune the interleavings a
+// sibling branch already covers.
 //
 // Nondeterminism model: the machine is explored under the untimed
 // interpretation — any pending event (a bus grant, a delivery, a

@@ -250,42 +250,37 @@ func TestResumeDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDistributedSameVerdict splits the search across fingerprint-range
-// partitions and requires the sequential verdict, state count, and — on
-// the injected bug — the identical minimized counterexample.
-func TestDistributedSameVerdict(t *testing.T) {
-	for _, inject := range []bool{false, true} {
-		sc, err := Preset("read-race")
-		if err != nil {
-			t.Fatal(err)
+// TestStoreFailureStopsAtNextBoundary takes the spill directory away in
+// the middle of a search and requires the search to stop at the first
+// frontier boundary after the store reports the failed spill — with one
+// worker and with two — returning the error and never claiming coverage.
+// litmus-coww-3x3 takes 17 630 runs; a spill is due every few dozen under
+// this budget, so the failure surfaces well within 200 runs of the
+// removal.
+func TestStoreFailureStopsAtNextBoundary(t *testing.T) {
+	sc, err := Preset("litmus-coww-3x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		dir := filepath.Join(t.TempDir(), "store")
+		calls := 0
+		res, err := Explore(sc, Options{
+			MaxStates: 400000, Workers: workers, StoreDir: dir, MemBudget: 16 << 10,
+			Progress: func(Progress) { // calls are serialized
+				if calls++; calls == 200 {
+					os.RemoveAll(dir)
+				}
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "spill") {
+			t.Fatalf("workers=%d: search over a removed store returned %v, want the spill error", workers, err)
 		}
-		sc.InjectStaleReply = inject
-		seq, err := Explore(sc, Options{MaxStates: 400000})
-		if err != nil {
-			t.Fatal(err)
+		if res.Exhausted || res.Runs < 200 || res.Runs >= 400 {
+			t.Fatalf("workers=%d: store removed at run 200, search stopped at run %d (exhausted=%v)",
+				workers, res.Runs, res.Exhausted)
 		}
-		dist, err := Explore(sc, Options{MaxStates: 400000, DistParts: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (seq.Violation == nil) != (dist.Violation == nil) {
-			t.Fatalf("inject=%v: seq violation=%v, dist violation=%v", inject, seq.Violation, dist.Violation)
-		}
-		if inject {
-			if !reflect.DeepEqual(seq.Violation.Choices, dist.Violation.Choices) {
-				t.Fatalf("minimized counterexamples differ:\n  seq:  %v\n  dist: %v",
-					seq.Violation.Choices, dist.Violation.Choices)
-			}
-			continue
-		}
-		if seq.Exhausted != dist.Exhausted || seq.States != dist.States {
-			t.Fatalf("distributed coverage differs: seq states=%d exhausted=%v, dist states=%d exhausted=%v",
-				seq.States, seq.Exhausted, dist.States, dist.Exhausted)
-		}
-		if dist.Handoffs == 0 {
-			t.Fatal("distributed run performed no handoffs; the partition was never crossed")
-		}
-		t.Logf("dist-parts=3: %d states (= sequential), %d handoffs", dist.States, dist.Handoffs)
+		t.Logf("workers=%d: store removed at run 200, search stopped at run %d: %v", workers, res.Runs, err)
 	}
 }
 
@@ -296,13 +291,8 @@ func TestCheckpointRejectsParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{
-		{CheckpointDir: t.TempDir(), Workers: 4},
-		{CheckpointDir: t.TempDir(), DistParts: 2},
-	} {
-		if _, err := Explore(sc, opts); err == nil {
-			t.Fatalf("options %+v: checkpointing with a concurrent pass was accepted", opts)
-		}
+	if _, err := Explore(sc, Options{CheckpointDir: t.TempDir(), Workers: 4}); err == nil {
+		t.Fatal("checkpointing with a parallel pass was accepted")
 	}
 }
 
@@ -330,10 +320,10 @@ func TestResumeNothingToResume(t *testing.T) {
 }
 
 // TestResumeRejectsOlderHasherCheckpoint re-stamps a checkpoint with the
-// options hash its manifest would carry had the byte-wise-FNV explorer
-// written it ("v1|…"): the run files would then hold fingerprints this
-// explorer never computes, so resume must refuse it as mismatched, say
-// so, and search afresh to the uninterrupted result.
+// options hash its manifest would carry had the previous explorer written
+// it ("v2|…|legacyAmple|legacyFP"): its frontier file would then be in a
+// record layout this explorer does not read, so resume must refuse it as
+// mismatched, say so, and search afresh to the uninterrupted result.
 func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	sc, err := Preset("read-race")
 	if err != nil {
@@ -359,11 +349,11 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	o := opts
 	o.fillDefaults()
 	current := optionsHash(&o)
-	v1 := fmt.Sprintf("%016x", fnvString(fmt.Sprintf("v1|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
+	older := fmt.Sprintf("%016x", fnvString(fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyAmple, o.legacyFP)))
-	if v1 == current {
-		t.Fatal("the options hash did not change with the hasher")
+		o.DisablePOR, o.DisableSleep, o.SCNodes, false, o.legacyFP)))
+	if older == current {
+		t.Fatal("the options hash did not change with the checkpoint format")
 	}
 	manifest := filepath.Join(dir, "MANIFEST.json")
 	data, err := os.ReadFile(manifest)
@@ -373,7 +363,7 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	if strings.Count(string(data), current) != 1 {
 		t.Fatalf("manifest does not carry the current options hash %s exactly once", current)
 	}
-	if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), current, v1, 1)), 0o644); err != nil {
+	if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), current, older, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -381,10 +371,10 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	o.Resume = true
 	res, err := Explore(sc, o)
 	if err != nil {
-		t.Fatalf("resume over a v1 checkpoint: %v", err)
+		t.Fatalf("resume over a v2 checkpoint: %v", err)
 	}
 	if res.Resumed {
-		t.Fatal("resumed against run files hashed by the older hasher")
+		t.Fatal("resumed from a checkpoint the previous explorer wrote")
 	}
 	if !strings.Contains(res.ResumeNote, "does not match") {
 		t.Fatalf("ResumeNote %q does not report the mismatch", res.ResumeNote)

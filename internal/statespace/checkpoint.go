@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"multicube/internal/durable"
 )
 
 // Checkpoints snapshot one exploration at a frontier boundary: every
@@ -28,7 +30,9 @@ const (
 	manifestName   = "MANIFEST.json"
 	manifestSchema = 1
 	frontierSuffix = ".ssf"
-	frontierMagic  = 0x4d43_5353_4652_3031 // "MCSSFR01" read as a LE word
+	// "MCSSFR02" read as a LE word. 01 carried a third word per item (a
+	// distributed-handoff skip count); such a file fails the magic check.
+	frontierMagic = 0x4d43_5353_4652_3032
 )
 
 // ErrNoCheckpoint reports that the checkpoint directory holds no
@@ -61,13 +65,11 @@ type Meta struct {
 }
 
 // FrontierItem is one pending DFS work item in serialized form: the
-// choice prefix, the sleep set activating after its replay (as the
-// transition fingerprints internal/mc reconstructs), and the number of
-// already-processed tracked states to skip (distributed handoffs).
+// choice prefix and the sleep set activating after its replay (as the
+// transition fingerprints internal/mc reconstructs).
 type FrontierItem struct {
 	Prefix []int
 	Sleep  []uint64
-	Skip   int
 }
 
 type manifest struct {
@@ -150,30 +152,7 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier []FrontierItem) error {
 	if err != nil {
 		return fmt.Errorf("statespace: manifest: %w", err)
 	}
-	path := filepath.Join(s.cfg.CheckpointDir, manifestName)
-	tmp, err := os.CreateTemp(s.cfg.CheckpointDir, "manifest.tmp*")
-	if err != nil {
-		return fmt.Errorf("statespace: manifest: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("statespace: manifest: %w", err)
-	}
-	// Flush to stable storage before the rename publishes the name: an
-	// unsynced rename can surface a complete-looking manifest with torn
-	// contents after a crash, and resume trusts whatever validates.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("statespace: manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("statespace: manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(filepath.Join(s.cfg.CheckpointDir, manifestName), data); err != nil {
 		return fmt.Errorf("statespace: manifest: %w", err)
 	}
 	keep := make(map[string]bool)
@@ -309,7 +288,8 @@ func Clear(cfg Config) error {
 }
 
 // writeFrontier persists the DFS stack: magic, item count, then each
-// item's prefix, sleep set, and skip count, with an FNV trailer.
+// item's prefix and sleep set (a length word, then the words), with an
+// FNV trailer.
 // The stack order is preserved exactly — resume must pop in the same
 // order the interrupted pass would have.
 func writeFrontier(path string, items []FrontierItem) (uint64, error) {
@@ -326,30 +306,10 @@ func writeFrontier(path string, items []FrontierItem) (uint64, error) {
 		for _, f := range it.Sleep {
 			put(f)
 		}
-		put(uint64(int64(it.Skip)))
 	}
 	sum := fnvBytes(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, sum)
-	tmp, err := os.CreateTemp(filepath.Dir(path), "frontier.tmp*")
-	if err != nil {
-		return 0, fmt.Errorf("statespace: frontier: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("statespace: frontier: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("statespace: frontier: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("statespace: frontier: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(path, buf); err != nil {
 		return 0, fmt.Errorf("statespace: frontier: %w", err)
 	}
 	return sum, nil
@@ -383,8 +343,10 @@ func readFrontier(path, wantSum string) ([]FrontierItem, error) {
 	if magic, ok := next(); !ok || magic != frontierMagic {
 		return nil, corrupt("frontier %s: bad magic", filepath.Base(path))
 	}
+	// An item is at least its two length words: a count the words present
+	// cannot hold is damage, caught here before it sizes an allocation.
 	n, ok := next()
-	if !ok {
+	if !ok || n > uint64(words-at)/2 {
 		return bad()
 	}
 	items := make([]FrontierItem, 0, n)
@@ -418,11 +380,6 @@ func readFrontier(path, wantSum string) ([]FrontierItem, error) {
 				it.Sleep[j] = v
 			}
 		}
-		sk, ok := next()
-		if !ok {
-			return bad()
-		}
-		it.Skip = int(int64(sk))
 		items = append(items, it)
 	}
 	if at != words {

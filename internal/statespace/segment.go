@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"multicube/internal/durable"
 )
 
 // A run is one immutable sorted segment of a shard, spilled from the hot
@@ -54,8 +56,8 @@ func runName(shard int, seq uint64) string {
 }
 
 // writeRun persists ents (sorted by fp, unique keys) as a new run under
-// dir, atomically: temp file, then rename, then a validating re-open
-// that checks the image back (the farm disk store's idiom).
+// dir, atomically (durable.WriteFile), then re-opens it, which validates
+// the image back.
 func writeRun(dir string, shard int, seq uint64, ents []runEnt) (*run, error) {
 	payloadWords := 0
 	for _, e := range ents {
@@ -93,26 +95,7 @@ func writeRun(dir string, shard int, seq uint64, ents []runEnt) (*run, error) {
 	put(fnvBytes(buf))
 
 	path := filepath.Join(dir, runName(shard, seq))
-	tmp, err := os.CreateTemp(dir, "run.tmp*")
-	if err != nil {
-		return nil, fmt.Errorf("statespace: spill: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("statespace: spill: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("statespace: spill: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("statespace: spill: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(path, buf); err != nil {
 		return nil, fmt.Errorf("statespace: spill: %w", err)
 	}
 	r, err := openRun(path, shard)

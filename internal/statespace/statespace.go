@@ -13,10 +13,8 @@
 // so a memory-only Store is a drop-in replacement.
 //
 // On top of the tiered table sit atomic checkpoints (manifest + frontier
-// + spilled shards, written temp-then-rename like the farm's result
-// store) that let a killed exploration resume with a byte-identical
-// verdict, and a fingerprint-range partition (Owner) that lets several
-// workers share one exploration by shard ownership.
+// + spilled shards, each written through internal/durable) that let a
+// killed exploration resume with a byte-identical verdict.
 //
 // The package participates in the explorer's determinism contract: no
 // wall clock anywhere — checkpoint metadata carries a sequence number,
@@ -25,9 +23,10 @@
 // hot-tier mutation bumps the shard generation the checkpoint dirtiness
 // test relies on.
 //
-// Checkpoint files are durable state: multicube-vet's atomicwrite pass
-// holds every writer here to the temp+sync+rename shape and every
-// delete to the manifest-pin discipline.
+// Checkpoint files are durable state: every writer here goes through
+// durable.WriteFile, and multicube-vet's atomicwrite pass holds every
+// delete to the manifest-pin discipline (and flags a write that bypasses
+// the helper).
 //
 //multicube:deterministic
 //multicube:durable

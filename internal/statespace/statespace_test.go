@@ -1,6 +1,9 @@
 package statespace
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -212,9 +215,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Counters:     map[string]uint64{"runs": 17, "fp_inc": 99},
 	}
 	frontier := []FrontierItem{
-		{Prefix: []int{0, 2, 1}, Sleep: []uint64{5, 9}, Skip: 0},
-		{Prefix: nil, Sleep: nil, Skip: 3},
-		{Prefix: []int{4}, Sleep: []uint64{1}, Skip: 0},
+		{Prefix: []int{0, 2, 1}, Sleep: []uint64{5, 9}},
+		{Prefix: nil, Sleep: nil},
+		{Prefix: []int{4}, Sleep: []uint64{1}},
 	}
 	if err := s.WriteCheckpoint(meta, frontier); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
@@ -247,6 +250,34 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if s2.States() != wantStates {
 		t.Fatalf("revisits grew the table: %d → %d", wantStates, s2.States())
+	}
+}
+
+// TestReadFrontierRejectsCraftedFiles feeds readFrontier well-checksummed
+// files whose contents lie. The item count is read from the file and sizes
+// an allocation: a count of 2^40 in a 32-byte file used to end the process
+// with an out-of-memory fault instead of ErrCorrupt. A frontier in the
+// previous record layout (magic 01, three words per item) must fail the
+// magic check rather than be misread.
+func TestReadFrontierRejectsCraftedFiles(t *testing.T) {
+	for name, words := range map[string][]uint64{
+		"count beyond the file": {frontierMagic, 1 << 40, 0},
+		"count one too many":    {frontierMagic, 2, 0, 0, 0},
+		"previous layout":       {frontierMagic - 1, 1, 0, 0, 0},
+	} {
+		var buf []byte
+		for _, w := range words {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		sum := fnvBytes(buf)
+		buf = binary.LittleEndian.AppendUint64(buf, sum)
+		path := filepath.Join(t.TempDir(), "frontier-000001"+frontierSuffix)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if items, err := readFrontier(path, fmt.Sprintf("%016x", sum)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %d items, error %v; want ErrCorrupt", name, len(items), err)
+		}
 	}
 }
 
@@ -439,30 +470,6 @@ func TestCompactionPreservesCheckpointedRuns(t *testing.T) {
 		}
 	}
 	s2.Close()
-}
-
-func TestOwnerPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, parts := range []int{1, 2, 3, 4, 7, 64} {
-		counts := make([]int, parts)
-		for i := 0; i < 100000; i++ {
-			fp := rng.Uint64()
-			o := Owner(fp, parts)
-			if o < 0 || o >= parts {
-				t.Fatalf("Owner(%x, %d) = %d out of range", fp, parts, o)
-			}
-			counts[o]++
-		}
-		for p, c := range counts {
-			if parts > 1 && (c < 100000/parts/2 || c > 100000/parts*2) {
-				t.Fatalf("parts=%d: partition %d holds %d of 100000 — badly skewed", parts, p, c)
-			}
-		}
-		// Monotone in fp: contiguous ranges.
-		if Owner(0, parts) != 0 || Owner(^uint64(0), parts) != parts-1 {
-			t.Fatalf("parts=%d: range endpoints misassigned", parts)
-		}
-	}
 }
 
 func TestResetClearsDisk(t *testing.T) {
