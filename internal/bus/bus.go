@@ -112,13 +112,16 @@ type GrantTag struct{ B *Bus }
 func (t GrantTag) String() string { return t.B.name + " grant" }
 
 // DeliverTag tags the delivery event of a granted bus operation: when it
-// fires, the operation's occupancy ends and every agent snoops it.
-type DeliverTag struct {
-	B   *Bus
-	Pkt Packet
-}
+// fires, the operation's occupancy ends and every agent snoops it. The
+// tag is one pointer, so the kernel holds it without allocating; the
+// operation it delivers is the one in flight on B, which makes Pkt
+// meaningful only while the tagged event is pending.
+type DeliverTag struct{ B *Bus }
 
-func (t DeliverTag) String() string { return fmt.Sprintf("%s deliver %v", t.B.name, t.Pkt) }
+// Pkt returns the operation the tagged event will deliver.
+func (t DeliverTag) Pkt() Packet { return t.B.inflight }
+
+func (t DeliverTag) String() string { return fmt.Sprintf("%s deliver %v", t.B.name, t.B.inflight) }
 
 // Bus is one row or column bus.
 type Bus struct {
@@ -146,10 +149,15 @@ type Bus struct {
 	// all reach arbitration before any is granted.
 	deferGrants  bool
 	grantPending bool
-	// inflight is the granted operation whose occupancy is running.
+	// inflight is the granted operation whose occupancy is running: what
+	// the pending delivery event will deliver.
 	//
 	//multicube:fpfield
 	inflight Packet
+	// deliverFn and grantFn are the bodies of the delivery and deferred-
+	// grant events, built once: scheduling either allocates nothing, and
+	// what they do is decided by the state Save and Load rewind.
+	deliverFn, grantFn func()
 
 	// gen counts mutations of fingerprint-visible bus state (queues,
 	// busy/inflight). Incremental fingerprint caches compare it against a
@@ -170,14 +178,17 @@ type Bus struct {
 // New returns an idle bus using the given arbitration policy.
 func New(k *sim.Kernel, name string, arb Arbitration) *Bus {
 	b := &Bus{k: k, name: name, arb: arb}
+	b.deliverFn, b.grantFn = b.deliver, b.grant
 	b.Reset()
 	return b
 }
 
 // Reset returns the bus to the state New leaves it in — idle, nothing
 // queued, no chooser, counters cleared — keeping its attached agents and
-// the capacity of its queues. Events the bus scheduled on its kernel are
-// the caller's to discard (sim.Kernel.Reset).
+// the capacity of its queues. Queues are dequeued in place (see dequeue),
+// so a queue always starts at the first slot of its array and clearing
+// it drops every packet the array still names. Events the bus scheduled
+// on its kernel are the caller's to discard (sim.Kernel.Reset).
 func (b *Bus) Reset() {
 	b.gen = 0
 	clear(b.fifo)
@@ -213,7 +224,7 @@ type Saved struct {
 
 // Save copies the bus's mutable state into st. The grant and delivery
 // events the bus has pending belong to its kernel and are saved with it
-// (sim.Kernel.Save); their closures name only the bus and the packet.
+// (sim.Kernel.Save); their bodies read only the state saved here.
 func (b *Bus) Save(st *Saved) {
 	st.fifo = append(st.fifo[:0], b.fifo...)
 	for len(st.perSrc) < len(b.perSrc) {
@@ -227,7 +238,8 @@ func (b *Bus) Save(st *Saved) {
 }
 
 // Load rewinds the bus to a state Save took from it, leaving its agents,
-// chooser and grant mode alone. The generation comes back with the state
+// chooser and grant mode alone. Like Reset it clears each queue whole
+// before refilling it. The generation comes back with the state
 // it counts, so a cache keyed on it must be rewound or invalidated too:
 // generation g of the abandoned future is not generation g of the next.
 //
@@ -331,12 +343,20 @@ func (b *Bus) scheduleGrant() {
 		return
 	}
 	b.grantPending = true
-	b.k.AfterTagged(0, GrantTag{b}, func() {
-		b.grantPending = false
-		if !b.busy {
-			b.grant()
-		}
-	})
+	b.k.AfterTagged(0, GrantTag{b}, b.grantFn)
+}
+
+// dequeue removes and returns element i of a queue in place: the elements
+// behind it move down one slot and the vacated last slot is zeroed. The
+// queue never walks off the front of its array (an append after q = q[1:]
+// reallocates once the array is used up), and no slot names a granted packet.
+func dequeue(q *[]pending, i int) pending {
+	s := *q
+	p := s[i]
+	last := i + copy(s[i:], s[i+1:])
+	s[last] = pending{}
+	*q = s[:last]
+	return p
 }
 
 // next pops the operation to grant, per policy — or, with a chooser
@@ -352,10 +372,8 @@ func (b *Bus) next() (pending, bool) {
 		return b.nextChosen(), true
 	}
 	if b.arb == FIFO {
-		p := b.fifo[0]
-		b.fifo = b.fifo[1:]
 		b.queued--
-		return p, true
+		return dequeue(&b.fifo, 0), true
 	}
 	// Priority shares this scan: its last stays -1, so the walk is
 	// always ascending attach index from 0.
@@ -363,13 +381,11 @@ func (b *Bus) next() (pending, bool) {
 	for i := 1; i <= n; i++ {
 		src := (b.last + i) % n
 		if len(b.perSrc[src]) > 0 {
-			p := b.perSrc[src][0]
-			b.perSrc[src] = b.perSrc[src][1:]
 			b.queued--
 			if b.arb == RoundRobin {
 				b.last = src
 			}
-			return p, true
+			return dequeue(&b.perSrc[src], 0), true
 		}
 	}
 	return pending{}, false
@@ -418,8 +434,7 @@ func (b *Bus) nextChosen() pending {
 	s := slots[idx]
 	b.slotScratch = slots
 	b.candScratch = cands
-	p := (*s.list)[s.idx]
-	*s.list = append((*s.list)[:s.idx], (*s.list)[s.idx+1:]...)
+	p := dequeue(s.list, s.idx)
 	b.queued--
 	if b.arb == RoundRobin {
 		b.last = p.src
@@ -433,7 +448,13 @@ type slot struct {
 	idx  int
 }
 
+// grant gives an idle bus to the next queued operation. It is called
+// inline, and is the body of the event scheduleGrant schedules.
 func (b *Bus) grant() {
+	b.grantPending = false
+	if b.busy {
+		return
+	}
 	p, ok := b.next()
 	if !ok {
 		return
@@ -444,26 +465,31 @@ func (b *Bus) grant() {
 	b.stats.WaitTime += b.k.Now() - p.enqueued
 	occ := p.pkt.Occupancy()
 	b.stats.BusyTime += occ
-	b.k.AfterTagged(occ, DeliverTag{b, p.pkt}, func() {
-		b.stats.Ops++
-		// Phase 1: shared signal lines settle.
-		for _, a := range b.agents {
-			a.Probe(b, p.pkt)
-		}
-		// Phase 2: protocol actions. Agents may issue new Requests here;
-		// the bus is still formally held, so they queue behind us.
-		for _, a := range b.agents {
-			a.Snoop(b, p.pkt)
-		}
-		b.gen++
-		b.busy = false
-		b.inflight = nil
-		if b.deferGrants {
-			b.scheduleGrant()
-		} else {
-			b.grant()
-		}
-	})
+	b.k.AfterTagged(occ, DeliverTag{b}, b.deliverFn)
+}
+
+// deliver is the body of the delivery event grant schedules: the
+// occupancy of the operation in flight has ended.
+func (b *Bus) deliver() {
+	pkt := b.inflight
+	b.stats.Ops++
+	// Phase 1: shared signal lines settle.
+	for _, a := range b.agents {
+		a.Probe(b, pkt)
+	}
+	// Phase 2: protocol actions. Agents may issue new Requests here;
+	// the bus is still formally held, so they queue behind us.
+	for _, a := range b.agents {
+		a.Snoop(b, pkt)
+	}
+	b.gen++
+	b.busy = false
+	b.inflight = nil
+	if b.deferGrants {
+		b.scheduleGrant()
+	} else {
+		b.grant()
+	}
 }
 
 // Utilization returns BusyTime as a fraction of elapsed, guarding against

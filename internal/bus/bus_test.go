@@ -277,6 +277,7 @@ func TestResetEqualsNew(t *testing.T) {
 			}
 			k.Reset()
 			b.Reset()
+			checkQueues(t, b, make([]int, 1+b.Agents()), "after Reset")
 			if b.Busy() || b.Inflight() != nil || b.Gen() != 0 || b.Stats() != (Stats{}) || b.Agents() != 3 ||
 				b.chooser != nil || b.deferGrants {
 				t.Fatalf("%v: after Reset busy=%v inflight=%v gen=%d stats=%+v agents=%d chooser=%v defer=%v",
@@ -296,6 +297,26 @@ func TestResetEqualsNew(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v defer=%v: reset bus %+v, new bus %+v", arb, deferGrants, got, want)
+			}
+		}
+	}
+}
+
+// checkQueues requires what in-place dequeue promises of every queue: it
+// stays at the front of its array (caps, the capacities seen so far,
+// never shrink) and names no packet in the slots past its length — a
+// granted operation is reachable only as Inflight. Reset and Load clear
+// queues whole, so it holds after them too.
+func checkQueues(t *testing.T, b *Bus, caps []int, when string) {
+	t.Helper()
+	for i, q := range append([][]pending{b.fifo}, b.perSrc...) {
+		if cap(q) < caps[i] {
+			t.Fatalf("%s: queue %d shrank from capacity %d to %d: sliced off the front of its array", when, i, caps[i], cap(q))
+		}
+		caps[i] = cap(q)
+		for j, p := range q[len(q):cap(q)] {
+			if p != (pending{}) {
+				t.Fatalf("%s: queue %d of length %d still names %+v in slot %d", when, i, len(q), p, len(q)+j)
 			}
 		}
 	}
@@ -326,10 +347,12 @@ func TestSaveLoadRewinds(t *testing.T) {
 			var ks sim.KernelState
 			var st Saved
 			var queued, inflight, grants int
+			caps := make([]int, 1+b.Agents())
 			for stop := 0; ; stop++ {
 				if !k.Step() {
 					break
 				}
+				checkQueues(t, b, caps, "after a step")
 				k.Save(&ks)
 				b.Save(&st)
 				b.ForEachQueued(func(int, Packet) { queued++ })
@@ -342,11 +365,13 @@ func TestSaveLoadRewinds(t *testing.T) {
 				gen, stats, seen := b.Gen(), b.Stats(), len(r.snoops)
 
 				k.Run()
+				checkQueues(t, b, caps, "drained")
 				want := append([]snooped{}, r.snoops[seen:]...)
 				wantStats, wantGen := b.Stats(), b.Gen()
 
 				k.Load(&ks)
 				b.Load(&st)
+				checkQueues(t, b, caps, "after Load")
 				if b.Gen() != gen || b.Stats() != stats || b.chooser == nil || b.deferGrants != deferGrants {
 					t.Fatalf("%v defer=%v stop %d: after Load gen=%d stats=%+v chooser=%v defer=%v, saved gen=%d stats=%+v",
 						arb, deferGrants, stop, b.Gen(), b.Stats(), b.chooser, b.deferGrants, gen, stats)

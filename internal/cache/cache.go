@@ -21,6 +21,8 @@ package cache
 
 import (
 	"fmt"
+
+	"multicube/internal/linetable"
 )
 
 // State is a per-line coherence state. The store interprets only Invalid
@@ -94,15 +96,14 @@ type Stats struct {
 // Cache is a set-associative (or unbounded) line store.
 type Cache struct {
 	cfg   Config
-	sets  [][]Entry // bounded mode
-	table map[Line]*Entry
+	sets  [][]Entry               // bounded mode
+	table linetable.Table[*Entry] // unbounded mode
 	clock uint64
 	stats Stats
 
-	// scratch buffers reused by ForEach, which fingerprinting and
-	// invariant checkers call on every model-checker step.
-	lineScratch []Line
-	refScratch  []entryRef
+	// refScratch is reused by ForEach, which fingerprinting and invariant
+	// checkers call on every model-checker step.
+	refScratch []entryRef
 	// spare is Load's scratch: the entries in place, while it rebuilds the
 	// unbounded cache's index out of them.
 	spare []*Entry
@@ -120,7 +121,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg, table: make(map[Line]*Entry)}
+	c := &Cache{cfg: cfg}
 	if cfg.Lines > 0 {
 		assoc := cfg.Assoc
 		if assoc == 0 {
@@ -148,7 +149,7 @@ func MustNew(cfg Config) *Cache {
 // clock, the counters — back to the state New leaves it in, keeping its
 // configuration and the memory of its sets and index.
 func (c *Cache) Reset() {
-	clear(c.table)
+	c.table.Clear()
 	for _, set := range c.sets {
 		clear(set)
 	}
@@ -161,7 +162,7 @@ func (c *Cache) Reset() {
 // it and keeps its capacity.
 type Saved struct {
 	// entries are the bounded cache's slots in set order (untagged ones
-	// included), or the unbounded cache's lines in no particular order,
+	// included), or the unbounded cache's lines in its table's order,
 	// without their data: words holds one block per tagged entry, in the
 	// same order.
 	entries []Entry
@@ -183,10 +184,7 @@ func (c *Cache) Save(st *Saved) {
 			add(&set[i])
 		}
 	}
-	//multicube:detrange-ok copied as a set; Load rebuilds the index from it
-	for _, e := range c.table {
-		add(e)
-	}
+	c.table.Each(func(_ uint64, e *Entry) { add(e) })
 	st.clock, st.stats = c.clock, c.stats
 }
 
@@ -215,11 +213,8 @@ func (c *Cache) Load(st *Saved) {
 		// The entries in place are rewritten rather than reallocated;
 		// any the saved cache has no use for go to the collector.
 		spare := c.spare[:0]
-		//multicube:detrange-ok collects the entries as a set, for reuse
-		for _, e := range c.table {
-			spare = append(spare, e)
-		}
-		clear(c.table)
+		c.table.Each(func(_ uint64, e *Entry) { spare = append(spare, e) })
+		c.table.Clear()
 		for i := range st.entries {
 			var e *Entry
 			if n := len(spare); n > 0 {
@@ -228,7 +223,7 @@ func (c *Cache) Load(st *Saved) {
 				e = new(Entry)
 			}
 			fill(e, &st.entries[i])
-			c.table[e.Line] = e
+			c.table.Put(uint64(e.Line), e)
 		}
 		clear(spare)
 		c.spare = spare[:0]
@@ -255,7 +250,8 @@ func (c *Cache) setOf(line Line) []Entry {
 // retained tag), or nil when the line is not present at all.
 func (c *Cache) Probe(line Line) *Entry {
 	if !c.bounded() {
-		return c.table[line]
+		e, _ := c.table.Get(uint64(line))
+		return e
 	}
 	set := c.setOf(line)
 	for i := range set {
@@ -325,7 +321,7 @@ func (c *Cache) Insert(line Line, state State, data []uint64) Victim {
 	if !c.bounded() {
 		e := &Entry{Line: line, State: state, Data: make([]uint64, c.cfg.BlockWords), lastUse: c.clock, valid: true}
 		fillBlock(e.Data, data)
-		c.table[line] = e
+		c.table.Put(uint64(line), e)
 		return Victim{}
 	}
 	set := c.setOf(line)
@@ -417,7 +413,7 @@ func (c *Cache) Invalidate(line Line) bool {
 // Drop removes line entirely, including a retained tag.
 func (c *Cache) Drop(line Line) {
 	if !c.bounded() {
-		delete(c.table, line)
+		c.table.Delete(uint64(line))
 		return
 	}
 	set := c.setOf(line)
@@ -440,46 +436,24 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// ForEach visits every non-Invalid entry in ascending line order. The
-// deterministic order keeps whole-machine runs reproducible even when
-// callers mutate state during the walk.
+// ForEach visits every non-Invalid entry in ascending line order. fn may
+// change an entry's state and data but not insert or remove lines.
 func (c *Cache) ForEach(fn func(e *Entry)) {
-	if !c.bounded() {
-		lines := c.lineScratch[:0]
-		//multicube:detrange-ok keys are insertion-sorted below before any visit
-		for l, e := range c.table {
-			if e.State != Invalid {
-				lines = append(lines, l)
-			}
-		}
-		// Insertion sort: residency is small, and sort.Slice would box
-		// the slice and allocate on every call.
-		for i := 1; i < len(lines); i++ {
-			l := lines[i]
-			j := i
-			for j > 0 && lines[j-1] > l {
-				lines[j] = lines[j-1]
-				j--
-			}
-			lines[j] = l
-		}
-		c.lineScratch = lines
-		for _, l := range lines {
-			if e := c.table[l]; e != nil && e.State != Invalid {
-				fn(e)
-			}
-		}
-		return
-	}
 	refs := c.refScratch[:0]
-	for s := range c.sets {
-		set := c.sets[s]
+	c.table.Each(func(_ uint64, e *Entry) {
+		if e.State != Invalid {
+			refs = append(refs, entryRef{e.Line, e})
+		}
+	})
+	for _, set := range c.sets {
 		for i := range set {
 			if set[i].valid && set[i].State != Invalid {
 				refs = append(refs, entryRef{set[i].Line, &set[i]})
 			}
 		}
 	}
+	// Insertion sort: residency is small, and sort.Slice would box the
+	// slice and allocate on every call.
 	for i := 1; i < len(refs); i++ {
 		r := refs[i]
 		j := i

@@ -3,10 +3,12 @@ package cache
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 )
+
+// testLines is the line range mutate draws from and dump reads back.
+const testLines = 12
 
 // dump renders everything a cache holds, replacement metadata included.
 func dump(c *Cache) string {
@@ -17,20 +19,19 @@ func dump(c *Cache) string {
 			fmt.Fprintf(&b, "set %d way %d: %+v\n", i, j, set[j])
 		}
 	}
-	var lines []Line
-	for l := range c.table {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, l := range lines {
-		fmt.Fprintf(&b, "line %d: %+v\n", l, *c.table[l])
+	if !c.bounded() {
+		for l := Line(0); l < testLines; l++ {
+			if e := c.Probe(l); e != nil {
+				fmt.Fprintf(&b, "line %d: %+v\n", l, *e)
+			}
+		}
 	}
 	return b.String()
 }
 
 // mutate applies one random operation.
 func mutate(c *Cache, rng *rand.Rand) {
-	line := Line(rng.Intn(12))
+	line := Line(rng.Intn(testLines))
 	switch rng.Intn(8) {
 	case 0, 1:
 		c.Insert(line, State(1+rng.Intn(3)), []uint64{rng.Uint64(), rng.Uint64()})

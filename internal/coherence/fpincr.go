@@ -233,9 +233,9 @@ func (f *FPCache) snapshotEvents(extra ExtraTagFunc) {
 		switch t := tag.(type) {
 		case EnqueueTag:
 			e.kind = evEnqueue
-			e.row, e.col = t.Issuer.Row, t.Issuer.Col
-			e.dim = uint8(t.Dim)
-			e.busKind, e.busIdx = f.busRef(t.bus)
+			e.row, e.col = t.Issuer().Row, t.Issuer().Col
+			e.dim = uint8(t.Dim())
+			e.busKind, e.busIdx = f.busRef(f.sys.enqueueBus(t))
 			e.op = t.Op
 		case bus.GrantTag:
 			e.kind = evGrant
@@ -243,7 +243,7 @@ func (f *FPCache) snapshotEvents(extra ExtraTagFunc) {
 		case bus.DeliverTag:
 			e.kind = evDeliver
 			e.busKind, e.busIdx = f.busRef(t.B)
-			e.op = t.Pkt.(*Op)
+			e.op = t.Pkt().(*Op)
 		default:
 			e.kind = evOpaque
 			if extra != nil {
@@ -494,7 +494,7 @@ func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
 		h := fphash.New()
 		for cr := 0; cr < n; cr++ {
 			for cc := 0; cc < n; cc++ {
-				t, ok := f.sys.nodes[inv[cr]][cinv[cc]].purgedAt[op.Line]
+				t, ok := f.sys.nodes[inv[cr]][cinv[cc]].purgedAt.Get(uint64(op.Line))
 				h.Bit(ok && op.born <= t)
 			}
 		}
@@ -504,7 +504,7 @@ func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
 		var bits uint64
 		for r := 0; r < n; r++ {
 			for c := 0; c < n; c++ {
-				if t, ok := f.sys.nodes[r][c].purgedAt[op.Line]; ok && op.born <= t {
+				if t, ok := f.sys.nodes[r][c].purgedAt.Get(uint64(op.Line)); ok && op.born <= t {
 					bits |= 1 << uint(r*n+c)
 				}
 			}

@@ -550,11 +550,10 @@ func (n *Node) installShared(op *Op) {
 	if n.pend.poisoned {
 		n.pend.poisoned = false
 		n.stats.Reissues++
-		n.issueRow(n.sys.addrOp(n.pend.txn, REQUEST|n.pend.flags, n.id, n.pend.line, n.pend.trace))
+		n.issueRequest()
 		return
 	}
-	n.writeLine(op.Line, Shared, op.Data)
-	n.complete(op, Result{})
+	n.complete(op, Result{Entry: n.writeLine(op.Line, Shared, op.Data)})
 }
 
 // isQueuedTailFor reports whether this node's reserved copy of line is an
@@ -591,9 +590,10 @@ func (n *Node) installOwned(op *Op) {
 		n.shard.strays++
 		return
 	}
+	var e *cache.Entry
 	switch {
 	case op.Txn == SYNC:
-		e := n.l2.Probe(op.Line)
+		e = n.l2.Probe(op.Line)
 		if e == nil || e.State != Reserved {
 			panic(fmt.Sprintf("coherence: node %v SYNC reply without reserved copy for line %d", n.id, op.Line))
 		}
@@ -603,11 +603,11 @@ func (n *Node) installOwned(op *Op) {
 		e.State = Modified
 		// Stay pinned while sync-active; SyncRelease unpins.
 	case op.Flags.Has(ALLOC):
-		n.writeLine(op.Line, Modified, nil)
+		e = n.writeLine(op.Line, Modified, nil)
 	default:
-		n.writeLine(op.Line, Modified, op.Data)
+		e = n.writeLine(op.Line, Modified, op.Data)
 	}
-	n.complete(op, Result{Acquired: op.Txn == TAS || op.Txn == SYNC})
+	n.complete(op, Result{Acquired: op.Txn == TAS || op.Txn == SYNC, Entry: e})
 }
 
 // snarf acquires a passing unmodified line into a retained-tag slot in

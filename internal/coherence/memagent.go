@@ -29,6 +29,10 @@ type Memory struct {
 	//
 	//multicube:gencounter
 	gen uint64
+
+	// enqueueFn is the body of every device-latency event the module
+	// schedules (issueAfter), built once.
+	enqueueFn func()
 }
 
 // reset is the module's share of System.reset: boot-state contents.
@@ -64,8 +68,14 @@ func (m *Memory) issueAfter(d sim.Time, op *Op) {
 		m.sys.cols[m.col].Request(m.busIdx, op)
 		return
 	}
-	tag := EnqueueTag{Issuer: topology.Coord{Row: -1, Col: m.col}, Dim: Col, Op: op, bus: m.sys.cols[m.col]}
-	m.k.AfterTagged(d, tag, func() { m.sys.cols[m.col].Request(m.busIdx, op) })
+	op.issuer, op.dim = topology.Coord{Row: -1, Col: m.col}, Col
+	m.k.AfterTagged(d, EnqueueTag{op}, m.enqueueFn)
+}
+
+// enqueue is the body of the events issueAfter schedules: the access for
+// the operation named by the event's tag is over.
+func (m *Memory) enqueue() {
+	m.sys.cols[m.col].Request(m.busIdx, m.k.Dispatching().(EnqueueTag).Op)
 }
 
 func (m *Memory) snoop(op *Op) {

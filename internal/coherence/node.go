@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"multicube/internal/cache"
+	"multicube/internal/linetable"
 	"multicube/internal/mlt"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
@@ -30,6 +31,10 @@ type Result struct {
 	// Trace holds the transaction's bus-operation accounting; zero for
 	// operations satisfied locally without a transaction.
 	Trace TxnTrace
+	// Entry is the snooping-cache entry the line of a completed Read,
+	// Write or Allocate is held in, so the caller's word access costs no
+	// second lookup. It is good for the duration of the callback.
+	Entry *cache.Entry
 }
 
 // pending is the one outstanding processor request of a controller.
@@ -88,6 +93,10 @@ type Node struct {
 
 	//multicube:fpfield
 	pend *pending
+	// pendBuf is what pend points to: a node has at most one transaction
+	// outstanding and nothing keeps a *pending across kernel steps, so
+	// beginning one allocates nothing.
+	pendBuf pending
 	// wbCont is the "continue request" for the outstanding WRITEBACK.
 	//
 	//multicube:fpfield
@@ -103,7 +112,11 @@ type Node struct {
 
 	// purgedAt records when each line last left this cache, gating the
 	// snarf optimization against stale in-flight replies.
-	purgedAt map[cache.Line]sim.Time
+	purgedAt linetable.Table[sim.Time]
+
+	// enqueueFn is the body of every device-latency event this node
+	// schedules (issueAfter), built once.
+	enqueueFn func()
 
 	// gen counts mutations of fingerprint-visible node state (L2, MLT,
 	// pending transaction, wbCont). It is bumped conservatively at every
@@ -130,11 +143,12 @@ func newNode(s *System, id topology.Coord) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
+	n := &Node{
 		sys: s, id: id, l2: l2, table: table,
 		k: s.colKernel(id.Col), shard: s.colShard(id.Col),
-		purgedAt: make(map[cache.Line]sim.Time),
-	}, nil
+	}
+	n.enqueueFn = n.enqueue
+	return n, nil
 }
 
 // reset is the node's share of System.reset: empty cache and table, no
@@ -146,7 +160,7 @@ func (n *Node) reset() {
 	n.pend = nil
 	n.wbCont, n.wbTrace = nil, nil
 	n.OnInvalidate = nil
-	clear(n.purgedAt)
+	n.purgedAt.Clear()
 	n.stats = NodeStats{}
 }
 
@@ -218,24 +232,29 @@ func (n *Node) issueCol(op *Op) {
 // issueRowAfter and issueColAfter model device latency (a cache lookup
 // before the data can be driven) between snooping an operation and
 // issuing the response. Protocol state was already updated at snoop time.
-func (n *Node) issueRowAfter(d sim.Time, op *Op) {
+func (n *Node) issueRowAfter(d sim.Time, op *Op) { n.issueAfter(Row, d, op) }
+func (n *Node) issueColAfter(d sim.Time, op *Op) { n.issueAfter(Col, d, op) }
+
+func (n *Node) issueAfter(dim Dim, d sim.Time, op *Op) {
+	op.issuer, op.dim = n.id, dim
 	if d == 0 {
-		n.issueRow(op)
+		n.issue(op)
 		return
 	}
-	n.sys.recordIntent(Row, op)
-	tag := EnqueueTag{Issuer: n.id, Dim: Row, Op: op, bus: n.sys.rows[n.id.Row]}
-	n.k.AfterTagged(d, tag, func() { n.issueRow(op) })
+	n.sys.recordIntent(dim, op)
+	n.k.AfterTagged(d, EnqueueTag{op}, n.enqueueFn)
 }
 
-func (n *Node) issueColAfter(d sim.Time, op *Op) {
-	if d == 0 {
+// enqueue is the body of the events issueAfter schedules: the latency of
+// the operation named by the event's tag is over.
+func (n *Node) enqueue() { n.issue(n.k.Dispatching().(EnqueueTag).Op) }
+
+func (n *Node) issue(op *Op) {
+	if op.dim == Row {
+		n.issueRow(op)
+	} else {
 		n.issueCol(op)
-		return
 	}
-	n.sys.recordIntent(Col, op)
-	tag := EnqueueTag{Issuer: n.id, Dim: Col, Op: op, bus: n.sys.cols[n.id.Col]}
-	n.k.AfterTagged(d, tag, func() { n.issueCol(op) })
 }
 
 // dataOp and replyOp build payload-carrying operations stamped with this
@@ -260,9 +279,9 @@ func (n *Node) recordCompletion(tr *TxnTrace) {
 func (n *Node) Read(line cache.Line, done func(Result)) {
 	n.gen++
 	n.stats.Reads++
-	if _, ok := n.l2.Access(line); ok {
+	if e, ok := n.l2.Access(line); ok {
 		n.stats.ReadHits++
-		done(Result{})
+		done(Result{Entry: e})
 		return
 	}
 	n.startTransaction(READ, 0, line, done)
@@ -278,7 +297,7 @@ func (n *Node) Write(line cache.Line, done func(Result)) {
 		switch e.State {
 		case Modified:
 			n.stats.WriteHits++
-			done(Result{})
+			done(Result{Entry: e})
 			return
 		case Shared:
 			// Write hit on a shared line: an upgrade READMOD, no victim
@@ -301,7 +320,7 @@ func (n *Node) Allocate(line cache.Line, done func(Result)) {
 	n.stats.Writes++
 	if e, ok := n.l2.Access(line); ok && e.State == Modified {
 		n.stats.WriteHits++
-		done(Result{})
+		done(Result{Entry: e})
 		return
 	}
 	if e, ok := n.l2.Lookup(line); ok && e.State == Shared {
@@ -392,7 +411,8 @@ func (n *Node) beginPending(txn Txn, flags Flags, line cache.Line, done func(Res
 	}
 	n.stats.Transactions++
 	tr := &TxnTrace{Txn: txn, Line: line, Started: n.k.Now()}
-	n.pend = &pending{txn: txn, flags: flags, line: line, trace: tr, done: done}
+	n.pendBuf = pending{txn: txn, flags: flags, line: line, trace: tr, done: done}
+	n.pend = &n.pendBuf
 }
 
 // startTransaction is the miss path of the READ/READMOD/TAS initiation
@@ -400,9 +420,6 @@ func (n *Node) beginPending(txn Txn, flags Flags, line cache.Line, done func(Res
 // first), then place the request on the row bus.
 func (n *Node) startTransaction(txn Txn, flags Flags, line cache.Line, done func(Result)) {
 	n.beginPending(txn, flags, line, done)
-	issue := func() {
-		n.issueRow(n.sys.addrOp(txn, REQUEST|flags, n.id, line, n.pend.trace))
-	}
 	v := n.l2.SelectVictim(line)
 	if v != nil && v.State == Modified {
 		victim := v.Line
@@ -414,11 +431,18 @@ func (n *Node) startTransaction(txn Txn, flags Flags, line cache.Line, done func
 			n.l2.Invalidate(victim)
 			n.notifyInvalidate(victim)
 			n.recordCompletion(wbTrace)
-			issue()
+			n.issueRequest()
 		})
 		return
 	}
-	issue()
+	n.issueRequest()
+}
+
+// issueRequest places the outstanding transaction's request on the row
+// bus: at initiation, and again when a poisoned reply is discarded.
+func (n *Node) issueRequest() {
+	p := n.pend
+	n.issueRow(n.sys.addrOp(p.txn, REQUEST|p.flags, n.id, p.line, p.trace))
 }
 
 // startWriteback initiates WRITEBACK(COLUMN, REMOVE) for a modified line
@@ -457,7 +481,7 @@ func (n *Node) matchesPending(op *Op) bool {
 // notifyInvalidate tells the machine layer a line left the cache and
 // timestamps the departure for snarf staleness checks.
 func (n *Node) notifyInvalidate(line cache.Line) {
-	n.purgedAt[line] = n.k.Now()
+	n.purgedAt.Put(uint64(line), n.k.Now())
 	n.purgeUpper(line)
 }
 

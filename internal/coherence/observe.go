@@ -176,7 +176,7 @@ func (n *Node) snarfEligible(op *Op) bool {
 	if e == nil || e.State != Invalid || e.Pinned {
 		return false
 	}
-	if t, ok := n.purgedAt[op.Line]; ok && op.born <= t {
+	if t, ok := n.purgedAt.Get(uint64(op.Line)); ok && op.born <= t {
 		// The payload predates our invalidation of this line: it may be
 		// stale ("only if the line is in global state unmodified").
 		return false

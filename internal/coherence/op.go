@@ -143,7 +143,9 @@ type Op struct {
 	Origin topology.Coord
 	Line   cache.Line
 	// Data is the line contents for data-carrying operations, nil for
-	// address-and-command operations.
+	// address-and-command operations. It is never written once the
+	// operation exists, and an operation relayed onto the next bus shares
+	// it with the one it was built from.
 	Data []uint64
 	// Target addresses a SYNC XFER handoff, which is destined for a
 	// specific queue member rather than the operation's originator.
@@ -186,6 +188,11 @@ type Op struct {
 	// snooping controller can refuse to snarf data older than its last
 	// invalidation of the line.
 	born sim.Time
+	// issuer and dim say, for an operation issued after a device latency,
+	// which agent enqueues it and on which of its buses; the pending
+	// event's EnqueueTag reports them.
+	issuer topology.Coord
+	dim    Dim
 
 	// fpIdent memoizes the transition-identity hash (opIdentFP) and
 	// fpBase the row-independent part of the operation's fingerprint
@@ -194,12 +201,10 @@ type Op struct {
 	// rebuilt per delivery and are not hashed), so the memos never go
 	// stale. fpSnarfCP/fpSnarfBits memoize the snarf eligibility bit
 	// matrix for a single choice point.
-	fpIdent     uint64
-	fpIdentOK   bool
-	fpBase      uint64
-	fpBaseOK    bool
-	fpSnarfCP   uint64
-	fpSnarfBits uint64
+	fpIdentOK, fpBaseOK bool
+	fpIdent, fpBase     uint64
+	fpSnarfCP           uint64
+	fpSnarfBits         uint64
 }
 
 // Occupancy implements bus.Packet.

@@ -99,7 +99,7 @@ func TestResetEqualsFresh(t *testing.T) {
 							if nd.wbCont != nil {
 								writebacks++
 							}
-							purges += len(nd.purgedAt)
+							purges += nd.purgedAt.Len()
 						}
 						if used.rows[i].Busy() || used.cols[i].Busy() {
 							busyBuses++

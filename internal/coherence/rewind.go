@@ -3,6 +3,7 @@ package coherence
 import (
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/linetable"
 	"multicube/internal/memory"
 	"multicube/internal/mlt"
 	"multicube/internal/sim"
@@ -37,7 +38,7 @@ type Saved struct {
 	cols    []bus.Saved
 	nodes   []nodeSaved // row-major
 	mems    []memSaved
-	shards  []shardSaved
+	shards  []sysShard
 	dropped uint64
 	// traces are the transaction traces reachable from the saved state,
 	// with the values they had.
@@ -51,29 +52,14 @@ type nodeSaved struct {
 	pend    pending
 	wbCont  func()
 	wbTrace *TxnTrace
-	purged  []purgeSaved
+	purged  linetable.Table[sim.Time]
 	gen     uint64
 	stats   NodeStats
-}
-
-type purgeSaved struct {
-	line cache.Line
-	at   sim.Time
 }
 
 type memSaved struct {
 	store memory.Saved
 	gen   uint64
-}
-
-type shardSaved struct {
-	txns   []txnSaved
-	strays uint64
-}
-
-type txnSaved struct {
-	txn   Txn
-	stats TxnStats
 }
 
 type traceSaved struct {
@@ -97,7 +83,7 @@ func (s *System) Save(st *Saved) {
 	if len(st.rows) != n {
 		st.rows, st.cols = make([]bus.Saved, n), make([]bus.Saved, n)
 		st.nodes, st.mems = make([]nodeSaved, n*n), make([]memSaved, n)
-		st.shards = make([]shardSaved, len(s.shards))
+		st.shards = make([]sysShard, len(s.shards))
 	}
 	st.traces = st.traces[:0]
 	for i := 0; i < n; i++ {
@@ -113,7 +99,7 @@ func (s *System) Save(st *Saved) {
 		}
 	}
 	for i, sh := range s.shards {
-		sh.save(&st.shards[i])
+		st.shards[i] = *sh
 	}
 	st.dropped = s.dropped
 	s.forEachLiveOp(func(op *Op) { st.addTrace(op.trace) })
@@ -151,7 +137,7 @@ func (s *System) Load(st *Saved) {
 		}
 	}
 	for i, sh := range s.shards {
-		sh.load(&st.shards[i])
+		*sh = st.shards[i]
 	}
 	s.dropped = st.dropped
 	for _, t := range st.traces {
@@ -184,7 +170,7 @@ func (s *System) forEachLiveOp(fn func(*Op)) {
 		case EnqueueTag:
 			fn(t.Op)
 		case bus.DeliverTag:
-			fn(t.Pkt.(*Op))
+			fn(t.Pkt().(*Op))
 		}
 	})
 }
@@ -198,11 +184,7 @@ func (n *Node) save(st *nodeSaved) {
 		st.pend = pending{}
 	}
 	st.wbCont, st.wbTrace = n.wbCont, n.wbTrace
-	st.purged = st.purged[:0]
-	//multicube:detrange-ok copied as a set; load rebuilds the map from it
-	for l, at := range n.purgedAt {
-		st.purged = append(st.purged, purgeSaved{l, at})
-	}
+	st.purged.CopyFrom(&n.purgedAt)
 	st.gen, st.stats = n.gen, n.stats
 }
 
@@ -211,20 +193,13 @@ func (n *Node) load(st *nodeSaved) {
 	n.l2.Load(&st.l2)
 	n.table.Load(&st.table)
 	if st.hasPend {
-		// Nothing keeps a *pending across kernel steps, so the one in
-		// place is as good as a new one.
-		if n.pend == nil {
-			n.pend = new(pending)
-		}
-		*n.pend = st.pend
+		n.pendBuf = st.pend
+		n.pend = &n.pendBuf
 	} else {
 		n.pend = nil
 	}
 	n.wbCont, n.wbTrace = st.wbCont, st.wbTrace
-	clear(n.purgedAt)
-	for _, p := range st.purged {
-		n.purgedAt[p.line] = p.at
-	}
+	n.purgedAt.CopyFrom(&st.purged)
 	n.gen, n.stats = st.gen, st.stats
 }
 
@@ -237,46 +212,6 @@ func (m *Memory) save(st *memSaved) {
 func (m *Memory) load(st *memSaved) {
 	m.store.Load(&st.store)
 	m.gen = st.gen
-}
-
-func (sh *sysShard) save(st *shardSaved) {
-	st.txns = st.txns[:0]
-	//multicube:detrange-ok copied as a set; load rebuilds the map from it
-	for t, ts := range sh.txnStats {
-		st.txns = append(st.txns, txnSaved{t, *ts})
-	}
-	st.strays = sh.strays
-}
-
-func (sh *sysShard) load(st *shardSaved) {
-	for _, t := range st.txns {
-		ts := sh.txnStats[t.txn]
-		if ts == nil {
-			ts = new(TxnStats)
-			sh.txnStats[t.txn] = ts
-		}
-		*ts = t.stats
-	}
-	if len(sh.txnStats) > len(st.txns) {
-		// The abandoned future completed a transaction type the saved
-		// past had not seen; Stats reports every key it finds.
-		//multicube:detrange-ok deletes a set of keys
-		for txn := range sh.txnStats {
-			if !st.has(txn) {
-				delete(sh.txnStats, txn)
-			}
-		}
-	}
-	sh.strays = st.strays
-}
-
-func (st *shardSaved) has(txn Txn) bool {
-	for _, t := range st.txns {
-		if t.txn == txn {
-			return true
-		}
-	}
-	return false
 }
 
 // FPSaved is a caller-owned buffer holding an FPCache's node and memory

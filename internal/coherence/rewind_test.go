@@ -347,7 +347,7 @@ func TestLoadEqualsReplay(t *testing.T) {
 							if nd.wbCont != nil {
 								writebacks++
 							}
-							purges += len(nd.purgedAt)
+							purges += nd.purgedAt.Len()
 						}
 					}
 				}

@@ -130,7 +130,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 			for cr := 0; cr < n; cr++ {
 				for cc := 0; cc < n; cc++ {
 					nd := s.nodes[inv[cr]][cinv[cc]]
-					t, ok := nd.purgedAt[op.Line]
+					t, ok := nd.purgedAt.Get(uint64(op.Line))
 					h.Bit(ok && op.born <= t)
 				}
 			}
@@ -262,10 +262,10 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 		switch t := tag.(type) {
 		case EnqueueTag:
 			eh.Word(0x10)
-			eh.Word(uint64(int64(permRow(t.Issuer.Row))))
-			eh.Word(uint64(int64(permCol(t.Issuer.Col))))
-			eh.Word(uint64(t.Dim))
-			kind, id := busID(t.bus)
+			eh.Word(uint64(int64(permRow(t.Issuer().Row))))
+			eh.Word(uint64(int64(permCol(t.Issuer().Col))))
+			eh.Word(uint64(t.Dim()))
+			kind, id := busID(s.enqueueBus(t))
 			eh.Word(kind)
 			eh.Word(id)
 			sub := h
@@ -285,7 +285,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 			eh.Word(id)
 			sub := h
 			h = fphash.New()
-			hashOp(t.Pkt.(*Op))
+			hashOp(t.Pkt().(*Op))
 			eh.Word(h.Sum())
 			h = sub
 		default:
@@ -397,13 +397,13 @@ func (s *System) TagInfo(tag any) (info TagInfo, ok bool) {
 	case EnqueueTag:
 		h := fphash.New()
 		h.Word(0x10)
-		h.Word(uint64(int64(t.Issuer.Row)))
-		h.Word(uint64(int64(t.Issuer.Col)))
-		h.Word(uint64(t.Dim))
-		b := s.busIndex(t.bus)
+		h.Word(uint64(int64(t.Issuer().Row)))
+		h.Word(uint64(int64(t.Issuer().Col)))
+		h.Word(uint64(t.Dim()))
+		b := s.busIndex(s.enqueueBus(t))
 		h.Word(uint64(int64(b)))
 		h.Word(opIdentFP(t.Op))
-		return TagInfo{Kind: TagEnqueue, Bus: b, Issuer: t.Issuer, FP: h.Sum()}, true
+		return TagInfo{Kind: TagEnqueue, Bus: b, Issuer: t.Issuer(), FP: h.Sum()}, true
 	case bus.GrantTag:
 		h := fphash.New()
 		h.Word(0x11)
@@ -415,7 +415,7 @@ func (s *System) TagInfo(tag any) (info TagInfo, ok bool) {
 		h.Word(0x12)
 		b := s.busIndex(t.B)
 		h.Word(uint64(int64(b)))
-		if op, isOp := t.Pkt.(*Op); isOp {
+		if op, isOp := t.Pkt().(*Op); isOp {
 			h.Word(opIdentFP(op))
 		}
 		return TagInfo{Kind: TagDeliver, Bus: b, FP: h.Sum()}, true

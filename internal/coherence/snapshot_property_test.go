@@ -84,10 +84,10 @@ func (c *canonChooser) key(tag any) uint64 {
 	switch t := tag.(type) {
 	case EnqueueTag:
 		h.Word(0x10)
-		h.Word(uint64(int64(c.permRow(t.Issuer.Row))))
-		h.Word(uint64(int64(c.permCol(t.Issuer.Col))))
-		h.Word(uint64(t.Dim))
-		hashBus(t.TargetBus())
+		h.Word(uint64(int64(c.permRow(t.Issuer().Row))))
+		h.Word(uint64(int64(c.permCol(t.Issuer().Col))))
+		h.Word(uint64(t.Dim()))
+		hashBus(c.s.enqueueBus(t))
 		hashOp(t.Op)
 	case bus.GrantTag:
 		h.Word(0x11)
@@ -95,7 +95,7 @@ func (c *canonChooser) key(tag any) uint64 {
 	case bus.DeliverTag:
 		h.Word(0x12)
 		hashBus(t.B)
-		if op, ok := t.Pkt.(*Op); ok {
+		if op, ok := t.Pkt().(*Op); ok {
 			hashOp(op)
 		}
 	case *Op: // a queued packet at a bus "grant" choice point

@@ -242,21 +242,29 @@ type System struct {
 // EnqueueTag tags a device-latency kernel event whose only effect, when
 // it fires, is to enqueue Op on a bus (plus fault-injection accounting).
 // Model checkers treat these events as commuting with everything except
-// a pending arbitration on the same bus.
-type EnqueueTag struct {
-	// Issuer is the issuing controller, or {Row: -1, Col: c} for the
-	// memory module on column c.
-	Issuer topology.Coord
-	Dim    Dim
-	Op     *Op
-	bus    *bus.Bus
-}
+// a pending arbitration on the same bus. The tag is one pointer, which
+// the kernel holds without allocating; the rest is read off the
+// operation.
+type EnqueueTag struct{ Op *Op }
 
-// TargetBus returns the bus the event will enqueue on.
-func (t EnqueueTag) TargetBus() *bus.Bus { return t.bus }
+// Issuer is the issuing controller, or {Row: -1, Col: c} for the memory
+// module on column c.
+func (t EnqueueTag) Issuer() topology.Coord { return t.Op.issuer }
+
+// Dim is the kind of bus the event will enqueue on: the issuer's row
+// bus or its column bus.
+func (t EnqueueTag) Dim() Dim { return t.Op.dim }
 
 func (t EnqueueTag) String() string {
-	return fmt.Sprintf("enqueue %v %v by %v", t.Dim, t.Op, t.Issuer)
+	return fmt.Sprintf("enqueue %v %v by %v", t.Dim(), t.Op, t.Issuer())
+}
+
+// enqueueBus returns the bus the tagged event will enqueue on.
+func (s *System) enqueueBus(t EnqueueTag) *bus.Bus {
+	if t.Dim() == Row {
+		return s.rows[t.Issuer().Row]
+	}
+	return s.cols[t.Issuer().Col]
 }
 
 // DroppedOps counts operations discarded by the fault injector.
@@ -280,7 +288,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 	}
 	s.shards = make([]*sysShard, nshards)
 	for i := range s.shards {
-		s.shards[i] = &sysShard{txnStats: make(map[Txn]*TxnStats)}
+		s.shards[i] = &sysShard{}
 	}
 	s.rows = make([]*bus.Bus, n)
 	s.cols = make([]*bus.Bus, n)
@@ -315,6 +323,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 			return nil, err
 		}
 		m := &Memory{sys: s, col: c, store: st, k: s.colKernel(c), shard: s.colShard(c)}
+		m.enqueueFn = m.enqueue
 		m.busIdx = s.cols[c].Attach(memAgent{m})
 		s.mems[c] = m
 	}
@@ -346,8 +355,7 @@ func (s *System) Reset() {
 // is defined here and nowhere else.
 func (s *System) reset() {
 	for _, sh := range s.shards {
-		clear(sh.txnStats)
-		sh.strays = 0
+		*sh = sysShard{}
 	}
 	for i := range s.rows {
 		s.rows[i].Reset()
@@ -451,16 +459,18 @@ func (s *System) ColBus(i int) *bus.Bus { return s.cols[i] }
 // across shards (integer sums, so sequential and parallel runs of the
 // same machine agree byte for byte).
 func (s *System) Stats() map[Txn]TxnStats {
-	out := make(map[Txn]TxnStats, len(s.shards[0].txnStats))
+	out := make(map[Txn]TxnStats, len(txnNames))
 	for _, sh := range s.shards {
-		//multicube:detrange-ok map-to-map merge of commutative sums
 		for t, st := range sh.txnStats {
-			agg := out[t]
+			if st.Count == 0 {
+				continue // a type that never completed has no entry
+			}
+			agg := out[Txn(t)]
 			agg.Count += st.Count
 			agg.TotalLatency += st.TotalLatency
 			agg.RowOps += st.RowOps
 			agg.ColOps += st.ColOps
-			out[t] = agg
+			out[Txn(t)] = agg
 		}
 	}
 	return out
@@ -535,13 +545,14 @@ func (s *System) replyOpAt(born sim.Time, txn Txn, flags Flags, origin topology.
 }
 
 // dataOpAt builds a data-carrying operation with an explicit payload
-// birth time; data is copied. Issuers pass their own kernel's clock —
-// in parallel mode the system kernel's clock lags the partitions', so
-// the system must never read it for timestamps.
+// birth time. The operation keeps data, one block which nothing may
+// write from here on: a source passes a copy of the words it read (a
+// cache entry, memory), and a controller relaying an operation passes
+// that operation's payload, which the two then share. Issuers pass
+// their own kernel's clock — in parallel mode the system kernel's clock
+// lags the partitions', so the system must never read it for timestamps.
 func (s *System) dataOpAt(born sim.Time, txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	buf := make([]uint64, s.cfg.BlockWords)
-	copy(buf, data)
-	return &Op{Txn: txn, Flags: flags, Origin: origin, Line: line, Data: buf, occ: s.dataOccupancy(), trace: trace, born: born}
+	return &Op{Txn: txn, Flags: flags, Origin: origin, Line: line, Data: data, occ: s.dataOccupancy(), trace: trace, born: born}
 }
 
 // forwardOp rebuilds a data reply for the next bus hop, preserving the
@@ -552,7 +563,7 @@ func (s *System) forwardOp(src *Op, flags Flags, trace *TxnTrace) *Op {
 
 // sysShard is one partition's slice of the transaction accounting.
 type sysShard struct {
-	txnStats map[Txn]*TxnStats
+	txnStats [len(txnNames)]TxnStats // indexed by Txn
 	strays   uint64
 }
 
@@ -560,11 +571,7 @@ func (sh *sysShard) recordCompletion(now sim.Time, tr *TxnTrace) {
 	if tr == nil {
 		return
 	}
-	st := sh.txnStats[tr.Txn]
-	if st == nil {
-		st = &TxnStats{}
-		sh.txnStats[tr.Txn] = st
-	}
+	st := &sh.txnStats[tr.Txn]
 	st.Count++
 	st.TotalLatency += now - tr.Started
 	st.RowOps += uint64(tr.RowOps)

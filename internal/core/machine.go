@@ -131,6 +131,7 @@ func New(cfg Config) (*Machine, error) {
 	for id := range m.procs {
 		coord := grid.Coord(topology.NodeID(id))
 		p := &Processor{m: m, id: id, node: sys.Node(coord)}
+		p.onDone = p.complete
 		if cfg.L1Lines > 0 {
 			l1, err := cache.NewProcessorCache(cfg.L1Lines, cfg.L1Assoc, m.cfg.BlockWords)
 			if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/topology"
@@ -20,8 +22,22 @@ type Processor struct {
 	node *coherence.Node
 	l1   *cache.ProcessorCache
 
+	// ref is the outstanding load or store. Keeping it here lets every
+	// reference complete through onDone, bound once when the machine is
+	// built, so issuing one allocates nothing.
+	ref    reference
+	onDone func(coherence.Result)
+
 	loads, stores   uint64
 	l1Hits, l1Fills uint64
+}
+
+// reference is a load or store in progress.
+type reference struct {
+	off   int // word within the line
+	store bool
+	value uint64       // what a store writes
+	done  func(uint64) // nil when no reference is outstanding
 }
 
 // ID returns the processor's linearized id.
@@ -61,17 +77,8 @@ func (p *Processor) LoadAsync(addr Addr, done func(uint64)) {
 			return
 		}
 	}
-	p.node.Read(line, func(coherence.Result) {
-		e := p.node.CacheEntry(line)
-		if e == nil {
-			// The line was invalidated between completion and this
-			// callback; impossible within one event, so treat as a bug.
-			panic("core: line missing immediately after read completion")
-		}
-		v := e.Data[off]
-		p.fillL1(line, e.Data)
-		done(v)
-	})
+	p.begin(reference{off: off, done: done})
+	p.node.Read(line, p.onDone)
 }
 
 // StoreAsync writes value to addr, invoking done when the line is held
@@ -88,18 +95,37 @@ func (p *Processor) StoreAsync(addr Addr, value uint64, done func()) {
 func (p *Processor) StoreAsyncObs(addr Addr, value uint64, done func(old uint64)) {
 	p.stores++
 	line, off := p.m.LineOf(addr)
-	p.node.Write(line, func(coherence.Result) {
-		e := p.node.CacheEntry(line)
-		if e == nil {
-			panic("core: line missing immediately after write completion")
-		}
-		old := e.Data[off]
-		e.Data[off] = value
+	p.begin(reference{off: off, store: true, value: value, done: done})
+	p.node.Write(line, p.onDone)
+}
+
+// begin records the outstanding reference.
+func (p *Processor) begin(ref reference) {
+	if p.ref.done != nil {
+		panic(fmt.Sprintf("core: processor %d issued a reference with one outstanding", p.id))
+	}
+	p.ref = ref
+}
+
+// complete finishes the outstanding reference, whose line is now held in
+// r.Entry (readable, or modified for a store). The reference is
+// forgotten before done runs: done may issue the next one at once.
+func (p *Processor) complete(r coherence.Result) {
+	ref, e := p.ref, r.Entry
+	p.ref = reference{}
+	if e == nil {
+		panic("core: reference completed with the line absent")
+	}
+	v := e.Data[ref.off]
+	if ref.store {
+		e.Data[ref.off] = ref.value
 		if p.l1 != nil {
-			p.l1.WriteThrough(line, off, value)
+			p.l1.WriteThrough(e.Line, ref.off, ref.value)
 		}
-		done(old)
-	})
+	} else {
+		p.fillL1(e.Line, e.Data)
+	}
+	ref.done(v)
 }
 
 // AllocateAsync issues the ALLOCATE hint for the line containing addr:

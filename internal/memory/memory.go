@@ -20,6 +20,8 @@ package memory
 import (
 	"fmt"
 	"sort"
+
+	"multicube/internal/linetable"
 )
 
 // Line addresses a coherency block.
@@ -30,10 +32,10 @@ type Line uint64
 // owning every line.
 type Store struct {
 	blockWords int
-	data       map[Line][]uint64
-	invalid    map[Line]bool
-	// spare is Load's scratch: the blocks in place, while it rebuilds the
-	// map out of them.
+	data       linetable.Table[[]uint64] // written lines
+	invalid    linetable.Table[struct{}] // lines whose valid bit is clear
+	// spare is Load's scratch: the blocks in place, while it rebuilds data
+	// out of them.
 	spare [][]uint64
 
 	reads       uint64
@@ -47,11 +49,7 @@ func NewStore(blockWords int) (*Store, error) {
 	if blockWords < 1 {
 		return nil, fmt.Errorf("memory: block size %d words, need at least 1", blockWords)
 	}
-	return &Store{
-		blockWords: blockWords,
-		data:       make(map[Line][]uint64),
-		invalid:    make(map[Line]bool),
-	}, nil
+	return &Store{blockWords: blockWords}, nil
 }
 
 // MustNewStore is NewStore but panics on error.
@@ -64,36 +62,32 @@ func MustNewStore(blockWords int) *Store {
 }
 
 // Reset returns the module to its boot state — every line zero-filled
-// and valid, counters cleared — keeping the memory of its maps.
+// and valid, counters cleared — keeping the memory of its tables.
 func (s *Store) Reset() {
-	clear(s.data)
-	clear(s.invalid)
+	s.data.Clear()
+	s.invalid.Clear()
 	s.reads, s.writes, s.invalidates, s.reissues = 0, 0, 0, 0
 }
 
 // Saved is a caller-owned buffer holding a module's contents, valid bits
 // and counters. Save fills it and keeps its capacity.
 type Saved struct {
-	// lines are the written lines in no particular order; words holds one
-	// block per line, in the same order.
+	// lines are the written lines in table order; words holds one block
+	// per line, in the same order.
 	lines   []Line
 	words   []uint64
-	invalid []Line
+	invalid linetable.Table[struct{}]
 	stats   Stats
 }
 
 // Save copies the module's contents into st.
 func (s *Store) Save(st *Saved) {
-	st.lines, st.words, st.invalid = st.lines[:0], st.words[:0], st.invalid[:0]
-	//multicube:detrange-ok copied as a set; Load rebuilds the map from it
-	for l, buf := range s.data {
-		st.lines = append(st.lines, l)
+	st.lines, st.words = st.lines[:0], st.words[:0]
+	s.data.Each(func(l uint64, buf []uint64) {
+		st.lines = append(st.lines, Line(l))
 		st.words = append(st.words, buf...)
-	}
-	//multicube:detrange-ok copied as a set; Load rebuilds the map from it
-	for l := range s.invalid {
-		st.invalid = append(st.invalid, l)
-	}
+	})
+	st.invalid.CopyFrom(&s.invalid)
 	st.stats = s.Stats()
 }
 
@@ -101,11 +95,8 @@ func (s *Store) Save(st *Saved) {
 // from a module of the same block size), reusing the blocks it holds.
 func (s *Store) Load(st *Saved) {
 	spare := s.spare[:0]
-	//multicube:detrange-ok collects the blocks as a set, for reuse
-	for _, buf := range s.data {
-		spare = append(spare, buf)
-	}
-	clear(s.data)
+	s.data.Each(func(_ uint64, buf []uint64) { spare = append(spare, buf) })
+	s.data.Clear()
 	for i, l := range st.lines {
 		var buf []uint64
 		if n := len(spare); n > 0 {
@@ -114,14 +105,11 @@ func (s *Store) Load(st *Saved) {
 			buf = make([]uint64, s.blockWords)
 		}
 		copy(buf, st.words[i*s.blockWords:])
-		s.data[l] = buf
+		s.data.Put(uint64(l), buf)
 	}
 	clear(spare) // blocks the saved module has no use for go to the collector
 	s.spare = spare[:0]
-	clear(s.invalid)
-	for _, l := range st.invalid {
-		s.invalid[l] = true
-	}
+	s.invalid.CopyFrom(&st.invalid)
 	s.reads, s.writes, s.invalidates, s.reissues = st.stats.Reads, st.stats.Writes, st.stats.Invalidates, st.stats.Reissues
 }
 
@@ -130,22 +118,24 @@ func (s *Store) BlockWords() int { return s.blockWords }
 
 // Valid reports the line's tag bit: true when memory holds the current
 // value.
-func (s *Store) Valid(line Line) bool { return !s.invalid[line] }
+func (s *Store) Valid(line Line) bool {
+	_, invalid := s.invalid.Get(uint64(line))
+	return !invalid
+}
 
 // Read returns a copy of the line's contents. Reading an invalid line is
 // the caller's protocol error; the store returns the stale words, exactly
 // as the hardware would.
 func (s *Store) Read(line Line) []uint64 {
 	s.reads++
-	out := make([]uint64, s.blockWords)
-	copy(out, s.data[line])
-	return out
+	return s.Peek(line)
 }
 
 // Peek is Read without statistics, for invariant checkers.
 func (s *Store) Peek(line Line) []uint64 {
 	out := make([]uint64, s.blockWords)
-	copy(out, s.data[line])
+	buf, _ := s.data.Get(uint64(line))
+	copy(out, buf)
 	return out
 }
 
@@ -153,23 +143,20 @@ func (s *Store) Peek(line Line) []uint64 {
 // the protocol's "write memory line and mark line valid".
 func (s *Store) Write(line Line, data []uint64) {
 	s.writes++
-	buf, ok := s.data[line]
+	buf, ok := s.data.Get(uint64(line))
 	if !ok {
 		buf = make([]uint64, s.blockWords)
-		s.data[line] = buf
+		s.data.Put(uint64(line), buf)
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	copy(buf, data)
-	delete(s.invalid, line)
+	clear(buf[copy(buf, data):])
+	s.invalid.Delete(uint64(line))
 }
 
 // Invalidate clears the valid bit — the line is now modified in some
 // cache and the memory copy is stale.
 func (s *Store) Invalidate(line Line) {
 	s.invalidates++
-	s.invalid[line] = true
+	s.invalid.Put(uint64(line), struct{}{})
 }
 
 // CountReissue records that a request arrived for an invalid line and was
@@ -190,7 +177,7 @@ func (s *Store) Stats() Stats {
 }
 
 // InvalidLines returns the number of lines currently marked invalid.
-func (s *Store) InvalidLines() int { return len(s.invalid) }
+func (s *Store) InvalidLines() int { return s.invalid.Len() }
 
 // ForEach visits, in ascending line order, every line whose state differs
 // from the boot state (all-zero contents, valid). State fingerprints in
@@ -198,26 +185,17 @@ func (s *Store) InvalidLines() int { return len(s.invalid) }
 // is indistinguishable from one never written — exactly the semantics of
 // the zero-filled store.
 func (s *Store) ForEach(fn func(line Line, valid bool, data []uint64)) {
-	lines := make([]Line, 0, len(s.data)+len(s.invalid))
-	seen := make(map[Line]bool, len(s.data)+len(s.invalid))
-	add := func(l Line) {
-		if !seen[l] {
-			seen[l] = true
-			lines = append(lines, l)
+	lines := make([]Line, 0, s.data.Len()+s.invalid.Len())
+	s.data.Each(func(l uint64, _ []uint64) { lines = append(lines, Line(l)) })
+	s.invalid.Each(func(l uint64, _ struct{}) {
+		if _, written := s.data.Get(l); !written {
+			lines = append(lines, Line(l))
 		}
-	}
-	//multicube:detrange-ok keys feed the sort below via add
-	for l := range s.data {
-		add(l)
-	}
-	//multicube:detrange-ok keys feed the sort below via add
-	for l := range s.invalid {
-		add(l)
-	}
+	})
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	for _, l := range lines {
-		valid := !s.invalid[l]
-		data := s.data[l]
+		valid := s.Valid(l)
+		data, _ := s.data.Get(uint64(l))
 		if valid {
 			zero := true
 			for _, w := range data {

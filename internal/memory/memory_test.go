@@ -150,7 +150,7 @@ func TestSaveLoadRewinds(t *testing.T) {
 		}
 	}
 	dump := func(s *Store) string {
-		out := fmt.Sprintf("%+v invalid=%d written=%d", s.Stats(), s.InvalidLines(), len(s.data))
+		out := fmt.Sprintf("%+v invalid=%d written=%d", s.Stats(), s.InvalidLines(), s.data.Len())
 		for l := Line(0); l < 8; l++ {
 			out += fmt.Sprintf(" %d:%v%v", l, s.Valid(l), s.Peek(l))
 		}

@@ -21,6 +21,8 @@ package mlt
 import (
 	"fmt"
 	"sort"
+
+	"multicube/internal/linetable"
 )
 
 // Line addresses a coherency block; it matches cache.Line.
@@ -57,8 +59,8 @@ type entry struct {
 // Table is one modified line table.
 type Table struct {
 	cfg   Config
-	sets  [][]entry
-	table map[Line]struct{}
+	sets  [][]entry                 // bounded mode
+	table linetable.Table[struct{}] // unbounded mode
 	clock uint64
 
 	inserts   uint64
@@ -83,8 +85,6 @@ func New(cfg Config) (*Table, error) {
 		for i := range t.sets {
 			t.sets[i] = make([]entry, assoc)
 		}
-	} else {
-		t.table = make(map[Line]struct{})
 	}
 	return t, nil
 }
@@ -101,7 +101,7 @@ func MustNew(cfg Config) *Table {
 // Reset empties the table and clears its counters, back to the state New
 // leaves it in, keeping its configuration and memory.
 func (t *Table) Reset() {
-	clear(t.table)
+	t.table.Clear()
 	for _, set := range t.sets {
 		clear(set)
 	}
@@ -112,22 +112,19 @@ func (t *Table) Reset() {
 // Saved is a caller-owned buffer holding a table's contents, replacement
 // clock and counters. Save fills it and keeps its capacity.
 type Saved struct {
-	entries []entry // the bounded table's slots, in set order
-	lines   []Line  // the unbounded table's lines, in no particular order
+	entries []entry                   // the bounded table's slots, in set order
+	table   linetable.Table[struct{}] // the unbounded table
 	clock   uint64
 	stats   Stats
 }
 
 // Save copies the table's contents into st.
 func (t *Table) Save(st *Saved) {
-	st.entries, st.lines = st.entries[:0], st.lines[:0]
+	st.entries = st.entries[:0]
 	for _, set := range t.sets {
 		st.entries = append(st.entries, set...)
 	}
-	//multicube:detrange-ok copied as a set; Load rebuilds the index from it
-	for l := range t.table {
-		st.lines = append(st.lines, l)
-	}
+	st.table.CopyFrom(&t.table)
 	st.clock, st.stats = t.clock, t.Stats()
 }
 
@@ -138,10 +135,7 @@ func (t *Table) Load(st *Saved) {
 	for _, set := range t.sets {
 		entries = entries[copy(set, entries):]
 	}
-	clear(t.table)
-	for _, l := range st.lines {
-		t.table[l] = struct{}{}
-	}
+	t.table.CopyFrom(&st.table)
 	t.clock = st.clock
 	t.inserts, t.removes, t.failures, t.overflows = st.stats.Inserts, st.stats.Removes, st.stats.Failures, st.stats.Overflows
 }
@@ -156,7 +150,7 @@ func (t *Table) setOf(line Line) []entry {
 // performs when snooping a row-bus request ("table entry found").
 func (t *Table) Contains(line Line) bool {
 	if !t.bounded() {
-		_, ok := t.table[line]
+		_, ok := t.table.Get(uint64(line))
 		return ok
 	}
 	set := t.setOf(line)
@@ -174,7 +168,7 @@ func (t *Table) Insert(line Line) (victim Line, overflow bool) {
 	t.inserts++
 	t.clock++
 	if !t.bounded() {
-		t.table[line] = struct{}{}
+		t.table.Put(uint64(line), struct{}{})
 		return 0, false
 	}
 	set := t.setOf(line)
@@ -210,8 +204,7 @@ func (t *Table) Insert(line Line) (victim Line, overflow bool) {
 func (t *Table) Remove(line Line) bool {
 	t.removes++
 	if !t.bounded() {
-		if _, ok := t.table[line]; ok {
-			delete(t.table, line)
+		if t.table.Delete(uint64(line)) {
 			return true
 		}
 		t.failures++
@@ -231,7 +224,7 @@ func (t *Table) Remove(line Line) bool {
 // Len reports the number of entries.
 func (t *Table) Len() int {
 	if !t.bounded() {
-		return len(t.table)
+		return t.table.Len()
 	}
 	n := 0
 	for _, set := range t.sets {
@@ -247,16 +240,11 @@ func (t *Table) Len() int {
 // Lines returns all entries in ascending order, for invariant checks.
 func (t *Table) Lines() []Line {
 	var out []Line
-	if !t.bounded() {
-		for l := range t.table {
-			out = append(out, l)
-		}
-	} else {
-		for _, set := range t.sets {
-			for i := range set {
-				if set[i].valid {
-					out = append(out, set[i].line)
-				}
+	t.table.Each(func(l uint64, _ struct{}) { out = append(out, Line(l)) })
+	for _, set := range t.sets {
+		for i := range set {
+			if set[i].valid {
+				out = append(out, set[i].line)
 			}
 		}
 	}

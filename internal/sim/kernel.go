@@ -19,10 +19,7 @@
 //multicube:deterministic
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Time is simulated time in nanoseconds since the start of the run.
 type Time uint64
@@ -338,6 +335,8 @@ type Kernel struct {
 
 	// executed counts events dispatched, for diagnostics and tests.
 	executed uint64
+	// dispatching is the tag of the event being dispatched (Dispatching).
+	dispatching any
 
 	// stamper, when non-nil, stamps every scheduled event with a Birth
 	// key derived from the event currently executing. The parallel
@@ -489,11 +488,23 @@ func (k *Kernel) SetChooser(ch Chooser, allEvents bool) {
 // ForEachPending visits every pending event's (time, tag) in scheduling
 // order. Model checkers include the pending set in state fingerprints.
 func (k *Kernel) ForEachPending(fn func(at Time, tag any)) {
-	ordered := append(eventHeap(nil), k.events...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered.Less(i, j) })
-	for _, e := range ordered {
+	for _, e := range k.sorted() {
 		fn(e.at, e.tag)
 	}
+}
+
+// sorted copies the pending events, each with its heap position, into
+// the kernel's scratch buffer in (time, sequence) order. A Chooser may
+// come back here through ForEachPending while stepChosen still reads the
+// buffer: the heap has not changed, so it is rewritten with what it holds.
+func (k *Kernel) sorted() []scratchEvent {
+	ordered := k.ordered[:0]
+	for i := range k.events {
+		ordered = append(ordered, scratchEvent{event: k.events[i], heapIdx: i})
+	}
+	sortEvents(ordered)
+	k.ordered = ordered
+	return ordered
 }
 
 // ForEachPendingTag visits every pending event's tag in arbitrary
@@ -505,6 +516,12 @@ func (k *Kernel) ForEachPendingTag(fn func(tag any)) {
 		fn(k.events[i].tag)
 	}
 }
+
+// Dispatching returns the tag of the event whose body is running: in
+// effect the body's argument. A component that schedules many events
+// with one body, built at construction, tells them apart by it and
+// allocates no closure per event. Outside an event body it is stale.
+func (k *Kernel) Dispatching() any { return k.dispatching }
 
 // Step dispatches one event — the single earliest, or the chooser's pick
 // among the candidate set when a Chooser is installed. It reports false
@@ -520,6 +537,7 @@ func (k *Kernel) Step() bool {
 		if k.stamper != nil {
 			k.stamper.beginEvent(&e)
 		}
+		k.dispatching = e.tag
 		e.fn()
 		return true
 	}
@@ -530,12 +548,7 @@ func (k *Kernel) Step() bool {
 // (time, sequence) order, so choice 0 is exactly the event the default
 // path would dispatch.
 func (k *Kernel) stepChosen() bool {
-	ordered := k.ordered[:0]
-	for i := range k.events {
-		ordered = append(ordered, scratchEvent{event: k.events[i], heapIdx: i})
-	}
-	sortEvents(ordered)
-	k.ordered = ordered
+	ordered := k.sorted()
 	n := len(ordered)
 	if !k.allEvents {
 		n = 1
@@ -567,6 +580,7 @@ func (k *Kernel) stepChosen() bool {
 		obs.Dispatched(e.tag)
 	}
 	k.executed++
+	k.dispatching = e.tag
 	e.fn()
 	return true
 }
@@ -659,6 +673,7 @@ func (k *Kernel) RunWindow(limit Time) uint64 {
 		if k.stamper != nil {
 			k.stamper.beginEvent(&e)
 		}
+		k.dispatching = e.tag
 		e.fn()
 		n++
 	}
@@ -677,6 +692,7 @@ func (k *Kernel) StepAt(t Time) bool {
 	if k.stamper != nil {
 		k.stamper.beginEvent(&e)
 	}
+	k.dispatching = e.tag
 	e.fn()
 	return true
 }

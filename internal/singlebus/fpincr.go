@@ -138,7 +138,7 @@ func (f *FPCache) BeginPoint(extra ExtraTagFunc) {
 			e.kind = evGrant
 		case bus.DeliverTag:
 			e.kind = evDeliver
-			e.op = t.Pkt.(*op)
+			e.op = t.Pkt().(*op)
 		default:
 			e.kind = evOpaque
 			if extra != nil {

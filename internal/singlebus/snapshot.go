@@ -157,7 +157,7 @@ func (m *Machine) Fingerprint(perm []int, extraTag func(tag any) (uint64, bool))
 			eh.Word(0x11)
 		case bus.DeliverTag:
 			eh.Word(0x12)
-			eh.Word(t.Pkt.(*op).fp(perm))
+			eh.Word(t.Pkt().(*op).fp(perm))
 		default:
 			if extraTag != nil {
 				if fp, ok := extraTag(tag); ok {
