@@ -55,7 +55,7 @@ func run() int {
 	noMin := flag.Bool("no-minimize", false, "skip counterexample shrinking")
 	scNodes := flag.Int("sc-nodes", 0, "per-execution SC search node budget for CheckSC scenarios (0 = memmodel default)")
 	quiet := flag.Bool("quiet", false, "suppress the bus trace on violations")
-	checkFP := flag.Bool("checkfp", false, "cross-check the incremental fingerprint against a from-scratch recompute at every choice point (slow)")
+	checkFP := flag.Bool("checkfp", false, "cross-check the incremental fingerprint against a from-scratch recompute at every choice point (slow; grid scenarios only)")
 	storeDir := flag.String("store", "", "spill directory for the visited-state store (empty = memory-only)")
 	memBudget := flag.Int64("mem-budget", 0, "visited-store memory budget in bytes before spilling to -store (0 = unbounded)")
 	ckptDir := flag.String("checkpoint", "", "directory for periodic search checkpoints (requires -workers 1)")
@@ -184,7 +184,9 @@ func run() int {
 		fmt.Printf("coverage  partial (depth %d)\n", res.Depth)
 	}
 	fmt.Printf("elapsed   %v\n", elapsed)
-	fmt.Printf("fp        %d component recomputes, %d cache hits\n", res.FPRecomputes, res.FPIncremental)
+	if res.FPRecomputes+res.FPIncremental > 0 {
+		fmt.Printf("fp        %d component recomputes, %d cache hits\n", res.FPRecomputes, res.FPIncremental)
+	}
 	if res.Steps > 0 {
 		fmt.Printf("replay    %d of %d kernel steps (%.1f %%)\n", res.ReplaySteps, res.Steps,
 			100*float64(res.ReplaySteps)/float64(res.Steps))

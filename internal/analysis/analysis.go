@@ -14,8 +14,8 @@
 //
 //   - Fingerprint-generation discipline: every mutation of
 //     fingerprint-visible state must be covered by a generation-counter
-//     bump, or the incremental fingerprint cache (internal/coherence/fpincr,
-//     internal/singlebus/fpincr) silently merges distinct states.
+//     bump, or the incremental fingerprint cache
+//     (internal/coherence/fpincr) silently merges distinct states.
 //   - Explorer determinism: no wall clock, no unseeded randomness, no
 //     map-iteration-order dependence, and no nondeterministic branching
 //     outside the chooser seam in the deterministic packages.

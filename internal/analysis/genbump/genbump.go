@@ -1,9 +1,9 @@
 // Package genbump enforces the fingerprint-generation discipline that the
-// incremental fingerprint caches (internal/coherence/fpincr,
-// internal/singlebus/fpincr) depend on: every mutation of
-// fingerprint-visible state must be covered by a bump of the owning
-// struct's generation counter, or the model checker silently merges
-// distinct states — the exact bug class PR 3's 3× speedup made possible.
+// incremental fingerprint cache (internal/coherence/fpincr) depends on:
+// every mutation of fingerprint-visible state must be covered by a bump
+// of the owning struct's generation counter, or the model checker
+// silently merges distinct states — the exact bug class PR 3's 3× speedup
+// made possible.
 //
 // State is registered two ways:
 //
@@ -87,7 +87,6 @@ type Config struct {
 var DefaultConfig = Config{
 	Packages: []string{
 		"multicube/internal/coherence",
-		"multicube/internal/singlebus",
 		"multicube/internal/bus",
 	},
 	Fields: []string{

@@ -57,37 +57,41 @@ func runGenbump(t *testing.T, modRoot, pattern string, overlay map[string][]byte
 	return findings
 }
 
-// TestDetectsStrippedBumpSinglebus is the acceptance proof for the pass:
-// deleting the generation bump at the top of the write-once snoop
-// handler — the exact omission that would silently corrupt the
-// incremental fingerprint cache — must produce diagnostics, while the
-// unmodified package stays clean.
-func TestDetectsStrippedBumpSinglebus(t *testing.T) {
+// TestDetectsStrippedBumpCoherence is the acceptance proof for the pass,
+// against the cache that carries the multi-million-state runs: deleting
+// the generation bump at the top of a grid processor entry point — the
+// exact omission that would silently corrupt the incremental fingerprint
+// cache — must produce diagnostics, while the unmodified package stays
+// clean. TestAndSet both writes the lock word itself (rule A) and reaches
+// beginPending's exempted writes (rule B), so one strip proves both.
+func TestDetectsStrippedBumpCoherence(t *testing.T) {
 	modRoot := analysistest.ModuleRoot(t)
 
-	if got := runGenbump(t, modRoot, "./internal/singlebus", nil); len(got) != 0 {
-		t.Fatalf("unmodified internal/singlebus should be clean, got %d findings:\n%s", len(got), render(got))
+	if got := runGenbump(t, modRoot, "./internal/coherence", nil); len(got) != 0 {
+		t.Fatalf("unmodified internal/coherence should be clean, got %d findings:\n%s", len(got), render(got))
 	}
 
-	overlay := stripBump(t, modRoot, "internal/singlebus/processor.go",
-		"func (p *Processor) snoop(o *op) {\n\tp.gen++\n",
-		"func (p *Processor) snoop(o *op) {\n")
-	got := runGenbump(t, modRoot, "./internal/singlebus", overlay)
-	if len(got) == 0 {
-		t.Fatal("genbump missed the stripped p.gen++ in (*Processor).snoop")
-	}
+	overlay := stripBump(t, modRoot, "internal/coherence/node.go",
+		"func (n *Node) TestAndSet(line cache.Line, done func(Result)) {\n\tn.gen++\n",
+		"func (n *Node) TestAndSet(line cache.Line, done func(Result)) {\n")
+	got := runGenbump(t, modRoot, "./internal/coherence", overlay)
+	var ruleA, ruleB bool
 	for _, f := range got {
 		pos := f.Pkg.Fset.Position(f.Diag.Pos)
-		if filepath.Base(pos.Filename) != "processor.go" {
-			t.Errorf("finding outside processor.go: %s", f)
+		if filepath.Base(pos.Filename) != "node.go" {
+			t.Errorf("finding outside node.go: %s", f)
 		}
-		// Rule A fires at each uncovered write; rule B additionally fires
-		// at the exported Snoop wrapper, whose obligation was previously
-		// discharged by the stripped bump.
-		if !strings.Contains(f.Diag.Message, "without a generation bump") &&
-			!strings.Contains(f.Diag.Message, "reaches fingerprint-visible writes") {
+		switch {
+		case strings.Contains(f.Diag.Message, "without a generation bump"):
+			ruleA = true
+		case strings.Contains(f.Diag.Message, "exported TestAndSet reaches fingerprint-visible writes"):
+			ruleB = true
+		default:
 			t.Errorf("unexpected message: %s", f.Diag.Message)
 		}
+	}
+	if !ruleA || !ruleB {
+		t.Fatalf("stripped n.gen++ in (*Node).TestAndSet: rule A fired %v, rule B fired %v:\n%s", ruleA, ruleB, render(got))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,23 +100,26 @@ func TestExecutorCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestExecutorCheckpointSkippedWhenParallel pins the guard: with
-// explorer parallelism on, checkpointing is skipped (not an error) and
-// jobs still complete.
-func TestExecutorCheckpointSkippedWhenParallel(t *testing.T) {
-	root := t.TempDir()
-	spec, fp := mcSpec(t, `{"kind":"mc","mc":{"preset":"sb-writeonce-race"}}`)
-	x := executor{mcWorkers: 2, checkpointRoot: root}
-	res := x.run(context.Background(), spec, fp, nil)
-	if res.Verdict != "ok" {
-		t.Fatalf("verdict = %q (err %q), want ok", res.Verdict, res.Error)
+// TestNewRejectsCheckpointWithParallelExplorer pins the guard: an
+// operator who asks for resumable mc jobs and explorer parallelism at
+// once is told at start-up, not served jobs that silently never
+// checkpoint.
+func TestNewRejectsCheckpointWithParallelExplorer(t *testing.T) {
+	srv, err := New(Config{MCCheckpointDir: t.TempDir(), MCWorkers: 2})
+	if err == nil {
+		srv.Close(context.Background())
+		t.Fatal("New accepted MCCheckpointDir with MCWorkers 2")
 	}
-	if res.MC.Resumed {
-		t.Fatal("parallel job claims a resume")
+	for _, want := range []string{"MCCheckpointDir", "MCWorkers"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(root, fpShard(fp), fp)); !os.IsNotExist(err) {
-		t.Fatal("parallel executor wrote a checkpoint directory")
+	srv, err = New(Config{MCCheckpointDir: t.TempDir(), MCWorkers: 1})
+	if err != nil {
+		t.Fatalf("sequential explorer with checkpoints refused: %v", err)
 	}
+	srv.Close(context.Background())
 }
 
 // TestServerSurfacesResumeMetrics checks the /metrics plumbing for the

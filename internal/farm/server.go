@@ -41,8 +41,8 @@ type Config struct {
 	// resubmission of a killed or timed-out job (which is never cached)
 	// resumes from the last checkpoint instead of starting over.
 	// Checkpoints of completed jobs are deleted — the cached result
-	// supersedes them. Requires MCWorkers <= 1; otherwise checkpointing
-	// is silently skipped.
+	// supersedes them. Requires MCWorkers <= 1 (the explorer checkpoints
+	// only a sequential search); New rejects the combination.
 	MCCheckpointDir string
 	// MCCheckpointEvery is the executions-between-checkpoints cadence
 	// for resumable mc jobs; 0 uses the explorer default.
@@ -175,6 +175,9 @@ type Server struct {
 // attach Handler to an http.Server to serve it).
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
+	if cfg.MCCheckpointDir != "" && cfg.MCWorkers > 1 {
+		return nil, fmt.Errorf("farm: MCCheckpointDir requires MCWorkers <= 1 (the explorer checkpoints only a sequential search), got MCWorkers %d", cfg.MCWorkers)
+	}
 	cache, err := NewCache(cfg.CacheDir, cfg.CacheMemEntries)
 	if err != nil {
 		return nil, err

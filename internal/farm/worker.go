@@ -42,7 +42,7 @@ type executor struct {
 	// checkpointRoot, when non-empty, gives each mc job a checkpoint
 	// directory keyed by its fingerprint, making killed jobs resumable
 	// on resubmission. Checkpointing composes only with the sequential
-	// pass, so it is skipped when mcWorkers exceeds 1.
+	// pass: New refuses a root together with mcWorkers above 1.
 	checkpointRoot string
 	// mcCheckpointEvery overrides the checkpoint cadence (0 = explorer
 	// default).
@@ -81,7 +81,7 @@ func (x *executor) runMC(ctx context.Context, spec *jobspec.MCSpec, res *jobspec
 	opts.Ctx = ctx
 	opts.Workers = x.mcWorkers
 	ckdir := ""
-	if x.checkpointRoot != "" && x.mcWorkers <= 1 {
+	if x.checkpointRoot != "" {
 		// Per-job checkpoint directory under the job fingerprint, sharded
 		// like the result cache. Resume is unconditional: a fresh job sees
 		// an empty directory (ErrNoCheckpoint → fresh start), a resubmitted

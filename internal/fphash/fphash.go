@@ -1,7 +1,7 @@
 // Package fphash is the one hasher behind every state and transition
 // fingerprint of the model checker: the machine fingerprints of
-// internal/coherence and internal/singlebus (full-walk and incremental),
-// the driver and canonical-minimum combines of internal/mc, and the
+// internal/coherence (full-walk and incremental) and internal/singlebus
+// (full-walk), the driver and canonical-minimum combines of internal/mc, and the
 // transition identities sleep sets compare. Callers feed it a sequence of
 // 64-bit words — a byte or a bool is one word — and read the state back as
 // the fingerprint; what is fed, and so which states are told apart, is

@@ -89,6 +89,8 @@ type Options struct {
 	// scratch with a fresh cache and compared against the incremental
 	// value, panicking on any divergence (the -checkfp flag). Slow;
 	// intended for tests and debugging the fingerprint fast path.
+	// Grid scenarios only: the single-bus baseline has one fingerprint,
+	// a full walk, and nothing to cross-check it against.
 	CheckFP bool
 	// Ctx, when non-nil, cancels the exploration cooperatively: it is
 	// consulted at frontier boundaries (between executions), so a cancel returns within one bounded run — MaxStepsPerRun kernel
@@ -144,9 +146,10 @@ type Options struct {
 	// "pre-checkpoint"/"post-checkpoint" so crash-injection tests can die
 	// exactly there (by panicking or killing the process).
 	faultHook func(string)
-	// legacyFP swaps the incremental component-hashed fingerprint for the
-	// original full-walk Fingerprint, so tests can assert the two induce
-	// the same state partition (identical States counts and verdicts).
+	// legacyFP swaps the grid's incremental component-hashed fingerprint
+	// for the full-walk reference (FingerprintRC), so tests can assert the
+	// two induce the same state partition (identical States counts and
+	// verdicts).
 	legacyFP bool
 }
 
@@ -222,7 +225,8 @@ type Result struct {
 	// cache hits in the incremental fingerprint path, summed over every
 	// execution of the search whose result this is (minimization replays
 	// and a parallel pass's sequential re-derivation keep their own
-	// explorers and are not included). Zero under legacyFP. Like Steps,
+	// explorers and are not included). Zero under legacyFP and on the
+	// single-bus baseline, which caches nothing. Like Steps,
 	// ReplaySteps, Restores and PeakBoundaries below they measure what the
 	// search cost this host, not what it found: they depend on which runs
 	// had a saved boundary to start from (a resumed search replays its
@@ -291,7 +295,7 @@ type checker interface {
 	// that would be granted) on the named bus.
 	grantClass(busName string, tag any) tagClass
 	// fpStats reports this execution's incremental-fingerprint counters
-	// (component recomputes, cache hits).
+	// (component recomputes, cache hits); zero where nothing is cached.
 	fpStats() (recomputes, incremental uint64)
 	// scStats reports this execution's sequential-consistency checks and
 	// how many were cut by the node budget (zero unless Scenario.CheckSC).

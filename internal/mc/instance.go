@@ -12,37 +12,16 @@ import (
 	"multicube/internal/topology"
 )
 
-// stepTag tags the kernel event that issues a processor's next program
-// operation, so processor progress competes with protocol events at
-// every choice point and is visible to fingerprints.
-type stepTag struct {
-	proc int
-	step int
-}
-
-func (t stepTag) String() string { return fmt.Sprintf("proc%d step %d", t.proc, t.step) }
-
 // instance runs executions of a grid scenario, one after the other, on
 // one kernel and machine that reset (to the initial state) or load (to a
 // saved boundary) rewinds between them: the per-processor program
 // counters, the witness and the fingerprint caches belong to the
 // execution in progress.
 type instance struct {
-	sc  *Scenario
-	sh  *shared
-	k   *sim.Kernel
+	driver
 	sys *coherence.System
 
-	pc        []int      // next op index per processor
-	completed int        // ops completed across all processors
-	held      [][]uint64 // sorted held lock lines per processor
-	wit       *witness
-	// issueFn[p] is the kernel event body issuing processor p's next op.
-	issueFn []func()
-
-	// Cross-address SC check counters (Scenario.CheckSC only).
-	scChecks    uint64
-	scUndecided uint64
+	held [][]uint64 // sorted held lock lines per processor
 
 	// Incremental fingerprint state: the machine-component cache, plus
 	// per-processor driver hashes behind dirty flags.
@@ -58,10 +37,6 @@ type instance struct {
 	modLines [][]cache.Line
 	modGen   []uint64
 	modSeen  []cache.Line
-
-	// failure is a driver-level protocol failure (e.g. a write that
-	// completed without the line present), reported as a violation.
-	failure string
 }
 
 // newInstance builds the machine and returns it at the start of its
@@ -79,24 +54,16 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 		Snarf:      sc.Snarf,
 	})
 	in := &instance{
-		sc:       sc,
-		sh:       sh,
-		k:        k,
 		sys:      sys,
-		pc:       make([]int, len(sc.Procs)),
 		held:     make([][]uint64, len(sc.Procs)),
-		wit:      newWitness(sc),
-		issueFn:  make([]func(), len(sc.Procs)),
 		fpc:      coherence.NewFPCache(sys),
 		drvH:     make([]uint64, len(sc.Procs)),
 		drvDirty: make([]bool, len(sc.Procs)),
 		modLines: make([][]cache.Line, sc.N*sc.N),
 		modGen:   make([]uint64, sc.N*sc.N),
 	}
-	for p := range sc.Procs {
-		p := p
-		in.issueFn[p] = func() { in.issue(p) }
-	}
+	in.driver = newDriver(sc, sh, in.issue, func(p int) string { return sc.Procs[p].At.String() })
+	in.k = k
 	in.reset()
 	return in
 }
@@ -111,14 +78,10 @@ func (in *instance) reset() {
 	in.sys.DisableStaleReplyPoisoning = in.sc.InjectStaleReply
 	in.fpc.Reset(in.sys)
 	in.begin()
-	in.completed = 0
-	in.wit.reset()
-	in.failure = ""
-	for p := range in.sc.Procs {
-		in.pc[p] = 0
+	for p := range in.held {
 		in.held[p] = in.held[p][:0]
-		in.k.AtTagged(0, stepTag{proc: p, step: 0}, in.issueFn[p])
 	}
+	in.start()
 }
 
 // begin is what reset and load share: the machine and the fingerprint
@@ -276,22 +239,11 @@ func (in *instance) issue(p int) {
 
 func (in *instance) complete(p int) {
 	in.drvDirty[p] = true
-	in.pc[p]++
-	in.completed++
-	if next := in.pc[p]; next < len(in.sc.Procs[p].Ops) {
-		in.k.AfterTagged(0, stepTag{proc: p, step: next}, in.issueFn[p])
-	}
-}
-
-func (in *instance) fail(msg string) {
-	if in.failure == "" {
-		in.failure = msg
-	}
+	in.driver.complete(p)
 }
 
 // --- the checker seam -----------------------------------------------------
 
-func (in *instance) kernel() *sim.Kernel     { return in.k }
 func (in *instance) enableMC(ch sim.Chooser) { in.sys.EnableModelChecking(ch) }
 
 // classify describes a kernel event tag to the partial-order reduction:
@@ -429,43 +381,10 @@ func (in *instance) dupModifiedScan() *Violation {
 	return nil
 }
 
-// quiescenceCheck runs when the kernel has no pending events: program
-// completion (a quiescent machine with unfinished programs means a
-// transaction was lost), the full Appendix A global-state oracle, and
-// the sequential-consistency witness.
+// quiescenceCheck: program completion, the full Appendix A global-state
+// oracle, and the SC witness.
 func (in *instance) quiescenceCheck() *Violation {
-	if in.completed < in.sc.TotalOps() {
-		var stuck []string
-		for p, pr := range in.sc.Procs {
-			if in.pc[p] < len(pr.Ops) {
-				stuck = append(stuck, fmt.Sprintf("%v at op %d/%d (%v line %d)",
-					pr.At, in.pc[p], len(pr.Ops), pr.Ops[in.pc[p]].Kind, pr.Ops[in.pc[p]].Line))
-			}
-		}
-		return &Violation{Kind: "deadlock",
-			Msg: fmt.Sprintf("machine quiescent with unfinished programs: %v", stuck)}
-	}
-	if errs := coherence.CheckInvariants(in.sys); len(errs) > 0 {
-		msg := errs[0].Error()
-		if len(errs) > 1 {
-			msg = fmt.Sprintf("%s (and %d more)", msg, len(errs)-1)
-		}
-		return &Violation{Kind: "invariant", Msg: msg}
-	}
-	if v := in.wit.check(); v != nil {
-		return v
-	}
-	if in.sc.CheckSC {
-		in.scChecks++
-		v, undecided := in.wit.checkSC(in.sh.scNodes)
-		if undecided {
-			in.scUndecided++
-		}
-		if v != nil {
-			return v
-		}
-	}
-	return nil
+	return in.quiescence(func() []error { return coherence.CheckInvariants(in.sys) })
 }
 
 // --- canonical fingerprints ----------------------------------------------
@@ -662,10 +581,6 @@ func (in *instance) driverFP(perm, cperm []int) uint64 {
 func (in *instance) fpStats() (recomputes, incremental uint64) {
 	r, u := in.fpc.Stats()
 	return r + in.drvRec, u + in.drvInc
-}
-
-func (in *instance) scStats() (checks, undecided uint64) {
-	return in.scChecks, in.scUndecided
 }
 
 // rowPermutations enumerates all relabelings of n rows. Beyond 4 rows

@@ -137,12 +137,17 @@ func TestSingleBusPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(sc, Options{MaxStates: 400000})
+	// CheckFP has nothing to cross-check on the baseline and must be
+	// accepted as a no-op; its fingerprint counters read zero.
+	res, err := Explore(sc, Options{MaxStates: 400000, CheckFP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violation != nil {
 		t.Fatalf("write-once baseline: %v", res.Violation)
+	}
+	if res.FPRecomputes != 0 || res.FPIncremental != 0 {
+		t.Fatalf("baseline reported fingerprint-cache counters %d/%d; it keeps no cache", res.FPRecomputes, res.FPIncremental)
 	}
 	if !res.Exhausted {
 		t.Fatalf("baseline space not exhausted (states=%d)", res.States)

@@ -222,37 +222,3 @@ func childSleep(n int, base sleepSet, done []tagClass, pick tagClass) sleepSet {
 	}
 	return out
 }
-
-// subsetOf reports a ⊆ b for sorted fingerprint slices.
-func subsetOf(a, b []uint64) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// intersectSorted returns a ∩ b for sorted fingerprint slices.
-func intersectSorted(a, b []uint64) []uint64 {
-	var out []uint64
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i < len(b) && b[i] == x {
-			out = append(out, x)
-			i++
-		}
-	}
-	return out
-}

@@ -320,66 +320,84 @@ func TestResumeNothingToResume(t *testing.T) {
 }
 
 // TestResumeRejectsOlderHasherCheckpoint re-stamps a checkpoint with the
-// options hash its manifest would carry had the previous explorer written
-// it ("v2|…|legacyAmple|legacyFP"): its frontier file would then be in a
-// record layout this explorer does not read, so resume must refuse it as
-// mismatched, say so, and search afresh to the uninterrupted result.
+// options hash its manifest would carry had an earlier explorer written
+// it — "v2|…|legacyAmple|legacyFP", whose frontier file is in a record
+// layout this explorer does not read, and "v3|…", whose single-bus run
+// files hold the fingerprints of the incremental cache the baseline no
+// longer has — so resume must refuse it as mismatched, say so, and search
+// afresh to the uninterrupted result.
 func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
-	sc, err := Preset("read-race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Explore(sc, Options{MaxStates: 400000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	opts := Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
-	func() {
-		defer func() { recover() }()
-		o := opts
-		o.faultHook = func(p string) {
-			if p == "post-checkpoint" {
-				panic(crashPanic{})
+	for _, c := range []struct {
+		version, preset string
+		stamp           func(o *Options) string
+	}{
+		{"v2", "read-race", func(o *Options) string {
+			return fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
+				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+				o.DisablePOR, o.DisableSleep, o.SCNodes, false, o.legacyFP)
+		}},
+		{"v3", "litmus-iriw-sb", func(o *Options) string {
+			return fmt.Sprintf("v3|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+		}},
+	} {
+		t.Run(c.version, func(t *testing.T) {
+			sc, err := Preset(c.preset)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		_, _ = Explore(sc, o)
-	}()
+			base, err := Explore(sc, Options{MaxStates: 400000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			opts := Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
+			func() {
+				defer func() { recover() }()
+				o := opts
+				o.faultHook = func(p string) {
+					if p == "post-checkpoint" {
+						panic(crashPanic{})
+					}
+				}
+				_, _ = Explore(sc, o)
+			}()
 
-	o := opts
-	o.fillDefaults()
-	current := optionsHash(&o)
-	older := fmt.Sprintf("%016x", fnvString(fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
-		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-		o.DisablePOR, o.DisableSleep, o.SCNodes, false, o.legacyFP)))
-	if older == current {
-		t.Fatal("the options hash did not change with the checkpoint format")
-	}
-	manifest := filepath.Join(dir, "MANIFEST.json")
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatalf("no checkpoint to re-stamp: %v", err)
-	}
-	if strings.Count(string(data), current) != 1 {
-		t.Fatalf("manifest does not carry the current options hash %s exactly once", current)
-	}
-	if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), current, older, 1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			o := opts
+			o.fillDefaults()
+			current := optionsHash(&o)
+			older := fmt.Sprintf("%016x", fnvString(c.stamp(&o)))
+			if older == current {
+				t.Fatal("the options hash did not change with the checkpoint format")
+			}
+			manifest := filepath.Join(dir, "MANIFEST.json")
+			data, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatalf("no checkpoint to re-stamp: %v", err)
+			}
+			if strings.Count(string(data), current) != 1 {
+				t.Fatalf("manifest does not carry the current options hash %s exactly once", current)
+			}
+			if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), current, older, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	o = opts
-	o.Resume = true
-	res, err := Explore(sc, o)
-	if err != nil {
-		t.Fatalf("resume over a v2 checkpoint: %v", err)
-	}
-	if res.Resumed {
-		t.Fatal("resumed from a checkpoint the previous explorer wrote")
-	}
-	if !strings.Contains(res.ResumeNote, "does not match") {
-		t.Fatalf("ResumeNote %q does not report the mismatch", res.ResumeNote)
-	}
-	if !reflect.DeepEqual(comparable(base), comparable(res)) {
-		t.Fatalf("fresh search after the refusal differs:\n  base: %+v\n  got:  %+v", base, res)
+			o = opts
+			o.Resume = true
+			res, err := Explore(sc, o)
+			if err != nil {
+				t.Fatalf("resume over a %s checkpoint: %v", c.version, err)
+			}
+			if res.Resumed {
+				t.Fatal("resumed from a checkpoint an earlier explorer wrote")
+			}
+			if !strings.Contains(res.ResumeNote, "does not match") {
+				t.Fatalf("ResumeNote %q does not report the mismatch", res.ResumeNote)
+			}
+			if !reflect.DeepEqual(comparable(base), comparable(res)) {
+				t.Fatalf("fresh search after the refusal differs:\n  base: %+v\n  got:  %+v", base, res)
+			}
+		})
 	}
 }

@@ -17,12 +17,6 @@ type memModule struct {
 	m      *Machine
 	store  *memory.Store
 	busIdx int
-
-	// gen counts mutations of fingerprint-visible memory state; every
-	// store mutation happens inside snoop, which bumps it.
-	//
-	//multicube:gencounter
-	gen uint64
 }
 
 // probe supplies the block from memory when no dirty cache inhibited.
@@ -35,7 +29,6 @@ func (mm *memModule) probe(o *op) {
 }
 
 func (mm *memModule) snoop(o *op) {
-	mm.gen++
 	if mm.m.OpLog != nil {
 		mm.m.OpLog(o.origin, o.String())
 	}

@@ -24,7 +24,6 @@ type Processor struct {
 	cache  *cache.Cache
 	busIdx int
 
-	//multicube:fpfield
 	pend *pendReq
 
 	// wbuf is the write-back buffer: dirty victims flushed to the bus
@@ -33,16 +32,7 @@ type Processor struct {
 	// here (and cancels the queued flush) so the block's only copy is
 	// never invisible between victimization and the write-back's bus
 	// grant.
-	//
-	//multicube:fpfield
 	wbuf []*op
-
-	// gen counts mutations of fingerprint-visible processor state (cache
-	// contents, pending request); bumped conservatively at the mutating
-	// entry points so FPCache can skip rehashing unchanged processors.
-	//
-	//multicube:gencounter
-	gen uint64
 
 	loads, stores, hits uint64
 	invalidations       uint64
@@ -70,7 +60,6 @@ func (p *Processor) Stats() (loads, stores, hits, invalidations uint64) {
 
 // LoadAsync reads the word at addr; done receives the value.
 func (p *Processor) LoadAsync(addr Addr, done func(uint64)) {
-	p.gen++
 	p.loads++
 	line := cache.Line(addr / Addr(p.m.cfg.BlockWords))
 	off := int(addr % Addr(p.m.cfg.BlockWords))
@@ -88,7 +77,6 @@ func (p *Processor) LoadAsync(addr Addr, done func(uint64)) {
 // and receives the word value the store overwrote at commit time — the
 // coherence-order predecessor a sequential-consistency witness needs.
 func (p *Processor) StoreAsync(addr Addr, value uint64, done func(old uint64)) {
-	p.gen++
 	p.stores++
 	line := cache.Line(addr / Addr(p.m.cfg.BlockWords))
 	off := int(addr % Addr(p.m.cfg.BlockWords))
@@ -116,7 +104,6 @@ func (p *Processor) StoreAsync(addr Addr, value uint64, done func(old uint64)) {
 	p.miss(opReadInv)
 }
 
-//multicube:fpexempt called only from entry points that bump (LoadAsync/StoreAsync/snoop)
 func (p *Processor) begin(r *pendReq) {
 	if p.pend != nil {
 		panic(fmt.Sprintf("singlebus: processor %d overlapping requests", p.id))
@@ -127,8 +114,6 @@ func (p *Processor) begin(r *pendReq) {
 
 // miss moves a dirty victim into the write-back buffer if needed, then
 // issues the atomic read transaction.
-//
-//multicube:fpexempt called only from entry points that bump (LoadAsync/StoreAsync/snoop)
 func (p *Processor) miss(kind opKind) {
 	line := p.pend.line
 	if v := p.cache.SelectVictim(line); v != nil && v.State == Dirty {
@@ -150,7 +135,6 @@ func (p *Processor) wbufFind(line cache.Line) *op {
 	return nil
 }
 
-//multicube:fpexempt called only from entry points that bump (LoadAsync/StoreAsync/snoop)
 func (p *Processor) wbufRemove(wb *op) {
 	for i, o := range p.wbuf {
 		if o == wb {
@@ -160,7 +144,6 @@ func (p *Processor) wbufRemove(wb *op) {
 	}
 }
 
-//multicube:fpexempt called only from entry points that bump (LoadAsync/StoreAsync/snoop)
 func (p *Processor) complete(value uint64) {
 	r := p.pend
 	p.pend = nil
@@ -211,7 +194,6 @@ func (p *Processor) probe(o *op) {
 // snoop applies the write-once state transitions at the end of the
 // transaction.
 func (p *Processor) snoop(o *op) {
-	p.gen++
 	e, have := p.cache.Lookup(o.line)
 	if o.kind == opRead || o.kind == opReadInv {
 		if wb := p.wbufFind(o.line); wb != nil {
@@ -287,8 +269,6 @@ func (p *Processor) snoop(o *op) {
 // fill installs the transaction's data block at the originator and
 // completes the processor request. Writes complete with the word value
 // they overwrote; reads with the word value observed.
-//
-//multicube:fpexempt called only from entry points that bump (LoadAsync/StoreAsync/snoop)
 func (p *Processor) fill(o *op, state cache.State) {
 	if p.pend == nil || p.pend.line != o.line {
 		panic(fmt.Sprintf("singlebus: processor %d fill without matching request", p.id))

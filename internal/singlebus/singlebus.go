@@ -262,7 +262,6 @@ func (m *Machine) Run() sim.Time { return m.k.Run() }
 
 // SeedMemory writes words directly into memory.
 func (m *Machine) SeedMemory(addr Addr, words []uint64) {
-	m.mem.gen++ // fingerprint-visible: seeding after a snapshot must rehash
 	bw := Addr(m.cfg.BlockWords)
 	for len(words) > 0 {
 		line := cache.Line(addr / bw)

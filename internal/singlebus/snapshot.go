@@ -12,7 +12,10 @@ import (
 // complete protocol state for the model checker's visited-state table,
 // mirroring internal/coherence/snapshot.go. Everything that can influence
 // future protocol behavior is hashed; statistics and absolute times are
-// excluded.
+// excluded. It is the checker's only fingerprint of this machine — a full
+// walk per call, with no cache beside it that a mutation of the machine
+// would have to invalidate (the baseline's whole traffic is a few
+// thousand states; DESIGN.md §5.8).
 //
 // Processor symmetry: on a single snooping bus every cache controller is
 // interchangeable (attach order is an arbitrary labeling), so the

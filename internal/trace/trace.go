@@ -5,14 +5,12 @@
 // against different machine configurations (block sizes, cache sizes,
 // arbitration policies) for controlled comparisons.
 //
-// Two codecs are provided: a line-oriented text form ("p R|W addr") for
-// inspection, and a compact binary form (varint-delta encoded) for bulk
-// traces.
+// The on-disk form is line-oriented text, one "proc R|W addr" record per
+// line, which is what multicube-sim reads and writes.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -114,89 +112,3 @@ func ReadText(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
-
-// binaryMagic guards the binary codec.
-var binaryMagic = [4]byte{'M', 'C', 'T', '1'}
-
-// WriteBinary encodes the trace compactly: a magic header, the record
-// count, then per record a varint proc, one kind byte, and a zigzag
-// varint address delta from the previous address of that processor.
-func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(t.Records))); err != nil {
-		return err
-	}
-	last := make(map[int]uint64)
-	for _, r := range t.Records {
-		if err := put(uint64(r.Proc)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(r.Kind)); err != nil {
-			return err
-		}
-		delta := int64(r.Addr) - int64(last[r.Proc])
-		if err := put(zigzag(delta)); err != nil {
-			return err
-		}
-		last[r.Proc] = r.Addr
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes the binary form.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic[:])
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	// Cap the preallocation: count is untrusted input, and a malformed
-	// header must not drive a giant allocation. Real records still
-	// accumulate past the cap by appending.
-	prealloc := count
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	t := &Trace{Records: make([]Record, 0, prealloc)}
-	last := make(map[int]uint64)
-	for i := uint64(0); i < count; i++ {
-		proc, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d proc: %w", i, err)
-		}
-		kindByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d kind: %w", i, err)
-		}
-		if kindByte > 1 {
-			return nil, fmt.Errorf("trace: record %d: bad kind %d", i, kindByte)
-		}
-		zz, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d addr: %w", i, err)
-		}
-		addr := uint64(int64(last[int(proc)]) + unzigzag(zz))
-		last[int(proc)] = addr
-		t.Records = append(t.Records, Record{Proc: int(proc), Kind: OpKind(kindByte), Addr: addr})
-	}
-	return t, nil
-}
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }

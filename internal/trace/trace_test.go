@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"multicube/internal/core"
 	"multicube/internal/sim"
@@ -59,70 +58,6 @@ func TestTextParsing(t *testing.T) {
 		if _, err := ReadText(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := sample()
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(tr, got) {
-		t.Fatalf("round trip mismatch")
-	}
-	// Corrupt magic.
-	raw := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	_ = raw
-}
-
-func TestPropertyBinaryRoundTrip(t *testing.T) {
-	f := func(procs []uint8, kinds []bool, addrs []uint32) bool {
-		tr := &Trace{}
-		n := len(procs)
-		if len(kinds) < n {
-			n = len(kinds)
-		}
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		for i := 0; i < n; i++ {
-			k := Read
-			if kinds[i] {
-				k = Write
-			}
-			tr.Append(int(procs[i]), k, uint64(addrs[i]))
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		return err == nil && equal(tr, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinarySmallerThanText(t *testing.T) {
-	tr := Capture(4, 200, 8, 32, 16, 0.5, 0.3, 1)
-	var tb, bb bytes.Buffer
-	if err := tr.WriteText(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteBinary(&bb); err != nil {
-		t.Fatal(err)
-	}
-	if bb.Len() >= tb.Len() {
-		t.Errorf("binary (%d) not smaller than text (%d)", bb.Len(), tb.Len())
 	}
 }
 
