@@ -14,8 +14,9 @@
 // to the sequential default. -arb selects the bus service discipline
 // (fcfs, rr, priority) for the arbitration ablation.
 //
-// With -trace-out, the generated reference stream is also written as a
-// text trace replayable by multicube-sim -trace-in.
+// With -trace-out, the reference stream the run consumed is also written
+// as a text trace replayable by multicube-sim -trace-in (on the
+// sequential kernel: -trace-in with -workers is refused).
 //
 // With -memmodel, the simulator instead runs the litmus tests as timed
 // DES stress programs (see internal/workload.RunLitmus) across a sweep
@@ -67,6 +68,12 @@ func main() {
 		return
 	}
 
+	if *traceIn != "" && *workers > 0 {
+		// Replay spawns processor programs, which the parallel engine
+		// does not run.
+		fmt.Fprintln(os.Stderr, "multicube-sim: -trace-in replays on the sequential kernel and cannot be combined with -workers")
+		os.Exit(2)
+	}
 	arb, err := bus.ParseArbitration(*arbName)
 	if err != nil {
 		fatal(err)
@@ -133,7 +140,8 @@ func main() {
 	checkInvariants(m)
 
 	if *traceOut != "" {
-		tr := trace.Capture(m.Processors(), *requests, 16, *sharedLines, *block, *pshared, *pwrite, *seed)
+		tr := &trace.Trace{}
+		workload.References(cfg, m.Processors(), m.BlockWords(), tr.AppendRef)
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
@@ -152,49 +160,29 @@ func main() {
 // jitter seeds in both home-column placements, SC-checking every
 // captured history. Any violation or undecided check exits nonzero.
 func runMemmodel(name string, n, seeds, rounds int, baseSeed uint64) {
-	tests := memmodel.LitmusTests()
-	if name != "all" {
-		l, ok := memmodel.LitmusByName(name)
-		if !ok {
-			fatal(fmt.Errorf("unknown litmus test %q", name))
-		}
-		tests = []memmodel.Litmus{l}
+	runs, err := workload.LitmusSweep(name, seeds, workload.LitmusConfig{N: n, Rounds: rounds, Seed: baseSeed})
+	if err != nil {
+		fatal(err)
 	}
-	runs, bad := 0, 0
-	for _, l := range tests {
-		for _, same := range []bool{false, true} {
-			if same && l.Vars < 2 {
-				continue
-			}
-			placement := "split-col"
-			if same {
-				placement = "same-col"
-			}
-			var events int
-			var elapsed sim.Time
-			for s := 0; s < seeds; s++ {
-				rep, err := workload.RunLitmus(workload.LitmusConfig{
-					Test: l.Name, N: n, Rounds: rounds,
-					Seed: baseSeed + uint64(s), SameColumn: same,
-				})
-				if err != nil {
-					fatal(err)
-				}
-				runs++
-				events = rep.History.Len()
-				elapsed = rep.Elapsed
-				if rep.Check.Verdict != memmodel.VerdictOK {
-					bad++
-					fmt.Printf("litmus %-5s %s seed %d: %v: %s\nhistory:\n%s",
-						l.Name, placement, baseSeed+uint64(s),
-						rep.Check.Verdict, rep.Check.Reason, rep.History)
-				}
-			}
+	bad := 0
+	for i, cfg := range runs {
+		rep, err := workload.RunLitmus(cfg)
+		if err != nil {
+			fatal(err)
+		}
+		if rep.Check.Verdict != memmodel.VerdictOK {
+			bad++
+			fmt.Printf("litmus %-5s %s seed %d: %v: %s\nhistory:\n%s",
+				cfg.Test, cfg.Placement(), cfg.Seed,
+				rep.Check.Verdict, rep.Check.Reason, rep.History)
+		}
+		// One summary line per test and placement, after its last seed.
+		if (i+1)%seeds == 0 {
 			fmt.Printf("litmus %-5s %s: %d seeds ok (%d events/run, %v simulated)\n",
-				l.Name, placement, seeds, events, elapsed)
+				cfg.Test, cfg.Placement(), seeds, rep.History.Len(), rep.Elapsed)
 		}
 	}
-	fmt.Printf("\nmemmodel: %d runs on %d×%d machines, %d SC failures\n", runs, n, n, bad)
+	fmt.Printf("\nmemmodel: %d runs on %d×%d machines, %d SC failures\n", len(runs), n, n, bad)
 	if bad > 0 {
 		os.Exit(1)
 	}

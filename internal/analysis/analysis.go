@@ -4,10 +4,10 @@
 // export data served by `go list -export`), so the invariant suite runs in
 // hermetic environments without fetching x/tools.
 //
-// The API mirrors go/analysis deliberately — Analyzer, Pass, Diagnostic,
-// SuggestedFix, TextEdit carry the same shapes and semantics — so the passes
-// in the subpackages (genbump, detmap, nowallclock, chooserseam) could be
-// ported to the upstream framework by changing only import paths.
+// The API mirrors go/analysis deliberately — Analyzer, Pass, Diagnostic
+// carry the same shapes and semantics — so the passes in the subpackages
+// (genbump, detmap, nowallclock, chooserseam) could be ported to the
+// upstream framework by changing only import paths.
 //
 // The suite mechanically guards two disciplines the simulator's correctness
 // rests on:
@@ -74,20 +74,4 @@ type Diagnostic struct {
 	Pos     token.Pos
 	End     token.Pos // optional
 	Message string
-
-	// SuggestedFixes are mechanical edits that would resolve the finding.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one way to fix a diagnostic, expressed as text edits.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces [Pos, End) with NewText. Pos == End inserts.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }

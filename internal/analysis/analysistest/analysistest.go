@@ -15,7 +15,6 @@
 package analysistest
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -67,7 +66,7 @@ var wantRE = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 // Run loads the fixture package in dir with analysis.LoadDir, applies
 // the analyzers, and checks diagnostics against the fixture's want
 // comments. It returns the findings so callers can make further
-// assertions (e.g. on suggested fixes).
+// assertions.
 func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) []analysis.Finding {
 	t.Helper()
 	pkg, err := analysis.LoadDir(ModuleRoot(t), dir)
@@ -153,51 +152,4 @@ func collectWants(t *testing.T, pkg *analysis.Package) map[lineKey][]*expectatio
 		}
 	}
 	return wants
-}
-
-// Golden applies every suggested fix reported against file (a base name
-// inside dir) and compares the result with file + ".golden". The
-// findings come from a prior Run over the same fixture.
-func Golden(t *testing.T, dir string, findings []analysis.Finding, file string) {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join(dir, file))
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	type edit struct {
-		pos, end int
-		text     []byte
-	}
-	var edits []edit
-	for _, f := range findings {
-		pos := f.Pkg.Fset.Position(f.Diag.Pos)
-		if filepath.Base(pos.Filename) != file || len(f.Diag.SuggestedFixes) == 0 {
-			continue
-		}
-		for _, te := range f.Diag.SuggestedFixes[0].TextEdits {
-			end := te.End
-			if !end.IsValid() {
-				end = te.Pos
-			}
-			edits = append(edits, edit{
-				pos:  f.Pkg.Fset.Position(te.Pos).Offset,
-				end:  f.Pkg.Fset.Position(end).Offset,
-				text: te.NewText,
-			})
-		}
-	}
-	// Apply back to front so earlier offsets stay valid.
-	sort.Slice(edits, func(i, j int) bool { return edits[i].pos > edits[j].pos })
-	out := src
-	for _, e := range edits {
-		out = append(out[:e.pos], append(append([]byte(nil), e.text...), out[e.end:]...)...)
-	}
-	goldenPath := filepath.Join(dir, file+".golden")
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	if !bytes.Equal(out, want) {
-		t.Errorf("fixed output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", goldenPath, out, want)
-	}
 }

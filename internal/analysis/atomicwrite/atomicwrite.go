@@ -18,11 +18,9 @@
 //     requires a Sync() of that file positioned before the rename in
 //     the same function: rename is atomic, but without the fsync the
 //     data may still be dirty page cache when the new name appears, and
-//     a crash yields a complete-looking, empty-or-torn file. The
-//     finding carries a mechanical fix inserting `<f>.Sync(); ` before
-//     the Close (a skeleton — real code should check the error, as the
-//     audited writers do). A rename from any other source is flagged
-//     too: the pass cannot see its durability.
+//     a crash yields a complete-looking, empty-or-torn file. A rename
+//     from any other source is flagged too: the pass cannot see its
+//     durability.
 //
 //   - os.Remove / os.RemoveAll of a non-temp path is flagged: durable
 //     deletes must stay behind the manifest-pin discipline (only
@@ -40,7 +38,6 @@
 package atomicwrite
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -110,16 +107,12 @@ func checkUnit(pass *analysis.Pass, u *analysis.CallUnit) {
 		return
 	}
 
-	// Walk 1: track os.CreateTemp files and their Sync/Close positions.
+	// Walk 1: track os.CreateTemp files and their Sync positions.
 	temps := make(map[types.Object]bool)
 	syncPos := make(map[types.Object][]token.Pos)
-	closeStmts := make(map[types.Object][]ast.Stmt)
-	walk(pass, u, func(call *ast.CallExpr, stmt ast.Stmt) {
+	walk(pass, u, func(call *ast.CallExpr, _ ast.Stmt) {
 		if obj := fileMethod(pass, call, "Sync", temps); obj != nil {
 			syncPos[obj] = append(syncPos[obj], call.Pos())
-		}
-		if obj := fileMethod(pass, call, "Close", temps); obj != nil && stmt != nil {
-			closeStmts[obj] = append(closeStmts[obj], stmt)
 		}
 	}, func(assign *ast.AssignStmt) {
 		if len(assign.Rhs) != 1 {
@@ -161,16 +154,9 @@ func checkUnit(pass *analysis.Pass, u *analysis.CallUnit) {
 				if syncedBefore(syncPos[obj], call.Pos()) {
 					return
 				}
-				d := analysis.Diagnostic{
-					Pos: call.Pos(),
-					Message: fmt.Sprintf(
-						"os.Rename publishes %s without a %s.Sync() before it (crash can expose an empty or torn durable file)",
-						types.ExprString(src), obj.Name()),
-				}
-				if fix := syncFix(obj, closeStmts[obj], call.Pos(), stmt); fix != nil {
-					d.SuggestedFixes = []analysis.SuggestedFix{*fix}
-				}
-				pass.Report(d)
+				pass.Reportf(call.Pos(),
+					"os.Rename publishes %s without a %s.Sync() before it (crash can expose an empty or torn durable file)",
+					types.ExprString(src), obj.Name())
 				return
 			}
 			if tempish(src) {
@@ -216,7 +202,8 @@ func walk(pass *analysis.Pass, u *analysis.CallUnit, onCall func(*ast.CallExpr, 
 }
 
 // enclosingStmt returns the innermost block-level statement containing
-// the call — not an if/for init clause, where text cannot be inserted.
+// the call — for a call in an if/for init clause the whole if/for, the
+// statement a directive comment sits above.
 func enclosingStmt(stack []ast.Node) ast.Stmt {
 	for i := len(stack) - 1; i > 0; i-- {
 		s, ok := stack[i].(ast.Stmt)
@@ -247,33 +234,6 @@ func syncedBefore(positions []token.Pos, renamePos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// syncFix inserts `<v>.Sync(); ` before the last Close of the file that
-// precedes the rename — the final point the descriptor is open (earlier
-// Closes are error-path cleanup) — falling back to the rename statement
-// itself when no Close was seen.
-func syncFix(obj types.Object, closes []ast.Stmt, renamePos token.Pos, rename ast.Stmt) *analysis.SuggestedFix {
-	var at ast.Stmt
-	for _, s := range closes {
-		if s.Pos() < renamePos && (at == nil || s.Pos() > at.Pos()) {
-			at = s
-		}
-	}
-	if at == nil {
-		at = rename
-	}
-	if at == nil {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("insert %s.Sync() before the descriptor closes", obj.Name()),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     at.Pos(),
-			End:     at.Pos(),
-			NewText: []byte(obj.Name() + ".Sync(); "),
-		}},
-	}
 }
 
 // annotated reports a statement-level atomicwrite-ok escape hatch.

@@ -56,8 +56,7 @@ func writeProper(dir string, data []byte) error {
 }
 
 // writeMissingSync violates rule 2: the rename publishes a temp file
-// whose data may still be dirty page cache. The mechanical fix inserts
-// the Sync before the final Close, not the error-path one.
+// whose data may still be dirty page cache.
 func writeMissingSync(dir string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, "state.tmp*")
 	if err != nil {

@@ -37,9 +37,6 @@
 //	catches new entry points that forget the discipline even when every
 //	helper they use is individually annotated.
 //
-// Where the bump target is derivable, the finding carries a suggested fix
-// inserting `<recv>.<counter>++; ` before the offending statement.
-//
 // Known limits, accepted deliberately: writes through aliases (a slice
 // returned by an accessor, a retained *Entry) and the call-graph engine's
 // soundness boundary — implementations in other packages, func values
@@ -169,10 +166,8 @@ var anyGuard = types.NewTypeName(token.NoPos, nil, "<any>", nil)
 // writeRec is one registered-state mutation found in a unit.
 type writeRec struct {
 	pos   token.Pos
-	stmt  ast.Stmt
 	desc  string
 	guard *types.TypeName // nil => any counter satisfies
-	base  ast.Expr        // receiver owning the counter, for the suggested fix
 }
 
 func run(pass *analysis.Pass, cfg Config) (any, error) {
@@ -350,45 +345,27 @@ func (c *collector) collectUnit(cu *analysis.CallUnit) {
 	c.units = append(c.units, u)
 	c.unitOf[cu] = u
 
-	var stack []ast.Node
 	ast.Inspect(cu.Body(), func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
 		if fl, ok := n.(*ast.FuncLit); ok && fl != cu.Lit {
 			return false
 		}
-		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				c.recordWrite(u, lhs, enclosingStmt(stack))
+				c.recordWrite(u, lhs)
 			}
 		case *ast.IncDecStmt:
-			c.recordWrite(u, n.X, enclosingStmt(stack))
+			c.recordWrite(u, n.X)
 		case *ast.CallExpr:
-			c.recordCall(u, n, enclosingStmt(stack))
+			c.recordCall(u, n)
 		}
 		return true
 	})
 }
 
-// enclosingStmt returns the innermost statement on the stack (the node
-// the suggested fix inserts before).
-func enclosingStmt(stack []ast.Node) ast.Stmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if s, ok := stack[i].(ast.Stmt); ok {
-			return s
-		}
-	}
-	return nil
-}
-
-// fieldOf resolves expr (unwrapping indexing, parens, derefs) to a
-// selected struct field, returning the field object and the receiver
-// expression.
-func (c *collector) fieldOf(expr ast.Expr) (types.Object, ast.Expr) {
+// fieldOf resolves expr (unwrapping indexing, parens, derefs) to the
+// struct field it selects.
+func (c *collector) fieldOf(expr ast.Expr) types.Object {
 	for {
 		switch e := expr.(type) {
 		case *ast.ParenExpr:
@@ -400,20 +377,20 @@ func (c *collector) fieldOf(expr ast.Expr) (types.Object, ast.Expr) {
 		default:
 			sel, ok := expr.(*ast.SelectorExpr)
 			if !ok {
-				return nil, nil
+				return nil
 			}
 			s := c.pass.TypesInfo.Selections[sel]
 			if s == nil || s.Kind() != types.FieldVal {
-				return nil, nil
+				return nil
 			}
-			return s.Obj(), sel.X
+			return s.Obj()
 		}
 	}
 }
 
 // recordWrite classifies one assignment/inc-dec target.
-func (c *collector) recordWrite(u *funcUnit, lhs ast.Expr, stmt ast.Stmt) {
-	obj, recv := c.fieldOf(lhs)
+func (c *collector) recordWrite(u *funcUnit, lhs ast.Expr) {
+	obj := c.fieldOf(lhs)
 	if obj == nil {
 		return
 	}
@@ -425,36 +402,27 @@ func (c *collector) recordWrite(u *funcUnit, lhs ast.Expr, stmt ast.Stmt) {
 	if !ok {
 		return
 	}
-	base := recv
-	if guard != nil && !c.isType(recv, guard) {
-		// guard=Type redirection (e.g. pending fields guarded by Node):
-		// the counter lives on an enclosing receiver we cannot derive
-		// mechanically.
-		base = nil
-	}
 	name := c.fpNames[obj]
 	if name == "" {
 		name = obj.Name()
 	}
 	u.writes = append(u.writes, writeRec{
 		pos:   lhs.Pos(),
-		stmt:  stmt,
 		desc:  "field " + name,
 		guard: guard,
-		base:  base,
 	})
 }
 
 // recordCall classifies builtin mutations (copy/clear/delete into a
 // registered field) and registered mutator-method calls; call edges for
 // Rule B come from the call-graph engine, not from this walk.
-func (c *collector) recordCall(u *funcUnit, call *ast.CallExpr, stmt ast.Stmt) {
+func (c *collector) recordCall(u *funcUnit, call *ast.CallExpr) {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		switch id.Name {
 		case "copy", "clear", "delete":
 			if len(call.Args) > 0 {
 				if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-					c.recordWrite(u, call.Args[0], stmt)
+					c.recordWrite(u, call.Args[0])
 				}
 			}
 		}
@@ -474,7 +442,7 @@ func (c *collector) recordCall(u *funcUnit, call *ast.CallExpr, stmt ast.Stmt) {
 	// The receiver must be a field of a counter-carrying struct for the
 	// obligation to be attributable; x.store.Write(...) obliges a bump of
 	// x's struct.
-	fieldObj, base := c.fieldOf(sel.X)
+	fieldObj := c.fieldOf(sel.X)
 	if fieldObj == nil {
 		return
 	}
@@ -487,10 +455,8 @@ func (c *collector) recordCall(u *funcUnit, call *ast.CallExpr, stmt ast.Stmt) {
 	}
 	u.writes = append(u.writes, writeRec{
 		pos:   call.Pos(),
-		stmt:  stmt,
 		desc:  fmt.Sprintf("state via (%s).%s on %s.%s", callee.Type().(*types.Signature).Recv().Type(), callee.Name(), owner.Name(), fieldObj.Name()),
 		guard: owner,
-		base:  base,
 	})
 }
 
@@ -521,23 +487,6 @@ func (c *collector) ownerTypeName(obj types.Object) *types.TypeName {
 	return nil
 }
 
-// isType reports whether expr's type is T or *T.
-func (c *collector) isType(expr ast.Expr, tn *types.TypeName) bool {
-	if expr == nil {
-		return false
-	}
-	tv, ok := c.pass.TypesInfo.Types[expr]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj() == tn
-}
-
 // satisfied reports whether a write's obligation is met by the unit's own
 // bumps.
 func (u *funcUnit) satisfied(w writeRec) bool {
@@ -557,38 +506,10 @@ func (c *collector) ruleA() {
 			if u.satisfied(w) {
 				continue
 			}
-			d := analysis.Diagnostic{
-				Pos: w.pos,
-				Message: fmt.Sprintf(
-					"write to fingerprint-visible %s without a generation bump in this function (bump the guarding counter, or annotate //multicube:fpexempt if every caller bumps)",
-					w.desc),
-			}
-			if fix := c.bumpFix(w); fix != nil {
-				d.SuggestedFixes = []analysis.SuggestedFix{*fix}
-			}
-			c.pass.Report(d)
+			c.pass.Reportf(w.pos,
+				"write to fingerprint-visible %s without a generation bump in this function (bump the guarding counter, or annotate //multicube:fpexempt if every caller bumps)",
+				w.desc)
 		}
-	}
-}
-
-// bumpFix builds the mechanical insertion `<recv>.<counter>++; ` before
-// the flagged statement, when the bump target is derivable.
-func (c *collector) bumpFix(w writeRec) *analysis.SuggestedFix {
-	if w.guard == nil || w.base == nil || w.stmt == nil {
-		return nil
-	}
-	counter, ok := c.counters[w.guard]
-	if !ok {
-		return nil
-	}
-	recv := types.ExprString(w.base)
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("insert %s.%s++ before the mutation", recv, counter),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     w.stmt.Pos(),
-			End:     w.stmt.Pos(),
-			NewText: []byte(recv + "." + counter + "++; "),
-		}},
 	}
 }
 

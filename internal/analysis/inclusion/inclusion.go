@@ -31,9 +31,6 @@
 // branch than the eviction would be accepted, which is the pass's
 // accepted imprecision.
 //
-// Where the eviction is a single-argument call on a cache field
-// (n.l2.Invalidate(line)), the finding carries a mechanical fix
-// appending `; n.<purge>(line)` for the owning struct's purge method.
 // Deliberate exceptions — evictions whose upper level is cleared some
 // other way, or that precede machine teardown — are annotated
 // //multicube:inclusion-ok <reason> on or above the statement, or on the
@@ -41,7 +38,6 @@
 package inclusion
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -190,16 +186,9 @@ func checkUnit(pass *analysis.Pass, graph *analysis.CallGraph, u *analysis.CallU
 		if annotated {
 			continue
 		}
-		d := analysis.Diagnostic{
-			Pos: ev.call.Pos(),
-			Message: fmt.Sprintf(
-				"snooping-cache eviction via %s does not reach an upper-level purge on a same-function path (call the //multicube:inclusion-purge helper after it, or annotate //multicube:inclusion-ok with a reason)",
-				ev.fn.Name()),
-		}
-		if fix := purgeFix(pass, graph, ev); fix != nil {
-			d.SuggestedFixes = []analysis.SuggestedFix{*fix}
-		}
-		pass.Report(d)
+		pass.Reportf(ev.call.Pos(),
+			"snooping-cache eviction via %s does not reach an upper-level purge on a same-function path (call the //multicube:inclusion-purge helper after it, or annotate //multicube:inclusion-ok with a reason)",
+			ev.fn.Name())
 	}
 }
 
@@ -211,75 +200,4 @@ func enclosingStmt(stack []ast.Node) ast.Stmt {
 		}
 	}
 	return nil
-}
-
-// purgeFix builds the mechanical `; <recv>.<purge>(<line>)` insertion
-// after the eviction statement, when the eviction is a single-argument
-// call on a cache-valued field (n.l2.Invalidate(line)) and the field's
-// owning type has an annotated purge method.
-func purgeFix(pass *analysis.Pass, graph *analysis.CallGraph, ev evictSite) *analysis.SuggestedFix {
-	if len(ev.call.Args) != 1 || ev.stmt == nil {
-		return nil
-	}
-	sel, ok := ev.call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	field, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	recv := field.X
-	tv, ok := pass.TypesInfo.Types[recv]
-	if !ok {
-		return nil
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	purge := purgeMethodOf(pass, graph, named.Obj())
-	if purge == "" {
-		return nil
-	}
-	recvSrc := types.ExprString(recv)
-	argSrc := types.ExprString(ev.call.Args[0])
-	insert := fmt.Sprintf("; %s.%s(%s)", recvSrc, purge, argSrc)
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("insert %s.%s(%s) after the eviction", recvSrc, purge, argSrc),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     ev.stmt.End(),
-			End:     ev.stmt.End(),
-			NewText: []byte(insert),
-		}},
-	}
-}
-
-// purgeMethodOf finds the inclusion-purge-annotated method declared on
-// tn, if any.
-func purgeMethodOf(pass *analysis.Pass, graph *analysis.CallGraph, tn *types.TypeName) string {
-	for _, u := range graph.Units {
-		if u.Decl == nil || u.Decl.Recv == nil || u.Obj == nil {
-			continue
-		}
-		if _, ok := analysis.FindVerb(analysis.CommentGroupDirectives(u.Decl.Doc), "inclusion-purge"); !ok {
-			continue
-		}
-		sig, ok := u.Obj.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		rt := sig.Recv().Type()
-		if p, ok := rt.Underlying().(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok && named.Obj() == tn {
-			return u.Obj.Name()
-		}
-	}
-	return ""
 }

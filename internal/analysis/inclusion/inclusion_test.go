@@ -13,8 +13,7 @@ import (
 )
 
 func TestFixture(t *testing.T) {
-	findings := analysistest.Run(t, filepath.Join("testdata", "inclfix"), inclusion.Analyzer)
-	analysistest.Golden(t, filepath.Join("testdata", "inclfix"), findings, "inclfix.go")
+	analysistest.Run(t, filepath.Join("testdata", "inclfix"), inclusion.Analyzer)
 }
 
 // stripPurge removes one exact occurrence of needle from the named repo

@@ -39,8 +39,7 @@ func dropBad(h *Hier, line cache.Line) {
 	h.l2.Drop(line) // want `snooping-cache eviction via Drop does not reach an upper-level purge`
 }
 
-// insertBad may displace a victim and never purges; Insert's victim is
-// not derivable mechanically, so no fix is suggested.
+// insertBad may displace a victim and never purges.
 func insertBad(h *Hier, line cache.Line) {
 	h.l2.Insert(line, cache.State(1), nil) // want `snooping-cache eviction via Insert does not reach an upper-level purge`
 }

@@ -51,7 +51,6 @@ type jsonFinding struct {
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Message string `json:"message"`
-	Fixable bool   `json:"fixable"`
 }
 
 type jsonTiming struct {
@@ -171,7 +170,6 @@ func writeJSON(moduleDir string, out io.Writer, pkgs []*analysis.Package, findin
 			Line:    pos.Line,
 			Col:     pos.Column,
 			Message: f.Diag.Message,
-			Fixable: len(f.Diag.SuggestedFixes) > 0,
 		})
 	}
 	for _, t := range times {

@@ -105,9 +105,8 @@ func TestTimingFlag(t *testing.T) {
 }
 
 // TestJSONOutput pins the -json report shape CI's artifact upload and
-// the benchmark harness consume: every finding carries its pass, a
-// module-relative position, and fix availability; every analyzer
-// reports a wall time.
+// the benchmark harness consume: every finding carries its pass and a
+// module-relative position; every analyzer reports a wall time.
 func TestJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
 	code := multichecker.Run(analysistest.ModuleRoot(t), &buf, []string{"-json", seededPkg})
@@ -122,7 +121,6 @@ func TestJSONOutput(t *testing.T) {
 			Line    int    `json:"line"`
 			Col     int    `json:"col"`
 			Message string `json:"message"`
-			Fixable bool   `json:"fixable"`
 		} `json:"findings"`
 		AnalyzerMS []struct {
 			Pass string  `json:"pass"`

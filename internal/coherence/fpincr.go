@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"sync/atomic"
-
 	"multicube/internal/bus"
 	"multicube/internal/cache"
 	"multicube/internal/fphash"
@@ -95,17 +93,8 @@ type FPCache struct {
 	evs []evRec
 	evH []uint64
 
-	// cp identifies the current choice point, keying the per-point snarf
-	// memo on ops. Drawn from a process-global sequence so memos written
-	// by one FPCache (e.g. the live one) are never mistaken for current
-	// by another (e.g. a cross-check's fresh cache) over the same ops.
-	cp uint64
-
-	// cIdent is the cached identity column permutation for FP; colIdent
-	// records whether the current FPRC call's cperm is the identity (the
-	// packed snarf fast path).
-	cIdent   []int
-	colIdent bool
+	// cIdent is the cached identity column permutation for FP.
+	cIdent []int
 
 	recomputes uint64 // component hashes rebuilt because their gen moved
 	reused     uint64 // component hashes served from cache
@@ -121,7 +110,7 @@ func NewFPCache(s *System) *FPCache {
 // Reset rebinds the cache to s — another machine, or the same one after
 // System.Reset rewound its generation counters — and marks every
 // component dirty. Buffers are reused when the grid size matches.
-// Counters for Stats are zeroed; cp stays monotonic.
+// Counters for Stats are zeroed.
 func (f *FPCache) Reset(s *System) {
 	n := s.cfg.N
 	f.sys = s
@@ -159,12 +148,7 @@ func (f *FPCache) Stats() (recomputes, reused uint64) { return f.recomputes, f.r
 // BeginPoint refreshes every dirty component and snapshots the pending
 // event set; call it once per choice point, before FP. extra describes
 // driver-owned event tags (may be nil).
-// fpPointSeq issues process-globally unique choice-point identities; ops
-// memoize their snarf matrix against one.
-var fpPointSeq atomic.Uint64
-
 func (f *FPCache) BeginPoint(extra ExtraTagFunc) {
-	f.cp = fpPointSeq.Add(1)
 	s := f.sys
 	n := f.n
 	for r := 0; r < n; r++ {
@@ -304,13 +288,6 @@ func (f *FPCache) identCols() []int {
 // injective on the same abstract content as System.Fingerprint.
 func (f *FPCache) FPRC(perm, inv, cperm, cinv []int) uint64 {
 	n := f.n
-	f.colIdent = true
-	for i, v := range cperm {
-		if v != i {
-			f.colIdent = false
-			break
-		}
-	}
 	h := fphash.New()
 	for cr := 0; cr < n; cr++ {
 		r := inv[cr]
@@ -482,53 +459,17 @@ func opBaseFP(op *Op) uint64 {
 	return h.Sum()
 }
 
-// snarfWord folds the born-vs-purgedAt eligibility relation (one bit per
-// node, in canonical node order) into a single word. The physical bit
-// matrix is memoized on the op per choice point; each permutation only
-// reorders the packed rows (and, under a column relabeling, the bits
-// within each row). Grids wider than 8 overflow the packing and hash the
-// bits directly.
+// snarfWord hashes the born-vs-purgedAt eligibility relation, one bit
+// per node in canonical node order.
 func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
-	n := f.n
-	if n > 8 {
-		h := fphash.New()
-		for cr := 0; cr < n; cr++ {
-			for cc := 0; cc < n; cc++ {
-				t, ok := f.sys.nodes[inv[cr]][cinv[cc]].purgedAt.Get(uint64(op.Line))
-				h.Bit(ok && op.born <= t)
-			}
+	h := fphash.New()
+	for _, r := range inv {
+		for _, c := range cinv {
+			t, ok := f.sys.nodes[r][c].purgedAt.Get(uint64(op.Line))
+			h.Bit(ok && op.born <= t)
 		}
-		return h.Sum()
 	}
-	if op.fpSnarfCP != f.cp {
-		var bits uint64
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				if t, ok := f.sys.nodes[r][c].purgedAt.Get(uint64(op.Line)); ok && op.born <= t {
-					bits |= 1 << uint(r*n+c)
-				}
-			}
-		}
-		op.fpSnarfBits = bits
-		op.fpSnarfCP = f.cp
-	}
-	mask := uint64(1)<<uint(n) - 1
-	var out uint64
-	if f.colIdent {
-		for cr := 0; cr < n; cr++ {
-			out |= ((op.fpSnarfBits >> uint(inv[cr]*n)) & mask) << uint(cr*n)
-		}
-		return out
-	}
-	for cr := 0; cr < n; cr++ {
-		rowBits := (op.fpSnarfBits >> uint(inv[cr]*n)) & mask
-		var p uint64
-		for cc := 0; cc < n; cc++ {
-			p |= ((rowBits >> uint(cinv[cc])) & 1) << uint(cc)
-		}
-		out |= p << uint(cr*n)
-	}
-	return out
+	return h.Sum()
 }
 
 // nodeHash hashes one node's L2, MLT, pending transaction, and

@@ -171,10 +171,6 @@ func (n *Node) ID() topology.Coord { return n.id }
 // word-level access and for invariant checks.
 func (n *Node) Cache() *cache.Cache { return n.l2 }
 
-// Gen reports the node's fingerprint-visible mutation counter (see the
-// gen field). Checkers use it to skip re-scanning unchanged nodes.
-func (n *Node) Gen() uint64 { return n.gen }
-
 // Table exposes the modified line table for invariant checks.
 func (n *Node) Table() *mlt.Table { return n.table }
 

@@ -199,12 +199,9 @@ type Op struct {
 	// hash (FPCache). Every fingerprint-visible field above is immutable
 	// once the op becomes visible to a fingerprint (the probe wires are
 	// rebuilt per delivery and are not hashed), so the memos never go
-	// stale. fpSnarfCP/fpSnarfBits memoize the snarf eligibility bit
-	// matrix for a single choice point.
+	// stale.
 	fpIdentOK, fpBaseOK bool
 	fpIdent, fpBase     uint64
-	fpSnarfCP           uint64
-	fpSnarfBits         uint64
 }
 
 // Occupancy implements bus.Packet.

@@ -27,7 +27,7 @@ func publicState(s *System) string {
 		for c := 0; c < n; c++ {
 			nd := s.Node(topology.Coord{Row: r, Col: c})
 			fmt.Fprintf(&b, "node(%d,%d) %+v gen=%d busy=%v hook=%v cache=%+v/%d mlt=%+v/%d\n", r, c,
-				nd.Stats(), nd.Gen(), nd.Busy(), nd.OnInvalidate != nil,
+				nd.Stats(), nd.gen, nd.Busy(), nd.OnInvalidate != nil,
 				nd.Cache().Stats(), nd.Cache().Len(), nd.Table().Stats(), nd.Table().Len())
 		}
 	}

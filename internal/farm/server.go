@@ -397,81 +397,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding spec: " + err.Error()})
 		return
 	}
-	spec, err := raw.Normalize()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	fp, err := spec.Fingerprint()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	s.ctr.submitted.Add(1)
-
-	s.mu.Lock()
-	// Single-flight: a queued or running job with this fingerprint
-	// absorbs the duplicate — thousands of identical submissions cost
-	// one execution.
-	if inflight, ok := s.byFP[fp]; ok {
-		s.mu.Unlock()
-		s.ctr.dedupHits.Add(1)
-		inflight.mu.Lock()
-		st := inflight.snapshotLocked()
-		inflight.mu.Unlock()
-		st.Deduped = true
-		st.Result = nil // attachers poll or stream; the body stays small
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	// Cache: a completed result under this fingerprint is served
-	// instantly, byte-identical to the run that produced it.
-	if data, tier, ok := s.cache.Get(fp); ok {
-		s.mu.Unlock()
-		if tier == TierMem {
-			s.ctr.cacheHitMem.Add(1)
-		} else {
-			s.ctr.cacheHitDisk.Add(1)
+	st, code := s.submitSpec(&raw)
+	if code >= 400 {
+		if code == http.StatusTooManyRequests {
+			// Backpressure: the queue is full. The hint is scaled to how
+			// long a queue drain plausibly takes.
+			w.Header().Set("Retry-After", "2")
 		}
-		writeJSON(w, http.StatusOK, jobStatus{
-			Fingerprint: fp, Status: StateDone,
-			Cached: true, CacheTier: tier,
-			Result: json.RawMessage(data),
-		})
+		writeJSON(w, code, apiError{Error: st.Error})
 		return
 	}
-	s.ctr.cacheMiss.Add(1)
-	if s.closed {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server draining"})
-		return
-	}
-	s.nextID++
-	j := &job{
-		id:    fmt.Sprintf("j%d", s.nextID),
-		fp:    fp,
-		spec:  spec,
-		state: StateQueued,
-		done:  make(chan struct{}),
-	}
-	select {
-	case s.queue <- j:
-	default:
-		// Backpressure: the queue is full. 429 with a hint scaled to how
-		// long a queue drain plausibly takes.
-		s.mu.Unlock()
-		s.ctr.queueRejected.Add(1)
-		w.Header().Set("Retry-After", "2")
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: "queue full"})
-		return
-	}
-	s.jobs[j.id] = j
-	s.byFP[fp] = j
-	s.mu.Unlock()
-
-	writeJSON(w, http.StatusAccepted, jobStatus{
-		JobID: j.id, Fingerprint: fp, Status: StateQueued,
-	})
+	writeJSON(w, code, st)
 }
 
 func (s *Server) lookup(id string) *job {
@@ -606,8 +542,10 @@ func (s *Server) handleCorpusReplay(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// submitSpec is the internal submission path shared by replay: same
-// cache/dedup/queue semantics as handleSubmit, minus HTTP decoding.
+// submitSpec is the one submission path, behind POST /jobs and the
+// corpus replay alike: normalize, then dedup, cache, drain check and
+// queue under the server lock. It returns the reply and its status
+// code; at 400 and above only the reply's Error is set.
 func (s *Server) submitSpec(raw *jobspec.Spec) (jobStatus, int) {
 	spec, err := raw.Normalize()
 	if err != nil {
@@ -619,6 +557,9 @@ func (s *Server) submitSpec(raw *jobspec.Spec) (jobStatus, int) {
 	}
 	s.ctr.submitted.Add(1)
 	s.mu.Lock()
+	// Single-flight: a queued or running job with this fingerprint
+	// absorbs the duplicate — thousands of identical submissions cost
+	// one execution.
 	if inflight, ok := s.byFP[fp]; ok {
 		s.mu.Unlock()
 		s.ctr.dedupHits.Add(1)
@@ -626,9 +567,11 @@ func (s *Server) submitSpec(raw *jobspec.Spec) (jobStatus, int) {
 		st := inflight.snapshotLocked()
 		inflight.mu.Unlock()
 		st.Deduped = true
-		st.Result = nil
+		st.Result = nil // attachers poll or stream; the body stays small
 		return st, http.StatusAccepted
 	}
+	// Cache: a completed result under this fingerprint is served
+	// instantly, byte-identical to the run that produced it.
 	if data, tier, ok := s.cache.Get(fp); ok {
 		s.mu.Unlock()
 		if tier == TierMem {

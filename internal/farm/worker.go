@@ -175,78 +175,45 @@ func (x *executor) runSim(ctx context.Context, spec *jobspec.SimSpec, res *jobsp
 }
 
 func (x *executor) runLitmus(ctx context.Context, spec *jobspec.LitmusSpec, res *jobspec.Result, report func(Progress)) {
-	tests := memmodel.LitmusTests()
-	if spec.Test != "all" {
-		l, ok := memmodel.LitmusByName(spec.Test)
-		if !ok {
-			res.Verdict = "error"
-			res.Error = fmt.Sprintf("farm: unknown litmus test %q", spec.Test)
-			return
-		}
-		tests = []memmodel.Litmus{l}
+	runs, err := workload.LitmusSweep(spec.Test, spec.Seeds, workload.LitmusConfig{
+		N: spec.N, Rounds: spec.Rounds, Seed: spec.BaseSeed,
+		MaxJitter: sim.Time(spec.MaxJitterNS), SCNodes: spec.SCNodes,
+	})
+	if err != nil {
+		res.Verdict = "error"
+		res.Error = err.Error()
+		return
 	}
 	lr := &jobspec.LitmusResult{}
 	res.Litmus = lr
-	total := 0
-	for _, l := range tests {
-		placements := 1
-		if l.Vars >= 2 {
-			placements = 2
+	for _, cfg := range runs {
+		if ctx.Err() != nil {
+			res.Verdict = "canceled"
+			return
 		}
-		total += placements * spec.Seeds
-	}
-	undecided := false
-	for _, l := range tests {
-		for _, same := range []bool{false, true} {
-			if same && l.Vars < 2 {
-				continue
-			}
-			placement := "split-col"
-			if same {
-				placement = "same-col"
-			}
-			for s := 0; s < spec.Seeds; s++ {
-				if ctx.Err() != nil {
-					res.Verdict = "canceled"
-					return
-				}
-				seed := spec.BaseSeed + uint64(s)
-				rep, err := workload.RunLitmus(workload.LitmusConfig{
-					Test: l.Name, N: spec.N, Rounds: spec.Rounds,
-					Seed: seed, MaxJitter: sim.Time(spec.MaxJitterNS),
-					SameColumn: same, SCNodes: spec.SCNodes,
-				})
-				if err != nil {
-					res.Verdict = "error"
-					res.Error = err.Error()
-					return
-				}
-				lr.Runs++
-				report(Progress{Done: lr.Runs, Total: total, Events: uint64(rep.History.Len())})
-				switch rep.Check.Verdict {
-				case memmodel.VerdictOK:
-				case memmodel.VerdictUndecided:
-					undecided = true
-					lr.Failures = append(lr.Failures, jobspec.LitmusFailure{
-						Test: l.Name, Placement: placement, Seed: seed,
-						Verdict: rep.Check.Verdict.String(), Reason: rep.Check.Reason,
-					})
-				default:
-					lr.Failures = append(lr.Failures, jobspec.LitmusFailure{
-						Test: l.Name, Placement: placement, Seed: seed,
-						Verdict: rep.Check.Verdict.String(), Reason: rep.Check.Reason,
-					})
-				}
-			}
+		rep, err := workload.RunLitmus(cfg)
+		if err != nil {
+			res.Verdict = "error"
+			res.Error = err.Error()
+			return
 		}
+		lr.Runs++
+		report(Progress{Done: lr.Runs, Total: len(runs), Events: uint64(rep.History.Len())})
+		if rep.Check.Verdict == memmodel.VerdictOK {
+			continue
+		}
+		lr.Failures = append(lr.Failures, jobspec.LitmusFailure{
+			Test: cfg.Test, Placement: cfg.Placement(), Seed: cfg.Seed,
+			Verdict: rep.Check.Verdict.String(), Reason: rep.Check.Reason,
+		})
 	}
 	switch {
-	case len(lr.Failures) > 0 && !onlyUndecided(lr.Failures):
-		res.Verdict = "violation"
-	case undecided:
+	case len(lr.Failures) == 0:
+		res.Verdict = "ok"
+	case onlyUndecided(lr.Failures):
 		res.Verdict = "undecided"
 	default:
-		res.Verdict = "ok"
+		res.Verdict = "violation"
 	}
 }
 

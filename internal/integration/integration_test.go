@@ -146,7 +146,9 @@ func TestLargeMachineStorm(t *testing.T) {
 // three machine configurations; each must satisfy the invariants and
 // complete every reference.
 func TestTraceReplayAcrossConfigurations(t *testing.T) {
-	tr := trace.Capture(16, 40, 6, 24, 8, 0.6, 0.4, 5)
+	tr := &trace.Trace{}
+	workload.References(workload.GenConfig{Seed: 5, Requests: 40, PrivateLines: 6, SharedLines: 24, PShared: 0.6, PWrite: 0.4},
+		16, 8, tr.AppendRef)
 	for _, cfg := range []core.Config{
 		{N: 4, BlockWords: 8},
 		{N: 4, BlockWords: 8, CacheLines: 8, CacheAssoc: 2},

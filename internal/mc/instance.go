@@ -30,13 +30,6 @@ type instance struct {
 	drvDirty []bool
 	drvRec   uint64
 	drvInc   uint64
-
-	// modLines caches each node's Modified-state cache lines behind its
-	// mutation counter, so the per-step duplicate-modified scan skips
-	// nodes untouched since the last check.
-	modLines [][]cache.Line
-	modGen   []uint64
-	modSeen  []cache.Line
 }
 
 // newInstance builds the machine and returns it at the start of its
@@ -59,8 +52,6 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 		fpc:      coherence.NewFPCache(sys),
 		drvH:     make([]uint64, len(sc.Procs)),
 		drvDirty: make([]bool, len(sc.Procs)),
-		modLines: make([][]cache.Line, sc.N*sc.N),
-		modGen:   make([]uint64, sc.N*sc.N),
 	}
 	in.driver = newDriver(sc, sh, in.issue, func(p int) string { return sc.Procs[p].At.String() })
 	in.k = k
@@ -86,18 +77,14 @@ func (in *instance) reset() {
 
 // begin is what reset and load share: the machine and the fingerprint
 // cache stand where the execution starts, their generation counters
-// rewound, so the harness's hook fires, everything else keyed on those
-// counters (the modified-line lists, the driver hashes) is invalidated,
-// and the per-execution counters start over.
+// rewound, so the harness's hook fires, the driver hashes are
+// invalidated, and the per-execution counters start over.
 func (in *instance) begin() {
 	if in.sh.instrument != nil {
 		in.sh.instrument(in.sys)
 	}
 	in.scChecks, in.scUndecided = 0, 0
 	in.drvRec, in.drvInc = 0, 0
-	for i := range in.modGen {
-		in.modGen[i] = ^uint64(0)
-	}
 	for p := range in.drvDirty {
 		in.drvDirty[p] = true
 	}
@@ -304,45 +291,8 @@ func (in *instance) stepCheck(maxReissues int) *Violation {
 	if s := in.sys.StrayReplies(); s > 0 {
 		return &Violation{Kind: "stray-reply", Msg: fmt.Sprintf("%d replies arrived with no matching outstanding request", s)}
 	}
-	// Duplicate-modified scan, incremental: each node's Modified lines
-	// are re-extracted only when its mutation counter moved; the
-	// cross-node duplicate test runs over the (tiny) cached lists. On a
-	// hit, the original full scan re-runs so the reported violation is
-	// byte-identical to the pre-incremental checker's.
-	n := in.sc.N
-	dup := false
-	seen := in.modSeen[:0]
-	for r := 0; r < n && !dup; r++ {
-		for c := 0; c < n && !dup; c++ {
-			i := r*n + c
-			nd := in.sys.Node(topology.Coord{Row: r, Col: c})
-			if g := nd.Gen(); g != in.modGen[i] {
-				lines := in.modLines[i][:0]
-				nd.Cache().ForEach(func(e *cache.Entry) {
-					if e.State == coherence.Modified {
-						lines = append(lines, e.Line)
-					}
-				})
-				in.modLines[i] = lines
-				in.modGen[i] = g
-			}
-			for _, l := range in.modLines[i] {
-				for _, prev := range seen {
-					if prev == l {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					break
-				}
-				seen = append(seen, l)
-			}
-		}
-	}
-	in.modSeen = seen
-	if dup {
-		return in.dupModifiedScan()
+	if v := in.dupModifiedScan(); v != nil {
+		return v
 	}
 	if reissues := in.sys.Reissues(); maxReissues > 0 && reissues > uint64(maxReissues) {
 		return &Violation{Kind: "livelock",
@@ -351,10 +301,8 @@ func (in *instance) stepCheck(maxReissues int) *Violation {
 	return nil
 }
 
-// dupModifiedScan is the original full duplicate-modified walk, run
-// only once the incremental scan has detected a duplicate, so the
-// violation message (which cache held the line first) is identical to
-// the pre-incremental checker's.
+// dupModifiedScan walks every cache for a line Modified in two of them,
+// naming the two holders in row-major order.
 func (in *instance) dupModifiedScan() *Violation {
 	n := in.sc.N
 	holders := make(map[cache.Line]topology.Coord)

@@ -39,9 +39,10 @@ func scenarioHash(sc *Scenario) string {
 // either bumps it and older checkpoints are refused as mismatched
 // (v1: byte-wise FNV-1a; v2: internal/fphash; v3: the frontier record
 // lost its skip word, and the hashed string PR 1's ample-rule field; v4:
-// single-bus states are fingerprinted by the full walk alone).
+// single-bus states are fingerprinted by the full walk alone; v5: the
+// snarf eligibility bits of an in-flight READ are hashed, not packed).
 func optionsHash(o *Options) string {
-	s := fmt.Sprintf("v4|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+	s := fmt.Sprintf("v5|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
 	return fmt.Sprintf("%016x", fnvString(s))

@@ -22,9 +22,8 @@ func firstSiblingWithBoundary(t *testing.T, e *explorer, w *worker) workItem {
 
 // TestLoadInvalidatesWhatGenerationsKey: the machine's generation counters
 // are rewound by a load, so generation g of the abandoned run is not
-// generation g of the resumed one. The instance's own caches keyed on them
-// — the per-node modified-line lists of the per-step oracle, the
-// per-processor driver hashes — must start over, and so must the
+// generation g of the resumed one. The instance's own cache beside them —
+// the per-processor driver hashes — must start over, and so must the
 // per-execution counters.
 func TestLoadInvalidatesWhatGenerationsKey(t *testing.T) {
 	sc, err := Preset("read-race")
@@ -39,20 +38,15 @@ func TestLoadInvalidatesWhatGenerationsKey(t *testing.T) {
 	it := firstSiblingWithBoundary(t, e, w)
 	in := w.ck.(*instance)
 	// The root run ended with every cache warm.
-	for i, g := range in.modGen {
-		if g == ^uint64(0) {
-			t.Fatalf("node %d's modified-line list was never taken; the run checked nothing", i)
+	for p, dirty := range in.drvDirty {
+		if dirty {
+			t.Fatalf("processor %d's driver hash was never taken; the run fingerprinted nothing", p)
 		}
 	}
 	if rec, inc := in.fpStats(); rec == 0 || inc == 0 {
 		t.Fatalf("the root run counted %d recomputes and %d cache hits", rec, inc)
 	}
 	in.load(&it.from.st)
-	for i, g := range in.modGen {
-		if g != ^uint64(0) {
-			t.Errorf("node %d's modified-line list survived the load, keyed on generation %d", i, g)
-		}
-	}
 	for p, dirty := range in.drvDirty {
 		if !dirty {
 			t.Errorf("processor %d's driver hash survived the load", p)

@@ -322,22 +322,30 @@ func TestResumeNothingToResume(t *testing.T) {
 // TestResumeRejectsOlderHasherCheckpoint re-stamps a checkpoint with the
 // options hash its manifest would carry had an earlier explorer written
 // it — "v2|…|legacyAmple|legacyFP", whose frontier file is in a record
-// layout this explorer does not read, and "v3|…", whose single-bus run
+// layout this explorer does not read, "v3|…", whose single-bus run
 // files hold the fingerprints of the incremental cache the baseline no
-// longer has — so resume must refuse it as mismatched, say so, and search
-// afresh to the uninterrupted result.
+// longer has, and "v4|…", whose run files hold a snarfing state's
+// eligibility bits packed into a word where this explorer hashes them —
+// so resume must refuse it as mismatched, say so, and search afresh to
+// the uninterrupted result.
 func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	for _, c := range []struct {
 		version, preset string
+		states          int // budget; the snarfing preset is cut short to stay cheap
 		stamp           func(o *Options) string
 	}{
-		{"v2", "read-race", func(o *Options) string {
+		{"v2", "read-race", 400000, func(o *Options) string {
 			return fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 				o.DisablePOR, o.DisableSleep, o.SCNodes, false, o.legacyFP)
 		}},
-		{"v3", "litmus-iriw-sb", func(o *Options) string {
+		{"v3", "litmus-iriw-sb", 400000, func(o *Options) string {
 			return fmt.Sprintf("v3|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+		}},
+		{"v4", "read-snarf", 3000, func(o *Options) string {
+			return fmt.Sprintf("v4|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
 		}},
@@ -347,12 +355,12 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := Explore(sc, Options{MaxStates: 400000})
+			base, err := Explore(sc, Options{MaxStates: c.states})
 			if err != nil {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			opts := Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
+			opts := Options{MaxStates: c.states, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
 			func() {
 				defer func() { recover() }()
 				o := opts

@@ -42,39 +42,3 @@ func Replay(m *core.Machine, t *Trace, think sim.Time) error {
 	m.Run()
 	return nil
 }
-
-// Capture builds a trace from a deterministic random workload with the
-// same shape as workload.GenConfig, without running a machine — a quick
-// way to produce replayable inputs.
-func Capture(procs, requestsPerProc, privateLines, sharedLines, blockWords int, pShared, pWrite float64, seed uint64) *Trace {
-	t := &Trace{}
-	states := make([]uint64, procs)
-	for p := range states {
-		states[p] = seed ^ (uint64(p)+1)*0x9e3779b97f4a7c15
-	}
-	next := func(p int) uint64 {
-		states[p] += 0x9e3779b97f4a7c15
-		z := states[p]
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	frac := func(v uint64) float64 { return float64(v>>11) / (1 << 53) }
-	sharedBase := uint64(procs * privateLines * blockWords)
-	for i := 0; i < requestsPerProc; i++ {
-		for p := 0; p < procs; p++ {
-			var addr uint64
-			if frac(next(p)) < pShared {
-				addr = sharedBase + next(p)%uint64(sharedLines)*uint64(blockWords) + next(p)%uint64(blockWords)
-			} else {
-				addr = uint64(p*privateLines*blockWords) + next(p)%uint64(privateLines)*uint64(blockWords) + next(p)%uint64(blockWords)
-			}
-			kind := Read
-			if frac(next(p)) < pWrite {
-				kind = Write
-			}
-			t.Append(p, kind, addr)
-		}
-	}
-	return t
-}

@@ -49,6 +49,15 @@ func (t *Trace) Append(proc int, kind OpKind, addr uint64) {
 	t.Records = append(t.Records, Record{Proc: proc, Kind: kind, Addr: addr})
 }
 
+// AppendRef adds a reference in the shape workload.References yields it.
+func (t *Trace) AppendRef(proc int, write bool, addr uint64) {
+	kind := Read
+	if write {
+		kind = Write
+	}
+	t.Append(proc, kind, addr)
+}
+
 // Len returns the record count.
 func (t *Trace) Len() int { return len(t.Records) }
 

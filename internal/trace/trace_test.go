@@ -7,7 +7,16 @@ import (
 
 	"multicube/internal/core"
 	"multicube/internal/sim"
+	"multicube/internal/workload"
 )
+
+// generated is the trace multicube-sim -trace-out writes for cfg on a
+// machine of procs processors.
+func generated(cfg workload.GenConfig, procs, blockWords int) *Trace {
+	t := &Trace{}
+	workload.References(cfg, procs, blockWords, t.AppendRef)
+	return t
+}
 
 func sample() *Trace {
 	t := &Trace{}
@@ -70,20 +79,49 @@ func TestPerProcPreservesOrder(t *testing.T) {
 }
 
 func TestCaptureDeterministic(t *testing.T) {
-	a := Capture(3, 50, 4, 16, 8, 0.5, 0.3, 42)
-	b := Capture(3, 50, 4, 16, 8, 0.5, 0.3, 42)
-	if !equal(a, b) {
+	cfg := workload.GenConfig{Seed: 42, Requests: 50, PrivateLines: 4, SharedLines: 16}
+	a := generated(cfg, 3, 8)
+	b := generated(cfg, 3, 8)
+	if a.Len() != 150 || !equal(a, b) {
 		t.Fatal("captures with same seed differ")
 	}
-	c := Capture(3, 50, 4, 16, 8, 0.5, 0.3, 43)
-	if equal(a, c) {
+	cfg.Seed = 43
+	if equal(a, generated(cfg, 3, 8)) {
 		t.Fatal("captures with different seeds identical")
+	}
+}
+
+// TestTraceReplaysWhatTheGeneratorRan: the trace of a GenConfig, replayed
+// on a second machine of the same shape, gives every node the reads and
+// writes the generator gave it on the first — the think-time and
+// store-value draws sit between the address draws, so a capture that
+// skips them, or assumes the default private region, writes another
+// workload.
+func TestTraceReplaysWhatTheGeneratorRan(t *testing.T) {
+	for _, cfg := range []workload.GenConfig{
+		{Seed: 1, Requests: 60, Exponential: true},
+		{Seed: 1, Requests: 60},
+		{Seed: 7, Requests: 40, Exponential: true, PrivateLines: 5, SharedLines: 12, PShared: 0.2, PWrite: 0.6},
+	} {
+		ran := core.MustNew(core.Config{N: 2, BlockWords: 8})
+		workload.Run(ran, cfg)
+		replayed := core.MustNew(core.Config{N: 2, BlockWords: 8})
+		if err := Replay(replayed, generated(cfg, ran.Processors(), ran.BlockWords()), 1*sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < ran.Processors(); id++ {
+			want, got := ran.Processor(id).Node().Stats(), replayed.Processor(id).Node().Stats()
+			if got.Reads != want.Reads || got.Writes != want.Writes {
+				t.Errorf("%+v: processor %d replayed %d reads and %d writes, the generator issued %d and %d",
+					cfg, id, got.Reads, got.Writes, want.Reads, want.Writes)
+			}
+		}
 	}
 }
 
 func TestReplayOnMachine(t *testing.T) {
 	m := core.MustNew(core.Config{N: 2, BlockWords: 8})
-	tr := Capture(4, 30, 4, 8, 8, 0.6, 0.4, 7)
+	tr := generated(workload.GenConfig{Seed: 7, Requests: 30, PrivateLines: 4, SharedLines: 8, PShared: 0.6, PWrite: 0.4}, 4, 8)
 	if err := Replay(m, tr, 1*sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +146,7 @@ func TestReplayRejectsOutOfRangeProc(t *testing.T) {
 func TestReplayDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		m := core.MustNew(core.Config{N: 2, BlockWords: 8})
-		tr := Capture(4, 40, 4, 8, 8, 0.7, 0.5, 11)
+		tr := generated(workload.GenConfig{Seed: 11, Requests: 40, PrivateLines: 4, SharedLines: 8, PShared: 0.7, PWrite: 0.5}, 4, 8)
 		if err := Replay(m, tr, 500*sim.Nanosecond); err != nil {
 			t.Fatal(err)
 		}

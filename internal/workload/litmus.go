@@ -50,6 +50,46 @@ func (c *LitmusConfig) fillDefaults() {
 	}
 }
 
+// Placement names where the configuration homes a round's variables, as
+// reports print it.
+func (c LitmusConfig) Placement() string {
+	if c.SameColumn {
+		return "same-col"
+	}
+	return "split-col"
+}
+
+// LitmusSweep lists the runs of a litmus sweep in the order they are
+// run: for the named test ("all" is the whole suite), each home-column
+// placement — same-column only for a test of two or more variables, it
+// is the split placement otherwise — times seeds consecutive jitter
+// seeds from base.Seed. Every entry is base with Test, SameColumn and
+// Seed set.
+func LitmusSweep(test string, seeds int, base LitmusConfig) ([]LitmusConfig, error) {
+	tests := memmodel.LitmusTests()
+	if test != "all" {
+		l, ok := memmodel.LitmusByName(test)
+		if !ok {
+			return nil, fmt.Errorf("workload: unknown litmus test %q", test)
+		}
+		tests = []memmodel.Litmus{l}
+	}
+	var runs []LitmusConfig
+	for _, l := range tests {
+		for _, same := range []bool{false, true} {
+			if same && l.Vars < 2 {
+				continue
+			}
+			for s := 0; s < seeds; s++ {
+				c := base
+				c.Test, c.SameColumn, c.Seed = l.Name, same, base.Seed+uint64(s)
+				runs = append(runs, c)
+			}
+		}
+	}
+	return runs, nil
+}
+
 // LitmusReport is the outcome of one RunLitmus call.
 type LitmusReport struct {
 	Test    memmodel.Litmus

@@ -6,53 +6,44 @@ import (
 )
 
 // RunSingleBus drives the single-bus baseline with the same synthetic
-// workload as Run, for the multi-versus-Multicube comparison (the paper's
-// framing: multis are "limited to some tens of processors").
+// workload as Run — each processor consumes the stream Run would hand it
+// — for the multi-versus-Multicube comparison (the paper's framing:
+// multis are "limited to some tens of processors").
 func RunSingleBus(m *singlebus.Machine, cfg GenConfig) Report {
 	cfg.fillDefaults()
 	var rep Report
 	procs := m.Processors()
 	const blockWords = 16 // matches the baseline's default
-	bw := singlebus.Addr(blockWords)
-	sharedBase := singlebus.Addr(procs) * singlebus.Addr(cfg.PrivateLines) * bw
 
 	k := m.Kernel()
 	for id := 0; id < procs; id++ {
-		id := id
-		rng := NewRand(cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
-		privBase := singlebus.Addr(id) * singlebus.Addr(cfg.PrivateLines) * bw
-
-		var loop func(remaining int)
-		loop = func(remaining int) {
-			if remaining == 0 {
+		proc := m.Processor(id)
+		refs := stream(cfg, id, procs, blockWords, false)
+		var issued sim.Time
+		var next func()
+		finish := func(uint64) {
+			rep.StallTime += k.Now() - issued
+			rep.References++
+			refs = refs[1:]
+			next()
+		}
+		issue := func() {
+			r := &refs[0]
+			issued = k.Now()
+			if r.write {
+				proc.StoreAsync(singlebus.Addr(r.addr), r.value, finish)
+			} else {
+				proc.LoadAsync(singlebus.Addr(r.addr), finish)
+			}
+		}
+		next = func() {
+			if len(refs) == 0 {
 				return
 			}
-			think := cfg.Think
-			if cfg.Exponential {
-				think = sim.Time(rng.Exp(float64(cfg.Think)))
-			}
-			rep.ThinkTime += think
-			k.After(think, func() {
-				var addr singlebus.Addr
-				if rng.Float64() < cfg.PShared {
-					addr = sharedBase + singlebus.Addr(rng.Intn(cfg.SharedLines))*bw + singlebus.Addr(rng.Intn(int(bw)))
-				} else {
-					addr = privBase + singlebus.Addr(rng.Intn(cfg.PrivateLines))*bw + singlebus.Addr(rng.Intn(int(bw)))
-				}
-				issued := k.Now()
-				finish := func() {
-					rep.StallTime += k.Now() - issued
-					rep.References++
-					loop(remaining - 1)
-				}
-				if rng.Float64() < cfg.PWrite {
-					m.Processor(id).StoreAsync(addr, rng.Uint64(), func(uint64) { finish() })
-				} else {
-					m.Processor(id).LoadAsync(addr, func(uint64) { finish() })
-				}
-			})
+			rep.ThinkTime += refs[0].think
+			k.After(refs[0].think, issue)
 		}
-		loop(cfg.Requests)
+		next()
 	}
 	rep.Elapsed = m.Run()
 	rep.BusTransactions, _ = m.TxnStats()
