@@ -146,10 +146,11 @@ func run() int {
 	if *jsonOut {
 		out := struct {
 			mc.Result
-			ElapsedMS    int64   `json:"elapsed_ms"`
-			StatesPerSec float64 `json:"states_per_sec"`
-			PeakRSSBytes int64   `json:"peak_rss_bytes"`
-		}{Result: res, ElapsedMS: elapsed.Milliseconds(),
+			FPRelabelings int     `json:"fp_relabelings"`
+			ElapsedMS     int64   `json:"elapsed_ms"`
+			StatesPerSec  float64 `json:"states_per_sec"`
+			PeakRSSBytes  int64   `json:"peak_rss_bytes"`
+		}{Result: res, FPRelabelings: relabelings(sc), ElapsedMS: elapsed.Milliseconds(),
 			StatesPerSec: statesPerSec(res.States, elapsed), PeakRSSBytes: peakRSS()}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -184,8 +185,9 @@ func run() int {
 		fmt.Printf("coverage  partial (depth %d)\n", res.Depth)
 	}
 	fmt.Printf("elapsed   %v\n", elapsed)
-	if res.FPRecomputes+res.FPIncremental > 0 {
-		fmt.Printf("fp        %d component recomputes, %d cache hits\n", res.FPRecomputes, res.FPIncremental)
+	if res.FPPoints > 0 {
+		fmt.Printf("fp        %d component recomputes, %d cache hits; %d points, %.2f of %d relabelings per point\n",
+			res.FPRecomputes, res.FPIncremental, res.FPPoints, float64(res.FPCombines)/float64(res.FPPoints), relabelings(sc))
 	}
 	if res.Steps > 0 {
 		fmt.Printf("replay    %d of %d kernel steps (%.1f %%)\n", res.ReplaySteps, res.Steps,
@@ -219,4 +221,25 @@ func run() int {
 		}
 	}
 	return 1
+}
+
+// relabelings is the size of the table the grid's canonical form picks
+// from (internal/mc's colsym.go): every relabeling of the rows times every
+// relabeling of the columns no program line is homed on (line L lives on
+// column L mod N) — or the identity alone beyond four of either.
+func relabelings(sc mc.Scenario) int {
+	sc.FillDefaults()
+	homed := make(map[uint64]bool)
+	for _, pr := range sc.Procs {
+		for _, op := range pr.Ops {
+			homed[op.Line%uint64(sc.N)] = true
+		}
+	}
+	size := 1
+	for _, k := range []int{sc.N, sc.N - len(homed)} {
+		for ; k > 1 && k <= 4; k-- {
+			size *= k
+		}
+	}
+	return size
 }

@@ -1,6 +1,9 @@
 package coherence
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Property tests for the conditional column symmetry (FingerprintRC and
 // FPCache.FPRC): relabeling the columns of a machine maps fingerprints
@@ -57,6 +60,91 @@ func fpcRC(s *System, perm, cperm []int) uint64 {
 	f := NewFPCache(s)
 	f.BeginPoint(nil)
 	return f.FPRC(perm, inv, cperm, cinv)
+}
+
+// fixed3 marks column 0, the one column no relabeling of colMaps3 moves.
+var fixed3 = []bool{true, false, false}
+
+// canonicalBySorting is the explorer's canonical form on a bare 3×3
+// machine: the minimum FPRC over the relabelings of rowMaps3 × colMaps3
+// that leave the row and free-column signatures in non-decreasing order,
+// with the signatures it sorted by and the relabelings it combined.
+func canonicalBySorting(s *System) (fp uint64, rowSig, colSig []uint64, combined int) {
+	f := NewFPCache(s)
+	f.BeginPoint(nil)
+	rowSig, colSig = make([]uint64, 3), make([]uint64, 3)
+	f.Signatures(fixed3, rowSig, colSig)
+	fp = ^uint64(0)
+	for _, perm := range rowMaps3 {
+		inv := invert(perm)
+		if rowSig[inv[0]] > rowSig[inv[1]] || rowSig[inv[1]] > rowSig[inv[2]] {
+			continue
+		}
+		for _, cperm := range colMaps3 {
+			cinv := invert(cperm)
+			if colSig[cinv[1]] > colSig[cinv[2]] {
+				continue
+			}
+			combined++
+			if v := f.FPRC(perm, inv, cperm, cinv); v < fp {
+				fp = v
+			}
+		}
+	}
+	return fp, rowSig, colSig, combined
+}
+
+// checkSortedTwin holds a state and its relabeled twin to what the
+// canonical form by sorting rests on: each signature moves with its row
+// or free column, and the canonical values are equal.
+func checkSortedTwin(t testing.TB, base, relabeled *System, rowMap, colMap []int, what string) {
+	t.Helper()
+	want, rowSig, colSig, combined := canonicalBySorting(base)
+	got, twinRow, twinCol, _ := canonicalBySorting(relabeled)
+	if combined == 0 {
+		t.Fatalf("%s: no relabeling sorts the signatures", what)
+	}
+	for r := range rowSig {
+		if twinRow[rowMap[r]] != rowSig[r] {
+			t.Errorf("%s: row %d's signature %#x is %#x at row %d of the twin", what, r, rowSig[r], twinRow[rowMap[r]], rowMap[r])
+		}
+	}
+	for c := range colSig {
+		if !fixed3[c] && twinCol[colMap[c]] != colSig[c] {
+			t.Errorf("%s: column %d's signature %#x is %#x at column %d of the twin", what, c, colSig[c], twinCol[colMap[c]], colMap[c])
+		}
+	}
+	if got != want {
+		t.Errorf("%s: canonical fingerprint %#x, the twin's %#x", what, want, got)
+	}
+}
+
+// TestSignaturesFollowRelabeling checks the invariance on all twelve
+// relabeled twins of every scripted state at several kernel depths, and
+// that the signatures tell rows apart often enough to be worth sorting
+// by: a quiescent state whose rows all did different things has one
+// sorting relabeling, not twelve.
+func TestSignaturesFollowRelabeling(t *testing.T) {
+	for _, tc := range colScripts {
+		for _, steps := range []int{-1, 0, 3, 9} {
+			base := buildState(t, 3, tc.script, nil, steps)
+			for _, rowMap := range rowMaps3 {
+				for _, colMap := range colMaps3 {
+					relabeled := buildStateRC(t, 3, tc.script, rowMap, colMap, steps)
+					checkSortedTwin(t, base, relabeled, rowMap, colMap,
+						fmt.Sprintf("%s (steps=%d, rows %v, cols %v)", tc.name, steps, rowMap, colMap))
+				}
+			}
+		}
+	}
+	distinct := buildState(t, 3, []fpOp{{'w', 0, 1, 0}, {'r', 1, 2, 3}, {'t', 2, 0, 3}}, nil, -1)
+	if _, _, _, combined := canonicalBySorting(distinct); combined != 1 {
+		t.Errorf("three rows and two free columns that all differ: %d relabelings combined, want 1", combined)
+	}
+	empty := buildState(t, 3, nil, nil, -1)
+	if _, _, _, combined := canonicalBySorting(empty); combined != 12 {
+		t.Errorf("the empty machine ties everywhere: %d relabelings combined, want all 12", combined)
+	}
 }
 
 // TestFingerprintRowColPermutationInvariant builds each scripted state
@@ -161,6 +249,8 @@ func TestFPCacheRandomizedRowColInvariance(t *testing.T) {
 			t.Fatalf("iter %d (steps=%d, rows %v cols %v, script %+v): FPCache %#x, want %#x",
 				i, steps, rowMap, colMap, script, got, want)
 		}
+		checkSortedTwin(t, base, relabeled, rowMap, colMap,
+			fmt.Sprintf("iter %d (steps=%d, rows %v cols %v, script %+v)", i, steps, rowMap, colMap, script))
 	}
 }
 
@@ -184,7 +274,8 @@ func randomHomeColScript(r *scriptRand, n, maxOps int) []fpOp {
 // FuzzFingerprintRowColSwap fuzzes the combined relabeling: any
 // home-column-0 script on the 3×3 grid, interrupted at any depth, must
 // fingerprint identically (on both paths) after any row relabeling
-// combined with the free-column swap.
+// combined with the free-column swap, its signatures must move with their
+// rows and columns, and its canonical form by sorting must not change.
 func FuzzFingerprintRowColSwap(f *testing.F) {
 	f.Add([]byte{0xff, 2, 1, 0, 0})
 	f.Add([]byte{4, 0, 1, 4, 1, 3, 7, 0})
@@ -223,5 +314,6 @@ func FuzzFingerprintRowColSwap(f *testing.F) {
 			t.Fatalf("relabeling changed FPCache fingerprint: %#x vs %#x (rows %v, script %+v, steps %d)",
 				got, want, rowMap, script, steps)
 		}
+		checkSortedTwin(t, base, relabeled, rowMap, colMap, fmt.Sprintf("rows %v, script %+v, steps %d", rowMap, script, steps))
 	})
 }

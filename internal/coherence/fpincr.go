@@ -9,15 +9,16 @@ import (
 
 // This file is the incremental companion of snapshot.go: FPCache computes
 // the same canonical-equivalence fingerprint as System.Fingerprint but in
-// O(changed components + n! × n² combine) per choice point instead of
-// O(n! × total machine state).
+// O(changed components + n² combine per relabeling tried) per choice
+// point instead of O(n! × total machine state) — and Signatures lets the
+// caller try one relabeling, not n!, wherever rows and columns differ.
 //
 // The machine is hashed as independent components — one hash per node
 // (L2 + MLT + pending transaction), one per memory module, one snapshot
 // per bus — each cached behind a mutation generation counter (Node.gen,
 // Memory.gen, Bus.Gen) that the protocol entry points bump. A choice
 // point calls BeginPoint once to refresh only the dirty components, then
-// FP(perm, inv) once per row relabeling to combine the cached hashes in
+// FPRC once per relabeling it has to try, to combine the cached hashes in
 // permuted order.
 //
 // Component hashes are row-independent by construction: nothing inside a
@@ -92,9 +93,6 @@ type FPCache struct {
 
 	evs []evRec
 	evH []uint64
-
-	// cIdent is the cached identity column permutation for FP.
-	cIdent []int
 
 	recomputes uint64 // component hashes rebuilt because their gen moved
 	reused     uint64 // component hashes served from cache
@@ -245,36 +243,89 @@ func (f *FPCache) snapshotEvents(extra ExtraTagFunc) {
 // Fingerprint's busID: rows are kind 0 (index permuted at combine time),
 // columns kind 1, anything else kind 2.
 func (f *FPCache) busRef(b *bus.Bus) (uint64, int) {
-	s := f.sys
-	for r := 0; r < f.n; r++ {
-		if s.rows[r] == b {
-			return 0, r
-		}
+	switch idx := f.sys.busIndex(b); {
+	case idx < 0:
+		return 2, 0
+	case idx < f.n:
+		return 0, idx
+	default:
+		return 1, idx - f.n
 	}
-	for c := 0; c < f.n; c++ {
-		if s.cols[c] == b {
-			return 1, c
-		}
-	}
-	return 2, 0
 }
 
-// FP combines the cached component hashes under the row relabeling perm
-// (inv its inverse, both caller-owned and len n) with columns kept in
-// physical order. BeginPoint must have run at this choice point.
-func (f *FPCache) FP(perm, inv []int) uint64 {
-	return f.FPRC(perm, inv, f.identCols(), f.identCols())
+// sigWord hashes one tagged pair into a signature term; a signature is a
+// sum of terms, so the order they are found in does not matter.
+func sigWord(tag, a, b uint64) uint64 {
+	h := fphash.New()
+	h.Word(tag)
+	h.Word(a)
+	h.Word(b)
+	return h.Sum()
 }
 
-// identCols returns the cached identity column permutation.
-func (f *FPCache) identCols() []int {
-	if len(f.cIdent) != f.n {
-		f.cIdent = make([]int, f.n)
-		for i := range f.cIdent {
-			f.cIdent[i] = i
+// Signatures writes one relabeling-invariant hash per row into rowSig and
+// per free column into colSig (both len n) from what BeginPoint cached at
+// this choice point. fixed[c] marks the columns no admissible relabeling
+// moves (a home column in use): their index may be hashed as it is; every
+// row, and every other column, may enter only as a member of a multiset.
+//
+// Invariance is the whole contract: relabel the machine by an admissible
+// (perm, cperm) and the signature row r had turns up at perm[r], free
+// column c's at cperm[c]. A caller may therefore hand FPRC only the
+// relabelings that leave the signatures in order — the relabeled machine
+// offers the same candidates composed with the relabeling's inverse,
+// hence the same values. What a signature leaves out costs ties, never
+// soundness: summed in are the node hashes of the row (keyed by a fixed
+// column) or column, the memory module and the buses (busSig), all
+// placement-free and already cached; pending events are left out, having
+// split no tie the rest did not on any preset measured (EXPERIMENTS.md
+// "PR 20").
+func (f *FPCache) Signatures(fixed []bool, rowSig, colSig []uint64) {
+	n := f.n
+	colKey := func(c int) uint64 {
+		if c < n && !fixed[c] {
+			return ^uint64(0) // free: which one must not show
+		}
+		return uint64(c)
+	}
+	for r := 0; r < n; r++ {
+		rowSig[r] = busSig(&f.rowQ[r], colKey)
+		for c := 0; c < n; c++ {
+			rowSig[r] += sigWord(0x40, f.nodeH[r][c], colKey(c))
 		}
 	}
-	return f.cIdent
+	for c := 0; c < n; c++ {
+		if fixed[c] {
+			colSig[c] = 0 // never sorted by
+			continue
+		}
+		// A column bus's sources are rows, all alike, then the memory module.
+		colSig[c] = sigWord(0x41, f.memH[c], 0) + busSig(&f.colQ[c], func(src int) uint64 { return uint64(src / n) })
+		for r := 0; r < n; r++ {
+			colSig[c] += sigWord(0x42, f.nodeH[r][c], 0)
+		}
+	}
+}
+
+// busSig summarizes one bus for Signatures: busy bit, in-flight operation,
+// and every queued operation by the key srcKey gives its source's attach
+// index and its place in that source's queue.
+func busSig(q *busQ, srcKey func(src int) uint64) uint64 {
+	var sig uint64
+	if q.busy {
+		sig = 0x50
+	}
+	if q.inflight != nil {
+		sig += sigWord(0x51, opBase(q.inflight), 0)
+	}
+	if q.nonEmpty > 0 {
+		for src, ops := range q.perSrc {
+			for i, op := range ops {
+				sig += sigWord(0x52+srcKey(src)<<8, uint64(i), opBase(op))
+			}
+		}
+	}
+	return sig
 }
 
 // FPRC combines the cached component hashes under the row relabeling
@@ -424,12 +475,8 @@ func permRowWord(perm []int, r int) uint64 {
 // placement-independent base plus the permuted Origin/Target coordinates
 // and, when snarfing is live, the permuted snarf eligibility matrix.
 func (f *FPCache) opPermFP(op *Op, perm, inv, cperm, cinv []int) uint64 {
-	if !op.fpBaseOK {
-		op.fpBase = opBaseFP(op)
-		op.fpBaseOK = true
-	}
 	h := fphash.New()
-	h.Word(op.fpBase)
+	h.Word(opBase(op))
 	h.Word(permRowWord(perm, op.Origin.Row))
 	h.Word(permRowWord(cperm, op.Origin.Col))
 	if op.Flags&XFER != 0 {
@@ -442,11 +489,13 @@ func (f *FPCache) opPermFP(op *Op, perm, inv, cperm, cinv []int) uint64 {
 	return h.Sum()
 }
 
-// opBaseFP hashes the placement-independent fields of an op. Every
-// hashed field is immutable once the op is fingerprint-visible
-// (snapshot.go hashes the same set), so callers memoize the result on
-// the op.
-func opBaseFP(op *Op) uint64 {
+// opBase hashes the placement-independent fields of an op. Every hashed
+// field is immutable once the op is fingerprint-visible (snapshot.go
+// hashes the same set), so the result is memoized on the op.
+func opBase(op *Op) uint64 {
+	if op.fpBaseOK {
+		return op.fpBase
+	}
 	h := fphash.New()
 	h.Word(uint64(op.Txn))
 	h.Word(uint64(op.Flags))
@@ -456,7 +505,8 @@ func opBaseFP(op *Op) uint64 {
 	for _, w := range op.Data {
 		h.Word(w)
 	}
-	return h.Sum()
+	op.fpBase, op.fpBaseOK = h.Sum(), true
+	return op.fpBase
 }
 
 // snarfWord hashes the born-vs-purgedAt eligibility relation, one bit

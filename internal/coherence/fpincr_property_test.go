@@ -14,22 +14,7 @@ import (
 
 // fpcFP computes the FPCache fingerprint of s under perm (physical row
 // -> canonical row; nil is identity).
-func fpcFP(s *System, perm []int) uint64 {
-	n := s.cfg.N
-	if perm == nil {
-		perm = make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-	}
-	inv := make([]int, n)
-	for phys, canon := range perm {
-		inv[canon] = phys
-	}
-	f := NewFPCache(s)
-	f.BeginPoint(nil)
-	return f.FP(perm, inv)
-}
+func fpcFP(s *System, perm []int) uint64 { return fpcRC(s, perm, nil) }
 
 // TestFPCacheRowPermutationInvariant mirrors
 // TestFingerprintRowPermutationInvariant on the incremental path.
@@ -86,10 +71,10 @@ func TestFPCacheIncrementalStability(t *testing.T) {
 		for step := 0; k.Pending() > 0 && step < 30; step++ {
 			k.Step()
 			f.BeginPoint(nil)
-			got := f.FP(perm, inv)
+			got := f.FPRC(perm, inv, perm, inv)
 			fresh := NewFPCache(s)
 			fresh.BeginPoint(nil)
-			if want := fresh.FP(perm, inv); got != want {
+			if want := fresh.FPRC(perm, inv, perm, inv); got != want {
 				t.Fatalf("iter %d step %d (script %+v): incremental %#x, fresh %#x",
 					i, step, script, got, want)
 			}

@@ -221,7 +221,7 @@ func (m *rwMachine) extraRC(tag any) (row, col int, rest uint64, ok bool) {
 // from the machine's own cache or from a new one.
 func (m *rwMachine) incrementalFP(f *FPCache) uint64 {
 	f.BeginPoint(m.extraRC)
-	return f.FP(m.ident, m.ident)
+	return f.FPRC(m.ident, m.ident, m.ident, m.ident)
 }
 
 // rwBoundary is a whole saved execution.

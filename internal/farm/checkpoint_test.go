@@ -44,6 +44,7 @@ func stripResume(r mc.Result) mc.Result {
 	r.DiskBytes = 0
 	r.Steps, r.ReplaySteps = 0, 0
 	r.FPRecomputes, r.FPIncremental = 0, 0
+	r.FPPoints, r.FPCombines = 0, 0
 	r.Restores, r.PeakBoundaries = 0, 0
 	return r
 }

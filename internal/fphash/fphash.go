@@ -14,8 +14,8 @@
 // that differ in exactly one word never collide; everything else is an
 // ordinary 2⁻⁶⁴ per pair. The multiply carries every input bit into the
 // top of the state and the shift-xor folds the top half back down for the
-// next multiply, so the high bits — statespace shards on the top 6 and
-// assigns owners by the top 32 — are the best mixed.
+// next multiply, so the high bits — statespace shards on the top 6, or
+// fewer under a small memory budget — are the best mixed.
 //
 // Fingerprint values are not stable across versions of this package; the
 // explorer depends only on equality. On-disk checksums

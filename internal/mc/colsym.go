@@ -32,8 +32,8 @@ func usedHomeColumns(sc *Scenario) []bool {
 
 // colPermutations enumerates the relabelings of n columns that fix
 // every column marked in fixed, permuting only the unmarked ones among
-// themselves. Mirroring rowPermutations' factorial guard, more than 4
-// free columns degrades gracefully to the identity alone.
+// themselves. More than 4 free columns degrades gracefully to the
+// identity alone (the factorial guard rowPermutations shares).
 func colPermutations(n int, fixed []bool) [][]int {
 	ident := make([]int, n)
 	free := make([]int, 0, n)

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"multicube/internal/topology"
@@ -93,8 +94,8 @@ func TestExploreColumnSymmetricPlacements(t *testing.T) {
 
 // TestExploreColumnSymmetryCrossCheck runs a 3×3 single-home-column
 // preset with CheckFP, which recomputes every canonical fingerprint
-// from scratch (all row × column relabelings) and panics on divergence
-// between the incremental and full-walk paths.
+// from scratch and holds it in bijection with the full-walk reference
+// (all row × column relabelings), panicking on divergence.
 func TestExploreColumnSymmetryCrossCheck(t *testing.T) {
 	sc, err := Preset("litmus-corr-3x3")
 	if err != nil {
@@ -106,30 +107,6 @@ func TestExploreColumnSymmetryCrossCheck(t *testing.T) {
 	}
 	if res.Violation != nil {
 		t.Fatalf("%s: %v", sc.Name, res.Violation)
-	}
-}
-
-// TestExploreColumnSymmetryLegacyEquivalence checks the legacy
-// full-walk fingerprint path partitions states identically to the
-// incremental one under column relabelings: same state and run counts.
-func TestExploreColumnSymmetryLegacyEquivalence(t *testing.T) {
-	sc, err := Preset("litmus-coww-3x3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{MaxStates: 20000}
-	inc, err := Explore(sc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.legacyFP = true
-	leg, err := Explore(sc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.States != leg.States || inc.Runs != leg.Runs {
-		t.Fatalf("incremental states=%d runs=%d, legacy states=%d runs=%d",
-			inc.States, inc.Runs, leg.States, leg.Runs)
 	}
 }
 
@@ -154,5 +131,54 @@ func TestSharedColumnPerms(t *testing.T) {
 	}
 	if got := count("litmus-sb"); got != 1 {
 		t.Errorf("litmus-sb: %d column relabelings, want 1 (every home column used)", got)
+	}
+}
+
+// TestCanonicalFormCombinesPerPoint holds the canonical form to what it
+// is for. Each of these 3×3 grids has twelve relabelings; sorting rows
+// and free columns by signature must leave about one to combine where the
+// programs differ (litmus-coww-3x3) and only the ties where they do not
+// (sync-col-3x3 runs one program three times, snarf-serve-row places two
+// idle readers alike) — FPCombines ÷ FPPoints near 12 would mean the
+// signatures tell nothing apart and the n! loop is back.
+func TestCanonicalFormCombinesPerPoint(t *testing.T) {
+	for _, c := range []struct {
+		preset string
+		most   float64
+	}{{"litmus-coww-3x3", 1.1}, {"sync-col-3x3", 2.5}, {"snarf-serve-row", 2.5}} {
+		sc, err := Preset(c.preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Explore(sc, Options{MaxStates: 8000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(res.FPCombines) / float64(res.FPPoints)
+		if res.FPPoints == 0 || per < 1 || per > c.most {
+			t.Errorf("%s: %d relabelings combined at %d choice points (%.2f a point), want 1..%.1f",
+				c.preset, res.FPCombines, res.FPPoints, per, c.most)
+		}
+	}
+}
+
+// TestFPOracleHoldsABijection: -checkfp's partition oracle accepts a
+// state seen again and panics as soon as one fingerprint merges what the
+// other splits, either way round.
+func TestFPOracleHoldsABijection(t *testing.T) {
+	panics := func(fn func()) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		fn()
+		return ""
+	}
+	var o fpOracle
+	if msg := panics(func() { o.hold(1, 10, "t"); o.hold(2, 20, "t"); o.hold(1, 10, "t") }); msg != "" {
+		t.Fatalf("a bijection panicked: %s", msg)
+	}
+	if msg := panics(func() { o.hold(1, 30, "t") }); !strings.Contains(msg, "merges") {
+		t.Errorf("one canonical fingerprint for two reference fingerprints: %q", msg)
+	}
+	if msg := panics(func() { o.hold(3, 20, "t") }); !strings.Contains(msg, "split") {
+		t.Errorf("two canonical fingerprints for one reference fingerprint: %q", msg)
 	}
 }

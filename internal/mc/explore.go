@@ -84,11 +84,12 @@ type Options struct {
 	// memmodel's default. Executions whose search exhausts the budget
 	// count as undecided (Result.SCUndecided) rather than failing.
 	SCNodes int
-	// CheckFP enables the incremental-fingerprint debug cross-check: at
-	// every choice point the canonical fingerprint is recomputed from
-	// scratch with a fresh cache and compared against the incremental
-	// value, panicking on any divergence (the -checkfp flag). Slow;
-	// intended for tests and debugging the fingerprint fast path.
+	// CheckFP enables the fingerprint debug cross-check (the -checkfp
+	// flag): at every choice point the canonical fingerprint is recomputed
+	// from scratch with a fresh cache and compared against the incremental
+	// value, and held in bijection with the full-walk reference over every
+	// relabeling, panicking on any divergence. Slow; intended for tests
+	// and debugging the fingerprint fast path.
 	// Grid scenarios only: the single-bus baseline has one fingerprint,
 	// a full walk, and nothing to cross-check it against.
 	CheckFP bool
@@ -234,6 +235,14 @@ type Result struct {
 	// results can differ in them, as they do in elapsed time.
 	FPRecomputes  uint64
 	FPIncremental uint64
+	// FPPoints counts the choice points canonicalised and FPCombines the
+	// relabelings combined for them: their ratio is what the canonical
+	// form costs against the size of the relabeling table (1 when sorting
+	// the row and column signatures always singles one out, the table size
+	// when it never does). Summed and host cost like the two above; zero
+	// under legacyFP and on the single-bus baseline.
+	FPPoints   uint64
+	FPCombines uint64
 	// SCChecks counts completed executions whose history was checked for
 	// full sequential consistency (scenarios with CheckSC set; zero
 	// otherwise), and SCUndecided how many of those searches gave up on
@@ -294,9 +303,9 @@ type checker interface {
 	// grantClass describes one bus-arbitration candidate (the packet
 	// that would be granted) on the named bus.
 	grantClass(busName string, tag any) tagClass
-	// fpStats reports this execution's incremental-fingerprint counters
-	// (component recomputes, cache hits); zero where nothing is cached.
-	fpStats() (recomputes, incremental uint64)
+	// fpStats reports this execution's fingerprint cost; zero where
+	// nothing is cached or canonicalised by sorting.
+	fpStats() fpCounts
 	// scStats reports this execution's sequential-consistency checks and
 	// how many were cut by the node budget (zero unless Scenario.CheckSC).
 	scStats() (checks, undecided uint64)
@@ -577,6 +586,8 @@ type explorer struct {
 	budget  atomic.Bool
 	fpRec   atomic.Uint64
 	fpInc   atomic.Uint64
+	fpPts   atomic.Uint64
+	fpComb  atomic.Uint64
 	scRuns  atomic.Uint64
 	scUndec atomic.Uint64
 	steps   atomic.Uint64
@@ -763,9 +774,11 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 	if out.violation != nil {
 		out.violation.Choices = picksOf(ch.taken)
 	}
-	rec, inc := ck.fpStats()
-	e.fpRec.Add(rec)
-	e.fpInc.Add(inc)
+	fpn := ck.fpStats()
+	e.fpRec.Add(fpn.recomputes)
+	e.fpInc.Add(fpn.incremental)
+	e.fpPts.Add(fpn.points)
+	e.fpComb.Add(fpn.combines)
 	scc, scu := ck.scStats()
 	e.scRuns.Add(scc)
 	e.scUndec.Add(scu)
@@ -1059,6 +1072,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.BudgetHit = e.budget.Load()
 		res.FPRecomputes = e.fpRec.Load()
 		res.FPIncremental = e.fpInc.Load()
+		res.FPPoints = e.fpPts.Load()
+		res.FPCombines = e.fpComb.Load()
 		res.SCChecks = e.scRuns.Load()
 		res.SCUndecided = e.scUndec.Load()
 		res.Steps = e.steps.Load()

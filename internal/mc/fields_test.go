@@ -99,7 +99,7 @@ var rewindFields = []fieldClasses{
 	{
 		of:      typeOf[instance](),
 		rewound: []string{"driver", "sys", "held", "fpc"},
-		scratch: []string{"drvH", "drvDirty", "drvRec", "drvInc"},
+		scratch: []string{"drvH", "drvDirty", "fpn", "sigR", "sigC"},
 	},
 }
 

@@ -14,7 +14,10 @@ func fpEquivOpts() Options {
 
 // TestFPCrossCheckPresets runs every curated preset with the debug
 // cross-check enabled: at every choice point the incremental canonical
-// fingerprint is recomputed from scratch and any divergence panics.
+// fingerprint is recomputed from scratch and held in bijection with the
+// full-walk reference, and any divergence panics. The reference walks the
+// machine once per relabeling, twelve times a point on a 3×3 grid, so the
+// budget is half what it was when only the recompute ran.
 func TestFPCrossCheckPresets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-check matrix is slow")
@@ -29,7 +32,7 @@ func TestFPCrossCheckPresets(t *testing.T) {
 			}
 			opts := fpEquivOpts()
 			opts.CheckFP = true
-			opts.MaxStates = 8000
+			opts.MaxStates = 4000
 			if _, err := Explore(sc, opts); err != nil {
 				t.Fatal(err)
 			}
@@ -77,8 +80,9 @@ var sbLegacyPartition = map[string][2]int{
 // Single-bus cases compare against sbLegacyPartition instead.
 func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 	type tc struct {
-		name string
-		sc   Scenario
+		name   string
+		sc     Scenario
+		states int // budget, where the reference's twelve full walks a point need one; 0 is fpEquivOpts'
 	}
 	var cases []tc
 	for _, name := range []string{"read-race", "readmod-race", "sb-writeonce-race", "sb-victim-race"} {
@@ -86,7 +90,18 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, tc{name, sc})
+		cases = append(cases, tc{name: name, sc: sc})
+	}
+	// 3×3 grids, where sorting has twelve relabelings to choose from: free
+	// columns and two distinct programs (one sorting relabeling at every
+	// point), identical programs (rows tie: 2.1 a point), and snarfing
+	// (the eligibility matrix rides along with whichever are combined).
+	for _, c := range []tc{{name: "litmus-coww-3x3"}, {name: "sync-col-3x3", states: 5000}, {name: "snarf-row-3x3", states: 5000}} {
+		sc, err := Preset(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{c.name, sc, c.states})
 	}
 	// Injected-bug variant: both paths must find the same minimized
 	// counterexample.
@@ -95,7 +110,7 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.InjectStaleReply = true
-	cases = append(cases, tc{"readmod-race-inject", inj})
+	cases = append(cases, tc{name: "readmod-race-inject", sc: inj})
 	// Snarf variant exercises the row-coupled purgedAt matrix, the one
 	// fingerprint component that cannot be factored per row.
 	snarf, err := Preset("read-race")
@@ -104,7 +119,7 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 	}
 	snarf.Name = "read-race-snarf"
 	snarf.Snarf = true
-	cases = append(cases, tc{"read-race-snarf", snarf})
+	cases = append(cases, tc{name: "read-race-snarf", sc: snarf})
 	seeds := 8
 	if testing.Short() {
 		seeds = 3
@@ -112,7 +127,7 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 	for i := 0; i < seeds; i++ {
 		for _, singleBus := range []bool{false, true} {
 			sc := SwarmScenario(int64(18000+i), singleBus)
-			cases = append(cases, tc{sc.Name + fmt.Sprintf("-sb%v", singleBus), sc})
+			cases = append(cases, tc{name: sc.Name + fmt.Sprintf("-sb%v", singleBus), sc: sc})
 		}
 	}
 
@@ -124,6 +139,9 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 			legOpts := fpEquivOpts()
 			legOpts.legacyFP = true
 			incOpts.NoMinimize, legOpts.NoMinimize = false, false
+			if c.states > 0 {
+				incOpts.MaxStates, legOpts.MaxStates = c.states, c.states
+			}
 			inc, err := Explore(c.sc, incOpts)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +158,7 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if inc.States != leg.States || inc.Runs != leg.Runs || inc.Exhausted != leg.Exhausted {
+			if inc.States != leg.States || inc.Runs != leg.Runs || inc.Exhausted != leg.Exhausted || inc.BudgetHit != leg.BudgetHit {
 				t.Fatalf("partition mismatch: incremental states=%d runs=%d exhausted=%v, legacy states=%d runs=%d exhausted=%v",
 					inc.States, inc.Runs, inc.Exhausted, leg.States, leg.Runs, leg.Exhausted)
 			}
@@ -161,6 +179,10 @@ func TestFPIncrementalMatchesLegacyPartition(t *testing.T) {
 			}
 			if inc.States > 0 && inc.FPRecomputes == 0 {
 				t.Fatalf("incremental path reported no component recomputes over %d states", inc.States)
+			}
+			if leg.FPPoints != 0 || inc.FPPoints == 0 || inc.FPCombines < inc.FPPoints {
+				t.Fatalf("canonical-form counters: %d combines over %d points, %d points on the reference path",
+					inc.FPCombines, inc.FPPoints, leg.FPPoints)
 			}
 		})
 	}

@@ -28,9 +28,15 @@ type instance struct {
 	fpc      *coherence.FPCache
 	drvH     []uint64
 	drvDirty []bool
-	drvRec   uint64
-	drvInc   uint64
+	fpn      fpCounts
+
+	sigR, sigC []uint64 // canonical's scratch: row and column signatures
 }
+
+// fpCounts is one execution's fingerprint cost: component hashes rebuilt
+// and served from cache (machine plus driver), choice points
+// canonicalised, and relabelings combined for them.
+type fpCounts struct{ recomputes, incremental, points, combines uint64 }
 
 // newInstance builds the machine and returns it at the start of its
 // first execution.
@@ -52,6 +58,8 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 		fpc:      coherence.NewFPCache(sys),
 		drvH:     make([]uint64, len(sc.Procs)),
 		drvDirty: make([]bool, len(sc.Procs)),
+		sigR:     make([]uint64, sc.N),
+		sigC:     make([]uint64, sc.N),
 	}
 	in.driver = newDriver(sc, sh, in.issue, func(p int) string { return sc.Procs[p].At.String() })
 	in.k = k
@@ -84,7 +92,7 @@ func (in *instance) begin() {
 		in.sh.instrument(in.sys)
 	}
 	in.scChecks, in.scUndecided = 0, 0
-	in.drvRec, in.drvInc = 0, 0
+	in.fpn = fpCounts{}
 	for p := range in.drvDirty {
 		in.drvDirty[p] = true
 	}
@@ -338,43 +346,93 @@ func (in *instance) quiescenceCheck() *Violation {
 // --- canonical fingerprints ----------------------------------------------
 
 // canonicalFP fingerprints the machine AND driver state (program
-// counters, lock bookkeeping, remaining programs), minimized over all
-// row relabelings crossed with the admissible column relabelings
-// (those fixing every home column the programs use — see colsym.go).
-// The sequential-consistency witness history is
+// counters, lock bookkeeping, remaining programs) so that states equal
+// up to a row relabeling crossed with an admissible column relabeling
+// (one fixing every home column the programs use — see colsym.go) get
+// one value. The sequential-consistency witness history is
 // deliberately excluded: it grows monotonically and is checked along
 // every execution rather than treated as state (write values are unique,
 // so distinct histories almost always differ in machine state anyway).
 //
 // The default path is incremental: FPCache refreshes only the machine
 // components the last kernel steps dirtied, the driver hashes refresh
-// only for processors that issued or completed, and each relabeling is
-// an O(n²) combine of cached hashes. shared.legacyFP selects the
-// original full-walk path (for A/B partition-equivalence tests);
-// shared.checkFP additionally recomputes everything from scratch at
-// every choice point and panics on any divergence.
+// only for processors that issued or completed, and canonical combines
+// the cached hashes under the relabelings that sort the signatures.
+// shared.legacyFP selects the full-walk reference instead (every
+// relabeling, for partition-equivalence tests); shared.checkFP runs both
+// beside the default and panics when they disagree.
 func (in *instance) canonicalFP() uint64 {
 	if in.sh.legacyFP {
 		return in.canonicalFPLegacy()
 	}
 	in.fpc.BeginPoint(in.extraRow)
 	in.refreshDriver()
-	nc := len(in.sh.cperms)
-	best := ^uint64(0)
-	for ri, perm := range in.sh.perms {
-		for ci, cperm := range in.sh.cperms {
-			m := fphash.New()
-			m.Word(in.fpc.FPRC(perm, in.sh.invs[ri], cperm, in.sh.cinvs[ci]))
-			m.Word(in.driverCombine(ri*nc+ci, perm, cperm, in.drvH))
-			if fp := m.Sum(); fp < best {
-				best = fp
+	fp, combines := in.canonical(in.fpc, in.drvH)
+	in.fpn.points++
+	in.fpn.combines += uint64(combines)
+	if in.sh.checkFP {
+		in.crossCheckFP(fp)
+	}
+	return fp
+}
+
+// canonical is the canonical form by sorting (DESIGN.md §5.8). Each row
+// and each free column gets a signature no admissible relabeling changes —
+// the machine's from FPCache.Signatures, which carries the soundness
+// argument, plus the driver hashes of the processors placed there — and
+// only the relabelings that leave the signatures in non-decreasing order
+// are combined (combines says how many); the minimum over those is the
+// value. Ties are enumerated; a table of just the identity (more than
+// four rows or free columns) is taken as it is.
+func (in *instance) canonical(fpc *coherence.FPCache, drvH []uint64) (fp uint64, combines int) {
+	sh := in.sh
+	fpc.Signatures(sh.fixedCol, in.sigR, in.sigC)
+	for p, pr := range in.sc.Procs {
+		m := fphash.New()
+		m.Word(drvH[p])
+		if sh.fixedCol[pr.At.Col] {
+			m.Word(uint64(pr.At.Col))
+		}
+		in.sigR[pr.At.Row] += m.Sum()
+		in.sigC[pr.At.Col] += m.Sum()
+	}
+	nc := len(sh.cperms)
+	fp = ^uint64(0)
+	for ri, perm := range sh.perms {
+		if len(sh.perms) > 1 && !inOrder(in.sigR, sh.invs[ri], nil) {
+			continue
+		}
+		for ci, cperm := range sh.cperms {
+			if nc > 1 && !inOrder(in.sigC, sh.cinvs[ci], sh.fixedCol) {
+				continue
 			}
+			m := fphash.New()
+			m.Word(fpc.FPRC(perm, sh.invs[ri], cperm, sh.cinvs[ci]))
+			m.Word(in.driverCombine(ri*nc+ci, perm, cperm, drvH))
+			if v := m.Sum(); v < fp {
+				fp = v
+			}
+			combines++
 		}
 	}
-	if in.sh.checkFP {
-		in.crossCheckFP(best)
+	return fp, combines
+}
+
+// inOrder reports whether the relabeling with inverse inv (canonical →
+// physical) visits sig in non-decreasing order, passing over the
+// canonical positions marked in skip.
+func inOrder(sig []uint64, inv []int, skip []bool) bool {
+	prev := uint64(0)
+	for canon, phys := range inv {
+		if skip != nil && skip[canon] {
+			continue
+		}
+		if sig[phys] < prev {
+			return false
+		}
+		prev = sig[phys]
 	}
-	return best
+	return true
 }
 
 // extraRow describes driver step events to FPCache: the issuer's
@@ -406,11 +464,11 @@ func (in *instance) driverHash(p int) uint64 {
 func (in *instance) refreshDriver() {
 	for p := range in.drvH {
 		if !in.drvDirty[p] {
-			in.drvInc++
+			in.fpn.incremental++
 			continue
 		}
 		in.drvDirty[p] = false
-		in.drvRec++
+		in.fpn.recomputes++
 		in.drvH[p] = in.driverHash(p)
 	}
 }
@@ -429,39 +487,30 @@ func (in *instance) driverCombine(permIdx int, perm, cperm []int, drvH []uint64)
 	return m.Sum()
 }
 
-// crossCheckFP recomputes the canonical fingerprint from scratch — a
-// fresh all-dirty FPCache and fresh driver hashes — and panics if the
-// incremental path diverged. Debug mode only (Options.CheckFP).
+// crossCheckFP is the debug mode's pair of oracles (Options.CheckFP).
+// A fresh all-dirty FPCache and fresh driver hashes go through the same
+// canonical: a difference means a stale generation counter, nothing else.
+// And the value is held in bijection with the full-walk reference over
+// every relabeling, state by state: canonical may not merge what the
+// reference splits nor split what it merges.
 func (in *instance) crossCheckFP(got uint64) {
 	fresh := coherence.NewFPCache(in.sys)
 	fresh.BeginPoint(in.extraRow)
-	drv := make([]uint64, len(in.sc.Procs))
-	for p := range drv {
-		drv[p] = in.driverHash(p)
-		if drv[p] != in.drvH[p] {
-			panic(fmt.Sprintf("mc: stale incremental driver hash for proc %d: cached %#x, recomputed %#x", p, in.drvH[p], drv[p]))
+	for p, cached := range in.drvH {
+		if h := in.driverHash(p); h != cached {
+			panic(fmt.Sprintf("mc: stale incremental driver hash for proc %d: cached %#x, recomputed %#x", p, cached, h))
 		}
 	}
-	nc := len(in.sh.cperms)
-	best := ^uint64(0)
-	for ri, perm := range in.sh.perms {
-		for ci, cperm := range in.sh.cperms {
-			m := fphash.New()
-			m.Word(fresh.FPRC(perm, in.sh.invs[ri], cperm, in.sh.cinvs[ci]))
-			m.Word(in.driverCombine(ri*nc+ci, perm, cperm, drv))
-			if fp := m.Sum(); fp < best {
-				best = fp
-			}
-		}
+	if want, _ := in.canonical(fresh, in.drvH); want != got {
+		panic(fmt.Sprintf("mc: incremental fingerprint diverged from recompute: incremental %#x, from-scratch %#x (scenario %s)", got, want, in.sc.Name))
 	}
-	if best != got {
-		panic(fmt.Sprintf("mc: incremental fingerprint diverged from recompute: incremental %#x, from-scratch %#x (scenario %s)", got, best, in.sc.Name))
-	}
+	in.sh.oracle.hold(got, in.canonicalFPLegacy(), in.sc.Name)
 }
 
-// canonicalFPLegacy is the pre-incremental path: a full machine walk per
-// relabeling via System.Fingerprint. Kept behind Options.legacyFP so
-// tests can assert the two paths induce the same state partition.
+// canonicalFPLegacy is the reference: a full machine walk per relabeling
+// (System.FingerprintRC), minimized over all of them. Options.legacyFP
+// explores on it so tests can compare whole searches; -checkfp holds
+// canonical to it state by state.
 func (in *instance) canonicalFPLegacy() uint64 {
 	best := ^uint64(0)
 	for _, perm := range in.sh.perms {
@@ -524,39 +573,19 @@ func (in *instance) driverFP(perm, cperm []int) uint64 {
 	return m.Sum()
 }
 
-// fpStats reports incremental-fingerprint effectiveness: component
-// hashes recomputed vs served from cache (machine plus driver).
-func (in *instance) fpStats() (recomputes, incremental uint64) {
+// fpStats reports the execution's fingerprint cost, the machine cache's
+// counts added to the driver's.
+func (in *instance) fpStats() fpCounts {
+	n := in.fpn
 	r, u := in.fpc.Stats()
-	return r + in.drvRec, u + in.drvInc
+	n.recomputes += r
+	n.incremental += u
+	return n
 }
 
-// rowPermutations enumerates all relabelings of n rows. Beyond 4 rows
-// the factorial is not worth it; canonicalization degrades gracefully to
-// the identity (states are still distinguished, just not deduplicated
-// across symmetric placements).
-func rowPermutations(n int) [][]int {
-	ident := make([]int, n)
-	for i := range ident {
-		ident[i] = i
-	}
-	if n > 4 {
-		return [][]int{ident}
-	}
-	var out [][]int
-	var rec func(rest []int, acc []int)
-	rec = func(rest []int, acc []int) {
-		if len(rest) == 0 {
-			out = append(out, append([]int(nil), acc...))
-			return
-		}
-		for i := range rest {
-			next := make([]int, 0, len(rest)-1)
-			next = append(next, rest[:i]...)
-			next = append(next, rest[i+1:]...)
-			rec(next, append(acc, rest[i]))
-		}
-	}
-	rec(ident, nil)
-	return out
-}
+// rowPermutations enumerates all relabelings of n rows: colPermutations
+// with nothing fixed, its guard included. Beyond 4 rows the factorial is
+// not worth it; canonicalization degrades gracefully to the identity
+// (states are still distinguished, just not deduplicated across symmetric
+// placements).
+func rowPermutations(n int) [][]int { return colPermutations(n, make([]bool, n)) }

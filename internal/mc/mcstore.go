@@ -40,9 +40,11 @@ func scenarioHash(sc *Scenario) string {
 // (v1: byte-wise FNV-1a; v2: internal/fphash; v3: the frontier record
 // lost its skip word, and the hashed string PR 1's ample-rule field; v4:
 // single-bus states are fingerprinted by the full walk alone; v5: the
-// snarf eligibility bits of an in-flight READ are hashed, not packed).
+// snarf eligibility bits of an in-flight READ are hashed, not packed; v6:
+// the canonical fingerprint is the minimum over the relabelings that sort
+// the row and column signatures, not over all of them).
 func optionsHash(o *Options) string {
-	s := fmt.Sprintf("v5|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+	s := fmt.Sprintf("v6|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
 	return fmt.Sprintf("%016x", fnvString(s))
@@ -126,6 +128,8 @@ func (e *explorer) counterMap(p *passOut) map[string]uint64 {
 		"total_runs_prev": uint64(e.totalPrev),
 		"fp_rec":          e.fpRec.Load(),
 		"fp_inc":          e.fpInc.Load(),
+		"fp_points":       e.fpPts.Load(),
+		"fp_combines":     e.fpComb.Load(),
 		"sc_checks":       e.scRuns.Load(),
 		"sc_undec":        e.scUndec.Load(),
 		"steps":           e.steps.Load(),
@@ -143,6 +147,8 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	e.totalPrev = int(c["total_runs_prev"])
 	e.fpRec.Store(c["fp_rec"])
 	e.fpInc.Store(c["fp_inc"])
+	e.fpPts.Store(c["fp_points"])
+	e.fpComb.Store(c["fp_combines"])
 	e.scRuns.Store(c["sc_checks"])
 	e.scUndec.Store(c["sc_undec"])
 	e.steps.Store(c["steps"])

@@ -45,6 +45,7 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 	res.BudgetHit = e.budget.Load()
 	res.Exhausted = res.Violation == nil && !res.BudgetHit && !cut
 	res.FPRecomputes, res.FPIncremental = e.fpRec.Load(), e.fpInc.Load()
+	res.FPPoints, res.FPCombines = e.fpPts.Load(), e.fpComb.Load()
 	res.SCChecks, res.SCUndecided = e.scRuns.Load(), e.scUndec.Load()
 	res.Steps, res.ReplaySteps = e.steps.Load(), e.replay.Load()
 	res.Restores = e.restores.Load()

@@ -161,4 +161,4 @@ func (in *sbInstance) canonicalFP() uint64 {
 }
 
 // fpStats: nothing is cached on the baseline, so nothing is counted.
-func (in *sbInstance) fpStats() (recomputes, incremental uint64) { return 0, 0 }
+func (in *sbInstance) fpStats() fpCounts { return fpCounts{} }

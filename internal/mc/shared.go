@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"fmt"
 	"sort"
+	"sync"
 
 	"multicube/internal/coherence"
 	"multicube/internal/fphash"
@@ -11,8 +13,8 @@ import (
 // once instead of per from-scratch execution: the row (or processor)
 // relabelings with their precomputed inverses, the per-relabeling driver
 // combine order, and the static per-processor program hashes. It is safe
-// for concurrent use by parallel workers: everything is read-only after
-// construction.
+// for concurrent use by parallel workers: everything but the locked
+// debug oracle is read-only after construction.
 type shared struct {
 	perms [][]int
 	invs  [][]int
@@ -22,6 +24,9 @@ type shared struct {
 	// every home column, get just the identity.
 	cperms [][]int
 	cinvs  [][]int
+	// fixedCol marks the columns no relabeling in cperms moves: the home
+	// columns in use, or every column when cperms is just the identity.
+	fixedCol []bool
 	// procOrder, for grid scenarios, lists processor indices in canonical
 	// (permuted row, permuted col) order per (row, column) relabeling
 	// pair, indexed ri*len(cperms)+ci — the sort the legacy driver
@@ -37,6 +42,7 @@ type shared struct {
 
 	legacyFP bool
 	checkFP  bool
+	oracle   fpOracle // checkFP only
 	// scNodes is the per-execution node budget for cross-address
 	// sequential-consistency searches (Options.SCNodes; zero = memmodel's
 	// default). Consulted only when the scenario sets CheckSC.
@@ -53,14 +59,7 @@ func newShared(sc *Scenario, opts *Options) *shared {
 		n = len(sc.Procs)
 	}
 	sh.perms = rowPermutations(n)
-	sh.invs = make([][]int, len(sh.perms))
-	for i, perm := range sh.perms {
-		inv := make([]int, len(perm))
-		for phys, canon := range perm {
-			inv[canon] = phys
-		}
-		sh.invs[i] = inv
-	}
+	sh.invs = inverses(sh.perms)
 	sh.progH = make([]uint64, len(sc.Procs))
 	for p, pr := range sc.Procs {
 		m := fphash.New()
@@ -83,15 +82,14 @@ func newShared(sc *Scenario, opts *Options) *shared {
 		}
 	}
 	if !sc.SingleBus {
-		sh.cperms = colPermutations(n, usedHomeColumns(sc))
-		sh.cinvs = make([][]int, len(sh.cperms))
-		for i, cperm := range sh.cperms {
-			cinv := make([]int, len(cperm))
-			for phys, canon := range cperm {
-				cinv[canon] = phys
+		sh.fixedCol = usedHomeColumns(sc)
+		sh.cperms = colPermutations(n, sh.fixedCol)
+		if len(sh.cperms) == 1 {
+			for c := range sh.fixedCol {
+				sh.fixedCol[c] = true
 			}
-			sh.cinvs[i] = cinv
 		}
+		sh.cinvs = inverses(sh.cperms)
 		sh.procOrder = make([][]int, len(sh.perms)*len(sh.cperms))
 		for ri, perm := range sh.perms {
 			for ci, cperm := range sh.cperms {
@@ -112,6 +110,44 @@ func newShared(sc *Scenario, opts *Options) *shared {
 		}
 	}
 	return sh
+}
+
+// inverses inverts each relabeling (physical → canonical) of perms.
+func inverses(perms [][]int) [][]int {
+	invs := make([][]int, len(perms))
+	for i, perm := range perms {
+		invs[i] = make([]int, len(perm))
+		for phys, canon := range perm {
+			invs[i][canon] = phys
+		}
+	}
+	return invs
+}
+
+// fpOracle is -checkfp's per-state partition oracle: every canonical
+// fingerprint seen so far with the full-walk reference fingerprint of the
+// same state, both ways. Workers share it, so it is locked.
+type fpOracle struct {
+	mu       sync.Mutex
+	to, from map[uint64]uint64 // canonical → reference, reference → canonical
+}
+
+// hold records one state's canonical and reference fingerprints and
+// panics unless the pairs seen so far are a bijection: the two must
+// induce the same partition of the states.
+func (o *fpOracle) hold(fp, ref uint64, scenario string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.to == nil {
+		o.to, o.from = make(map[uint64]uint64), make(map[uint64]uint64)
+	}
+	if r, ok := o.to[fp]; ok && r != ref {
+		panic(fmt.Sprintf("mc: canonical fingerprint %#x merges states the reference splits (%#x and %#x, scenario %s)", fp, r, ref, scenario))
+	}
+	if f, ok := o.from[ref]; ok && f != fp {
+		panic(fmt.Sprintf("mc: canonical fingerprints %#x and %#x split states the reference merges (%#x, scenario %s)", f, fp, ref, scenario))
+	}
+	o.to[fp], o.from[ref] = ref, fp
 }
 
 // heldAdd inserts line into the sorted held-lines slice (no-op if

@@ -17,7 +17,8 @@ import (
 // legitimately differ in: Resumed/ResumeNote report provenance,
 // Spills/DiskBytes depend on the memory budget and on how many
 // checkpoints forced flushes, and Steps, ReplaySteps, FPRecomputes,
-// FPIncremental, Restores and PeakBoundaries count what the search cost
+// FPIncremental, FPPoints, FPCombines, Restores and PeakBoundaries count
+// what the search cost
 // the host, which depends on which runs had a saved boundary to start
 // from (a resumed search replays its checkpointed frontier from reset).
 // Everything else — States, Runs, TotalRuns, Depth, Exhausted, BudgetHit,
@@ -30,6 +31,7 @@ func comparable(r Result) Result {
 	r.DiskBytes = 0
 	r.Steps, r.ReplaySteps = 0, 0
 	r.FPRecomputes, r.FPIncremental = 0, 0
+	r.FPPoints, r.FPCombines = 0, 0
 	r.Restores, r.PeakBoundaries = 0, 0
 	return r
 }
@@ -197,9 +199,33 @@ func TestCrashResumeProcessKill(t *testing.T) {
 	}
 }
 
-// TestResumeDetectsCorruption truncates a spilled shard under a valid
-// manifest and requires resume to refuse the damage, report it, and
-// re-explore from scratch to the correct result.
+// crashAtCheckpoint explores until the after-th checkpoint is durable and
+// dies there, leaving the checkpoint behind.
+func crashAtCheckpoint(t *testing.T, sc Scenario, opts Options, after int) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatalf("search finished before checkpoint %d", after)
+		} else if _, ok := r.(crashPanic); !ok {
+			panic(r)
+		}
+	}()
+	seen := 0
+	opts.faultHook = func(p string) {
+		if p == "post-checkpoint" {
+			if seen++; seen >= after {
+				panic(crashPanic{})
+			}
+		}
+	}
+	_, _ = Explore(sc, opts)
+}
+
+// TestResumeDetectsCorruption damages a checkpoint — a spilled shard
+// truncated under a valid manifest, and the manifest put back to schema 1,
+// which records no shard bits to read its runs by — and requires resume to
+// refuse the damage, report it, and re-explore from scratch to the correct
+// result.
 func TestResumeDetectsCorruption(t *testing.T) {
 	sc, err := Preset("read-race")
 	if err != nil {
@@ -209,44 +235,84 @@ func TestResumeDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	opts := Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
-	// Crash once mid-run so a checkpoint with spilled shards exists.
-	func() {
-		defer func() { recover() }()
-		o := opts
-		o.faultHook = func(p string) {
-			if p == "post-checkpoint" {
-				panic(crashPanic{})
+	for name, damage := range map[string]func(t *testing.T, dir string){
+		"truncated shard": func(t *testing.T, dir string) {
+			runs, err := filepath.Glob(filepath.Join(dir, "*.run"))
+			if err != nil || len(runs) == 0 {
+				t.Fatalf("no spilled shards to corrupt (err %v)", err)
 			}
+			data, err := os.ReadFile(runs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(runs[0], data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"schema-1 manifest": func(t *testing.T, dir string) {
+			manifest := filepath.Join(dir, "MANIFEST.json")
+			data, err := os.ReadFile(manifest)
+			if err != nil || strings.Count(string(data), `"schema": 2`) != 1 {
+				t.Fatalf("no schema-2 manifest to put back (err %v)", err)
+			}
+			if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), `"schema": 2`, `"schema": 1`, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
+			// Crash once mid-run so a checkpoint with spilled shards exists.
+			crashAtCheckpoint(t, sc, opts, 1)
+			damage(t, dir)
+			opts.Resume = true
+			res, err := Explore(sc, opts)
+			if err != nil {
+				t.Fatalf("resume over corruption: %v", err)
+			}
+			if res.Resumed {
+				t.Fatal("resume accepted the damaged checkpoint")
+			}
+			if !strings.Contains(res.ResumeNote, "corrupt") {
+				t.Fatalf("ResumeNote %q does not report the corruption", res.ResumeNote)
+			}
+			if !reflect.DeepEqual(comparable(base), comparable(res)) {
+				t.Fatalf("re-exploration after corruption differs:\n  base: %+v\n  got:  %+v", base, res)
+			}
+		})
+	}
+}
+
+// TestResumeUnderAnotherBudget: the memory budget sets how many shards
+// the store keeps, a checkpoint's runs are cut along them, and the budget
+// is no part of the options hash — a resume may well come with another.
+// A checkpoint written at 128 KiB (8 shards) must resume at 8 KiB (one
+// shard, were it opened fresh) and with no budget (64) to the
+// uninterrupted result.
+func TestResumeUnderAnotherBudget(t *testing.T) {
+	sc, err := Preset("litmus-coww-3x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Explore(sc, Options{MaxStates: 400000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{8 << 10, 0} {
+		opts := Options{MaxStates: 400000, CheckpointDir: t.TempDir(), CheckpointEvery: 2000, MemBudget: 128 << 10}
+		crashAtCheckpoint(t, sc, opts, 3)
+		opts.MemBudget, opts.Resume = budget, true
+		res, err := Explore(sc, opts)
+		if err != nil {
+			t.Fatalf("resume under budget %d: %v", budget, err)
 		}
-		_, _ = Explore(sc, o)
-	}()
-	runs, err := filepath.Glob(filepath.Join(dir, "*.run"))
-	if err != nil || len(runs) == 0 {
-		t.Fatalf("no spilled shards to corrupt (err %v)", err)
-	}
-	data, err := os.ReadFile(runs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(runs[0], data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	o := opts
-	o.Resume = true
-	res, err := Explore(sc, o)
-	if err != nil {
-		t.Fatalf("resume over corruption: %v", err)
-	}
-	if res.Resumed {
-		t.Fatal("resume accepted a truncated shard")
-	}
-	if !strings.Contains(res.ResumeNote, "corrupt") {
-		t.Fatalf("ResumeNote %q does not report the corruption", res.ResumeNote)
-	}
-	if !reflect.DeepEqual(comparable(base), comparable(res)) {
-		t.Fatalf("re-exploration after corruption differs:\n  base: %+v\n  got:  %+v", base, res)
+		if !res.Resumed {
+			t.Fatalf("resume under budget %d fell back to a fresh search: %s", budget, res.ResumeNote)
+		}
+		if !reflect.DeepEqual(comparable(base), comparable(res)) {
+			t.Fatalf("resume under budget %d differs:\n  base:    %+v\n  resumed: %+v", budget, base, res)
+		}
 	}
 }
 
@@ -254,9 +320,9 @@ func TestResumeDetectsCorruption(t *testing.T) {
 // the middle of a search and requires the search to stop at the first
 // frontier boundary after the store reports the failed spill — with one
 // worker and with two — returning the error and never claiming coverage.
-// litmus-coww-3x3 takes 17 630 runs; a spill is due every few dozen under
-// this budget, so the failure surfaces well within 200 runs of the
-// removal.
+// litmus-coww-3x3 takes 17 630 runs; under this budget the store is one
+// shard that spills every 32 states, a few dozen runs, so the failure
+// surfaces well within 200 runs of the removal.
 func TestStoreFailureStopsAtNextBoundary(t *testing.T) {
 	sc, err := Preset("litmus-coww-3x3")
 	if err != nil {
@@ -266,7 +332,7 @@ func TestStoreFailureStopsAtNextBoundary(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "store")
 		calls := 0
 		res, err := Explore(sc, Options{
-			MaxStates: 400000, Workers: workers, StoreDir: dir, MemBudget: 16 << 10,
+			MaxStates: 400000, Workers: workers, StoreDir: dir, MemBudget: 2 << 10,
 			Progress: func(Progress) { // calls are serialized
 				if calls++; calls == 200 {
 					os.RemoveAll(dir)
@@ -324,10 +390,12 @@ func TestResumeNothingToResume(t *testing.T) {
 // it — "v2|…|legacyAmple|legacyFP", whose frontier file is in a record
 // layout this explorer does not read, "v3|…", whose single-bus run
 // files hold the fingerprints of the incremental cache the baseline no
-// longer has, and "v4|…", whose run files hold a snarfing state's
-// eligibility bits packed into a word where this explorer hashes them —
-// so resume must refuse it as mismatched, say so, and search afresh to
-// the uninterrupted result.
+// longer has, "v4|…", whose run files hold a snarfing state's
+// eligibility bits packed into a word where this explorer hashes them,
+// and "v5|…", whose run files hold the minimum over all twelve
+// relabelings of a 3×3 state where this explorer keeps the minimum over
+// those that sort its signatures — so resume must refuse it as
+// mismatched, say so, and search afresh to the uninterrupted result.
 func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	for _, c := range []struct {
 		version, preset string
@@ -349,6 +417,11 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
 		}},
+		{"v5", "litmus-coww-3x3", 3000, func(o *Options) string {
+			return fmt.Sprintf("v5|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+		}},
 	} {
 		t.Run(c.version, func(t *testing.T) {
 			sc, err := Preset(c.preset)
@@ -361,16 +434,7 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 			}
 			dir := t.TempDir()
 			opts := Options{MaxStates: c.states, CheckpointDir: dir, CheckpointEvery: 200, MemBudget: 8 << 10}
-			func() {
-				defer func() { recover() }()
-				o := opts
-				o.faultHook = func(p string) {
-					if p == "post-checkpoint" {
-						panic(crashPanic{})
-					}
-				}
-				_, _ = Explore(sc, o)
-			}()
+			crashAtCheckpoint(t, sc, opts, 1)
 
 			o := opts
 			o.fillDefaults()

@@ -27,8 +27,10 @@ import (
 // one.
 
 const (
-	manifestName   = "MANIFEST.json"
-	manifestSchema = 1
+	manifestName = "MANIFEST.json"
+	// Schema 2 records the store's shard bits, which a memory budget under
+	// 1 MiB lowers from 6: a schema-1 manifest is refused as corrupt.
+	manifestSchema = 2
 	frontierSuffix = ".ssf"
 	// "MCSSFR02" read as a LE word. 01 carried a third word per item (a
 	// distributed-handoff skip count); such a file fails the magic check.
@@ -73,8 +75,12 @@ type FrontierItem struct {
 }
 
 type manifest struct {
-	Schema      int    `json:"schema"`
-	Seq         uint64 `json:"seq"`
+	Schema int    `json:"schema"`
+	Seq    uint64 `json:"seq"`
+	// ShardBits is how many top fingerprint bits index a shard in the
+	// store that wrote the runs below; Resume adopts it, so a resume under
+	// another memory budget still looks every key up in the run holding it.
+	ShardBits   int    `json:"shard_bits"`
 	Meta        Meta   `json:"meta"`
 	States      int64  `json:"states"`
 	Spills      int64  `json:"spills"`
@@ -126,6 +132,7 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier []FrontierItem) error {
 	m := manifest{
 		Schema:      manifestSchema,
 		Seq:         seq,
+		ShardBits:   64 - int(s.shift),
 		Meta:        meta,
 		States:      s.count.Load(),
 		Spills:      s.spills.Load(),
@@ -221,22 +228,26 @@ func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, []Front
 		return nil, Meta{}, nil, fmt.Errorf("%w: checkpoint is for scenario %s options %s",
 			ErrMismatch, m.Meta.ScenarioHash, m.Meta.OptionsHash)
 	}
-	s := &Store{cfg: cfg}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.gen++
-		sh.hot = make(map[uint64][]uint64)
+	if m.ShardBits < 0 || m.ShardBits > maxShardBits {
+		return nil, Meta{}, nil, corrupt("manifest shard bits %d", m.ShardBits)
 	}
+	s := newStore(cfg, m.ShardBits)
 	fail := func(err error) (*Store, Meta, []FrontierItem, error) {
 		s.Close()
 		return nil, Meta{}, nil, err
 	}
 	for _, ms := range m.Shards {
-		if ms.Shard < 0 || ms.Shard >= numShards {
+		if ms.Shard < 0 || ms.Shard >= len(s.shards) {
 			return fail(corrupt("manifest names shard %d", ms.Shard))
 		}
 		sh := &s.shards[ms.Shard]
 		for _, mr := range ms.Runs {
+			// Only a name this store could have written is handed to the
+			// file system: anything else is damage, not an I/O error.
+			var seq uint64
+			if _, err := fmt.Sscanf(mr.File, "shard-%02d-%d", new(int), &seq); err != nil || mr.File != runName(ms.Shard, seq) {
+				return fail(corrupt("manifest names run %q for shard %d", mr.File, ms.Shard))
+			}
 			r, err := openRun(filepath.Join(cfg.Dir, mr.File), ms.Shard)
 			if err != nil {
 				return fail(err)

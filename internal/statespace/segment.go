@@ -105,9 +105,8 @@ func writeRun(dir string, shard int, seq uint64, ents []runEnt) (*run, error) {
 	return r, nil
 }
 
-// openRun opens and validates a run: header sanity, size arithmetic, and
-// the full trailer checksum. Every failure is a CorruptError so resume
-// callers can distinguish damage from absence.
+// openRun opens and validates a run. Every failure of the image itself is
+// ErrCorrupt, so resume callers can tell damage from a failing disk.
 func openRun(path string, wantShard int) (*run, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -117,61 +116,71 @@ func openRun(path string, wantShard int) (*run, error) {
 		return nil, err
 	}
 	r := &run{path: path, f: f}
-	var hdr [8 * runHeaderWords]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return nil, corrupt("run %s: short header", filepath.Base(path))
-	}
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(hdr[8*i:]) }
-	if word(0) != runMagic || word(1)&0xffffffff != runVersion {
-		f.Close()
-		return nil, corrupt("run %s: bad magic/version", filepath.Base(path))
-	}
-	if shard := int(word(1) >> 32); shard != wantShard {
-		f.Close()
-		return nil, corrupt("run %s: shard %d, want %d", filepath.Base(path), shard, wantShard)
-	}
-	r.count = int64(word(2))
-	bloomWords := int64(word(3))
-	payloadWords := int64(word(4))
-	r.size = 8 * (runHeaderWords + bloomWords + 2*r.count + payloadWords + 1)
-	if fi, err := f.Stat(); err != nil || fi.Size() != r.size {
-		f.Close()
-		return nil, corrupt("run %s: size %d, want %d", filepath.Base(path), fileSize(f), r.size)
-	}
-	r.indexOff = 8 * (runHeaderWords + bloomWords)
-	r.payloadOff = r.indexOff + 16*r.count
-
-	// Stream the whole image once: load the bloom words in passing and
-	// verify the trailer checksum.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if err := r.validate(wantShard); err != nil {
 		f.Close()
 		return nil, err
-	}
-	body := make([]byte, r.size)
-	if _, err := io.ReadFull(f, body); err != nil {
-		f.Close()
-		return nil, corrupt("run %s: short read", filepath.Base(path))
-	}
-	sum := binary.LittleEndian.Uint64(body[r.size-8:])
-	if fnvBytes(body[:r.size-8]) != sum {
-		f.Close()
-		return nil, corrupt("run %s: checksum mismatch", filepath.Base(path))
-	}
-	r.sum = sum
-	r.bloom.words = make([]uint64, bloomWords)
-	for i := range r.bloom.words {
-		r.bloom.words[i] = binary.LittleEndian.Uint64(body[8*(runHeaderWords+i):])
 	}
 	return r, nil
 }
 
-func fileSize(f *os.File) int64 {
-	fi, err := f.Stat()
-	if err != nil {
-		return -1
+// validate streams the whole image once — header sanity, size arithmetic,
+// the trailer checksum, the index — and loads the bloom words in passing.
+func (r *run) validate(wantShard int) error {
+	bad := func(format string, args ...any) error {
+		return corrupt("run %s: %s", filepath.Base(r.path), fmt.Sprintf(format, args...))
 	}
-	return fi.Size()
+	fi, err := r.f.Stat()
+	if err != nil {
+		return err
+	}
+	body := make([]byte, fi.Size())
+	if _, err := io.ReadFull(r.f, body); err != nil {
+		return bad("short read")
+	}
+	words := uint64(len(body)) / 8
+	if len(body)%8 != 0 || words <= runHeaderWords {
+		return bad("short header")
+	}
+	word := func(i uint64) uint64 { return binary.LittleEndian.Uint64(body[8*i:]) }
+	if word(0) != runMagic || word(1)&0xffffffff != runVersion {
+		return bad("bad magic/version")
+	}
+	if shard := int(word(1) >> 32); shard != wantShard {
+		return bad("shard %d, want %d", shard, wantShard)
+	}
+	// Bound every header count by the words the file holds before any
+	// arithmetic on it: a count near 2⁶¹ would wrap the size sum back onto
+	// the real size, pass the check below and size an allocation.
+	if word(2) > words/2 || word(3) == 0 || word(3) > words || word(4) > words {
+		return bad("header counts exceed its %d bytes", len(body))
+	}
+	r.count = int64(word(2))
+	bloomWords, payloadWords := int64(word(3)), int64(word(4))
+	r.size = 8 * (runHeaderWords + bloomWords + 2*r.count + payloadWords + 1)
+	if int64(len(body)) != r.size {
+		return bad("size %d, want %d", len(body), r.size)
+	}
+	r.indexOff = 8 * (runHeaderWords + bloomWords)
+	r.payloadOff = r.indexOff + 16*r.count
+	if r.sum = word(words - 1); fnvBytes(body[:r.size-8]) != r.sum {
+		return bad("checksum mismatch")
+	}
+	// The checksum vouches for the writer, not the layout: hold the index
+	// to what lookup's binary search and forEach's slicing assume — keys
+	// ascending, every sleep set inside the payload.
+	for i, prev := int64(0), uint64(0); i < r.count; i++ {
+		ent := body[r.indexOff+16*i:]
+		key, packed := binary.LittleEndian.Uint64(ent), binary.LittleEndian.Uint64(ent[8:])
+		if (i > 0 && key <= prev) || packed>>16+packed&(maxSleepWords-1) > uint64(payloadWords) {
+			return bad("malformed index entry %d", i)
+		}
+		prev = key
+	}
+	r.bloom.words = make([]uint64, bloomWords)
+	for i := range r.bloom.words {
+		r.bloom.words[i] = word(runHeaderWords + uint64(i))
+	}
+	return nil
 }
 
 // lookup finds fp's stored sleep set: bloom reject, then binary search

@@ -1,0 +1,309 @@
+package statespace
+
+import (
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// craftRun returns a checksummed run image for shard 0 holding only the
+// given header counts.
+func craftRun(count, bloomWords, payloadWords uint64) []byte {
+	var buf []byte
+	for _, w := range []uint64{runMagic, runVersion, count, bloomWords, payloadWords} {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return binary.LittleEndian.AppendUint64(buf, fnvBytes(buf))
+}
+
+// craftedRuns are 48-byte run files whose header counts make the size sum
+// 8·(5 + bloom + 2·count + payload + 1) wrap back onto 48, so the size
+// and trailer checks of an openRun that adds before it bounds both pass.
+// The first used to end the process in make([]uint64, 1<<61); the ones
+// with no bloom words were opened as runs of up to 2⁶⁰ entries.
+var craftedRuns = map[string][]byte{
+	"bloomWords wraps":   craftRun(0, 1<<61, 0),
+	"count wraps":        craftRun(1<<60, 0, 0),
+	"payloadWords wraps": craftRun(0, 0, 1<<61),
+	"the sum wraps":      craftRun(1<<58, 1<<60, 1<<59),
+	"bloomWords is -1":   craftRun(0, ^uint64(0), 1),
+}
+
+func TestOpenRunRejectsCraftedFiles(t *testing.T) {
+	for name, image := range craftedRuns {
+		path := filepath.Join(t.TempDir(), runName(0, 1))
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := openRun(path, 0); !errors.Is(err, ErrCorrupt) {
+			if r != nil {
+				r.close()
+			}
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+	// A well-checksummed index that lies about its own layout would take
+	// forEach past the image: unsorted keys, a sleep set beyond the payload.
+	for name, ents := range map[string][2][2]uint64{
+		"keys out of order":        {{9, 0}, {1, 0}},
+		"sleep beyond the payload": {{1, 0}, {9, 5<<16 | 3}},
+	} {
+		buf := craftRun(2, 1, 0)[:8*runHeaderWords]
+		buf = binary.LittleEndian.AppendUint64(buf, 0) // the bloom word
+		for _, e := range ents {
+			buf = binary.LittleEndian.AppendUint64(buf, e[0])
+			buf = binary.LittleEndian.AppendUint64(buf, e[1])
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, fnvBytes(buf))
+		path := filepath.Join(t.TempDir(), runName(0, 1))
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := openRun(path, 0); !errors.Is(err, ErrCorrupt) {
+			if r != nil {
+				r.close()
+			}
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestShardBitsFollowTheBudget pins the derivation: 64 shards with no
+// budget or from 1 MiB up — where the store behaves as it always has —
+// and below that the most shards that leave each minSpillBytes.
+func TestShardBitsFollowTheBudget(t *testing.T) {
+	for budget, want := range map[int64]int{
+		0: 64, 1 << 20: 64, 64 << 20: 64,
+		512 << 10: 32, 128 << 10: 8, 64 << 10: 4, 32 << 10: 2,
+		16 << 10: 1, 8 << 10: 1, 1 << 10: 1, 1: 1,
+	} {
+		s, err := Open(Config{Dir: t.TempDir(), MemBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.shards); got != want {
+			t.Errorf("MemBudget %d: %d shards, want %d", budget, got, want)
+		}
+		if got := int(^uint64(0)>>s.shift) + 1; got != want {
+			t.Errorf("MemBudget %d: the largest fingerprint lands in shard %d of %d", budget, got-1, want)
+		}
+		s.Close()
+	}
+	if s, err := Open(Config{}); err != nil || len(s.shards) != 64 {
+		t.Errorf("memory-only store: %v, want 64 shards", err)
+	}
+}
+
+// TestSpillsScaleWithBudgetNotShards holds the spill unit to the budget:
+// uniform fingerprints fill every shard alike, so the largest shard is
+// 1/shards of the budget when it trips, and with 64 shards under 64 KiB
+// this workload spilled 253 times, a file per 2 KiB. A run should carry
+// away a fair share of the budget: at most 8 spills per budget's worth of
+// bytes inserted.
+func TestSpillsScaleWithBudgetNotShards(t *testing.T) {
+	const budget, n = 64 << 10, 8000
+	s, err := Open(Config{Dir: t.TempDir(), MemBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < n; i++ {
+		s.Visit(rng.Uint64(), nil, 1<<30)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	inserted := int64(n * entryOverhead)
+	if limit := 8 * inserted / budget; s.Spills() == 0 || int64(s.Spills()) > limit {
+		t.Fatalf("%d spills for %d bytes under a %d-byte budget, want 1..%d", s.Spills(), inserted, budget, limit)
+	}
+	if s.States() != n {
+		t.Fatalf("%d states, want %d", s.States(), n)
+	}
+}
+
+// checkpointAt writes one checkpoint of n uniform fingerprints under the
+// given budget and returns the directory (spill and checkpoint alike)
+// and the fingerprints.
+func checkpointAt(t testing.TB, budget int64, n int) (Config, []uint64) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, MemBudget: budget, CheckpointDir: dir}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	fps := make([]uint64, n)
+	for i := range fps {
+		fps[i] = rng.Uint64()
+		s.Visit(fps[i], nil, 1<<30)
+	}
+	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, []FrontierItem{{Prefix: []int{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, fps
+}
+
+// TestResumeAdoptsManifestShardBits: the runs of a checkpoint are cut
+// along the shard boundaries of the store that wrote it, so a resume
+// under another budget must keep those boundaries — with its own it
+// would look keys up in the wrong run and visit states twice.
+func TestResumeAdoptsManifestShardBits(t *testing.T) {
+	cfg, fps := checkpointAt(t, 128<<10, 4000)
+	for _, budget := range []int64{8 << 10, 0, 4 << 20} {
+		cfg.MemBudget = budget
+		s, _, _, err := Resume(cfg, "a", "b")
+		if err != nil {
+			t.Fatalf("resume under budget %d: %v", budget, err)
+		}
+		if len(s.shards) != 8 {
+			t.Fatalf("resume under budget %d: %d shards, want the manifest's 8", budget, len(s.shards))
+		}
+		for _, fp := range fps {
+			if got := s.Visit(fp, nil, 1<<30); got != OutcomeSeen {
+				t.Fatalf("resume under budget %d: visit %#x: %v, want OutcomeSeen", budget, fp, got)
+			}
+		}
+		if s.States() != len(fps) {
+			t.Fatalf("resume under budget %d: %d states, want %d", budget, s.States(), len(fps))
+		}
+		s.Close()
+	}
+}
+
+// TestResumeRejectsBadShardGeometry: a schema-1 manifest (no shard bits),
+// bits outside 0..6, and a shard index the bits do not reach are all
+// damage, never an index into the shard table.
+func TestResumeRejectsBadShardGeometry(t *testing.T) {
+	cfg, _ := checkpointAt(t, 128<<10, 2000)
+	path := filepath.Join(cfg.CheckpointDir, manifestName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string][2]string{
+		"schema 1":            {`"schema": 2`, `"schema": 1`},
+		"bits above 6":        {`"shard_bits": 3`, `"shard_bits": 7`},
+		"negative bits":       {`"shard_bits": 3`, `"shard_bits": -1`},
+		"bits below a shard":  {`"shard_bits": 3`, `"shard_bits": 2`},
+		"shard past the bits": {`"shard": 7`, `"shard": 8`},
+	} {
+		if strings.Count(string(good), edit[0]) != 1 {
+			t.Fatalf("%s: manifest does not hold %q exactly once:\n%s", name, edit[0], good)
+		}
+		if err := os.WriteFile(path, []byte(strings.Replace(string(good), edit[0], edit[1], 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, _, _, err := Resume(cfg, "a", "b"); !errors.Is(err, ErrCorrupt) {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+	// A run name the store could not have written never reaches the file
+	// system, whatever it would have found there.
+	for _, prefix := range []string{"../", "\\u0000", strings.Repeat("x", 300)} {
+		if err := os.WriteFile(path, []byte(strings.Replace(string(good), `"file": "`, `"file": "`+prefix, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := Resume(cfg, "a", "b"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("run name prefixed with %.5q: error %v, want ErrCorrupt", prefix, err)
+		}
+	}
+}
+
+// FuzzOpenRun: whatever bytes a run file holds, openRun answers with a
+// run that can be read end to end or with ErrCorrupt — never a panic, an
+// allocation sized by the file's own claims, or another kind of error.
+func FuzzOpenRun(f *testing.F) {
+	dir := f.TempDir()
+	r, err := writeRun(dir, 0, 1, []runEnt{{fp: 1, sleep: []uint64{2, 3}}, {fp: 9}, {fp: 1 << 63, sleep: []uint64{7}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(r.path)
+	r.close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-8])
+	for _, image := range craftedRuns {
+		f.Add(image)
+	}
+	path := filepath.Join(dir, "fuzz"+runSuffix)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := openRun(path, 0)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("openRun: %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		defer r.close()
+		var keys []uint64
+		if err := r.forEach(func(fp uint64, _ []uint64) { keys = append(keys, fp) }); err != nil {
+			t.Fatalf("forEach over a run openRun accepted: %v", err)
+		}
+		if int64(len(keys)) != r.count {
+			t.Fatalf("forEach walked %d entries of %d", len(keys), r.count)
+		}
+		for _, fp := range append(keys, 0, ^uint64(0)) {
+			if _, _, err := r.lookup(fp); err != nil {
+				t.Fatalf("lookup %#x in a run openRun accepted: %v", fp, err)
+			}
+		}
+	})
+}
+
+// FuzzResumeManifest: whatever bytes MANIFEST.json holds beside a real
+// checkpoint's files, Resume adopts it or refuses it with one of its
+// three errors — never a panic, never a shard index outside the table.
+func FuzzResumeManifest(f *testing.F) {
+	cfg, fps := checkpointAt(f, 128<<10, 600)
+	cfg.MemBudget = 0 // the resumed store only looks up: nothing may spill into the shared directory
+	path := filepath.Join(cfg.CheckpointDir, manifestName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(strings.Replace(string(good), `"schema": 2`, `"schema": 1`, 1)))
+	f.Add([]byte(strings.Replace(string(good), `"shard_bits": 3`, `"shard_bits": 63`, 1)))
+	f.Add([]byte(strings.Replace(string(good), `"shard": 7`, `"shard": 64`, 1)))
+	f.Add([]byte(`{"schema":2,"shard_bits":0,"meta":{"scenario_hash":"a","options_hash":"b"},"frontier":"../MANIFEST.json"}`))
+	f.Add([]byte(strings.Replace(string(good), `"file": "`, `"file": "../`, 1)))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, _, _, err := Resume(cfg, "a", "b")
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrMismatch) && !errors.Is(err, ErrNoCheckpoint) {
+				t.Fatalf("Resume: %v, want ErrCorrupt, ErrMismatch or ErrNoCheckpoint", err)
+			}
+			return
+		}
+		defer s.Close()
+		for _, fp := range fps[:32] {
+			s.Visit(fp, nil, 1<<30)
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("visits over an adopted checkpoint: %v", err)
+		}
+	})
+}

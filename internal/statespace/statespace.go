@@ -2,9 +2,10 @@
 // internal/mc's in-memory sharded table into a storage subsystem whose
 // capacity is bounded by disk, not RAM.
 //
-// The store keeps 64 shards keyed by the top bits of the canonical state
-// fingerprint, so shard order IS fingerprint order and iteration is
-// deterministic by construction. Each shard holds a hot map plus a stack
+// The store keeps up to 64 shards keyed by the top bits of the canonical
+// state fingerprint (fewer under a small memory budget, see shardBits), so
+// shard order IS fingerprint order and iteration is deterministic by
+// construction. Each shard holds a hot map plus a stack
 // of immutable, sorted, checksummed on-disk runs (spilled under a hard
 // memory budget, newest-wins on overlap, bloom-filtered so absent-key
 // probes stay in RAM). Entries map a state fingerprint to the smallest
@@ -44,8 +45,24 @@ import (
 )
 
 const (
-	numShards  = 64
-	shardShift = 64 - 6 // shard index = top 6 bits: shard order is fp order
+	// maxShardBits caps the shard index at the top 6 bits of a
+	// fingerprint: 64 shards, the locking unit of concurrent visitors.
+	maxShardBits = 6
+
+	// minSpillBytes is the least share of a memory budget a shard may be
+	// left with. A shard is the locking unit and also the spill unit:
+	// canonical fingerprints are uniform, so when the budget trips the
+	// fullest of 2^b shards holds about twice budget>>b, and that is all
+	// one run file can carry away. A run costs a create, fsync, rename,
+	// reopen and validating read-back whatever it holds — 0.30–0.37 ms for
+	// 1 to 230 entries on the recording host (EXPERIMENTS.md "PR 20")
+	// against 0.18 µs to insert one. At 64 shards a 64 KiB budget spilled
+	// 31 entries a file, 11 µs each; at 16 KiB a shard a run carries some
+	// 400 at under 1 µs each, below the 2.7 µs a later lookup in it pays in
+	// pread probes. The spilling litmus-coww-3x3 pass is flat from 8 KiB up
+	// (36, 20, 12, 8 spills at 8–64 KiB: 167–195 ms), so a larger unit buys
+	// nothing and leaves concurrent visitors fewer locks.
+	minSpillBytes = 16 << 10
 
 	// maxRunsPerShard bounds the on-disk run stack per shard; beyond it a
 	// spill triggers a merge compaction, keeping lookups O(log n) over a
@@ -65,6 +82,7 @@ type Config struct {
 	Dir string
 	// MemBudget caps the estimated hot-tier bytes; exceeding it spills
 	// the largest shard to a sorted run under Dir. Zero means unbounded.
+	// Below 1 MiB it also sets how many shards the store keeps (shardBits).
 	MemBudget int64
 	// CheckpointDir holds the manifest and frontier files; "" disables
 	// checkpoints. May equal Dir.
@@ -111,8 +129,12 @@ type shard struct {
 // Visit calls (per-shard locking, like the in-memory table it replaces);
 // checkpoint and reset operations require the caller to be quiescent.
 type Store struct {
-	cfg    Config
-	shards [numShards]shard
+	cfg Config
+	// shards has 1<<bits elements and shift is 64-bits: shard index = the
+	// top bits of the fingerprint. Fixed at Open; Resume adopts the bits
+	// of the manifest it reads, whatever the budget it is handed.
+	shards []shard
+	shift  uint
 
 	count     atomic.Int64 // distinct states recorded
 	bytes     atomic.Int64 // hot-tier estimate across shards
@@ -157,12 +179,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.MemBudget > 0 && cfg.Dir == "" {
 		return nil, errors.New("statespace: a memory budget requires a spill directory")
 	}
-	s := &Store{cfg: cfg}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.gen++
-		sh.hot = make(map[uint64][]uint64)
-	}
+	s := newStore(cfg, shardBits(cfg.MemBudget))
 	for _, dir := range []string{cfg.Dir, cfg.CheckpointDir} {
 		if dir == "" {
 			continue
@@ -177,6 +194,28 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// shardBits derives the shard count from the memory budget: the most
+// shards, up to 64, that still leave each at least minSpillBytes of it —
+// 64 with no budget or from 1 MiB up, 4 at 64 KiB, 1 below 32 KiB.
+func shardBits(memBudget int64) int {
+	bits := maxShardBits
+	for memBudget > 0 && bits > 0 && memBudget>>bits < minSpillBytes {
+		bits--
+	}
+	return bits
+}
+
+// newStore returns an empty store of 1<<bits shards.
+func newStore(cfg Config, bits int) *Store {
+	s := &Store{cfg: cfg, shards: make([]shard, 1<<bits), shift: uint(64 - bits)}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.gen++
+		sh.hot = make(map[uint64][]uint64)
+	}
+	return s
 }
 
 // sweepStale removes run, frontier, and temp files left behind by a
@@ -228,7 +267,7 @@ func (s *Store) Err() error {
 // the budget is exhausted (OutcomeBudget). The caller must not mutate
 // sleep afterwards.
 func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
-	sh := &s.shards[fp>>shardShift]
+	sh := &s.shards[fp>>s.shift] // a shift by 64 (one shard) yields 0
 	sh.mu.Lock()
 	if stored, ok := sh.hot[fp]; ok {
 		if subsetOf(stored, sleep) {
