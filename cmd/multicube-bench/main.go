@@ -4,7 +4,9 @@
 //
 //	multicube-bench [-experiment all|fig2|fig2sim|fig3|fig4|tradeoff|latency|
 //	                 ops|scale|multi|sync|dims|snarf|mltsize|falseshare|arbitration|
-//	                 arbmachine|parallel] [-csv]
+//	                 arbmachine|syncscale|parallel] [-csv]
+//
+// (the list is experiments.All).
 //
 // Each experiment prints a table: figures have one row per x value and
 // one column per curve, matching how the paper's plots read. See
@@ -19,12 +21,7 @@ import (
 	"runtime/pprof"
 
 	"multicube/internal/experiments"
-	"multicube/internal/stats"
 )
-
-type renderable interface {
-	Render() string
-}
 
 func main() {
 	os.Exit(run())
@@ -71,54 +68,27 @@ func run() int {
 		}()
 	}
 
-	runs := []struct {
-		name string
-		make func() renderable
-	}{
-		{"fig2", func() renderable { return experiments.Figure2().Table() }},
-		{"fig2sim", func() renderable { return experiments.Figure2Sim(nil, 0).Table() }},
-		{"fig3", func() renderable { return experiments.Figure3().Table() }},
-		{"fig4", func() renderable { return experiments.Figure4().Table() }},
-		{"tradeoff", func() renderable { return experiments.BlockTradeoff().Table() }},
-		{"latency", func() renderable { return experiments.Latency().Table() }},
-		{"ops", func() renderable { return experiments.Ops() }},
-		{"scale", func() renderable { return experiments.Scale() }},
-		{"multi", func() renderable { return experiments.MultiVsMulticube(0) }},
-		{"sync", func() renderable { return experiments.Sync(0) }},
-		{"dims", func() renderable { return experiments.Dimensions().Table() }},
-		{"snarf", func() renderable { return experiments.Snarf(0) }},
-		{"mltsize", func() renderable { return experiments.MLTSize(0) }},
-		{"falseshare", func() renderable { return experiments.FalseSharing(0) }},
-		{"arbitration", func() renderable { return experiments.Arbitration(0) }},
-		{"arbmachine", func() renderable { return experiments.ArbitrationMachine(0) }},
-		{"syncscale", func() renderable { return experiments.SyncScaling(0) }},
-		{"parallel", func() renderable { return experiments.Parallel(experiments.ParallelConfig{}) }},
-	}
-
 	found := false
-	for _, r := range runs {
-		if *experiment != "all" && *experiment != r.name {
+	for _, e := range experiments.All() {
+		if *experiment != "all" && *experiment != e.Name {
 			continue
 		}
 		found = true
-		out := r.make()
-		if t, ok := out.(*stats.Table); ok {
-			switch {
-			case *csv:
-				fmt.Print(t.CSV())
-				fmt.Println()
-				continue
-			case *jsonOut:
-				lines, err := t.JSONRows(r.name)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "multicube-bench: %s: %v\n", r.name, err)
-					return 1
-				}
-				fmt.Print(lines)
-				continue
+		t := e.Table()
+		switch {
+		case *csv:
+			fmt.Print(t.CSV())
+			fmt.Println()
+		case *jsonOut:
+			lines, err := t.JSONRows(e.Name)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "multicube-bench: %s: %v\n", e.Name, err)
+				return 1
 			}
+			fmt.Print(lines)
+		default:
+			fmt.Println(t.Render())
 		}
-		fmt.Println(out.Render())
 	}
 	if !found {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)

@@ -142,16 +142,22 @@ func run() int {
 		return 2
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
+	reads := 0.0 // per lookup in a spilled run
+	if res.StoreDisk > 0 {
+		reads = float64(res.StoreReads) / float64(res.StoreDisk)
+	}
 
 	if *jsonOut {
 		out := struct {
 			mc.Result
-			FPRelabelings int     `json:"fp_relabelings"`
-			ElapsedMS     int64   `json:"elapsed_ms"`
-			StatesPerSec  float64 `json:"states_per_sec"`
-			PeakRSSBytes  int64   `json:"peak_rss_bytes"`
+			FPRelabelings      int     `json:"fp_relabelings"`
+			ElapsedMS          int64   `json:"elapsed_ms"`
+			StatesPerSec       float64 `json:"states_per_sec"`
+			PeakRSSBytes       int64   `json:"peak_rss_bytes"`
+			ReadsPerDiskLookup float64 `json:"reads_per_disk_lookup"`
 		}{Result: res, FPRelabelings: relabelings(sc), ElapsedMS: elapsed.Milliseconds(),
-			StatesPerSec: statesPerSec(res.States, elapsed), PeakRSSBytes: peakRSS()}
+			StatesPerSec: statesPerSec(res.States, elapsed), PeakRSSBytes: peakRSS(),
+			ReadsPerDiskLookup: reads}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -173,9 +179,8 @@ func run() int {
 	}
 	fmt.Printf("states    %d distinct canonical states\n", res.States)
 	fmt.Printf("runs      %d executions (%d across deepening)\n", res.Runs, res.TotalRuns)
-	if res.Spills > 0 || res.DiskBytes > 0 {
-		fmt.Printf("store     %d spills, %d bytes on disk\n", res.Spills, res.DiskBytes)
-	}
+	fmt.Printf("store     %d revisits answered hot, %d run lookups past the filter (%.2f reads each); %d spills, %d bytes on disk\n",
+		res.StoreHot, res.StoreDisk, reads, res.Spills, res.DiskBytes)
 	switch {
 	case res.Exhausted:
 		fmt.Printf("coverage  exhausted: every reachable interleaving within bounds\n")

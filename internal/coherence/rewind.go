@@ -27,6 +27,17 @@ import (
 // Load rather than copied: bus operations (their probe wires are only
 // ever set, and a rewound operation is delivered again) and transaction
 // traces (their bus-operation counts keep growing).
+//
+// A rewind copies only what moved. Each row bus, column bus, memory module
+// and node — a component — carries a label, (epoch, generation), on the
+// machine and in every buffer, and a label never names two contents: in
+// an epoch a generation only rises, with every mutation, and whatever
+// lowers it opens a new epoch from a clock that is never rewound — Reset
+// at once, a Load that copies the component once it moves on (until then
+// it stands under the buffer's label). Where the machine's label equals
+// the buffer's, Save and Load leave the component alone. Bare generations
+// would not do: generation g of the abandoned future is not generation g
+// of the next (DESIGN.md §5.9).
 
 // Saved is a caller-owned buffer holding one machine at a kernel-step
 // boundary. Save fills it and keeps its capacity, so a recycled buffer
@@ -34,6 +45,7 @@ import (
 type Saved struct {
 	sys     *System // the machine it was taken from; Load accepts no other
 	k       sim.KernelState
+	labels  []label // of rows, cols, mems and nodes, as in System.labels
 	rows    []bus.Saved
 	cols    []bus.Saved
 	nodes   []nodeSaved // row-major
@@ -43,6 +55,42 @@ type Saved struct {
 	// traces are the transaction traces reachable from the saved state,
 	// with the values they had.
 	traces []traceSaved
+}
+
+// label names one content of one component of one machine. On the machine
+// gen is the generation at which a Load put the component under a buffer's
+// epoch, or own for an epoch the machine drew.
+type label struct{ epoch, gen uint64 }
+
+const own = ^uint64(0) // no generation gets there
+
+// fresh opens a new epoch of component i's own.
+func (s *System) fresh(i int) {
+	s.clock++
+	s.labels[i] = label{s.clock, own}
+}
+
+// same reports whether st holds component i, now at generation gen, as it
+// stands on the machine: a component that has moved since a Load lent it
+// its label is first given the epoch it has been in since. If not, the
+// caller copies it and the copy takes the original's label: st's the
+// machine's, or in a Load the machine's st's. The zero label names nothing.
+func (s *System) same(st *Saved, i int, gen uint64, load bool) bool {
+	at := &s.labels[i]
+	if at.gen != gen && at.gen != own {
+		s.fresh(i)
+	}
+	switch now := (label{at.epoch, gen}); {
+	case st.labels[i] != now && load:
+		*at = st.labels[i]
+		return false
+	case st.labels[i] != now:
+		st.labels[i] = now
+		return false
+	case s.onSkip != nil:
+		s.onSkip(st, i, load)
+	}
+	return true
 }
 
 type nodeSaved struct {
@@ -72,26 +120,36 @@ type traceSaved struct {
 // history, generations and every counter — into st. Hooks, chooser and
 // wiring are not state. Call it at a kernel-step boundary: between steps,
 // or from a scheduling Chooser (see sim.Kernel.Save), never from inside
-// an event. Only a sequential machine can be saved.
+// an event. Only a sequential machine can be saved. A component st already
+// holds as it stands — a recycled buffer, mostly — is not copied again.
 func (s *System) Save(st *Saved) {
 	if s.par != nil {
 		panic("coherence: Save of a parallel-mode machine")
 	}
-	st.sys = s
-	s.k.Save(&st.k)
 	n := s.cfg.N
-	if len(st.rows) != n {
-		st.rows, st.cols = make([]bus.Saved, n), make([]bus.Saved, n)
-		st.nodes, st.mems = make([]nodeSaved, n*n), make([]memSaved, n)
-		st.shards = make([]sysShard, len(s.shards))
+	if st.sys != s {
+		// Another machine's labels mean nothing here: start empty.
+		*st = Saved{sys: s, labels: make([]label, len(s.labels)),
+			rows: make([]bus.Saved, n), cols: make([]bus.Saved, n),
+			nodes: make([]nodeSaved, n*n), mems: make([]memSaved, n),
+			shards: make([]sysShard, len(s.shards))}
 	}
+	s.k.Save(&st.k)
 	st.traces = st.traces[:0]
 	for i := 0; i < n; i++ {
-		s.rows[i].Save(&st.rows[i])
-		s.cols[i].Save(&st.cols[i])
-		s.mems[i].save(&st.mems[i])
+		if !s.same(st, i, s.rows[i].Gen(), false) {
+			s.rows[i].Save(&st.rows[i])
+		}
+		if !s.same(st, n+i, s.cols[i].Gen(), false) {
+			s.cols[i].Save(&st.cols[i])
+		}
+		if !s.same(st, 2*n+i, s.mems[i].gen, false) {
+			s.mems[i].save(&st.mems[i])
+		}
 		for c, nd := range s.nodes[i] {
-			nd.save(&st.nodes[i*n+c])
+			if !s.same(st, (3+i)*n+c, nd.gen, false) {
+				nd.save(&st.nodes[i*n+c])
+			}
 			if nd.pend != nil {
 				st.addTrace(nd.pend.trace)
 			}
@@ -120,6 +178,8 @@ func (st *Saved) addTrace(tr *TxnTrace) {
 // count: generation g of the abandoned future is not generation g of the
 // next one, so anything keyed on them — an FPCache — must be loaded with
 // the machine or invalidated. The kernel's Executed restarts at zero.
+// A component that stands as st holds it is left alone; one that is
+// copied takes st's label with the content.
 //
 //multicube:fpexempt restores fingerprint-visible state together with the generations that count it
 func (s *System) Load(st *Saved) {
@@ -129,11 +189,19 @@ func (s *System) Load(st *Saved) {
 	s.k.Load(&st.k)
 	n := s.cfg.N
 	for i := 0; i < n; i++ {
-		s.rows[i].Load(&st.rows[i])
-		s.cols[i].Load(&st.cols[i])
-		s.mems[i].load(&st.mems[i])
+		if !s.same(st, i, s.rows[i].Gen(), true) {
+			s.rows[i].Load(&st.rows[i])
+		}
+		if !s.same(st, n+i, s.cols[i].Gen(), true) {
+			s.cols[i].Load(&st.cols[i])
+		}
+		if !s.same(st, 2*n+i, s.mems[i].gen, true) {
+			s.mems[i].load(&st.mems[i])
+		}
 		for c, nd := range s.nodes[i] {
-			nd.load(&st.nodes[i*n+c])
+			if !s.same(st, (3+i)*n+c, nd.gen, true) {
+				nd.load(&st.nodes[i*n+c])
+			}
 		}
 	}
 	for i, sh := range s.shards {

@@ -232,6 +232,17 @@ type System struct {
 
 	dropped uint64
 
+	// labels say under which epoch every component Save and Load copy one
+	// by one stands — row buses, column buses, memories, then nodes
+	// row-major — and clock is the last epoch drawn (rewind.go).
+	// Bookkeeping of the rewind, not state: never saved or rewound, and
+	// Reset only draws new epochs. onSkip, when set, is told of every
+	// component a Save or a Load leaves in place; tests hold it to the
+	// buffer's copy there.
+	labels []label
+	clock  uint64
+	onSkip func(st *Saved, i int, load bool)
+
 	// fpIdent/fpInv are reusable Fingerprint scratch: the cached identity
 	// permutation and the inverse-permutation buffer (rows); fpCInv is
 	// the column counterpart. A System is bound to one kernel and is not
@@ -327,6 +338,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		m.busIdx = s.cols[c].Attach(memAgent{m})
 		s.mems[c] = m
 	}
+	s.labels = make([]label, 3*n+n*n)
 	s.reset()
 	return s, nil
 }
@@ -336,7 +348,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 // line tables and memories empty, no outstanding transaction, every
 // counter and generation zero, and every hook removed — OpLog, Fault,
 // SuppressSignal, Observer, DisableStaleReplyPoisoning, the nodes'
-// OnInvalidate and the registered inclusion views. The structure (grid,
+// OnInvalidate, the registered inclusion views and the tests' onSkip. The structure (grid,
 // wiring, configuration) and the memory behind it are kept, which is the
 // point: the model checker resets one machine between its thousands of
 // executions instead of rebuilding it. Anything keyed on the generation
@@ -369,7 +381,10 @@ func (s *System) reset() {
 	for _, m := range s.mems {
 		m.reset()
 	}
-	s.OpLog, s.Fault, s.SuppressSignal, s.Observer = nil, nil, nil, nil
+	for i := range s.labels {
+		s.fresh(i) // the generations restart at zero
+	}
+	s.OpLog, s.Fault, s.SuppressSignal, s.Observer, s.onSkip = nil, nil, nil, nil, nil
 	s.DisableStaleReplyPoisoning = false
 	s.obsSink = nil
 	s.inclusions = nil

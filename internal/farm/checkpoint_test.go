@@ -46,6 +46,7 @@ func stripResume(r mc.Result) mc.Result {
 	r.FPRecomputes, r.FPIncremental = 0, 0
 	r.FPPoints, r.FPCombines = 0, 0
 	r.Restores, r.PeakBoundaries = 0, 0
+	r.StoreHot, r.StoreDisk, r.StoreReads = 0, 0, 0
 	return r
 }
 

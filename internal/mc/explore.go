@@ -64,11 +64,11 @@ type Options struct {
 	// pure function of the scenario and options, before being reported —
 	// but the States/Runs statistics of a violation-free parallel search
 	// can vary from run to run with worker scheduling. More workers are
-	// not a speed-up today: measured on 2 CPUs, two workers take
-	// 0.82–1.18× the single worker's rate (EXPERIMENTS.md, "PR 16"),
-	// because a saved boundary is usable only on the machine that saved
-	// it, so an item popped by another worker replays its prefix from
-	// reset (5.6–7× the kernel steps).
+	// not a speed-up today: measured on 2 CPUs at commit 7a571db (PR 16,
+	// not since), two workers took 0.82–1.18× the single worker's rate
+	// (EXPERIMENTS.md, "PR 16"), because a saved boundary is usable only on
+	// the machine that saved it, so an item popped by another worker
+	// replays its prefix from reset (5.6–7× the kernel steps).
 	Workers int
 	// DisablePOR turns off the partial-order reduction entirely (both
 	// the persistent-set eager-firing and the sleep sets), for
@@ -197,6 +197,8 @@ type Progress struct {
 	Steps       uint64
 	ReplaySteps uint64
 	Restores    uint64
+	// StoreHot, StoreDisk and StoreReads are Result's store-tier counters.
+	StoreHot, StoreDisk, StoreReads uint64
 }
 
 // Result summarizes an exploration.
@@ -265,6 +267,12 @@ type Result struct {
 	// carried across a resume. Host cost, like Steps.
 	Restores       uint64
 	PeakBoundaries int
+	// StoreHot, StoreDisk and StoreReads say which tier of the visited
+	// store answered revisits: those the hot map answered, the run lookups
+	// that passed a bloom filter, and the reads those made — one each, two
+	// where a sleep set is stored (statespace.Store.Tier). Summed,
+	// checkpointed and host cost like Steps.
+	StoreHot, StoreDisk, StoreReads uint64
 	// SCVerdict summarizes the cross-address checks: "" when the scenario
 	// does not request them, else "ok", "undecided" (some search hit the
 	// node budget), or "violation" (the reported Violation is "sc-total").
@@ -352,22 +360,40 @@ func (t *take) leavesSibling() bool {
 	return false
 }
 
-func picksOf(taken []take) []int {
-	out := make([]int, len(taken))
-	for i := range taken {
-		out[i] = taken[i].pick
-	}
-	return out
+// workItem is one pending branch: the scripted choices that lead to it
+// plus the sleep set that becomes active once they are replayed. prefix
+// are the picks before the last — a slice of one array the spawning run
+// built for all the siblings it left, never written again — and last is
+// that one; a bare replay and an item read back from a checkpoint keep
+// the whole sequence in prefix, and the root, the zero item, has none.
+// from, when set, is a boundary on the path that the spawning run saved.
+type workItem struct {
+	prefix   []int
+	last     int
+	scripted int // len(prefix), and one more where last counts
+	sleep    sleepSet
+	from     *boundary
 }
 
-// workItem is one pending branch: a choice prefix plus the sleep set
-// that becomes active once the prefix is replayed. from, when set, is a
-// boundary on the prefix's path that the spawning run saved; an item read
-// back from a checkpoint has none.
-type workItem struct {
-	prefix []int
-	sleep  sleepSet
-	from   *boundary
+// pick is the scripted choice at point pos < scripted.
+func (it *workItem) pick(pos int) int {
+	if pos < len(it.prefix) {
+		return it.prefix[pos]
+	}
+	return it.last
+}
+
+// choicesOf assembles the choice sequence of a run of the item: its first
+// covered picks, which the run's boundary covers, then what the run took.
+func choicesOf(it *workItem, covered int, taken []take) []int {
+	out := make([]int, covered, covered+len(taken))
+	for i := range out {
+		out[i] = it.pick(i)
+	}
+	for i := range taken {
+		out = append(out, taken[i].pick)
+	}
+	return out
 }
 
 // boundary is an execution saved at a kernel-step boundary: the machine
@@ -385,9 +411,9 @@ type boundary struct {
 	st    execState
 }
 
-// mcChooser scripts an execution: the first len(prefix) choice points
-// follow the prefix, the rest pick the first non-slept candidate (plain
-// 0 when sleep sets are off). Reduction happens here — an eager pick is
+// mcChooser scripts an execution: the first choice points follow the work
+// item, the rest pick the first non-slept candidate (plain 0 when sleep
+// sets are off). Reduction happens here — an eager pick is
 // NOT recorded as a choice point, which is sound because the persistent
 // decision is a pure function of the candidate set and therefore replays
 // identically.
@@ -405,11 +431,16 @@ type mcChooser struct {
 	n         int
 	classify  func(any) tagClass
 	grantCls  func(string, any) tagClass
-	prefix    []int
 	depth     int
 	eager     bool
 	sleepOn   bool
 	initSleep sleepSet
+
+	// item scripts the first scripted choice points of the path; the
+	// machine starts from a boundary that covers the first covered of
+	// them, so point pos of the path is taken[pos-covered].
+	item    workItem
+	covered int
 
 	sleep    sleepSet
 	armed    bool
@@ -426,9 +457,9 @@ type mcChooser struct {
 	// beyond the prefix that leaves an alternative for a sibling branch,
 	// before the pick is returned: the kernel consults the chooser before
 	// it touches its heap or its clock, so the machine is still at the
-	// step boundary and can be saved there. pos is the point's index in
-	// taken. Arbitration choice points sit in the middle of a grant event
-	// and are not reported.
+	// step boundary and can be saved there. pos is the point's index on
+	// the path. Arbitration choice points sit in the middle of a grant
+	// event and are not reported.
 	atBoundary func(pos int)
 }
 
@@ -446,17 +477,15 @@ func newMCChooser(ck checker, n int, opts *Options) *mcChooser {
 
 // start scripts the chooser for one execution of the work item under the
 // depth bound, keeping the buffers of the execution before. The machine
-// has already resolved the first covered choice points of the prefix —
-// it starts from a boundary saved there — so they count as taken.
+// has already resolved the item's first covered choice points — it starts
+// from a boundary saved there — so the execution resumes at that one.
 func (c *mcChooser) start(it workItem, depth, covered int) {
-	c.prefix, c.depth, c.initSleep = it.prefix, depth, it.sleep
+	c.item, c.covered = it, covered
+	c.depth, c.initSleep = depth, it.sleep
 	c.sleep, c.armed, c.active = nil, false, false
 	c.taken = c.taken[:0]
-	for _, pick := range it.prefix[:covered] {
-		c.taken = append(c.taken, take{pick: pick})
-	}
 	c.limitHit, c.blocked = false, false
-	if c.sleepOn && len(c.prefix) == 0 {
+	if c.sleepOn && it.scripted == 0 {
 		c.active = true
 		c.sleep = c.initSleep
 	}
@@ -469,7 +498,7 @@ func (c *mcChooser) start(it workItem, depth, covered int) {
 func replayChooser(ck checker, n int, prefix []int, opts *Options) *mcChooser {
 	c := newMCChooser(ck, n, opts)
 	c.sleepOn = false
-	c.start(workItem{prefix: prefix}, 0, 0)
+	c.start(workItem{prefix: prefix, scripted: len(prefix)}, 0, 0)
 	return c
 }
 
@@ -497,14 +526,15 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 			return i
 		}
 	}
-	if c.depth > 0 && len(c.taken) >= c.depth {
+	pos := c.pos()
+	if c.depth > 0 && pos >= c.depth {
 		c.limitHit = true
 		return 0
 	}
-	scripted := len(c.taken) < len(c.prefix)
+	scripted := pos < c.item.scripted
 	pick := 0
 	if scripted {
-		pick = c.prefix[len(c.taken)]
+		pick = c.item.pick(pos)
 		if pick < 0 || pick >= len(cands) {
 			pick = 0
 		}
@@ -530,10 +560,10 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 		tk.sleepAt = c.sleep
 	}
 	if !scripted && isSched && c.atBoundary != nil && tk.leavesSibling() {
-		c.atBoundary(len(c.taken))
+		c.atBoundary(pos)
 	}
 	c.taken = append(c.taken, tk)
-	if c.sleepOn && len(c.taken) == len(c.prefix) {
+	if c.sleepOn && pos+1 == c.item.scripted {
 		if isSched {
 			c.armed = true
 		} else {
@@ -559,13 +589,11 @@ func (c *mcChooser) Dispatched(tag any) {
 	c.sleep = c.sleep.afterExec(c.n, c.classify(tag))
 }
 
-func (c *mcChooser) picks(upto int) []int {
-	out := make([]int, upto)
-	for i := 0; i < upto; i++ {
-		out[i] = c.taken[i].pick
-	}
-	return out
-}
+// pos is the number of choice points resolved on the path so far.
+func (c *mcChooser) pos() int { return c.covered + len(c.taken) }
+
+// choices is the choice sequence of the path so far.
+func (c *mcChooser) choices() []int { return choicesOf(&c.item, c.covered, c.taken) }
 
 // The visited-state table lives in internal/statespace: each canonical
 // fingerprint maps to the smallest sleep set (as sorted transition
@@ -610,7 +638,9 @@ func newExplorer(sc *Scenario, opts Options) *explorer {
 }
 
 type runOut struct {
+	// taken are the choice points from point covered of the path on.
 	taken     []take
+	covered   int
 	violation *Violation
 	truncated bool // stopped at an already-visited state
 	limitHit  bool // the depth bound forced a default choice
@@ -675,7 +705,7 @@ func (w *worker) run(it workItem, depth int) runOut {
 		w.base, covered = from.steps, from.pos
 	}
 	w.ch.start(it, depth, covered)
-	out := w.e.execute(w.ck, w.ch, len(it.prefix), true, w.base)
+	out := w.e.execute(w.ck, w.ch, true, w.base)
 	out.saved, out.from = w.saved, from
 	return out
 }
@@ -725,11 +755,11 @@ func (w *worker) recycle(b *boundary) {
 // execute drives one execution to its end. The machine stands base kernel
 // steps into the path (zero after a reset): the step guard counts from
 // there, the steps counter only what is executed here. track marks an
-// exploration run, whose prefix replays states the spawning run already
-// checked and recorded: they skip the per-step oracle and the visited
-// table, and states beyond are tracked. A replay (track unset) checks
-// every step — its violation may sit inside the prefix.
-func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool, base int) runOut {
+// exploration run, whose scripted choices replay states the spawning run
+// already checked and recorded: they skip the per-step oracle and the
+// visited table, and states beyond are tracked. A replay (track unset)
+// checks every step — its violation may sit inside the prefix.
+func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runOut {
 	ck.enableMC(ch)
 	k := ck.kernel()
 	var out runOut
@@ -745,7 +775,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 			out.blocked = true
 			break
 		}
-		if track && len(ch.taken) < prefixLen {
+		if track && ch.pos() < ch.item.scripted {
 			replayed++
 			continue
 		}
@@ -769,10 +799,10 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 	if out.violation == nil && !out.truncated && !out.blocked && !out.stepsHit && !out.budgetCut && k.Pending() == 0 {
 		out.violation = ck.quiescenceCheck()
 	}
-	out.taken = ch.taken
+	out.taken, out.covered = ch.taken, ch.covered
 	out.limitHit = ch.limitHit
 	if out.violation != nil {
-		out.violation.Choices = picksOf(ch.taken)
+		out.violation.Choices = ch.choices()
 	}
 	fpn := ck.fpStats()
 	e.fpRec.Add(fpn.recomputes)
@@ -796,12 +826,14 @@ func (e *explorer) execute(ck checker, ch *mcChooser, prefixLen int, track bool,
 // boundary the run saved at or before its choice point — for a scheduler
 // point the one saved at the point itself, for an arbitration point an
 // earlier one, a step or two back — or, failing that, the boundary the
-// run itself started from.
+// run itself started from. The siblings share their prefixes: slices of
+// one copy of the run's choices, made when the first of them is spawned.
 func (e *explorer) children(it workItem, r runOut) []workItem {
 	var out []workItem
+	var picks []int
 	nsaved := len(r.saved)
-	for p := len(r.taken) - 1; p >= len(it.prefix); p-- {
-		t := r.taken[p]
+	for p := r.covered + len(r.taken) - 1; p >= it.scripted; p-- {
+		t := &r.taken[p-r.covered]
 		if t.n < 2 {
 			continue
 		}
@@ -812,20 +844,19 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 		if nsaved > 0 {
 			from = r.saved[nsaved-1]
 		}
-		spawn := func(prefix []int, sleep sleepSet) {
-			out = append(out, workItem{prefix: prefix, sleep: sleep, from: from})
+		spawn := func(alt int, sleep sleepSet) {
+			if picks == nil {
+				picks = choicesOf(&it, r.covered, r.taken)
+			}
+			out = append(out, workItem{prefix: picks[:p:p], last: alt, scripted: p + 1, sleep: sleep, from: from})
 			if from != nil {
 				from.refs.Add(1)
 			}
 		}
-		base := make([]int, p)
-		for i := 0; i < p; i++ {
-			base[i] = r.taken[i].pick
-		}
 		if t.cands == nil {
 			// Sleep sets off: spawn every alternative.
 			for alt := t.n - 1; alt >= 1; alt-- {
-				spawn(append(append([]int(nil), base...), alt), nil)
+				spawn(alt, nil)
 			}
 			continue
 		}
@@ -838,7 +869,7 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 			if t.sleepAt.contains(cls.fp) {
 				continue
 			}
-			spawn(append(append([]int(nil), base...), alt), childSleep(e.n, t.sleepAt, done, cls))
+			spawn(alt, childSleep(e.n, t.sleepAt, done, cls))
 			done = append(done, cls)
 		}
 	}
@@ -867,8 +898,10 @@ func (e *explorer) ctxDone() bool {
 // race.
 func (e *explorer) report(runs, depth, frontier int) {
 	if e.opts.Progress != nil {
+		tier := &e.visited.Tier
 		e.opts.Progress(Progress{States: e.visited.States(), Runs: runs, Depth: depth, Frontier: frontier,
-			Steps: e.steps.Load(), ReplaySteps: e.replay.Load(), Restores: e.restores.Load()})
+			Steps: e.steps.Load(), ReplaySteps: e.replay.Load(), Restores: e.restores.Load(),
+			StoreHot: tier.HotHits.Load(), StoreDisk: tier.DiskLookups.Load(), StoreReads: tier.DiskReads.Load()})
 	}
 }
 
@@ -1080,6 +1113,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.ReplaySteps = e.replay.Load()
 		res.Restores = e.restores.Load()
 		res.PeakBoundaries = int(e.peak.Load())
+		res.StoreHot, res.StoreDisk = e.visited.Tier.HotHits.Load(), e.visited.Tier.DiskLookups.Load()
+		res.StoreReads = e.visited.Tier.DiskReads.Load()
 		res.Spills = e.visited.Spills()
 		res.DiskBytes = e.visited.DiskBytes()
 		if p.err != nil {
@@ -1146,7 +1181,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 func (e *explorer) replayRun(prefix []int) runOut {
 	ck := newChecker(e.sc, e.sh)
 	ch := replayChooser(ck, e.n, prefix, &e.opts)
-	return e.execute(ck, ch, len(prefix), false, 0)
+	return e.execute(ck, ch, false, 0)
 }
 
 // minimize greedily shrinks a counterexample: repeatedly lower the

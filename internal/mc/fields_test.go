@@ -14,7 +14,7 @@ import (
 )
 
 // fieldClasses sorts the fields of one struct of the rewindable machine
-// into the four things a field can be to a rewind:
+// into the five things a field can be to a rewind:
 //
 //   - rewound: state. Save copies it (or calls the Save of what it points
 //     to), Load writes it back and reset re-initialises it, all three.
@@ -27,14 +27,19 @@ import (
 //   - scratch: nothing a rewind has to bring back — a buffer reused
 //     within a step, a memo a rewind invalidates, a host-work or
 //     per-execution counter a rewind restarts.
+//   - bookkeeping: what the rewind itself runs on — the machine's half of
+//     the labels that let Save and Load skip a component, and the clock
+//     their epochs are drawn from. Never saved and never rewound — an
+//     epoch that came back would name two contents — and all Reset does
+//     is draw every component a new one.
 //
 // The lists are a decision record, not a proof: TestLoadEqualsReplay and
 // TestResetEqualsFresh (internal/coherence), TestReusedMachineMatchesRebuilt
 // and TestPresetGolden decide whether a field really is what its list
 // says.
 type fieldClasses struct {
-	of                             reflect.Type
-	rewound, hook, wiring, scratch []string
+	of                                          reflect.Type
+	rewound, hook, wiring, scratch, bookkeeping []string
 }
 
 func typeOf[T any]() reflect.Type { return reflect.TypeOf((*T)(nil)).Elem() }
@@ -86,9 +91,10 @@ var rewindFields = []fieldClasses{
 		of:      typeOf[coherence.System](),
 		rewound: []string{"k", "rows", "cols", "nodes", "mems", "shards", "dropped"},
 		hook: []string{"OpLog", "Fault", "SuppressSignal", "DisableStaleReplyPoisoning", "Observer",
-			"inclusions"},
-		wiring:  []string{"grid", "cfg", "par"},
-		scratch: []string{"obsSink", "fpIdent", "fpInv", "fpCInv"},
+			"inclusions", "onSkip"},
+		wiring:      []string{"grid", "cfg", "par"},
+		scratch:     []string{"obsSink", "fpIdent", "fpInv", "fpCInv"},
+		bookkeeping: []string{"labels", "clock"},
 	},
 	{
 		of:      typeOf[driver](),
@@ -113,6 +119,7 @@ func TestEveryFieldIsClassified(t *testing.T) {
 		class := make(map[string]string)
 		for name, list := range map[string][]string{
 			"rewound": fc.rewound, "hook": fc.hook, "wiring": fc.wiring, "scratch": fc.scratch,
+			"bookkeeping": fc.bookkeeping,
 		} {
 			for _, f := range list {
 				if prev, dup := class[f]; dup {
@@ -124,7 +131,7 @@ func TestEveryFieldIsClassified(t *testing.T) {
 		for i := 0; i < fc.of.NumField(); i++ {
 			f := fc.of.Field(i).Name
 			if _, ok := class[f]; !ok {
-				t.Errorf("%v.%s is in no list: decide whether Save, Load and reset must handle it (rewound) or why they need not (hook, wiring, scratch)", fc.of, f)
+				t.Errorf("%v.%s is in no list: decide whether Save, Load and reset must handle it (rewound) or why they need not (hook, wiring, scratch, bookkeeping)", fc.of, f)
 			}
 			delete(class, f)
 		}

@@ -95,10 +95,13 @@ func unpackSleep(w []uint64) sleepSet {
 
 // itemsToFrontier converts the DFS stack for checkpointing, preserving
 // order (resume pops in the same order the interrupted pass would have).
+// A record holds the item's whole choice sequence, shared prefix and last
+// choice alike.
 func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
 	out := make([]statespace.FrontierItem, len(stack))
-	for i, it := range stack {
-		out[i] = statespace.FrontierItem{Prefix: it.prefix, Sleep: packSleep(it.sleep)}
+	for i := range stack {
+		it := &stack[i]
+		out[i] = statespace.FrontierItem{Prefix: choicesOf(it, it.scripted, nil), Sleep: packSleep(it.sleep)}
 	}
 	return out
 }
@@ -106,7 +109,7 @@ func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
 func frontierToItems(items []statespace.FrontierItem) []workItem {
 	out := make([]workItem, len(items))
 	for i, f := range items {
-		out[i] = workItem{prefix: f.Prefix, sleep: unpackSleep(f.Sleep)}
+		out[i] = workItem{prefix: f.Prefix, scripted: len(f.Prefix), sleep: unpackSleep(f.Sleep)}
 	}
 	return out
 }
@@ -135,6 +138,9 @@ func (e *explorer) counterMap(p *passOut) map[string]uint64 {
 		"steps":           e.steps.Load(),
 		"replay_steps":    e.replay.Load(),
 		"restores":        e.restores.Load(),
+		"store_hot":       e.visited.Tier.HotHits.Load(),
+		"store_disk":      e.visited.Tier.DiskLookups.Load(),
+		"store_reads":     e.visited.Tier.DiskReads.Load(),
 	}
 }
 
@@ -154,6 +160,9 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	e.steps.Store(c["steps"])
 	e.replay.Store(c["replay_steps"])
 	e.restores.Store(c["restores"])
+	e.visited.Tier.HotHits.Store(c["store_hot"])
+	e.visited.Tier.DiskLookups.Store(c["store_disk"])
+	e.visited.Tier.DiskReads.Store(c["store_reads"])
 }
 
 // checkpoint atomically persists the search at a frontier boundary. The

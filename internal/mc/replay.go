@@ -73,7 +73,7 @@ func Replay(sc Scenario, choices []int, opts Options) (*ReplayResult, error) {
 		out.Violation = ck.quiescenceCheck()
 	}
 	if out.Violation != nil {
-		out.Violation.Choices = ch.picks(len(ch.taken))
+		out.Violation.Choices = ch.choices()
 	}
 	return out, nil
 }

@@ -172,18 +172,18 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 		}
 		it = kids[len(kids)-1]
 	}
-	if len(it.prefix) < 4 {
-		t.Fatalf("work item prefix %v too short to mean anything", it.prefix)
+	if it.scripted < 4 {
+		t.Fatalf("work item of %d choices too short to mean anything", it.scripted)
 	}
 	for _, explore := range []bool{true, false} {
 		cc := &countingChecker{checker: newChecker(&sc, e.sh)}
-		ch := replayChooser(cc, e.n, it.prefix, &e.opts)
+		ch := replayChooser(cc, e.n, choicesOf(&it, it.scripted, nil), &e.opts)
 		if explore {
 			ch = newMCChooser(cc, e.n, &e.opts)
 			ch.start(it, 0, 0)
 		}
 		steps, replayed := e.steps.Load(), e.replay.Load()
-		r := e.execute(cc, ch, len(it.prefix), explore, 0)
+		r := e.execute(cc, ch, explore, 0)
 		steps, replayed = e.steps.Load()-steps, e.replay.Load()-replayed
 		if r.violation != nil {
 			t.Fatalf("explore=%v: %v", explore, r.violation)

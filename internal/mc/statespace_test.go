@@ -17,8 +17,8 @@ import (
 // legitimately differ in: Resumed/ResumeNote report provenance,
 // Spills/DiskBytes depend on the memory budget and on how many
 // checkpoints forced flushes, and Steps, ReplaySteps, FPRecomputes,
-// FPIncremental, FPPoints, FPCombines, Restores and PeakBoundaries count
-// what the search cost
+// FPIncremental, FPPoints, FPCombines, Restores, PeakBoundaries and Store
+// count what the search cost
 // the host, which depends on which runs had a saved boundary to start
 // from (a resumed search replays its checkpointed frontier from reset).
 // Everything else — States, Runs, TotalRuns, Depth, Exhausted, BudgetHit,
@@ -33,6 +33,7 @@ func comparable(r Result) Result {
 	r.FPRecomputes, r.FPIncremental = 0, 0
 	r.FPPoints, r.FPCombines = 0, 0
 	r.Restores, r.PeakBoundaries = 0, 0
+	r.StoreHot, r.StoreDisk, r.StoreReads = 0, 0, 0
 	return r
 }
 

@@ -83,6 +83,10 @@ type Config struct {
 	// MemBudget caps the estimated hot-tier bytes; exceeding it spills
 	// the largest shard to a sorted run under Dir. Zero means unbounded.
 	// Below 1 MiB it also sets how many shards the store keeps (shardBits).
+	// What a spilled run keeps in RAM — its bloom filter and fence, 1.75
+	// bytes a key against the 64 and up of a hot entry — is not charged to
+	// it: that would shrink the hot tier as the disk tier grows, and every
+	// spill that costs is a file (minSpillBytes).
 	MemBudget int64
 	// CheckpointDir holds the manifest and frontier files; "" disables
 	// checkpoints. May equal Dir.
@@ -142,6 +146,12 @@ type Store struct {
 	diskBytes atomic.Int64
 	seq       atomic.Uint64 // file-name sequence (never a timestamp)
 
+	// Tier says which tier answered the visits of states already stored:
+	// those the hot map answered, the run lookups that passed the run's
+	// bloom filter, and the ReadAt calls those made. Host cost, kept across
+	// Reset; a resumed search sets it to what its checkpoint recorded.
+	Tier TierCounts
+
 	spillMu sync.Mutex // serializes victim selection and eviction
 
 	// pinned holds the file basenames the newest durable manifest
@@ -156,6 +166,9 @@ type Store struct {
 	errMu sync.Mutex
 	err   error // sticky first I/O failure; Visit degrades to OutcomeSeen
 }
+
+// TierCounts is Store.Tier.
+type TierCounts struct{ HotHits, DiskLookups, DiskReads atomic.Uint64 }
 
 // isPinned reports whether the newest durable manifest references name.
 func (s *Store) isPinned(name string) bool {
@@ -270,6 +283,7 @@ func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 	sh := &s.shards[fp>>s.shift] // a shift by 64 (one shard) yields 0
 	sh.mu.Lock()
 	if stored, ok := sh.hot[fp]; ok {
+		s.Tier.HotHits.Add(1)
 		if subsetOf(stored, sleep) {
 			sh.mu.Unlock()
 			return OutcomeSeen
@@ -284,7 +298,7 @@ func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 		return OutcomeAgain
 	}
 	if len(sh.runs) > 0 {
-		stored, ok, err := sh.lookupRuns(fp)
+		stored, ok, err := sh.lookupRuns(fp, &s.Tier)
 		if err != nil {
 			sh.mu.Unlock()
 			s.fail(err)
@@ -326,9 +340,9 @@ func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 // lookupRuns searches the on-disk tier newest-first (the newest run
 // holds the smallest — most recently intersected — set for a key that
 // appears in several). Caller holds the shard lock.
-func (sh *shard) lookupRuns(fp uint64) ([]uint64, bool, error) {
+func (sh *shard) lookupRuns(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
 	for i := len(sh.runs) - 1; i >= 0; i-- {
-		sleep, ok, err := sh.runs[i].lookup(fp)
+		sleep, ok, err := sh.runs[i].lookup(fp, tc)
 		if err != nil {
 			return nil, false, err
 		}

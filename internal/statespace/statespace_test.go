@@ -117,7 +117,7 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 	defer r.close()
 	for _, e := range ents {
-		got, ok, err := r.lookup(e.fp)
+		got, ok, err := r.lookup(e.fp, new(TierCounts))
 		if err != nil || !ok {
 			t.Fatalf("lookup %x: ok=%v err=%v", e.fp, ok, err)
 		}
@@ -130,7 +130,7 @@ func TestRunRoundTrip(t *testing.T) {
 		if seen[fp] {
 			continue
 		}
-		if _, ok, _ := r.lookup(fp); ok {
+		if _, ok, _ := r.lookup(fp, new(TierCounts)); ok {
 			t.Fatalf("lookup of absent %x reported present", fp)
 		}
 	}
