@@ -5,15 +5,9 @@
 // model checker's reproducibility guarantees (identical seeds and presets
 // must yield identical traces and counterexamples).
 //
-// A loop escapes the check if:
-//
-//   - it is annotated //multicube:detrange-ok <reason> (same line or the
-//     line above), for loops that are genuinely commutative or restore
-//     order by other means (e.g. cache.ForEach's hand-rolled insertion
-//     sort); or
-//   - the loop body only appends to slice variables and one of them is
-//     later passed to a sort.*/slices.Sort* call in the same function
-//     (the collect-then-sort idiom).
+// A loop escapes the check if its body only appends to slice variables
+// and one of them is later passed to a sort.*/slices.Sort* call in the
+// same function (the collect-then-sort idiom).
 package detmap
 
 import (
@@ -63,14 +57,10 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		return true
 	})
 	for _, r := range ranges {
-		if pass.Dirs.NodeHas(r.Pos(), "detrange-ok") {
-			continue
+		if !collectThenSort(pass, body, r) {
+			pass.Reportf(r.Pos(),
+				"range over map in a deterministic package: iteration order is randomized (sort the keys first)")
 		}
-		if collectThenSort(pass, body, r) {
-			continue
-		}
-		pass.Reportf(r.Pos(),
-			"range over map in a deterministic package: iteration order is randomized (sort the keys first, or annotate //multicube:detrange-ok with a reason)")
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package detfix exercises the detmap analyzer: map ranges in a
-// deterministic package, the collect-then-sort escape, and the
-// detrange-ok annotation.
+// deterministic package and the collect-then-sort escape.
 //
 //multicube:deterministic
 package detfix
@@ -40,15 +39,6 @@ func sortedPairs(m map[uint64]uint64) []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func annotated(m map[int]int) int {
-	n := 0
-	//multicube:detrange-ok commutative count; order cannot leak
-	for range m {
-		n++
-	}
-	return n
 }
 
 func collectNoSort(m map[int]int) []int {

@@ -1,8 +1,8 @@
 // Package spillfix models internal/statespace's map-iteration idioms for
 // the detmap analyzer. Spill and compaction walk fingerprint-keyed hot
 // maps whose iteration order must never reach a run file (run files are
-// checksummed and compared across resumes), so every walk either
-// collects-then-sorts or is annotated commutative.
+// checksummed and compared across resumes), so every walk
+// collects-then-sorts.
 //
 //multicube:deterministic
 package spillfix
@@ -33,17 +33,6 @@ func spillUnsorted(hot map[uint64][]uint64) []ent {
 		ents = append(ents, ent{fp: fp, sleep: sleep})
 	}
 	return ents
-}
-
-// hotBytes accumulates a commutative sum, like the store's budget
-// accounting: order cannot leak into any observable.
-func hotBytes(hot map[uint64][]uint64) int64 {
-	var total int64
-	//multicube:detrange-ok commutative sum; order cannot leak
-	for _, sleep := range hot {
-		total += int64(8 * len(sleep))
-	}
-	return total
 }
 
 // firstDirty leaks map order into a victim choice (the store instead

@@ -33,14 +33,6 @@ import (
 //	    obligation propagates to callers: an exported mutator reaching an
 //	    exempted helper without bumping is still flagged.
 //
-//	//multicube:detrange-ok <reason>
-//	    On (or on the line before) a `for ... range` over a map: the loop
-//	    is order-insensitive (commutative), or order is restored before the
-//	    result is observable.
-//
-//	//multicube:wallclock-ok <reason>
-//	    Escape hatch for nowallclock findings.
-//
 //	//multicube:chooser-ok <reason>
 //	    On (or before) a go statement or select: the nondeterminism is
 //	    outside the explored state space (e.g. a worker pool whose results
@@ -56,9 +48,6 @@ import (
 //	    function is an audited synchronization point, where concurrency
 //	    primitives are allowed.
 //
-//	//multicube:nolockstep-ok <reason>
-//	    Escape hatch for nolockstep findings.
-//
 //	//multicube:inclusion
 //	    Package marker (any file). Opts the package into the inclusion
 //	    pass: every snooping-cache eviction must reach an upper-level
@@ -68,10 +57,6 @@ import (
 //	    On a function declaration (doc comment) or on the line before a
 //	    func literal: the function purges the registered upper-level
 //	    views; reaching it discharges an eviction's purge obligation.
-//
-//	//multicube:inclusion-ok <reason>
-//	    Escape hatch for inclusion findings, on (or before) the evicting
-//	    statement or on the enclosing function's doc comment.
 //
 //	//multicube:durable
 //	    Package marker (any file). Opts the package into the atomicwrite

@@ -51,7 +51,7 @@ func TestDirectiveIndexResolution(t *testing.T) {
 var a int
 
 func f(m map[int]int) {
-	//multicube:detrange-ok line above
+	//multicube:atomicwrite-ok line above
 	for range m {
 	}
 	for range m { //multicube:chooser-ok same line
@@ -69,7 +69,7 @@ func f(m map[int]int) {
 	if !ix.PackageMarked("deterministic") {
 		t.Error("package marker not indexed")
 	}
-	if ix.PackageMarked("wallclock-ok") {
+	if ix.PackageMarked("durable") {
 		t.Error("unused verb reported as package-wide")
 	}
 
@@ -77,9 +77,9 @@ func f(m map[int]int) {
 		verb string
 		want bool
 	}{
-		8:  {"detrange-ok", true},  // directive on line 7, statement on 8
-		10: {"chooser-ok", true},   // same-line trailing directive
-		12: {"detrange-ok", false}, // unannotated loop
+		8:  {"atomicwrite-ok", true},  // directive on line 7, statement on 8
+		10: {"chooser-ok", true},      // same-line trailing directive
+		12: {"atomicwrite-ok", false}, // unannotated loop
 	}
 	for line, c := range lines {
 		pos := fset.File(f.Pos()).LineStart(line)

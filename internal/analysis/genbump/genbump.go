@@ -95,15 +95,12 @@ var DefaultConfig = Config{
 		"multicube/internal/cache.Cache.Insert",
 		"multicube/internal/cache.Cache.Invalidate",
 		"multicube/internal/cache.Cache.Drop",
-		"multicube/internal/cache.Cache.Reset",
 		"multicube/internal/cache.Cache.Load",
 		"multicube/internal/mlt.Table.Insert",
 		"multicube/internal/mlt.Table.Remove",
-		"multicube/internal/mlt.Table.Reset",
 		"multicube/internal/mlt.Table.Load",
 		"multicube/internal/memory.Store.Write",
 		"multicube/internal/memory.Store.Invalidate",
-		"multicube/internal/memory.Store.Reset",
 		"multicube/internal/memory.Store.Load",
 	},
 }

@@ -2,7 +2,7 @@
 // rewind seam: loading a saved cache, modified line table or memory
 // replaces fingerprint-visible state wholesale, so the struct that owns
 // the store must restore (or bump) its generation counter in the same
-// function, exactly as for Reset.
+// function.
 package loadfix
 
 import (

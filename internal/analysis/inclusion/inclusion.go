@@ -15,8 +15,8 @@
 //     conventionally the package doc). Unmarked packages — e.g.
 //     internal/singlebus, whose machine has no upper level — are
 //     skipped entirely.
-//   - Evictors are the cross-package cache mutators listed in Config
-//     (cache.Cache.Invalidate, .Drop, .Insert by default).
+//   - Evictors are the cross-package cache mutators listed in evictors
+//     (cache.Cache.Invalidate, .Drop, .Insert).
 //   - A purge target is a same-package function annotated
 //     //multicube:inclusion-purge. A call discharges an eviction when
 //     the call-graph engine shows it can reach a purge target, so
@@ -30,11 +30,6 @@
 // immediately after the eviction; a conditional purge on a different
 // branch than the eviction would be accepted, which is the pass's
 // accepted imprecision.
-//
-// Deliberate exceptions — evictions whose upper level is cleared some
-// other way, or that precede machine teardown — are annotated
-// //multicube:inclusion-ok <reason> on or above the statement, or on the
-// enclosing function's doc comment.
 package inclusion
 
 import (
@@ -45,51 +40,38 @@ import (
 	"multicube/internal/analysis"
 )
 
-// Config lists the evictor registration table.
-type Config struct {
-	// Evictors are cross-package methods, "pkgpath.Type.Method", whose
-	// call may remove or displace a line of the snooping cache.
-	Evictors []string
+// evictors are the cross-package methods, "pkgpath.Type.Method", whose
+// call may remove or displace a line of the snooping cache.
+var evictors = []string{
+	"multicube/internal/cache.Cache.Invalidate",
+	"multicube/internal/cache.Cache.Drop",
+	"multicube/internal/cache.Cache.Insert",
 }
 
-// DefaultConfig registers the substrate cache's evicting mutators.
-var DefaultConfig = Config{
-	Evictors: []string{
-		"multicube/internal/cache.Cache.Invalidate",
-		"multicube/internal/cache.Cache.Drop",
-		"multicube/internal/cache.Cache.Insert",
-	},
+// Analyzer is the inclusion pass.
+var Analyzer = &analysis.Analyzer{
+	Name: "inclusion",
+	Doc:  "snooping-cache evictions must reach an upper-level purge on a same-function path",
+	Run:  run,
 }
 
-// Analyzer is the pass with the repository's default configuration.
-var Analyzer = New(DefaultConfig)
-
-// New builds an inclusion analyzer for the given evictor table.
-func New(cfg Config) *analysis.Analyzer {
-	return &analysis.Analyzer{
-		Name: "inclusion",
-		Doc:  "snooping-cache evictions must reach an upper-level purge on a same-function path",
-		Run:  func(pass *analysis.Pass) (any, error) { return run(pass, cfg) },
-	}
-}
-
-func run(pass *analysis.Pass, cfg Config) (any, error) {
+func run(pass *analysis.Pass) (any, error) {
 	if !pass.Dirs.PackageMarked("inclusion") {
 		return nil, nil
 	}
-	evictors := make(map[*types.Func]bool)
-	for _, entry := range cfg.Evictors {
+	evicting := make(map[*types.Func]bool)
+	for _, entry := range evictors {
 		if fn := analysis.ResolveMethod(pass.Pkg, entry); fn != nil {
-			evictors[fn] = true
+			evicting[fn] = true
 		}
 	}
-	if len(evictors) == 0 {
+	if len(evicting) == 0 {
 		return nil, nil
 	}
 	graph := analysis.BuildCallGraph(pass)
 	purges := purgeUnits(pass, graph)
 	for _, u := range graph.Units {
-		checkUnit(pass, graph, u, evictors, purges)
+		checkUnit(pass, graph, u, evicting, purges)
 	}
 	return nil, nil
 }
@@ -112,25 +94,12 @@ func purgeUnits(pass *analysis.Pass, graph *analysis.CallGraph) map[*analysis.Ca
 // evictSite is one registered eviction call awaiting discharge.
 type evictSite struct {
 	call *ast.CallExpr
-	stmt ast.Stmt
 	fn   *types.Func
 }
 
 // checkUnit flags evictions in one body with no later purge-reaching
 // call.
-func checkUnit(pass *analysis.Pass, graph *analysis.CallGraph, u *analysis.CallUnit, evictors map[*types.Func]bool, purges map[*analysis.CallUnit]bool) {
-	funcExempt := false
-	if u.Decl != nil {
-		if _, ok := analysis.FindVerb(analysis.CommentGroupDirectives(u.Decl.Doc), "inclusion-ok"); ok {
-			funcExempt = true
-		}
-	} else if pass.Dirs.NodeHas(u.Lit.Pos(), "inclusion-ok") {
-		funcExempt = true
-	}
-	if funcExempt {
-		return
-	}
-
+func checkUnit(pass *analysis.Pass, graph *analysis.CallGraph, u *analysis.CallUnit, evicting map[*types.Func]bool, purges map[*analysis.CallUnit]bool) {
 	reachesPurge := func(call *ast.CallExpr) bool {
 		for _, callee := range graph.CalleesAt(call) {
 			if graph.Reaches(callee, func(v *analysis.CallUnit) bool { return purges[v] }) {
@@ -142,23 +111,17 @@ func checkUnit(pass *analysis.Pass, graph *analysis.CallGraph, u *analysis.CallU
 
 	var evicts []evictSite
 	var dischargePos []token.Pos
-	var stack []ast.Node
 	ast.Inspect(u.Body(), func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
 		if lit, ok := n.(*ast.FuncLit); ok && lit != u.Lit {
 			return false // nested literals are their own units
 		}
-		stack = append(stack, n)
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && evictors[fn] {
-				evicts = append(evicts, evictSite{call: call, stmt: enclosingStmt(stack), fn: fn})
+			if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && evicting[fn] {
+				evicts = append(evicts, evictSite{call: call, fn: fn})
 				return true
 			}
 		}
@@ -176,28 +139,10 @@ func checkUnit(pass *analysis.Pass, graph *analysis.CallGraph, u *analysis.CallU
 				break
 			}
 		}
-		if discharged {
-			continue
-		}
-		annotated := pass.Dirs.NodeHas(ev.call.Pos(), "inclusion-ok")
-		if !annotated && ev.stmt != nil {
-			annotated = pass.Dirs.NodeHas(ev.stmt.Pos(), "inclusion-ok")
-		}
-		if annotated {
-			continue
-		}
-		pass.Reportf(ev.call.Pos(),
-			"snooping-cache eviction via %s does not reach an upper-level purge on a same-function path (call the //multicube:inclusion-purge helper after it, or annotate //multicube:inclusion-ok with a reason)",
-			ev.fn.Name())
-	}
-}
-
-// enclosingStmt returns the innermost statement on the walk stack.
-func enclosingStmt(stack []ast.Node) ast.Stmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if s, ok := stack[i].(ast.Stmt); ok {
-			return s
+		if !discharged {
+			pass.Reportf(ev.call.Pos(),
+				"snooping-cache eviction via %s does not reach an upper-level purge on a same-function path (call the //multicube:inclusion-purge helper after it)",
+				ev.fn.Name())
 		}
 	}
-	return nil
 }

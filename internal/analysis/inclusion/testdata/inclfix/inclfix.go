@@ -1,6 +1,6 @@
 // Package inclfix exercises the inclusion pass: a two-level hierarchy
 // whose snooping cache sits under a registered upper view, with
-// discharged, undischarged, helper-discharged, and annotated evictions.
+// discharged, undischarged and helper-discharged evictions.
 //
 //multicube:inclusion
 package inclfix
@@ -71,17 +71,4 @@ func evictConditional(h *Hier, line cache.Line, gone bool) {
 func evictBefore(h *Hier, line cache.Line) {
 	h.purgeUpper(line)
 	h.l2.Invalidate(line) // want `snooping-cache eviction via Invalidate does not reach an upper-level purge`
-}
-
-// evictAnnotated carries the statement-level escape hatch.
-func evictAnnotated(h *Hier, line cache.Line) {
-	//multicube:inclusion-ok upper level cleared wholesale by the caller
-	h.l2.Drop(line)
-}
-
-// evictFuncAnnotated carries the function-level escape hatch.
-//
-//multicube:inclusion-ok teardown path, upper caches already discarded
-func evictFuncAnnotated(h *Hier, line cache.Line) {
-	h.l2.Invalidate(line)
 }

@@ -21,9 +21,6 @@
 //
 // Declaring channel or sync types is allowed anywhere — only operations
 // communicate. Files without the parallel-runtime marker are ignored.
-//
-// Escape hatch: //multicube:nolockstep-ok <reason> on the operation's
-// line or the line above.
 package nolockstep
 
 import (
@@ -88,11 +85,8 @@ func isSyncpoint(fd *ast.FuncDecl) bool {
 // check walks one declaration and reports every concurrency primitive.
 func check(pass *analysis.Pass, n ast.Node, where string) {
 	report := func(pos token.Pos, what string) {
-		if pass.Dirs.NodeHas(pos, "nolockstep-ok") {
-			return
-		}
 		pass.Reportf(pos,
-			"%s outside a syncpoint function (%s, in a parallel-runtime file): every cross-goroutine communication edge must live in an audited //multicube:syncpoint function, or be annotated //multicube:nolockstep-ok",
+			"%s outside a syncpoint function (%s, in a parallel-runtime file): every cross-goroutine communication edge must live in an audited //multicube:syncpoint function",
 			what, where)
 	}
 	ast.Inspect(n, func(n ast.Node) bool {

@@ -52,12 +52,6 @@ func barrier(p *pool) {
 	close(p.done)
 }
 
-// hatch demonstrates the per-line escape.
-func hatch(p *pool) {
-	//multicube:nolockstep-ok fixture: counter is read only after Wait
-	p.n.Add(1)
-}
-
 // iter is a plain range over a slice — not a channel, not flagged.
 func iter(xs []int) int {
 	total := 0

@@ -16,9 +16,6 @@
 //   - fmt.* / log.* calls with a map-typed argument (map formatting
 //     iterates in randomized order — fmt sorts keys only for simple
 //     types, and error strings feed counterexample comparisons)
-//
-// Escape hatch: //multicube:wallclock-ok <reason> on the call's line or
-// the line above.
 package nowallclock
 
 import (
@@ -85,18 +82,15 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			path := pn.Imported().Path()
 			name := sel.Sel.Name
-			if pass.Dirs.NodeHas(call.Pos(), "wallclock-ok") {
-				return true
-			}
 			if reason, ok := banned[path][name]; ok {
 				pass.Reportf(call.Pos(),
-					"%s.%s in a deterministic package (%s breaks replay; thread explicit state through the preset, or annotate //multicube:wallclock-ok)",
+					"%s.%s in a deterministic package (%s breaks replay; thread explicit state through the preset)",
 					pkgID.Name, name, reason)
 				return true
 			}
 			if (path == "math/rand" || path == "math/rand/v2") && randBanned[name] {
 				pass.Reportf(call.Pos(),
-					"global %s.%s in a deterministic package (unseeded shared state; use rand.New with a seed from the preset, or annotate //multicube:wallclock-ok)",
+					"global %s.%s in a deterministic package (unseeded shared state; use rand.New with a seed from the preset)",
 					pkgID.Name, name)
 				return true
 			}
@@ -108,7 +102,7 @@ func run(pass *analysis.Pass) (any, error) {
 					}
 					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 						pass.Reportf(arg.Pos(),
-							"formatting a map with %s.%s in a deterministic package (rendered order is randomized for non-trivial keys; sort into a slice first, or annotate //multicube:wallclock-ok)",
+							"formatting a map with %s.%s in a deterministic package (rendered order is randomized for non-trivial keys; sort into a slice first)",
 							pkgID.Name, name)
 					}
 				}

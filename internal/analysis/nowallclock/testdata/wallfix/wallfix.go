@@ -43,11 +43,6 @@ func renderSlice(xs []string) string {
 	return fmt.Sprintf("%v", xs) // slices format deterministically
 }
 
-func annotated() int64 {
-	//multicube:wallclock-ok bench-only path, excluded from replay
-	return time.Now().UnixNano()
-}
-
 func duration() time.Duration {
 	return 5 * time.Millisecond // the time package's types are fine
 }

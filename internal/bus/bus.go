@@ -177,34 +177,9 @@ type Bus struct {
 
 // New returns an idle bus using the given arbitration policy.
 func New(k *sim.Kernel, name string, arb Arbitration) *Bus {
-	b := &Bus{k: k, name: name, arb: arb}
+	b := &Bus{k: k, name: name, arb: arb, last: -1}
 	b.deliverFn, b.grantFn = b.deliver, b.grant
-	b.Reset()
 	return b
-}
-
-// Reset returns the bus to the state New leaves it in — idle, nothing
-// queued, no chooser, counters cleared — keeping its attached agents and
-// the capacity of its queues. Queues are dequeued in place (see dequeue),
-// so a queue always starts at the first slot of its array and clearing
-// it drops every packet the array still names. Events the bus scheduled
-// on its kernel are the caller's to discard (sim.Kernel.Reset).
-func (b *Bus) Reset() {
-	b.gen = 0
-	clear(b.fifo)
-	b.fifo = b.fifo[:0]
-	for i, q := range b.perSrc {
-		clear(q)
-		b.perSrc[i] = q[:0]
-	}
-	b.queued = 0
-	b.busy = false
-	b.last = -1
-	b.chooser = nil
-	b.deferGrants = false
-	b.grantPending = false
-	b.inflight = nil
-	b.stats = Stats{}
 }
 
 // Saved is a caller-owned buffer holding a bus at a kernel-step boundary:
@@ -238,8 +213,9 @@ func (b *Bus) Save(st *Saved) {
 }
 
 // Load rewinds the bus to a state Save took from it, leaving its agents,
-// chooser and grant mode alone. Like Reset it clears each queue whole
-// before refilling it. The generation comes back with the state
+// chooser and grant mode alone. Queues are dequeued in place (see
+// dequeue), so clearing one whole before refilling it drops every packet
+// its array still names. The generation comes back with the state
 // it counts, so a cache keyed on it must be rewound or invalidated too:
 // generation g of the abandoned future is not generation g of the next.
 //

@@ -229,84 +229,11 @@ func TestMaxQueuedHighWater(t *testing.T) {
 	}
 }
 
-// TestResetEqualsNew stops a bus with an operation in flight, others
-// queued and a deferred grant pending, resets it (and its kernel), and
-// requires the same deliveries, counters and generation as a bus just
-// built — under every policy, with and without deferred grants.
-func TestResetEqualsNew(t *testing.T) {
-	type outcome struct {
-		snoops []snooped
-		stats  Stats
-		gen    uint64
-	}
-	// Three sources ask at the same instant, twice: with deferred grants
-	// even the first arbitration is contended, so a round-robin bus that
-	// remembered its last grantee across Reset would start elsewhere.
-	drive := func(k *sim.Kernel, b *Bus, r *recorder, deferGrants bool) outcome {
-		r.snoops = nil
-		b.SetChooser(sim.DefaultChooser{}, deferGrants)
-		for _, at := range []sim.Time{0, 1000} {
-			at := at
-			k.At(at, func() {
-				for src := 0; src < 3; src++ {
-					b.Request(src, testPkt{id: int(at) + src, occ: 100})
-				}
-			})
-		}
-		k.Run()
-		return outcome{r.snoops, b.Stats(), b.Gen()}
-	}
-	for _, arb := range []Arbitration{FIFO, RoundRobin, Priority} {
-		for _, deferGrants := range []bool{false, true} {
-			k := sim.NewKernel()
-			b, r := New(k, "b", arb), &recorder{}
-			for i := 0; i < 3; i++ {
-				b.Attach(r)
-			}
-			b.SetChooser(sim.DefaultChooser{}, deferGrants)
-			b.Request(1, testPkt{id: 9, occ: 100})
-			k.Run()
-			b.Request(0, testPkt{id: 8, occ: 100})
-			b.Request(2, testPkt{id: 7, occ: 100})
-			if deferGrants {
-				if !b.grantPending {
-					t.Fatal("no deferred grant pending at the stop")
-				}
-			} else if !b.Busy() {
-				t.Fatal("bus idle at the stop")
-			}
-			k.Reset()
-			b.Reset()
-			checkQueues(t, b, make([]int, 1+b.Agents()), "after Reset")
-			if b.Busy() || b.Inflight() != nil || b.Gen() != 0 || b.Stats() != (Stats{}) || b.Agents() != 3 ||
-				b.chooser != nil || b.deferGrants {
-				t.Fatalf("%v: after Reset busy=%v inflight=%v gen=%d stats=%+v agents=%d chooser=%v defer=%v",
-					arb, b.Busy(), b.Inflight(), b.Gen(), b.Stats(), b.Agents(), b.chooser, b.deferGrants)
-			}
-			b.ForEachQueued(func(int, Packet) { t.Fatalf("%v: an operation survived Reset", arb) })
-			got := drive(k, b, r, deferGrants)
-
-			fk := sim.NewKernel()
-			fb, fr := New(fk, "b", arb), &recorder{}
-			for i := 0; i < 3; i++ {
-				fb.Attach(fr)
-			}
-			want := drive(fk, fb, fr, deferGrants)
-			if len(want.snoops) != 18 {
-				t.Fatalf("%v: a new bus delivered %d snoops, want 18", arb, len(want.snoops))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v defer=%v: reset bus %+v, new bus %+v", arb, deferGrants, got, want)
-			}
-		}
-	}
-}
-
 // checkQueues requires what in-place dequeue promises of every queue: it
 // stays at the front of its array (caps, the capacities seen so far,
 // never shrink) and names no packet in the slots past its length — a
-// granted operation is reachable only as Inflight. Reset and Load clear
-// queues whole, so it holds after them too.
+// granted operation is reachable only as Inflight. Load clears queues
+// whole, so it holds after it too.
 func checkQueues(t *testing.T, b *Bus, caps []int, when string) {
 	t.Helper()
 	for i, q := range append([][]pending{b.fifo}, b.perSrc...) {

@@ -145,18 +145,6 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Reset empties the cache — every line and retained tag, the replacement
-// clock, the counters — back to the state New leaves it in, keeping its
-// configuration and the memory of its sets and index.
-func (c *Cache) Reset() {
-	c.table.Clear()
-	for _, set := range c.sets {
-		clear(set)
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
-
 // Saved is a caller-owned buffer holding a cache's contents: every tagged
 // line with its data, the replacement clock and the counters. Save fills
 // it and keeps its capacity.

@@ -309,39 +309,3 @@ func TestPinnedInvalidEntryNotReused(t *testing.T) {
 		t.Fatal("pinned placeholder lost")
 	}
 }
-
-// TestResetEqualsNew: a used cache, bounded or not, is empty after Reset
-// — retained tags and pins included — with zero counters, and then
-// behaves as a new one does.
-func TestResetEqualsNew(t *testing.T) {
-	for _, cfg := range []Config{{Lines: 8, Assoc: 2, BlockWords: 4}, {BlockWords: 4}} {
-		c := MustNew(cfg)
-		c.Insert(0, modified, []uint64{1, 2, 3, 4})
-		c.Insert(8, shared, nil)
-		c.Access(0)
-		c.Invalidate(8) // a retained tag
-		if e, ok := c.Lookup(0); ok {
-			e.Pinned = true
-		}
-		c.Insert(16, shared, nil)
-		c.Reset()
-		if c.Len() != 0 || c.Stats() != (Stats{}) || c.Probe(0) != nil || c.Probe(8) != nil || c.Probe(16) != nil {
-			t.Fatalf("%+v: after Reset len=%d stats=%+v, tags 0/8/16: %v %v %v", cfg, c.Len(), c.Stats(), c.Probe(0), c.Probe(8), c.Probe(16))
-		}
-		fresh := MustNew(cfg)
-		for _, x := range []*Cache{c, fresh} {
-			x.Insert(0, shared, nil)
-			x.Insert(8, shared, nil)
-			x.Access(0)
-		}
-		if got, want := c.Insert(16, shared, nil), fresh.Insert(16, shared, nil); got.Displaced != want.Displaced || got.Line != want.Line {
-			t.Fatalf("%+v: reset cache displaced %+v, a new one %+v", cfg, got, want)
-		}
-		if e, ok := c.Lookup(0); !ok || e.Data[0] != 0 || e.Pinned {
-			t.Fatalf("%+v: line 0 after Reset and reinsert: %+v", cfg, e)
-		}
-		if c.Stats() != fresh.Stats() {
-			t.Fatalf("%+v: stats %+v on the reset cache, %+v on a new one", cfg, c.Stats(), fresh.Stats())
-		}
-	}
-}

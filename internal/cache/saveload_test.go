@@ -66,7 +66,8 @@ func TestSaveLoadRewinds(t *testing.T) {
 	for _, cfg := range []Config{{Lines: 8, Assoc: 2, BlockWords: 4}, {BlockWords: 4}} {
 		c := MustNew(cfg)
 		rng := rand.New(rand.NewSource(1))
-		var st Saved
+		var st, empty Saved
+		MustNew(cfg).Save(&empty)
 		retained, pinned := 0, 0
 		for round := 0; round < 300; round++ {
 			for i := rng.Intn(6); i > 0; i-- {
@@ -85,7 +86,7 @@ func TestSaveLoadRewinds(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				switch round % 3 {
 				case 0:
-					c.Reset()
+					c.Load(&empty)
 				case 1:
 					for i := 0; i < 40; i++ {
 						mutate(c, rng)

@@ -100,47 +100,25 @@ type FPCache struct {
 
 // NewFPCache returns a cache bound to s with every component dirty.
 func NewFPCache(s *System) *FPCache {
-	f := &FPCache{}
-	f.Reset(s)
-	return f
-}
-
-// Reset rebinds the cache to s — another machine, or the same one after
-// System.Reset rewound its generation counters — and marks every
-// component dirty. Buffers are reused when the grid size matches.
-// Counters for Stats are zeroed.
-func (f *FPCache) Reset(s *System) {
 	n := s.cfg.N
-	f.sys = s
-	f.snarf = s.cfg.Snarf
-	f.recomputes, f.reused = 0, 0
-	if f.n != n {
-		f.n = n
-		f.nodeH = make([][]uint64, n)
-		f.nodeGen = make([][]uint64, n)
-		for r := 0; r < n; r++ {
-			f.nodeH[r] = make([]uint64, n)
-			f.nodeGen[r] = make([]uint64, n)
-		}
-		f.memH = make([]uint64, n)
-		f.memGen = make([]uint64, n)
-		f.rowQ = make([]busQ, n)
-		f.colQ = make([]busQ, n)
-	}
+	f := &FPCache{sys: s, n: n, snarf: s.cfg.Snarf,
+		nodeH: make([][]uint64, n), nodeGen: make([][]uint64, n),
+		memH: make([]uint64, n), memGen: make([]uint64, n),
+		rowQ: make([]busQ, n), colQ: make([]busQ, n)}
 	const dirty = ^uint64(0)
 	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
+		f.nodeH[r] = make([]uint64, n)
+		f.nodeGen[r] = make([]uint64, n)
+		for c := range f.nodeGen[r] {
 			f.nodeGen[r][c] = dirty
 		}
 		f.memGen[r] = dirty
-		f.rowQ[r].valid = false
-		f.colQ[r].valid = false
 	}
-	f.evs = f.evs[:0]
+	return f
 }
 
 // Stats reports how many component hashes were rebuilt vs served from
-// cache since the last Reset.
+// cache since the cache was built or last loaded.
 func (f *FPCache) Stats() (recomputes, reused uint64) { return f.recomputes, f.reused }
 
 // BeginPoint refreshes every dirty component and snapshots the pending

@@ -35,12 +35,6 @@ type Memory struct {
 	enqueueFn func()
 }
 
-// reset is the module's share of System.reset: boot-state contents.
-func (m *Memory) reset() {
-	m.gen = 0
-	m.store.Reset()
-}
-
 // dataOp and replyOp build payload-carrying operations stamped with this
 // module's clock.
 func (m *Memory) dataOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {

@@ -151,19 +151,6 @@ func newNode(s *System, id topology.Coord) (*Node, error) {
 	return n, nil
 }
 
-// reset is the node's share of System.reset: empty cache and table, no
-// outstanding transaction or writeback, no purge history, no hook.
-func (n *Node) reset() {
-	n.gen = 0
-	n.l2.Reset()
-	n.table.Reset()
-	n.pend = nil
-	n.wbCont, n.wbTrace = nil, nil
-	n.OnInvalidate = nil
-	n.purgedAt.Clear()
-	n.stats = NodeStats{}
-}
-
 // ID returns the node's grid coordinate.
 func (n *Node) ID() topology.Coord { return n.id }
 

@@ -32,9 +32,9 @@ import (
 // and node — a component — carries a label, (epoch, generation), on the
 // machine and in every buffer, and a label never names two contents: in
 // an epoch a generation only rises, with every mutation, and whatever
-// lowers it opens a new epoch from a clock that is never rewound — Reset
-// at once, a Load that copies the component once it moves on (until then
-// it stands under the buffer's label). Where the machine's label equals
+// lowers it opens a new epoch from a clock that is never rewound — a
+// Load that copies the component, once it moves on (until then it stands
+// under the buffer's label). Where the machine's label equals
 // the buffer's, Save and Load leave the component alone. Bare generations
 // would not do: generation g of the abandoned future is not generation g
 // of the next (DESIGN.md §5.9).
@@ -305,7 +305,7 @@ func (f *FPCache) Save(st *FPSaved) {
 // to the same boundary (System.Load): a hash is served again exactly
 // where its generation is the machine's own once more. The bus snapshots
 // are cheap to retake and are invalidated instead of saved. The Stats
-// counters restart, as after Reset.
+// counters restart.
 func (f *FPCache) Load(st *FPSaved) {
 	n := f.n
 	for r := 0; r < n; r++ {

@@ -25,7 +25,7 @@ func exploreChecked(t *testing.T, sc mc.Scenario, maxStates int) (res mc.Result,
 		}
 	}
 	opts := mc.Options{MaxStates: maxStates, Instrument: func(s *coherence.System) {
-		// Once per execution: a reset removed the hook, a load left it.
+		// Once per execution: each execution's checker replaces the last.
 		if sys != nil && sys != s {
 			t.Fatal("a sequential search used two machines")
 		}
@@ -38,8 +38,8 @@ func exploreChecked(t *testing.T, sc mc.Scenario, maxStates int) (res mc.Result,
 		t.Fatal(err)
 	}
 	collect()
-	if res.Restores > 0 { // each a Load; none on the single-bus machine
-		copiedPerLoad = float64(components) - float64(loadSkips)/float64(res.Restores)
+	if loads := res.TotalRuns - 1; loads > 0 { // every run but the first starts with one
+		copiedPerLoad = float64(components) - float64(loadSkips)/float64(loads)
 	}
 	return res, copiedPerLoad, skips
 }

@@ -39,7 +39,7 @@ type skipChecker struct {
 }
 
 // checkSkips makes every skip of a Save or Load on s a checked one and
-// returns the checker, which counts them. Reset removes it, like any hook.
+// returns the checker, which counts them.
 func checkSkips(t testing.TB, s *System) *skipChecker {
 	c := &skipChecker{t: t, s: s,
 		l2:    cache.MustNew(s.nodes[0][0].l2.Config()),
@@ -106,16 +106,18 @@ func addressable(ptr any) reflect.Value { return reflect.ValueOf(ptr).Elem() }
 // locate is semDiff at its cheapest: the path is built only once a
 // difference is known to be there.
 func locate(path string, a, b reflect.Value) string {
-	if semDiff("", a, b) == "" {
+	if semDiff("", a, b, false) == "" {
 		return ""
 	}
-	return semDiff(path, a, b)
+	return semDiff(path, a, b, false)
 }
 
 // rewindScratch are the fields of the twinned types that are not state
-// (internal/mc's fields_test.go classifies them): configuration, which a
-// twin shares, and scratch.
-var rewindScratch = map[string]bool{"cfg": true, "blockWords": true, "refScratch": true, "spare": true}
+// (fields_test.go classifies them): configuration, which a twin shares,
+// and scratch; and a bus operation's fingerprint memos, which one machine
+// may have taken where another has not.
+var rewindScratch = map[string]bool{"cfg": true, "blockWords": true, "refScratch": true, "spare": true,
+	"fpIdentOK": true, "fpBaseOK": true, "fpIdent": true, "fpBase": true}
 
 // fieldsOf caches, per struct type, the fields semDiff walks — those not
 // in rewindScratch — with their names, and fieldNamed a field's index:
@@ -149,7 +151,10 @@ func field(v reflect.Value, name string) reflect.Value {
 // addressable values of one type, differ in a way a rewind could notice,
 // or "" when they do not. With an empty path it says only "?" for a
 // difference, and builds no strings: the caller asks again for the place.
-func semDiff(path string, a, b reflect.Value) string {
+// across compares two machines, where one machine's objects are the
+// other's only in value: operations, traces and entries are followed,
+// closures compared by their code and a bus by its name.
+func semDiff(path string, a, b reflect.Value, across bool) string {
 	differ := func(ne bool) string {
 		switch {
 		case !ne:
@@ -173,14 +178,24 @@ func semDiff(path string, a, b reflect.Value) string {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return differ(a.Uint() != b.Uint())
 	case reflect.Func:
+		if across {
+			return differ(a.Pointer() != b.Pointer())
+		}
 		// The same closure, not merely the same code: the first word of a
 		// func value points at the closure.
 		id := func(v reflect.Value) unsafe.Pointer { return *(*unsafe.Pointer)(v.Addr().UnsafePointer()) }
 		return differ(id(a) != id(b))
 	case reflect.Interface:
-		// A bus packet: the same operation, or none on both sides.
+		// A bus packet or an event tag: the same operation, or none on both
+		// sides.
 		if a.IsNil() || b.IsNil() {
 			return differ(a.IsNil() != b.IsNil())
+		}
+		if across {
+			if a.Elem().Type() != b.Elem().Type() {
+				return differ(true)
+			}
+			return semDiff(path, a.Elem(), b.Elem(), true)
 		}
 		return differ(a.Elem().Kind() != reflect.Pointer || b.Elem().Kind() != reflect.Pointer || a.Elem().Pointer() != b.Elem().Pointer())
 	case reflect.Pointer:
@@ -189,26 +204,31 @@ func semDiff(path string, a, b reflect.Value) string {
 		if a.Pointer() == b.Pointer() {
 			return ""
 		}
-		if a.IsNil() || b.IsNil() || a.Type().Elem() != reflect.TypeOf(cache.Entry{}) {
+		switch elem := a.Type().Elem(); {
+		case a.IsNil() || b.IsNil():
+			return differ(true)
+		case across && elem == reflect.TypeOf(bus.Bus{}):
+			return differ(field(a.Elem(), "name").String() != field(b.Elem(), "name").String())
+		case !across && elem != reflect.TypeOf(cache.Entry{}):
 			return differ(true)
 		}
-		return semDiff(path, a.Elem(), b.Elem())
+		return semDiff(path, a.Elem(), b.Elem(), across)
 	case reflect.Slice, reflect.Array:
 		if a.Len() != b.Len() {
 			return differ(true)
 		}
 		for i := 0; i < a.Len(); i++ {
-			if d := semDiff(at("[%d]", i), a.Index(i), b.Index(i)); d != "" {
+			if d := semDiff(at("[%d]", i), a.Index(i), b.Index(i), across); d != "" {
 				return d
 			}
 		}
 		return ""
 	case reflect.Struct:
 		if strings.HasPrefix(a.Type().String(), "linetable.Table[") {
-			return tableDiff(path, a, b)
+			return tableDiff(path, a, b, across)
 		}
 		for _, f := range stateFields(a.Type()) {
-			if d := semDiff(at(".%s", f.Name), a.FieldByIndex(f.Index), b.FieldByIndex(f.Index)); d != "" {
+			if d := semDiff(at(".%s", f.Name), a.FieldByIndex(f.Index), b.FieldByIndex(f.Index), across); d != "" {
 				return d
 			}
 		}
@@ -219,7 +239,7 @@ func semDiff(path string, a, b reflect.Value) string {
 
 // tableDiff compares two line tables key by key: which slot a key sits in
 // depends on the order of the insertions and deletions that led there.
-func tableDiff(path string, a, b reflect.Value) string {
+func tableDiff(path string, a, b reflect.Value, across bool) string {
 	entries := func(t reflect.Value) map[uint64]reflect.Value {
 		m := make(map[uint64]reflect.Value, field(t, "n").Int())
 		slots := field(t, "slots")
@@ -246,7 +266,7 @@ func tableDiff(path string, a, b reflect.Value) string {
 		if path != "" {
 			sub = fmt.Sprintf("%s[%d]", path, key)
 		}
-		if d := semDiff(sub, va, vb); d != "" {
+		if d := semDiff(sub, va, vb, across); d != "" {
 			return d
 		}
 	}
@@ -260,13 +280,13 @@ func TestSemDiffSeesWhatARewindWould(t *testing.T) {
 	a, b := s.nodes[0][0], s.nodes[1][1]
 	same := func(what string) {
 		t.Helper()
-		if d := semDiff("l2", addressable(a.l2), addressable(b.l2)); d != "" {
+		if d := semDiff("l2", addressable(a.l2), addressable(b.l2), false); d != "" {
 			t.Fatalf("%s: caches differ at %s", what, d)
 		}
 	}
 	differs := func(what string) {
 		t.Helper()
-		if semDiff("l2", addressable(a.l2), addressable(b.l2)) == "" {
+		if semDiff("l2", addressable(a.l2), addressable(b.l2), false) == "" {
 			t.Fatalf("%s: caches compare equal", what)
 		}
 	}
@@ -294,15 +314,15 @@ func TestSemDiffSeesWhatARewindWould(t *testing.T) {
 
 	fa, fb := func() {}, func() {}
 	x, y := nodeSaved{wbCont: fa}, nodeSaved{wbCont: fa}
-	if d := semDiff("node", addressable(&x), addressable(&y)); d != "" {
+	if d := semDiff("node", addressable(&x), addressable(&y), false); d != "" {
 		t.Fatalf("one closure twice differs at %s", d)
 	}
 	y.wbCont = fb
-	if d := semDiff("node", addressable(&x), addressable(&y)); d != "node.wbCont" {
+	if d := semDiff("node", addressable(&x), addressable(&y), false); d != "node.wbCont" {
 		t.Fatalf("two closures: %q", d)
 	}
 	y.wbCont, y.wbTrace, x.wbTrace = fa, &TxnTrace{}, &TxnTrace{}
-	if d := semDiff("node", addressable(&x), addressable(&y)); d != "node.wbTrace" {
+	if d := semDiff("node", addressable(&x), addressable(&y), false); d != "node.wbTrace" {
 		t.Fatalf("two traces of equal value: %q", d)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
+	"multicube/internal/bus"
 	"multicube/internal/cache"
 	"multicube/internal/fphash"
 	"multicube/internal/sim"
@@ -270,6 +272,47 @@ func sameState(t *testing.T, where string, a, b *rwMachine) {
 	}
 }
 
+// publicState renders everything a caller can read off a machine that is
+// not protocol state proper (the fingerprint covers that): clocks, every
+// public counter, generation and queue gauge, and whether hooks are set.
+func publicState(s *System) string {
+	var b strings.Builder
+	k := s.Kernel()
+	fmt.Fprintf(&b, "kernel now=%v executed=%d pending=%d\n", k.Now(), k.Executed(), k.Pending())
+	fmt.Fprintf(&b, "txns=%v strays=%d dropped=%d reissues=%d\n", s.Stats(), s.StrayReplies(), s.DroppedOps(), s.Reissues())
+	fmt.Fprintf(&b, "hooks oplog=%v fault=%v suppress=%v observer=%v unpoisoned=%v inclusions=%d\n",
+		s.OpLog != nil, s.Fault != nil, s.SuppressSignal != nil, s.Observer != nil, s.DisableStaleReplyPoisoning, len(s.inclusions))
+	n := s.Config().N
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			nd := s.Node(topology.Coord{Row: r, Col: c})
+			fmt.Fprintf(&b, "node(%d,%d) %+v gen=%d busy=%v hook=%v cache=%+v/%d mlt=%+v/%d\n", r, c,
+				nd.Stats(), nd.gen, nd.Busy(), nd.OnInvalidate != nil,
+				nd.Cache().Stats(), nd.Cache().Len(), nd.Table().Stats(), nd.Table().Len())
+		}
+	}
+	for c := 0; c < n; c++ {
+		st := s.MemoryAt(c).Store()
+		fmt.Fprintf(&b, "mem%d %+v invalid=%d\n", c, st.Stats(), st.InvalidLines())
+	}
+	for i := 0; i < n; i++ {
+		for _, x := range []*bus.Bus{s.RowBus(i), s.ColBus(i)} {
+			fmt.Fprintf(&b, "%s gen=%d busy=%v %+v\n", x.Name(), x.Gen(), x.Busy(), x.Stats())
+		}
+	}
+	return b.String()
+}
+
+// logOps installs an OpLog that records every bus operation with its
+// issue time and returns the record.
+func logOps(s *System) *[]string {
+	var log []string
+	s.OpLog = func(dim Dim, issuer topology.Coord, op *Op) {
+		log = append(log, fmt.Sprintf("%v %v %v %v", s.Kernel().Now(), dim, issuer, op))
+	}
+	return &log
+}
+
 // rwPrograms draws one bounded program per participating processor: data
 // operations over five lines, and acquire … release sections on two lock
 // lines (a try that fails leaves its release a no-op, as in internal/mc).
@@ -311,6 +354,11 @@ func rwPrograms(rng *splitmix64, n int) []rwProc {
 // operations at the same times, the same fingerprints step for step, the
 // loaded FPCache agreeing with a new one. Loading the same save again
 // must put the run back on the path it would have taken unobserved.
+//
+// Field by field too: every field rewindFields calls rewound, of every
+// component, must equal the replay's after the Load — a field Save or Load
+// forgot is named — and must have differed from it, before the Load, at
+// one boundary of the sweep at least, unless unmoved says why it cannot.
 func TestLoadEqualsReplay(t *testing.T) {
 	configs := map[string]func(*Config){
 		"unbounded": func(*Config) {},
@@ -321,9 +369,11 @@ func TestLoadEqualsReplay(t *testing.T) {
 		},
 		"unbounded-snarf-rr": func(c *Config) { c.Snarf, c.Arbitration = true, 1 },
 	}
+	fields, moved, ran := newRewoundFields(), map[string]bool{}, 0
 	for name, mutate := range configs {
 		mutate := mutate
 		t.Run(name, func(t *testing.T) {
+			ran++
 			var boundaries, inChoose, pending, writebacks, purges, liveOps, rewired, retraced int
 			for seed := uint64(1); seed <= 6; seed++ {
 				rng := splitmix64(seed * 977)
@@ -373,6 +423,14 @@ func TestLoadEqualsReplay(t *testing.T) {
 							retraced++
 						}
 					}
+					ref := newRWMachine(t, 3, mutate, procs, 0)
+					ref.ch.script = append([]int(nil), m.ch.picks[:b.picks]...)
+					for i := 0; i < b.steps; i++ {
+						ref.k.Step()
+					}
+					fields.compare(addressable(m.sys), addressable(ref.sys), func(name, d string) {
+						moved[name] = moved[name] || d != ""
+					})
 
 					m.load(&b)
 					if m.k.Executed() != 0 {
@@ -383,13 +441,17 @@ func TestLoadEqualsReplay(t *testing.T) {
 							t.Fatalf("%s: %v came back from the abandoned future with probe wires asserted", where, op)
 						}
 					}
-					ref := newRWMachine(t, 3, mutate, procs, 0)
-					ref.ch.script = append([]int(nil), m.ch.picks...)
-					for i := 0; i < b.steps; i++ {
-						ref.k.Step()
-					}
 					if len(ref.ch.picks) != b.picks {
 						t.Fatalf("%s: the replay made %d choices, the original %d", where, len(ref.ch.picks), b.picks)
+					}
+					apart := map[string]string{} // field → where, first seen
+					fields.compare(addressable(m.sys), addressable(ref.sys), func(name, d string) {
+						if d != "" && apart[name] == "" {
+							apart[name] = d
+						}
+					})
+					if len(apart) > 0 {
+						t.Fatalf("%s: Load left fields apart from the replay: %v", where, apart)
 					}
 					sameState(t, where, m, ref)
 
@@ -467,12 +529,139 @@ func TestLoadEqualsReplay(t *testing.T) {
 				boundaries, inChoose, pending, writebacks, liveOps, rewired, retraced)
 		})
 	}
+	if ran < len(configs) || t.Failed() {
+		return // a filtered or failed sweep need not have moved everything
+	}
+	for _, fc := range rewindFields {
+		for _, f := range fc.rewound {
+			switch name := fc.of.String() + "." + f; {
+			case !moved[name] && unmoved[name] == "":
+				t.Errorf("no future moved %s: a Save or Load that forgot it would pass", name)
+			case moved[name] && unmoved[name] != "":
+				t.Errorf("%s moved after all; drop it from unmoved", name)
+			}
+		}
+	}
 }
 
-// TestLoadAtRestEqualsReset: Reset stays the one definition of the
-// initial state, and a machine saved at rest and loaded after any amount
-// of running must be that state again — indistinguishable from a Reset
-// machine at rest and step for step over a second program.
+// TestResetEqualsFresh: the constructors define the initial state, and
+// the explorer's reset is a Load of the boundary saved as NewSystem built
+// the machine. A machine stopped at many points in the middle of a random
+// program — operations queued, buses busy, transactions and writebacks
+// outstanding — and reset that way must be indistinguishable from a
+// machine just built with the same hooks (Load leaves them): at rest, and
+// step for step over a second program.
+func TestResetEqualsFresh(t *testing.T) {
+	configs := map[string]func(*Config){
+		"unbounded": func(*Config) {},
+		"bounded-snarf": func(c *Config) {
+			c.CacheLines, c.CacheAssoc = 4, 2
+			c.MLTEntries, c.MLTAssoc = 2, 1
+			c.Snarf = true
+		},
+		"round-robin": func(c *Config) { c.Arbitration = bus.RoundRobin },
+	}
+	hooks := func(s *System) {
+		s.Observer = func(SnoopEvent) {}
+		s.Fault = func(Dim, topology.Coord, *Op) bool { return false }
+		s.SuppressSignal = func(topology.Coord, *Op) bool { return false }
+		s.DisableStaleReplyPoisoning = true
+		s.Node(at(0, 0)).OnInvalidate = func(cache.Line) {}
+		s.RegisterInclusion("test", at(0, 0), func() []cache.Line { return nil })
+		logOps(s)
+	}
+	for name, mutate := range configs {
+		mutate := mutate
+		t.Run(name, func(t *testing.T) {
+			// What the stops caught in flight, over the whole sweep: the
+			// differential only means something where there was state to
+			// rewind.
+			var pending, writebacks, busyBuses, purges int
+			for seed := uint64(1); seed <= 3; seed++ {
+				for stop := 10; stop <= 640; stop += 10 {
+					k, used := testSystem(t, 3, mutate)
+					hooks(used)
+					var rest Saved
+					used.Save(&rest)
+					launchRandomWorkload(t, k, used, seed, 25, 12)
+					for i := 0; i < stop && k.Step(); i++ {
+					}
+					if k.Pending() == 0 {
+						t.Fatalf("seed %d: the first program drained within %d steps", seed, stop)
+					}
+					for i := 0; i < 3; i++ {
+						for _, nd := range used.nodes[i] {
+							if nd.pend != nil {
+								pending++
+							}
+							if nd.wbCont != nil {
+								writebacks++
+							}
+							purges += nd.purgedAt.Len()
+						}
+						if used.rows[i].Busy() || used.cols[i].Busy() {
+							busyBuses++
+						}
+					}
+					used.Load(&rest)
+
+					_, fresh := testSystem(t, 3, mutate)
+					hooks(fresh)
+					if got, want := publicState(used), publicState(fresh); got != want {
+						t.Fatalf("seed %d stop %d: loaded machine differs from a new one:\n%s\nnew:\n%s", seed, stop, got, want)
+					}
+					if got, want := used.Fingerprint(nil, nil), fresh.Fingerprint(nil, nil); got != want {
+						t.Fatalf("seed %d stop %d: fingerprint after Load %#x, of a new machine %#x", seed, stop, got, want)
+					}
+					checkQuiet(t, used)
+					if stop%160 != 0 {
+						continue // the second program is the expensive half
+					}
+
+					usedLog, freshLog := logOps(used), logOps(fresh)
+					launchRandomWorkload(t, used.Kernel(), used, seed+100, 25, 12)
+					launchRandomWorkload(t, fresh.Kernel(), fresh, seed+100, 25, 12)
+					for step := 0; ; step++ {
+						more, freshMore := used.Kernel().Step(), fresh.Kernel().Step()
+						if more != freshMore {
+							t.Fatalf("seed %d stop %d: one machine drained at step %d, the other did not", seed, stop, step)
+						}
+						if !more {
+							break
+						}
+						if got, want := used.Fingerprint(nil, nil), fresh.Fingerprint(nil, nil); got != want {
+							t.Fatalf("seed %d stop %d: fingerprints part at step %d of the second program", seed, stop, step)
+						}
+					}
+					if !reflect.DeepEqual(*usedLog, *freshLog) {
+						t.Fatalf("seed %d stop %d: second program's bus operations differ (%d on the loaded machine, %d on the new one)",
+							seed, stop, len(*usedLog), len(*freshLog))
+					}
+					if len(*usedLog) == 0 {
+						t.Fatal("second program issued no bus operations")
+					}
+					if got, want := publicState(used), publicState(fresh); got != want {
+						t.Fatalf("seed %d stop %d: after the second program:\n%s\nnew:\n%s", seed, stop, got, want)
+					}
+					checkQuiet(t, used)
+				}
+			}
+			if pending == 0 || busyBuses == 0 {
+				t.Fatalf("no stop caught a transaction (%d) or a bus operation (%d) in flight", pending, busyBuses)
+			}
+			if name == "bounded-snarf" && (writebacks == 0 || purges == 0) {
+				t.Fatalf("no stop caught a victim writeback (%d) or a purge record (%d) to rewind", writebacks, purges)
+			}
+		})
+	}
+}
+
+// TestLoadAtRestEqualsReset: the explorer resets by loading one boundary,
+// saved at rest, before every run, so the boundary must survive being
+// loaded and what ran before must not leak through it. A machine loaded
+// once after a run must be indistinguishable from one reset twice, after
+// two other runs: at rest, step for step over a second program, and
+// loaded back to rest after it.
 func TestLoadAtRestEqualsReset(t *testing.T) {
 	bounded := func(c *Config) {
 		c.CacheLines, c.CacheAssoc = 4, 2
@@ -493,10 +682,17 @@ func TestLoadAtRestEqualsReset(t *testing.T) {
 			loaded.Load(&rest)
 
 			rk, reset := testSystem(t, 3, mutate)
-			launchRandomWorkload(t, rk, reset, 7, 25, 12)
-			for i := 0; i < stop/2 && rk.Step(); i++ {
+			var resetRest Saved
+			reset.Save(&resetRest)
+			for i, seed := range []uint64{7, 9} {
+				launchRandomWorkload(t, rk, reset, seed, 25, 12)
+				for j := 0; j < stop/(2+i) && rk.Step(); j++ {
+				}
+				if rk.Pending() == 0 {
+					t.Fatalf("program %d drained within %d steps", seed, stop/(2+i))
+				}
+				reset.Load(&resetRest)
 			}
-			reset.Reset()
 
 			same := func(where string) {
 				t.Helper()
@@ -517,10 +713,16 @@ func TestLoadAtRestEqualsReset(t *testing.T) {
 					t.Fatalf("stop %d: the reset machine drained first", stop)
 				}
 			}
+			if rk.Pending() != 0 {
+				t.Fatalf("stop %d: the loaded machine drained first", stop)
+			}
 			if !reflect.DeepEqual(*log, *resetLog) || len(*log) == 0 {
 				t.Fatalf("stop %d: second program's bus operations differ (%d loaded, %d reset)", stop, len(*log), len(*resetLog))
 			}
 			same("after the second program")
+			loaded.Load(&rest)
+			reset.Load(&resetRest)
+			same("loaded back to rest")
 		}
 	}
 }
@@ -531,8 +733,9 @@ func TestLoadAtRestEqualsReset(t *testing.T) {
 func TestLoadRestoresStrays(t *testing.T) {
 	_, s := testSystem(t, 2)
 	stray := func() { s.Node(at(0, 0)).complete(&Op{Txn: READ, Line: 3}, Result{}) }
-	stray()
 	var one, none Saved
+	s.Save(&none)
+	stray()
 	s.Save(&one)
 	stray()
 	if s.StrayReplies() != 2 {
@@ -542,9 +745,6 @@ func TestLoadRestoresStrays(t *testing.T) {
 	if s.StrayReplies() != 1 {
 		t.Fatalf("%d strays after Load, saved with 1", s.StrayReplies())
 	}
-	s.Reset()
-	s.Save(&none)
-	stray()
 	s.Load(&none)
 	if s.StrayReplies() != 0 {
 		t.Fatalf("%d strays after Load, saved with none", s.StrayReplies())

@@ -236,7 +236,7 @@ type System struct {
 	// by one stands — row buses, column buses, memories, then nodes
 	// row-major — and clock is the last epoch drawn (rewind.go).
 	// Bookkeeping of the rewind, not state: never saved or rewound, and
-	// Reset only draws new epochs. onSkip, when set, is told of every
+	// drawn once by NewSystem. onSkip, when set, is told of every
 	// component a Save or a Load leaves in place; tests hold it to the
 	// buffer's copy there.
 	labels []label
@@ -339,56 +339,10 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		s.mems[c] = m
 	}
 	s.labels = make([]label, 3*n+n*n)
-	s.reset()
-	return s, nil
-}
-
-// Reset returns the machine to the state NewSystem built it in: the
-// kernel at time zero with nothing pending, buses idle, caches, modified
-// line tables and memories empty, no outstanding transaction, every
-// counter and generation zero, and every hook removed — OpLog, Fault,
-// SuppressSignal, Observer, DisableStaleReplyPoisoning, the nodes'
-// OnInvalidate, the registered inclusion views and the tests' onSkip. The structure (grid,
-// wiring, configuration) and the memory behind it are kept, which is the
-// point: the model checker resets one machine between its thousands of
-// executions instead of rebuilding it. Anything keyed on the generation
-// counters (an FPCache) must be rebound afterwards. Only a sequential
-// machine can be reset; a parallel one's kernels belong to its Runner.
-func (s *System) Reset() {
-	if s.par != nil {
-		panic("coherence: Reset of a parallel-mode machine")
-	}
-	s.k.Reset()
-	s.reset()
-}
-
-// reset puts everything but the kernels into the initial state. NewSystem
-// ends with it and Reset is it plus a kernel reset, so the initial state
-// is defined here and nowhere else.
-func (s *System) reset() {
-	for _, sh := range s.shards {
-		*sh = sysShard{}
-	}
-	for i := range s.rows {
-		s.rows[i].Reset()
-		s.cols[i].Reset()
-	}
-	for _, row := range s.nodes {
-		for _, nd := range row {
-			nd.reset()
-		}
-	}
-	for _, m := range s.mems {
-		m.reset()
-	}
 	for i := range s.labels {
-		s.fresh(i) // the generations restart at zero
+		s.fresh(i)
 	}
-	s.OpLog, s.Fault, s.SuppressSignal, s.Observer, s.onSkip = nil, nil, nil, nil, nil
-	s.DisableStaleReplyPoisoning = false
-	s.obsSink = nil
-	s.inclusions = nil
-	s.dropped = 0
+	return s, nil
 }
 
 // MustNewSystem is NewSystem but panics on error.

@@ -110,9 +110,9 @@ type Options struct {
 	// execution, before it runs, so harnesses can install passive
 	// observation hooks — e.g. the conformance observer of
 	// internal/protocol sets coherence.System.Observer. The machine is
-	// freshly built, or reset to its initial state (hooks included), or
-	// rewound to a boundary an earlier execution saved on it (hooks left
-	// as they were), so a hook must be installed idempotently. Hooks
+	// freshly built, or rewound to its initial state or to a boundary an
+	// earlier execution saved on it (hooks left as they were either way),
+	// so a hook must be installed idempotently. Hooks
 	// must be passive: installing one must not change protocol behavior,
 	// fingerprints, or verdicts.
 	// Single-bus scenarios are not instrumented (the seam is the grid
@@ -147,11 +147,6 @@ type Options struct {
 	// "pre-checkpoint"/"post-checkpoint" so crash-injection tests can die
 	// exactly there (by panicking or killing the process).
 	faultHook func(string)
-	// legacyFP swaps the grid's incremental component-hashed fingerprint
-	// for the full-walk reference (FingerprintRC), so tests can assert the
-	// two induce the same state partition (identical States counts and
-	// verdicts).
-	legacyFP bool
 }
 
 func (o *Options) fillDefaults() {
@@ -193,7 +188,8 @@ type Progress struct {
 	Frontier int
 	// Steps, ReplaySteps and Restores are Result's host-cost counters so
 	// far: kernel steps executed, those among them that replayed a prefix,
-	// and runs that started from a saved boundary instead of from reset.
+	// and runs that started from a saved boundary instead of from the
+	// initial state.
 	Steps       uint64
 	ReplaySteps uint64
 	Restores    uint64
@@ -228,8 +224,8 @@ type Result struct {
 	// cache hits in the incremental fingerprint path, summed over every
 	// execution of the search whose result this is (minimization replays
 	// and a parallel pass's sequential re-derivation keep their own
-	// explorers and are not included). Zero under legacyFP and on the
-	// single-bus baseline, which caches nothing. Like Steps,
+	// explorers and are not included). Zero on the single-bus baseline,
+	// which caches nothing. Like Steps,
 	// ReplaySteps, Restores and PeakBoundaries below they measure what the
 	// search cost this host, not what it found: they depend on which runs
 	// had a saved boundary to start from (a resumed search replays its
@@ -242,7 +238,7 @@ type Result struct {
 	// form costs against the size of the relabeling table (1 when sorting
 	// the row and column signatures always singles one out, the table size
 	// when it never does). Summed and host cost like the two above; zero
-	// under legacyFP and on the single-bus baseline.
+	// on the single-bus baseline.
 	FPPoints   uint64
 	FPCombines uint64
 	// SCChecks counts completed executions whose history was checked for
@@ -295,8 +291,9 @@ type Result struct {
 // checker runs executions of a scenario on some machine — the Multicube
 // (instance) or the single-bus baseline (sbInstance) — one at a time:
 // newChecker returns it at the start of the first, reset starts the next
-// from the initial state (a rewinder can also start it elsewhere). Everything the explorer needs is behind this seam, so
-// the same search, reduction, witness, and replay machinery checks both.
+// from the initial state (a rewinder can also start it elsewhere).
+// Everything the explorer needs is behind this seam, so the same search,
+// reduction, witness, and replay machinery checks both.
 type checker interface {
 	// reset abandons the execution in progress and starts another from
 	// the scenario's initial state.
@@ -321,7 +318,7 @@ type checker interface {
 
 // rewinder is a checker whose execution can be saved at a kernel-step
 // boundary and resumed from there in place of reset and replay. The grid
-// instance is one; the single-bus baseline, which has no Reset either,
+// instance is one; the single-bus baseline, which has no Save or Load,
 // is not, and keeps rebuilding and replaying.
 type rewinder interface {
 	save(st *execState)

@@ -13,13 +13,14 @@ import (
 )
 
 // instance runs executions of a grid scenario, one after the other, on
-// one kernel and machine that reset (to the initial state) or load (to a
-// saved boundary) rewinds between them: the per-processor program
-// counters, the witness and the fingerprint caches belong to the
-// execution in progress.
+// one kernel and machine that load rewinds between them — to a boundary
+// an execution saved, or to root, the start of every execution: the
+// per-processor program counters, the witness and the fingerprint caches
+// belong to the execution in progress.
 type instance struct {
 	driver
-	sys *coherence.System
+	sys  *coherence.System
+	root execState
 
 	held [][]uint64 // sorted held lock lines per processor
 
@@ -39,7 +40,9 @@ type instance struct {
 type fpCounts struct{ recomputes, incremental, points, combines uint64 }
 
 // newInstance builds the machine and returns it at the start of its
-// first execution.
+// first execution, which it saves as root: the machine as NewSystem built
+// it, with the scenario's switches and the harness's hooks installed, and
+// each processor's first step pending.
 func newInstance(sc *Scenario, sh *shared) *instance {
 	sc.FillDefaults()
 	k := sim.NewKernel()
@@ -63,28 +66,18 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 	}
 	in.driver = newDriver(sc, sh, in.issue, func(p int) string { return sc.Procs[p].At.String() })
 	in.k = k
-	in.reset()
+	sys.DisableStaleReplyPoisoning = sc.InjectStaleReply
+	in.begin()
+	in.start()
+	in.save(&in.root)
 	return in
 }
 
-// reset puts the instance at the start of a from-scratch execution: the
-// machine in its initial state (coherence.System.Reset) with the
-// scenario's switches and the harness's hooks installed, the driver and
-// every cache keyed on the machine's generation counters cleared, and
-// each processor's first step pending.
-func (in *instance) reset() {
-	in.sys.Reset()
-	in.sys.DisableStaleReplyPoisoning = in.sc.InjectStaleReply
-	in.fpc.Reset(in.sys)
-	in.begin()
-	for p := range in.held {
-		in.held[p] = in.held[p][:0]
-	}
-	in.start()
-}
+// reset puts the instance at the start of a from-scratch execution.
+func (in *instance) reset() { in.load(&in.root) }
 
-// begin is what reset and load share: the machine and the fingerprint
-// cache stand where the execution starts, their generation counters
+// begin is what every execution starts with: the machine and the
+// fingerprint cache stand where it starts, their generation counters
 // rewound, so the harness's hook fires, the driver hashes are
 // invalidated, and the per-execution counters start over.
 func (in *instance) begin() {
@@ -130,8 +123,8 @@ func (in *instance) save(st *execState) {
 var _ rewinder = (*instance)(nil)
 
 // load rewinds the instance to an execution state it saved, in place of
-// reset and the replay of the choices that led there. Unlike reset it
-// leaves the machine's hooks installed (Load does not touch them).
+// the replay of the choices that led there. The machine's hooks stay
+// installed (Load does not touch them).
 func (in *instance) load(st *execState) {
 	in.sys.Load(&st.sys)
 	in.fpc.Load(&st.fpc)
@@ -358,13 +351,9 @@ func (in *instance) quiescenceCheck() *Violation {
 // components the last kernel steps dirtied, the driver hashes refresh
 // only for processors that issued or completed, and canonical combines
 // the cached hashes under the relabelings that sort the signatures.
-// shared.legacyFP selects the full-walk reference instead (every
-// relabeling, for partition-equivalence tests); shared.checkFP runs both
-// beside the default and panics when they disagree.
+// shared.checkFP holds it to a from-scratch recompute and to the
+// full-walk reference, and panics when they disagree.
 func (in *instance) canonicalFP() uint64 {
-	if in.sh.legacyFP {
-		return in.canonicalFPLegacy()
-	}
 	in.fpc.BeginPoint(in.extraRow)
 	in.refreshDriver()
 	fp, combines := in.canonical(in.fpc, in.drvH)
@@ -508,8 +497,7 @@ func (in *instance) crossCheckFP(got uint64) {
 }
 
 // canonicalFPLegacy is the reference: a full machine walk per relabeling
-// (System.FingerprintRC), minimized over all of them. Options.legacyFP
-// explores on it so tests can compare whole searches; -checkfp holds
+// (System.FingerprintRC), minimized over all of them. -checkfp holds
 // canonical to it state by state.
 func (in *instance) canonicalFPLegacy() uint64 {
 	best := ^uint64(0)

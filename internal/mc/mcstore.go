@@ -44,9 +44,11 @@ func scenarioHash(sc *Scenario) string {
 // the canonical fingerprint is the minimum over the relabelings that sort
 // the row and column signatures, not over all of them).
 func optionsHash(o *Options) string {
+	// The trailing false held a test-only option since deleted: kept so
+	// that checkpoints written before keep their hash and still resume.
 	s := fmt.Sprintf("v6|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-		o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+		o.DisablePOR, o.DisableSleep, o.SCNodes, false)
 	return fmt.Sprintf("%016x", fnvString(s))
 }
 

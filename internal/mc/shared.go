@@ -40,9 +40,8 @@ type shared struct {
 	// step classes are static.
 	stepCls [][]tagClass
 
-	legacyFP bool
-	checkFP  bool
-	oracle   fpOracle // checkFP only
+	checkFP bool
+	oracle  fpOracle // checkFP only
 	// scNodes is the per-execution node budget for cross-address
 	// sequential-consistency searches (Options.SCNodes; zero = memmodel's
 	// default). Consulted only when the scenario sets CheckSC.
@@ -53,7 +52,7 @@ type shared struct {
 }
 
 func newShared(sc *Scenario, opts *Options) *shared {
-	sh := &shared{legacyFP: opts.legacyFP, checkFP: opts.CheckFP, scNodes: opts.SCNodes, instrument: opts.Instrument}
+	sh := &shared{checkFP: opts.CheckFP, scNodes: opts.SCNodes, instrument: opts.Instrument}
 	n := sc.N
 	if sc.SingleBus {
 		n = len(sc.Procs)

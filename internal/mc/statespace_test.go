@@ -406,22 +406,22 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 		{"v2", "read-race", 400000, func(o *Options) string {
 			return fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, false, o.legacyFP)
+				o.DisablePOR, o.DisableSleep, o.SCNodes, false, false)
 		}},
 		{"v3", "litmus-iriw-sb", 400000, func(o *Options) string {
 			return fmt.Sprintf("v3|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+				o.DisablePOR, o.DisableSleep, o.SCNodes, false)
 		}},
 		{"v4", "read-snarf", 3000, func(o *Options) string {
 			return fmt.Sprintf("v4|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+				o.DisablePOR, o.DisableSleep, o.SCNodes, false)
 		}},
 		{"v5", "litmus-coww-3x3", 3000, func(o *Options) string {
 			return fmt.Sprintf("v5|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, o.legacyFP)
+				o.DisablePOR, o.DisableSleep, o.SCNodes, false)
 		}},
 	} {
 		t.Run(c.version, func(t *testing.T) {

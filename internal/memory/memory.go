@@ -61,14 +61,6 @@ func MustNewStore(blockWords int) *Store {
 	return s
 }
 
-// Reset returns the module to its boot state — every line zero-filled
-// and valid, counters cleared — keeping the memory of its tables.
-func (s *Store) Reset() {
-	s.data.Clear()
-	s.invalid.Clear()
-	s.reads, s.writes, s.invalidates, s.reissues = 0, 0, 0, 0
-}
-
 // Saved is a caller-owned buffer holding a module's contents, valid bits
 // and counters. Save fills it and keeps its capacity.
 type Saved struct {

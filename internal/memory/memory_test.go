@@ -108,29 +108,6 @@ func TestPropertyLastWriteWins(t *testing.T) {
 	}
 }
 
-// TestResetRestoresBootState: after Reset every line is zero-filled and
-// valid again and the counters are zero.
-func TestResetRestoresBootState(t *testing.T) {
-	s := MustNewStore(4)
-	s.Write(3, []uint64{1, 2, 3, 4})
-	s.Invalidate(3)
-	s.Invalidate(5)
-	s.Read(3)
-	s.CountReissue()
-	s.Reset()
-	if s.Stats() != (Stats{}) || s.InvalidLines() != 0 || !s.Valid(3) || !s.Valid(5) {
-		t.Fatalf("after Reset stats=%+v invalid=%d", s.Stats(), s.InvalidLines())
-	}
-	for _, w := range s.Peek(3) {
-		if w != 0 {
-			t.Fatalf("line 3 after Reset: %v", s.Peek(3))
-		}
-	}
-	s.ForEach(func(line Line, valid bool, data []uint64) {
-		t.Fatalf("line %d differs from the boot state after Reset", line)
-	})
-}
-
 // TestSaveLoadRewinds: a module saved, driven through an unrelated future
 // and loaded must be what it was at the save — contents, valid bits and
 // counters — over many rounds through one reused buffer, and twice from
@@ -158,7 +135,8 @@ func TestSaveLoadRewinds(t *testing.T) {
 	}
 	s := MustNewStore(4)
 	rng := rand.New(rand.NewSource(1))
-	var st Saved
+	var st, empty Saved
+	MustNewStore(4).Save(&empty)
 	invalid := 0
 	for round := 0; round < 200; round++ {
 		for i := rng.Intn(5); i > 0; i-- {
@@ -169,7 +147,7 @@ func TestSaveLoadRewinds(t *testing.T) {
 		invalid += s.InvalidLines()
 		for pass := 0; pass < 2; pass++ {
 			if round%2 == 0 {
-				s.Reset()
+				s.Load(&empty)
 			}
 			for i := rng.Intn(20); i > 0; i-- {
 				mutate(s, rng)

@@ -98,17 +98,6 @@ func MustNew(cfg Config) *Table {
 	return t
 }
 
-// Reset empties the table and clears its counters, back to the state New
-// leaves it in, keeping its configuration and memory.
-func (t *Table) Reset() {
-	t.table.Clear()
-	for _, set := range t.sets {
-		clear(set)
-	}
-	t.clock = 0
-	t.inserts, t.removes, t.failures, t.overflows = 0, 0, 0, 0
-}
-
 // Saved is a caller-owned buffer holding a table's contents, replacement
 // clock and counters. Save fills it and keeps its capacity.
 type Saved struct {

@@ -170,33 +170,6 @@ func TestPropertyCapacityAndConsistency(t *testing.T) {
 	}
 }
 
-// TestResetEqualsNew: a used table, bounded or not, is empty after Reset
-// with zero counters, and then overflows exactly as a new one does.
-func TestResetEqualsNew(t *testing.T) {
-	for _, cfg := range []Config{{Entries: 4, Assoc: 2}, {}} {
-		tb := MustNew(cfg)
-		for _, l := range []Line{0, 2, 0, 4, 1} {
-			tb.Insert(l)
-		}
-		tb.Remove(1)
-		tb.Remove(7)
-		tb.Reset()
-		if tb.Len() != 0 || tb.Stats() != (Stats{}) || tb.Contains(0) || tb.Contains(4) {
-			t.Fatalf("%+v: after Reset len=%d stats=%+v", cfg, tb.Len(), tb.Stats())
-		}
-		fresh := MustNew(cfg)
-		for _, l := range []Line{0, 2, 0} {
-			tb.Insert(l)
-			fresh.Insert(l)
-		}
-		gv, gov := tb.Insert(4)
-		wv, wov := fresh.Insert(4)
-		if gv != wv || gov != wov || !Equal(tb, fresh) || tb.Stats() != fresh.Stats() {
-			t.Fatalf("%+v: reset table Insert(4) = (%d,%v) stats %+v, a new one (%d,%v) stats %+v", cfg, gv, gov, tb.Stats(), wv, wov, fresh.Stats())
-		}
-	}
-}
-
 // TestSaveLoadRewinds: a table of either shape, saved, driven through an
 // unrelated future and loaded must be what it was at the save — entries,
 // replacement order and counters — over many rounds through one reused
@@ -215,7 +188,8 @@ func TestSaveLoadRewinds(t *testing.T) {
 	for _, cfg := range []Config{{Entries: 4, Assoc: 2}, {}} {
 		tb := MustNew(cfg)
 		rng := rand.New(rand.NewSource(1))
-		var st Saved
+		var st, empty Saved
+		MustNew(cfg).Save(&empty)
 		for round := 0; round < 200; round++ {
 			for i := rng.Intn(5); i > 0; i-- {
 				mutate(tb, rng)
@@ -224,7 +198,7 @@ func TestSaveLoadRewinds(t *testing.T) {
 			want := dump(tb)
 			for pass := 0; pass < 2; pass++ {
 				if round%2 == 0 {
-					tb.Reset()
+					tb.Load(&empty)
 				}
 				for i := rng.Intn(20); i > 0; i-- {
 					mutate(tb, rng)

@@ -362,22 +362,6 @@ func NewKernel() *Kernel {
 	return &Kernel{}
 }
 
-// Reset returns the kernel to the state NewKernel leaves it in — time
-// zero, no pending events, no chooser, counters cleared — keeping the
-// heap's and the scratch buffers' capacity, so a model checker can rerun
-// a machine from its initial state without rebuilding it. Every spawned
-// Proc must have finished (an unfinished one would leak its goroutine),
-// and the kernel must not belong to a parallel Runner.
-func (k *Kernel) Reset() {
-	for _, p := range k.procs {
-		if !p.finished {
-			panic(fmt.Sprintf("sim: Reset with process %q unfinished", p.name))
-		}
-	}
-	clear(k.events) // drop the closures the dead events hold
-	*k = Kernel{events: k.events[:0], ordered: k.ordered[:0], cands: k.cands[:0]}
-}
-
 // KernelState is a caller-owned buffer holding a kernel at a step
 // boundary: the clock, the sequence counter and every pending event with
 // its closure and tag. Save fills it and keeps its capacity, so one
@@ -409,7 +393,7 @@ func (k *Kernel) Save(st *KernelState) {
 // Load rewinds the kernel to a state Save took from it: same clock, same
 // sequence counter, the same events in the same heap positions. The
 // chooser stays installed. Executed restarts at zero — it counts the
-// events this kernel really dispatched since it was last reset or
+// events this kernel really dispatched since it was built or last
 // loaded, which is what a harness timing a run wants to read.
 func (k *Kernel) Load(st *KernelState) {
 	k.now, k.seq = st.now, st.seq
@@ -425,8 +409,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Pending() int { return len(k.events) }
 
 // Executed reports the number of events dispatched since the kernel was
-// built, Reset or Loaded: host work done, not a position in simulated
-// history.
+// built or Loaded: host work done, not a position in simulated history.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // At schedules fn to run at absolute time t. Scheduling in the past

@@ -235,62 +235,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-// TestResetEqualsNew stops a kernel mid-run with events pending and a
-// chooser installed, resets it, and requires what NewKernel gives: time
-// zero, nothing pending or counted, default dispatch order — and none of
-// the abandoned events ever firing.
-func TestResetEqualsNew(t *testing.T) {
-	k := NewKernel()
-	stale := 0
-	for i := 0; i < 8; i++ {
-		k.At(Time(100*i), func() { stale++ })
-	}
-	k.SetChooser(DefaultChooser{}, true)
-	k.RunUntil(250)
-	fired := stale
-	k.Reset()
-	if k.Now() != 0 || k.Pending() != 0 || k.Executed() != 0 || k.chooser != nil || k.allEvents {
-		t.Fatalf("after Reset: now=%v pending=%d executed=%d chooser=%v allEvents=%v", k.Now(), k.Pending(), k.Executed(), k.chooser, k.allEvents)
-	}
-	// Scheduling at time zero again must work, ties must break in
-	// scheduling order from sequence zero, and the run must end where a
-	// new kernel's would.
-	order := func(k *Kernel) (got []int, end Time, executed uint64) {
-		for i := 0; i < 4; i++ {
-			i := i
-			k.At(Time(10*(i%2)), func() { got = append(got, i) })
-		}
-		end = k.Run()
-		return got, end, k.Executed()
-	}
-	got, end, executed := order(k)
-	want, wantEnd, wantExecuted := order(NewKernel())
-	if !reflect.DeepEqual(got, want) || end != wantEnd || executed != wantExecuted {
-		t.Fatalf("reset kernel ran %v to %v in %d events, a new one %v to %v in %d", got, end, executed, want, wantEnd, wantExecuted)
-	}
-	if stale != fired {
-		t.Fatalf("%d abandoned events fired after Reset", stale-fired)
-	}
-}
-
-// TestResetRefusesLiveProc: resetting under a suspended process would
-// leak its goroutine.
-func TestResetRefusesLiveProc(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("sleeper", func(p *Proc) { p.Sleep(100) })
-	k.RunUntil(50)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Reset with a suspended process did not panic")
-			}
-		}()
-		k.Reset()
-	}()
-	k.Run() // let the process finish
-	k.Reset()
-}
-
 // TestSaveLoadRewinds: a kernel saved between steps, run on, and loaded
 // must dispatch from the save point exactly as it did the first time —
 // same order, same clock, same tie-breaks among events scheduled after —

@@ -298,12 +298,21 @@ func Clear(cfg Config) error {
 	return nil
 }
 
-// writeFrontier persists the DFS stack: magic, item count, then each
+// writeFrontier persists the DFS stack and returns its checksum.
+func writeFrontier(path string, items []FrontierItem) (uint64, error) {
+	buf := encodeFrontier(items)
+	if err := durable.WriteFile(path, buf); err != nil {
+		return 0, fmt.Errorf("statespace: frontier: %w", err)
+	}
+	return binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
+}
+
+// encodeFrontier lays out the DFS stack: magic, item count, then each
 // item's prefix and sleep set (a length word, then the words), with an
 // FNV trailer.
 // The stack order is preserved exactly — resume must pop in the same
 // order the interrupted pass would have.
-func writeFrontier(path string, items []FrontierItem) (uint64, error) {
+func encodeFrontier(items []FrontierItem) []byte {
 	buf := make([]byte, 0, 64+32*len(items))
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put(frontierMagic)
@@ -318,12 +327,7 @@ func writeFrontier(path string, items []FrontierItem) (uint64, error) {
 			put(f)
 		}
 	}
-	sum := fnvBytes(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, sum)
-	if err := durable.WriteFile(path, buf); err != nil {
-		return 0, fmt.Errorf("statespace: frontier: %w", err)
-	}
-	return sum, nil
+	return binary.LittleEndian.AppendUint64(buf, fnvBytes(buf))
 }
 
 func readFrontier(path, wantSum string) ([]FrontierItem, error) {

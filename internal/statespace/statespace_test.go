@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -260,25 +262,75 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // previous record layout (magic 01, three words per item) must fail the
 // magic check rather than be misread.
 func TestReadFrontierRejectsCraftedFiles(t *testing.T) {
-	for name, words := range map[string][]uint64{
-		"count beyond the file": {frontierMagic, 1 << 40, 0},
-		"count one too many":    {frontierMagic, 2, 0, 0, 0},
-		"previous layout":       {frontierMagic - 1, 1, 0, 0, 0},
-	} {
-		var buf []byte
-		for _, w := range words {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
-		sum := fnvBytes(buf)
-		buf = binary.LittleEndian.AppendUint64(buf, sum)
+	for _, c := range craftedFrontiers {
+		sum := fnvBytes(c.body)
+		buf := binary.LittleEndian.AppendUint64(append([]byte(nil), c.body...), sum)
 		path := filepath.Join(t.TempDir(), "frontier-000001"+frontierSuffix)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if items, err := readFrontier(path, fmt.Sprintf("%016x", sum)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %d items, error %v; want ErrCorrupt", name, len(items), err)
+			t.Errorf("%s: got %d items, error %v; want ErrCorrupt", c.name, len(items), err)
 		}
 	}
+}
+
+// craftedFrontiers are frontier bodies, the checksum trailer left off,
+// whose contents lie.
+var craftedFrontiers = []struct {
+	name string
+	body []byte
+}{
+	{"count beyond the file", le(frontierMagic, 1<<40, 0)},
+	{"count one too many", le(frontierMagic, 2, 0, 0, 0)},
+	{"previous layout", le(frontierMagic-1, 1, 0, 0, 0)},
+}
+
+func le(words ...uint64) []byte {
+	var buf []byte
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
+}
+
+// FuzzReadFrontier: whatever records a frontier file holds under a valid
+// checksum (the harness appends one, so that mutations reach the record
+// parser), readFrontier refuses them with ErrCorrupt or returns items that
+// writeFrontier encodes to those very bytes — never a panic, never an
+// allocation the file's own size does not bound.
+func FuzzReadFrontier(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "frontier-000001"+frontierSuffix)
+	for _, items := range [][]FrontierItem{nil, {{Prefix: []int{0, 2, -1}}, {Sleep: []uint64{7, 1 << 63}}, {Prefix: []int{1}, Sleep: []uint64{3}}}} {
+		valid := encodeFrontier(items)
+		f.Add(valid[:len(valid)-8])
+	}
+	for _, c := range craftedFrontiers {
+		f.Add(c.body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := fnvBytes(body)
+		file := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), sum)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		items, err := readFrontier(path, fmt.Sprintf("%016x", sum))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(8*len(file)+1<<16) {
+			t.Fatalf("reading a %d-byte frontier allocated %d bytes", len(file), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("readFrontier: %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if back := encodeFrontier(items); !bytes.Equal(back, file) {
+			t.Fatalf("%d items read from %d bytes re-encode to %d bytes", len(items), len(file), len(back))
+		}
+	})
 }
 
 func TestResumeRefusesMismatchAndCorruption(t *testing.T) {
