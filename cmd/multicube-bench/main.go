@@ -4,7 +4,7 @@
 //
 //	multicube-bench [-experiment all|fig2|fig2sim|fig3|fig4|tradeoff|latency|
 //	                 ops|scale|multi|sync|dims|snarf|mltsize|falseshare|arbitration|
-//	                 arbmachine|syncscale|parallel] [-csv]
+//	                 arbmachine|syncscale] [-csv]
 //
 // (the list is experiments.All).
 //

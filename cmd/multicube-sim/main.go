@@ -5,18 +5,13 @@
 //
 //	multicube-sim [-n 8] [-block 16] [-requests 200] [-think 10us]
 //	              [-pshared 0.5] [-pwrite 0.3] [-shared-lines 64]
-//	              [-cache-lines 0] [-mlt 0] [-snarf] [-seed 1]
-//	              [-workers 0] [-arb fcfs]
+//	              [-cache-lines 0] [-mlt 0] [-snarf] [-seed 1] [-arb fcfs]
 //
-// With -workers N (N > 0), the timed simulation runs on the conservative
-// parallel engine with N worker goroutines — one partition per machine
-// column — and prints the wall-clock event rate. Results are identical
-// to the sequential default. -arb selects the bus service discipline
-// (fcfs, rr, priority) for the arbitration ablation.
+// -arb selects the bus service discipline (fcfs, rr, priority) for the
+// arbitration ablation.
 //
 // With -trace-out, the reference stream the run consumed is also written
-// as a text trace replayable by multicube-sim -trace-in (on the
-// sequential kernel: -trace-in with -workers is refused).
+// as a text trace replayable by multicube-sim -trace-in.
 //
 // With -memmodel, the simulator instead runs the litmus tests as timed
 // DES stress programs (see internal/workload.RunLitmus) across a sweep
@@ -53,7 +48,6 @@ func main() {
 	mlt := flag.Int("mlt", 0, "modified line table entries (0 = unbounded)")
 	snarf := flag.Bool("snarf", false, "enable retained-tag snarfing")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", 0, "parallel engine workers (0 = sequential kernel)")
 	arbName := flag.String("arb", "fcfs", "bus arbitration: fcfs, rr, or priority")
 	traceIn := flag.String("trace-in", "", "replay a text trace instead of the generator")
 	traceOut := flag.String("trace-out", "", "write the generated references as a text trace")
@@ -68,12 +62,6 @@ func main() {
 		return
 	}
 
-	if *traceIn != "" && *workers > 0 {
-		// Replay spawns processor programs, which the parallel engine
-		// does not run.
-		fmt.Fprintln(os.Stderr, "multicube-sim: -trace-in replays on the sequential kernel and cannot be combined with -workers")
-		os.Exit(2)
-	}
 	arb, err := bus.ParseArbitration(*arbName)
 	if err != nil {
 		fatal(err)
@@ -84,7 +72,6 @@ func main() {
 		MLTEntries: *mlt, MLTAssoc: 4,
 		Snarf:       *snarf,
 		Arbitration: arb,
-		Parallel:    *workers,
 	})
 	if err != nil {
 		fatal(err)
@@ -118,25 +105,13 @@ func main() {
 		PWrite:      *pwrite,
 		Requests:    *requests,
 	}
-	start := time.Now()
 	rep := workload.Run(m, cfg)
-	wall := time.Since(start)
 
 	fmt.Printf("machine   %s\n", describe(m))
 	fmt.Printf("workload  %s\n\n", cfg.Describe())
 	fmt.Print(m.Metrics())
 	fmt.Printf("\nefficiency        %.4f\n", rep.Efficiency())
 	fmt.Printf("bus request rate  %.2f req/ms/processor\n", rep.BusRate(m.Processors()))
-	// The wall-clock rate line is printed only in parallel mode, keeping
-	// the sequential output byte-stable (and wall time out of it).
-	if *workers > 0 {
-		fmt.Printf("parallel engine   %d workers over %d columns: %d events in %v (%.0f events/sec)\n",
-			m.Runner().Workers(), m.Runner().Parts(), m.Executed(), wall.Round(time.Millisecond),
-			float64(m.Executed())/wall.Seconds())
-		st := m.Runner().Stats()
-		fmt.Printf("parallel phases   %d windows (%d jobs, %d events), %d boundaries (%d steps), parallelism %.2f\n",
-			st.Windows, st.Jobs, st.WinSteps, st.Boundaries, st.Bsteps, st.Parallelism())
-	}
 	checkInvariants(m)
 
 	if *traceOut != "" {

@@ -1,6 +1,6 @@
 // Command multicube-vet runs the repository's invariant suite — genbump,
-// detmap, nowallclock, chooserseam, nolockstep — over the given package patterns
-// (default ./...). It exits 0 when clean, 1 with findings, 2 on errors,
+// detmap, nowallclock, chooserseam, inclusion, atomicwrite — over the
+// given package patterns (default ./...). It exits 0 when clean, 1 with findings, 2 on errors,
 // mirroring go vet. See internal/analysis and each pass's package
 // documentation for the enforced invariants and the //multicube:
 // directive syntax.

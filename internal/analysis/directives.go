@@ -38,16 +38,6 @@ import (
 //	    outside the explored state space (e.g. a worker pool whose results
 //	    are re-derived deterministically).
 //
-//	//multicube:parallel-runtime <reason>
-//	    File marker (conventionally in the file's doc comment): the file
-//	    implements deterministic parallel execution, opting it into the
-//	    nolockstep pass.
-//
-//	//multicube:syncpoint <reason>
-//	    On a function declaration in a parallel-runtime file: the
-//	    function is an audited synchronization point, where concurrency
-//	    primitives are allowed.
-//
 //	//multicube:inclusion
 //	    Package marker (any file). Opts the package into the inclusion
 //	    pass: every snooping-cache eviction must reach an upper-level

@@ -19,7 +19,6 @@ import (
 	"multicube/internal/analysis/detmap"
 	"multicube/internal/analysis/genbump"
 	"multicube/internal/analysis/inclusion"
-	"multicube/internal/analysis/nolockstep"
 	"multicube/internal/analysis/nowallclock"
 )
 
@@ -30,7 +29,6 @@ func Suite() []*analysis.Analyzer {
 		detmap.Analyzer,
 		nowallclock.Analyzer,
 		chooserseam.Analyzer,
-		nolockstep.Analyzer,
 		inclusion.Analyzer,
 		atomicwrite.Analyzer,
 	}

@@ -16,7 +16,7 @@ const (
 )
 
 func TestSuiteNames(t *testing.T) {
-	want := []string{"genbump", "detmap", "nowallclock", "chooserseam", "nolockstep", "inclusion", "atomicwrite"}
+	want := []string{"genbump", "detmap", "nowallclock", "chooserseam", "inclusion", "atomicwrite"}
 	suite := multichecker.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

@@ -20,8 +20,7 @@ import (
 //   - hook: installed by the harness. Save and Load leave it alone.
 //   - wiring: fixed when the machine is built — configuration, pointers
 //     between components, event bodies built once. For a kernel it also
-//     covers what Save refuses to run with (processes, a parallel
-//     runner's stamper).
+//     covers what Save refuses to run with (processes).
 //   - scratch: nothing a rewind has to bring back — a buffer reused
 //     within a step, a memo a rewind invalidates, a host-work or
 //     per-execution counter a rewind restarts.
@@ -46,7 +45,7 @@ var rewindFields = []fieldClasses{
 		of:      typeOf[sim.Kernel](),
 		rewound: []string{"now", "seq", "events"},
 		hook:    []string{"chooser", "allEvents"},
-		wiring:  []string{"procs", "stamper"},
+		wiring:  []string{"procs"},
 		scratch: []string{"executed", "dispatching", "ordered", "cands"},
 	},
 	{
@@ -77,7 +76,7 @@ var rewindFields = []fieldClasses{
 		of:      typeOf[Node](),
 		rewound: []string{"l2", "table", "pend", "wbCont", "wbTrace", "purgedAt", "gen", "stats"},
 		hook:    []string{"OnInvalidate"},
-		wiring:  []string{"sys", "id", "k", "shard", "rowIdx", "colIdx", "enqueueFn"},
+		wiring:  []string{"sys", "id", "rowIdx", "colIdx", "enqueueFn"},
 		// pendBuf is what pend points to: its state is pend's, and what it
 		// keeps once pend is nil is the last transaction's, which nothing
 		// reads.
@@ -86,14 +85,14 @@ var rewindFields = []fieldClasses{
 	{
 		of:      typeOf[Memory](),
 		rewound: []string{"store", "gen"},
-		wiring:  []string{"sys", "col", "busIdx", "k", "shard", "enqueueFn"},
+		wiring:  []string{"sys", "col", "busIdx", "enqueueFn"},
 	},
 	{
 		of:      typeOf[System](),
-		rewound: []string{"k", "rows", "cols", "nodes", "mems", "shards", "dropped"},
+		rewound: []string{"k", "rows", "cols", "nodes", "mems", "acct", "dropped"},
 		hook: []string{"OpLog", "Fault", "SuppressSignal", "DisableStaleReplyPoisoning", "Observer",
 			"inclusions", "onSkip"},
-		wiring:      []string{"grid", "cfg", "par"},
+		wiring:      []string{"grid", "cfg"},
 		scratch:     []string{"obsSink", "fpIdent", "fpInv", "fpCInv"},
 		bookkeeping: []string{"labels", "clock"},
 	},

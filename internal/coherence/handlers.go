@@ -137,7 +137,7 @@ func (n *Node) rowRequest(op *Op) {
 				// the row bus and sends the data itself.
 				data := append([]uint64(nil), e.Data...)
 				n.issueRowAfter(n.sys.cfg.Timing.CacheLatency,
-					n.dataOp(READ, REPLY, op.Origin, line, data, op.trace))
+					n.sys.dataOp(READ, REPLY, op.Origin, line, data, op.trace))
 				return
 			}
 		}
@@ -245,11 +245,11 @@ func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
 	lat := n.sys.cfg.Timing.CacheLatency
 	switch {
 	case n.onHomeColumn(op.Line):
-		n.issueColAfter(lat, n.dataOp(READ, REPLY|UPDATE|MEMORY, op.Origin, op.Line, data, op.trace))
+		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE|MEMORY, op.Origin, op.Line, data, op.trace))
 	case n.id.Row == op.Origin.Row:
-		n.issueRowAfter(lat, n.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, data, op.trace))
+		n.issueRowAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, data, op.trace))
 	default:
-		n.issueColAfter(lat, n.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, data, op.trace))
+		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, data, op.trace))
 	}
 }
 
@@ -276,12 +276,12 @@ func (n *Node) sendOwnership(op *Op, data []uint64) {
 	lat := n.sys.cfg.Timing.CacheLatency
 	alloc := op.Flags & ALLOC
 	if n.id.Col == op.Origin.Col {
-		n.issueColAfter(lat, n.replyOp(op.Txn, REPLY|INSERT|alloc, op.Origin, op.Line, data, op.trace))
+		n.issueColAfter(lat, n.sys.replyOp(op.Txn, REPLY|INSERT|alloc, op.Origin, op.Line, data, op.trace))
 		return
 	}
 	// Transmit on my row bus; the controller in the requester's column
 	// picks it up and forwards it over its column bus.
-	n.issueRowAfter(lat, n.replyOp(op.Txn, REPLY|alloc, op.Origin, op.Line, data, op.trace))
+	n.issueRowAfter(lat, n.sys.replyOp(op.Txn, REPLY|alloc, op.Origin, op.Line, data, op.trace))
 }
 
 // bounceOffReserved handles a READ or READMOD routed to a column whose
@@ -320,9 +320,9 @@ func (n *Node) colWritebackRemove(op *Op) {
 		if e, ok := n.l2.Lookup(op.Line); ok && e.State == Modified {
 			data := append([]uint64(nil), e.Data...)
 			if n.onHomeColumn(op.Line) {
-				n.issueCol(n.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, op.Line, data, op.trace))
+				n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, op.Line, data, op.trace))
 			} else {
-				n.issueRow(n.dataOp(WRITEBACK, UPDATE, n.id, op.Line, data, op.trace))
+				n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, op.Line, data, op.trace))
 			}
 		}
 	} else if e, ok := n.l2.Lookup(op.Line); ok && e.State == Modified {
@@ -350,7 +350,7 @@ func (n *Node) colWritebackRemove(op *Op) {
 func (n *Node) rowUpdate(op *Op) {
 	if n.onHomeColumn(op.Line) {
 		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
-			n.dataOp(op.Txn, UPDATE|MEMORY, op.Origin, op.Line, op.Data, op.trace))
+			n.sys.dataOp(op.Txn, UPDATE|MEMORY, op.Origin, op.Line, op.Data, op.trace))
 	}
 }
 
@@ -401,7 +401,7 @@ func (n *Node) rowReadReply(op *Op) {
 		// READ (ROW, REPLY, UPDATE): the home-column controller writes
 		// the line back to memory.
 		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
-			n.dataOp(op.Txn, UPDATE|MEMORY, op.Origin, op.Line, op.Data, op.trace))
+			n.sys.dataOp(op.Txn, UPDATE|MEMORY, op.Origin, op.Line, op.Data, op.trace))
 	}
 }
 
@@ -434,7 +434,7 @@ func (n *Node) rowOwnershipReply(op *Op) {
 			n.installOwned(op)
 		} else if n.id.Col == op.Origin.Col {
 			n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
-				n.replyOp(op.Txn, REPLY|INSERT|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
+				n.sys.replyOp(op.Txn, REPLY|INSERT|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
 		}
 	}
 }
@@ -473,7 +473,7 @@ func (n *Node) colReadReply(op *Op) {
 		   should be updated */
 		if op.Origin == n.id {
 			n.installShared(op)
-			n.issueRow(n.dataOp(READ, UPDATE, op.Origin, op.Line, op.Data, op.trace))
+			n.issueRow(n.sys.dataOp(READ, UPDATE, op.Origin, op.Line, op.Data, op.trace))
 		} else {
 			n.snarf(op)
 			if n.id.Row == op.Origin.Row {
@@ -528,7 +528,7 @@ func (n *Node) colOwnershipReply(op *Op) {
 		}
 		fwd := n.sys.cfg.Timing.ForwardLatency
 		if n.id.Row == op.Origin.Row {
-			n.issueRowAfter(fwd, n.replyOp(op.Txn, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
+			n.issueRowAfter(fwd, n.sys.replyOp(op.Txn, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
 		} else {
 			n.issueRowAfter(fwd, n.sys.addrOp(op.Txn, PURGE, op.Origin, op.Line, op.trace))
 		}
@@ -544,7 +544,7 @@ func (n *Node) colOwnershipReply(op *Op) {
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) installShared(op *Op) {
 	if !n.matchesPending(op) {
-		n.shard.strays++
+		n.sys.acct.strays++
 		return
 	}
 	if n.pend.poisoned {
@@ -587,7 +587,7 @@ func (n *Node) installOwned(op *Op) {
 			// only copy of the data: a protocol bug, not a race.
 			panic(fmt.Sprintf("coherence: node %v received unclaimed ownership reply %v", n.id, op))
 		}
-		n.shard.strays++
+		n.sys.acct.strays++
 		return
 	}
 	var e *cache.Entry

@@ -3,7 +3,6 @@ package coherence
 import (
 	"fmt"
 
-	"multicube/internal/cache"
 	"multicube/internal/memory"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
@@ -19,10 +18,6 @@ type Memory struct {
 	col    int
 	store  *memory.Store
 	busIdx int
-	// k is the kernel this module schedules on (its column's partition
-	// kernel in parallel mode); shard the matching accounting shard.
-	k     *sim.Kernel
-	shard *sysShard
 
 	// gen counts mutations of fingerprint-visible memory state; every
 	// store mutation happens inside snoop, which bumps it.
@@ -33,16 +28,6 @@ type Memory struct {
 	// enqueueFn is the body of every device-latency event the module
 	// schedules (issueAfter), built once.
 	enqueueFn func()
-}
-
-// dataOp and replyOp build payload-carrying operations stamped with this
-// module's clock.
-func (m *Memory) dataOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	return m.sys.dataOpAt(m.k.Now(), txn, flags, origin, line, data, trace)
-}
-
-func (m *Memory) replyOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	return m.sys.replyOpAt(m.k.Now(), txn, flags, origin, line, data, trace)
 }
 
 // Store exposes the underlying storage for seeding and invariant checks.
@@ -63,13 +48,13 @@ func (m *Memory) issueAfter(d sim.Time, op *Op) {
 		return
 	}
 	op.issuer, op.dim = topology.Coord{Row: -1, Col: m.col}, Col
-	m.k.AfterTagged(d, EnqueueTag{op}, m.enqueueFn)
+	m.sys.k.AfterTagged(d, EnqueueTag{op}, m.enqueueFn)
 }
 
 // enqueue is the body of the events issueAfter schedules: the access for
 // the operation named by the event's tag is over.
 func (m *Memory) enqueue() {
-	m.sys.cols[m.col].Request(m.busIdx, m.k.Dispatching().(EnqueueTag).Op)
+	m.sys.cols[m.col].Request(m.busIdx, m.sys.k.Dispatching().(EnqueueTag).Op)
 }
 
 func (m *Memory) snoop(op *Op) {
@@ -119,14 +104,14 @@ func (m *Memory) handleRequest(op *Op) {
 	switch op.Txn {
 	case READ:
 		data := m.store.Read(line)
-		m.issueAfter(lat, m.dataOp(READ, REPLY|NOPURGE, op.Origin, op.Line, data, op.trace))
+		m.issueAfter(lat, m.sys.dataOp(READ, REPLY|NOPURGE, op.Origin, op.Line, data, op.trace))
 	case READMOD:
 		var data []uint64
 		if !op.Flags.Has(ALLOC) {
 			data = m.store.Read(line)
 		}
 		m.store.Invalidate(line)
-		m.issueAfter(lat, m.replyOp(READMOD, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, data, op.trace))
+		m.issueAfter(lat, m.sys.replyOp(READMOD, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, data, op.trace))
 	case TAS, SYNC:
 		// The test-and-set executes in memory when the line is
 		// unmodified. Success moves the line (with the lock taken) to
@@ -139,7 +124,7 @@ func (m *Memory) handleRequest(op *Op) {
 		}
 		data[LockWord] = 1
 		m.store.Invalidate(line)
-		m.issueAfter(lat, m.dataOp(op.Txn, REPLY|PURGE, op.Origin, op.Line, data, op.trace))
+		m.issueAfter(lat, m.sys.dataOp(op.Txn, REPLY|PURGE, op.Origin, op.Line, data, op.trace))
 	default:
 		panic(fmt.Sprintf("coherence: memory received request with transaction %v", op.Txn))
 	}

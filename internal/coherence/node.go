@@ -83,11 +83,6 @@ type Node struct {
 	id    topology.Coord
 	l2    *cache.Cache
 	table *mlt.Table
-	// k is the kernel this node schedules on and reads its clock from:
-	// the system kernel, or the node's column-partition kernel in
-	// parallel mode. shard is the matching accounting shard.
-	k     *sim.Kernel
-	shard *sysShard
 
 	rowIdx, colIdx int
 
@@ -145,7 +140,6 @@ func newNode(s *System, id topology.Coord) (*Node, error) {
 	}
 	n := &Node{
 		sys: s, id: id, l2: l2, table: table,
-		k: s.colKernel(id.Col), shard: s.colShard(id.Col),
 	}
 	n.enqueueFn = n.enqueue
 	return n, nil
@@ -185,15 +179,6 @@ func (n *Node) issueRow(op *Op) {
 	if n.sys.OpLog != nil {
 		n.sys.OpLog(Row, n.id, op)
 	}
-	// Row buses are the cross-partition seam: inside a parallel window
-	// the request is deferred to the next synchronization boundary,
-	// where the runner replays it in deterministic merge order. In
-	// sequential mode, and in the runner's own coordinator phases, the
-	// request proceeds inline exactly as before.
-	if par := n.sys.par; par != nil && !par.InGlobal() {
-		par.Defer(n.id.Col, func() { n.sys.rows[n.id.Row].Request(n.rowIdx, op) })
-		return
-	}
 	n.sys.rows[n.id.Row].Request(n.rowIdx, op)
 }
 
@@ -225,12 +210,12 @@ func (n *Node) issueAfter(dim Dim, d sim.Time, op *Op) {
 		return
 	}
 	n.sys.recordIntent(dim, op)
-	n.k.AfterTagged(d, EnqueueTag{op}, n.enqueueFn)
+	n.sys.k.AfterTagged(d, EnqueueTag{op}, n.enqueueFn)
 }
 
 // enqueue is the body of the events issueAfter schedules: the latency of
 // the operation named by the event's tag is over.
-func (n *Node) enqueue() { n.issue(n.k.Dispatching().(EnqueueTag).Op) }
+func (n *Node) enqueue() { n.issue(n.sys.k.Dispatching().(EnqueueTag).Op) }
 
 func (n *Node) issue(op *Op) {
 	if op.dim == Row {
@@ -240,18 +225,8 @@ func (n *Node) issue(op *Op) {
 	}
 }
 
-// dataOp and replyOp build payload-carrying operations stamped with this
-// node's clock; recordCompletion charges the node's shard.
-func (n *Node) dataOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	return n.sys.dataOpAt(n.k.Now(), txn, flags, origin, line, data, trace)
-}
-
-func (n *Node) replyOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	return n.sys.replyOpAt(n.k.Now(), txn, flags, origin, line, data, trace)
-}
-
 func (n *Node) recordCompletion(tr *TxnTrace) {
-	n.shard.recordCompletion(n.k.Now(), tr)
+	n.sys.acct.recordCompletion(n.sys.k.Now(), tr)
 }
 
 // --- processor interface ------------------------------------------------
@@ -361,7 +336,7 @@ func (n *Node) WriteBack(line cache.Line, done func(Result)) {
 		done(Result{})
 		return
 	}
-	trace := &TxnTrace{Txn: WRITEBACK, Line: line, Started: n.k.Now()}
+	trace := &TxnTrace{Txn: WRITEBACK, Line: line, Started: n.sys.k.Now()}
 	//multicube:fpexempt continuation of WriteBack, which bumped at entry
 	n.startWriteback(line, trace, func() {
 		// "mark line shared" — the generic (non-victim) path.
@@ -393,7 +368,7 @@ func (n *Node) beginPending(txn Txn, flags Flags, line cache.Line, done func(Res
 			n.id, txn, line, n.pend.txn, n.pend.line))
 	}
 	n.stats.Transactions++
-	tr := &TxnTrace{Txn: txn, Line: line, Started: n.k.Now()}
+	tr := &TxnTrace{Txn: txn, Line: line, Started: n.sys.k.Now()}
 	n.pendBuf = pending{txn: txn, flags: flags, line: line, trace: tr, done: done}
 	n.pend = &n.pendBuf
 }
@@ -406,7 +381,7 @@ func (n *Node) startTransaction(txn Txn, flags Flags, line cache.Line, done func
 	v := n.l2.SelectVictim(line)
 	if v != nil && v.State == Modified {
 		victim := v.Line
-		wbTrace := &TxnTrace{Txn: WRITEBACK, Line: victim, Started: n.k.Now()}
+		wbTrace := &TxnTrace{Txn: WRITEBACK, Line: victim, Started: n.sys.k.Now()}
 		//multicube:fpexempt continuation of an entry point that bumped
 		n.startWriteback(victim, wbTrace, func() {
 			// "wait for continue; mark line invalid" — the victim slot
@@ -446,7 +421,7 @@ func (n *Node) startWriteback(line cache.Line, trace *TxnTrace, cont func()) {
 func (n *Node) complete(op *Op, res Result) {
 	p := n.pend
 	if p == nil || p.line != op.Line || p.txn != op.Txn {
-		n.shard.strays++
+		n.sys.acct.strays++
 		return
 	}
 	n.pend = nil
@@ -464,7 +439,7 @@ func (n *Node) matchesPending(op *Op) bool {
 // notifyInvalidate tells the machine layer a line left the cache and
 // timestamps the departure for snarf staleness checks.
 func (n *Node) notifyInvalidate(line cache.Line) {
-	n.purgedAt.Put(uint64(line), n.k.Now())
+	n.purgedAt.Put(uint64(line), n.sys.k.Now())
 	n.purgeUpper(line)
 }
 
@@ -536,9 +511,9 @@ func (n *Node) tableInsert(line cache.Line, trace *TxnTrace) {
 	}
 	data := append([]uint64(nil), e.Data...)
 	if n.onHomeColumn(ovLine) {
-		n.issueCol(n.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, ovLine, data, trace))
+		n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, ovLine, data, trace))
 	} else {
-		n.issueRow(n.dataOp(WRITEBACK, UPDATE, n.id, ovLine, data, trace))
+		n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, ovLine, data, trace))
 	}
 	e.State = Shared // "mark overflow line shared"
 }

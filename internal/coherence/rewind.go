@@ -50,7 +50,7 @@ type Saved struct {
 	cols    []bus.Saved
 	nodes   []nodeSaved // row-major
 	mems    []memSaved
-	shards  []sysShard
+	acct    accounting
 	dropped uint64
 	// traces are the transaction traces reachable from the saved state,
 	// with the values they had.
@@ -120,19 +120,15 @@ type traceSaved struct {
 // history, generations and every counter — into st. Hooks, chooser and
 // wiring are not state. Call it at a kernel-step boundary: between steps,
 // or from a scheduling Chooser (see sim.Kernel.Save), never from inside
-// an event. Only a sequential machine can be saved. A component st already
-// holds as it stands — a recycled buffer, mostly — is not copied again.
+// an event. A component st already holds as it stands — a recycled
+// buffer, mostly — is not copied again.
 func (s *System) Save(st *Saved) {
-	if s.par != nil {
-		panic("coherence: Save of a parallel-mode machine")
-	}
 	n := s.cfg.N
 	if st.sys != s {
 		// Another machine's labels mean nothing here: start empty.
 		*st = Saved{sys: s, labels: make([]label, len(s.labels)),
 			rows: make([]bus.Saved, n), cols: make([]bus.Saved, n),
-			nodes: make([]nodeSaved, n*n), mems: make([]memSaved, n),
-			shards: make([]sysShard, len(s.shards))}
+			nodes: make([]nodeSaved, n*n), mems: make([]memSaved, n)}
 	}
 	s.k.Save(&st.k)
 	st.traces = st.traces[:0]
@@ -156,9 +152,7 @@ func (s *System) Save(st *Saved) {
 			st.addTrace(nd.wbTrace)
 		}
 	}
-	for i, sh := range s.shards {
-		st.shards[i] = *sh
-	}
+	st.acct = s.acct
 	st.dropped = s.dropped
 	s.forEachLiveOp(func(op *Op) { st.addTrace(op.trace) })
 }
@@ -204,9 +198,7 @@ func (s *System) Load(st *Saved) {
 			}
 		}
 	}
-	for i, sh := range s.shards {
-		*sh = st.shards[i]
-	}
+	s.acct = st.acct
 	s.dropped = st.dropped
 	for _, t := range st.traces {
 		*t.tr = t.val

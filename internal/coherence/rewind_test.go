@@ -752,8 +752,7 @@ func TestLoadRestoresStrays(t *testing.T) {
 }
 
 // TestSaveLoadRefusals: a saved state holds the closures of the machine
-// it was taken from, so loading it into another is refused; a parallel
-// machine's kernels belong to its Runner, so it is not saved at all.
+// it was taken from, so loading it into another is refused.
 func TestSaveLoadRefusals(t *testing.T) {
 	mustPanic := func(what string, fn func()) {
 		t.Helper()
@@ -770,13 +769,4 @@ func TestSaveLoadRefusals(t *testing.T) {
 	a.Save(&st)
 	mustPanic("Load of a state another machine saved", func() { b.Load(&st) })
 	mustPanic("Load of a state nothing saved", func() { b.Load(new(Saved)) })
-
-	k := sim.NewKernel()
-	parts := []*sim.Kernel{sim.NewKernel(), sim.NewKernel()}
-	runner := sim.NewRunner(k, parts, 50*sim.Nanosecond, 1)
-	par, err := NewSystem(k, Config{N: 2, ColKernels: parts, Par: runner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic("Save of a parallel-mode machine", func() { par.Save(&st) })
 }

@@ -116,7 +116,7 @@ func (n *Node) colReplyFail(op *Op) {
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) failPending(op *Op) {
 	if !n.matchesPending(op) {
-		n.shard.strays++
+		n.sys.acct.strays++
 		return
 	}
 	res := Result{}
@@ -183,7 +183,7 @@ func (n *Node) rowXfer(op *Op) {
 		return
 	}
 	if n.id.Col == op.Target.Col {
-		fwd := n.dataOp(SYNC, XFER, op.Origin, op.Line, op.Data, op.trace)
+		fwd := n.sys.dataOp(SYNC, XFER, op.Origin, op.Line, op.Data, op.trace)
 		fwd.Target = op.Target
 		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency, fwd)
 	}
@@ -259,7 +259,7 @@ func (n *Node) SyncAcquire(line cache.Line, done func(Result)) {
 	v := n.l2.SelectVictim(line)
 	if v != nil && v.State == Modified {
 		victim := v.Line
-		wbTrace := &TxnTrace{Txn: WRITEBACK, Line: victim, Started: n.k.Now()}
+		wbTrace := &TxnTrace{Txn: WRITEBACK, Line: victim, Started: n.sys.k.Now()}
 		//multicube:fpexempt continuation of SyncAcquire, which bumped at entry
 		n.startWriteback(victim, wbTrace, func() {
 			n.l2.Invalidate(victim)
@@ -295,7 +295,7 @@ func (n *Node) SyncRelease(line cache.Line) bool {
 	data[LinkWord] = 0 // the receiver keeps its own link word
 	n.l2.Invalidate(line)
 	n.notifyInvalidate(line)
-	op := n.dataOp(SYNC, XFER, n.id, line, data, nil)
+	op := n.sys.dataOp(SYNC, XFER, n.id, line, data, nil)
 	op.Target = next
 	if next.Col == n.id.Col {
 		n.issueCol(op)

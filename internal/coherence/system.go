@@ -100,13 +100,6 @@ type Config struct {
 	// Snarf enables acquiring a recently-held invalid line in shared
 	// mode as it passes by on a bus (Section 3).
 	Snarf bool
-	// ColKernels, when set (parallel mode), assigns column c's bus,
-	// memory module and nodes to ColKernels[c] instead of the system
-	// kernel; row buses stay on the system (global) kernel. Par must be
-	// the runner coordinating those kernels: controllers consult it to
-	// defer row-bus requests issued inside parallel windows.
-	ColKernels []*sim.Kernel
-	Par        *sim.Runner
 }
 
 func (c *Config) fillDefaults() {
@@ -130,12 +123,6 @@ func (c *Config) validate() error {
 	}
 	if c.Timing.WordTime == 0 {
 		return fmt.Errorf("coherence: zero word time")
-	}
-	if (c.ColKernels == nil) != (c.Par == nil) {
-		return fmt.Errorf("coherence: ColKernels and Par must be set together")
-	}
-	if c.ColKernels != nil && len(c.ColKernels) != c.N {
-		return fmt.Errorf("coherence: %d column kernels for N = %d", len(c.ColKernels), c.N)
 	}
 	return nil
 }
@@ -170,19 +157,14 @@ type System struct {
 	k    *sim.Kernel
 	grid topology.Grid
 	cfg  Config
-	// par is non-nil in parallel mode; issueRow consults it to defer
-	// cross-partition sends during windows.
-	par *sim.Runner
 
 	rows  []*bus.Bus
 	cols  []*bus.Bus
 	nodes [][]*Node // [row][col]
 	mems  []*Memory // per column
 
-	// shards hold transaction accounting: one shard in sequential mode,
-	// one per column in parallel mode so partition events never touch a
-	// neighbor's counters. Stats and StrayReplies merge them.
-	shards []*sysShard
+	// acct is the transaction accounting Stats and StrayReplies read.
+	acct accounting
 
 	// OpLog, when set, observes every bus operation as it is issued;
 	// tests use it for protocol traces.
@@ -291,21 +273,13 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{k: k, grid: grid, cfg: cfg, par: cfg.Par}
+	s := &System{k: k, grid: grid, cfg: cfg}
 	n := cfg.N
-	nshards := 1
-	if cfg.ColKernels != nil {
-		nshards = n
-	}
-	s.shards = make([]*sysShard, nshards)
-	for i := range s.shards {
-		s.shards[i] = &sysShard{}
-	}
 	s.rows = make([]*bus.Bus, n)
 	s.cols = make([]*bus.Bus, n)
 	for i := 0; i < n; i++ {
 		s.rows[i] = bus.New(k, fmt.Sprintf("row%d", i), cfg.Arbitration)
-		s.cols[i] = bus.New(s.colKernel(i), fmt.Sprintf("col%d", i), cfg.Arbitration)
+		s.cols[i] = bus.New(k, fmt.Sprintf("col%d", i), cfg.Arbitration)
 	}
 	s.nodes = make([][]*Node, n)
 	for r := 0; r < n; r++ {
@@ -333,7 +307,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &Memory{sys: s, col: c, store: st, k: s.colKernel(c), shard: s.colShard(c)}
+		m := &Memory{sys: s, col: c, store: st}
 		m.enqueueFn = m.enqueue
 		m.busIdx = s.cols[c].Attach(memAgent{m})
 		s.mems[c] = m
@@ -354,25 +328,8 @@ func MustNewSystem(k *sim.Kernel, cfg Config) *System {
 	return s
 }
 
-// Kernel returns the simulation kernel (the global kernel in parallel
-// mode).
+// Kernel returns the simulation kernel.
 func (s *System) Kernel() *sim.Kernel { return s.k }
-
-// colKernel returns the kernel owning column c's bus, memory and nodes.
-func (s *System) colKernel(c int) *sim.Kernel {
-	if s.cfg.ColKernels != nil {
-		return s.cfg.ColKernels[c]
-	}
-	return s.k
-}
-
-// colShard returns the accounting shard for column c.
-func (s *System) colShard(c int) *sysShard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	return s.shards[c]
-}
 
 // SetChooser routes every scheduling tie-break — kernel event order among
 // equal-time events and bus arbitration among queued requesters — through
@@ -424,22 +381,12 @@ func (s *System) MemoryAt(c int) *Memory { return s.mems[c] }
 func (s *System) RowBus(i int) *bus.Bus { return s.rows[i] }
 func (s *System) ColBus(i int) *bus.Bus { return s.cols[i] }
 
-// Stats returns the per-transaction aggregates keyed by type, merged
-// across shards (integer sums, so sequential and parallel runs of the
-// same machine agree byte for byte).
+// Stats returns the per-transaction aggregates keyed by type.
 func (s *System) Stats() map[Txn]TxnStats {
 	out := make(map[Txn]TxnStats, len(txnNames))
-	for _, sh := range s.shards {
-		for t, st := range sh.txnStats {
-			if st.Count == 0 {
-				continue // a type that never completed has no entry
-			}
-			agg := out[Txn(t)]
-			agg.Count += st.Count
-			agg.TotalLatency += st.TotalLatency
-			agg.RowOps += st.RowOps
-			agg.ColOps += st.ColOps
-			out[Txn(t)] = agg
+	for t, st := range s.acct.txnStats {
+		if st.Count != 0 { // a type that never completed has no entry
+			out[Txn(t)] = st
 		}
 	}
 	return out
@@ -447,13 +394,7 @@ func (s *System) Stats() map[Txn]TxnStats {
 
 // StrayReplies counts replies that arrived with no matching outstanding
 // request; always zero in a correct run.
-func (s *System) StrayReplies() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.strays
-	}
-	return n
-}
+func (s *System) StrayReplies() uint64 { return s.acct.strays }
 
 // Reissues counts requests retransmitted after lost races, summed over
 // every controller and memory module (the per-agent figures are in
@@ -504,22 +445,25 @@ func (s *System) addrOp(txn Txn, flags Flags, origin topology.Coord, line cache.
 	return &Op{Txn: txn, Flags: flags, Origin: origin, Line: line, occ: s.addrOccupancy(), trace: trace}
 }
 
-// replyOpAt builds a data reply, or an address-only acknowledgement when
+// replyOp builds a data reply, or an address-only acknowledgement when
 // data is nil (the ALLOCATE variant).
-func (s *System) replyOpAt(born sim.Time, txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
+func (s *System) replyOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
 	if data == nil {
 		return s.addrOp(txn, flags, origin, line, trace)
 	}
-	return s.dataOpAt(born, txn, flags, origin, line, data, trace)
+	return s.dataOp(txn, flags, origin, line, data, trace)
+}
+
+// dataOp builds a data-carrying operation whose payload is born now.
+func (s *System) dataOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
+	return s.dataOpAt(s.k.Now(), txn, flags, origin, line, data, trace)
 }
 
 // dataOpAt builds a data-carrying operation with an explicit payload
 // birth time. The operation keeps data, one block which nothing may
 // write from here on: a source passes a copy of the words it read (a
 // cache entry, memory), and a controller relaying an operation passes
-// that operation's payload, which the two then share. Issuers pass
-// their own kernel's clock — in parallel mode the system kernel's clock
-// lags the partitions', so the system must never read it for timestamps.
+// that operation's payload, which the two then share.
 func (s *System) dataOpAt(born sim.Time, txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
 	return &Op{Txn: txn, Flags: flags, Origin: origin, Line: line, Data: data, occ: s.dataOccupancy(), trace: trace, born: born}
 }
@@ -530,17 +474,18 @@ func (s *System) forwardOp(src *Op, flags Flags, trace *TxnTrace) *Op {
 	return s.dataOpAt(src.born, src.Txn, flags, src.Origin, src.Line, src.Data, trace)
 }
 
-// sysShard is one partition's slice of the transaction accounting.
-type sysShard struct {
+// accounting is the machine's transaction accounting: completed
+// transactions by type, and stray replies.
+type accounting struct {
 	txnStats [len(txnNames)]TxnStats // indexed by Txn
 	strays   uint64
 }
 
-func (sh *sysShard) recordCompletion(now sim.Time, tr *TxnTrace) {
+func (a *accounting) recordCompletion(now sim.Time, tr *TxnTrace) {
 	if tr == nil {
 		return
 	}
-	st := &sh.txnStats[tr.Txn]
+	st := &a.txnStats[tr.Txn]
 	st.Count++
 	st.TotalLatency += now - tr.Started
 	st.RowOps += uint64(tr.RowOps)

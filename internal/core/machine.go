@@ -60,28 +60,16 @@ type Config struct {
 	Arbitration bus.Arbitration
 	// Snarf enables the retained-tag snarf optimization.
 	Snarf bool
-	// Parallel, when positive, runs the timed simulation on the
-	// conservative parallel engine with that many worker goroutines: the
-	// machine is partitioned by column (column bus + memory module +
-	// nodes per partition; row buses are the cross-partition seam), and
-	// execution proceeds in lookahead-bounded windows synchronized at
-	// deterministic boundaries. Results — final time, memory image,
-	// metrics — are identical to sequential mode. Zero (the default)
-	// keeps the classic single-threaded kernel, byte-identical to
-	// previous releases. Parallel mode is incompatible with choosers,
-	// model checking, fault injection, observers, OpLog and Spawn-based
-	// programs; Machine.Run rejects none of these itself, but the
-	// coherence hooks stay nil and Spawn panics.
+	// Parallel is accepted and ignored (see Machine.Parallel).
 	Parallel int
 }
 
 // Machine is one simulated Wisconsin Multicube.
 type Machine struct {
-	k      *sim.Kernel
-	sys    *coherence.System
-	procs  []*Processor
-	cfg    Config
-	runner *sim.Runner // non-nil in parallel mode
+	k     *sim.Kernel
+	sys   *coherence.System
+	procs []*Processor
+	cfg   Config
 }
 
 // New builds a machine.
@@ -98,32 +86,11 @@ func New(cfg Config) (*Machine, error) {
 		Arbitration: cfg.Arbitration,
 		Snarf:       cfg.Snarf,
 	}
-	var runner *sim.Runner
-	if cfg.Parallel > 0 {
-		timing := cfg.Timing
-		if timing == (coherence.Timing{}) {
-			timing = coherence.DefaultTiming()
-		}
-		if timing.AddrWords == 0 {
-			timing.AddrWords = 1
-		}
-		// The conservative lookahead: a row-bus request issued at t
-		// occupies the bus for at least one address cycle, so no other
-		// partition can observe it before t + AddrWords×WordTime.
-		lookahead := sim.Time(timing.AddrWords) * timing.WordTime
-		parts := make([]*sim.Kernel, cfg.N)
-		for i := range parts {
-			parts[i] = sim.NewKernel()
-		}
-		runner = sim.NewRunner(k, parts, lookahead, cfg.Parallel)
-		ccfg.ColKernels = parts
-		ccfg.Par = runner
-	}
 	sys, err := coherence.NewSystem(k, ccfg)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{k: k, sys: sys, cfg: cfg, runner: runner}
+	m := &Machine{k: k, sys: sys, cfg: cfg}
 	m.cfg.BlockWords = sys.Config().BlockWords
 	n := cfg.N
 	m.procs = make([]*Processor, n*n)
@@ -181,59 +148,26 @@ func (m *Machine) LineOf(addr Addr) (cache.Line, int) {
 }
 
 // Run drains the machine: all spawned programs and outstanding requests
-// complete. It returns the final simulated time. In parallel mode this
-// is RunCtx with no cancellation.
-func (m *Machine) Run() sim.Time { return m.RunStop(nil) }
+// complete. It returns the final simulated time.
+func (m *Machine) Run() sim.Time { return m.k.Run() }
 
-// RunStop is Run with a cooperative stop check, polled between kernel
-// batches (sequential) or synchronization phases (parallel).
-func (m *Machine) RunStop(stop func() bool) sim.Time {
-	if m.runner != nil {
-		return m.runner.Run(stop)
-	}
-	for {
-		if stop != nil && stop() {
-			return m.k.Now()
-		}
-		for i := 0; i < 4096; i++ {
-			if !m.k.Step() {
-				return m.k.Now()
-			}
-		}
-	}
-}
+// Executed reports the events the kernel has dispatched.
+func (m *Machine) Executed() uint64 { return m.k.Executed() }
 
-// Runner exposes the parallel runner, or nil in sequential mode.
-func (m *Machine) Runner() *sim.Runner { return m.runner }
+// RunFor advances simulated time by d.
+func (m *Machine) RunFor(d sim.Time) { m.k.RunFor(d) }
 
-// Parallel reports whether the machine runs on the parallel engine.
-func (m *Machine) Parallel() bool { return m.runner != nil }
+// Parallel reports false and Runner nil: the machine runs on one kernel.
+// They and Config.Parallel remain only because the benchmark harness
+// compiles against them; ROADMAP item 1 deletes them with its probeRunner.
+func (m *Machine) Parallel() bool { return false }
 
-// ProcKernel returns the kernel processor id's workload driver must
-// schedule on: the processor's column-partition kernel in parallel
-// mode, else the machine kernel.
-func (m *Machine) ProcKernel(id int) *sim.Kernel {
-	if m.runner == nil {
-		return m.k
-	}
-	return m.runner.Part(m.procs[id].Coord().Col)
-}
+func (m *Machine) Runner() *runnerStub { return nil }
 
-// Executed reports total events dispatched across all kernels.
-func (m *Machine) Executed() uint64 {
-	if m.runner != nil {
-		return m.runner.Executed()
-	}
-	return m.k.Executed()
-}
+type runnerStub struct{}
 
-// RunFor advances simulated time by d (sequential mode only).
-func (m *Machine) RunFor(d sim.Time) {
-	if m.runner != nil {
-		panic("core: RunFor is not supported in parallel mode")
-	}
-	m.k.RunFor(d)
-}
+func (*runnerStub) Stats() runnerStub   { return runnerStub{} }
+func (runnerStub) Parallelism() float64 { return 1 }
 
 // SeedMemory writes words directly into main memory before (or between)
 // runs, bypassing the protocol — the moral equivalent of loading an

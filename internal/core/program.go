@@ -85,13 +85,8 @@ func (c *Ctx) WriteBack(addr Addr) {
 }
 
 // Spawn runs fn as a program on processor id. The program starts when the
-// machine runs and may block only through its Ctx. Spawned programs
-// require the sequential kernel: a Proc's goroutine handoff assumes one
-// global event loop, so Spawn panics in parallel mode.
+// machine runs and may block only through its Ctx.
 func (m *Machine) Spawn(id int, fn func(*Ctx)) {
-	if m.runner != nil {
-		panic("core: Spawn is not supported in parallel mode")
-	}
 	if id < 0 || id >= len(m.procs) {
 		panic(fmt.Sprintf("core: spawn on unknown processor %d", id))
 	}

@@ -122,8 +122,8 @@ func FalseSharing(iterations int) *stats.Table {
 // Arbitration compares FIFO, round-robin and fixed-priority bus
 // arbitration under a saturating workload (Section 5's "methods for
 // reducing bus latency" design-issue list includes the bus controllers).
-// This is the coherence-layer view; ArbitrationMachine (parallel.go)
-// runs the same ablation at machine level on the paper's 8×8
+// This is the coherence-layer view; ArbitrationMachine
+// (arbitrationmachine.go) runs the same ablation at machine level on the paper's 8×8
 // configuration, selectable from multicube-sim with -arb.
 func Arbitration(requests int) *stats.Table {
 	if requests == 0 {

@@ -16,16 +16,13 @@ const goldenPath = "testdata/paper_tables.csv"
 
 // TestPaperTablesGolden pins every deterministic table of the evaluation —
 // Figures 2–4, T-ops, T-scale, T-multi, T-sync and the ablations: what
-// `multicube-bench -experiment all -csv` prints, less the host-timed
-// tables — against the committed file, so that a refactor or an
+// `multicube-bench -experiment all -csv` prints — against the committed file, so that a refactor or an
 // optimisation shows at once whether it moved a number of the paper's.
 func TestPaperTablesGolden(t *testing.T) {
 	var b strings.Builder
 	for _, e := range All() {
-		if !e.HostTimed {
-			b.WriteString(e.Table().CSV())
-			b.WriteString("\n")
-		}
+		b.WriteString(e.Table().CSV())
+		b.WriteString("\n")
 	}
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {

@@ -5,11 +5,8 @@ import "multicube/internal/stats"
 // Experiment is one named table of the evaluation: what `multicube-bench
 // -experiment` selects and what TestPaperTablesGolden pins.
 type Experiment struct {
-	Name string
-	// HostTimed marks wall-clock measurements; every other table is a pure
-	// function of the code.
-	HostTimed bool
-	Table     func() *stats.Table
+	Name  string
+	Table func() *stats.Table
 }
 
 // All lists the experiments in the order `-experiment all` prints them,
@@ -33,6 +30,5 @@ func All() []Experiment {
 		{Name: "arbitration", Table: func() *stats.Table { return Arbitration(0) }},
 		{Name: "arbmachine", Table: func() *stats.Table { return ArbitrationMachine(0) }},
 		{Name: "syncscale", Table: func() *stats.Table { return SyncScaling(0) }},
-		{Name: "parallel", HostTimed: true, Table: func() *stats.Table { return Parallel(ParallelConfig{}) }},
 	}
 }

@@ -327,3 +327,23 @@ func TestDESGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestParallelConfigIgnored holds what is left of the parallel engine to
+// what the benchmark harness relies on: a machine built with Parallel
+// set builds, reports sequential, and simulates exactly what one built
+// without it does.
+func TestParallelConfigIgnored(t *testing.T) {
+	m, err := core.New(core.Config{N: 4, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Parallel() || m.Runner() != nil {
+		t.Fatal("a machine built with Parallel: 2 reports the parallel engine")
+	}
+	c := desGoldenCases()[2] // private/n4, the mix des-private runs
+	seq := desGoldenRun(t, c)
+	c.cfg.Parallel = 2
+	if par := desGoldenRun(t, c); par.Metrics != seq.Metrics || par.Report != seq.Report {
+		t.Fatalf("Parallel: 2 changed the run:\n got  %+v\n want %+v", par, seq)
+	}
+}

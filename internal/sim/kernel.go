@@ -45,175 +45,6 @@ func (t Time) String() string {
 	}
 }
 
-// Never is a Time later than every reachable simulation instant; it is
-// the "no constraint" value for event bounds.
-const Never Time = ^Time(0)
-
-// Birth identifies when an event was scheduled: the simulated time of
-// the scheduling context and the composite slot of this scheduling call
-// within it (see subBits). The parallel runner combines it with the
-// scheduler's lineage to reconstruct the sequential kernel's global
-// scheduling order exactly. Zero outside parallel mode.
-type Birth struct {
-	At  Time
-	Idx uint64
-}
-
-// Composite Birth indices: the high bits are the scheduling slot within
-// the executing event, the low subBits are consumed only by actions a
-// Runner.Defer resumed at a boundary, which slot their children between
-// the parent's own slots exactly where the action would have scheduled
-// them had it run inline (sequential semantics).
-const (
-	subBits = 16
-	subMask = 1<<subBits - 1
-)
-
-// lineage is one node of the scheduling genealogy the parallel runner
-// maintains: the birth stamp of a dispatched event plus a pointer to the
-// lineage of the event that scheduled it (nil for setup code). Two
-// same-instant events order exactly as the sequential kernel's global
-// sequence numbers would order them by comparing (birth time, scheduler
-// lineage, birth slot) — see cmpLin. Nodes are created lazily, only for
-// events that schedule children, and become garbage as soon as no
-// pending event descends from them; chains stay short in practice
-// because a chain only grows while consecutive ancestors avoid the
-// global kernel.
-type lineage struct {
-	bAt    Time
-	idx    uint64
-	parent *lineage
-}
-
-// cmpLin orders two scheduler lineages like the sequential kernel orders
-// the corresponding events' global sequence numbers: an event scheduled
-// at an earlier instant has the smaller sequence; at equal instants the
-// schedulers' own dispatch order decides (recursively, grounded at setup
-// order); same scheduler falls to the slot index. nil (setup) precedes
-// every dispatched scheduler because setup runs before time starts.
-// Recursion depth is bounded by the equal-birth-time prefix of the two
-// chains, which the differential sweep keeps honest.
-func cmpLin(a, b *lineage) int {
-	if a == b {
-		return 0
-	}
-	if a == nil {
-		return -1
-	}
-	if b == nil {
-		return 1
-	}
-	if a.bAt != b.bAt {
-		if a.bAt < b.bAt {
-			return -1
-		}
-		return 1
-	}
-	if c := cmpLin(a.parent, b.parent); c != 0 {
-		return c
-	}
-	if a.idx != b.idx {
-		if a.idx < b.idx {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// birthClock stamps scheduling calls and remembers which event is
-// currently executing (the parent of anything scheduled now). A kernel
-// dispatching an event points the clock at that event; every schedule
-// call on a kernel sharing the clock takes the next slot. The parallel
-// runner points all kernels at one clock during its coordinator phases
-// so siblings scheduled by one parent event onto different kernels stay
-// mutually ordered; during windows each partition stamps from its own
-// clock. Slot counters need not be comparable across clocks: slots are
-// only ever compared between children of one parent event, which are
-// stamped by one clock.
-type birthClock struct {
-	at   Time
-	slot uint64
-	// The executing event's identity: its birth stamp and its scheduler's
-	// lineage. node caches the lazily created lineage handed to children.
-	active bool
-	node   *lineage
-	evAt   Time
-	evIdx  uint64
-	evPar  *lineage
-	// Resume context: a boundary re-executing a deferred send slots the
-	// send's children under the original parent at the send's reserved
-	// composite index (see Runner.Defer).
-	resume    bool
-	resumeIdx uint64
-	sub       uint64
-	// slab bump-allocates lineage nodes in chunks: the clock mints about
-	// one node per dispatched event with children, and chunked allocation
-	// roughly halves the allocator traffic of parallel mode. A chunk is
-	// collected once no pending event's lineage chain reaches into it;
-	// chains stay short (see lineage), so retention stays bounded.
-	slab []lineage
-}
-
-// beginEvent retargets the clock at a newly dispatched event. The slot
-// counter continues across events dispatched at the same instant; it
-// resets with the instant only to stay small.
-func (c *birthClock) beginEvent(e *event) {
-	if c.at != e.at {
-		c.at, c.slot = e.at, 0
-	}
-	c.active, c.node = true, nil
-	c.evAt, c.evIdx, c.evPar = e.birth.At, e.birth.Idx, e.parent
-	c.resume = false
-}
-
-// beginResume points the clock at a deferred send being re-executed at a
-// boundary: children stamp under the send's original parent lineage at
-// the send's reserved slot, reproducing inline execution order.
-func (c *birthClock) beginResume(at Time, parent *lineage, idx uint64) {
-	if c.at != at {
-		c.at, c.slot = at, 0
-	}
-	c.active, c.node = true, parent
-	c.resume, c.resumeIdx, c.sub = true, idx, 0
-}
-
-// endResume deactivates the clock after a resumed send returns.
-func (c *birthClock) endResume() {
-	c.active, c.node, c.resume = false, nil, false
-}
-
-// parentNode returns the executing event's lineage, creating it on first
-// use; nil when no event is executing (setup code).
-func (c *birthClock) parentNode() *lineage {
-	if !c.active {
-		return nil
-	}
-	if c.node == nil {
-		if len(c.slab) == cap(c.slab) {
-			c.slab = make([]lineage, 0, 512)
-		}
-		c.slab = append(c.slab, lineage{bAt: c.evAt, idx: c.evIdx, parent: c.evPar})
-		c.node = &c.slab[len(c.slab)-1]
-	}
-	return c.node
-}
-
-// stamp assigns the next birth stamp and the scheduler lineage for one
-// scheduling call.
-func (c *birthClock) stamp() (Birth, *lineage) {
-	if c.resume {
-		c.sub++
-		if c.sub > subMask {
-			panic("sim: deferred send scheduled too many events")
-		}
-		return Birth{At: c.at, Idx: c.resumeIdx | c.sub}, c.node
-	}
-	b := Birth{At: c.at, Idx: c.slot << subBits}
-	c.slot++
-	return b, c.parentNode()
-}
-
 type event struct {
 	at  Time
 	seq uint64
@@ -221,18 +52,6 @@ type event struct {
 	// tag optionally identifies the event for model checking: choice
 	// enumeration, state fingerprinting and counterexample rendering.
 	tag any
-	// bound is the earliest simulated time at which this event — or any
-	// event it transitively schedules — may take an action visible
-	// outside its partition (see AtBounded). It is meaningful only under
-	// the parallel runner; the default, bound == at, declares the event
-	// itself unsafe.
-	bound Time
-	// birth records when the event was scheduled and parent the lineage
-	// of the event that scheduled it (parallel mode only). Together they
-	// reconstruct the full scheduling genealogy, which is what the
-	// parallel runner's deterministic merge compares.
-	birth  Birth
-	parent *lineage
 }
 
 // eventHeap is a binary min-heap on (at, seq) with hand-written sift
@@ -338,11 +157,6 @@ type Kernel struct {
 	// dispatching is the tag of the event being dispatched (Dispatching).
 	dispatching any
 
-	// stamper, when non-nil, stamps every scheduled event with a Birth
-	// key derived from the event currently executing. The parallel
-	// runner installs it; sequential kernels leave it nil.
-	stamper *birthClock
-
 	// scratch buffers reused by stepChosen, which runs once per kernel
 	// step under a model checker and must not allocate.
 	ordered []scratchEvent
@@ -379,11 +193,11 @@ type KernelState struct {
 // obligation. The chooser and the dispatch counter are not part of it.
 // Call it between steps (a Chooser's Choose counts: stepChosen consults
 // it before touching the heap or the clock). A kernel with processes has
-// goroutines parked mid-program, and a parallel Runner's kernel lineage
-// state, neither of which a copy captures, so both panic.
+// goroutines parked mid-program, which a copy does not capture, so it
+// panics.
 func (k *Kernel) Save(st *KernelState) {
-	if len(k.procs) > 0 || k.stamper != nil {
-		panic("sim: Save of a kernel with processes or under a parallel Runner")
+	if len(k.procs) > 0 {
+		panic("sim: Save of a kernel with processes")
 	}
 	st.now, st.seq = k.now, k.seq
 	clear(st.events) // drop the closures of the state saved here before
@@ -419,35 +233,11 @@ func (k *Kernel) At(t Time, fn func()) { k.AtTagged(t, nil, fn) }
 // AtTagged is At with a scheduling tag attached to the event, identifying
 // it to a Chooser and to state-fingerprinting code.
 func (k *Kernel) AtTagged(t Time, tag any, fn func()) {
-	k.AtBounded(t, t, tag, fn)
-}
-
-// AtBounded schedules fn at t and declares bound: a lower bound on the
-// earliest simulated time at which this event, or any event it
-// transitively schedules, may take an action visible outside its
-// partition (a cross-partition bus send). The default of the other
-// schedule calls, bound == t, is always sound ("this event itself may
-// send"). A larger bound is a promise the parallel runner uses to widen
-// its synchronization windows; bound == Never promises the event's whole
-// causal future stays partition-local. Outside parallel mode the bound
-// is ignored.
-//
-// Soundness rule for callers: every event an fn with bound B schedules
-// must itself carry a bound >= B (the default bound of a child at t' >= B
-// satisfies this automatically).
-func (k *Kernel) AtBounded(t, bound Time, tag any, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	if bound < t {
-		panic(fmt.Sprintf("sim: event bound %v precedes its time %v", bound, t))
-	}
 	k.seq++
-	e := event{at: t, seq: k.seq, fn: fn, tag: tag, bound: bound}
-	if k.stamper != nil {
-		e.birth, e.parent = k.stamper.stamp()
-	}
-	k.events.push(e)
+	k.events.push(event{at: t, seq: k.seq, fn: fn, tag: tag})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -517,9 +307,6 @@ func (k *Kernel) Step() bool {
 		e := k.events.pop()
 		k.now = e.at
 		k.executed++
-		if k.stamper != nil {
-			k.stamper.beginEvent(&e)
-		}
 		k.dispatching = e.tag
 		e.fn()
 		return true
@@ -603,92 +390,3 @@ func (k *Kernel) RunUntil(t Time) {
 
 // RunFor runs the simulation for d nanoseconds of simulated time.
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
-
-// The methods below are the seam the parallel runner (parallel.go) uses
-// to drive a kernel as one partition of a larger machine. They bypass
-// the chooser deliberately: parallel mode rejects choosers up front.
-
-// NextAt reports the timestamp of the earliest pending event and whether
-// one exists.
-func (k *Kernel) NextAt() (Time, bool) {
-	if len(k.events) == 0 {
-		return 0, false
-	}
-	return k.events[0].at, true
-}
-
-// PeekKey reports the merge key of the earliest pending event — its
-// birth stamp and its scheduler's lineage — for deterministic
-// cross-kernel ordering of same-instant events. Valid only when NextAt
-// reports true.
-func (k *Kernel) PeekKey() (Birth, *lineage) {
-	return k.events[0].birth, k.events[0].parent
-}
-
-// MinBound reports a lower bound on the earliest cross-partition effect
-// among all pending events and their causal futures: the minimum bound
-// over the pending set (exact, by the hereditary bound invariant on
-// AtBounded). Never means no pending event can ever send. The linear
-// scan beats a maintained heap here: partition kernels hold tens of
-// pending events, and MinBound is read once per synchronization phase
-// while a heap would pay per scheduled event.
-func (k *Kernel) MinBound() Time {
-	min := Never
-	for i := range k.events {
-		if b := k.events[i].bound; b < min {
-			min = b
-		}
-	}
-	return min
-}
-
-// RunWindow dispatches pending events with timestamps strictly below
-// limit, in (time, sequence) order, and reports how many ran. It is the
-// partition workhorse of the parallel runner: within the window the
-// partition is causally isolated, so no chooser or cross-kernel merge
-// applies.
-func (k *Kernel) RunWindow(limit Time) uint64 {
-	var n uint64
-	for len(k.events) > 0 && k.events[0].at < limit {
-		e := k.events.pop()
-		k.now = e.at
-		k.executed++
-		if k.stamper != nil {
-			k.stamper.beginEvent(&e)
-		}
-		k.dispatching = e.tag
-		e.fn()
-		n++
-	}
-	return n
-}
-
-// StepAt dispatches the earliest pending event if its timestamp is
-// exactly t, reporting whether it did.
-func (k *Kernel) StepAt(t Time) bool {
-	if len(k.events) == 0 || k.events[0].at != t {
-		return false
-	}
-	e := k.events.pop()
-	k.now = t
-	k.executed++
-	if k.stamper != nil {
-		k.stamper.beginEvent(&e)
-	}
-	k.dispatching = e.tag
-	e.fn()
-	return true
-}
-
-// AdvanceTo moves the clock forward to t without dispatching anything.
-// The parallel runner aligns every kernel's clock at synchronization
-// points so that relative scheduling (After) from a coordinator-executed
-// event lands at the right absolute time in every kernel.
-func (k *Kernel) AdvanceTo(t Time) {
-	if len(k.events) > 0 && k.events[0].at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip pending event at %v", t, k.events[0].at))
-	}
-	if t > k.now {
-		k.now = t
-	}
-}

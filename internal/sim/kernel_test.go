@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKernelStartsAtZero(t *testing.T) {
@@ -298,24 +299,31 @@ func TestSaveLoadRewinds(t *testing.T) {
 	}
 }
 
-// TestSaveRefusesProcsAndRunners: a parked goroutine and a parallel
-// Runner's lineage are state a copy of the event heap does not capture.
-func TestSaveRefusesProcsAndRunners(t *testing.T) {
-	mustPanic := func(name string, k *Kernel) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("Save of a kernel %s did not panic", name)
-			}
-		}()
-		k.Save(new(KernelState))
-	}
+// TestSaveRefusesProcs: a parked goroutine is state a copy of the event
+// heap does not capture.
+func TestSaveRefusesProcs(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) { p.Sleep(100) })
 	k.RunUntil(50)
-	mustPanic("with a process", k)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Save of a kernel with a process did not panic")
+			}
+		}()
+		k.Save(new(KernelState))
+	}()
 	k.Run()
+}
 
-	g := NewKernel()
-	NewRunner(g, []*Kernel{NewKernel(), NewKernel()}, 50, 1)
-	mustPanic("under a Runner", g)
+// TestEventIs40Bytes holds the pending event to its four fields — time,
+// sequence, body and tag — on 64-bit hosts: the heap every Step sifts and
+// every Save and Load copies is an array of them.
+func TestEventIs40Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("sim.event is %d bytes, want 40", got)
+	}
 }

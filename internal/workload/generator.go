@@ -95,92 +95,53 @@ func (r Report) BusRate(processors int) float64 {
 	return perProc / (float64(r.Elapsed) / float64(sim.Millisecond))
 }
 
-// ref is one precomputed reference of a processor's stream. All random
-// draws are hoisted to setup time — in exactly the per-processor draw
-// order the previous lazily-drawing generator used, so streams (and
-// therefore sequential runs) are unchanged — which keeps the simulation
-// hot path free of generator work and lets the stream be analyzed for
-// conservative lookahead bounds before the run starts.
+// ref is one reference of a processor's stream.
 type ref struct {
 	think sim.Time  // think interval preceding the issue
 	addr  core.Addr // word address
 	value uint64    // stored word (writes only)
 	write bool
-	// gap is the conservative distance from this reference's issue time
-	// to the earliest issue at or after it that can generate bus
-	// traffic: 0 when this reference itself may miss, the think-time sum
-	// to the next such reference when this one is a guaranteed cache
-	// hit, and sim.Never when no possible miss remains in the stream.
-	// The issue event's scheduling bound is issue time + gap; see
-	// sim.Kernel.AtBounded for the hereditary contract.
-	gap sim.Time
 }
 
-// stream precomputes processor id's reference sequence.
-func stream(cfg GenConfig, id, procs int, bw core.Addr, boundable bool) []ref {
-	rng := NewRand(cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
-	privBase := core.Addr(id) * core.Addr(cfg.PrivateLines) * bw
-	sharedBase := core.Addr(procs) * core.Addr(cfg.PrivateLines) * bw
+// gen draws one processor's reference stream, one reference at a time.
+// The stream depends on nothing but the processor's seed, so drawing each
+// reference when it is due yields the same sequence however the
+// processors' draws interleave.
+type gen struct {
+	cfg                  *GenConfig
+	rng                  Rand
+	privBase, sharedBase core.Addr
+	bw                   core.Addr // block size in words
+}
 
-	refs := make([]ref, cfg.Requests)
-	// touched/written track the processor's private lines across the
-	// stream: with unbounded snooping cache and MLT, a private line is
-	// never evicted or invalidated, so a read after any access — or a
-	// write after a write — is a guaranteed silent hit (a write to a
-	// merely-read line still needs the upgrade transaction).
-	var touched, written []bool
-	if boundable {
-		touched = make([]bool, cfg.PrivateLines)
-		written = make([]bool, cfg.PrivateLines)
+func newGen(cfg *GenConfig, id, procs int, bw core.Addr) gen {
+	return gen{
+		cfg:        cfg,
+		rng:        Rand{state: cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15},
+		privBase:   core.Addr(id) * core.Addr(cfg.PrivateLines) * bw,
+		sharedBase: core.Addr(procs) * core.Addr(cfg.PrivateLines) * bw,
+		bw:         bw,
 	}
-	unsafeRef := make([]bool, cfg.Requests)
-	for j := range refs {
-		r := &refs[j]
-		r.think = cfg.Think
-		if cfg.Exponential {
-			r.think = sim.Time(rng.Exp(float64(cfg.Think)))
-		}
-		shared := rng.Float64() < cfg.PShared
-		var lineIdx int
-		if shared {
-			lineIdx = rng.Intn(cfg.SharedLines)
-			r.addr = sharedBase + core.Addr(lineIdx)*bw
-		} else {
-			lineIdx = rng.Intn(cfg.PrivateLines)
-			r.addr = privBase + core.Addr(lineIdx)*bw
-		}
-		r.addr += core.Addr(rng.Intn(int(bw)))
-		r.write = rng.Float64() < cfg.PWrite
-		if r.write {
-			r.value = rng.Uint64()
-		}
-		unsafeRef[j] = true
-		if boundable && !shared {
-			if r.write {
-				unsafeRef[j] = !written[lineIdx]
-				written[lineIdx] = true
-			} else {
-				unsafeRef[j] = !touched[lineIdx]
-			}
-			touched[lineIdx] = true
-		}
+}
+
+// next draws the next reference into r: think time, shared or private,
+// line, word, read or write, and a write's value, in that order.
+func (g *gen) next(r *ref) {
+	cfg := g.cfg
+	r.think = cfg.Think
+	if cfg.Exponential {
+		r.think = sim.Time(g.rng.Exp(float64(cfg.Think)))
 	}
-	// Backward pass for the gaps: between two issues only think times
-	// are guaranteed to elapse (stalls can be zero on hits), so the sum
-	// of intervening thinks lower-bounds the next possible miss.
-	next := sim.Never // gap of reference j+1
-	for j := cfg.Requests - 1; j >= 0; j-- {
-		switch {
-		case unsafeRef[j]:
-			refs[j].gap = 0
-		case next == sim.Never:
-			refs[j].gap = sim.Never
-		default:
-			refs[j].gap = refs[j+1].think + next
-		}
-		next = refs[j].gap
+	if g.rng.Float64() < cfg.PShared {
+		r.addr = g.sharedBase + core.Addr(g.rng.Intn(cfg.SharedLines))*g.bw
+	} else {
+		r.addr = g.privBase + core.Addr(g.rng.Intn(cfg.PrivateLines))*g.bw
 	}
-	return refs
+	r.addr += core.Addr(g.rng.Intn(int(g.bw)))
+	r.write = g.rng.Float64() < cfg.PWrite
+	if r.write {
+		r.value = g.rng.Uint64()
+	}
 }
 
 // References calls yield once for every reference Run issues under cfg
@@ -190,79 +151,65 @@ func stream(cfg GenConfig, id, procs int, bw core.Addr, boundable bool) []ref {
 // a trace built from these calls replays what the generator ran.
 func References(cfg GenConfig, procs, blockWords int, yield func(proc int, write bool, addr uint64)) {
 	cfg.fillDefaults()
-	streams := make([][]ref, procs)
-	for id := range streams {
-		streams[id] = stream(cfg, id, procs, core.Addr(blockWords), false)
+	gens := make([]gen, procs)
+	for id := range gens {
+		gens[id] = newGen(&cfg, id, procs, core.Addr(blockWords))
 	}
+	var r ref
 	for j := 0; j < cfg.Requests; j++ {
-		for id, refs := range streams {
-			yield(id, refs[j].write, uint64(refs[j].addr))
+		for id := range gens {
+			gens[id].next(&r)
+			yield(id, r.write, uint64(r.addr))
 		}
 	}
 }
 
-// shard accumulates Report counters for one partition (or, sequentially,
-// for the whole machine). Every field is a plain commutative sum, so
-// merging shards reproduces the single-accumulator totals exactly.
-type shard struct {
-	references uint64
-	thinkTime  sim.Time
-	stallTime  sim.Time
-}
-
-// driver runs one processor's precomputed stream. Its callbacks are
-// allocated once at construction — the per-reference hot path schedules
-// one kernel event and allocates nothing else.
+// driver runs one processor's stream: it draws a reference when it
+// schedules its think timer and issues it when the timer fires. Its
+// callbacks are allocated once, in start — the per-reference hot path
+// schedules one kernel event and allocates nothing else.
 type driver struct {
 	proc   *core.Processor
 	k      *sim.Kernel
-	sh     *shard
-	refs   []ref
-	i      int
+	rep    *Report
+	gen    gen
+	left   int // references not yet drawn
+	r      ref // the reference the think timer will issue
 	issued sim.Time
 
 	issueFn  func()       // the think-timer event body
 	finishFn func(uint64) // completion for both loads and stores
 }
 
-func newDriver(m *core.Machine, id int, refs []ref, sh *shard) *driver {
-	d := &driver{proc: m.Processor(id), k: m.ProcKernel(id), sh: sh, refs: refs}
+// start schedules the first think interval.
+func (d *driver) start() {
 	d.issueFn = d.issue
 	d.finishFn = d.finish
-	return d
+	d.scheduleNext()
 }
 
-// start schedules the first think interval.
-func (d *driver) start() { d.scheduleNext() }
-
 func (d *driver) scheduleNext() {
-	if d.i >= len(d.refs) {
+	if d.left == 0 {
 		return
 	}
-	r := &d.refs[d.i]
-	d.sh.thinkTime += r.think
-	t := d.k.Now() + r.think
-	bound := sim.Never
-	if r.gap != sim.Never {
-		bound = t + r.gap
-	}
-	d.k.AtBounded(t, bound, nil, d.issueFn)
+	d.left--
+	d.gen.next(&d.r)
+	d.rep.ThinkTime += d.r.think
+	d.k.After(d.r.think, d.issueFn)
 }
 
 func (d *driver) issue() {
-	r := &d.refs[d.i]
 	d.issued = d.k.Now()
-	if r.write {
-		d.proc.StoreAsyncObs(r.addr, r.value, d.finishFn)
+	if d.r.write {
+		d.proc.StoreAsyncObs(d.r.addr, d.r.value, d.finishFn)
 	} else {
-		d.proc.LoadAsync(r.addr, d.finishFn)
+		d.proc.LoadAsync(d.r.addr, d.finishFn)
 	}
 }
 
 func (d *driver) finish(uint64) {
-	d.sh.stallTime += d.k.Now() - d.issued
-	d.sh.references++
-	d.i++
+	d.rep.StallTime += d.k.Now() - d.issued
+	d.rep.References++
 	d.scheduleNext()
 }
 
@@ -273,95 +220,45 @@ func Run(m *core.Machine, cfg GenConfig) Report {
 }
 
 // RunCtx is Run with cooperative cancellation and a progress hook for
-// long-running service jobs: the kernel is driven in bounded batches
-// (sequentially) or lookahead windows (in parallel mode), and between
-// batches the context is consulted — a cancel abandons the remaining
-// events and returns the partial Report with Canceled set — and
-// progress, when non-nil, is called with the references completed and
-// kernel events dispatched so far.
+// long-running service jobs: the kernel is driven in bounded batches,
+// and between batches the context is consulted — a cancel abandons the
+// remaining events and returns the partial Report with Canceled set —
+// and progress, when non-nil, is called with the references completed
+// and kernel events dispatched so far.
 func RunCtx(ctx context.Context, m *core.Machine, cfg GenConfig, progress func(references, events uint64)) Report {
 	cfg.fillDefaults()
 	procs := m.Processors()
 	bw := core.Addr(m.BlockWords())
-	// The guaranteed-hit analysis needs the unbounded snooping cache and
-	// MLT: with either bounded, evictions can turn any reference into
-	// bus traffic, so every issue keeps the conservative bound.
-	mcfg := m.Config()
-	boundable := mcfg.CacheLines == 0 && mcfg.MLTEntries == 0
-
-	// One shard per column partition in parallel mode: all processors of
-	// a column execute on that partition's goroutine, so its shard is
-	// only ever touched single-threaded. Sequentially one shard serves
-	// the whole machine.
-	shards := []*shard{{}}
-	if m.Parallel() {
-		shards = make([]*shard, mcfg.N)
-		for i := range shards {
-			shards[i] = &shard{}
-		}
-	}
-	shardFor := func(id int) *shard {
-		if !m.Parallel() {
-			return shards[0]
-		}
-		return shards[m.Processor(id).Coord().Col]
-	}
-
-	startTxns := busTxns(m)
-	drivers := make([]*driver, procs)
-	for id := 0; id < procs; id++ {
-		drivers[id] = newDriver(m, id, stream(cfg, id, procs, bw, boundable), shardFor(id))
-	}
-	for _, d := range drivers {
-		d.start()
-	}
+	k := m.Kernel()
 
 	var rep Report
-	totals := func() (refs uint64) {
-		for _, sh := range shards {
-			refs += sh.references
+	startTxns := busTxns(m)
+	drivers := make([]driver, procs)
+	for id := range drivers {
+		drivers[id] = driver{proc: m.Processor(id), k: k, rep: &rep,
+			gen: newGen(&cfg, id, procs, bw), left: cfg.Requests}
+	}
+	for id := range drivers {
+		drivers[id].start()
+	}
+
+	// Drive the kernel in batches instead of one opaque m.Run() so the
+	// context can stop a runaway job and progress stays observable. The
+	// batch size trades cancellation latency against callback overhead;
+	// at ~µs-scale events, 4096 steps is milliseconds of wall time.
+	for k.Pending() > 0 {
+		if ctx != nil && ctx.Err() != nil {
+			rep.Canceled = true
+			break
 		}
-		return refs
-	}
-	if m.Parallel() {
-		// The runner polls stop between synchronization phases, when no
-		// partition goroutine is running — the shards are safe to read.
-		rep.Elapsed = m.RunStop(func() bool {
-			if progress != nil {
-				progress(totals(), m.Executed())
-			}
-			if ctx != nil && ctx.Err() != nil {
-				rep.Canceled = true
-				return true
-			}
-			return false
-		})
-	} else {
-		// Drive the kernel in batches instead of one opaque m.Run() so
-		// the context can stop a runaway job and progress stays
-		// observable. The batch size trades cancellation latency against
-		// callback overhead; at ~µs-scale events, 4096 steps is
-		// milliseconds of wall time.
-		k := m.Kernel()
-		for k.Pending() > 0 {
-			if ctx != nil && ctx.Err() != nil {
-				rep.Canceled = true
-				break
-			}
-			for i := 0; i < 4096 && k.Pending() > 0; i++ {
-				k.Step()
-			}
-			if progress != nil {
-				progress(totals(), k.Executed())
-			}
+		for i := 0; i < 4096 && k.Pending() > 0; i++ {
+			k.Step()
 		}
-		rep.Elapsed = k.Now()
+		if progress != nil {
+			progress(rep.References, k.Executed())
+		}
 	}
-	for _, sh := range shards {
-		rep.References += sh.references
-		rep.ThinkTime += sh.thinkTime
-		rep.StallTime += sh.stallTime
-	}
+	rep.Elapsed = k.Now()
 	rep.BusTransactions = busTxns(m) - startTxns
 	return rep
 }

@@ -18,17 +18,16 @@ func RunSingleBus(m *singlebus.Machine, cfg GenConfig) Report {
 	k := m.Kernel()
 	for id := 0; id < procs; id++ {
 		proc := m.Processor(id)
-		refs := stream(cfg, id, procs, blockWords, false)
+		g, left := newGen(&cfg, id, procs, blockWords), cfg.Requests
+		var r ref
 		var issued sim.Time
 		var next func()
 		finish := func(uint64) {
 			rep.StallTime += k.Now() - issued
 			rep.References++
-			refs = refs[1:]
 			next()
 		}
 		issue := func() {
-			r := &refs[0]
 			issued = k.Now()
 			if r.write {
 				proc.StoreAsync(singlebus.Addr(r.addr), r.value, finish)
@@ -37,11 +36,13 @@ func RunSingleBus(m *singlebus.Machine, cfg GenConfig) Report {
 			}
 		}
 		next = func() {
-			if len(refs) == 0 {
+			if left == 0 {
 				return
 			}
-			rep.ThinkTime += refs[0].think
-			k.After(refs[0].think, issue)
+			left--
+			g.next(&r)
+			rep.ThinkTime += r.think
+			k.After(r.think, issue)
 		}
 		next()
 	}
