@@ -10,15 +10,15 @@ import (
 	"multicube/internal/workload"
 )
 
-// Differential testing of the conservative parallel engine: the same
-// seeded generator workload runs on the sequential kernel and on the
-// column-partitioned parallel runner at several worker counts, and every
-// observable result — final simulated time, the full coherent memory
-// image, the rendered machine metrics (bus ops, utilizations, per-type
-// transaction stats), the workload report, and the total event count —
-// must be byte-identical. Run under -race (the CI job does) this also
-// proves the partition ownership discipline: any touch of shared state
-// outside the runner's synchronization points is a data race.
+// Differential testing of Config.Parallel. There is one DES engine, the
+// sequential kernel, but the benchmark harness still builds machines
+// with Parallel set to 1 and 2 and requires them to simulate exactly
+// what a machine built without it does. The same seeded generator
+// workload runs with Parallel unset and at several worker counts, and
+// every observable result — final simulated time, the full coherent
+// memory image, the rendered machine metrics (bus ops, utilizations,
+// per-type transaction stats), the workload report, and the total event
+// count — must be byte-identical.
 
 // pdResult captures everything a run may legally be judged by.
 type pdResult struct {
@@ -29,18 +29,26 @@ type pdResult struct {
 	executed uint64
 }
 
-// pdRun executes one configuration. fanout pins the runner's dispatch
-// path — true exercises the worker pool and its channel discipline
-// (which is what -race judges), false the coordinator-inline path — so
-// coverage does not depend on the host's core count. Ignored for
-// sequential runs (parallel == 0).
-func pdRun(t *testing.T, n, parallel int, fanout bool, cfg core.Config, wl workload.GenConfig) pdResult {
+// pdRun executes one configuration. The mode names the constructor:
+// "fanout" builds with core.New and checks its error, as the benchmark
+// harness does; "inline" builds with core.MustNew. Either way a machine
+// built with Parallel set must report the sequential engine through the
+// accessors the harness reads.
+func pdRun(t *testing.T, n, parallel int, mode string, cfg core.Config, wl workload.GenConfig) pdResult {
 	t.Helper()
 	cfg.N = n
 	cfg.Parallel = parallel
-	m := core.MustNew(cfg)
-	if parallel > 0 {
-		m.Runner().SetFanout(fanout)
+	var m *core.Machine
+	if mode == "fanout" {
+		var err error
+		if m, err = core.New(cfg); err != nil {
+			t.Fatalf("n=%d parallel=%d: core.New: %v", n, parallel, err)
+		}
+	} else {
+		m = core.MustNew(cfg)
+	}
+	if m.Parallel() || m.Runner().Stats().Parallelism() != 1 {
+		t.Errorf("n=%d parallel=%d %s: machine reports a parallel engine", n, parallel, mode)
 	}
 	rep := workload.Run(m, wl)
 	for _, err := range m.CheckInvariants() {
@@ -48,13 +56,12 @@ func pdRun(t *testing.T, n, parallel int, fanout bool, cfg core.Config, wl workl
 	}
 	// Image over every address the generator can touch: all private
 	// regions plus the shared hot set.
-	wl2 := wl
 	bw := core.Addr(m.BlockWords())
-	priv := core.Addr(wl2.PrivateLines)
+	priv := core.Addr(wl.PrivateLines)
 	if priv == 0 {
 		priv = 16
 	}
-	shared := core.Addr(wl2.SharedLines)
+	shared := core.Addr(wl.SharedLines)
 	if shared == 0 {
 		shared = 64
 	}
@@ -92,6 +99,8 @@ func pdCompare(t *testing.T, label string, seq, par pdResult) {
 	}
 }
 
+var pdModes = []string{"fanout", "inline"}
+
 func TestParallelMatchesSequentialSweep(t *testing.T) {
 	grids := []int{2, 3, 4}
 	seeds := []uint64{1, 7, 42}
@@ -102,16 +111,12 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 	for _, n := range grids {
 		for _, seed := range seeds {
 			wl := workload.GenConfig{Seed: seed, Requests: 120, PShared: 0.4}
-			seq := pdRun(t, n, 0, false, core.Config{}, wl)
+			seq := pdRun(t, n, 0, "inline", core.Config{}, wl)
 			for _, w := range workers {
-				for _, fanout := range []bool{true, false} {
-					mode := "inline"
-					if fanout {
-						mode = "fanout"
-					}
+				for _, mode := range pdModes {
 					t.Run(fmt.Sprintf("n%d/seed%d/workers%d/%s", n, seed, w, mode), func(t *testing.T) {
 						pdCompare(t, fmt.Sprintf("n=%d seed=%d workers=%d %s", n, seed, w, mode),
-							seq, pdRun(t, n, w, fanout, core.Config{}, wl))
+							seq, pdRun(t, n, w, mode, core.Config{}, wl))
 					})
 				}
 			}
@@ -120,9 +125,9 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialVariants covers the configuration axes
-// the sweep above holds fixed: snarf, bounded caches and tables (which
-// disable the guaranteed-hit lookahead analysis), exponential think
-// times, write-heavy sharing, and an L1 in front of the snooper.
+// the sweep above holds fixed: snarf, bounded caches and tables,
+// exponential think times, write-heavy sharing, an L1 in front of the
+// snooper, and priority arbitration.
 func TestParallelMatchesSequentialVariants(t *testing.T) {
 	cases := []struct {
 		name string
@@ -144,12 +149,12 @@ func TestParallelMatchesSequentialVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := pdRun(t, 3, 0, false, tc.cfg, tc.wl)
+			seq := pdRun(t, 3, 0, "inline", tc.cfg, tc.wl)
 			for _, w := range []int{1, 3} {
-				pdCompare(t, fmt.Sprintf("%s workers=%d fanout", tc.name, w),
-					seq, pdRun(t, 3, w, true, tc.cfg, tc.wl))
-				pdCompare(t, fmt.Sprintf("%s workers=%d inline", tc.name, w),
-					seq, pdRun(t, 3, w, false, tc.cfg, tc.wl))
+				for _, mode := range pdModes {
+					pdCompare(t, fmt.Sprintf("%s workers=%d %s", tc.name, w, mode),
+						seq, pdRun(t, 3, w, mode, tc.cfg, tc.wl))
+				}
 			}
 		})
 	}
