@@ -1,11 +1,15 @@
 // Package bus models the shared buses of the Multicube: broadcast media
-// with arbitration, occupancy timing, and snooping delivery to every
-// attached agent.
+// with arbitration, occupancy timing, and snooping delivery to the
+// attached agents.
 //
 // A bus operation ("packet") is granted the bus, holds it for its
 // occupancy time (an address-and-command operation is short; a data
-// transfer holds the bus for the full block), and is then delivered to all
-// attached agents. Delivery happens in two phases mirroring the hardware:
+// transfer holds the bus for the full block), and is then delivered to
+// every attached agent, in attach order. A requester — attached as nil —
+// arbitrates under its attach index like any agent but is never delivered
+// to: a machine that snoops on its devices' behalf attaches the devices
+// as requesters and one agent that delivers to them. Delivery happens in
+// two phases mirroring the hardware:
 //
 //  1. Probe: every agent observes the packet and may assert shared wires
 //     on it. This models the special row-bus "modified line" — a wired-OR
@@ -125,10 +129,13 @@ func (t DeliverTag) String() string { return fmt.Sprintf("%s deliver %v", t.B.na
 
 // Bus is one row or column bus.
 type Bus struct {
-	k      *sim.Kernel
-	name   string
-	arb    Arbitration
-	agents []Agent
+	k    *sim.Kernel
+	name string
+	arb  Arbitration
+	// agents are the agents delivered to, in attach order; attached counts
+	// every attach index handed out, requesters' included.
+	agents   []Agent
+	attached int
 
 	//multicube:fpfield
 	fifo []pending // FIFO mode
@@ -237,17 +244,21 @@ func (b *Bus) Name() string { return b.name }
 // Stats returns a snapshot of the counters.
 func (b *Bus) Stats() Stats { return b.stats }
 
-// Agents returns the number of attached agents.
-func (b *Bus) Agents() int { return len(b.agents) }
+// Agents returns the number of attach indices, requesters included.
+func (b *Bus) Agents() int { return b.attached }
 
 // Attach connects an agent and returns its attach index, which is also its
-// arbitration identity.
+// arbitration identity. A nil agent is a requester: it requests and is
+// granted like any agent, and nothing is delivered to it.
 //
 //multicube:fpexempt construction-time wiring, before any fingerprint exists
 func (b *Bus) Attach(a Agent) int {
-	b.agents = append(b.agents, a)
+	if a != nil {
+		b.agents = append(b.agents, a)
+	}
 	b.perSrc = append(b.perSrc, nil)
-	return len(b.agents) - 1
+	b.attached++
+	return b.attached - 1
 }
 
 // SetChooser routes arbitration through ch (nil restores the configured
@@ -287,7 +298,7 @@ func (b *Bus) ForEachQueued(fn func(src int, pkt Packet)) {
 // The operation is granted according to the arbitration policy, holds the
 // bus for pkt.Occupancy(), and is then delivered to every agent.
 func (b *Bus) Request(src int, pkt Packet) {
-	if src < 0 || src >= len(b.agents) {
+	if src < 0 || src >= b.attached {
 		panic(fmt.Sprintf("bus %s: request from unknown agent %d", b.name, src))
 	}
 	b.gen++
@@ -353,7 +364,7 @@ func (b *Bus) next() (pending, bool) {
 	}
 	// Priority shares this scan: its last stays -1, so the walk is
 	// always ascending attach index from 0.
-	n := len(b.agents)
+	n := b.attached
 	for i := 1; i <= n; i++ {
 		src := (b.last + i) % n
 		if len(b.perSrc[src]) > 0 {
@@ -378,8 +389,8 @@ func (b *Bus) nextChosen() pending {
 		cands = append(cands, sim.Candidate{Tag: (*list)[idx].pkt})
 	}
 	if b.arb == FIFO {
-		if len(b.seenScratch) < len(b.agents) {
-			b.seenScratch = make([]bool, len(b.agents))
+		if len(b.seenScratch) < b.attached {
+			b.seenScratch = make([]bool, b.attached)
 		}
 		seen := b.seenScratch
 		for i := range seen {
@@ -392,7 +403,7 @@ func (b *Bus) nextChosen() pending {
 			}
 		}
 	} else {
-		n := len(b.agents)
+		n := b.attached
 		for i := 1; i <= n; i++ {
 			src := (b.last + i) % n
 			if len(b.perSrc[src]) > 0 {

@@ -324,3 +324,55 @@ func TestSaveLoadRewinds(t *testing.T) {
 		}
 	}
 }
+
+// noop is an agent that ignores everything delivered to it.
+type noop struct{}
+
+func (noop) Probe(b *Bus, pkt Packet) {}
+func (noop) Snoop(b *Bus, pkt Packet) {}
+
+// TestNilRequesterArbitratesLikeAnAgent: a requester attached as nil is
+// granted exactly as a no-op agent in its place would be, under every
+// policy and under a chooser, is never delivered to (a delivery would
+// call a method on the nil agent), and is counted by Agents.
+func TestNilRequesterArbitratesLikeAnAgent(t *testing.T) {
+	run := func(arb Arbitration, ch sim.Chooser, requester Agent) ([]snooped, Stats, int) {
+		k := sim.NewKernel()
+		b := New(k, "b", arb)
+		r := &recorder{}
+		for _, a := range []Agent{requester, noop{}, requester, r, requester} {
+			b.Attach(a)
+		}
+		if ch != nil {
+			b.SetChooser(ch, true)
+		}
+		for _, at := range []sim.Time{0, 30, 35, 200} {
+			at := at
+			k.At(at, func() {
+				for src := b.Agents() - 1; src >= 0; src-- {
+					for i := 0; i <= src%2; i++ {
+						b.Request(src, testPkt{id: 100*int(at) + 10*src + i, occ: 20})
+					}
+				}
+			})
+		}
+		k.Run()
+		if r.probes != len(r.snoops) {
+			t.Fatalf("%v: %d probes for %d snoops", arb, r.probes, len(r.snoops))
+		}
+		return r.snoops, b.Stats(), b.Agents()
+	}
+	for _, arb := range []Arbitration{FIFO, RoundRobin, Priority} {
+		for _, ch := range []sim.Chooser{nil, &grantLast{}} {
+			want, wantStats, _ := run(arb, ch, noop{})
+			got, stats, agents := run(arb, ch, nil)
+			if !reflect.DeepEqual(got, want) || stats != wantStats {
+				t.Errorf("%v chooser=%v: nil requesters granted %v (%+v), no-op agents %v (%+v)",
+					arb, ch != nil, got, stats, want, wantStats)
+			}
+			if agents != 5 || len(got) != 28 {
+				t.Errorf("%v chooser=%v: Agents() = %d, %d deliveries; want 5 and 28", arb, ch != nil, agents, len(got))
+			}
+		}
+	}
+}

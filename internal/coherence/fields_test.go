@@ -52,7 +52,7 @@ var rewindFields = []fieldClasses{
 		of:      typeOf[bus.Bus](),
 		rewound: []string{"fifo", "perSrc", "queued", "busy", "last", "grantPending", "inflight", "gen", "stats"},
 		hook:    []string{"chooser", "deferGrants"},
-		wiring:  []string{"k", "name", "arb", "agents", "deliverFn", "grantFn"},
+		wiring:  []string{"k", "name", "arb", "agents", "attached", "deliverFn", "grantFn"},
 		scratch: []string{"slotScratch", "candScratch", "seenScratch"},
 	},
 	{
@@ -93,7 +93,7 @@ var rewindFields = []fieldClasses{
 		hook: []string{"OpLog", "Fault", "SuppressSignal", "DisableStaleReplyPoisoning", "Observer",
 			"inclusions", "onSkip"},
 		wiring:      []string{"grid", "cfg"},
-		scratch:     []string{"obsSink", "fpIdent", "fpInv", "fpCInv"},
+		scratch:     []string{"obsSink", "delivered", "fpIdent", "fpInv", "fpCInv"},
 		bookkeeping: []string{"labels", "clock"},
 	},
 }

@@ -10,9 +10,10 @@ import (
 // probeRow implements the "modified line" signal: a special row bus line
 // supplied (by at most one node) a fixed number of bus cycles after a
 // request is placed on the bus, signifying that the desired line resides
-// in mode modified in a cache on the asserting node's column.
+// in mode modified in a cache on the asserting node's column. The row's
+// snooper probes only for a REQUEST.
 func (n *Node) probeRow(op *Op) {
-	if op.Flags.Has(REQUEST) && n.table.Contains(mlt.Line(op.Line)) {
+	if n.table.Contains(mlt.Line(op.Line)) {
 		if n.sys.SuppressSignal != nil && n.sys.SuppressSignal(n.id, op) {
 			op.suppressed = true
 			return // injected fault: this controller stays silent
@@ -26,11 +27,9 @@ func (n *Node) probeRow(op *Op) {
 }
 
 // probeCol asserts the column-bus holder-present and will-serve signals
-// for requests targeting a line this node holds.
+// for requests targeting a line this node holds. The column's snooper
+// probes only for a REQUEST|REMOVE.
 func (n *Node) probeCol(op *Op) {
-	if !op.Flags.Has(REQUEST | REMOVE) {
-		return
-	}
 	e, ok := n.l2.Lookup(op.Line)
 	if !ok {
 		return
@@ -59,8 +58,20 @@ func (n *Node) probeCol(op *Op) {
 	}
 }
 
+// snoop dispatches an operation delivered on the node's bus of
+// dimension dim.
+func (n *Node) snoop(dim Dim, op *Op) {
+	if dim == Row {
+		n.snoopRow(op)
+	} else {
+		n.snoopCol(op)
+	}
+}
+
 // snoopRow dispatches a row bus operation. On a bus operation, all nodes
-// on the bus, including the originator, execute the appropriate procedure.
+// on the bus, including the originator, execute the appropriate
+// procedure; the row's snooper enters only those whose procedure acts
+// (deliver.go).
 func (n *Node) snoopRow(op *Op) {
 	n.gen++
 	switch {

@@ -57,6 +57,8 @@ func (m *Memory) enqueue() {
 	m.sys.cols[m.col].Request(m.busIdx, m.sys.k.Dispatching().(EnqueueTag).Op)
 }
 
+// snoop dispatches a column operation destined for memory: the column's
+// snooper delivers only the operations that carry MEMORY.
 func (m *Memory) snoop(op *Op) {
 	m.gen++
 	switch {

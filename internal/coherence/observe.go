@@ -78,6 +78,12 @@ type SnoopEvent struct {
 	// Home reports that Node sits on Line's home column.
 	Home bool
 
+	// Addressed reports that the operation is delivered to Node when no
+	// Observer is installed (DESIGN.md §5 decision 11). The Observer's
+	// walk enters every node on the bus; at one not addressed the
+	// dispatch must change nothing.
+	Addressed bool
+
 	// Probe-phase wire signals.
 	Modified      bool
 	ClaimantSelf  bool
@@ -93,6 +99,8 @@ type SnoopEvent struct {
 
 	Before LineView
 	After  LineView
+	// StatsBefore and StatsAfter are Node's counters around the dispatch.
+	StatsBefore, StatsAfter NodeStats
 
 	Actions []ActionIntent
 }
@@ -118,9 +126,9 @@ func (n *Node) lineView(op *Op) LineView {
 	return v
 }
 
-// observeSnoop runs dispatch with the action-intent sink armed and
+// observeSnoop dispatches op with the action-intent sink armed and
 // reports the transition to the installed Observer.
-func (n *Node) observeSnoop(dim Dim, op *Op, dispatch func()) {
+func (n *Node) observeSnoop(dim Dim, op *Op, addressed bool) {
 	s := n.sys
 	ev := SnoopEvent{
 		Node:          n.id,
@@ -132,6 +140,7 @@ func (n *Node) observeSnoop(dim Dim, op *Op, dispatch func()) {
 		Target:        op.Target,
 		HasData:       op.Data != nil,
 		Home:          n.onHomeColumn(op.Line),
+		Addressed:     addressed,
 		Modified:      op.modified,
 		ClaimantSelf:  op.claimed && op.claimant == n.id,
 		Suppressed:    op.suppressed,
@@ -139,12 +148,14 @@ func (n *Node) observeSnoop(dim Dim, op *Op, dispatch func()) {
 		WillServe:     op.willServe,
 		Snarfable:     n.snarfEligible(op),
 		Before:        n.lineView(op),
+		StatsBefore:   n.stats,
 	}
 	prev := s.obsSink
 	s.obsSink = &ev.Actions
-	dispatch()
+	n.snoop(dim, op)
 	s.obsSink = prev
 	ev.After = n.lineView(op)
+	ev.StatsAfter = n.stats
 	s.Observer(ev)
 }
 

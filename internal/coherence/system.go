@@ -214,6 +214,10 @@ type System struct {
 
 	dropped uint64
 
+	// delivered counts the snoopers' work (Delivered): host work, never
+	// saved or rewound.
+	delivered DeliveryStats
+
 	// labels say under which epoch every component Save and Load copy one
 	// by one stands — row buses, column buses, memories, then nodes
 	// row-major — and clock is the last epoch drawn (rewind.go).
@@ -293,12 +297,13 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		}
 	}
 	// Attach in deterministic order: nodes row-major on their buses,
-	// memory last on each column.
+	// memory after them on each column, all as requesters; then the one
+	// snooper that delivers each bus's operations to them.
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			nd := s.nodes[r][c]
-			nd.rowIdx = s.rows[r].Attach(rowAgent{nd})
-			nd.colIdx = s.cols[c].Attach(colAgent{nd})
+			nd.rowIdx = s.rows[r].Attach(nil)
+			nd.colIdx = s.cols[c].Attach(nil)
 		}
 	}
 	s.mems = make([]*Memory, n)
@@ -309,8 +314,17 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		}
 		m := &Memory{sys: s, col: c, store: st}
 		m.enqueueFn = m.enqueue
-		m.busIdx = s.cols[c].Attach(memAgent{m})
+		m.busIdx = s.cols[c].Attach(nil)
 		s.mems[c] = m
+	}
+	for i := 0; i < n; i++ {
+		row := &snooper{s: s, dim: Row, nodes: s.nodes[i]}
+		col := &snooper{s: s, dim: Col, nodes: make([]*Node, n), mem: s.mems[i]}
+		for r := range col.nodes {
+			col.nodes[r] = s.nodes[r][i]
+		}
+		s.rows[i].Attach(row)
+		s.cols[i].Attach(col)
 	}
 	s.labels = make([]label, 3*n+n*n)
 	for i := range s.labels {
@@ -492,40 +506,8 @@ func (a *accounting) recordCompletion(now sim.Time, tr *TxnTrace) {
 	st.ColOps += uint64(tr.ColOps)
 }
 
-// rowAgent and colAgent adapt a node to its two buses.
-type rowAgent struct{ n *Node }
-
-func (a rowAgent) Probe(b *bus.Bus, pkt bus.Packet) { a.n.probeRow(pkt.(*Op)) }
-func (a rowAgent) Snoop(b *bus.Bus, pkt bus.Packet) {
-	op := pkt.(*Op)
-	if a.n.sys.Observer != nil {
-		a.n.observeSnoop(Row, op, func() { a.n.snoopRow(op) })
-		return
-	}
-	a.n.snoopRow(op)
-}
-
-type colAgent struct{ n *Node }
-
-func (a colAgent) Probe(b *bus.Bus, pkt bus.Packet) { a.n.probeCol(pkt.(*Op)) }
-func (a colAgent) Snoop(b *bus.Bus, pkt bus.Packet) {
-	op := pkt.(*Op)
-	if a.n.sys.Observer != nil {
-		a.n.observeSnoop(Col, op, func() { a.n.snoopCol(op) })
-		return
-	}
-	a.n.snoopCol(op)
-}
-
-type memAgent struct{ m *Memory }
-
-func (a memAgent) Probe(b *bus.Bus, pkt bus.Packet) {}
-func (a memAgent) Snoop(b *bus.Bus, pkt bus.Packet) { a.m.snoop(pkt.(*Op)) }
-
 // Interface checks.
 var (
-	_ bus.Agent = rowAgent{}
-	_ bus.Agent = colAgent{}
-	_ bus.Agent = memAgent{}
+	_ bus.Agent = (*snooper)(nil)
 	_ mlt.Line  = 0 // mlt and cache line types stay convertible
 )

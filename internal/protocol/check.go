@@ -12,7 +12,8 @@ import (
 // one rule, and that every rule is enabled somewhere. "Realizable" is
 // defined by consistent, a conservative predicate encoding invariants the
 // atoms inherit from the machine (an originator is on its own row and
-// column; a poisoned pending transaction is a pending READ; a SYNC reply
+// column; the claimant raised the modified-line signal; a poisoned
+// pending transaction is a pending READ; a SYNC reply
 // accepted by its originator finds the reserved copy the initiation
 // procedure installed). The predicate is deliberately applied only to the
 // atoms a group actually distinguishes — constraints mentioning atoms
@@ -43,6 +44,10 @@ func consistent(ev Event, st cache.State, env Env, mask Env) bool {
 	}
 	if in(AtomOrigin, AtomSameRow, AtomSameCol) &&
 		has(AtomSameRow) && has(AtomSameCol) && !has(AtomOrigin) {
+		return false
+	}
+	// The claimant is a node that raised the modified-line signal.
+	if in(AtomClaimantSelf, AtomModifiedWire) && has(AtomClaimantSelf) && !has(AtomModifiedWire) {
 		return false
 	}
 	// The XFER target is on its own column.

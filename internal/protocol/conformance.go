@@ -65,6 +65,10 @@ func (c *Conformance) Observe(sev coherence.SnoopEvent) {
 		return
 	}
 	c.hits[rule.Name]++
+	if !sev.Addressed && Addressed(evt, env) {
+		c.fail("rule %s: the table addresses node %v (env %v) but the machine does not deliver to it",
+			rule.Name, sev.Node, env)
+	}
 	if rule.Unreachable != "" {
 		c.fail("rule %s is annotated unreachable (%s) but was exercised (state %v, env %v)",
 			rule.Name, rule.Unreachable, st, env)

@@ -210,3 +210,49 @@ func TestGuardMatches(t *testing.T) {
 		t.Fatal("empty guard must match everything")
 	}
 }
+
+// TestAddressingCoversEveryRule: every rule of the Appendix A table that
+// acts — schedules an operation, changes the line's state or table
+// membership, or issues side traffic — is enabled only at a controller
+// the delivery addresses, so the controllers the machine leaves out of a
+// bus operation are ones the protocol has nothing for.
+func TestAddressingCoversEveryRule(t *testing.T) {
+	table := Multicube()
+	for _, err := range table.CheckAddressing() {
+		t.Error(err)
+	}
+	acting := 0
+	for _, r := range table.Rules() {
+		if r.acts() {
+			acting++
+		}
+	}
+	t.Logf("%d of %d rules act; each is guarded within the addressed set", acting, len(table.Rules()))
+}
+
+// TestAddressingRejectsDefects: the check fails a rule that acts outside
+// the addressed set — the home-column forward of a row UPDATE left to
+// every node, a READ reply's forward off the originator's row — and
+// passes the same rules when they do nothing.
+func TestAddressingRejectsDefects(t *testing.T) {
+	upd := Event{Dim: coherence.Row, Txn: coherence.READ, Flags: coherence.UPDATE}
+	rpl := Event{Dim: coherence.Col, Txn: coherence.READ, Flags: coherence.REPLY | coherence.NOPURGE}
+	fwd := ActionSpec{Dim: coherence.Col, Txn: coherence.READ, Flags: coherence.UPDATE | coherence.MEMORY}
+	for _, r := range []*Rule{
+		{Name: "forward-anywhere", Event: upd, States: AnyState, Actions: []ActionSpec{fwd}},
+		{Name: "forward-off-row", Event: rpl, States: AnyState, Guard: G(N(AtomSameRow)),
+			Actions: []ActionSpec{{Dim: coherence.Row, Txn: coherence.READ, Flags: coherence.REPLY}}},
+		{Name: "install-off-row", Event: rpl, States: AnyState, Guard: G(N(AtomSameRow)),
+			Next: Next{Kind: NextTo, State: coherence.Shared}},
+	} {
+		errs := New([]*Rule{r}).CheckAddressing()
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), r.Name) {
+			t.Errorf("rule %s: CheckAddressing = %v, want one error naming it", r.Name, errs)
+		}
+		quiet := *r
+		quiet.Actions, quiet.Next = nil, Next{}
+		if errs := New([]*Rule{&quiet}).CheckAddressing(); len(errs) != 0 {
+			t.Errorf("rule %s without effect: CheckAddressing = %v, want none", r.Name, errs)
+		}
+	}
+}
