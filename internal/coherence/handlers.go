@@ -70,8 +70,9 @@ func (n *Node) snoop(dim Dim, op *Op) {
 
 // snoopRow dispatches a row bus operation. On a bus operation, all nodes
 // on the bus, including the originator, execute the appropriate
-// procedure; the row's snooper enters only those whose procedure acts
-// (deliver.go).
+// procedure; the row's snooper enters only those the delivery table
+// addresses (deliver.go), whose classes follow the arms below and
+// snoopCol's.
 func (n *Node) snoopRow(op *Op) {
 	n.gen++
 	switch {

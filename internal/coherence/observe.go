@@ -78,10 +78,11 @@ type SnoopEvent struct {
 	// Home reports that Node sits on Line's home column.
 	Home bool
 
-	// Addressed reports that the operation is delivered to Node when no
-	// Observer is installed (DESIGN.md §5 decision 11). The Observer's
-	// walk enters every node on the bus; at one not addressed the
-	// dispatch must change nothing.
+	// Addressed reports that the delivery table (deliver.go) addresses
+	// the operation to Node: the snooper enters Node when no Observer is
+	// installed (DESIGN.md §5 decision 11). The Observer's walk enters
+	// every node on the bus; at one not addressed the dispatch must
+	// change nothing.
 	Addressed bool
 
 	// Probe-phase wire signals.

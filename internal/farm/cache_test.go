@@ -1,6 +1,9 @@
 package farm
 
 import (
+	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +12,7 @@ import (
 )
 
 // testResult builds a valid canonical result payload for fingerprint fp.
-func testResult(t *testing.T, fp string) []byte {
+func testResult(t testing.TB, fp string) []byte {
 	t.Helper()
 	r := jobspec.Result{
 		Schema: jobspec.SchemaVersion, Kind: jobspec.KindMC,
@@ -144,4 +147,41 @@ func TestCacheRejectsMismatchedFingerprint(t *testing.T) {
 	if _, _, ok := c2.Get("0011"); ok {
 		t.Fatal("entry with mismatched fingerprint served as a hit")
 	}
+}
+
+// FuzzCacheGet: whatever bytes sit at a cache entry's path, Get answers
+// with a miss that has removed the file, or with bytes that decode to a
+// result that validates under the fingerprint asked for — never a panic.
+func FuzzCacheGet(f *testing.F) {
+	const fp = "ab12"
+	valid := testResult(f, fp)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(testResult(f, "cd34"))
+	f.Add([]byte("null"))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := NewCache(dir, 1) // a fresh memory tier: every Get reads the disk
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := c.path(fp)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, tier, ok := c.Get(fp)
+		if !ok {
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("a miss left the entry on disk (stat: %v)", err)
+			}
+			return
+		}
+		var r jobspec.Result
+		if err := json.Unmarshal(got, &r); err != nil || r.Validate() != nil || r.Fingerprint != fp || tier != TierDisk {
+			t.Fatalf("hit from %s that does not validate under %s: %q", tier, fp, got)
+		}
+	})
 }

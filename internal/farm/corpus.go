@@ -40,12 +40,20 @@ type CorpusEntry struct {
 	FoundBy string `json:"found_by,omitempty"`
 }
 
-func (e *CorpusEntry) key() string {
-	machine := "multicube"
+func (e *CorpusEntry) machine() string {
 	if e.SingleBus {
-		machine = "singlebus"
+		return "singlebus"
 	}
-	return fmt.Sprintf("seed-%d-%s", e.Seed, machine)
+	return "multicube"
+}
+
+func (e *CorpusEntry) key() string { return fmt.Sprintf("seed-%d-%s", e.Seed, e.machine()) }
+
+// replay lowers the entry into a single-seed swarm job with the budget
+// that originally found the violation.
+func (e *CorpusEntry) replay() jobspec.Spec {
+	return jobspec.Spec{Kind: jobspec.KindSwarm, Swarm: &jobspec.SwarmSpec{
+		BaseSeed: e.Seed, Count: 1, Machines: e.machine(), MaxStates: e.MaxStates}}
 }
 
 // OpenCorpus loads the corpus at dir, creating it if missing; dir ""
@@ -73,6 +81,10 @@ func OpenCorpus(dir string) (*Corpus, error) {
 		var e CorpusEntry
 		if json.Unmarshal(b, &e) != nil || e.MaxStates <= 0 {
 			continue // corrupt entry: skip, don't fail startup
+		}
+		spec := e.replay()
+		if _, err := spec.Normalize(); err != nil {
+			continue // a replay job the server would refuse
 		}
 		c.entries[e.key()] = e
 	}
@@ -126,26 +138,13 @@ func (c *Corpus) Len() int {
 	return len(c.entries)
 }
 
-// ReplaySpecs lowers every entry into a single-seed swarm job with the
-// budget that originally found the violation — the regression batch
-// POST /corpus/replay submits.
+// ReplaySpecs lowers every entry into its replay job — the regression
+// batch POST /corpus/replay submits.
 func (c *Corpus) ReplaySpecs() []jobspec.Spec {
 	entries := c.Entries()
-	out := make([]jobspec.Spec, 0, len(entries))
-	for _, e := range entries {
-		machines := "multicube"
-		if e.SingleBus {
-			machines = "singlebus"
-		}
-		out = append(out, jobspec.Spec{
-			Kind: jobspec.KindSwarm,
-			Swarm: &jobspec.SwarmSpec{
-				BaseSeed:  e.Seed,
-				Count:     1,
-				Machines:  machines,
-				MaxStates: e.MaxStates,
-			},
-		})
+	out := make([]jobspec.Spec, len(entries))
+	for i := range entries {
+		out[i] = entries[i].replay()
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,4 +99,35 @@ func TestCorpusReplaySpecs(t *testing.T) {
 	if fp1 != fp2 {
 		t.Fatal("replay fingerprint unstable")
 	}
+}
+
+// FuzzOpenCorpus: whatever bytes a corpus file holds, OpenCorpus loads
+// without a panic, and every entry it keeps lowers through ReplaySpecs to
+// a spec that normalizes; any other entry is skipped at load.
+func FuzzOpenCorpus(f *testing.F) {
+	valid, err := json.Marshal(CorpusEntry{Seed: 7, Kind: "k", Msg: "m", MaxStates: 100})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte("nope"))
+	f.Add([]byte(`{"seed":-1,"single_bus":true,"max_states":1}`))
+	// A budget past what a swarm job may ask for: the entry loaded, and
+	// its replay job was refused by normalization.
+	f.Add([]byte(`{"seed":3,"max_states":5000001}`))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "entry.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCorpus(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range c.ReplaySpecs() {
+			if _, err := sp.Normalize(); err != nil {
+				t.Fatalf("kept an entry whose replay job does not normalize: %v (file %q)", err, data)
+			}
+		}
+	})
 }

@@ -8,44 +8,44 @@ import (
 
 // This file checks the table against the delivery of bus operations: the
 // machine enters, for each operation, only the controllers it addresses
-// (internal/coherence's deliver.go, DESIGN.md §5 decision 11). Who is
-// addressed depends on position alone — where a node sits relative to the
-// originator and the home column, and which wires the probe phase drove —
-// so it is a predicate over the position atoms, and every rule that does
+// (DESIGN.md §5 decision 11). Whom an operation addresses is
+// internal/coherence's delivery table (deliver.go); Addressed reads it
+// here as a predicate over the position atoms, and every rule that does
 // anything must be guarded by a conjunction that implies it.
 
 // Addressed reports whether a controller in env is among those an
-// operation of kind ev is delivered to. It is written over Origin,
-// SameRow, SameCol, Home, ClaimantSelf, ModifiedWire, Suppressed and
-// Snarfable only. It under-approximates the machine's set where the
-// machine widens to the whole bus — under the fault hook, snarfing, or
-// an Observer — and Conformance holds the machine to it.
+// operation of kind ev is delivered to: the delivery table's row for ev,
+// read over Origin, SameRow, SameCol, Home, ClaimantSelf, ModifiedWire,
+// Suppressed and Snarfable. The machine reads the same row as positions
+// along the bus, and widens it to the whole bus under the fault hook,
+// snarfing or an Observer; this predicate widens only where the hook
+// fired (Suppressed) or the node could snarf (Snarfable), so it
+// under-approximates the machine's set, and Conformance holds the
+// machine to it.
 func Addressed(ev Event, env Env) bool {
-	f := ev.Flags
-	if ev.Dim == rowBus {
-		switch {
-		case f == fREQ:
-			// The claimant forwards when the modified-line signal is up;
-			// else the home column answers.
-			return env.Has(AtomSuppressed) ||
-				env.Has(AtomModifiedWire) && env.Has(AtomClaimantSelf) ||
-				!env.Has(AtomModifiedWire) && env.Has(AtomHome)
-		case ev.Txn == rd && (f == fRPL || f == fRPL|fUPD):
-			return env.Has(AtomOrigin) || env.Has(AtomSnarfable) ||
-				f.Has(fUPD) && env.Has(AtomHome)
-		case f == fRPL:
-			// An ownership reply: the originator or its column's forwarder.
-			return env.Has(AtomSameCol)
-		case f == fUPD:
-			return env.Has(AtomHome)
-		}
+	c := coherence.ClassOf(ev.Dim, ev.Txn, ev.Flags)
+	if c.Suppressible() && env.Has(AtomSuppressed) || c.Snarfable() && env.Has(AtomSnarfable) {
 		return true
 	}
-	switch {
-	case f == fREQ|fMEM, f == fUPD|fMEM:
-		return false // for the memory module only
-	case ev.Txn == rd && (f == fRPL|fNOP || f == fRPL|fUPD || f == fRPL|fUPD|fMEM):
-		return env.Has(AtomSameRow) || env.Has(AtomSnarfable)
+	switch c.Addressee() {
+	case coherence.ToClaimantElseHome:
+		if env.Has(AtomModifiedWire) {
+			return env.Has(AtomClaimantSelf)
+		}
+		return env.Has(AtomHome)
+	case coherence.ToOrigin:
+		return env.Has(AtomOrigin)
+	case coherence.ToOriginAndHome:
+		return env.Has(AtomOrigin) || env.Has(AtomHome)
+	case coherence.ToForwarder:
+		if ev.Dim == rowBus {
+			return env.Has(AtomSameCol)
+		}
+		return env.Has(AtomSameRow)
+	case coherence.ToHome:
+		return env.Has(AtomHome)
+	case coherence.ToMemory:
+		return false
 	}
 	return true
 }

@@ -6,6 +6,8 @@ import (
 
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
+	"multicube/internal/sim"
+	"multicube/internal/topology"
 )
 
 // witnessOf finds, for one rule, a realizable (state, env) over its
@@ -253,6 +255,82 @@ func TestAddressingRejectsDefects(t *testing.T) {
 		quiet.Actions, quiet.Next = nil, Next{}
 		if errs := New([]*Rule{&quiet}).CheckAddressing(); len(errs) != 0 {
 			t.Errorf("rule %s without effect: CheckAddressing = %v, want none", r.Name, errs)
+		}
+	}
+}
+
+// TestDeliveryReadersAgree: the machine's reading of the delivery table
+// (positions along a bus) and Addressed (a predicate over position atoms)
+// name the same nodes. It covers every event of the table on a 3×3 and a
+// 4×4 grid, at every originator, bus, home column, claimant and
+// modified-wire setting, with no widening condition and with each of the
+// two the table reads (a fired SuppressSignal hook, snarfing), under
+// which the machine must deliver to the whole bus. An operation the table
+// addresses to its originator travels on the originator's bus, so only
+// that bus is asked about it.
+func TestDeliveryReadersAgree(t *testing.T) {
+	for _, n := range []int{3, 4} {
+		for _, widen := range []Atom{numAtoms, AtomSuppressed, AtomSnarfable} { // numAtoms: none
+			sys, err := coherence.NewSystem(sim.NewKernel(), coherence.Config{N: n, Snarf: widen == AtomSnarfable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if widen == AtomSuppressed {
+				sys.SuppressSignal = func(topology.Coord, *coherence.Op) bool { return true }
+			}
+			for _, ev := range Multicube().Events() {
+				c := coherence.ClassOf(ev.Dim, ev.Txn, ev.Flags)
+				widened := widen == AtomSuppressed && c.Suppressible() || widen == AtomSnarfable && c.Snarfable()
+				toOrigin := c.Addressee() == coherence.ToOrigin || c.Addressee() == coherence.ToOriginAndHome
+				// node is the i-th node along bus b of the event's dimension.
+				node := func(b, i int) topology.Coord {
+					if ev.Dim == coherence.Row {
+						return topology.Coord{Row: b, Col: i}
+					}
+					return topology.Coord{Row: i, Col: b}
+				}
+				busOf := func(p topology.Coord) int {
+					if ev.Dim == coherence.Row {
+						return p.Row
+					}
+					return p.Col
+				}
+				for o := 0; o < n*n; o++ {
+					origin := topology.Coord{Row: o / n, Col: o % n}
+					for b := 0; b < n; b++ {
+						if toOrigin && b != busOf(origin) {
+							continue
+						}
+						for home := 0; home < n; home++ {
+							op := coherence.Op{Txn: ev.Txn, Flags: ev.Flags, Origin: origin, Line: cache.Line(home)}
+							for k := -1; k < n; k++ { // the claimant's position; -1: the wire stayed low
+								var claimant *topology.Coord
+								if k >= 0 {
+									cl := node(b, k)
+									claimant = &cl
+								}
+								first, second, all := sys.Addressed(ev.Dim, op, claimant)
+								if widened && !all {
+									t.Errorf("%d×%d %v under %v: machine delivers to %d, %d, want the whole bus", n, n, ev, widen, first, second)
+								}
+								for i := 0; i < n; i++ {
+									p := node(b, i)
+									env := Env(0).With(AtomOrigin, p == origin).With(AtomSameRow, p.Row == origin.Row).
+										With(AtomSameCol, p.Col == origin.Col).With(AtomHome, p.Col == home).
+										With(AtomModifiedWire, k >= 0).With(AtomClaimantSelf, k == i)
+									if widen != numAtoms {
+										env = env.With(widen, true)
+									}
+									if got, want := all || i == first || i == second, Addressed(ev, env); got != want {
+										t.Errorf("%d×%d %v origin %v home %d claimant %d, node %v: machine %v, Addressed %v",
+											n, n, ev, origin, home, k, p, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
