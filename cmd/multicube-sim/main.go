@@ -109,7 +109,11 @@ func main() {
 
 	fmt.Printf("machine   %s\n", describe(m))
 	fmt.Printf("workload  %s\n\n", cfg.Describe())
-	fmt.Print(m.Metrics())
+	mt := m.Metrics()
+	fmt.Print(mt)
+	fmt.Printf("hottest column       col%d utilization %.3f (mean %.3f), %d memory reissues (mean %.1f)\n",
+		mt.HotCol, mt.MaxColUtil, mt.MeanColUtil, m.System().MemoryAt(mt.HotCol).Store().Stats().Reissues,
+		float64(mt.MemoryReissues)/float64(m.Config().N))
 	fmt.Printf("\nefficiency        %.4f\n", rep.Efficiency())
 	fmt.Printf("bus request rate  %.2f req/ms/processor\n", rep.BusRate(m.Processors()))
 	checkInvariants(m)

@@ -27,10 +27,12 @@ type DeliveryStats struct {
 	// RowProbes and ColProbes count the operations whose probe phase
 	// walked the nodes of their bus.
 	RowProbes, ColProbes uint64
+	// OpsBuilt and OpsReused count the operations newOp allocated and reused.
+	OpsBuilt, OpsReused uint64
 }
 
-// Delivered returns the snoopers' counts. They are host work, not
-// machine state: Save and Load leave them alone.
+// Delivered returns the snoopers' and newOp's counts. They are host work,
+// not machine state: Save and Load leave them alone.
 func (s *System) Delivered() DeliveryStats { return s.delivered }
 
 // snooper delivers the operations of one bus: a row bus, or a column bus
@@ -64,9 +66,11 @@ func (sn *snooper) Probe(_ *bus.Bus, pkt bus.Packet) {
 // Snoop enters the addressed nodes in attach order, then, on a column,
 // the memory module if the operation is destined for it. With an
 // Observer installed every node is entered, each through observeSnoop,
-// so the observer sees the transitions of the whole bus.
+// so the observer sees the transitions of the whole bus. It is the last
+// code to touch the operation, which it releases (System.release).
 func (sn *snooper) Snoop(_ *bus.Bus, pkt bus.Packet) {
 	op := pkt.(*Op)
+	op.mustLive()
 	s := sn.s
 	first, second, all := s.addressed(sn.dim, op)
 	switch {
@@ -91,6 +95,7 @@ func (sn *snooper) Snoop(_ *bus.Bus, pkt bus.Packet) {
 	if sn.mem != nil && op.Flags.Has(MEMORY) {
 		sn.mem.snoop(op)
 	}
+	s.release(op)
 }
 
 // An Addressee names the controllers along a bus an operation's

@@ -23,12 +23,13 @@ import (
 //     covers what Save refuses to run with (processes).
 //   - scratch: nothing a rewind has to bring back — a buffer reused
 //     within a step, a memo a rewind invalidates, a host-work or
-//     per-execution counter a rewind restarts.
+//     per-execution counter a rewind restarts, the free list of
+//     operations (Save stops adding to it).
 //   - bookkeeping: what the rewind itself runs on — the machine's half of
-//     the labels that let Save and Load skip a component, and the clock
-//     their epochs are drawn from. Never saved and never rewound — an
-//     epoch that came back would name two contents — and NewSystem draws
-//     every component its first one.
+//     the labels that let Save and Load skip a component, the clock
+//     their epochs are drawn from, and the mark that a Save was taken.
+//     Never saved and never rewound — an epoch that came back would name
+//     two contents — and NewSystem draws every component its first one.
 //
 // TestEveryFieldIsClassified holds the lists to the structs, and
 // TestLoadEqualsReplay holds every rewound field to a replay by name
@@ -93,8 +94,8 @@ var rewindFields = []fieldClasses{
 		hook: []string{"OpLog", "Fault", "SuppressSignal", "DisableStaleReplyPoisoning", "Observer",
 			"inclusions", "onSkip"},
 		wiring:      []string{"grid", "cfg"},
-		scratch:     []string{"obsSink", "delivered", "fpIdent", "fpInv", "fpCInv"},
-		bookkeeping: []string{"labels", "clock"},
+		scratch:     []string{"obsSink", "delivered", "free", "fpIdent", "fpInv", "fpCInv"},
+		bookkeeping: []string{"labels", "clock", "saved"},
 	},
 }
 

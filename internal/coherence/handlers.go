@@ -147,9 +147,8 @@ func (n *Node) rowRequest(op *Op) {
 			if e, ok := n.l2.Lookup(line); ok && e.State == Shared {
 				// The home-column controller has the line: it requests
 				// the row bus and sends the data itself.
-				data := append([]uint64(nil), e.Data...)
 				n.issueRowAfter(n.sys.cfg.Timing.CacheLatency,
-					n.sys.dataOp(READ, REPLY, op.Origin, line, data, op.trace))
+					n.sys.dataOp(READ, REPLY, op.Origin, line, e.Data, op.trace))
 				return
 			}
 		}
@@ -248,7 +247,6 @@ func (n *Node) colRequestRemove(op *Op) {
 //
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
-	data := append([]uint64(nil), e.Data...)
 	e.State = Shared
 	// A sync-active pin guards the modified copy's queue authority; the
 	// shared copy left behind has none, and must be victimizable again
@@ -257,11 +255,11 @@ func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
 	lat := n.sys.cfg.Timing.CacheLatency
 	switch {
 	case n.onHomeColumn(op.Line):
-		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE|MEMORY, op.Origin, op.Line, data, op.trace))
+		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE|MEMORY, op.Origin, op.Line, e.Data, op.trace))
 	case n.id.Row == op.Origin.Row:
-		n.issueRowAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, data, op.trace))
+		n.issueRowAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, e.Data, op.trace))
 	default:
-		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, data, op.trace))
+		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE, op.Origin, op.Line, e.Data, op.trace))
 	}
 }
 
@@ -271,29 +269,31 @@ func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
 //
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) serveReadModFromModified(op *Op, e *cache.Entry) {
-	var data []uint64
-	if !op.Flags.Has(ALLOC) {
-		data = append([]uint64(nil), e.Data...)
-	}
 	n.l2.Invalidate(op.Line)
 	n.notifyInvalidate(op.Line)
 	n.stats.Invalidations++
-	n.sendOwnership(op, data)
+	n.sendOwnership(op, e)
 }
 
 // sendOwnership routes an ownership-transfer reply (READMOD, TAS success,
-// SYNC handover) from this holder to the requester. For ALLOC, data is
-// nil and the reply is an acknowledgement.
-func (n *Node) sendOwnership(op *Op, data []uint64) {
-	lat := n.sys.cfg.Timing.CacheLatency
-	alloc := op.Flags & ALLOC
+// SYNC handover) from this holder, which has given up its copy e, to the
+// requester: the line, for ALLOC an acknowledgement, and for a SYNC
+// handover the line with the lock taken and no successor in its link word.
+func (n *Node) sendOwnership(op *Op, e *cache.Entry) {
+	// Transmit on my row bus, for the controller in the requester's column
+	// to forward over its column bus, or on my column bus if it is theirs.
+	dim, flags, data := Row, REPLY|op.Flags&ALLOC, e.Data
 	if n.id.Col == op.Origin.Col {
-		n.issueColAfter(lat, n.sys.replyOp(op.Txn, REPLY|INSERT|alloc, op.Origin, op.Line, data, op.trace))
-		return
+		dim, flags = Col, flags|INSERT
 	}
-	// Transmit on my row bus; the controller in the requester's column
-	// picks it up and forwards it over its column bus.
-	n.issueRowAfter(lat, n.sys.replyOp(op.Txn, REPLY|alloc, op.Origin, op.Line, data, op.trace))
+	if flags.Has(ALLOC) {
+		data = nil
+	}
+	reply := n.sys.replyOp(op.Txn, flags, op.Origin, op.Line, data, op.trace)
+	if op.Txn == SYNC {
+		reply.Data[LockWord], reply.Data[LinkWord] = 1, 0
+	}
+	n.issueAfter(dim, n.sys.cfg.Timing.CacheLatency, reply)
 }
 
 // bounceOffReserved handles a READ or READMOD routed to a column whose
@@ -330,11 +330,10 @@ func (n *Node) colWritebackRemove(op *Op) {
 	}
 	if removed {
 		if e, ok := n.l2.Lookup(op.Line); ok && e.State == Modified {
-			data := append([]uint64(nil), e.Data...)
 			if n.onHomeColumn(op.Line) {
-				n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, op.Line, data, op.trace))
+				n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, op.Line, e.Data, op.trace))
 			} else {
-				n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, op.Line, data, op.trace))
+				n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, op.Line, e.Data, op.trace))
 			}
 		}
 	} else if e, ok := n.l2.Lookup(op.Line); ok && e.State == Modified {

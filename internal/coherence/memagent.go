@@ -37,6 +37,7 @@ func (m *Memory) Store() *memory.Store { return m.store }
 func (m *Memory) Column() int { return m.col }
 
 func (m *Memory) issueAfter(d sim.Time, op *Op) {
+	op.mustLive()
 	if op.trace != nil {
 		op.trace.ColOps++
 	}
@@ -105,29 +106,37 @@ func (m *Memory) handleRequest(op *Op) {
 	}
 	switch op.Txn {
 	case READ:
-		data := m.store.Read(line)
-		m.issueAfter(lat, m.sys.dataOp(READ, REPLY|NOPURGE, op.Origin, op.Line, data, op.trace))
+		m.issueAfter(lat, m.readOp(READ, REPLY|NOPURGE, op))
 	case READMOD:
-		var data []uint64
-		if !op.Flags.Has(ALLOC) {
-			data = m.store.Read(line)
-		}
+		reply := m.readOp(READMOD, REPLY|PURGE|(op.Flags&ALLOC), op)
 		m.store.Invalidate(line)
-		m.issueAfter(lat, m.sys.replyOp(READMOD, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, data, op.trace))
+		m.issueAfter(lat, reply)
 	case TAS, SYNC:
 		// The test-and-set executes in memory when the line is
 		// unmodified. Success moves the line (with the lock taken) to
 		// the requester exactly as a READMOD; failure returns only the
 		// notification and memory keeps the line.
-		data := m.store.Read(line)
-		if data[LockWord] != 0 {
+		reply := m.readOp(op.Txn, REPLY|PURGE, op)
+		if reply.Data[LockWord] != 0 {
+			m.sys.release(reply)
 			m.issueAfter(lat, m.sys.addrOp(op.Txn, REPLY|FAIL, op.Origin, op.Line, op.trace))
 			return
 		}
-		data[LockWord] = 1
+		reply.Data[LockWord] = 1
 		m.store.Invalidate(line)
-		m.issueAfter(lat, m.sys.dataOp(op.Txn, REPLY|PURGE, op.Origin, op.Line, data, op.trace))
+		m.issueAfter(lat, reply)
 	default:
 		panic(fmt.Sprintf("coherence: memory received request with transaction %v", op.Txn))
 	}
+}
+
+// readOp builds a reply to op carrying the line as memory holds it, read
+// straight into the reply's block; for an ALLOCATE, an acknowledgement.
+func (m *Memory) readOp(txn Txn, flags Flags, op *Op) *Op {
+	if flags.Has(ALLOC) {
+		return m.sys.addrOp(txn, flags, op.Origin, op.Line, op.trace)
+	}
+	reply := m.sys.dataOp(txn, flags, op.Origin, op.Line, nil, op.trace)
+	m.store.ReadInto(memory.Line(op.Line), reply.Data)
+	return reply
 }

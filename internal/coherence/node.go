@@ -167,34 +167,33 @@ func (n *Node) onHomeColumn(line cache.Line) bool {
 
 // --- bus issue helpers -------------------------------------------------
 
-func (n *Node) issueRow(op *Op) {
-	n.sys.recordIntent(Row, op)
-	if n.sys.Fault != nil && n.sys.Fault(Row, n.id, op) {
-		n.sys.dropped++
-		return
-	}
-	if op.trace != nil {
-		op.trace.RowOps++
-	}
-	if n.sys.OpLog != nil {
-		n.sys.OpLog(Row, n.id, op)
-	}
-	n.sys.rows[n.id.Row].Request(n.rowIdx, op)
-}
+// issueRow and issueCol put op on the node's row or column bus now.
+func (n *Node) issueRow(op *Op) { n.issue(Row, op) }
+func (n *Node) issueCol(op *Op) { n.issue(Col, op) }
 
-func (n *Node) issueCol(op *Op) {
-	n.sys.recordIntent(Col, op)
-	if n.sys.Fault != nil && n.sys.Fault(Col, n.id, op) {
+func (n *Node) issue(dim Dim, op *Op) {
+	op.mustLive()
+	n.sys.recordIntent(dim, op)
+	if n.sys.Fault != nil && n.sys.Fault(dim, n.id, op) {
 		n.sys.dropped++
+		n.sys.release(op)
 		return
 	}
-	if op.trace != nil {
+	switch {
+	case op.trace == nil:
+	case dim == Row:
+		op.trace.RowOps++
+	default:
 		op.trace.ColOps++
 	}
 	if n.sys.OpLog != nil {
-		n.sys.OpLog(Col, n.id, op)
+		n.sys.OpLog(dim, n.id, op)
 	}
-	n.sys.cols[n.id.Col].Request(n.colIdx, op)
+	if dim == Row {
+		n.sys.rows[n.id.Row].Request(n.rowIdx, op)
+	} else {
+		n.sys.cols[n.id.Col].Request(n.colIdx, op)
+	}
 }
 
 // issueRowAfter and issueColAfter model device latency (a cache lookup
@@ -206,7 +205,7 @@ func (n *Node) issueColAfter(d sim.Time, op *Op) { n.issueAfter(Col, d, op) }
 func (n *Node) issueAfter(dim Dim, d sim.Time, op *Op) {
 	op.issuer, op.dim = n.id, dim
 	if d == 0 {
-		n.issue(op)
+		n.issue(dim, op)
 		return
 	}
 	n.sys.recordIntent(dim, op)
@@ -215,14 +214,9 @@ func (n *Node) issueAfter(dim Dim, d sim.Time, op *Op) {
 
 // enqueue is the body of the events issueAfter schedules: the latency of
 // the operation named by the event's tag is over.
-func (n *Node) enqueue() { n.issue(n.sys.k.Dispatching().(EnqueueTag).Op) }
-
-func (n *Node) issue(op *Op) {
-	if op.dim == Row {
-		n.issueRow(op)
-	} else {
-		n.issueCol(op)
-	}
+func (n *Node) enqueue() {
+	op := n.sys.k.Dispatching().(EnqueueTag).Op
+	n.issue(op.dim, op)
 }
 
 func (n *Node) recordCompletion(tr *TxnTrace) {
@@ -509,11 +503,10 @@ func (n *Node) tableInsert(line cache.Line, trace *TxnTrace) {
 	if e.State != Modified {
 		return
 	}
-	data := append([]uint64(nil), e.Data...)
 	if n.onHomeColumn(ovLine) {
-		n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, ovLine, data, trace))
+		n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, ovLine, e.Data, trace))
 	} else {
-		n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, ovLine, data, trace))
+		n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, ovLine, e.Data, trace))
 	}
 	e.State = Shared // "mark overflow line shared"
 }

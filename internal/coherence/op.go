@@ -143,9 +143,9 @@ type Op struct {
 	Origin topology.Coord
 	Line   cache.Line
 	// Data is the line contents for data-carrying operations, nil for
-	// address-and-command operations. It is never written once the
-	// operation exists, and an operation relayed onto the next bus shares
-	// it with the one it was built from.
+	// address-and-command operations: the operation's own block, filled
+	// by its builder and not written once issued. A relay copies it, so
+	// a payload lives exactly as long as its operation.
 	Data []uint64
 	// Target addresses a SYNC XFER handoff, which is destined for a
 	// specific queue member rather than the operation's originator.
@@ -202,6 +202,18 @@ type Op struct {
 	// stale.
 	fpIdentOK, fpBaseOK bool
 	fpIdent, fpBase     uint64
+	// buf is the payload block the operation keeps across reuse, and
+	// released marks it as on the free list (System.release): issuing or
+	// delivering it then panics, until newOp hands it out again.
+	buf      []uint64
+	released bool
+}
+
+// mustLive panics on a released operation, whose contents are not its own.
+func (o *Op) mustLive() {
+	if o.released {
+		panic(fmt.Sprintf("coherence: %v used after release", o))
+	}
 }
 
 // Occupancy implements bus.Packet.

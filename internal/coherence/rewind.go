@@ -121,8 +121,10 @@ type traceSaved struct {
 // wiring are not state. Call it at a kernel-step boundary: between steps,
 // or from a scheduling Chooser (see sim.Kernel.Save), never from inside
 // an event. A component st already holds as it stands — a recycled
-// buffer, mostly — is not copied again.
+// buffer, mostly — is not copied again. The first Save stops operations
+// from being recycled, for the machine's life.
 func (s *System) Save(st *Saved) {
+	s.saved = true
 	n := s.cfg.N
 	if st.sys != s {
 		// Another machine's labels mean nothing here: start empty.

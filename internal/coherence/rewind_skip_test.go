@@ -115,9 +115,11 @@ func locate(path string, a, b reflect.Value) string {
 // rewindScratch are the fields of the twinned types that are not state
 // (fields_test.go classifies them): configuration, which a twin shares,
 // and scratch; and a bus operation's fingerprint memos, which one machine
-// may have taken where another has not.
+// may have taken where another has not, and its payload block, which an
+// operation recycled from a data-carrying one keeps while it carries none
+// (its Data is the state).
 var rewindScratch = map[string]bool{"cfg": true, "blockWords": true, "refScratch": true, "spare": true,
-	"fpIdentOK": true, "fpBaseOK": true, "fpIdent": true, "fpBase": true}
+	"fpIdentOK": true, "fpBaseOK": true, "fpIdent": true, "fpBase": true, "buf": true}
 
 // fieldsOf caches, per struct type, the fields semDiff walks — those not
 // in rewindScratch — with their names, and fieldNamed a field's index:

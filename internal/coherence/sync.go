@@ -22,10 +22,9 @@ import (
 func (n *Node) serveTASFromModified(op *Op, e *cache.Entry) {
 	if e.Data[LockWord] == 0 {
 		e.Data[LockWord] = 1 // the set happens at the executor
-		data := append([]uint64(nil), e.Data...)
 		n.l2.Invalidate(op.Line)
 		n.notifyInvalidate(op.Line)
-		n.sendOwnership(op, data)
+		n.sendOwnership(op, e)
 		return
 	}
 	n.replyFail(op)
@@ -41,12 +40,9 @@ func (n *Node) serveSyncAtHolder(op *Op, e *cache.Entry) {
 	if e.State == Modified && e.Data[LockWord] == 0 {
 		// Lock free, no queue: hand the line over immediately with the
 		// lock taken for the requester.
-		data := append([]uint64(nil), e.Data...)
-		data[LockWord] = 1
-		data[LinkWord] = 0
 		n.l2.Invalidate(op.Line)
 		n.notifyInvalidate(op.Line)
-		n.sendOwnership(op, data)
+		n.sendOwnership(op, e)
 		return
 	}
 	// Lock held (or we are a reserved waiter ourselves): enter the id of
@@ -290,13 +286,12 @@ func (n *Node) SyncRelease(line cache.Line) bool {
 		e.Pinned = false // free and unqueued: safe to victimize again
 		return true
 	}
-	data := append([]uint64(nil), e.Data...)
-	data[LockWord] = 1 // the receiver acquires by transfer
-	data[LinkWord] = 0 // the receiver keeps its own link word
+	op := n.sys.dataOp(SYNC, XFER, n.id, line, e.Data, nil)
+	op.Data[LockWord] = 1 // the receiver acquires by transfer
+	op.Data[LinkWord] = 0 // the receiver keeps its own link word
+	op.Target = next
 	n.l2.Invalidate(line)
 	n.notifyInvalidate(line)
-	op := n.sys.dataOp(SYNC, XFER, n.id, line, data, nil)
-	op.Target = next
 	if next.Col == n.id.Col {
 		n.issueCol(op)
 	} else {

@@ -167,7 +167,8 @@ type System struct {
 	acct accounting
 
 	// OpLog, when set, observes every bus operation as it is issued;
-	// tests use it for protocol traces.
+	// tests use it for protocol traces. It reads the operation during the
+	// call and keeps no pointer to it: operations are recycled (newOp).
 	OpLog func(dim Dim, issuer topology.Coord, op *Op)
 
 	// Fault, when set, is consulted before every controller-issued bus
@@ -217,6 +218,11 @@ type System struct {
 	// delivered counts the snoopers' work (Delivered): host work, never
 	// saved or rewound.
 	delivered DeliveryStats
+
+	// free holds delivered and dropped operations for newOp; the first
+	// Save sets saved, which stops release for good (DESIGN.md §5.10).
+	free  []*Op
+	saved bool
 
 	// labels say under which epoch every component Save and Load copy one
 	// by one stands — row buses, column buses, memories, then nodes
@@ -454,9 +460,34 @@ func (s *System) dataOccupancy() sim.Time {
 	return sim.Time(s.cfg.Timing.AddrWords+s.cfg.BlockWords) * s.cfg.Timing.WordTime
 }
 
+// newOp returns an operation holding o, recycled from the free list when
+// one is there: a recycled operation keeps only its payload block.
+func (s *System) newOp(o Op) *Op {
+	var op *Op
+	if n := len(s.free); n > 0 {
+		op, s.free = s.free[n-1], s.free[:n-1]
+		o.buf = op.buf
+		s.delivered.OpsReused++
+	} else {
+		op = new(Op)
+		s.delivered.OpsBuilt++
+	}
+	*op = o
+	return op
+}
+
+// release returns a delivered or dropped operation to the free list,
+// unless the machine was ever saved.
+func (s *System) release(op *Op) {
+	if !s.saved {
+		op.released = true
+		s.free = append(s.free, op)
+	}
+}
+
 // addrOp builds an address-and-command operation.
 func (s *System) addrOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, trace *TxnTrace) *Op {
-	return &Op{Txn: txn, Flags: flags, Origin: origin, Line: line, occ: s.addrOccupancy(), trace: trace}
+	return s.newOp(Op{Txn: txn, Flags: flags, Origin: origin, Line: line, occ: s.addrOccupancy(), trace: trace})
 }
 
 // replyOp builds a data reply, or an address-only acknowledgement when
@@ -468,24 +499,25 @@ func (s *System) replyOp(txn Txn, flags Flags, origin topology.Coord, line cache
 	return s.dataOp(txn, flags, origin, line, data, trace)
 }
 
-// dataOp builds a data-carrying operation whose payload is born now.
+// dataOp builds a data-carrying operation whose payload is born now,
+// copying data (a cache entry's words, or the payload of the operation
+// being relayed) into the operation's own block.
 func (s *System) dataOp(txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	return s.dataOpAt(s.k.Now(), txn, flags, origin, line, data, trace)
-}
-
-// dataOpAt builds a data-carrying operation with an explicit payload
-// birth time. The operation keeps data, one block which nothing may
-// write from here on: a source passes a copy of the words it read (a
-// cache entry, memory), and a controller relaying an operation passes
-// that operation's payload, which the two then share.
-func (s *System) dataOpAt(born sim.Time, txn Txn, flags Flags, origin topology.Coord, line cache.Line, data []uint64, trace *TxnTrace) *Op {
-	return &Op{Txn: txn, Flags: flags, Origin: origin, Line: line, Data: data, occ: s.dataOccupancy(), trace: trace, born: born}
+	op := s.newOp(Op{Txn: txn, Flags: flags, Origin: origin, Line: line, occ: s.dataOccupancy(), trace: trace, born: s.k.Now()})
+	if op.buf == nil {
+		op.buf = make([]uint64, s.cfg.BlockWords)
+	}
+	op.Data = op.buf
+	clear(op.Data[copy(op.Data, data):])
+	return op
 }
 
 // forwardOp rebuilds a data reply for the next bus hop, preserving the
 // payload's birth time.
 func (s *System) forwardOp(src *Op, flags Flags, trace *TxnTrace) *Op {
-	return s.dataOpAt(src.born, src.Txn, flags, src.Origin, src.Line, src.Data, trace)
+	op := s.dataOp(src.Txn, flags, src.Origin, src.Line, src.Data, trace)
+	op.born = src.born
+	return op
 }
 
 // accounting is the machine's transaction accounting: completed

@@ -19,6 +19,7 @@ type Metrics struct {
 	ColBusyTime              sim.Time
 	MeanRowUtil, MeanColUtil float64
 	MaxRowUtil, MaxColUtil   float64
+	HotCol                   int // the column bus at MaxColUtil
 
 	// Transactions by type.
 	Txns map[coherence.Txn]coherence.TxnStats
@@ -54,7 +55,7 @@ func (m *Machine) Metrics() Metrics {
 			out.MaxRowUtil = ru
 		}
 		if cu > out.MaxColUtil {
-			out.MaxColUtil = cu
+			out.MaxColUtil, out.HotCol = cu, i
 		}
 		mem := m.sys.MemoryAt(i).Store().Stats()
 		out.MemoryReads += mem.Reads

@@ -3,6 +3,7 @@ package integration
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"multicube/internal/coherence"
@@ -150,5 +151,37 @@ func TestSnoopsPerBusOperation(t *testing.T) {
 	if d.RowProbes != rowReqs || d.ColProbes != colReqRems {
 		t.Errorf("probe walks on %d row and %d column operations; %d row REQUESTs and %d column REQUEST|REMOVEs were delivered",
 			d.RowProbes, d.ColProbes, rowReqs, colReqRems)
+	}
+}
+
+// TestOpsAreRecycled gates the recycling of bus operations on a count: on
+// the des-shared mix at N = 4, at least 95 % of the operations a run
+// builds come off the free list. A machine saved before it runs recycles
+// none (a saved boundary names operations a Load brings back), and
+// simulates the same run to the bit as its unsaved twin.
+func TestOpsAreRecycled(t *testing.T) {
+	run := func(save bool) (coherence.DeliveryStats, core.Metrics, workload.Report) {
+		m := core.MustNew(core.Config{N: 4})
+		if save {
+			m.System().Save(new(coherence.Saved))
+		}
+		rep := workload.Run(m, sharedMix(1500))
+		return m.System().Delivered(), m.Metrics(), rep
+	}
+	d, metrics, rep := run(false)
+	share := float64(d.OpsReused) / float64(d.OpsBuilt+d.OpsReused)
+	t.Logf("%d bus operations built, %d reused: %.4f from the free list", d.OpsBuilt, d.OpsReused, share)
+	if share < 0.95 {
+		t.Errorf("%.4f of bus operations came from the free list, want at least 0.95", share)
+	}
+	ds, savedMetrics, savedRep := run(true)
+	if ds.OpsReused != 0 {
+		t.Errorf("a saved machine reused %d bus operations, want 0", ds.OpsReused)
+	}
+	if ds.OpsBuilt != d.OpsBuilt+d.OpsReused {
+		t.Errorf("the saved machine built %d bus operations, its twin %d", ds.OpsBuilt, d.OpsBuilt+d.OpsReused)
+	}
+	if !reflect.DeepEqual(savedMetrics, metrics) || savedRep != rep {
+		t.Errorf("the saved machine simulated another run:\n%s\n%+v\nits twin:\n%s\n%+v", savedMetrics, savedRep, metrics, rep)
 	}
 }

@@ -123,6 +123,13 @@ func (s *Store) Read(line Line) []uint64 {
 	return s.Peek(line)
 }
 
+// ReadInto is Read into dst, a block the caller owns.
+func (s *Store) ReadInto(line Line, dst []uint64) {
+	s.reads++
+	buf, _ := s.data.Get(uint64(line))
+	clear(dst[copy(dst, buf):])
+}
+
 // Peek is Read without statistics, for invariant checkers.
 func (s *Store) Peek(line Line) []uint64 {
 	out := make([]uint64, s.blockWords)
