@@ -179,8 +179,8 @@ func run() int {
 	}
 	fmt.Printf("states    %d distinct canonical states\n", res.States)
 	fmt.Printf("runs      %d executions (%d across deepening)\n", res.Runs, res.TotalRuns)
-	fmt.Printf("store     %d revisits answered hot, %d run lookups past the filter (%.2f reads each); %d spills, %d bytes on disk\n",
-		res.StoreHot, res.StoreDisk, reads, res.Spills, res.DiskBytes)
+	fmt.Printf("store     %d revisits answered hot, %d run lookups past the filter (%.2f reads each); %d spills, %d syncs, %d bytes on disk\n",
+		res.StoreHot, res.StoreDisk, reads, res.Spills, res.Syncs, res.DiskBytes)
 	switch {
 	case res.Exhausted:
 		fmt.Printf("coverage  exhausted: every reachable interleaving within bounds\n")

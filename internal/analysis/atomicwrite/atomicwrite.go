@@ -30,8 +30,10 @@
 //
 // Deliberate exceptions — the manifest-pinned GC sweeps, retirement of
 // superseded runs, eviction of cache entries whose loss only costs
-// recomputation — are annotated //multicube:atomicwrite-ok <reason> on
-// or above the statement, or on the enclosing function's doc comment.
+// recomputation, the unsynced rename of a statespace run (a checkpoint
+// fsyncs it before a manifest names it) — are annotated as such, with a
+// //multicube:atomicwrite-ok <reason> on or above the statement, or on
+// the enclosing function's doc comment.
 // The check is same-function: a Sync performed by a helper on a passed
 // *os.File is invisible, which is the pass's accepted soundness
 // boundary (the repository idiom keeps the whole shape in one writer).

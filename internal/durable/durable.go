@@ -1,10 +1,11 @@
 // Package durable holds the one writer through which the repository's
-// durable files — statespace runs, frontiers and manifests, farm cache
-// entries and corpus seeds — become visible: a temp file beside the
-// destination, written, fsynced, closed, then renamed into place. A crash
-// at any point leaves either the previous file or the new one, never a
-// torn one; an unsynced rename could surface a complete-looking name with
-// empty or torn contents, and every reader here trusts what validates.
+// durable files — statespace frontiers and manifests, farm cache entries
+// and corpus seeds — become visible: a temp file beside the destination,
+// written, fsynced, closed, then renamed into place. A crash at any point
+// leaves either the previous file or the new one, never a torn one; an
+// unsynced rename could surface a complete-looking name with empty or
+// torn contents, and every reader here trusts what validates. Spilled
+// statespace runs skip the fsync here; a checkpoint syncs those it pins.
 //
 // The package is marked for multicube-vet's atomicwrite pass, which holds
 // this writer to that shape.

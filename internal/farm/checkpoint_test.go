@@ -40,7 +40,7 @@ func mcSpec(t *testing.T, body string) (*jobspec.Spec, string) {
 func stripResume(r mc.Result) mc.Result {
 	r.Resumed = false
 	r.ResumeNote = ""
-	r.Spills = 0
+	r.Spills, r.Syncs = 0, 0
 	r.DiskBytes = 0
 	r.Steps, r.ReplaySteps = 0, 0
 	r.FPRecomputes, r.FPIncremental = 0, 0

@@ -280,12 +280,13 @@ type Result struct {
 	// ResumeNote explains why a requested resume fell back to a fresh
 	// search (corrupt or mismatched checkpoint); empty otherwise.
 	ResumeNote string
-	// Spills and DiskBytes describe the visited store's disk tier: shard
-	// evictions performed and on-disk bytes at the end of the search
-	// (both zero for a memory-only table).
-	Spills    int
-	DiskBytes int64
-	Violation *Violation
+	// Spills, Syncs and DiskBytes describe the visited store's disk tier:
+	// shard evictions performed, runs this process's checkpoints fsynced
+	// (host cost, zero without a checkpoint directory) and on-disk bytes at
+	// the end of the search (all zero for a memory-only table).
+	Spills, Syncs int
+	DiskBytes     int64
+	Violation     *Violation
 }
 
 // checker runs executions of a scenario on some machine — the Multicube
@@ -1113,6 +1114,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.StoreHot, res.StoreDisk = e.visited.Tier.HotHits.Load(), e.visited.Tier.DiskLookups.Load()
 		res.StoreReads = e.visited.Tier.DiskReads.Load()
 		res.Spills = e.visited.Spills()
+		res.Syncs = e.visited.Syncs()
 		res.DiskBytes = e.visited.DiskBytes()
 		if p.err != nil {
 			return res, p.err

@@ -15,7 +15,7 @@ import (
 
 // comparable strips the fields two searches with the same result
 // legitimately differ in: Resumed/ResumeNote report provenance,
-// Spills/DiskBytes depend on the memory budget and on how many
+// Spills/Syncs/DiskBytes depend on the memory budget and on how many
 // checkpoints forced flushes, and Steps, ReplaySteps, FPRecomputes,
 // FPIncremental, FPPoints, FPCombines, Restores, PeakBoundaries and Store
 // count what the search cost
@@ -27,7 +27,7 @@ import (
 func comparable(r Result) Result {
 	r.Resumed = false
 	r.ResumeNote = ""
-	r.Spills = 0
+	r.Spills, r.Syncs = 0, 0
 	r.DiskBytes = 0
 	r.Steps, r.ReplaySteps = 0, 0
 	r.FPRecomputes, r.FPIncremental = 0, 0

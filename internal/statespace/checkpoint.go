@@ -111,7 +111,7 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier []FrontierItem) error {
 	}
 	// Flush every dirty shard so the run stacks alone reproduce the
 	// table; clean shards (gen unmoved since their last spill) keep their
-	// existing runs.
+	// existing runs. Each run the manifest will name is then synced.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -121,6 +121,9 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier []FrontierItem) error {
 			if err := s.spillShard(i); err != nil {
 				return err
 			}
+		}
+		if err := s.syncRuns(sh); err != nil {
+			return err
 		}
 	}
 	seq := s.seq.Add(1)
@@ -175,6 +178,24 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier []FrontierItem) error {
 	// manifest named them — is garbage.
 	s.setPinned(keep)
 	return s.gc(keep)
+}
+
+// syncRuns fsyncs each of the shard's runs that no checkpoint has synced
+// yet: a spill leaves its run unsynced, as no crash reads an unnamed run.
+func (s *Store) syncRuns(sh *shard) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, r := range sh.runs {
+		if r.synced {
+			continue
+		}
+		if err := r.f.Sync(); err != nil {
+			return fmt.Errorf("statespace: checkpoint: sync %s: %w", filepath.Base(r.path), err)
+		}
+		r.synced = true
+		s.syncs.Add(1)
+	}
+	return nil
 }
 
 // gc removes run and frontier files the manifest no longer references
@@ -256,6 +277,7 @@ func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, []Front
 				r.close()
 				return fail(corrupt("run %s does not match its manifest entry", mr.File))
 			}
+			r.synced = true // a manifest named it, so a checkpoint synced it
 			sh.runs = append(sh.runs, r)
 			s.diskBytes.Add(r.size)
 		}

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-
-	"multicube/internal/durable"
 )
 
 // A run is one immutable sorted segment of a shard, spilled from the hot
@@ -47,13 +45,14 @@ type runEnt struct {
 }
 
 type run struct {
-	path  string
-	f     *os.File
-	size  int64
-	sum   uint64 // trailer checksum, recorded in checkpoint manifests
-	count int64
-	bloom bloom
-	fence []uint64 // the first key of every block of fenceStride index entries
+	path   string
+	f      *os.File
+	size   int64
+	sum    uint64 // trailer checksum, recorded in checkpoint manifests
+	synced bool   // on disk: a checkpoint named it (syncRuns) or Resume adopted it
+	count  int64
+	bloom  bloom
+	fence  []uint64 // the first key of every block of fenceStride index entries
 
 	indexOff   int64
 	payloadOff int64
@@ -63,9 +62,10 @@ func runName(shard int, seq uint64) string {
 	return fmt.Sprintf("shard-%02d-%06d%s", shard, seq, runSuffix)
 }
 
-// writeRun persists ents (sorted by fp, unique keys) as a new run under
-// dir, atomically (durable.WriteFile), then re-opens it, which validates
-// the image back.
+// writeRun writes ents (sorted by fp, unique keys) as a new run under
+// dir — a temp file renamed into place, durable.WriteFile's shape without
+// its fsync — then re-opens it, which validates the image back. The run
+// becomes durable only when a checkpoint pins it (Store.syncRuns).
 func writeRun(dir string, shard int, seq uint64, ents []runEnt) (*run, error) {
 	payloadWords := 0
 	for _, e := range ents {
@@ -103,7 +103,20 @@ func writeRun(dir string, shard int, seq uint64, ents []runEnt) (*run, error) {
 	put(fnvBytes(buf))
 
 	path := filepath.Join(dir, runName(shard, seq))
-	if err := durable.WriteFile(path, buf); err != nil {
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, fmt.Errorf("statespace: spill: %w", err)
+	}
+	_, err = tmp.Write(buf)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		//multicube:atomicwrite-ok unsynced until pinned: WriteCheckpoint fsyncs every run its manifest names before the manifest's rename, and Open sweeps runs no manifest names
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return nil, fmt.Errorf("statespace: spill: %w", err)
 	}
 	r, err := openRun(path, shard)

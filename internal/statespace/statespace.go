@@ -24,10 +24,10 @@
 // hot-tier mutation bumps the shard generation the checkpoint dirtiness
 // test relies on.
 //
-// Checkpoint files are durable state: every writer here goes through
-// durable.WriteFile, and multicube-vet's atomicwrite pass holds every
-// delete to the manifest-pin discipline (and flags a write that bypasses
-// the helper).
+// Checkpoint files are durable state: frontiers and manifests go through
+// durable.WriteFile, a run is fsynced when a checkpoint pins it (its
+// unsynced rename is atomicwrite's one annotated exception), and every
+// delete is held to the manifest-pin discipline.
 //
 //multicube:deterministic
 //multicube:durable
@@ -53,15 +53,15 @@ const (
 	// left with. A shard is the locking unit and also the spill unit:
 	// canonical fingerprints are uniform, so when the budget trips the
 	// fullest of 2^b shards holds about twice budget>>b, and that is all
-	// one run file can carry away. A run costs a create, fsync, rename,
-	// reopen and validating read-back whatever it holds — 0.30–0.37 ms for
-	// 1 to 230 entries on the recording host (EXPERIMENTS.md "PR 20")
-	// against 0.18 µs to insert one. At 64 shards a 64 KiB budget spilled
-	// 31 entries a file, 11 µs each; at 16 KiB a shard a run carries some
-	// 400 at under 1 µs each, below the 2.7 µs a later lookup in it pays in
-	// pread probes. The spilling litmus-coww-3x3 pass is flat from 8 KiB up
-	// (36, 20, 12, 8 spills at 8–64 KiB: 167–195 ms), so a larger unit buys
-	// nothing and leaves concurrent visitors fewer locks.
+	// one run file can carry away. A run costs a create, rename, reopen and
+	// validating read-back whatever it holds — 0.02–0.05 ms unsynced for 1
+	// to 230 entries on the recording host (EXPERIMENTS.md "PR 33") against
+	// 0.18 µs to insert one. At 64 shards a 64 KiB budget spilled 31 entries
+	// a file, about 1 µs each; at 16 KiB a shard a run carries some 400 at
+	// 0.1 µs each, below the 2.7 µs a later lookup in it pays in pread
+	// probes. The spilling litmus-coww-3x3 pass was flat from 8 KiB up when
+	// runs were fsynced (36, 20, 12, 8 spills at 8–64 KiB: 167–195 ms), so a
+	// larger unit buys nothing and leaves concurrent visitors fewer locks.
 	minSpillBytes = 16 << 10
 
 	// maxRunsPerShard bounds the on-disk run stack per shard; beyond it a
@@ -143,6 +143,7 @@ type Store struct {
 	count     atomic.Int64 // distinct states recorded
 	bytes     atomic.Int64 // hot-tier estimate across shards
 	spills    atomic.Int64
+	syncs     atomic.Int64 // runs fsynced by checkpoints (host cost)
 	diskBytes atomic.Int64
 	seq       atomic.Uint64 // file-name sequence (never a timestamp)
 
@@ -459,6 +460,10 @@ func (s *Store) States() int { return int(s.count.Load()) }
 
 // Spills reports how many shard evictions have run.
 func (s *Store) Spills() int { return int(s.spills.Load()) }
+
+// Syncs reports how many runs this process's checkpoints have fsynced:
+// none without a checkpoint directory.
+func (s *Store) Syncs() int { return int(s.syncs.Load()) }
 
 // DiskBytes reports the current on-disk tier size.
 func (s *Store) DiskBytes() int64 { return s.diskBytes.Load() }
