@@ -97,12 +97,29 @@ var rewindFields = []fieldClasses{
 		scratch:     []string{"obsSink", "delivered", "free", "fpIdent", "fpInv", "fpCInv"},
 		bookkeeping: []string{"labels", "clock", "saved"},
 	},
+	{
+		// The explorer's fingerprint cache, rewound by its own Save and
+		// Load (FPSaved) beside the machine's. rowQ and colQ are memos a
+		// Load invalidates; evs, evH and lines are buffers.
+		of:      typeOf[FPCache](),
+		rewound: []string{"nodeH", "nodeGen", "memH", "memGen"},
+		wiring:  []string{"sys", "n", "snarf"},
+		scratch: []string{"rowQ", "colQ", "evs", "evH", "lines", "recomputes", "reused"},
+	},
 }
 
 // unmoved are the rewound fields the sweep of TestLoadEqualsReplay cannot
 // move, with the reason.
 var unmoved = map[string]string{
 	"coherence.System.dropped": "only a Fault hook drops an operation, and the sweep installs none",
+	// The sweep holds the cache to a fresh one by the fingerprint it
+	// computes after every Load; internal/mc's
+	// TestLoadEqualsReplayForTheDriver holds it to a replay by what it
+	// saves.
+	"coherence.FPCache.nodeH":   "System does not lead to the fingerprint cache",
+	"coherence.FPCache.nodeGen": "System does not lead to the fingerprint cache",
+	"coherence.FPCache.memH":    "System does not lead to the fingerprint cache",
+	"coherence.FPCache.memGen":  "System does not lead to the fingerprint cache",
 }
 
 // TestEveryFieldIsClassified fails when a struct of the rewindable

@@ -5,6 +5,7 @@ import (
 	"multicube/internal/cache"
 	"multicube/internal/fphash"
 	"multicube/internal/memory"
+	"multicube/internal/mlt"
 )
 
 // This file is the incremental companion of snapshot.go: FPCache computes
@@ -91,8 +92,9 @@ type FPCache struct {
 	rowQ    []busQ
 	colQ    []busQ
 
-	evs []evRec
-	evH []uint64
+	evs   []evRec
+	evH   []uint64
+	lines []mlt.Line // nodeHash's buffer
 
 	recomputes uint64 // component hashes rebuilt because their gen moved
 	reused     uint64 // component hashes served from cache
@@ -131,7 +133,7 @@ func (f *FPCache) BeginPoint(extra ExtraTagFunc) {
 		for c := 0; c < n; c++ {
 			nd := s.nodes[r][c]
 			if nd.gen != f.nodeGen[r][c] {
-				f.nodeH[r][c] = nodeHash(nd)
+				f.nodeH[r][c] = f.nodeHash(nd)
 				f.nodeGen[r][c] = nd.gen
 				f.recomputes++
 			} else {
@@ -503,7 +505,7 @@ func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
 // nodeHash hashes one node's L2, MLT, pending transaction, and
 // write-back continuation — the same fields snapshot.go walks, none of
 // which name a row index.
-func nodeHash(nd *Node) uint64 {
+func (f *FPCache) nodeHash(nd *Node) uint64 {
 	h := fphash.New()
 	h.Word(0x01)
 	sub := fphash.New()
@@ -520,9 +522,9 @@ func nodeHash(nd *Node) uint64 {
 	h.Word(uint64(count))
 	h.Word(sub.Sum())
 	h.Word(0x02)
-	lines := nd.table.Lines()
-	h.Word(uint64(len(lines)))
-	for _, l := range lines {
+	f.lines = nd.table.AppendLines(f.lines[:0])
+	h.Word(uint64(len(f.lines)))
+	for _, l := range f.lines {
 		h.Word(uint64(l))
 	}
 	h.Word(0x03)

@@ -145,7 +145,7 @@ func CheckInvariants(s *System) []error {
 		for r := 1; r < n; r++ {
 			if !mlt.Equal(ref, s.nodes[r][c].table) {
 				errs = append(errs, fmt.Errorf("column %d: MLTs of (0,%d) and (%d,%d) differ: %v vs %v",
-					c, c, r, c, ref.Lines(), s.nodes[r][c].table.Lines()))
+					c, c, r, c, ref.AppendLines(nil), s.nodes[r][c].table.AppendLines(nil)))
 			}
 		}
 		want := make(map[mlt.Line]bool)
@@ -157,7 +157,7 @@ func CheckInvariants(s *System) []error {
 			}
 		}
 		got := make(map[mlt.Line]bool)
-		gotKeys := ref.Lines() // already sorted by the table
+		gotKeys := ref.AppendLines(nil) // already sorted by the table
 		for _, l := range gotKeys {
 			got[l] = true
 		}

@@ -151,7 +151,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 				}
 			})
 			h.Word(0x02)
-			for _, l := range nd.table.Lines() { // already sorted
+			for _, l := range nd.table.AppendLines(nil) { // already sorted
 				h.Word(uint64(l))
 			}
 			h.Word(0x03)

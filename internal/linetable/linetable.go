@@ -72,11 +72,13 @@ func (t *Table[V]) Put(key uint64, val V) {
 	}
 }
 
-// grow doubles the array and reinserts every key in slot order.
+// grow doubles the array and reinserts every key in slot order. An empty
+// table starts at 8 slots, in the array CopyFrom left it when that has
+// room.
 func (t *Table[V]) grow() {
 	old := t.slots
 	if len(old) == 0 {
-		t.slots, t.shift = make([]slot[V], 8), 64-3
+		t.slots, t.shift = append(old[:0], make([]slot[V], 8)...), 64-3
 	} else {
 		t.slots, t.shift = make([]slot[V], 2*len(old)), t.shift-1
 	}
@@ -126,7 +128,8 @@ func (t *Table[V]) Clear() {
 }
 
 // CopyFrom makes t an exact copy of src, slot for slot, reusing t's array
-// when it is large enough. The values are copied as values.
+// when it is large enough; a copy of an empty table keeps the array for
+// its first Put. The values are copied as values.
 func (t *Table[V]) CopyFrom(src *Table[V]) {
 	t.slots = append(t.slots[:0], src.slots...)
 	t.n, t.shift = src.n, src.shift

@@ -75,6 +75,11 @@ func (m *model) check() {
 		m.t.Fatalf("CopyFrom: %d keys in %+v, original has %d in %+v", c.Len(), c.slots, m.tab.Len(), m.tab.slots)
 	}
 	c.Put(^uint64(0), 1)
+	visited := 0
+	c.Each(func(uint64, uint64) { visited++ })
+	if visited != c.Len() {
+		m.t.Fatalf("after CopyFrom and Put: Each visits %d keys, Len is %d", visited, c.Len())
+	}
 	c.Delete(^uint64(0))
 	for k := range m.ref {
 		c.Delete(k)

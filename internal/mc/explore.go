@@ -147,6 +147,10 @@ type Options struct {
 	// "pre-checkpoint"/"post-checkpoint" so crash-injection tests can die
 	// exactly there (by panicking or killing the process).
 	faultHook func(string)
+	// onNew, when non-nil, is called with the canonical fingerprint of
+	// every state the search records for the first time, so tests can
+	// compare the sets two searches reach.
+	onNew func(fp uint64)
 }
 
 func (o *Options) fillDefaults() {
@@ -336,6 +340,9 @@ func newChecker(sc *Scenario, sh *shared) checker {
 // take records one resolved choice point. Beyond the prefix, under the
 // sleep-set reduction, it also records the candidates' classes and the
 // sleep set in force, which the spawner needs to seed sibling branches.
+// cands is a piece of the chooser's per-run arena, valid like the take
+// itself until the worker's next run; sleepAt is a kept set, which
+// children may hand on to a work item.
 type take struct {
 	pick    int
 	n       int
@@ -447,9 +454,18 @@ type mcChooser struct {
 	limitHit bool
 	blocked  bool
 
-	// clsScratch backs classesOf between choice points; retained class
-	// slices (take.cands) are copied out of it.
+	// clsScratch backs classesOf between choice points. kept is the
+	// run's arena for the classes a take records (take.cands), emptied by
+	// start; fpBuf holds the sleep set's fingerprints for one Visit.
 	clsScratch []tagClass
+	kept       []tagClass
+	fpBuf      []uint64
+
+	// chunk is what afterExec and children carve new sleep sets from;
+	// done and kids are children's buffers.
+	chunk sleepChunk
+	done  []tagClass
+	kids  []workItem
 
 	// atBoundary, when set, is told about every scheduler choice point
 	// beyond the prefix that leaves an alternative for a sibling branch,
@@ -481,7 +497,7 @@ func (c *mcChooser) start(it workItem, depth, covered int) {
 	c.item, c.covered = it, covered
 	c.depth, c.initSleep = depth, it.sleep
 	c.sleep, c.armed, c.active = nil, false, false
-	c.taken = c.taken[:0]
+	c.taken, c.kept = c.taken[:0], c.kept[:0]
 	c.limitHit, c.blocked = false, false
 	if c.sleepOn && it.scripted == 0 {
 		c.active = true
@@ -554,7 +570,9 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 	}
 	tk := take{pick: pick, n: len(cands)}
 	if !scripted && c.sleepOn {
-		tk.cands = append([]tagClass(nil), classesOf()...)
+		from := len(c.kept)
+		c.kept = append(c.kept, classesOf()...)
+		tk.cands = c.kept[from:len(c.kept):len(c.kept)]
 		tk.sleepAt = c.sleep
 	}
 	if !scripted && isSched && c.atBoundary != nil && tk.leavesSibling() {
@@ -584,7 +602,7 @@ func (c *mcChooser) Dispatched(tag any) {
 	if !c.active || len(c.sleep) == 0 {
 		return
 	}
-	c.sleep = c.sleep.afterExec(c.n, c.classify(tag))
+	c.sleep = c.sleep.afterExec(c.n, c.classify(tag), &c.chunk)
 }
 
 // pos is the number of choice points resolved on the path so far.
@@ -636,9 +654,11 @@ func newExplorer(sc *Scenario, opts Options) *explorer {
 }
 
 type runOut struct {
-	// taken are the choice points from point covered of the path on.
+	// taken are the choice points from point covered of the path on, and
+	// ch the chooser that took them, whose buffers children reuses.
 	taken     []take
 	covered   int
+	ch        *mcChooser
 	violation *Violation
 	truncated bool // stopped at an already-visited state
 	limitHit  bool // the depth bound forced a default choice
@@ -782,7 +802,13 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 			break
 		}
 		if track {
-			switch e.visited.Visit(ck.canonicalFP(), ch.sleep.fps(), e.opts.MaxStates) {
+			fp := ck.canonicalFP()
+			ch.fpBuf = ch.sleep.fps(ch.fpBuf)
+			switch e.visited.Visit(fp, ch.fpBuf, e.opts.MaxStates) {
+			case statespace.OutcomeNew:
+				if e.opts.onNew != nil {
+					e.opts.onNew(fp)
+				}
 			case statespace.OutcomeSeen:
 				out.truncated = true
 			case statespace.OutcomeBudget:
@@ -797,7 +823,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 	if out.violation == nil && !out.truncated && !out.blocked && !out.stepsHit && !out.budgetCut && k.Pending() == 0 {
 		out.violation = ck.quiescenceCheck()
 	}
-	out.taken, out.covered = ch.taken, ch.covered
+	out.taken, out.covered, out.ch = ch.taken, ch.covered, ch
 	out.limitHit = ch.limitHit
 	if out.violation != nil {
 		out.violation.Choices = ch.choices()
@@ -825,9 +851,15 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 // point the one saved at the point itself, for an arbitration point an
 // earlier one, a step or two back — or, failing that, the boundary the
 // run itself started from. The siblings share their prefixes: slices of
-// one copy of the run's choices, made when the first of them is spawned.
+// one copy of the run's choices, made when the first of them is spawned,
+// and their sleep sets are carved from the chooser's chunk. The returned
+// slice is the chooser's buffer, valid until the worker's next run.
 func (e *explorer) children(it workItem, r runOut) []workItem {
-	var out []workItem
+	c := r.ch
+	if c == nil {
+		c = &mcChooser{} // an outcome made by hand
+	}
+	out := c.kids[:0]
 	var picks []int
 	nsaved := len(r.saved)
 	for p := r.covered + len(r.taken) - 1; p >= it.scripted; p-- {
@@ -858,7 +890,7 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 			}
 			continue
 		}
-		done := []tagClass{t.cands[t.pick]}
+		c.done = append(c.done[:0], t.cands[t.pick])
 		for alt := 0; alt < t.n; alt++ {
 			if alt == t.pick {
 				continue
@@ -867,10 +899,11 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 			if t.sleepAt.contains(cls.fp) {
 				continue
 			}
-			spawn(alt, childSleep(e.n, t.sleepAt, done, cls))
-			done = append(done, cls)
+			spawn(alt, childSleep(e.n, t.sleepAt, c.done, cls, &c.chunk))
+			c.done = append(c.done, cls)
 		}
 	}
+	c.kids = out
 	return out
 }
 

@@ -38,7 +38,7 @@ var rewindFields = []fieldClasses{
 		// root is the execution as newInstance built it, saved once: what
 		// reset loads, never written again.
 		wiring:  []string{"root"},
-		scratch: []string{"drvH", "drvDirty", "fpn", "sigR", "sigC"},
+		scratch: []string{"drvH", "drvDirty", "fpn", "sigR", "sigC", "dupSeen"},
 	},
 }
 

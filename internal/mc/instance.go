@@ -7,6 +7,7 @@ import (
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/fphash"
+	"multicube/internal/linetable"
 	"multicube/internal/memmodel"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
@@ -32,6 +33,8 @@ type instance struct {
 	fpn      fpCounts
 
 	sigR, sigC []uint64 // canonical's scratch: row and column signatures
+
+	dupSeen linetable.Table[topology.Coord] // dupModifiedScan's scratch
 }
 
 // fpCounts is one execution's fingerprint cost: component hashes rebuilt
@@ -306,7 +309,8 @@ func (in *instance) stepCheck(maxReissues int) *Violation {
 // naming the two holders in row-major order.
 func (in *instance) dupModifiedScan() *Violation {
 	n := in.sc.N
-	holders := make(map[cache.Line]topology.Coord)
+	holders := &in.dupSeen
+	holders.Clear()
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			id := topology.Coord{Row: r, Col: c}
@@ -315,12 +319,12 @@ func (in *instance) dupModifiedScan() *Violation {
 				if e.State != coherence.Modified || dup != nil {
 					return
 				}
-				if first, ok := holders[e.Line]; ok {
+				if first, ok := holders.Get(uint64(e.Line)); ok {
 					dup = &Violation{Kind: "invariant",
 						Msg: fmt.Sprintf("line %d modified in two caches at once: %v and %v", e.Line, first, id)}
 					return
 				}
-				holders[e.Line] = id
+				holders.Put(uint64(e.Line), id)
 			})
 			if dup != nil {
 				return dup

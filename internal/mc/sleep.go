@@ -1,10 +1,6 @@
 package mc
 
-import (
-	"sort"
-
-	"multicube/internal/topology"
-)
+import "multicube/internal/topology"
 
 // This file implements the partial-order machinery of the explorer: a
 // classification of kernel-event transitions, a conservative independence
@@ -153,7 +149,9 @@ func persistentIndex(n int, classes []tagClass) int {
 // sleepSet is the set of transitions that need not be fired from the
 // current state because a sibling branch already explores them and every
 // transition executed since commutes with them. Sets are tiny (almost
-// always under four entries), so linear scans beat anything clever.
+// always under four entries), so linear scans beat anything clever. A set
+// is never mutated once made: takes, work items and the chooser share
+// them, and every new one is a piece of a sleepChunk.
 type sleepSet []tagClass
 
 func (s sleepSet) contains(fp uint64) bool {
@@ -167,58 +165,63 @@ func (s sleepSet) contains(fp uint64) bool {
 
 // afterExec removes every member dependent with the just-executed
 // transition t; their commutation guarantee ends here. The receiver is
-// never mutated (slices are shared across takes).
-func (s sleepSet) afterExec(n int, t tagClass) sleepSet {
-	keep := true
+// never mutated: a set that loses a member is carved anew from c.
+func (s sleepSet) afterExec(n int, t tagClass, c *sleepChunk) sleepSet {
 	for _, u := range s {
 		if dependent(n, u, t) {
-			keep = false
-			break
+			return c.carve(n, t, s, nil)
 		}
 	}
-	if keep {
-		return s
-	}
-	out := make(sleepSet, 0, len(s))
+	return s
+}
+
+// fps fills dst with the members' identity fingerprints, sorted, for
+// visited-set storage and subset comparison. Sets are tiny, so an
+// insertion sort is the cheapest.
+func (s sleepSet) fps(dst []uint64) []uint64 {
+	dst = dst[:0]
 	for _, u := range s {
-		if !dependent(n, u, t) {
-			out = append(out, u)
+		i := len(dst)
+		dst = append(dst, u.fp)
+		for ; i > 0 && dst[i-1] > u.fp; i-- {
+			dst[i] = dst[i-1]
 		}
+		dst[i] = u.fp
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return dst
 }
 
-// fps returns the members' identity fingerprints, sorted, for visited-set
-// storage and subset comparison.
-func (s sleepSet) fps() []uint64 {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]uint64, len(s))
-	for i, u := range s {
-		out[i] = u.fp
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// childSleep carves from c the sleep set a sibling branch starts with
+// after taking pick: every member of the parent's sleep set plus every
+// sibling explored before it, filtered to the ones independent of pick.
+func childSleep(n int, base sleepSet, done []tagClass, pick tagClass, c *sleepChunk) sleepSet {
+	return c.carve(n, pick, base, done)
 }
 
-// childSleep builds the sleep set a sibling branch starts with after
-// taking pick: every member of the parent's sleep set plus every sibling
-// explored before it, filtered to the ones independent of pick.
-func childSleep(n int, base sleepSet, done []tagClass, pick tagClass) sleepSet {
-	var out sleepSet
-	for _, u := range base {
-		if !dependent(n, u, pick) {
-			out = append(out, u)
+// sleepChunk is the array a worker's new sleep sets are carved from, a
+// piece per set. Each piece is a full slice expression, so no append to
+// it can reach a neighbour. A chunk is never reset, only replaced when
+// full: work items on the frontier keep the pieces carved for them.
+type sleepChunk []tagClass
+
+const sleepChunkLen = 16
+
+// carve returns the members of a, then of b, independent of t as a new
+// piece, nil when there are none.
+func (c *sleepChunk) carve(n int, t tagClass, a, b []tagClass) sleepSet {
+	if cap(*c)-len(*c) < len(a)+len(b) {
+		*c = make(sleepChunk, 0, max(len(a)+len(b), sleepChunkLen))
+	}
+	start := len(*c)
+	for _, s := range [2][]tagClass{a, b} {
+		for _, u := range s {
+			if !dependent(n, u, t) {
+				*c = append(*c, u)
+			}
 		}
 	}
-	for _, u := range done {
-		if !dependent(n, u, pick) {
-			out = append(out, u)
-		}
+	if end := len(*c); end > start {
+		return sleepSet((*c)[start:end:end])
 	}
-	return out
+	return nil
 }

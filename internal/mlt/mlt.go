@@ -20,7 +20,7 @@ package mlt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"multicube/internal/linetable"
 )
@@ -226,19 +226,20 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Lines returns all entries in ascending order, for invariant checks.
-func (t *Table) Lines() []Line {
-	var out []Line
-	t.table.Each(func(l uint64, _ struct{}) { out = append(out, Line(l)) })
+// AppendLines appends all entries to dst in ascending order: into a
+// caller's buffer for the fingerprint, into nil for invariant checks.
+func (t *Table) AppendLines(dst []Line) []Line {
+	start := len(dst)
+	t.table.Each(func(l uint64, _ struct{}) { dst = append(dst, Line(l)) })
 	for _, set := range t.sets {
 		for i := range set {
 			if set[i].valid {
-				out = append(out, set[i].line)
+				dst = append(dst, set[i].line)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Stats reports operation counters.
@@ -257,7 +258,7 @@ func (t *Table) Stats() Stats {
 // Equal reports whether two tables hold exactly the same set of lines —
 // the identical-within-a-column invariant.
 func Equal(a, b *Table) bool {
-	la, lb := a.Lines(), b.Lines()
+	la, lb := a.AppendLines(nil), b.AppendLines(nil)
 	if len(la) != len(lb) {
 		return false
 	}

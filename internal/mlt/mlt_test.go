@@ -91,7 +91,7 @@ func TestLinesSorted(t *testing.T) {
 	for _, l := range []Line{9, 1, 4, 2} {
 		tb.Insert(l)
 	}
-	got := tb.Lines()
+	got := tb.AppendLines(nil)
 	want := []Line{1, 2, 4, 9}
 	if len(got) != len(want) {
 		t.Fatalf("Lines = %v, want %v", got, want)
@@ -158,7 +158,7 @@ func TestPropertyCapacityAndConsistency(t *testing.T) {
 		if tb.Len() > 16 {
 			return false
 		}
-		for _, l := range tb.Lines() {
+		for _, l := range tb.AppendLines(nil) {
 			if !tb.Contains(l) {
 				return false
 			}
@@ -183,7 +183,7 @@ func TestSaveLoadRewinds(t *testing.T) {
 		}
 	}
 	dump := func(tb *Table) string {
-		return fmt.Sprintf("%v %+v clock=%d slots=%+v", tb.Lines(), tb.Stats(), tb.clock, tb.sets)
+		return fmt.Sprintf("%v %+v clock=%d slots=%+v", tb.AppendLines(nil), tb.Stats(), tb.clock, tb.sets)
 	}
 	for _, cfg := range []Config{{Entries: 4, Assoc: 2}, {}} {
 		tb := MustNew(cfg)

@@ -278,8 +278,8 @@ func (s *Store) Err() error {
 // in-memory table's: a stored subset truncates (OutcomeSeen), anything
 // else shrinks the stored set to the intersection and re-explores
 // (OutcomeAgain), a first arrival records the set (OutcomeNew) unless
-// the budget is exhausted (OutcomeBudget). The caller must not mutate
-// sleep afterwards.
+// the budget is exhausted (OutcomeBudget). Visit keeps no reference to
+// sleep: the caller may refill it for the next arrival.
 func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 	sh := &s.shards[fp>>s.shift] // a shift by 64 (one shard) yields 0
 	sh.mu.Lock()
@@ -329,7 +329,7 @@ func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 		return OutcomeBudget
 	}
 	sh.gen++
-	sh.hot[fp] = sleep
+	sh.hot[fp] = append([]uint64(nil), sleep...)
 	grow := int64(entryOverhead + 8*len(sleep))
 	sh.bytes += grow
 	sh.mu.Unlock()
