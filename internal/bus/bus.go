@@ -452,7 +452,7 @@ func (b *Bus) grant() {
 	b.stats.WaitTime += b.k.Now() - p.enqueued
 	occ := p.pkt.Occupancy()
 	b.stats.BusyTime += occ
-	b.k.AfterTagged(occ, DeliverTag{b}, b.deliverFn)
+	b.k.AfterFixed(occ, DeliverTag{b}, b.deliverFn)
 }
 
 // deliver is the body of the delivery event grant schedules: the

@@ -44,10 +44,10 @@ func typeOf[T any]() reflect.Type { return reflect.TypeOf((*T)(nil)).Elem() }
 var rewindFields = []fieldClasses{
 	{
 		of:      typeOf[sim.Kernel](),
-		rewound: []string{"now", "seq", "events"},
+		rewound: []string{"now", "seq", "events", "lanes"},
 		hook:    []string{"chooser", "allEvents"},
 		wiring:  []string{"procs"},
-		scratch: []string{"executed", "dispatching", "ordered", "cands"},
+		scratch: []string{"fixed", "executed", "dispatching", "ordered", "cands"},
 	},
 	{
 		of:      typeOf[bus.Bus](),

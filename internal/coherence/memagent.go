@@ -49,7 +49,7 @@ func (m *Memory) issueAfter(d sim.Time, op *Op) {
 		return
 	}
 	op.issuer, op.dim = topology.Coord{Row: -1, Col: m.col}, Col
-	m.sys.k.AfterTagged(d, EnqueueTag{op}, m.enqueueFn)
+	m.sys.k.AfterFixed(d, EnqueueTag{op}, m.enqueueFn)
 }
 
 // enqueue is the body of the events issueAfter schedules: the access for

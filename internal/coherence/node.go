@@ -209,7 +209,7 @@ func (n *Node) issueAfter(dim Dim, d sim.Time, op *Op) {
 		return
 	}
 	n.sys.recordIntent(dim, op)
-	n.sys.k.AfterTagged(d, EnqueueTag{op}, n.enqueueFn)
+	n.sys.k.AfterFixed(d, EnqueueTag{op}, n.enqueueFn)
 }
 
 // enqueue is the body of the events issueAfter schedules: the latency of

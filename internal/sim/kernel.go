@@ -19,7 +19,10 @@
 //multicube:deterministic
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Time is simulated time in nanoseconds since the start of the run.
 type Time uint64
@@ -60,46 +63,28 @@ type event struct {
 // pushes and pops millions of events.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before orders events by (at, seq).
+func (e *event) before(f *event) bool {
+	return e.at < f.at || e.at == f.at && e.seq < f.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h eventHeap) Less(i, j int) bool { return h[i].before(&h[j]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	h.up(len(*h) - 1)
 }
 
-func (h *eventHeap) pop() event {
-	old := *h
-	n := len(old) - 1
-	old.Swap(0, n)
-	e := old[n]
-	old[n] = event{}
-	*h = old[:n]
-	if n > 0 {
-		(*h).down(0)
-	}
-	return e
-}
-
 // remove deletes the element at index i, preserving the heap order.
 func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
-	if i != n {
-		old.Swap(i, n)
-	}
+	old.Swap(i, n)
 	old[n] = event{}
 	*h = old[:n]
-	if i < n {
-		if !(*h).down(i) {
-			(*h).up(i)
-		}
+	if i < n && !(*h).down(i) {
+		(*h).up(i)
 	}
 }
 
@@ -135,12 +120,66 @@ func (h eventHeap) down(i0 int) bool {
 	return i > i0
 }
 
+// maxLanes caps the delays AfterFixed gives a lane of their own: a
+// machine has a word, a block and a device latency.
+const maxLanes = 4
+
+// lane is the FIFO of the events AfterFixed scheduled with delay d. It
+// holds few events (2.8 on average at a dispatch on des-shared), so a
+// dispatch moves the rest down a slot instead of keeping a head index,
+// and append reuses the array for good.
+type lane struct {
+	d      Time
+	events []event
+}
+
+// remove deletes the lane's i-th event, keeping the rest in order.
+func (l *lane) remove(i int) {
+	n := len(l.events) - 1
+	copy(l.events[i:], l.events[i+1:])
+	l.events[n] = event{}
+	l.events = l.events[:n]
+}
+
+// assign makes *dst a copy of src in *dst's array, dropping the
+// closures of the events it held past len(src).
+func assign(dst *[]event, src []event) {
+	held := len(*dst)
+	*dst = append((*dst)[:0], src...)
+	if held > len(src) {
+		clear((*dst)[len(src):held])
+	}
+}
+
+// copyLanes makes *dst a copy of src, reusing its arrays, and returns
+// the number of events copied.
+func copyLanes(dst *[]lane, src []lane) (n int) {
+	lanes := *dst
+	if len(src) > cap(lanes) {
+		lanes = append(lanes[:cap(lanes)], make([]lane, len(src)-cap(lanes))...)
+	}
+	lanes = lanes[:max(len(src), len(lanes))]
+	for i := range lanes {
+		var from lane
+		if i < len(src) {
+			from = src[i]
+		}
+		if lanes[i].d = from.d; len(lanes[i].events)+len(from.events) > 0 {
+			assign(&lanes[i].events, from.events)
+			n += len(from.events)
+		}
+	}
+	*dst = lanes[:len(src)]
+	return n
+}
+
 // Kernel is a single-threaded discrete-event scheduler.
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
 	now    Time
 	seq    uint64
 	events eventHeap
+	lanes  []lane // the pending events are the heap's and the lanes'
 	procs  []*Proc
 
 	// chooser, when set, resolves dispatch order among candidate events;
@@ -152,23 +191,25 @@ type Kernel struct {
 	// take arbitrarily long and any pending action can happen next.
 	allEvents bool
 
+	// fixed counts the lanes' events: at zero Step reads the heap alone.
+	fixed int
 	// executed counts events dispatched, for diagnostics and tests.
 	executed uint64
 	// dispatching is the tag of the event being dispatched (Dispatching).
 	dispatching any
 
-	// scratch buffers reused by stepChosen, which runs once per kernel
+	// scratch buffers reused by choose, which runs once per kernel
 	// step under a model checker and must not allocate.
 	ordered []scratchEvent
 	cands   []Candidate
 }
 
-// scratchEvent pairs an event with its current position in the live
-// heap, so stepChosen can remove the chosen event by index instead of
-// scanning the heap for its sequence number.
+// scratchEvent pairs an event with its current position (lane -1 is the
+// heap), so choose can remove the chosen event by index instead of
+// scanning for its sequence number.
 type scratchEvent struct {
 	event
-	heapIdx int
+	lane, idx int
 }
 
 // NewKernel returns an empty kernel at time zero.
@@ -177,42 +218,43 @@ func NewKernel() *Kernel {
 }
 
 // KernelState is a caller-owned buffer holding a kernel at a step
-// boundary: the clock, the sequence counter and every pending event with
-// its closure and tag. Save fills it and keeps its capacity, so one
-// buffer serves many saves.
+// boundary: the clock, the sequence counter and every pending event,
+// heap and lanes, with its closure and tag. Save fills it and keeps its
+// capacity, so one buffer serves many saves.
 type KernelState struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events []event
+	lanes  []lane
 }
 
-// Save copies the kernel's clock, sequence counter and pending events
-// into st. The events keep their closures: a saved state is only good
-// for rewinding the kernel it was taken from, and only if restoring the
-// data those closures read restores what they will do — the caller's
-// obligation. The chooser and the dispatch counter are not part of it.
-// Call it between steps (a Chooser's Choose counts: stepChosen consults
-// it before touching the heap or the clock). A kernel with processes has
-// goroutines parked mid-program, which a copy does not capture, so it
-// panics.
+// Save copies the kernel's clock, sequence counter and pending events,
+// heap and lanes, into st. The events keep their closures: a saved state
+// is only good for rewinding the kernel it was taken from, and only if
+// restoring the data those closures read restores what they will do —
+// the caller's obligation. The chooser and the dispatch counter are not
+// part of it. Call it between steps (a Chooser's Choose counts: choose
+// consults it before touching the pending set or the clock). A kernel
+// with processes has goroutines parked mid-program, which a copy does
+// not capture, so it panics.
 func (k *Kernel) Save(st *KernelState) {
 	if len(k.procs) > 0 {
 		panic("sim: Save of a kernel with processes")
 	}
 	st.now, st.seq = k.now, k.seq
-	clear(st.events) // drop the closures of the state saved here before
-	st.events = append(st.events[:0], k.events...)
+	assign(&st.events, k.events)
+	copyLanes(&st.lanes, k.lanes)
 }
 
 // Load rewinds the kernel to a state Save took from it: same clock, same
-// sequence counter, the same events in the same heap positions. The
-// chooser stays installed. Executed restarts at zero — it counts the
+// sequence counter, the same events in the same heap and lane positions.
+// The chooser stays installed. Executed restarts at zero — it counts the
 // events this kernel really dispatched since it was built or last
 // loaded, which is what a harness timing a run wants to read.
 func (k *Kernel) Load(st *KernelState) {
 	k.now, k.seq = st.now, st.seq
-	clear(k.events) // drop the closures of the abandoned future
-	k.events = append(k.events[:0], st.events...)
+	assign((*[]event)(&k.events), st.events)
+	k.fixed = copyLanes(&k.lanes, st.lanes)
 	k.executed = 0
 }
 
@@ -220,7 +262,7 @@ func (k *Kernel) Load(st *KernelState) {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of events waiting to run.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.events) + k.fixed }
 
 // Executed reports the number of events dispatched since the kernel was
 // built or Loaded: host work done, not a position in simulated history.
@@ -246,6 +288,62 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // AfterTagged is After with a scheduling tag.
 func (k *Kernel) AfterTagged(d Time, tag any, fn func()) { k.AtTagged(k.now+d, tag, fn) }
 
+// AfterFixed is AfterTagged for a delay that is one of a few constants,
+// a bus occupancy or a device latency: the event joins the FIFO lane of
+// its delay instead of the heap. The clock never goes back and the
+// sequence counter only rises, so a lane's FIFO order is its (time,
+// sequence) order. Delays past the first maxLanes share the heap.
+func (k *Kernel) AfterFixed(d Time, tag any, fn func()) {
+	i := 0
+	for i < len(k.lanes) && k.lanes[i].d != d {
+		i++
+	}
+	if i == maxLanes {
+		k.AfterTagged(d, tag, fn)
+		return
+	}
+	if i == len(k.lanes) {
+		k.lanes = slices.Grow(k.lanes, 1)[:i+1] // reuses a lane a Load dropped
+		k.lanes[i].d = d
+	}
+	k.seq++
+	k.fixed++
+	k.lanes[i].events = append(k.lanes[i].events, event{at: k.now + d, seq: k.seq, fn: fn, tag: tag})
+}
+
+// first returns the earliest pending event, nil if there is none, and
+// the lane it heads (-1: it is the heap's top).
+func (k *Kernel) first() (int, *event) {
+	l, e := -1, (*event)(nil)
+	if len(k.events) > 0 {
+		e = &k.events[0]
+	}
+	for i := 0; k.fixed > 0 && i < len(k.lanes); i++ {
+		if h := k.lanes[i].events; len(h) > 0 && (e == nil || h[0].before(e)) {
+			l, e = i, &h[0]
+		}
+	}
+	return l, e
+}
+
+// queue returns the pending events of lane l, or the heap's for l = -1.
+func (k *Kernel) queue(l int) []event {
+	if l < 0 {
+		return k.events
+	}
+	return k.lanes[l].events
+}
+
+// take removes the event at position i of lane l, or of the heap.
+func (k *Kernel) take(l, i int) {
+	if l < 0 {
+		k.events.remove(i)
+		return
+	}
+	k.fixed--
+	k.lanes[l].remove(i)
+}
+
 // SetChooser routes event dispatch order through ch (nil restores the
 // default order). With allEvents false, only events sharing the earliest
 // timestamp are offered — a tie-break refinement that preserves the
@@ -266,14 +364,17 @@ func (k *Kernel) ForEachPending(fn func(at Time, tag any)) {
 	}
 }
 
-// sorted copies the pending events, each with its heap position, into
-// the kernel's scratch buffer in (time, sequence) order. A Chooser may
-// come back here through ForEachPending while stepChosen still reads the
-// buffer: the heap has not changed, so it is rewritten with what it holds.
+// sorted copies the pending events, each with its position, into the
+// kernel's scratch buffer in (time, sequence) order. A Chooser may come
+// back here through ForEachPending while choose still reads the buffer:
+// nothing pending has moved, so it is rewritten with what it holds.
 func (k *Kernel) sorted() []scratchEvent {
 	ordered := k.ordered[:0]
-	for i := range k.events {
-		ordered = append(ordered, scratchEvent{event: k.events[i], heapIdx: i})
+	for l := -1; l < len(k.lanes); l++ {
+		evs := k.queue(l)
+		for i := range evs {
+			ordered = append(ordered, scratchEvent{event: evs[i], lane: l, idx: i})
+		}
 	}
 	sortEvents(ordered)
 	k.ordered = ordered
@@ -281,12 +382,15 @@ func (k *Kernel) sorted() []scratchEvent {
 }
 
 // ForEachPendingTag visits every pending event's tag in arbitrary
-// (heap) order without allocating. Callers that need a deterministic
-// combination must make their per-event contribution order-insensitive,
-// e.g. by sorting derived hashes.
+// (heap, then lane) order without allocating. Callers that need a
+// deterministic combination must make their per-event contribution
+// order-insensitive, e.g. by sorting derived hashes.
 func (k *Kernel) ForEachPendingTag(fn func(tag any)) {
-	for i := range k.events {
-		fn(k.events[i].tag)
+	for l := -1; l < len(k.lanes); l++ {
+		evs := k.queue(l)
+		for i := range evs {
+			fn(evs[i].tag) // one call site, so that fn can be inlined here
+		}
 	}
 }
 
@@ -300,24 +404,29 @@ func (k *Kernel) Dispatching() any { return k.dispatching }
 // among the candidate set when a Chooser is installed. It reports false
 // when no events remain.
 func (k *Kernel) Step() bool {
-	if len(k.events) == 0 {
+	var e event
+	if k.chooser != nil {
+		if k.Pending() == 0 {
+			return false
+		}
+		e = k.choose()
+	} else if l, top := k.first(); top != nil {
+		e = *top
+		k.take(l, 0)
+	} else {
 		return false
 	}
-	if k.chooser == nil {
-		e := k.events.pop()
-		k.now = e.at
-		k.executed++
-		k.dispatching = e.tag
-		e.fn()
-		return true
-	}
-	return k.stepChosen()
+	k.now = max(k.now, e.at) // a chooser may have run a later event
+	k.executed++
+	k.dispatching = e.tag
+	e.fn()
+	return true
 }
 
-// stepChosen dispatches via the chooser. Candidates are presented in
-// (time, sequence) order, so choice 0 is exactly the event the default
-// path would dispatch.
-func (k *Kernel) stepChosen() bool {
+// choose removes the event the chooser picks and reports it to a
+// DispatchObserver. Candidates are presented in (time, sequence) order,
+// so choice 0 is exactly the event the default path would dispatch.
+func (k *Kernel) choose() event {
 	ordered := k.sorted()
 	n := len(ordered)
 	if !k.allEvents {
@@ -339,20 +448,14 @@ func (k *Kernel) stepChosen() bool {
 		}
 	}
 	e := ordered[idx]
-	// The scratch copy recorded each event's live heap position, and
-	// nothing has mutated the heap since, so removal is O(log n) instead
-	// of the historical O(pending) scan by sequence number.
-	k.events.remove(e.heapIdx)
-	if e.at > k.now {
-		k.now = e.at
-	}
+	// The scratch copy recorded each event's live position, and nothing
+	// has moved since, so removal is by index instead of the historical
+	// O(pending) scan by sequence number.
+	k.take(e.lane, e.idx)
 	if obs, ok := k.chooser.(DispatchObserver); ok {
 		obs.Dispatched(e.tag)
 	}
-	k.executed++
-	k.dispatching = e.tag
-	e.fn()
-	return true
+	return e.event
 }
 
 // sortEvents orders the scratch copy by (at, seq) without the
@@ -362,7 +465,7 @@ func sortEvents(evs []scratchEvent) {
 	for i := 1; i < len(evs); i++ {
 		e := evs[i]
 		j := i
-		for j > 0 && (e.at < evs[j-1].at || (e.at == evs[j-1].at && e.seq < evs[j-1].seq)) {
+		for j > 0 && e.before(&evs[j-1].event) {
 			evs[j] = evs[j-1]
 			j--
 		}
@@ -380,7 +483,7 @@ func (k *Kernel) Run() Time {
 // RunUntil dispatches events with timestamps <= t, then advances the clock
 // to exactly t. Events scheduled beyond t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.events) > 0 && k.events[0].at <= t {
+	for _, e := k.first(); e != nil && e.at <= t; _, e = k.first() {
 		k.Step()
 	}
 	if k.now < t {

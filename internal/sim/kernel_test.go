@@ -89,11 +89,16 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 		at := at
 		k.At(at, func() { ran[at] = true })
 	}
+	// The same from a lane: a fixed delay's events are pending too.
+	for _, at := range []Time{25, 31} {
+		at := at
+		k.AfterFixed(at, nil, func() { ran[at] = true })
+	}
 	k.RunUntil(25)
-	if !ran[10] || !ran[20] {
+	if !ran[10] || !ran[20] || !ran[25] {
 		t.Error("events at or before 25 did not run")
 	}
-	if ran[30] || ran[40] {
+	if ran[30] || ran[31] || ran[40] {
 		t.Error("events after 25 ran early")
 	}
 	if k.Now() != 25 {
@@ -101,8 +106,8 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	}
 	// Inclusive boundary.
 	k.RunUntil(30)
-	if !ran[30] {
-		t.Error("event at exactly 30 did not run on RunUntil(30)")
+	if !ran[30] || ran[31] {
+		t.Error("event at exactly 30 did not run on RunUntil(30), or the one at 31 did")
 	}
 }
 
@@ -250,9 +255,10 @@ func TestSaveLoadRewinds(t *testing.T) {
 		return func() {
 			log = append(log, fmt.Sprintf("%v %s", k.Now(), name))
 			if depth > 0 {
-				// Equal times on purpose: the sequence counter breaks the tie.
+				// Equal times on purpose, one from the heap and one from a
+				// lane: the sequence counter breaks the tie.
 				k.AfterTagged(10, name+"a", spawn(name+"a", depth-1))
-				k.AfterTagged(10, name+"b", spawn(name+"b", depth-1))
+				k.AfterFixed(10, name+"b", spawn(name+"b", depth-1))
 			}
 		}
 	}
@@ -263,6 +269,9 @@ func TestSaveLoadRewinds(t *testing.T) {
 	}
 	var st KernelState
 	k.Save(&st)
+	if k.fixed == 0 || len(k.events) == 0 {
+		t.Fatalf("the save point has %d events in lanes and %d in the heap; it needs both", k.fixed, len(k.events))
+	}
 	now, pending, before := k.Now(), k.Pending(), len(log)
 	var tags []any
 	k.ForEachPending(func(_ Time, tag any) { tags = append(tags, tag) })

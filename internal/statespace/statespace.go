@@ -34,11 +34,12 @@
 package statespace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -397,7 +398,7 @@ func (s *Store) spillShard(i int) error {
 	for fp, sleep := range sh.hot { // collect-then-sort: order restored below
 		ents = append(ents, runEnt{fp: fp, sleep: sleep})
 	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].fp < ents[b].fp })
+	slices.SortFunc(ents, func(a, b runEnt) int { return cmp.Compare(a.fp, b.fp) })
 	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), ents)
 	if err != nil {
 		return err
@@ -433,7 +434,7 @@ func (s *Store) compactLocked(sh *shard, i int) error {
 	for fp, sleep := range merged { // collect-then-sort: order restored below
 		ents = append(ents, runEnt{fp: fp, sleep: sleep})
 	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].fp < ents[b].fp })
+	slices.SortFunc(ents, func(a, b runEnt) int { return cmp.Compare(a.fp, b.fp) })
 	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), ents)
 	if err != nil {
 		return err
