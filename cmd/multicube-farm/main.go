@@ -73,7 +73,6 @@ func serveConfig(args []string) (cfg farm.Config, listen string, drain time.Dura
 	fs.StringVar(&cfg.CacheDir, "cache-dir", "", "on-disk result cache directory (empty: memory only)")
 	fs.IntVar(&cfg.CacheMemEntries, "cache-mem", 256, "in-memory cache entries")
 	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 2*time.Minute, "per-job execution ceiling")
-	fs.IntVar(&cfg.MCWorkers, "mc-workers", 1, "explorer parallelism per mc job")
 	fs.Float64Var(&cfg.RatePerSec, "rate", 50, "per-client requests/sec (0 disables limiting)")
 	fs.IntVar(&cfg.RateBurst, "burst", 100, "per-client burst allowance")
 	fs.DurationVar(&drain, "drain", 30*time.Second, "graceful shutdown drain budget")

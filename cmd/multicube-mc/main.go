@@ -7,7 +7,7 @@
 // Usage:
 //
 //	multicube-mc -preset readmod-race [-budget 200000] [-depth-step 0]
-//	             [-workers 1] [-inject] [-no-por] [-no-sleep]
+//	             [-inject] [-no-por] [-no-sleep]
 //	             [-no-minimize] [-quiet] [-json] [-checkfp]
 //	             [-store dir] [-mem-budget bytes] [-checkpoint dir]
 //	             [-checkpoint-every n] [-resume]
@@ -48,7 +48,6 @@ func run() int {
 	budget := flag.Int("budget", 0, "visited-state budget (default 200000)")
 	depth := flag.Int("depth", 0, "choice-depth bound (0 = unlimited)")
 	depthStep := flag.Int("depth-step", 0, "iterative-deepening step (0 = single full-depth pass)")
-	workers := flag.Int("workers", 1, "parallel exploration workers (verdict is worker-count independent)")
 	inject := flag.Bool("inject", false, "disable the stale-reply defense of DESIGN.md §5.6a")
 	noPOR := flag.Bool("no-por", false, "disable the partial-order reduction entirely")
 	noSleep := flag.Bool("no-sleep", false, "keep eager-firing but disable the sleep sets")
@@ -58,7 +57,7 @@ func run() int {
 	checkFP := flag.Bool("checkfp", false, "cross-check the incremental fingerprint against a from-scratch recompute at every choice point (slow; grid scenarios only)")
 	storeDir := flag.String("store", "", "spill directory for the visited-state store (empty = memory-only)")
 	memBudget := flag.Int64("mem-budget", 0, "visited-store memory budget in bytes before spilling to -store (0 = unbounded)")
-	ckptDir := flag.String("checkpoint", "", "directory for periodic search checkpoints (requires -workers 1)")
+	ckptDir := flag.String("checkpoint", "", "directory for periodic search checkpoints")
 	ckptEvery := flag.Int("checkpoint-every", 0, "executions between checkpoints (default 512)")
 	resume := flag.Bool("resume", false, "resume from the newest matching checkpoint in -checkpoint")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout instead of text")
@@ -122,7 +121,6 @@ func run() int {
 		MaxStates:       *budget,
 		MaxDepth:        *depth,
 		DepthStep:       *depthStep,
-		Workers:         *workers,
 		DisablePOR:      *noPOR,
 		DisableSleep:    *noSleep,
 		NoMinimize:      *noMin,

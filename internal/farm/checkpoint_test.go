@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -57,7 +56,7 @@ func stripResume(r mc.Result) mc.Result {
 // the job completes.
 func TestExecutorCheckpointResume(t *testing.T) {
 	root := t.TempDir()
-	x := executor{mcWorkers: 1, checkpointRoot: root, mcCheckpointEvery: 10}
+	x := executor{checkpointRoot: root, mcCheckpointEvery: 10}
 	spec, fp := mcSpec(t, `{"kind":"mc","mc":{"preset":"read-race"}}`)
 	ckdir := filepath.Join(root, fpShard(fp), fp)
 
@@ -100,28 +99,6 @@ func TestExecutorCheckpointResume(t *testing.T) {
 	if _, err := os.Stat(ckdir); !os.IsNotExist(err) {
 		t.Fatalf("completed job left its checkpoint dir behind (stat err %v)", err)
 	}
-}
-
-// TestNewRejectsCheckpointWithParallelExplorer pins the guard: an
-// operator who asks for resumable mc jobs and explorer parallelism at
-// once is told at start-up, not served jobs that silently never
-// checkpoint.
-func TestNewRejectsCheckpointWithParallelExplorer(t *testing.T) {
-	srv, err := New(Config{MCCheckpointDir: t.TempDir(), MCWorkers: 2})
-	if err == nil {
-		srv.Close(context.Background())
-		t.Fatal("New accepted MCCheckpointDir with MCWorkers 2")
-	}
-	for _, want := range []string{"MCCheckpointDir", "MCWorkers"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %s", err, want)
-		}
-	}
-	srv, err = New(Config{MCCheckpointDir: t.TempDir(), MCWorkers: 1})
-	if err != nil {
-		t.Fatalf("sequential explorer with checkpoints refused: %v", err)
-	}
-	srv.Close(context.Background())
 }
 
 // TestServerSurfacesResumeMetrics checks the /metrics plumbing for the

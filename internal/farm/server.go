@@ -33,16 +33,12 @@ type Config struct {
 	CorpusDir string
 	// JobTimeout is the per-job execution ceiling; default 2m.
 	JobTimeout time.Duration
-	// MCWorkers is explorer parallelism per mc job; default 1 (the farm
-	// parallelizes across jobs, not within them).
-	MCWorkers int
 	// MCCheckpointDir, when set, makes mc jobs resumable: each job
 	// checkpoints its search under <dir>/<fp-prefix>/<fingerprint>, and a
 	// resubmission of a killed or timed-out job (which is never cached)
 	// resumes from the last checkpoint instead of starting over.
 	// Checkpoints of completed jobs are deleted — the cached result
-	// supersedes them. Requires MCWorkers <= 1 (the explorer checkpoints
-	// only a sequential search); New rejects the combination.
+	// supersedes them.
 	MCCheckpointDir string
 	// MCCheckpointEvery is the executions-between-checkpoints cadence
 	// for resumable mc jobs; 0 uses the explorer default.
@@ -72,9 +68,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 2 * time.Minute
-	}
-	if c.MCWorkers == 0 {
-		c.MCWorkers = 1
 	}
 	if c.RatePerSec == 0 {
 		c.RatePerSec = 50
@@ -175,9 +168,6 @@ type Server struct {
 // attach Handler to an http.Server to serve it).
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if cfg.MCCheckpointDir != "" && cfg.MCWorkers > 1 {
-		return nil, fmt.Errorf("farm: MCCheckpointDir requires MCWorkers <= 1 (the explorer checkpoints only a sequential search), got MCWorkers %d", cfg.MCWorkers)
-	}
 	cache, err := NewCache(cfg.CacheDir, cfg.CacheMemEntries)
 	if err != nil {
 		return nil, err
@@ -195,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
 		start:   time.Now(),
 		exec: executor{
-			mcWorkers:         cfg.MCWorkers,
 			checkpointRoot:    cfg.MCCheckpointDir,
 			mcCheckpointEvery: cfg.MCCheckpointEvery,
 		},

@@ -35,14 +35,9 @@ type Progress struct {
 // executor runs normalized specs. It is stateless; everything it needs
 // arrives per call, so the worker pool shares one.
 type executor struct {
-	// mcWorkers is the explorer parallelism per mc job. The farm's
-	// throughput lever is the worker pool, so this defaults to 1; raise
-	// it on big machines serving few, huge explorations.
-	mcWorkers int
 	// checkpointRoot, when non-empty, gives each mc job a checkpoint
 	// directory keyed by its fingerprint, making killed jobs resumable
-	// on resubmission. Checkpointing composes only with the sequential
-	// pass: New refuses a root together with mcWorkers above 1.
+	// on resubmission.
 	checkpointRoot string
 	// mcCheckpointEvery overrides the checkpoint cadence (0 = explorer
 	// default).
@@ -79,7 +74,6 @@ func (x *executor) run(ctx context.Context, spec *jobspec.Spec, fp string, progr
 func (x *executor) runMC(ctx context.Context, spec *jobspec.MCSpec, res *jobspec.Result, report func(Progress)) {
 	opts := spec.ExploreOptions()
 	opts.Ctx = ctx
-	opts.Workers = x.mcWorkers
 	ckdir := ""
 	if x.checkpointRoot != "" {
 		// Per-job checkpoint directory under the job fingerprint, sharded
@@ -250,7 +244,6 @@ func (x *executor) runSwarm(ctx context.Context, spec *jobspec.SwarmSpec, res *j
 			r, err := mc.Explore(sc, mc.Options{
 				MaxStates: spec.MaxStates,
 				Ctx:       ctx,
-				Workers:   x.mcWorkers,
 			})
 			if err != nil {
 				res.Verdict = "error"

@@ -96,7 +96,7 @@ func TestUnaddressedSnoopsAreNoOps(t *testing.T) {
 		}
 		t.Run(g.Preset, func(t *testing.T) {
 			chk := &noOpCheck{t: t}
-			res, err := mc.Explore(sc, mc.Options{MaxStates: 5_000_000, Workers: 1,
+			res, err := mc.Explore(sc, mc.Options{MaxStates: 5_000_000,
 				Instrument: func(s *coherence.System) { s.Observer = chk.observe }})
 			if err != nil {
 				t.Fatal(err)

@@ -16,33 +16,31 @@ func TestExploreCancelPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		time.AfterFunc(25*time.Millisecond, cancel)
-		start := time.Now()
-		res, err := Explore(sc, Options{Ctx: ctx, Workers: workers})
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Violation != nil {
-			t.Fatalf("workers=%d: unexpected violation: %v", workers, res.Violation)
-		}
-		if !res.Canceled {
-			t.Fatalf("workers=%d: exploration finished in %v without Canceled; expected a partial result", workers, elapsed)
-		}
-		if res.Exhausted {
-			t.Fatalf("workers=%d: canceled exploration claims Exhausted", workers)
-		}
-		// Generous bound: one run is ≤ MaxStepsPerRun kernel steps
-		// (milliseconds); the full search takes seconds. A cancel that
-		// leaks into the full search blows well past this.
-		if elapsed > 3*time.Second {
-			t.Fatalf("workers=%d: cancel took %v to return", workers, elapsed)
-		}
-		if res.States == 0 && res.Runs == 0 {
-			t.Fatalf("workers=%d: canceled result carries no partial statistics", workers)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(25*time.Millisecond, cancel)
+	start := time.Now()
+	res, err := Explore(sc, Options{Ctx: ctx})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("unexpected violation: %v", res.Violation)
+	}
+	if !res.Canceled {
+		t.Fatalf("exploration finished in %v without Canceled; expected a partial result", elapsed)
+	}
+	if res.Exhausted {
+		t.Fatal("canceled exploration claims Exhausted")
+	}
+	// Generous bound: one run is ≤ MaxStepsPerRun kernel steps
+	// (milliseconds); the full search takes seconds. A cancel that
+	// leaks into the full search blows well past this.
+	if elapsed > 3*time.Second {
+		t.Fatalf("cancel took %v to return", elapsed)
+	}
+	if res.States == 0 && res.Runs == 0 {
+		t.Fatal("canceled result carries no partial statistics")
 	}
 }
 

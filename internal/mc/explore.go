@@ -9,8 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"multicube/internal/coherence"
 	"multicube/internal/sim"
@@ -56,20 +54,6 @@ type Options struct {
 	// default of 128. The protocol legitimately retries lost races, so
 	// the bound is generous rather than tight.
 	MaxReissues int
-	// Workers sets the number of goroutines draining the frontier (the
-	// -workers flag); zero or one means a single-threaded search, run on
-	// the caller's goroutine. The verdict and the reported counterexample
-	// are deterministic regardless of Workers — a violation found by a
-	// parallel pass is re-derived by the sequential search, which is a
-	// pure function of the scenario and options, before being reported —
-	// but the States/Runs statistics of a violation-free parallel search
-	// can vary from run to run with worker scheduling. More workers are
-	// not a speed-up today: measured on 2 CPUs at commit 7a571db (PR 16,
-	// not since), two workers took 0.82–1.18× the single worker's rate
-	// (EXPERIMENTS.md, "PR 16"), because a saved boundary is usable only on
-	// the machine that saved it, so an item popped by another worker
-	// replays its prefix from reset (5.6–7× the kernel steps).
-	Workers int
 	// DisablePOR turns off the partial-order reduction entirely (both
 	// the persistent-set eager-firing and the sleep sets), for
 	// cross-checking that the reduction hides no violations.
@@ -94,17 +78,14 @@ type Options struct {
 	// a full walk, and nothing to cross-check it against.
 	CheckFP bool
 	// Ctx, when non-nil, cancels the exploration cooperatively: it is
-	// consulted at frontier boundaries (between executions), so a cancel returns within one bounded run — MaxStepsPerRun kernel
-	// steps — rather than leaking a worker for the rest of the search.
+	// consulted at frontier boundaries (between executions), so a cancel
+	// returns within one bounded run — MaxStepsPerRun kernel steps.
 	// A canceled exploration returns its partial statistics with
 	// Result.Canceled set and never claims Exhausted.
 	Ctx context.Context
 	// Progress, when non-nil, is called at frontier boundaries with a
 	// snapshot of the running search (states visited, runs completed,
-	// current depth bound, frontier size). Calls are serialized. Under
-	// parallel workers the run/frontier counts depend on scheduling even
-	// though the verdict does not, so snapshots are for reporting, not
-	// for cross-run comparison.
+	// current depth bound, frontier size), on the caller's goroutine.
 	Progress func(Progress)
 	// Instrument, when non-nil, is called on the grid machine once per
 	// execution, before it runs, so harnesses can install passive
@@ -128,8 +109,8 @@ type Options struct {
 	MemBudget int64
 	// CheckpointDir enables periodic atomic checkpoints of the search
 	// (frontier + visited shards + counters) under the given directory
-	// (the -checkpoint flag). Requires a sequential search (Workers <= 1);
-	// StoreDir defaults to CheckpointDir when unset.
+	// (the -checkpoint flag). StoreDir defaults to CheckpointDir when
+	// unset.
 	CheckpointDir string
 	// CheckpointEvery is the number of from-scratch executions between
 	// checkpoints; zero means a default of 512. Ignored without
@@ -162,9 +143,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MaxReissues == 0 {
 		o.MaxReissues = 128
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 	if o.CheckpointDir != "" {
 		if o.StoreDir == "" {
@@ -227,9 +205,8 @@ type Result struct {
 	// FPRecomputes and FPIncremental count component-hash rebuilds vs
 	// cache hits in the incremental fingerprint path, summed over every
 	// execution of the search whose result this is (minimization replays
-	// and a parallel pass's sequential re-derivation keep their own
-	// explorers and are not included). Zero on the single-bus baseline,
-	// which caches nothing. Like Steps,
+	// run on machines of their own and are not included). Zero on the
+	// single-bus baseline, which caches nothing. Like Steps,
 	// ReplaySteps, Restores and PeakBoundaries below they measure what the
 	// search cost this host, not what it found: they depend on which runs
 	// had a saved boundary to start from (a resumed search replays its
@@ -248,8 +225,8 @@ type Result struct {
 	// SCChecks counts completed executions whose history was checked for
 	// full sequential consistency (scenarios with CheckSC set; zero
 	// otherwise), and SCUndecided how many of those searches gave up on
-	// the node budget. Like the FP counters, minimization replays and a
-	// parallel pass's sequential re-derivation are not included.
+	// the node budget. Like the FP counters, minimization replays are not
+	// included.
 	SCChecks    uint64
 	SCUndecided uint64
 	// Steps counts the kernel steps the search actually executed and
@@ -403,16 +380,15 @@ func choicesOf(it *workItem, covered int, taken []take) []int {
 
 // boundary is an execution saved at a kernel-step boundary: the machine
 // as it stood when the scheduler was about to resolve choice point pos
-// of its run, having resolved pos before it. It lives in the worker whose
-// machine it was taken from and is usable on that machine only (the
-// events it holds are that machine's closures). Every work item spawned
-// at or after the point holds it; when the last of them has run, the
-// worker takes it back for its next save.
+// of its run, having resolved pos before it. It is usable only on the
+// machine it was taken from (the events it holds are that machine's
+// closures), the worker's. Every work item spawned at or after the point
+// holds it; when the last of them has run, the worker takes it back for
+// its next save.
 type boundary struct {
-	owner *worker
-	refs  atomic.Int32 // work items holding it
-	pos   int          // choice points resolved on the path before it
-	steps int          // kernel steps on the path before it
+	refs  int // work items holding it
+	pos   int // choice points resolved on the path before it
+	steps int // kernel steps on the path before it
 	st    execState
 }
 
@@ -627,30 +603,25 @@ type explorer struct {
 	sh      *shared
 	n       int
 	visited *statespace.Store
-	budget  atomic.Bool
-	fpRec   atomic.Uint64
-	fpInc   atomic.Uint64
-	fpPts   atomic.Uint64
-	fpComb  atomic.Uint64
-	scRuns  atomic.Uint64
-	scUndec atomic.Uint64
-	steps   atomic.Uint64
-	replay  atomic.Uint64
+	budget  bool
+	fpRec   uint64
+	fpInc   uint64
+	fpPts   uint64
+	fpComb  uint64
+	scRuns  uint64
+	scUndec uint64
+	steps   uint64
+	replay  uint64
 	// restores counts runs started from a saved boundary; alive and peak
 	// the boundaries currently held by work items and their high-water
 	// mark.
-	restores    atomic.Uint64
-	alive, peak atomic.Int64
+	restores    uint64
+	alive, peak int
 
 	// scenH/optH pin checkpoints to this exploration; totalPrev carries
 	// run counts of completed deepening iterations into checkpoints.
 	scenH, optH string
 	totalPrev   int
-}
-
-func newExplorer(sc *Scenario, opts Options) *explorer {
-	st, _ := statespace.Open(statespace.Config{}) // memory-only: cannot fail
-	return &explorer{sc: sc, opts: opts, sh: newShared(sc, &opts), n: sc.N, visited: st}
 }
 
 type runOut struct {
@@ -672,9 +643,9 @@ type runOut struct {
 	from  *boundary
 }
 
-// worker is the execution state one exploration goroutine keeps from run
-// to run: the machine is rewound, not rebuilt, and the chooser keeps its
-// buffers. Both are built by the first run.
+// worker is the execution state the search keeps from run to run: the
+// machine is rewound, not rebuilt, and the chooser keeps its buffers.
+// Both are built by the first run.
 type worker struct {
 	e  *explorer
 	ck checker
@@ -692,18 +663,14 @@ type worker struct {
 }
 
 // run executes the scenario under the given work item: from the item's
-// boundary if it has one this worker's machine saved, else from reset.
-// States beyond the prefix are checked against the visited table and
-// added to it. Inside the prefix — what is left of it after the boundary
+// boundary if it has one, else from reset. States beyond the prefix are
+// checked against the visited table and added to it. Inside the prefix — what is left of it after the boundary
 // — it neither consults the table nor runs the per-step oracle: those
 // states were recorded and checked by the run that spawned this branch,
 // and truncating the replay would orphan it. The returned runOut's taken
 // and saved are valid until the worker's next run.
 func (w *worker) run(it workItem, depth int) runOut {
 	from := it.from
-	if from != nil && from.owner != w {
-		from = nil // another worker's machine saved it
-	}
 	switch {
 	case w.ck == nil:
 		w.ck = newChecker(w.e.sc, w.e.sh)
@@ -713,7 +680,7 @@ func (w *worker) run(it workItem, depth int) runOut {
 		}
 	case from != nil:
 		w.rw.load(&from.st)
-		w.e.restores.Add(1)
+		w.e.restores++
 	default:
 		w.ck.reset()
 	}
@@ -735,39 +702,36 @@ func (w *worker) saveBoundary(pos int) {
 	if n := len(w.free); n > 0 {
 		b, w.free = w.free[n-1], w.free[:n-1]
 	} else {
-		b = &boundary{owner: w}
+		b = &boundary{}
 	}
 	w.rw.save(&b.st)
 	b.pos = pos
 	b.steps = w.base + int(w.ck.kernel().Executed())
 	w.saved = append(w.saved, b)
-	for n := w.e.alive.Add(1); ; {
-		if p := w.e.peak.Load(); n <= p || w.e.peak.CompareAndSwap(p, n) {
-			break
-		}
+	if w.e.alive++; w.e.alive > w.e.peak {
+		w.e.peak = w.e.alive
 	}
 }
 
 // retire ends a run's bookkeeping once its children are spawned: the item
 // lets go of the boundary it held, and a boundary no work item holds any
-// more goes back to the free list of the worker that owns it (to the
-// collector, if that is another worker: free lists are not shared).
+// more goes back to the worker's free list.
 func (w *worker) retire(it workItem, r runOut) {
 	for _, b := range r.saved {
-		if b.refs.Load() == 0 {
+		if b.refs == 0 {
 			w.recycle(b)
 		}
 	}
-	if b := it.from; b != nil && b.refs.Add(-1) == 0 {
-		w.recycle(b)
+	if b := it.from; b != nil {
+		if b.refs--; b.refs == 0 {
+			w.recycle(b)
+		}
 	}
 }
 
 func (w *worker) recycle(b *boundary) {
-	w.e.alive.Add(-1)
-	if b.owner == w {
-		w.free = append(w.free, b)
-	}
+	w.e.alive--
+	w.free = append(w.free, b)
 }
 
 // execute drives one execution to its end. The machine stands base kernel
@@ -812,7 +776,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 			case statespace.OutcomeSeen:
 				out.truncated = true
 			case statespace.OutcomeBudget:
-				e.budget.Store(true)
+				e.budget = true
 				out.budgetCut = true
 			}
 			if out.truncated || out.budgetCut {
@@ -829,15 +793,15 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 		out.violation.Choices = ch.choices()
 	}
 	fpn := ck.fpStats()
-	e.fpRec.Add(fpn.recomputes)
-	e.fpInc.Add(fpn.incremental)
-	e.fpPts.Add(fpn.points)
-	e.fpComb.Add(fpn.combines)
+	e.fpRec += fpn.recomputes
+	e.fpInc += fpn.incremental
+	e.fpPts += fpn.points
+	e.fpComb += fpn.combines
 	scc, scu := ck.scStats()
-	e.scRuns.Add(scc)
-	e.scUndec.Add(scu)
-	e.steps.Add(uint64(steps - base))
-	e.replay.Add(uint64(replayed))
+	e.scRuns += scc
+	e.scUndec += scu
+	e.steps += uint64(steps - base)
+	e.replay += uint64(replayed)
 	return out
 }
 
@@ -880,7 +844,7 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 			}
 			out = append(out, workItem{prefix: picks[:p:p], last: alt, scripted: p + 1, sleep: sleep, from: from})
 			if from != nil {
-				from.refs.Add(1)
+				from.refs++
 			}
 		}
 		if t.cands == nil {
@@ -924,123 +888,61 @@ func (e *explorer) ctxDone() bool {
 	return e.opts.Ctx != nil && e.opts.Ctx.Err() != nil
 }
 
-// report delivers a frontier-boundary progress snapshot. Callers hold
-// whatever lock serializes the pass's bookkeeping, so callbacks never
-// race.
+// report delivers a frontier-boundary progress snapshot.
 func (e *explorer) report(runs, depth, frontier int) {
 	if e.opts.Progress != nil {
 		tier := &e.visited.Tier
 		e.opts.Progress(Progress{States: e.visited.States(), Runs: runs, Depth: depth, Frontier: frontier,
-			Steps: e.steps.Load(), ReplaySteps: e.replay.Load(), Restores: e.restores.Load(),
+			Steps: e.steps, ReplaySteps: e.replay, Restores: e.restores,
 			StoreHot: tier.HotHits.Load(), StoreDisk: tier.DiskLookups.Load(), StoreReads: tier.DiskReads.Load()})
 	}
 }
 
-// drive runs one depth-bounded pass: a LIFO frontier, starting from the
-// given stack and carried counters (fresh ones on a normal run, a
-// checkpoint's on a resume), drained by workers goroutines that each own
-// a worker — the caller's goroutine is the first of them. With one worker
-// the pass is a sequential DFS whose outcome — including which violation
-// is found first — is a pure function of the scenario, options, and
-// starting state (absent a Ctx cancellation), which is what makes a
-// resumed search byte-identical to an uninterrupted one. With more, which
-// worker pops which item depends on scheduling: the pass keeps the
-// shortlex-least violation any worker found and the caller re-derives the
-// canonical one sequentially. The pass stops at the first frontier
-// boundary — the merge of a finished run — that sees a violation, a store
-// failure, the state budget hit or Ctx canceled.
-func (e *explorer) drive(depth, workers int, stack []workItem, out passOut) passOut {
+// drive runs one depth-bounded pass: a sequential DFS over a LIFO
+// frontier, starting from the given stack and carried counters (fresh
+// ones on a normal run, a checkpoint's on a resume). Its outcome —
+// including which violation is found first — is a pure function of the
+// scenario, options, and starting state (absent a Ctx cancellation),
+// which is what makes a resumed search byte-identical to an
+// uninterrupted one. The pass stops at the first frontier boundary — the
+// end of a run — that sees a violation, a store failure, the state
+// budget hit or Ctx canceled.
+func (e *explorer) drive(depth int, stack []workItem, out passOut) passOut {
 	ckptEvery := 0
 	if e.opts.CheckpointDir != "" {
 		ckptEvery = e.opts.CheckpointEvery
 	}
-	var (
-		mu        sync.Mutex // guards stack, out and the three below
-		running   int        // items popped whose runs are not merged yet
-		stop      bool
-		sinceCkpt int
-	)
-	cond := sync.NewCond(&mu)
-	var wg sync.WaitGroup
-	drain := func() {
-		defer wg.Done()
-		w := &worker{e: e}
-		for {
-			mu.Lock()
-			for len(stack) == 0 && running > 0 && !stop {
-				cond.Wait()
+	w := &worker{e: e}
+	for sinceCkpt := 0; len(stack) > 0 && !e.budget; {
+		if e.ctxDone() {
+			out.canceled = true
+			return out
+		}
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		r := w.run(it, depth)
+		kids := e.children(it, r)
+		w.retire(it, r)
+		out.runs++
+		out.limitAny = out.limitAny || r.limitHit
+		out.stepsAny = out.stepsAny || r.stepsHit
+		if r.violation != nil {
+			out.violation = r.violation
+			return out
+		}
+		if out.err = e.visited.Err(); out.err != nil {
+			return out
+		}
+		stack = append(stack, kids...)
+		e.report(out.runs, depth, len(stack))
+		if sinceCkpt++; ckptEvery > 0 && sinceCkpt >= ckptEvery && len(stack) > 0 {
+			if out.err = e.checkpoint(depth, stack, &out); out.err != nil {
+				return out
 			}
-			if stop || len(stack) == 0 || e.budget.Load() {
-				mu.Unlock()
-				return
-			}
-			if e.ctxDone() {
-				out.canceled, stop = true, true
-				cond.Broadcast()
-				mu.Unlock()
-				return
-			}
-			it := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			running++
-			mu.Unlock()
-
-			r := w.run(it, depth)
-			kids := e.children(it, r)
-			w.retire(it, r)
-
-			mu.Lock()
-			running--
-			out.runs++
-			out.limitAny = out.limitAny || r.limitHit
-			out.stepsAny = out.stepsAny || r.stepsHit
-			err := e.visited.Err()
-			switch {
-			case r.violation != nil:
-				if out.violation == nil || shortlexLess(r.violation.Choices, out.violation.Choices) {
-					out.violation = r.violation
-				}
-				stop = true
-			case err != nil:
-				out.err, stop = err, true
-			case !stop:
-				stack = append(stack, kids...)
-				e.report(out.runs, depth, len(stack))
-				sinceCkpt++
-				if ckptEvery > 0 && sinceCkpt >= ckptEvery && len(stack) > 0 {
-					// Quiescent: checkpointing is refused with workers > 1.
-					out.err = e.checkpoint(depth, stack, &out)
-					stop = out.err != nil
-					sinceCkpt = 0
-				}
-			}
-			cond.Broadcast()
-			mu.Unlock()
+			sinceCkpt = 0
 		}
 	}
-	wg.Add(workers)
-	for i := 1; i < workers; i++ {
-		// Workers race on the shared frontier, but results are merged into
-		// canonical order and every counterexample is re-derived by a
-		// sequential replay, so the explored verdict is schedule-independent.
-		//multicube:chooser-ok worker pool; results canonicalized and replays sequential
-		go drain()
-	}
-	drain() // the caller is the first worker and, sequentially, the only one
-	wg.Wait()
 	return out
-}
-
-func shortlexLess(a, b []int) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // Explore model-checks the scenario within the given bounds.
@@ -1050,40 +952,11 @@ func Explore(sc Scenario, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	opts.fillDefaults()
-	res, err := exploreBounded(&sc, opts)
-	if err != nil {
-		return res, err
-	}
-	if opts.Workers > 1 && res.Violation != nil {
-		// Deterministic reporting: which violation a parallel pass trips
-		// first depends on worker scheduling, so re-derive the whole
-		// result with the sequential search. It finds a violation too (the
-		// parallel pass proved one reachable) unless the sequential order
-		// burns the state budget first; then fall back to minimizing the
-		// shortlex-least find. The re-derivation is memory-only: it must
-		// not disturb the primary search's store or checkpoint directories.
-		seq := opts
-		seq.Workers = 1
-		seq.StoreDir, seq.MemBudget, seq.CheckpointDir, seq.CheckpointEvery, seq.Resume = "", 0, "", 0, false
-		if sres, serr := exploreBounded(&sc, seq); serr == nil && sres.Violation != nil {
-			res = sres
-		} else if !opts.NoMinimize {
-			e := newExplorer(&sc, seq)
-			res.Violation = e.minimize(res.Violation)
-		}
-	}
-	return res, nil
-}
-
-func exploreBounded(sc *Scenario, opts Options) (Result, error) {
-	e := &explorer{sc: sc, opts: opts, sh: newShared(sc, &opts), n: sc.N}
+	e := &explorer{sc: &sc, opts: opts, sh: newShared(&sc, &opts), n: sc.N}
 	res := Result{Scenario: sc.Name}
 
 	ckptOn := opts.CheckpointDir != ""
-	if ckptOn && opts.Workers > 1 {
-		return res, fmt.Errorf("mc: checkpointing requires a sequential search (workers=1)")
-	}
-	e.scenH, e.optH = scenarioHash(sc), optionsHash(&opts)
+	e.scenH, e.optH = scenarioHash(&sc), optionsHash(&opts)
 	cfg := statespace.Config{Dir: opts.StoreDir, MemBudget: opts.MemBudget, CheckpointDir: opts.CheckpointDir}
 
 	depth := opts.MaxDepth // 0 = unlimited: a single full-depth pass
@@ -1125,7 +998,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 	defer e.visited.Close()
 
 	for {
-		p := e.drive(depth, opts.Workers, stack, init)
+		p := e.drive(depth, stack, init)
 		if p.err == nil {
 			p.err = e.visited.Err()
 		}
@@ -1133,17 +1006,17 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		res.Runs = p.runs
 		res.States = e.visited.States()
 		res.Depth = depth
-		res.BudgetHit = e.budget.Load()
-		res.FPRecomputes = e.fpRec.Load()
-		res.FPIncremental = e.fpInc.Load()
-		res.FPPoints = e.fpPts.Load()
-		res.FPCombines = e.fpComb.Load()
-		res.SCChecks = e.scRuns.Load()
-		res.SCUndecided = e.scUndec.Load()
-		res.Steps = e.steps.Load()
-		res.ReplaySteps = e.replay.Load()
-		res.Restores = e.restores.Load()
-		res.PeakBoundaries = int(e.peak.Load())
+		res.BudgetHit = e.budget
+		res.FPRecomputes = e.fpRec
+		res.FPIncremental = e.fpInc
+		res.FPPoints = e.fpPts
+		res.FPCombines = e.fpComb
+		res.SCChecks = e.scRuns
+		res.SCUndecided = e.scUndec
+		res.Steps = e.steps
+		res.ReplaySteps = e.replay
+		res.Restores = e.restores
+		res.PeakBoundaries = e.peak
 		res.StoreHot, res.StoreDisk = e.visited.Tier.HotHits.Load(), e.visited.Tier.DiskLookups.Load()
 		res.StoreReads = e.visited.Tier.DiskReads.Load()
 		res.Spills = e.visited.Spills()
@@ -1164,7 +1037,7 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		}
 		if p.violation != nil {
 			v := p.violation
-			if opts.Workers <= 1 && !opts.NoMinimize {
+			if !opts.NoMinimize {
 				v = e.minimize(v)
 			}
 			res.Violation = v
@@ -1200,8 +1073,8 @@ func exploreBounded(sc *Scenario, opts Options) (Result, error) {
 		if err := e.visited.Reset(); err != nil {
 			return res, err
 		}
-		e.budget.Store(false)
-		e.alive.Store(0) // the frontier that held the last pass's boundaries is gone
+		e.budget = false
+		e.alive = 0 // the frontier that held the last pass's boundaries is gone
 		stack = []workItem{{}}
 		init = passOut{}
 	}

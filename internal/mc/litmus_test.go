@@ -38,7 +38,7 @@ func TestLitmusPresetsSC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Explore(sc, Options{MaxStates: 5_000_000, Workers: 2})
+			res, err := Explore(sc, Options{MaxStates: 5_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestStaleSharedMPViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(sc, Options{Workers: 2})
+	res, err := Explore(sc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,10 @@ func scenarioHash(sc *Scenario) string {
 }
 
 // optionsHash fingerprints the options that shape the search itself.
-// Reporting and execution-policy knobs (Workers, NoMinimize, CheckFP,
-// Progress, store/checkpoint paths) are excluded: they never change
-// which states the search visits, and a resume legitimately runs with
-// different paths. Checkpointing forbids Workers>1, so that cannot
-// differ across a checkpoint/resume pair either.
+// Reporting and execution-policy knobs (NoMinimize, CheckFP, Progress,
+// store/checkpoint paths) are excluded: they never change which states
+// the search visits, and a resume legitimately runs with different
+// paths.
 //
 // The leading version scopes what a checkpoint's files hold: run files
 // carry the fingerprints of the hasher that wrote them and frontier files
@@ -131,15 +130,15 @@ func (e *explorer) counterMap(p *passOut) map[string]uint64 {
 		"runs":            uint64(p.runs),
 		"flags":           flags,
 		"total_runs_prev": uint64(e.totalPrev),
-		"fp_rec":          e.fpRec.Load(),
-		"fp_inc":          e.fpInc.Load(),
-		"fp_points":       e.fpPts.Load(),
-		"fp_combines":     e.fpComb.Load(),
-		"sc_checks":       e.scRuns.Load(),
-		"sc_undec":        e.scUndec.Load(),
-		"steps":           e.steps.Load(),
-		"replay_steps":    e.replay.Load(),
-		"restores":        e.restores.Load(),
+		"fp_rec":          e.fpRec,
+		"fp_inc":          e.fpInc,
+		"fp_points":       e.fpPts,
+		"fp_combines":     e.fpComb,
+		"sc_checks":       e.scRuns,
+		"sc_undec":        e.scUndec,
+		"steps":           e.steps,
+		"replay_steps":    e.replay,
+		"restores":        e.restores,
 		"store_hot":       e.visited.Tier.HotHits.Load(),
 		"store_disk":      e.visited.Tier.DiskLookups.Load(),
 		"store_reads":     e.visited.Tier.DiskReads.Load(),
@@ -153,15 +152,15 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	init.limitAny = c["flags"]&1 != 0
 	init.stepsAny = c["flags"]&2 != 0
 	e.totalPrev = int(c["total_runs_prev"])
-	e.fpRec.Store(c["fp_rec"])
-	e.fpInc.Store(c["fp_inc"])
-	e.fpPts.Store(c["fp_points"])
-	e.fpComb.Store(c["fp_combines"])
-	e.scRuns.Store(c["sc_checks"])
-	e.scUndec.Store(c["sc_undec"])
-	e.steps.Store(c["steps"])
-	e.replay.Store(c["replay_steps"])
-	e.restores.Store(c["restores"])
+	e.fpRec = c["fp_rec"]
+	e.fpInc = c["fp_inc"]
+	e.fpPts = c["fp_points"]
+	e.fpComb = c["fp_combines"]
+	e.scRuns = c["sc_checks"]
+	e.scUndec = c["sc_undec"]
+	e.steps = c["steps"]
+	e.replay = c["replay_steps"]
+	e.restores = c["restores"]
 	e.visited.Tier.HotHits.Store(c["store_hot"])
 	e.visited.Tier.DiskLookups.Store(c["store_disk"])
 	e.visited.Tier.DiskReads.Store(c["store_reads"])

@@ -1,82 +1,6 @@
 package mc
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestWorkersSameVerdict explores every 2×2 preset with one, two and
-// eight workers and requires the same verdict. A parallel pass's
-// States/Runs statistics may vary with scheduling, but whether a
-// violation exists — and which counterexample is reported — must not.
-func TestWorkersSameVerdict(t *testing.T) {
-	budget := 400000
-	if testing.Short() {
-		budget = 4000
-	}
-	for _, name := range []string{"readmod-race", "read-race", "sync-race", "mlt-overflow-lock", "sb-writeonce-race"} {
-		if testing.Short() && name != "read-race" && name != "sb-writeonce-race" {
-			// The budgeted short run still cross-checks the two cheap ones.
-			continue
-		}
-		sc, err := Preset(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := Explore(sc, Options{MaxStates: budget, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			par, err := Explore(sc, Options{MaxStates: budget, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (seq.Violation == nil) != (par.Violation == nil) {
-				t.Fatalf("%s: workers=1 violation=%v, workers=%d violation=%v",
-					name, seq.Violation, workers, par.Violation)
-			}
-			if seq.Exhausted != par.Exhausted {
-				t.Fatalf("%s: workers=1 exhausted=%v, workers=%d exhausted=%v",
-					name, seq.Exhausted, workers, par.Exhausted)
-			}
-		}
-		t.Logf("%s: verdict agrees (violation=%v, exhausted=%v)",
-			name, seq.Violation != nil, seq.Exhausted)
-	}
-}
-
-// TestWorkersSameCounterexample injects the §5.6a protocol gap and
-// requires the two- and eight-worker searches to report exactly the
-// minimized counterexample the single-threaded search reports: parallel
-// exploration must not perturb what the user sees.
-func TestWorkersSameCounterexample(t *testing.T) {
-	sc, err := Preset("read-race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.InjectStaleReply = true
-	seq, err := Explore(sc, Options{MaxStates: 400000, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := Explore(sc, Options{MaxStates: 400000, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Violation == nil || par.Violation == nil {
-			t.Fatalf("injected bug missed: workers=1 %v, workers=%d %v", seq.Violation, workers, par.Violation)
-		}
-		if seq.Violation.Kind != par.Violation.Kind || seq.Violation.Msg != par.Violation.Msg {
-			t.Fatalf("violations differ:\n  workers=1: %v\n  workers=%d: %v", seq.Violation, workers, par.Violation)
-		}
-		if !reflect.DeepEqual(seq.Violation.Choices, par.Violation.Choices) {
-			t.Fatalf("minimized counterexamples differ:\n  workers=1: %v\n  workers=%d: %v",
-				seq.Violation.Choices, workers, par.Violation.Choices)
-		}
-	}
-}
+import "testing"
 
 // TestSleepFindsInjectedBug cross-checks the sleep-set reduction against
 // the injected §5.6a bug: pruning interleavings must not prune the race.

@@ -4,7 +4,15 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"multicube/internal/statespace"
 )
+
+// newExplorer is an explorer over a memory-only visited table.
+func newExplorer(sc *Scenario, opts Options) *explorer {
+	st, _ := statespace.Open(statespace.Config{}) // memory-only: cannot fail
+	return &explorer{sc: sc, opts: opts, sh: newShared(sc, &opts), n: sc.N, visited: st}
+}
 
 // exploreFromReset is the sequential search with every run started from
 // the initial state and its whole prefix replayed — the reference the
@@ -12,8 +20,8 @@ import (
 // gets a new worker, and so a newly built machine and chooser (a boundary
 // is usable only on the machine that saved it, so none is); without, one
 // worker serves all runs and each item's boundary is withheld from it.
-// Only the loop of explorer.pass is repeated here; runs, children and the
-// visited table are the explorer's.
+// Only the loop of explorer.drive is repeated here; runs, children and
+// the visited table are the explorer's.
 func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 	sc.FillDefaults()
 	opts.fillDefaults()
@@ -22,7 +30,7 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 	stack := []workItem{{}}
 	cut := false
 	w := &worker{e: e}
-	for len(stack) > 0 && !e.budget.Load() {
+	for len(stack) > 0 && !e.budget {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if rebuild {
@@ -42,13 +50,13 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 	}
 	res.TotalRuns = res.Runs
 	res.States = e.visited.States()
-	res.BudgetHit = e.budget.Load()
+	res.BudgetHit = e.budget
 	res.Exhausted = res.Violation == nil && !res.BudgetHit && !cut
-	res.FPRecomputes, res.FPIncremental = e.fpRec.Load(), e.fpInc.Load()
-	res.FPPoints, res.FPCombines = e.fpPts.Load(), e.fpComb.Load()
-	res.SCChecks, res.SCUndecided = e.scRuns.Load(), e.scUndec.Load()
-	res.Steps, res.ReplaySteps = e.steps.Load(), e.replay.Load()
-	res.Restores = e.restores.Load()
+	res.FPRecomputes, res.FPIncremental = e.fpRec, e.fpInc
+	res.FPPoints, res.FPCombines = e.fpPts, e.fpComb
+	res.SCChecks, res.SCUndecided = e.scRuns, e.scUndec
+	res.Steps, res.ReplaySteps = e.steps, e.replay
+	res.Restores = e.restores
 	return res
 }
 
@@ -57,14 +65,10 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 // boundary its spawning run saved; one machine reset for every run, the
 // boundaries withheld; a machine built per run — and requires the same
 // search from all three: every result field, and the unminimized
-// counterexample where the injected bug makes one. Four workers, each
-// rewinding a machine of its own, must reach the sequential verdict;
-// under -race that also proves the workers share no machine state, and
-// coherence.System.Load panics on a state another machine saved, so no
-// worker resumed from a boundary that was not its own.
+// counterexample where the injected bug makes one.
 func TestReusedMachineMatchesRebuilt(t *testing.T) {
 	var searches, states, violations int
-	var steps, resetSteps, restores, parRestores uint64
+	var steps, resetSteps, restores uint64
 	for seed := int64(17000); seed <= 17011; seed++ {
 		for _, singleBus := range []bool{false, true} {
 			for _, inject := range []bool{false, true} {
@@ -103,34 +107,15 @@ func TestReusedMachineMatchesRebuilt(t *testing.T) {
 					resetSteps += withheld.Steps
 					restores += reused.Restores
 				}
-
-				opts.NoMinimize = false
-				seq, err := Explore(sc, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				opts.Workers = 4
-				par, err := Explore(sc, opts)
-				if err != nil {
-					t.Fatalf("%s workers=4: %v", name, err)
-				}
-				// A parallel pass's state and run counts vary with
-				// scheduling (Options.Workers); its verdict must not.
-				if !reflect.DeepEqual(seq.Violation, par.Violation) || seq.Exhausted != par.Exhausted {
-					t.Fatalf("%s: workers=4 differs from workers=1:\n seq: %+v\n par: %+v", name, seq, par)
-				}
-				if par.Violation == nil {
-					parRestores += par.Restores // else par is the sequential re-derivation
-				}
 			}
 		}
 	}
 	if violations == 0 {
 		t.Fatal("no swarm scenario tripped the injected bug; the counterexample path went untested")
 	}
-	if restores == 0 || parRestores == 0 || steps >= resetSteps {
-		t.Fatalf("boundaries went unused: %d runs resumed sequentially, %d under four workers; %d kernel steps against %d from reset",
-			restores, parRestores, steps, resetSteps)
+	if restores == 0 || steps >= resetSteps {
+		t.Fatalf("boundaries went unused: %d runs resumed; %d kernel steps against %d from reset",
+			restores, steps, resetSteps)
 	}
 	t.Logf("%d searches, %d states, %d with a violation: resumed ≡ withheld ≡ rebuilt; %d of %d kernel steps",
 		searches, states, violations, steps, resetSteps)
@@ -150,9 +135,9 @@ func (c *countingChecker) stepCheck(maxReissues int) *Violation {
 // TestOnlyExplorationSkipsPrefixChecks executes one deep work item both
 // ways: as an exploration run, which must skip the per-step oracle
 // exactly on the steps before its prefix's last choice (the spawning run
-// checked those states), and as a replay — what minimize and the
-// violation re-derivation use — which must check every step, because a
-// replayed violation may sit inside the prefix.
+// checked those states), and as a replay — what minimize uses — which
+// must check every step, because a replayed violation may sit inside the
+// prefix.
 func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 	sc, err := Preset("read-race")
 	if err != nil {
@@ -182,9 +167,9 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 			ch = newMCChooser(cc, e.n, &e.opts)
 			ch.start(it, 0, 0)
 		}
-		steps, replayed := e.steps.Load(), e.replay.Load()
+		steps, replayed := e.steps, e.replay
 		r := e.execute(cc, ch, explore, 0)
-		steps, replayed = e.steps.Load()-steps, e.replay.Load()-replayed
+		steps, replayed = e.steps-steps, e.replay-replayed
 		if r.violation != nil {
 			t.Fatalf("explore=%v: %v", explore, r.violation)
 		}

@@ -76,7 +76,7 @@ func TestStepGuardCountsThePath(t *testing.T) {
 	defaults.fillDefaults()
 	e := newExplorer(&sc, defaults)
 	(&worker{e: e}).run(workItem{}, 0)
-	guard := int(e.steps.Load()) / 2 // half the first path
+	guard := int(e.steps) / 2 // half the first path
 	opts := Options{MaxStates: 20000, NoMinimize: true, MaxStepsPerRun: guard}
 	resumed, err := Explore(sc, opts)
 	if err != nil {

@@ -16,9 +16,9 @@
 // (coherence.System.Save), and the sibling starts by loading it back into
 // the same machine instead of resetting it and re-executing the prefix.
 // Where no boundary is usable — the first run, work read back from a
-// checkpoint or popped by another worker, the single-bus machine — the
-// branch replays its prefix from the initial state, which is the same
-// code path with nothing to load. Exploration is an iterative-deepening
+// checkpoint, the single-bus machine — the branch replays its prefix
+// from the initial state, which is the same code path with nothing to
+// load. Exploration is an iterative-deepening
 // DFS over choice sequences with a visited-state table keyed by canonical
 // fingerprints (internal/coherence's Fingerprint, minimized over row and
 // column relabelings), and a partial-order reduction (sleep.go): a

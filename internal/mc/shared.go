@@ -3,7 +3,6 @@ package mc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"multicube/internal/coherence"
 	"multicube/internal/fphash"
@@ -12,9 +11,8 @@ import (
 // shared holds the cross-run immutable data of one exploration, computed
 // once instead of per from-scratch execution: the row (or processor)
 // relabelings with their precomputed inverses, the per-relabeling driver
-// combine order, and the static per-processor program hashes. It is safe
-// for concurrent use by parallel workers: everything but the locked
-// debug oracle is read-only after construction.
+// combine order, and the static per-processor program hashes. Everything
+// but the debug oracle is read-only after construction.
 type shared struct {
 	perms [][]int
 	invs  [][]int
@@ -125,9 +123,8 @@ func inverses(perms [][]int) [][]int {
 
 // fpOracle is -checkfp's per-state partition oracle: every canonical
 // fingerprint seen so far with the full-walk reference fingerprint of the
-// same state, both ways. Workers share it, so it is locked.
+// same state, both ways.
 type fpOracle struct {
-	mu       sync.Mutex
 	to, from map[uint64]uint64 // canonical → reference, reference → canonical
 }
 
@@ -135,8 +132,6 @@ type fpOracle struct {
 // panics unless the pairs seen so far are a bijection: the two must
 // induce the same partition of the states.
 func (o *fpOracle) hold(fp, ref uint64, scenario string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if o.to == nil {
 		o.to, o.from = make(map[uint64]uint64), make(map[uint64]uint64)
 	}

@@ -319,8 +319,8 @@ func TestResumeUnderAnotherBudget(t *testing.T) {
 
 // TestStoreFailureStopsAtNextBoundary takes the spill directory away in
 // the middle of a search and requires the search to stop at the first
-// frontier boundary after the store reports the failed spill — with one
-// worker and with two — returning the error and never claiming coverage.
+// frontier boundary after the store reports the failed spill, returning
+// the error and never claiming coverage.
 // litmus-coww-3x3 takes 17 630 runs; under this budget the store is one
 // shard that spills every 32 states, a few dozen runs, so the failure
 // surfaces well within 200 runs of the removal.
@@ -329,38 +329,23 @@ func TestStoreFailureStopsAtNextBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		dir := filepath.Join(t.TempDir(), "store")
-		calls := 0
-		res, err := Explore(sc, Options{
-			MaxStates: 400000, Workers: workers, StoreDir: dir, MemBudget: 2 << 10,
-			Progress: func(Progress) { // calls are serialized
-				if calls++; calls == 200 {
-					os.RemoveAll(dir)
-				}
-			},
-		})
-		if err == nil || !strings.Contains(err.Error(), "spill") {
-			t.Fatalf("workers=%d: search over a removed store returned %v, want the spill error", workers, err)
-		}
-		if res.Exhausted || res.Runs < 200 || res.Runs >= 400 {
-			t.Fatalf("workers=%d: store removed at run 200, search stopped at run %d (exhausted=%v)",
-				workers, res.Runs, res.Exhausted)
-		}
-		t.Logf("workers=%d: store removed at run 200, search stopped at run %d: %v", workers, res.Runs, err)
+	dir := filepath.Join(t.TempDir(), "store")
+	calls := 0
+	res, err := Explore(sc, Options{
+		MaxStates: 400000, StoreDir: dir, MemBudget: 2 << 10,
+		Progress: func(Progress) {
+			if calls++; calls == 200 {
+				os.RemoveAll(dir)
+			}
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "spill") {
+		t.Fatalf("search over a removed store returned %v, want the spill error", err)
 	}
-}
-
-// TestCheckpointRejectsParallel pins the guard: checkpointing composes
-// only with the sequential pass whose frontier boundaries it snapshots.
-func TestCheckpointRejectsParallel(t *testing.T) {
-	sc, err := Preset("read-race")
-	if err != nil {
-		t.Fatal(err)
+	if res.Exhausted || res.Runs < 200 || res.Runs >= 400 {
+		t.Fatalf("store removed at run 200, search stopped at run %d (exhausted=%v)", res.Runs, res.Exhausted)
 	}
-	if _, err := Explore(sc, Options{CheckpointDir: t.TempDir(), Workers: 4}); err == nil {
-		t.Fatal("checkpointing with a parallel pass was accepted")
-	}
+	t.Logf("store removed at run 200, search stopped at run %d: %v", res.Runs, err)
 }
 
 // TestResumeNothingToResume pins the fresh-start path: -resume with an

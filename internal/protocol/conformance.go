@@ -18,8 +18,8 @@ import (
 // clauses. Mismatches are collected (deduplicated by message), never
 // panicked, so a single run reports every distinct divergence at once.
 //
-// The collector is safe for concurrent use: the explorer's parallel
-// workers share one Conformance across all their machines.
+// The collector is safe for concurrent use, so machines running on
+// several goroutines may share one.
 type Conformance struct {
 	table *Table
 

@@ -73,13 +73,11 @@ func TestConformance(t *testing.T) {
 		before := len(conf.Mismatches())
 		// Violations are fine here (several presets exist to demonstrate
 		// one); conformance only judges the transitions taken on the way.
-		// Workers: 1 on purpose: the sequential search is a pure function
-		// of scenario and options, so which rules a budget-capped preset
-		// reaches, and with it the coverage gate below, does not depend on
-		// worker scheduling.
+		// The search is a pure function of scenario and options, so which
+		// rules a budget-capped preset reaches, and with it the coverage
+		// gate below, is the same on every run.
 		if _, err := mc.Explore(sc, mc.Options{
 			MaxStates:  budget,
-			Workers:    1,
 			Instrument: conf.Attach,
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
