@@ -25,10 +25,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"multicube/internal/durable"
 	"multicube/internal/farm/jobspec"
@@ -38,28 +36,18 @@ import (
 // result bytes in front of an optional on-disk store. Disk writes are
 // atomic (temp file + rename into place), so a crash mid-write leaves
 // either the old entry or none — never a torn one — and a restarted
-// server recovers every completed result by fingerprint.
-// The disk tier is optionally bounded (SetDiskLimits): when the stored
-// bytes exceed the budget, or entries outlive the age cap, a sweep
-// deletes least-recently-written entries first. Deletion is a plain
-// unlink — atomic on POSIX — so a concurrent Get either reads the full
-// entry or misses and re-runs the job; nothing is ever half-deleted.
+// server recovers every completed result by fingerprint. The disk tier
+// is unbounded: an entry is deleted only when it is corrupt, by a plain
+// unlink (atomic on POSIX), so a concurrent Get either reads the full
+// entry or misses and re-runs the job.
 type Cache struct {
-	dir     string // "" = memory-only
-	maxMem  int
-	mu      sync.Mutex
-	lru     *list.List               // front = most recently used
-	byFP    map[string]*list.Element // fingerprint → LRU element
-	onDisk  int                      // entries recovered or written this process
-	scanned bool
-
-	maxDiskBytes int64         // 0 = unbounded
-	maxAge       time.Duration // 0 = no age cap
-	diskBytes    int64         // bytes currently stored on disk
-	evictions    uint64        // entries deleted by the sweep
-	lastSweep    time.Time
-
-	sweepMu sync.Mutex // serializes evict walks; mu stays hot-path only
+	dir       string // "" = memory-only
+	maxMem    int
+	mu        sync.Mutex
+	lru       *list.List               // front = most recently used
+	byFP      map[string]*list.Element // fingerprint → LRU element
+	onDisk    int                      // entries recovered or written this process
+	diskBytes int64                    // bytes currently stored on disk
 }
 
 type cacheEntry struct {
@@ -93,20 +81,8 @@ func NewCache(dir string, maxMem int) (*Cache, error) {
 		}
 		c.onDisk = n
 		c.diskBytes = bytes
-		c.scanned = true
 	}
 	return c, nil
-}
-
-// SetDiskLimits bounds the disk tier: maxBytes caps the total stored
-// bytes (0 = unbounded), maxAge caps entry lifetime since last write
-// (0 = no cap). Enforcement is a least-recently-written sweep run after
-// writes; it never touches the memory tier.
-func (c *Cache) SetDiskLimits(maxBytes int64, maxAge time.Duration) {
-	c.mu.Lock()
-	c.maxDiskBytes = maxBytes
-	c.maxAge = maxAge
-	c.mu.Unlock()
 }
 
 // sweep counts recoverable entries and their bytes, deleting temp
@@ -203,92 +179,8 @@ func (c *Cache) Put(fp string, data []byte) error {
 		c.onDisk++
 	}
 	c.diskBytes += int64(len(data)) - overwritten
-	needSweep := c.needSweepLocked(time.Now())
 	c.mu.Unlock()
-	if needSweep {
-		c.evict(time.Now())
-	}
 	return nil
-}
-
-// needSweepLocked decides whether a sweep is due: always when over the
-// byte budget, and at most every maxAge/4 (floor 1s) when an age cap is
-// set, so idle caches still expire without a timer goroutine.
-func (c *Cache) needSweepLocked(now time.Time) bool {
-	if c.maxDiskBytes > 0 && c.diskBytes > c.maxDiskBytes {
-		return true
-	}
-	if c.maxAge > 0 {
-		period := c.maxAge / 4
-		if period < time.Second {
-			period = time.Second
-		}
-		return now.Sub(c.lastSweep) >= period
-	}
-	return false
-}
-
-// evict walks the disk tier and deletes entries until both limits hold:
-// first everything past the age cap, then least-recently-written first
-// until the byte budget is met. The walk recomputes the byte gauge from
-// the filesystem, so the counter self-heals after external deletions.
-func (c *Cache) evict(now time.Time) {
-	c.sweepMu.Lock()
-	defer c.sweepMu.Unlock()
-	c.mu.Lock()
-	maxBytes, maxAge := c.maxDiskBytes, c.maxAge
-	c.lastSweep = now
-	c.mu.Unlock()
-
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var entries []entry
-	total := int64(0)
-	filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
-			return nil
-		}
-		fi, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		entries = append(entries, entry{path: path, size: fi.Size(), mtime: fi.ModTime()})
-		total += fi.Size()
-		return nil
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-
-	removed, removedBytes := 0, int64(0)
-	for _, e := range entries {
-		expired := maxAge > 0 && now.Sub(e.mtime) > maxAge
-		overBudget := maxBytes > 0 && total-removedBytes > maxBytes
-		if !expired && !overBudget {
-			// Sorted oldest-first: every later entry is newer (not expired)
-			// and the running total only shrinks (not over budget). Done.
-			break
-		}
-		//multicube:atomicwrite-ok LRU/age eviction: a cache entry's loss only costs recomputation
-		if os.Remove(e.path) == nil {
-			removed++
-			removedBytes += e.size
-		}
-	}
-	c.mu.Lock()
-	c.onDisk -= removed
-	c.diskBytes = total - removedBytes
-	c.evictions += uint64(removed)
-	c.mu.Unlock()
-}
-
-// DiskStats reports the disk tier's current byte footprint and the
-// number of entries the bounded sweep has evicted.
-func (c *Cache) DiskStats() (bytes int64, evictions uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.diskBytes, c.evictions
 }
 
 func (c *Cache) insertMem(fp string, data []byte) {
@@ -307,10 +199,10 @@ func (c *Cache) insertMem(fp string, data []byte) {
 	}
 }
 
-// Stats reports the memory-tier entry count and the on-disk entry count
-// (recovered at startup plus written since).
-func (c *Cache) Stats() (mem, disk int) {
+// Stats reports the memory-tier entry count, the on-disk entry count
+// (recovered at startup plus written since) and the disk tier's bytes.
+func (c *Cache) Stats() (mem, disk int, diskBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len(), c.onDisk
+	return c.lru.Len(), c.onDisk, c.diskBytes
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"multicube/internal/farm/jobspec"
 	"multicube/internal/mc"
@@ -120,109 +119,5 @@ func TestServerSurfacesResumeMetrics(t *testing.T) {
 	}
 	if m.MCJobsResumed != 0 {
 		t.Fatalf("mc_jobs_resumed = %d on a farm that never resumed", m.MCJobsResumed)
-	}
-}
-
-// TestCacheDiskEvictionBySize fills a size-bounded disk tier and checks
-// the least-recently-written entries are swept, the gauge tracks the
-// survivors, and evicted fingerprints re-run (miss) on a cold cache.
-func TestCacheDiskEvictionBySize(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCache(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := []string{"aa01", "bb02", "cc03", "dd04"}
-	entrySize := 0
-	for i, fp := range fps {
-		data := testResult(t, fp)
-		entrySize = len(data)
-		if err := c.Put(fp, data); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct, strictly increasing mtimes so LRW order is exact.
-		when := time.Now().Add(time.Duration(i-len(fps)) * time.Hour)
-		if err := os.Chtimes(c.path(fp), when, when); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Budget for two entries: the two oldest must go.
-	c.SetDiskLimits(int64(2*entrySize), 0)
-	c.evict(time.Now())
-
-	bytes, evictions := c.DiskStats()
-	if evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", evictions)
-	}
-	if bytes != int64(2*entrySize) {
-		t.Fatalf("disk bytes = %d, want %d", bytes, 2*entrySize)
-	}
-	cold, err := NewCache(dir, 4) // fresh cache: no memory tier to mask disk state
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range fps[:2] {
-		if _, _, ok := cold.Get(fp); ok {
-			t.Fatalf("%s survived a sweep that should have evicted it", fp)
-		}
-	}
-	for _, fp := range fps[2:] {
-		if _, tier, ok := cold.Get(fp); !ok || tier != TierDisk {
-			t.Fatalf("%s: ok=%v tier=%q, want disk hit", fp, ok, tier)
-		}
-	}
-}
-
-// TestCacheDiskEvictionByAge backdates entries past the age cap and
-// checks the sweep expires exactly those.
-func TestCacheDiskEvictionByAge(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCache(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetDiskLimits(0, time.Hour)
-	for _, fp := range []string{"ee05", "ff06"} {
-		if err := c.Put(fp, testResult(t, fp)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(c.path("ee05"), old, old); err != nil {
-		t.Fatal(err)
-	}
-	c.evict(time.Now())
-	if _, evictions := c.DiskStats(); evictions != 1 {
-		t.Fatalf("evictions = %d, want 1 (only the backdated entry)", evictions)
-	}
-	cold, err := NewCache(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := cold.Get("ee05"); ok {
-		t.Fatal("expired entry survived the age sweep")
-	}
-	if _, tier, ok := cold.Get("ff06"); !ok || tier != TierDisk {
-		t.Fatalf("fresh entry: ok=%v tier=%q, want disk hit", ok, tier)
-	}
-}
-
-// TestCacheEvictionLeavesMemoryTier pins that the disk sweep never
-// touches the memory LRU: an evicted entry still serves from memory in
-// the same process.
-func TestCacheEvictionLeavesMemoryTier(t *testing.T) {
-	c, err := NewCache(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("aa07", testResult(t, "aa07")); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour)
-	os.Chtimes(c.path("aa07"), old, old)
-	c.SetDiskLimits(0, time.Minute)
-	c.evict(time.Now())
-	if _, tier, ok := c.Get("aa07"); !ok || tier != TierMem {
-		t.Fatalf("ok=%v tier=%q, want a memory hit surviving the disk sweep", ok, tier)
 	}
 }

@@ -83,7 +83,7 @@ type submissionCounters struct {
 	Submitted, Dedup, HitsMem, HitsDisk, Misses, QueueRejected, RateLimited uint64
 }
 
-func getCounters(t *testing.T, ts *httptest.Server) submissionCounters {
+func getMetrics(t *testing.T, ts *httptest.Server) Metrics {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -94,6 +94,12 @@ func getCounters(t *testing.T, ts *httptest.Server) submissionCounters {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func getCounters(t *testing.T, ts *httptest.Server) submissionCounters {
+	t.Helper()
+	m := getMetrics(t, ts)
 	return submissionCounters{m.JobsSubmitted, m.DedupHits, m.CacheHitsMemory, m.CacheHitsDisk,
 		m.CacheMisses, m.QueueRejected, m.RateLimited}
 }

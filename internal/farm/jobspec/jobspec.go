@@ -2,8 +2,8 @@
 // canonical encoding. A Spec names one unit of work — a timed
 // simulation, a model-checking exploration, a litmus sweep, or a swarm
 // batch — as plain JSON. Normalize resolves it to canonical form
-// (schema version stamped, presets expanded, defaults filled, execution
-// hints stripped), Canonical renders that form as byte-stable JSON
+// (schema version stamped, presets expanded, defaults filled),
+// Canonical renders that form as byte-stable JSON
 // (sorted keys, digit-exact numbers), and Fingerprint hashes those
 // bytes.
 //
@@ -12,12 +12,13 @@
 // deterministic computation must canonicalize to identical bytes, in
 // any process, on any platform, forever — and two specs that could
 // diverge must not. Everything result-affecting (scenario structure,
-// engine bounds, seeds) is inside the canonical form; everything
-// result-neutral (worker counts, progress cadence) is stripped by
-// Normalize. Encoding discipline: object keys are emitted sorted;
-// numbers pass through json.Number so a 64-bit seed never takes a trip
-// through float64; floats re-encode via Go's shortest-round-trip
-// formatter, which is deterministic and parse-exact.
+// engine bounds, seeds) is inside the canonical form; nothing
+// result-neutral (checkpoint placement, progress cadence) has a field
+// in it, so no spelling of it can reach the fingerprint. Encoding
+// discipline: object keys are emitted sorted; numbers pass through
+// json.Number so a 64-bit seed never takes a trip through float64;
+// floats re-encode via Go's shortest-round-trip formatter, which is
+// deterministic and parse-exact.
 //
 //multicube:deterministic
 package jobspec
@@ -106,12 +107,12 @@ type MCSpec struct {
 	Options  MCOptions    `json:"options"`
 }
 
-// MCOptions mirrors the result-affecting subset of mc.Options. Worker
-// count deliberately has no field: it changes run statistics but never
-// the verdict, so it is a server-side execution policy, not job
-// identity. The same reasoning excludes the checkpoint/store placement:
-// where the search spills or checkpoints never changes what it
-// concludes, so those knobs live in farm.Config, not here.
+// MCOptions mirrors the result-affecting subset of mc.Options. The
+// checkpoint and store placement deliberately have no field: where the
+// search spills or checkpoints never changes what it concludes, so
+// those knobs are server-side execution policy in farm.Config, not job
+// identity. A resume from such a checkpoint is the one thing that can
+// change a miss's exploration statistics, and never its verdict.
 type MCOptions struct {
 	MaxStates      int  `json:"max_states,omitempty"`
 	MaxDepth       int  `json:"max_depth,omitempty"`
@@ -315,7 +316,7 @@ func (v *MCSpec) normalize() (*MCSpec, error) {
 }
 
 // ExploreOptions lowers the canonical options into mc.Options; the
-// caller supplies the execution-policy knobs (workers, ctx, progress).
+// caller supplies the execution-policy knobs (ctx, progress, checkpoint).
 func (v *MCSpec) ExploreOptions() mc.Options {
 	o := v.Options
 	return mc.Options{

@@ -9,9 +9,10 @@ import (
 // Result is the cacheable outcome of one job. Everything in it is a
 // deterministic function of the canonical spec for sim, litmus, and
 // swarm jobs, and for every mc verdict; an mc Result's exploration
-// statistics can additionally depend on the server's worker policy, so
-// byte-identity across cache MISSES is only promised for the verdict
-// fields, while cache hits always serve the stored bytes verbatim.
+// statistics can additionally differ when the search resumed from a
+// checkpoint, so byte-identity across cache MISSES is only promised for
+// the verdict fields, while cache hits always serve the stored bytes
+// verbatim.
 // Wall-clock timings live outside this type (in the server's response
 // envelope), never inside the cached payload.
 type Result struct {

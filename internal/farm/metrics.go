@@ -9,16 +9,17 @@ import (
 // request and worker paths touch is an atomic, so metrics never contend
 // with job execution.
 type counters struct {
-	submitted     atomic.Uint64
-	completed     atomic.Uint64
-	failed        atomic.Uint64
-	canceled      atomic.Uint64
-	dedupHits     atomic.Uint64
-	cacheHitMem   atomic.Uint64
-	cacheHitDisk  atomic.Uint64
-	cacheMiss     atomic.Uint64
-	rateLimited   atomic.Uint64
-	queueRejected atomic.Uint64
+	submitted      atomic.Uint64
+	completed      atomic.Uint64
+	failed         atomic.Uint64
+	canceled       atomic.Uint64
+	dedupHits      atomic.Uint64
+	cacheHitMem    atomic.Uint64
+	cacheHitDisk   atomic.Uint64
+	cacheMiss      atomic.Uint64
+	cachePutErrors atomic.Uint64
+	rateLimited    atomic.Uint64
+	queueRejected  atomic.Uint64
 
 	statesExplored  atomic.Uint64
 	eventsSimulated atomic.Uint64
@@ -47,9 +48,10 @@ type Metrics struct {
 	DedupHits       uint64  `json:"dedup_hits"`
 	CacheMemEntries int     `json:"cache_mem_entries"`
 	CacheDiskItems  int     `json:"cache_disk_entries"`
-	// Disk-tier footprint and the bounded sweep's eviction count.
-	CacheDiskBytes     int64  `json:"cache_disk_bytes"`
-	CacheDiskEvictions uint64 `json:"cache_disk_evictions"`
+	// Disk-tier footprint, and the result writes it failed (each one
+	// served its client but will re-run on its next miss).
+	CacheDiskBytes int64  `json:"cache_disk_bytes"`
+	CachePutErrors uint64 `json:"cache_put_errors"`
 
 	// Queue and pool pressure.
 	QueueDepth        int     `json:"queue_depth"`
@@ -93,6 +95,7 @@ func (c *counters) snapshot(start time.Time) Metrics {
 		CacheHitsMemory: c.cacheHitMem.Load(),
 		CacheHitsDisk:   c.cacheHitDisk.Load(),
 		CacheMisses:     c.cacheMiss.Load(),
+		CachePutErrors:  c.cachePutErrors.Load(),
 		CacheHitRatio:   ratio,
 		DedupHits:       c.dedupHits.Load(),
 		RateLimited:     c.rateLimited.Load(),

@@ -23,14 +23,12 @@ type Config struct {
 	// QueueDepth bounds queued (not yet running) jobs; past it,
 	// submissions get 429 + Retry-After. Default 64.
 	QueueDepth int
-	// CacheDir is the on-disk result store; "" keeps results in memory
-	// only. The swarm corpus lives under <CacheDir>/corpus unless
-	// CorpusDir overrides it.
+	// CacheDir is the on-disk result store; "" keeps results (and the
+	// swarm corpus) in memory only. The corpus lives under
+	// <CacheDir>/corpus.
 	CacheDir string
 	// CacheMemEntries bounds the in-memory result tier; default 256.
 	CacheMemEntries int
-	// CorpusDir overrides the swarm-corpus directory.
-	CorpusDir string
 	// JobTimeout is the per-job execution ceiling; default 2m.
 	JobTimeout time.Duration
 	// MCCheckpointDir, when set, makes mc jobs resumable: each job
@@ -43,11 +41,6 @@ type Config struct {
 	// MCCheckpointEvery is the executions-between-checkpoints cadence
 	// for resumable mc jobs; 0 uses the explorer default.
 	MCCheckpointEvery int
-	// CacheMaxDiskBytes bounds the disk result tier; past it, a sweep
-	// evicts least-recently-written entries. 0 = unbounded.
-	CacheMaxDiskBytes int64
-	// CacheMaxAge expires disk-tier entries by age. 0 = no expiry.
-	CacheMaxAge time.Duration
 	// RatePerSec and RateBurst are the per-client token bucket: a rate
 	// < 0 disables limiting, 0 means the default of 50/s (burst: 100).
 	RatePerSec float64
@@ -77,9 +70,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.CorpusDir == "" && c.CacheDir != "" {
-		c.CorpusDir = filepath.Join(c.CacheDir, "corpus")
 	}
 }
 
@@ -172,8 +162,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache.SetDiskLimits(cfg.CacheMaxDiskBytes, cfg.CacheMaxAge)
-	corpus, err := OpenCorpus(cfg.CorpusDir)
+	corpusDir := ""
+	if cfg.CacheDir != "" {
+		corpusDir = filepath.Join(cfg.CacheDir, "corpus")
+	}
+	corpus, err := OpenCorpus(corpusDir)
 	if err != nil {
 		return nil, err
 	}
@@ -307,8 +300,12 @@ func (s *Server) runJob(j *job) {
 		} else {
 			data = b
 			// Only completed results are cacheable: canceled and failed
-			// runs are not a function of the spec alone.
-			s.cache.Put(j.fp, data)
+			// runs are not a function of the spec alone. A failed write
+			// costs only a later re-run, so the client still gets its
+			// result; /metrics counts the failure.
+			if s.cache.Put(j.fp, data) != nil {
+				s.ctr.cachePutErrors.Add(1)
+			}
 		}
 	}
 
@@ -483,8 +480,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if m.Workers > 0 {
 		m.WorkerUtilization = float64(m.BusyWorkers) / float64(m.Workers)
 	}
-	m.CacheMemEntries, m.CacheDiskItems = s.cache.Stats()
-	m.CacheDiskBytes, m.CacheDiskEvictions = s.cache.DiskStats()
+	m.CacheMemEntries, m.CacheDiskItems, m.CacheDiskBytes = s.cache.Stats()
 	m.CorpusSize = s.corpus.Len()
 	writeJSON(w, http.StatusOK, m)
 }

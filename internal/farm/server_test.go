@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +148,59 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	}
 	if !bytes.Equal(st2.Result, first.Result) {
 		t.Fatal("disk-recovered result not byte-identical to original run")
+	}
+}
+
+// runOnBrokenDisk runs mcJob on a clean server and on one whose cache
+// directory damage has broken at mcJob's entry, and returns the broken
+// server's /metrics after checking its client saw a miss that ran to a
+// result byte-identical to the clean server's.
+func runOnBrokenDisk(t *testing.T, damage func(dir, fp string)) Metrics {
+	t.Helper()
+	_, clean := newTestServer(t, Config{Workers: 1})
+	_, st := postJob(t, clean, mcJob)
+	want := waitDone(t, clean, st.JobID)
+
+	dir := t.TempDir()
+	damage(dir, fingerprintOf(t, mcJob))
+	_, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	code, st := postJob(t, ts, mcJob)
+	if code != http.StatusAccepted || st.Cached {
+		t.Fatalf("submit = %d cached=%v, want 202 and a miss", code, st.Cached)
+	}
+	got := waitDone(t, ts, st.JobID)
+	if got.Status != StateDone || !bytes.Equal(got.Result, want.Result) {
+		t.Fatalf("job = %q with result\n%s\nwant done with the clean server's\n%s", got.Status, got.Result, want.Result)
+	}
+	return getMetrics(t, ts)
+}
+
+// TestCachePutFailureIsCounted: a result the disk tier cannot store
+// (a regular file sits where its shard directory belongs) still reaches
+// its client, and /metrics counts the failed write.
+func TestCachePutFailureIsCounted(t *testing.T) {
+	m := runOnBrokenDisk(t, func(dir, fp string) {
+		if err := os.WriteFile(filepath.Join(dir, fp[:2]), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.CachePutErrors != 1 {
+		t.Fatalf("cache_put_errors = %d, want 1", m.CachePutErrors)
+	}
+}
+
+// TestUnreadableCacheEntryIsAMiss: an entry the disk tier cannot read
+// (its path is a directory) is a miss and a recompute — not a 5xx and
+// not a wrong result. The recomputed result cannot replace it either,
+// so its write is counted as failed.
+func TestUnreadableCacheEntryIsAMiss(t *testing.T) {
+	m := runOnBrokenDisk(t, func(dir, fp string) {
+		if err := os.MkdirAll(filepath.Join(dir, fp[:2], fp+".json"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.CacheMisses != 1 || m.CacheHitsDisk != 0 || m.CachePutErrors != 1 {
+		t.Fatalf("misses=%d disk hits=%d put errors=%d, want 1, 0, 1", m.CacheMisses, m.CacheHitsDisk, m.CachePutErrors)
 	}
 }
 

@@ -167,7 +167,8 @@ func TestExplorationDeterministic(t *testing.T) {
 
 // TestIterativeDeepening checks the deepening schedule still finds the
 // injected bug and reports a depth no larger than a full-depth pass
-// would need.
+// would need, and that it finds a shorter counterexample than a
+// minimized full-depth one where that is the reason to deepen.
 func TestIterativeDeepening(t *testing.T) {
 	sc, err := Preset("read-race")
 	if err != nil {
@@ -184,6 +185,29 @@ func TestIterativeDeepening(t *testing.T) {
 	if len(res.Violation.Choices) > res.Depth {
 		t.Fatalf("counterexample length %d exceeds the depth bound %d", len(res.Violation.Choices), res.Depth)
 	}
+
+	// Why DepthStep stays: on stale-shared-mp the full-depth search
+	// minimizes its sc-total counterexample to 50 choices, and deepening
+	// by 10 finds one of 36.
+	if sc, err = Preset("stale-shared-mp"); err != nil {
+		t.Fatal(err)
+	}
+	lengths := make(map[int]int) // DepthStep → counterexample length
+	for _, step := range []int{0, 10} {
+		res, err := Explore(sc, Options{MaxStates: 200000, DepthStep: step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violation == nil || res.Violation.Kind != "sc-total" {
+			t.Fatalf("DepthStep %d: violation %v, want sc-total", step, res.Violation)
+		}
+		lengths[step] = len(res.Violation.Choices)
+	}
+	if lengths[10] >= lengths[0] {
+		t.Fatalf("deepening no longer shortens counterexamples: %d choices with DepthStep 10, %d at full depth",
+			lengths[10], lengths[0])
+	}
+	t.Logf("counterexample: %d choices at full depth, %d with DepthStep 10", lengths[0], lengths[10])
 }
 
 // TestStateBudget checks the -budget path stops exploration cleanly.

@@ -13,6 +13,40 @@ import (
 	"testing"
 )
 
+// openRuns lists the spilled runs of the store at dir that this process
+// holds open: each run's file name and descriptor. It skips the test
+// where /proc/self/fd is missing.
+func openRuns(t *testing.T, dir string) (names []string, fds []int) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	for _, e := range ents {
+		path, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+		fd, aerr := strconv.Atoi(e.Name())
+		if err != nil || aerr != nil || filepath.Dir(path) != dir || !strings.HasSuffix(path, ".run") {
+			continue
+		}
+		names, fds = append(names, filepath.Base(path)), append(fds, fd)
+	}
+	return names, fds
+}
+
+// redirect points descriptor fd at the file or directory target; the
+// run that owns fd keeps using it, now against target.
+func redirect(t *testing.T, fd int, target string) {
+	t.Helper()
+	f, err := os.Open(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := syscall.Dup3(int(f.Fd()), fd, syscall.O_CLOEXEC); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // breakUnsyncedRun points the descriptor of one spilled run that the
 // manifest under ckpt does not name — so no checkpoint has synced it —
 // at /dev/null, where fsync fails with EINVAL. It takes a run whose shard
@@ -37,39 +71,62 @@ func breakUnsyncedRun(t *testing.T, store, ckpt string) string {
 			named[r.File] = true
 		}
 	}
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no /proc/self/fd: %v", err)
-	}
+	names, fds := openRuns(t, store)
 	open := make(map[string]int) // shard-NN → its open runs
-	var fds []int
-	var names []string
-	for _, e := range ents {
-		path, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
-		fd, aerr := strconv.Atoi(e.Name())
-		if err != nil || aerr != nil || filepath.Dir(path) != store || !strings.HasSuffix(path, ".run") {
-			continue
-		}
-		open[filepath.Base(path)[:len("shard-NN")]]++
-		if !named[filepath.Base(path)] {
-			fds, names = append(fds, fd), append(names, filepath.Base(path))
-		}
+	for _, name := range names {
+		open[name[:len("shard-NN")]]++
 	}
 	for i, name := range names {
-		if open[name[:len("shard-NN")]] >= 4 {
+		if named[name] || open[name[:len("shard-NN")]] >= 4 {
 			continue
 		}
-		null, err := os.Open(os.DevNull)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer null.Close()
-		if err := syscall.Dup3(int(null.Fd()), fds[i], syscall.O_CLOEXEC); err != nil {
-			t.Fatal(err)
-		}
+		redirect(t, fds[i], os.DevNull)
 		return name
 	}
 	return ""
+}
+
+// TestStoreReadFailureStopsTheSearch is a failing read under Explore: a
+// spilled run whose descriptor is pointed at a directory fails every
+// pread with EISDIR, whether a lookup or a compaction reads it. The
+// search must stop at the frontier boundary that follows the failed
+// read — the run that saw it is not reported, and no run follows it —
+// with the error naming the run and no verdict.
+func TestStoreReadFailureStopsTheSearch(t *testing.T) {
+	sc, err := Preset("litmus-coww-3x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(t.TempDir(), "store")
+	broken := ""
+	var last Progress
+	res, err := Explore(sc, Options{
+		MaxStates: 400000, StoreDir: store, MemBudget: 8 << 10,
+		Progress: func(p Progress) {
+			last = p
+			if broken != "" || p.Runs < 200 {
+				return
+			}
+			if names, fds := openRuns(t, store); len(names) > 0 {
+				broken = names[0]
+				redirect(t, fds[0], store)
+			}
+		},
+	})
+	if broken == "" {
+		t.Fatalf("no spilled run to break (search returned %v)", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "run "+broken) || !strings.Contains(err.Error(), "is a directory") {
+		t.Fatalf("search over a run that cannot be read returned %v, want its read error naming %s", err, broken)
+	}
+	if res.Exhausted || res.Violation != nil || res.SCVerdict != "" {
+		t.Fatalf("failed search reports exhausted=%v, verdict %q, violation %v; want none",
+			res.Exhausted, res.SCVerdict, res.Violation)
+	}
+	if res.Runs != last.Runs+1 {
+		t.Fatalf("search stopped at run %d, last reported run %d: want the run after it", res.Runs, last.Runs)
+	}
+	t.Logf("%s broken, search stopped at run %d: %v", broken, res.Runs, err)
 }
 
 // TestStoreSyncFailureStopsTheSearch is the failing disk of

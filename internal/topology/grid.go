@@ -18,20 +18,17 @@ func NewGrid(n int) (Grid, error) {
 	return Grid{n: n}, nil
 }
 
-// MustNewGrid is NewGrid but panics on error.
-func MustNewGrid(n int) Grid {
-	g, err := NewGrid(n)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // N returns the number of processors per bus (rows == columns == n).
 func (g Grid) N() int { return g.n }
 
 // Processors returns n².
 func (g Grid) Processors() int { return g.n * g.n }
+
+// NodeID is the linearized address of a node, in [0, Processors()).
+type NodeID int
+
+// LineID identifies a coherency block (a cache line) by index.
+type LineID uint64
 
 // Coord is a (row, column) processor address in the grid.
 type Coord struct {
@@ -54,26 +51,8 @@ func (g Grid) Valid(c Coord) bool {
 }
 
 // HomeColumn maps a line to the column bus through which its main memory
-// module is reached.
+// module is reached: memory is interleaved across the column buses by
+// line index, so every line has a home bus "in order to assure
+// sequentiality of access in cases of competing, mutually exclusive
+// requests" (Section 6).
 func (g Grid) HomeColumn(line LineID) int { return int(line % LineID(g.n)) }
-
-// RowMembers returns the node IDs on row bus r in column order.
-func (g Grid) RowMembers(r int) []NodeID {
-	ids := make([]NodeID, g.n)
-	for c := 0; c < g.n; c++ {
-		ids[c] = g.ID(Coord{Row: r, Col: c})
-	}
-	return ids
-}
-
-// ColMembers returns the node IDs on column bus c in row order.
-func (g Grid) ColMembers(c int) []NodeID {
-	ids := make([]NodeID, g.n)
-	for r := 0; r < g.n; r++ {
-		ids[r] = g.ID(Coord{Row: r, Col: c})
-	}
-	return ids
-}
-
-// Multicube returns the general-topology view of the grid (k = 2).
-func (g Grid) Multicube() Multicube { return Multicube{N: g.n, K: 2} }

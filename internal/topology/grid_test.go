@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+func mustGrid(t *testing.T, n int) Grid {
+	t.Helper()
+	g, err := NewGrid(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestGridValidation(t *testing.T) {
 	if _, err := NewGrid(1); err == nil {
 		t.Error("grid of 1 accepted")
@@ -19,7 +28,7 @@ func TestGridValidation(t *testing.T) {
 }
 
 func TestGridIDRoundTrip(t *testing.T) {
-	g := MustNewGrid(7)
+	g := mustGrid(t, 7)
 	for id := NodeID(0); id < NodeID(g.Processors()); id++ {
 		c := g.Coord(id)
 		if !g.Valid(c) {
@@ -34,66 +43,14 @@ func TestGridIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGridMembers(t *testing.T) {
-	g := MustNewGrid(3)
-	row := g.RowMembers(1)
-	want := []NodeID{3, 4, 5}
-	for i := range want {
-		if row[i] != want[i] {
-			t.Fatalf("RowMembers(1) = %v, want %v", row, want)
-		}
-	}
-	col := g.ColMembers(2)
-	want = []NodeID{2, 5, 8}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("ColMembers(2) = %v, want %v", col, want)
-		}
-	}
-}
-
-func TestGridRowColumnIntersect(t *testing.T) {
-	// Exactly one node lies on any (row bus, column bus) pair — the
-	// property the coherence protocol relies on for request forwarding.
-	g := MustNewGrid(5)
-	for r := 0; r < 5; r++ {
-		for c := 0; c < 5; c++ {
-			common := 0
-			rm := g.RowMembers(r)
-			cm := g.ColMembers(c)
-			for _, a := range rm {
-				for _, b := range cm {
-					if a == b {
-						common++
-					}
-				}
-			}
-			if common != 1 {
-				t.Fatalf("row %d and column %d share %d nodes", r, c, common)
-			}
-		}
-	}
-}
-
 func TestGridHomeColumn(t *testing.T) {
-	g := MustNewGrid(8)
+	g := mustGrid(t, 8)
 	f := func(raw uint64) bool {
 		h := g.HomeColumn(LineID(raw))
 		return h >= 0 && h < 8 && h == int(raw%8)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGridMulticubeView(t *testing.T) {
-	g := MustNewGrid(32)
-	m := g.Multicube()
-	if m.N != 32 || m.K != 2 {
-		t.Fatalf("Multicube() = %v", m)
-	}
-	if m.Processors() != g.Processors() {
-		t.Errorf("processor counts disagree: %d vs %d", m.Processors(), g.Processors())
 	}
 }
 

@@ -5,9 +5,12 @@
 // Multicube with n = 2; the Wisconsin Multicube is the two-dimensional
 // case (k = 2) with n scaling to about 32.
 //
-// The package provides node addressing, bus enumeration, home-bus mapping
-// for interleaved memory, and the scalability formulas the paper derives
-// (bus counts, bandwidth per processor, invalidation cost).
+// Multicube carries only the scalability formulas the paper derives for
+// the family (bus counts, bandwidth per processor, invalidation cost);
+// the machine itself is the k = 2 case, and Grid is its addressing:
+// row-major node IDs, (row, column) coordinates and the home column that
+// interleaves memory across the column buses.
+//
 // The package participates in the explorer's determinism contract: no
 // wall clock, no map-order dependence, no scheduling outside the chooser
 // seam. multicube-vet enforces this (see internal/analysis).
@@ -63,13 +66,7 @@ func (m Multicube) Processors() int {
 }
 
 // Buses returns the total bus count k*n^(k-1) (Section 6).
-func (m Multicube) Buses() int {
-	p := m.K
-	for i := 0; i < m.K-1; i++ {
-		p *= m.N
-	}
-	return p
-}
+func (m Multicube) Buses() int { return m.K * m.BusesPerDimension() }
 
 // BusesPerDimension returns the number of buses in one dimension, n^(k-1).
 func (m Multicube) BusesPerDimension() int {
@@ -90,165 +87,4 @@ func (m Multicube) BandwidthPerProcessor() float64 {
 // invalidating broadcast requires, (N-1)/(n-1) (Section 6).
 func (m Multicube) InvalidationBusOps() float64 {
 	return float64(m.Processors()-1) / float64(m.N-1)
-}
-
-// Node is a processor address: one coordinate per dimension, each in
-// [0, n). In the two-dimensional Wisconsin Multicube, Coord[0] is the row
-// index and Coord[1] is the column index.
-type Node struct {
-	Coord []int
-}
-
-// NodeID is the linearized address of a node, in [0, Processors()).
-type NodeID int
-
-// NodeAt returns the node with the given coordinates.
-func (m Multicube) NodeAt(coord ...int) (Node, error) {
-	if len(coord) != m.K {
-		return Node{}, fmt.Errorf("topology: %d coordinates for a %d-dimensional multicube", len(coord), m.K)
-	}
-	for d, c := range coord {
-		if c < 0 || c >= m.N {
-			return Node{}, fmt.Errorf("topology: coordinate %d = %d out of range [0,%d)", d, c, m.N)
-		}
-	}
-	n := Node{Coord: make([]int, m.K)}
-	copy(n.Coord, coord)
-	return n, nil
-}
-
-// ID linearizes a node address: mixed-radix with Coord[0] most significant.
-func (m Multicube) ID(n Node) NodeID {
-	id := 0
-	for _, c := range n.Coord {
-		id = id*m.N + c
-	}
-	return NodeID(id)
-}
-
-// Node recovers the coordinates of a linearized node id.
-func (m Multicube) Node(id NodeID) Node {
-	coord := make([]int, m.K)
-	v := int(id)
-	for d := m.K - 1; d >= 0; d-- {
-		coord[d] = v % m.N
-		v /= m.N
-	}
-	return Node{Coord: coord}
-}
-
-// Bus identifies one bus: the dimension it runs along, plus the fixed
-// coordinates of the other dimensions (in order, skipping Dim). Every node
-// whose non-Dim coordinates match Fixed is attached to this bus.
-type Bus struct {
-	Dim   int
-	Fixed []int
-}
-
-// BusOf returns the bus node n is attached to in dimension dim.
-func (m Multicube) BusOf(n Node, dim int) Bus {
-	fixed := make([]int, 0, m.K-1)
-	for d, c := range n.Coord {
-		if d != dim {
-			fixed = append(fixed, c)
-		}
-	}
-	return Bus{Dim: dim, Fixed: fixed}
-}
-
-// BusIndex linearizes a bus within its dimension, in [0, n^(k-1)).
-func (m Multicube) BusIndex(b Bus) int {
-	idx := 0
-	for _, c := range b.Fixed {
-		idx = idx*m.N + c
-	}
-	return idx
-}
-
-// Members returns the IDs of the n nodes attached to bus b, in order of
-// their coordinate along b.Dim.
-func (m Multicube) Members(b Bus) []NodeID {
-	ids := make([]NodeID, m.N)
-	coord := make([]int, m.K)
-	for i := 0; i < m.N; i++ {
-		fi := 0
-		for d := range coord {
-			if d == b.Dim {
-				coord[d] = i
-			} else {
-				coord[d] = b.Fixed[fi]
-				fi++
-			}
-		}
-		ids[i] = m.ID(Node{Coord: coord})
-	}
-	return ids
-}
-
-// SharedBus returns the dimension of a bus common to nodes a and b and
-// true, or -1 and false when the nodes do not share a bus. Two distinct
-// nodes share a bus exactly when their coordinates differ in one dimension.
-func (m Multicube) SharedBus(a, b Node) (int, bool) {
-	diff := -1
-	for d := 0; d < m.K; d++ {
-		if a.Coord[d] != b.Coord[d] {
-			if diff != -1 {
-				return -1, false
-			}
-			diff = d
-		}
-	}
-	if diff == -1 {
-		return -1, false // same node: shares all buses, caller treats as local
-	}
-	return diff, true
-}
-
-// Distance returns the number of bus hops between two nodes: the number of
-// dimensions in which their coordinates differ (Hamming distance over
-// coordinates). Adjacent nodes (sharing a bus) are at distance 1.
-func (m Multicube) Distance(a, b Node) int {
-	d := 0
-	for i := 0; i < m.K; i++ {
-		if a.Coord[i] != b.Coord[i] {
-			d++
-		}
-	}
-	return d
-}
-
-// Route returns a minimal sequence of intermediate nodes from a to b,
-// correcting coordinates dimension by dimension (dimension-ordered
-// routing). The result includes b but not a; routing a node to itself
-// returns an empty path.
-func (m Multicube) Route(a, b Node) []Node {
-	var path []Node
-	cur := make([]int, m.K)
-	copy(cur, a.Coord)
-	for d := 0; d < m.K; d++ {
-		if cur[d] != b.Coord[d] {
-			cur[d] = b.Coord[d]
-			step := Node{Coord: make([]int, m.K)}
-			copy(step.Coord, cur)
-			path = append(path, step)
-		}
-	}
-	return path
-}
-
-// LineID identifies a coherency block (a cache line) by index.
-type LineID uint64
-
-// HomeBus maps a line to its home bus in the memory dimension (the column
-// dimension in the Wisconsin Multicube): memory is interleaved across the
-// n^(k-1) buses of that dimension by line index, so that every line has a
-// home bus "in order to assure sequentiality of access in cases of
-// competing, mutually exclusive requests" (Section 6).
-func (m Multicube) HomeBus(line LineID) int {
-	return int(line % LineID(m.BusesPerDimension()))
-}
-
-// String renders the topology as, e.g., "Multicube(n=32, k=2, N=1024)".
-func (m Multicube) String() string {
-	return fmt.Sprintf("Multicube(n=%d, k=%d, N=%d)", m.N, m.K, m.Processors())
 }

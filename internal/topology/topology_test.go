@@ -3,7 +3,6 @@ package topology
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -58,164 +57,5 @@ func TestScalingFormulas(t *testing.T) {
 	multi := MustNew(16, 1)
 	if got := multi.InvalidationBusOps(); got != 1 {
 		t.Errorf("multi InvalidationBusOps = %g, want 1", got)
-	}
-}
-
-func TestIDRoundTrip(t *testing.T) {
-	m := MustNew(5, 3)
-	for id := NodeID(0); id < NodeID(m.Processors()); id++ {
-		n := m.Node(id)
-		if got := m.ID(n); got != id {
-			t.Fatalf("ID(Node(%d)) = %d", id, got)
-		}
-		for _, c := range n.Coord {
-			if c < 0 || c >= 5 {
-				t.Fatalf("Node(%d) coordinate %d out of range", id, c)
-			}
-		}
-	}
-}
-
-func TestNodeAtValidation(t *testing.T) {
-	m := MustNew(4, 2)
-	if _, err := m.NodeAt(1); err == nil {
-		t.Error("wrong arity accepted")
-	}
-	if _, err := m.NodeAt(1, 4); err == nil {
-		t.Error("out-of-range coordinate accepted")
-	}
-	n, err := m.NodeAt(3, 2)
-	if err != nil {
-		t.Fatalf("NodeAt(3,2): %v", err)
-	}
-	if m.ID(n) != NodeID(3*4+2) {
-		t.Errorf("ID = %d, want %d", m.ID(n), 3*4+2)
-	}
-}
-
-func TestBusMembership(t *testing.T) {
-	m := MustNew(4, 2)
-	n, _ := m.NodeAt(2, 3)
-	rowBus := m.BusOf(n, 1) // bus running along dimension 1 (varying column)
-	members := m.Members(rowBus)
-	if len(members) != 4 {
-		t.Fatalf("bus has %d members, want 4", len(members))
-	}
-	for i, id := range members {
-		got := m.Node(id)
-		if got.Coord[0] != 2 || got.Coord[1] != i {
-			t.Errorf("member %d = %v, want (2,%d)", i, got.Coord, i)
-		}
-	}
-	if idx := m.BusIndex(rowBus); idx != 2 {
-		t.Errorf("BusIndex = %d, want 2", idx)
-	}
-}
-
-func TestEveryNodeOnKBuses(t *testing.T) {
-	// Defining property of the Multicube: each processor is connected to k
-	// buses and each bus connects n processors.
-	m := MustNew(3, 3)
-	counts := make(map[NodeID]int)
-	for dim := 0; dim < m.K; dim++ {
-		seen := make(map[int]bool)
-		for id := NodeID(0); id < NodeID(m.Processors()); id++ {
-			b := m.BusOf(m.Node(id), dim)
-			idx := m.BusIndex(b)
-			if seen[idx] {
-				continue
-			}
-			seen[idx] = true
-			mem := m.Members(b)
-			if len(mem) != m.N {
-				t.Fatalf("bus dim=%d idx=%d has %d members", dim, idx, len(mem))
-			}
-			for _, mid := range mem {
-				counts[mid]++
-			}
-		}
-		if len(seen) != m.BusesPerDimension() {
-			t.Fatalf("dimension %d has %d buses, want %d", dim, len(seen), m.BusesPerDimension())
-		}
-	}
-	for id, c := range counts {
-		if c != m.K {
-			t.Errorf("node %d on %d buses, want %d", id, c, m.K)
-		}
-	}
-}
-
-func TestSharedBus(t *testing.T) {
-	m := MustNew(4, 3)
-	a, _ := m.NodeAt(1, 2, 3)
-	b, _ := m.NodeAt(1, 0, 3) // differs only in dimension 1
-	dim, ok := m.SharedBus(a, b)
-	if !ok || dim != 1 {
-		t.Errorf("SharedBus = (%d,%v), want (1,true)", dim, ok)
-	}
-	c, _ := m.NodeAt(0, 0, 3) // differs in two dimensions from a
-	if _, ok := m.SharedBus(a, c); ok {
-		t.Error("nodes differing in two dimensions reported as sharing a bus")
-	}
-}
-
-func TestDistanceAndRoute(t *testing.T) {
-	m := MustNew(4, 3)
-	a, _ := m.NodeAt(0, 0, 0)
-	b, _ := m.NodeAt(1, 0, 2)
-	if d := m.Distance(a, b); d != 2 {
-		t.Errorf("Distance = %d, want 2", d)
-	}
-	path := m.Route(a, b)
-	if len(path) != 2 {
-		t.Fatalf("Route length %d, want 2", len(path))
-	}
-	last := path[len(path)-1]
-	if m.ID(last) != m.ID(b) {
-		t.Errorf("route does not end at destination: %v", last.Coord)
-	}
-	// Each hop moves along exactly one bus.
-	prev := a
-	for _, step := range path {
-		if _, ok := m.SharedBus(prev, step); !ok {
-			t.Errorf("hop %v -> %v is not a single bus", prev.Coord, step.Coord)
-		}
-		prev = step
-	}
-	if got := m.Route(a, a); len(got) != 0 {
-		t.Errorf("self route has %d hops", len(got))
-	}
-}
-
-func TestPropertyRouteLengthEqualsDistance(t *testing.T) {
-	m := MustNew(5, 4)
-	f := func(rawA, rawB uint32) bool {
-		a := m.Node(NodeID(int(rawA) % m.Processors()))
-		b := m.Node(NodeID(int(rawB) % m.Processors()))
-		return len(m.Route(a, b)) == m.Distance(a, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHomeBusCoversAllBuses(t *testing.T) {
-	m := MustNew(8, 2)
-	seen := make(map[int]int)
-	for line := LineID(0); line < 1000; line++ {
-		h := m.HomeBus(line)
-		if h < 0 || h >= m.BusesPerDimension() {
-			t.Fatalf("HomeBus(%d) = %d out of range", line, h)
-		}
-		seen[h]++
-	}
-	if len(seen) != m.BusesPerDimension() {
-		t.Errorf("interleaving used %d home buses, want %d", len(seen), m.BusesPerDimension())
-	}
-}
-
-func TestString(t *testing.T) {
-	if got := MustNew(32, 2).String(); got != "Multicube(n=32, k=2, N=1024)" {
-		t.Errorf("String() = %q", got)
 	}
 }
