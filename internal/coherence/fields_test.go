@@ -22,7 +22,8 @@ import (
 //     between components, event bodies built once. For a kernel it also
 //     covers what Save refuses to run with (processes).
 //   - scratch: nothing a rewind has to bring back — a buffer reused
-//     within a step, a memo a rewind invalidates, a host-work or
+//     within a step, a memo a rewind invalidates or one keyed on the
+//     labels that a rewind leaves valid, a host-work or
 //     per-execution counter a rewind restarts, the free list of
 //     operations (Save stops adding to it).
 //   - bookkeeping: what the rewind itself runs on — the machine's half of
@@ -98,13 +99,12 @@ var rewindFields = []fieldClasses{
 		bookkeeping: []string{"labels", "clock", "saved"},
 	},
 	{
-		// The explorer's fingerprint cache, rewound by its own Save and
-		// Load (FPSaved) beside the machine's. rowQ and colQ are memos a
-		// Load invalidates; evs, evH and lines are buffers.
+		// The explorer's fingerprint cache: a memo keyed on the rewind's
+		// labels, which no Save or Load touches (a hash is good wherever
+		// its label comes back); evs, evH and lines are buffers.
 		of:      typeOf[FPCache](),
-		rewound: []string{"nodeH", "nodeGen", "memH", "memGen"},
 		wiring:  []string{"sys", "n", "snarf"},
-		scratch: []string{"rowQ", "colQ", "evs", "evH", "lines", "recomputes", "reused"},
+		scratch: []string{"lab", "nodeH", "memH", "rowQ", "colQ", "evs", "evH", "lines", "recomputes", "reused"},
 	},
 }
 
@@ -112,14 +112,6 @@ var rewindFields = []fieldClasses{
 // move, with the reason.
 var unmoved = map[string]string{
 	"coherence.System.dropped": "only a Fault hook drops an operation, and the sweep installs none",
-	// The sweep holds the cache to a fresh one by the fingerprint it
-	// computes after every Load; internal/mc's
-	// TestLoadEqualsReplayForTheDriver holds it to a replay by what it
-	// saves.
-	"coherence.FPCache.nodeH":   "System does not lead to the fingerprint cache",
-	"coherence.FPCache.nodeGen": "System does not lead to the fingerprint cache",
-	"coherence.FPCache.memH":    "System does not lead to the fingerprint cache",
-	"coherence.FPCache.memGen":  "System does not lead to the fingerprint cache",
 }
 
 // TestEveryFieldIsClassified fails when a struct of the rewindable

@@ -16,11 +16,14 @@ import (
 //
 // The machine is hashed as independent components — one hash per node
 // (L2 + MLT + pending transaction), one per memory module, one snapshot
-// per bus — each cached behind a mutation generation counter (Node.gen,
-// Memory.gen, Bus.Gen) that the protocol entry points bump. A choice
-// point calls BeginPoint once to refresh only the dirty components, then
-// FPRC once per relabeling it has to try, to combine the cached hashes in
-// permuted order.
+// per bus — each cached under the component's rewind label
+// (System.current): its mutation generation counter (Node.gen, Memory.gen,
+// Bus.Gen), which the protocol entry points bump, qualified by an epoch no
+// Load reuses. A label never names two contents, so the cache is kept
+// across Save and Load untouched, and a hash is served again wherever a
+// Load brings its label back. A choice point calls BeginPoint once to
+// refresh only the components whose label moved, then FPRC once per
+// relabeling it has to try, to combine the cached hashes in permuted order.
 //
 // Component hashes are row-independent by construction: nothing inside a
 // node, memory module, or row-bus queue names a row index. The
@@ -60,12 +63,11 @@ type evRec struct {
 	rest     uint64
 }
 
-// busQ is a snapshot of one bus's fingerprint-visible state, refreshed
-// when the bus's generation counter moves. Op pointers stay valid and
-// immutable in their hashed fields for the life of the run.
+// busQ is a snapshot of one bus's fingerprint-visible state, retaken
+// when the bus's label moves. Its op pointers stay valid across rewinds —
+// a saved machine recycles no operation (DESIGN.md §5.10) — and their
+// hashed fields are immutable.
 type busQ struct {
-	gen      uint64
-	valid    bool
 	busy     bool
 	inflight *Op
 	perSrc   [][]*Op // queued ops grouped by physical attach index
@@ -79,95 +81,90 @@ type busQ struct {
 type ExtraTagFunc func(tag any) (row, col int, rest uint64, ok bool)
 
 // FPCache incrementally fingerprints one System. It is not safe for
-// concurrent use; each explorer worker owns one, kept across its runs.
+// concurrent use; the explorer keeps one across its runs and rewinds.
 type FPCache struct {
 	sys   *System
 	n     int
 	snarf bool
 
-	nodeH   [][]uint64
-	nodeGen [][]uint64
-	memH    []uint64
-	memGen  []uint64
-	rowQ    []busQ
-	colQ    []busQ
+	// lab is the label each component's hash or snapshot below was taken
+	// under, in System.labels' order; the zero label, none yet.
+	lab   []label
+	nodeH [][]uint64
+	memH  []uint64
+	rowQ  []busQ
+	colQ  []busQ
 
 	evs   []evRec
 	evH   []uint64
 	lines []mlt.Line // nodeHash's buffer
 
-	recomputes uint64 // component hashes rebuilt because their gen moved
+	recomputes uint64 // component hashes rebuilt because their label moved
 	reused     uint64 // component hashes served from cache
 }
 
-// NewFPCache returns a cache bound to s with every component dirty.
+// NewFPCache returns a cache bound to s with no component hashed.
 func NewFPCache(s *System) *FPCache {
 	n := s.cfg.N
-	f := &FPCache{sys: s, n: n, snarf: s.cfg.Snarf,
-		nodeH: make([][]uint64, n), nodeGen: make([][]uint64, n),
-		memH: make([]uint64, n), memGen: make([]uint64, n),
+	f := &FPCache{sys: s, n: n, snarf: s.cfg.Snarf, lab: make([]label, len(s.labels)),
+		nodeH: make([][]uint64, n), memH: make([]uint64, n),
 		rowQ: make([]busQ, n), colQ: make([]busQ, n)}
-	const dirty = ^uint64(0)
-	for r := 0; r < n; r++ {
+	for r := range f.nodeH {
 		f.nodeH[r] = make([]uint64, n)
-		f.nodeGen[r] = make([]uint64, n)
-		for c := range f.nodeGen[r] {
-			f.nodeGen[r][c] = dirty
-		}
-		f.memGen[r] = dirty
 	}
 	return f
 }
 
 // Stats reports how many component hashes were rebuilt vs served from
-// cache since the cache was built or last loaded.
+// cache since the cache was built or ResetStats last called.
 func (f *FPCache) Stats() (recomputes, reused uint64) { return f.recomputes, f.reused }
 
-// BeginPoint refreshes every dirty component and snapshots the pending
-// event set; call it once per choice point, before FP. extra describes
-// driver-owned event tags (may be nil).
+// ResetStats restarts the Stats counters; the hashes stay.
+func (f *FPCache) ResetStats() { f.recomputes, f.reused = 0, 0 }
+
+// BeginPoint refreshes every component whose label moved and snapshots
+// the pending event set; call it once per choice point, before FP. extra
+// describes driver-owned event tags (may be nil).
 func (f *FPCache) BeginPoint(extra ExtraTagFunc) {
 	s := f.sys
 	n := f.n
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			nd := s.nodes[r][c]
-			if nd.gen != f.nodeGen[r][c] {
+	for r, row := range s.nodes {
+		for c, nd := range row {
+			if f.stale((3+r)*n+c, nd.gen) {
 				f.nodeH[r][c] = f.nodeHash(nd)
-				f.nodeGen[r][c] = nd.gen
-				f.recomputes++
-			} else {
-				f.reused++
 			}
 		}
 	}
-	for c := 0; c < n; c++ {
-		m := s.mems[c]
-		if m.gen != f.memGen[c] {
+	for c, m := range s.mems {
+		if f.stale(2*n+c, m.gen) {
 			f.memH[c] = memHash(m)
-			f.memGen[c] = m.gen
-			f.recomputes++
-		} else {
-			f.reused++
 		}
 	}
-	for r := 0; r < n; r++ {
-		f.refreshBus(&f.rowQ[r], s.rows[r])
-	}
-	for c := 0; c < n; c++ {
-		f.refreshBus(&f.colQ[c], s.cols[c])
+	for i := 0; i < n; i++ {
+		if f.stale(i, s.rows[i].Gen()) {
+			f.snapBus(&f.rowQ[i], s.rows[i])
+		}
+		if f.stale(n+i, s.cols[i].Gen()) {
+			f.snapBus(&f.colQ[i], s.cols[i])
+		}
 	}
 	f.snapshotEvents(extra)
 }
 
-func (f *FPCache) refreshBus(q *busQ, b *bus.Bus) {
-	if q.valid && q.gen == b.Gen() {
-		f.reused++
-		return
+// stale reports whether component i, now at generation gen, stands under
+// another label than its cached hash was taken under, and takes the
+// current one; either way it counts the answer.
+func (f *FPCache) stale(i int, gen uint64) bool {
+	if l := f.sys.current(i, gen); l != f.lab[i] {
+		f.lab[i] = l
+		f.recomputes++
+		return true
 	}
-	f.recomputes++
-	q.valid = true
-	q.gen = b.Gen()
+	f.reused++
+	return false
+}
+
+func (f *FPCache) snapBus(q *busQ, b *bus.Bus) {
 	q.busy = b.Busy()
 	q.inflight = nil
 	if p := b.Inflight(); p != nil {

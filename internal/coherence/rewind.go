@@ -37,7 +37,9 @@ import (
 // under the buffer's label). Where the machine's label equals
 // the buffer's, Save and Load leave the component alone. Bare generations
 // would not do: generation g of the abandoned future is not generation g
-// of the next (DESIGN.md §5.9).
+// of the next (DESIGN.md §5.9). The fingerprint cache keys its hashes on
+// the same labels (System.current), so it is neither saved nor loaded: a
+// hash taken under a label is good wherever the label comes back.
 
 // Saved is a caller-owned buffer holding one machine at a kernel-step
 // boundary. Save fills it and keeps its capacity, so a recycled buffer
@@ -70,17 +72,24 @@ func (s *System) fresh(i int) {
 	s.labels[i] = label{s.clock, own}
 }
 
-// same reports whether st holds component i, now at generation gen, as it
-// stands on the machine: a component that has moved since a Load lent it
-// its label is first given the epoch it has been in since. If not, the
-// caller copies it and the copy takes the original's label: st's the
-// machine's, or in a Load the machine's st's. The zero label names nothing.
-func (s *System) same(st *Saved, i int, gen uint64, load bool) bool {
+// current returns the label of component i, now at generation gen: a
+// component that has moved since a Load lent it its label is first given
+// the epoch it has been in since. The zero label names nothing.
+func (s *System) current(i int, gen uint64) label {
 	at := &s.labels[i]
 	if at.gen != gen && at.gen != own {
 		s.fresh(i)
 	}
-	switch now := (label{at.epoch, gen}); {
+	return label{at.epoch, gen}
+}
+
+// same reports whether st holds component i, now at generation gen, as it
+// stands on the machine. If not, the caller copies it and the copy takes
+// the original's label: st's the machine's, or in a Load the machine's
+// st's.
+func (s *System) same(st *Saved, i int, gen uint64, load bool) bool {
+	at := &s.labels[i]
+	switch now := s.current(i, gen); {
 	case st.labels[i] != now && load:
 		*at = st.labels[i]
 		return false
@@ -172,8 +181,8 @@ func (st *Saved) addTrace(tr *TxnTrace) {
 // the same nodes, buses and memories and leaving hooks, chooser and
 // wiring alone. The generation counters come back with the state they
 // count: generation g of the abandoned future is not generation g of the
-// next one, so anything keyed on them — an FPCache — must be loaded with
-// the machine or invalidated. The kernel's Executed restarts at zero.
+// next one, so anything kept beside the machine keys on labels, as
+// FPCache does, not on generations. The kernel's Executed restarts at zero.
 // A component that stands as st holds it is left alone; one that is
 // copied takes st's label with the content.
 //
@@ -274,40 +283,4 @@ func (m *Memory) save(st *memSaved) {
 func (m *Memory) load(st *memSaved) {
 	m.store.Load(&st.store)
 	m.gen = st.gen
-}
-
-// FPSaved is a caller-owned buffer holding an FPCache's node and memory
-// hashes with the generations they were taken at.
-type FPSaved struct {
-	nodeH, nodeGen []uint64 // row-major
-	memH, memGen   []uint64
-}
-
-// Save copies the cached component hashes into st. Save it with the
-// machine (System.Save) at the same boundary.
-func (f *FPCache) Save(st *FPSaved) {
-	st.nodeH, st.nodeGen = st.nodeH[:0], st.nodeGen[:0]
-	for r := 0; r < f.n; r++ {
-		st.nodeH = append(st.nodeH, f.nodeH[r]...)
-		st.nodeGen = append(st.nodeGen, f.nodeGen[r]...)
-	}
-	st.memH = append(st.memH[:0], f.memH...)
-	st.memGen = append(st.memGen[:0], f.memGen...)
-}
-
-// Load rewinds the cache to hashes saved from it, for the machine rewound
-// to the same boundary (System.Load): a hash is served again exactly
-// where its generation is the machine's own once more. The bus snapshots
-// are cheap to retake and are invalidated instead of saved. The Stats
-// counters restart.
-func (f *FPCache) Load(st *FPSaved) {
-	n := f.n
-	for r := 0; r < n; r++ {
-		copy(f.nodeH[r], st.nodeH[r*n:])
-		copy(f.nodeGen[r], st.nodeGen[r*n:])
-		f.rowQ[r].valid, f.colQ[r].valid = false, false
-	}
-	copy(f.memH, st.memH)
-	copy(f.memGen, st.memGen)
-	f.recomputes, f.reused = 0, 0
 }

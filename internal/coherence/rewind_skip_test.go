@@ -449,3 +449,37 @@ func TestSkipsUnderRandomRewinds(t *testing.T) {
 		t.Logf("config %d: %d loads, %d skips checked", ci, loads, skips)
 	}
 }
+
+// TestMemoSurvivesLoad: the fingerprint cache keys on the rewind's
+// labels, so a Load straight after a Save, which puts every component back
+// under the label it stood under, leaves every cached hash good — the bus
+// snapshots as well as the node and memory hashes. The machine has been
+// rewound once before, so some of its labels are lent by a Load.
+func TestMemoSurvivesLoad(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := splitmix64(seed * 104729)
+		m := newRWMachine(t, 3, func(c *Config) { c.Snarf = true }, rwPrograms(&rng, 3), seed)
+		var early, b rwBoundary
+		for i := 0; i < 40 && m.k.Step(); i++ {
+			if i == 10 {
+				m.save(&early, i)
+			}
+			m.incrementalFP(m.fpc)
+		}
+		m.load(&early)
+		m.ch.rng = splitmix64(seed << 8)
+		for i := 0; i < 15 && m.k.Step(); i++ {
+			m.incrementalFP(m.fpc)
+		}
+		want := m.incrementalFP(m.fpc)
+		m.save(&b, 0)
+		m.load(&b)
+		m.fpc.ResetStats()
+		if got := m.incrementalFP(m.fpc); got != want {
+			t.Fatalf("seed %d: the fingerprint moved across a Save and Load: %#x, then %#x", seed, want, got)
+		}
+		if rec, reused := m.fpc.Stats(); rec != 0 || reused != uint64(len(m.sys.labels)) {
+			t.Fatalf("seed %d: BeginPoint after a Load straight back recomputed %d of %d components", seed, rec, rec+reused)
+		}
+	}
+}

@@ -229,7 +229,6 @@ func (m *rwMachine) incrementalFP(f *FPCache) uint64 {
 // rwBoundary is a whole saved execution.
 type rwBoundary struct {
 	sys   Saved
-	fpc   FPSaved
 	drv   rwState
 	steps int // kernel steps taken before it
 	picks int // choices made before it
@@ -238,14 +237,12 @@ type rwBoundary struct {
 
 func (m *rwMachine) save(b *rwBoundary, steps int) {
 	m.sys.Save(&b.sys)
-	m.fpc.Save(&b.fpc)
 	b.drv.copyFrom(&m.rwState)
 	b.steps, b.picks, b.rng = steps, len(m.ch.picks), m.ch.rng
 }
 
 func (m *rwMachine) load(b *rwBoundary) {
 	m.sys.Load(&b.sys)
-	m.fpc.Load(&b.fpc)
 	m.rwState.copyFrom(&b.drv)
 	m.ch.picks, m.ch.rng = m.ch.picks[:b.picks], b.rng
 }
@@ -352,8 +349,9 @@ func rwPrograms(rng *splitmix64, n int) []rwProc {
 // boundary: same fingerprint, same invariant report, every public counter
 // and Stats equal, and over a common continuation the same bus
 // operations at the same times, the same fingerprints step for step, the
-// loaded FPCache agreeing with a new one. Loading the same save again
-// must put the run back on the path it would have taken unobserved.
+// FPCache kept across the Load agreeing with a new one. Loading the same
+// save again must put the run back on the path it would have taken
+// unobserved.
 //
 // Field by field too: every field rewindFields calls rewound, of every
 // component, must equal the replay's after the Load — a field Save or Load
@@ -408,7 +406,7 @@ func TestLoadEqualsReplay(t *testing.T) {
 					where := fmt.Sprintf("seed %d boundary at step %d", seed, b.steps)
 					traces := append([]traceSaved(nil), b.sys.traces...)
 					// Fingerprinted as it goes, so that the FPCache fills
-					// with the abandoned future's generations.
+					// with the abandoned future's labels.
 					m.ch.rng = splitmix64(seed<<32 | uint64(boundaries))
 					for i := 1 + rng.intn(60); i > 0 && m.k.Step(); i-- {
 						m.incrementalFP(m.fpc)
@@ -470,7 +468,7 @@ func TestLoadEqualsReplay(t *testing.T) {
 							t.Fatalf("%s: fingerprints part %d steps on", where, i)
 						}
 						if got, want := m.incrementalFP(m.fpc), m.incrementalFP(NewFPCache(m.sys)); got != want {
-							t.Fatalf("%s: %d steps on the loaded FPCache says %#x, a new one %#x", where, i, got, want)
+							t.Fatalf("%s: %d steps on, the kept FPCache says %#x, a new one %#x", where, i, got, want)
 						}
 					}
 					if !reflect.DeepEqual(*log, *refLog) {

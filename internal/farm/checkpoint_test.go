@@ -38,13 +38,7 @@ func mcSpec(t *testing.T, body string) (*jobspec.Spec, string) {
 func stripResume(r mc.Result) mc.Result {
 	r.Resumed = false
 	r.ResumeNote = ""
-	r.Spills, r.Syncs = 0, 0
-	r.DiskBytes = 0
-	r.Steps, r.ReplaySteps = 0, 0
-	r.FPRecomputes, r.FPIncremental = 0, 0
-	r.FPPoints, r.FPCombines = 0, 0
-	r.Restores, r.PeakBoundaries = 0, 0
-	r.StoreHot, r.StoreDisk, r.StoreReads = 0, 0, 0
+	r.Cost = mc.Cost{}
 	return r
 }
 

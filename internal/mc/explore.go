@@ -168,15 +168,56 @@ type Progress struct {
 	// Frontier is the number of pending work items (unexplored branch
 	// prefixes) queued at the snapshot.
 	Frontier int
-	// Steps, ReplaySteps and Restores are Result's host-cost counters so
-	// far: kernel steps executed, those among them that replayed a prefix,
-	// and runs that started from a saved boundary instead of from the
-	// initial state.
+	// Cost is Result's host cost so far.
+	Cost
+}
+
+// Cost is what a search cost this host, not what it found. It depends on
+// which runs had a saved boundary to start from (a resumed search replays
+// its checkpointed frontier from reset), on the memory budget and on the
+// checkpoints, so two searches with identical results can differ in it,
+// as they do in elapsed time. The counters are summed over the executions
+// of the search; minimization replays run on machines of their own and
+// are not included. All but PeakBoundaries and the disk tier's three are
+// checkpointed and carried across a resume.
+type Cost struct {
+	// FPRecomputes and FPIncremental count component-hash rebuilds vs
+	// cache hits in the incremental fingerprint path. Zero on the
+	// single-bus baseline, which caches nothing.
+	FPRecomputes  uint64
+	FPIncremental uint64
+	// FPPoints counts the choice points canonicalised and FPCombines the
+	// relabelings combined for them: their ratio is what the canonical
+	// form costs against the size of the relabeling table (1 when sorting
+	// the row and column signatures always singles one out, the table size
+	// when it never does). Zero on the single-bus baseline.
+	FPPoints   uint64
+	FPCombines uint64
+	// Steps counts the kernel steps the search actually executed and
+	// ReplaySteps those among them that only re-executed a work item's
+	// prefix — taken before the prefix's last choice, in states the
+	// spawning run had already checked and recorded. A run that starts
+	// from a saved boundary executes neither the steps before it nor
+	// counts them.
 	Steps       uint64
 	ReplaySteps uint64
-	Restores    uint64
-	// StoreHot, StoreDisk and StoreReads are Result's store-tier counters.
+	// Restores counts the runs that started from a boundary their spawning
+	// run saved instead of from reset, and PeakBoundaries is the most saved
+	// boundaries alive at once — a maximum over this process's part of the
+	// search.
+	Restores       uint64
+	PeakBoundaries int
+	// StoreHot, StoreDisk and StoreReads say which tier of the visited
+	// store answered revisits: those the hot map answered, the run lookups
+	// that passed a bloom filter, and the reads those made — one each, two
+	// where a sleep set is stored (statespace.Store.Tier).
 	StoreHot, StoreDisk, StoreReads uint64
+	// Spills, Syncs and DiskBytes describe the visited store's disk tier:
+	// shard evictions performed, runs this process's checkpoints fsynced
+	// (zero without a checkpoint directory) and on-disk bytes (all zero
+	// for a memory-only table).
+	Spills, Syncs int
+	DiskBytes     int64
 }
 
 // Result summarizes an exploration.
@@ -202,72 +243,27 @@ type Result struct {
 	// space was covered: the Result describes a partial exploration
 	// (never Exhausted) whose statistics stop at the cancellation point.
 	Canceled bool
-	// FPRecomputes and FPIncremental count component-hash rebuilds vs
-	// cache hits in the incremental fingerprint path, summed over every
-	// execution of the search whose result this is (minimization replays
-	// run on machines of their own and are not included). Zero on the
-	// single-bus baseline, which caches nothing. Like Steps,
-	// ReplaySteps, Restores and PeakBoundaries below they measure what the
-	// search cost this host, not what it found: they depend on which runs
-	// had a saved boundary to start from (a resumed search replays its
-	// checkpointed frontier from reset), so two searches with identical
-	// results can differ in them, as they do in elapsed time.
-	FPRecomputes  uint64
-	FPIncremental uint64
-	// FPPoints counts the choice points canonicalised and FPCombines the
-	// relabelings combined for them: their ratio is what the canonical
-	// form costs against the size of the relabeling table (1 when sorting
-	// the row and column signatures always singles one out, the table size
-	// when it never does). Summed and host cost like the two above; zero
-	// on the single-bus baseline.
-	FPPoints   uint64
-	FPCombines uint64
 	// SCChecks counts completed executions whose history was checked for
 	// full sequential consistency (scenarios with CheckSC set; zero
 	// otherwise), and SCUndecided how many of those searches gave up on
-	// the node budget. Like the FP counters, minimization replays are not
-	// included.
+	// the node budget. Minimization replays are not included.
 	SCChecks    uint64
 	SCUndecided uint64
-	// Steps counts the kernel steps the search actually executed and
-	// ReplaySteps those among them that only re-executed a work item's
-	// prefix — taken before the prefix's last choice, in states the
-	// spawning run had already checked and recorded. A run that starts
-	// from a saved boundary executes neither the steps before it nor
-	// counts them. Summed like the FP counters; host cost, like them.
-	Steps       uint64
-	ReplaySteps uint64
-	// Restores counts the runs that started from a boundary their spawning
-	// run saved instead of from reset (summed and checkpointed like
-	// Steps), and PeakBoundaries is the most saved boundaries alive at
-	// once — a maximum over this process's part of the search, not
-	// carried across a resume. Host cost, like Steps.
-	Restores       uint64
-	PeakBoundaries int
-	// StoreHot, StoreDisk and StoreReads say which tier of the visited
-	// store answered revisits: those the hot map answered, the run lookups
-	// that passed a bloom filter, and the reads those made — one each, two
-	// where a sleep set is stored (statespace.Store.Tier). Summed,
-	// checkpointed and host cost like Steps.
-	StoreHot, StoreDisk, StoreReads uint64
 	// SCVerdict summarizes the cross-address checks: "" when the scenario
 	// does not request them, else "ok", "undecided" (some search hit the
 	// node budget), or "violation" (the reported Violation is "sc-total").
 	SCVerdict string
 	// Resumed reports the search continued from an on-disk checkpoint
 	// (Options.Resume found a matching one). Every other field of a
-	// resumed Result is byte-identical to an uninterrupted run's.
+	// resumed Result outside Cost is byte-identical to an uninterrupted
+	// run's.
 	Resumed bool
 	// ResumeNote explains why a requested resume fell back to a fresh
 	// search (corrupt or mismatched checkpoint); empty otherwise.
 	ResumeNote string
-	// Spills, Syncs and DiskBytes describe the visited store's disk tier:
-	// shard evictions performed, runs this process's checkpoints fsynced
-	// (host cost, zero without a checkpoint directory) and on-disk bytes at
-	// the end of the search (all zero for a memory-only table).
-	Spills, Syncs int
-	DiskBytes     int64
-	Violation     *Violation
+	Violation  *Violation
+	// Cost is what the search cost this host.
+	Cost
 }
 
 // checker runs executions of a scenario on some machine — the Multicube
@@ -290,9 +286,10 @@ type checker interface {
 	// grantClass describes one bus-arbitration candidate (the packet
 	// that would be granted) on the named bus.
 	grantClass(busName string, tag any) tagClass
-	// fpStats reports this execution's fingerprint cost; zero where
-	// nothing is cached or canonicalised by sorting.
-	fpStats() fpCounts
+	// fpStats reports this execution's fingerprint cost, the FP
+	// counters of a Cost; zero where nothing is cached or canonicalised
+	// by sorting.
+	fpStats() Cost
 	// scStats reports this execution's sequential-consistency checks and
 	// how many were cut by the node budget (zero unless Scenario.CheckSC).
 	scStats() (checks, undecided uint64)
@@ -318,7 +315,7 @@ func newChecker(sc *Scenario, sh *shared) checker {
 // sleep-set reduction, it also records the candidates' classes and the
 // sleep set in force, which the spawner needs to seed sibling branches.
 // cands is a piece of the chooser's per-run arena, valid like the take
-// itself until the worker's next run; sleepAt is a kept set, which
+// itself until the explorer's next run; sleepAt is a kept set, which
 // children may hand on to a work item.
 type take struct {
 	pick    int
@@ -382,8 +379,8 @@ func choicesOf(it *workItem, covered int, taken []take) []int {
 // as it stood when the scheduler was about to resolve choice point pos
 // of its run, having resolved pos before it. It is usable only on the
 // machine it was taken from (the events it holds are that machine's
-// closures), the worker's. Every work item spawned at or after the point
-// holds it; when the last of them has run, the worker takes it back for
+// closures), the explorer's. Every work item spawned at or after the point
+// holds it; when the last of them has run, the explorer takes it back for
 // its next save.
 type boundary struct {
 	refs  int // work items holding it
@@ -596,7 +593,9 @@ func (c *mcChooser) choices() []int { return choicesOf(&c.item, c.covered, c.tak
 // 1's behavior. statespace.Store preserves that contract bit-for-bit
 // while adding the disk tier and checkpoints.
 
-// explorer holds the cross-run state of one exploration.
+// explorer holds the cross-run state of one exploration. The machine is
+// rewound from run to run, not rebuilt, and the chooser keeps its
+// buffers; the first run builds both.
 type explorer struct {
 	sc      *Scenario
 	opts    Options
@@ -604,19 +603,24 @@ type explorer struct {
 	n       int
 	visited *statespace.Store
 	budget  bool
-	fpRec   uint64
-	fpInc   uint64
-	fpPts   uint64
-	fpComb  uint64
+	cost    Cost // all but the store's counters, which costNow adds
 	scRuns  uint64
 	scUndec uint64
-	steps   uint64
-	replay  uint64
-	// restores counts runs started from a saved boundary; alive and peak
-	// the boundaries currently held by work items and their high-water
-	// mark.
-	restores    uint64
-	alive, peak int
+	// alive counts the boundaries work items hold
+	// (cost.PeakBoundaries is its high-water mark).
+	alive int
+
+	ck checker
+	rw rewinder // ck, if its executions can be saved and resumed
+	ch *mcChooser
+	// base is the number of kernel steps on the path before the boundary
+	// the run in progress started from, and saved the boundaries it has
+	// saved so far. free are dead boundaries awaiting reuse: a boundary is
+	// a few kilobytes of buffers that the next save fills without
+	// allocating.
+	base  int
+	saved []*boundary
+	free  []*boundary
 
 	// scenH/optH pin checkpoints to this exploration; totalPrev carries
 	// run counts of completed deepening iterations into checkpoints.
@@ -643,95 +647,76 @@ type runOut struct {
 	from  *boundary
 }
 
-// worker is the execution state the search keeps from run to run: the
-// machine is rewound, not rebuilt, and the chooser keeps its buffers.
-// Both are built by the first run.
-type worker struct {
-	e  *explorer
-	ck checker
-	rw rewinder // ck, if its executions can be saved and resumed
-	ch *mcChooser
-
-	// base is the number of kernel steps on the path before the boundary
-	// the run in progress started from, and saved the boundaries it has
-	// saved so far. free are dead boundaries awaiting reuse: a boundary is
-	// a few kilobytes of buffers that the next save fills without
-	// allocating.
-	base  int
-	saved []*boundary
-	free  []*boundary
-}
-
 // run executes the scenario under the given work item: from the item's
 // boundary if it has one, else from reset. States beyond the prefix are
 // checked against the visited table and added to it. Inside the prefix — what is left of it after the boundary
 // — it neither consults the table nor runs the per-step oracle: those
 // states were recorded and checked by the run that spawned this branch,
 // and truncating the replay would orphan it. The returned runOut's taken
-// and saved are valid until the worker's next run.
-func (w *worker) run(it workItem, depth int) runOut {
+// and saved are valid until the explorer's next run.
+func (e *explorer) run(it workItem, depth int) runOut {
 	from := it.from
 	switch {
-	case w.ck == nil:
-		w.ck = newChecker(w.e.sc, w.e.sh)
-		w.ch = newMCChooser(w.ck, w.e.n, &w.e.opts)
-		if w.rw, _ = w.ck.(rewinder); w.rw != nil {
-			w.ch.atBoundary = w.saveBoundary
+	case e.ck == nil:
+		e.ck = newChecker(e.sc, e.sh)
+		e.ch = newMCChooser(e.ck, e.n, &e.opts)
+		if e.rw, _ = e.ck.(rewinder); e.rw != nil {
+			e.ch.atBoundary = e.saveBoundary
 		}
 	case from != nil:
-		w.rw.load(&from.st)
-		w.e.restores++
+		e.rw.load(&from.st)
+		e.cost.Restores++
 	default:
-		w.ck.reset()
+		e.ck.reset()
 	}
-	w.base, w.saved = 0, w.saved[:0]
+	e.base, e.saved = 0, e.saved[:0]
 	covered := 0
 	if from != nil {
-		w.base, covered = from.steps, from.pos
+		e.base, covered = from.steps, from.pos
 	}
-	w.ch.start(it, depth, covered)
-	out := w.e.execute(w.ck, w.ch, true, w.base)
-	out.saved, out.from = w.saved, from
+	e.ch.start(it, depth, covered)
+	out := e.execute(e.ck, e.ch, true, e.base)
+	out.saved, out.from = e.saved, from
 	return out
 }
 
 // saveBoundary is the chooser's atBoundary: it saves the execution in
 // progress, which is about to resolve choice point pos.
-func (w *worker) saveBoundary(pos int) {
+func (e *explorer) saveBoundary(pos int) {
 	var b *boundary
-	if n := len(w.free); n > 0 {
-		b, w.free = w.free[n-1], w.free[:n-1]
+	if n := len(e.free); n > 0 {
+		b, e.free = e.free[n-1], e.free[:n-1]
 	} else {
 		b = &boundary{}
 	}
-	w.rw.save(&b.st)
+	e.rw.save(&b.st)
 	b.pos = pos
-	b.steps = w.base + int(w.ck.kernel().Executed())
-	w.saved = append(w.saved, b)
-	if w.e.alive++; w.e.alive > w.e.peak {
-		w.e.peak = w.e.alive
+	b.steps = e.base + int(e.ck.kernel().Executed())
+	e.saved = append(e.saved, b)
+	if e.alive++; e.alive > e.cost.PeakBoundaries {
+		e.cost.PeakBoundaries = e.alive
 	}
 }
 
 // retire ends a run's bookkeeping once its children are spawned: the item
 // lets go of the boundary it held, and a boundary no work item holds any
-// more goes back to the worker's free list.
-func (w *worker) retire(it workItem, r runOut) {
+// more goes back to the free list.
+func (e *explorer) retire(it workItem, r runOut) {
 	for _, b := range r.saved {
 		if b.refs == 0 {
-			w.recycle(b)
+			e.recycle(b)
 		}
 	}
 	if b := it.from; b != nil {
 		if b.refs--; b.refs == 0 {
-			w.recycle(b)
+			e.recycle(b)
 		}
 	}
 }
 
-func (w *worker) recycle(b *boundary) {
-	w.e.alive--
-	w.free = append(w.free, b)
+func (e *explorer) recycle(b *boundary) {
+	e.alive--
+	e.free = append(e.free, b)
 }
 
 // execute drives one execution to its end. The machine stands base kernel
@@ -793,15 +778,15 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 		out.violation.Choices = ch.choices()
 	}
 	fpn := ck.fpStats()
-	e.fpRec += fpn.recomputes
-	e.fpInc += fpn.incremental
-	e.fpPts += fpn.points
-	e.fpComb += fpn.combines
+	e.cost.FPRecomputes += fpn.FPRecomputes
+	e.cost.FPIncremental += fpn.FPIncremental
+	e.cost.FPPoints += fpn.FPPoints
+	e.cost.FPCombines += fpn.FPCombines
 	scc, scu := ck.scStats()
 	e.scRuns += scc
 	e.scUndec += scu
-	e.steps += uint64(steps - base)
-	e.replay += uint64(replayed)
+	e.cost.Steps += uint64(steps - base)
+	e.cost.ReplaySteps += uint64(replayed)
 	return out
 }
 
@@ -817,7 +802,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 // run itself started from. The siblings share their prefixes: slices of
 // one copy of the run's choices, made when the first of them is spawned,
 // and their sleep sets are carved from the chooser's chunk. The returned
-// slice is the chooser's buffer, valid until the worker's next run.
+// slice is the chooser's buffer, valid until the explorer's next run.
 func (e *explorer) children(it workItem, r runOut) []workItem {
 	c := r.ch
 	if c == nil {
@@ -891,11 +876,17 @@ func (e *explorer) ctxDone() bool {
 // report delivers a frontier-boundary progress snapshot.
 func (e *explorer) report(runs, depth, frontier int) {
 	if e.opts.Progress != nil {
-		tier := &e.visited.Tier
-		e.opts.Progress(Progress{States: e.visited.States(), Runs: runs, Depth: depth, Frontier: frontier,
-			Steps: e.steps, ReplaySteps: e.replay, Restores: e.restores,
-			StoreHot: tier.HotHits.Load(), StoreDisk: tier.DiskLookups.Load(), StoreReads: tier.DiskReads.Load()})
+		e.opts.Progress(Progress{States: e.visited.States(), Runs: runs, Depth: depth, Frontier: frontier, Cost: e.costNow()})
 	}
+}
+
+// costNow is the search's host cost so far: the explorer's counters with
+// the visited store's.
+func (e *explorer) costNow() Cost {
+	c, st := e.cost, e.visited
+	c.StoreHot, c.StoreDisk, c.StoreReads = st.Tier.HotHits.Load(), st.Tier.DiskLookups.Load(), st.Tier.DiskReads.Load()
+	c.Spills, c.Syncs, c.DiskBytes = st.Spills(), st.Syncs(), st.DiskBytes()
+	return c
 }
 
 // drive runs one depth-bounded pass: a sequential DFS over a LIFO
@@ -912,7 +903,6 @@ func (e *explorer) drive(depth int, stack []workItem, out passOut) passOut {
 	if e.opts.CheckpointDir != "" {
 		ckptEvery = e.opts.CheckpointEvery
 	}
-	w := &worker{e: e}
 	for sinceCkpt := 0; len(stack) > 0 && !e.budget; {
 		if e.ctxDone() {
 			out.canceled = true
@@ -920,9 +910,9 @@ func (e *explorer) drive(depth int, stack []workItem, out passOut) passOut {
 		}
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		r := w.run(it, depth)
+		r := e.run(it, depth)
 		kids := e.children(it, r)
-		w.retire(it, r)
+		e.retire(it, r)
 		out.runs++
 		out.limitAny = out.limitAny || r.limitHit
 		out.stepsAny = out.stepsAny || r.stepsHit
@@ -1007,21 +997,9 @@ func Explore(sc Scenario, opts Options) (Result, error) {
 		res.States = e.visited.States()
 		res.Depth = depth
 		res.BudgetHit = e.budget
-		res.FPRecomputes = e.fpRec
-		res.FPIncremental = e.fpInc
-		res.FPPoints = e.fpPts
-		res.FPCombines = e.fpComb
 		res.SCChecks = e.scRuns
 		res.SCUndecided = e.scUndec
-		res.Steps = e.steps
-		res.ReplaySteps = e.replay
-		res.Restores = e.restores
-		res.PeakBoundaries = e.peak
-		res.StoreHot, res.StoreDisk = e.visited.Tier.HotHits.Load(), e.visited.Tier.DiskLookups.Load()
-		res.StoreReads = e.visited.Tier.DiskReads.Load()
-		res.Spills = e.visited.Spills()
-		res.Syncs = e.visited.Syncs()
-		res.DiskBytes = e.visited.DiskBytes()
+		res.Cost = e.costNow()
 		if p.err != nil {
 			return res, p.err
 		}
@@ -1074,7 +1052,6 @@ func Explore(sc Scenario, opts Options) (Result, error) {
 			return res, err
 		}
 		e.budget = false
-		e.alive = 0 // the frontier that held the last pass's boundaries is gone
 		stack = []workItem{{}}
 		init = passOut{}
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"multicube/internal/coherence"
 	"multicube/internal/fphash"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
@@ -34,11 +33,14 @@ var rewindFields = []fieldClasses{
 	},
 	{
 		of:      typeOf[instance](),
-		rewound: []string{"driver", "sys", "held", "fpc"},
+		rewound: []string{"driver", "sys", "held"},
 		// root is the execution as newInstance built it, saved once: what
 		// reset loads, never written again.
-		wiring:  []string{"root"},
-		scratch: []string{"drvH", "drvDirty", "fpn", "sigR", "sigC", "dupSeen"},
+		wiring: []string{"root"},
+		// fpc is a memo keyed on the machine's rewind labels: a load
+		// leaves it as it is, and the sweep below holds it to the replay
+		// by the fingerprint it gives.
+		scratch: []string{"fpc", "drvH", "drvDirty", "fpn", "sigR", "sigC", "dupSeen"},
 	},
 }
 
@@ -80,7 +82,7 @@ func TestEveryFieldIsClassified(t *testing.T) {
 // rewoundApart says, for every field rewindFields calls rewound, whether
 // two instances of one scenario stand apart in it: the machine by its
 // full-walk fingerprint (internal/coherence holds its own fields to a
-// replay one by one), the fingerprint cache by what it saves.
+// replay one by one).
 func rewoundApart(a, b *instance) map[string]bool {
 	steps := func(tag any) (uint64, bool) {
 		st, ok := tag.(stepTag)
@@ -92,9 +94,6 @@ func rewoundApart(a, b *instance) map[string]bool {
 		m.Word(uint64(st.step))
 		return m.Sum(), true
 	}
-	var fa, fb coherence.FPSaved
-	a.fpc.Save(&fa)
-	b.fpc.Save(&fb)
 	apart := map[string]bool{
 		"mc.driver.pc":        fmt.Sprint(a.pc) != fmt.Sprint(b.pc),
 		"mc.driver.completed": a.completed != b.completed,
@@ -102,7 +101,6 @@ func rewoundApart(a, b *instance) map[string]bool {
 		"mc.driver.failure":   a.failure != b.failure,
 		"mc.instance.sys":     a.sys.Fingerprint(nil, steps) != b.sys.Fingerprint(nil, steps),
 		"mc.instance.held":    fmt.Sprint(a.held) != fmt.Sprint(b.held),
-		"mc.instance.fpc":     !reflect.DeepEqual(fa, fb),
 	}
 	for _, f := range rewindFields[0].rewound {
 		apart["mc.instance.driver"] = apart["mc.instance.driver"] || apart["mc.driver."+f]
@@ -171,7 +169,8 @@ func randomScenario(rng *rand.Rand, mutate func(*Scenario)) Scenario {
 // future — fingerprinted at every step, as the explorer does — and
 // loaded, and every rewound field must then equal that of an instance
 // replayed to the boundary, and must have differed from it, before the
-// load, at one boundary of the sweep at least.
+// load, at one boundary of the sweep at least. The fingerprint cache,
+// kept across the load, must give the replay's fingerprint.
 func TestLoadEqualsReplayForTheDriver(t *testing.T) {
 	configs := []func(*Scenario){
 		func(*Scenario) {},
@@ -224,6 +223,9 @@ func TestLoadEqualsReplayForTheDriver(t *testing.T) {
 						if apart {
 							t.Errorf("%s: load left %s apart from the replay", where, name)
 						}
+					}
+					if got, want := in.canonicalFP(), ref.canonicalFP(); got != want {
+						t.Errorf("%s: the kept fingerprint cache gives %#x after the load, the replay %#x", where, got, want)
 					}
 					if t.Failed() {
 						return

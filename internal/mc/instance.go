@@ -16,8 +16,9 @@ import (
 // instance runs executions of a grid scenario, one after the other, on
 // one kernel and machine that load rewinds between them — to a boundary
 // an execution saved, or to root, the start of every execution: the
-// per-processor program counters, the witness and the fingerprint caches
-// belong to the execution in progress.
+// per-processor program counters, the witness and the driver hashes
+// belong to the execution in progress. The machine's fingerprint cache
+// keys on the rewind's labels and is kept across both.
 type instance struct {
 	driver
 	sys  *coherence.System
@@ -30,17 +31,12 @@ type instance struct {
 	fpc      *coherence.FPCache
 	drvH     []uint64
 	drvDirty []bool
-	fpn      fpCounts
+	fpn      Cost // the execution's FP counters but the machine cache's (fpStats)
 
 	sigR, sigC []uint64 // canonical's scratch: row and column signatures
 
 	dupSeen linetable.Table[topology.Coord] // dupModifiedScan's scratch
 }
-
-// fpCounts is one execution's fingerprint cost: component hashes rebuilt
-// and served from cache (machine plus driver), choice points
-// canonicalised, and relabelings combined for them.
-type fpCounts struct{ recomputes, incremental, points, combines uint64 }
 
 // newInstance builds the machine and returns it at the start of its
 // first execution, which it saves as root: the machine as NewSystem built
@@ -79,27 +75,26 @@ func newInstance(sc *Scenario, sh *shared) *instance {
 // reset puts the instance at the start of a from-scratch execution.
 func (in *instance) reset() { in.load(&in.root) }
 
-// begin is what every execution starts with: the machine and the
-// fingerprint cache stand where it starts, their generation counters
-// rewound, so the harness's hook fires, the driver hashes are
-// invalidated, and the per-execution counters start over.
+// begin is what every execution starts with: the machine stands where
+// it starts, so the harness's hook fires, the driver hashes are
+// invalidated, and the per-execution counters, the fingerprint cache's
+// among them, start over.
 func (in *instance) begin() {
 	if in.sh.instrument != nil {
 		in.sh.instrument(in.sys)
 	}
 	in.scChecks, in.scUndecided = 0, 0
-	in.fpn = fpCounts{}
+	in.fpn = Cost{}
+	in.fpc.ResetStats()
 	for p := range in.drvDirty {
 		in.drvDirty[p] = true
 	}
 }
 
 // execState is one grid execution frozen at a kernel-step boundary: the
-// machine, the fingerprint cache's hashes with the generations they were
-// taken at, and the driver. save fills it, keeping its capacity.
+// machine and the driver. save fills it, keeping its capacity.
 type execState struct {
 	sys       coherence.Saved
-	fpc       coherence.FPSaved
 	pc        []int
 	held      [][]uint64
 	completed int
@@ -111,7 +106,6 @@ type execState struct {
 // kernel-step boundary (see coherence.System.Save).
 func (in *instance) save(st *execState) {
 	in.sys.Save(&st.sys)
-	in.fpc.Save(&st.fpc)
 	st.pc = append(st.pc[:0], in.pc...)
 	if st.held == nil {
 		st.held = make([][]uint64, len(in.held))
@@ -130,7 +124,6 @@ var _ rewinder = (*instance)(nil)
 // installed (Load does not touch them).
 func (in *instance) load(st *execState) {
 	in.sys.Load(&st.sys)
-	in.fpc.Load(&st.fpc)
 	in.begin()
 	copy(in.pc, st.pc)
 	for p, h := range st.held {
@@ -361,8 +354,8 @@ func (in *instance) canonicalFP() uint64 {
 	in.fpc.BeginPoint(in.extraRow)
 	in.refreshDriver()
 	fp, combines := in.canonical(in.fpc, in.drvH)
-	in.fpn.points++
-	in.fpn.combines += uint64(combines)
+	in.fpn.FPPoints++
+	in.fpn.FPCombines += uint64(combines)
 	if in.sh.checkFP {
 		in.crossCheckFP(fp)
 	}
@@ -457,11 +450,11 @@ func (in *instance) driverHash(p int) uint64 {
 func (in *instance) refreshDriver() {
 	for p := range in.drvH {
 		if !in.drvDirty[p] {
-			in.fpn.incremental++
+			in.fpn.FPIncremental++
 			continue
 		}
 		in.drvDirty[p] = false
-		in.fpn.recomputes++
+		in.fpn.FPRecomputes++
 		in.drvH[p] = in.driverHash(p)
 	}
 }
@@ -567,11 +560,11 @@ func (in *instance) driverFP(perm, cperm []int) uint64 {
 
 // fpStats reports the execution's fingerprint cost, the machine cache's
 // counts added to the driver's.
-func (in *instance) fpStats() fpCounts {
+func (in *instance) fpStats() Cost {
 	n := in.fpn
 	r, u := in.fpc.Stats()
-	n.recomputes += r
-	n.incremental += u
+	n.FPRecomputes += r
+	n.FPIncremental += u
 	return n
 }
 

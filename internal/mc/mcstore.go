@@ -126,22 +126,23 @@ func (e *explorer) counterMap(p *passOut) map[string]uint64 {
 	if p.stepsAny {
 		flags |= 2
 	}
+	c := e.costNow()
 	return map[string]uint64{
 		"runs":            uint64(p.runs),
 		"flags":           flags,
 		"total_runs_prev": uint64(e.totalPrev),
-		"fp_rec":          e.fpRec,
-		"fp_inc":          e.fpInc,
-		"fp_points":       e.fpPts,
-		"fp_combines":     e.fpComb,
+		"fp_rec":          c.FPRecomputes,
+		"fp_inc":          c.FPIncremental,
+		"fp_points":       c.FPPoints,
+		"fp_combines":     c.FPCombines,
 		"sc_checks":       e.scRuns,
 		"sc_undec":        e.scUndec,
-		"steps":           e.steps,
-		"replay_steps":    e.replay,
-		"restores":        e.restores,
-		"store_hot":       e.visited.Tier.HotHits.Load(),
-		"store_disk":      e.visited.Tier.DiskLookups.Load(),
-		"store_reads":     e.visited.Tier.DiskReads.Load(),
+		"steps":           c.Steps,
+		"replay_steps":    c.ReplaySteps,
+		"restores":        c.Restores,
+		"store_hot":       c.StoreHot,
+		"store_disk":      c.StoreDisk,
+		"store_reads":     c.StoreReads,
 	}
 }
 
@@ -152,15 +153,15 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	init.limitAny = c["flags"]&1 != 0
 	init.stepsAny = c["flags"]&2 != 0
 	e.totalPrev = int(c["total_runs_prev"])
-	e.fpRec = c["fp_rec"]
-	e.fpInc = c["fp_inc"]
-	e.fpPts = c["fp_points"]
-	e.fpComb = c["fp_combines"]
+	e.cost.FPRecomputes = c["fp_rec"]
+	e.cost.FPIncremental = c["fp_inc"]
+	e.cost.FPPoints = c["fp_points"]
+	e.cost.FPCombines = c["fp_combines"]
 	e.scRuns = c["sc_checks"]
 	e.scUndec = c["sc_undec"]
-	e.steps = c["steps"]
-	e.replay = c["replay_steps"]
-	e.restores = c["restores"]
+	e.cost.Steps = c["steps"]
+	e.cost.ReplaySteps = c["replay_steps"]
+	e.cost.Restores = c["restores"]
 	e.visited.Tier.HotHits.Store(c["store_hot"])
 	e.visited.Tier.DiskLookups.Store(c["store_disk"])
 	e.visited.Tier.DiskReads.Store(c["store_reads"])

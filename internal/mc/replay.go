@@ -31,7 +31,8 @@ func Replay(sc Scenario, choices []int, opts Options) (*ReplayResult, error) {
 		return nil, err
 	}
 	opts.fillDefaults()
-	ck := newChecker(&sc, newShared(&sc, &opts))
+	e := &explorer{sc: &sc, opts: opts, sh: newShared(&sc, &opts), n: sc.N}
+	ck := newChecker(&sc, e.sh)
 	log := &trace.BusOpLog{}
 	k := ck.kernel()
 	switch in := ck.(type) {
@@ -54,26 +55,6 @@ func Replay(sc Scenario, choices []int, opts Options) (*ReplayResult, error) {
 			log.Append(int(k.Executed()), "bus", fmt.Sprintf("proc%d", origin), op)
 		}
 	}
-	ch := replayChooser(ck, sc.N, choices, &opts)
-	ck.enableMC(ch)
-	out := &ReplayResult{Log: log}
-	for k.Pending() > 0 {
-		if out.Steps >= opts.MaxStepsPerRun {
-			break
-		}
-		k.Step()
-		out.Steps++
-		if v := ck.stepCheck(opts.MaxReissues); v != nil {
-			out.Violation = v
-			break
-		}
-	}
-	out.Quiescent = k.Pending() == 0
-	if out.Violation == nil && out.Quiescent {
-		out.Violation = ck.quiescenceCheck()
-	}
-	if out.Violation != nil {
-		out.Violation.Choices = ch.choices()
-	}
-	return out, nil
+	r := e.execute(ck, replayChooser(ck, sc.N, choices, &opts), false, 0)
+	return &ReplayResult{Violation: r.violation, Quiescent: k.Pending() == 0, Steps: int(e.cost.Steps), Log: log}, nil
 }

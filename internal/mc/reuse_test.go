@@ -17,9 +17,9 @@ func newExplorer(sc *Scenario, opts Options) *explorer {
 // exploreFromReset is the sequential search with every run started from
 // the initial state and its whole prefix replayed — the reference the
 // boundary-resuming explorer must match. With rebuild, every run also
-// gets a new worker, and so a newly built machine and chooser (a boundary
-// is usable only on the machine that saved it, so none is); without, one
-// worker serves all runs and each item's boundary is withheld from it.
+// gets a newly built machine and chooser (a boundary is usable only on
+// the machine that saved it, so none is); without, one machine serves all
+// runs and each item's boundary is withheld from it.
 // Only the loop of explorer.drive is repeated here; runs, children and
 // the visited table are the explorer's.
 func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
@@ -29,16 +29,15 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 	res := Result{Scenario: sc.Name}
 	stack := []workItem{{}}
 	cut := false
-	w := &worker{e: e}
 	for len(stack) > 0 && !e.budget {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if rebuild {
-			w = &worker{e: e}
+			e.ck = nil
 		}
 		held := it
 		it.from = nil
-		r := w.run(it, opts.MaxDepth)
+		r := e.run(it, opts.MaxDepth)
 		res.Runs++
 		cut = cut || r.limitHit || r.stepsHit
 		if r.violation != nil {
@@ -46,17 +45,14 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 			break
 		}
 		stack = append(stack, e.children(it, r)...)
-		w.retire(held, r)
+		e.retire(held, r)
 	}
 	res.TotalRuns = res.Runs
 	res.States = e.visited.States()
 	res.BudgetHit = e.budget
 	res.Exhausted = res.Violation == nil && !res.BudgetHit && !cut
-	res.FPRecomputes, res.FPIncremental = e.fpRec, e.fpInc
-	res.FPPoints, res.FPCombines = e.fpPts, e.fpComb
 	res.SCChecks, res.SCUndecided = e.scRuns, e.scUndec
-	res.Steps, res.ReplaySteps = e.steps, e.replay
-	res.Restores = e.restores
+	res.Cost = e.cost
 	return res
 }
 
@@ -65,7 +61,10 @@ func exploreFromReset(sc Scenario, opts Options, rebuild bool) Result {
 // boundary its spawning run saved; one machine reset for every run, the
 // boundaries withheld; a machine built per run — and requires the same
 // search from all three: every result field, and the unminimized
-// counterexample where the injected bug makes one.
+// counterexample where the injected bug makes one. The one exception is
+// the split of FPRecomputes and FPIncremental between the last two, not
+// their sum: a reset machine keeps its fingerprint memo, a rebuilt one
+// starts without.
 func TestReusedMachineMatchesRebuilt(t *testing.T) {
 	var searches, states, violations int
 	var steps, resetSteps, restores uint64
@@ -87,7 +86,10 @@ func TestReusedMachineMatchesRebuilt(t *testing.T) {
 				if !reflect.DeepEqual(comparable(reused), comparable(withheld)) {
 					t.Fatalf("%s: resuming from saved boundaries changed the search:\n resumed:  %+v\n withheld: %+v", name, reused, withheld)
 				}
-				if rebuilt := exploreFromReset(sc, opts, true); !reflect.DeepEqual(withheld, rebuilt) {
+				rebuilt := exploreFromReset(sc, opts, true)
+				memoless := withheld
+				memoless.FPRecomputes, memoless.FPIncremental = rebuilt.FPRecomputes, rebuilt.FPIncremental
+				if !reflect.DeepEqual(memoless, rebuilt) || withheld.FPRecomputes+withheld.FPIncremental != rebuilt.FPRecomputes+rebuilt.FPIncremental {
 					t.Fatalf("%s: machine reuse changed the search:\n reused:  %+v\n rebuilt: %+v", name, withheld, rebuilt)
 				}
 				searches++
@@ -147,11 +149,10 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 	var opts Options
 	opts.fillDefaults()
 	e := newExplorer(&sc, opts)
-	w := &worker{e: e}
 	// Descend the leftmost branch a few levels for a long prefix.
 	it := workItem{}
 	for depth := 0; depth < 6; depth++ {
-		kids := e.children(it, w.run(it, 0))
+		kids := e.children(it, e.run(it, 0))
 		if len(kids) == 0 {
 			break
 		}
@@ -167,9 +168,9 @@ func TestOnlyExplorationSkipsPrefixChecks(t *testing.T) {
 			ch = newMCChooser(cc, e.n, &e.opts)
 			ch.start(it, 0, 0)
 		}
-		steps, replayed := e.steps, e.replay
+		steps, replayed := e.cost.Steps, e.cost.ReplaySteps
 		r := e.execute(cc, ch, explore, 0)
-		steps, replayed = e.steps-steps, e.replay-replayed
+		steps, replayed = e.cost.Steps-steps, e.cost.ReplaySteps-replayed
 		if r.violation != nil {
 			t.Fatalf("explore=%v: %v", explore, r.violation)
 		}

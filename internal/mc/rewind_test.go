@@ -7,11 +7,11 @@ import (
 	"multicube/internal/coherence"
 )
 
-// firstSiblingWithBoundary runs the root of the scenario on w and returns
+// firstSiblingWithBoundary runs the root of the scenario on e and returns
 // a spawned branch that holds a boundary.
-func firstSiblingWithBoundary(t *testing.T, e *explorer, w *worker) workItem {
+func firstSiblingWithBoundary(t *testing.T, e *explorer) workItem {
 	t.Helper()
-	for _, it := range e.children(workItem{}, w.run(workItem{}, 0)) {
+	for _, it := range e.children(workItem{}, e.run(workItem{}, 0)) {
 		if it.from != nil {
 			return it
 		}
@@ -34,16 +34,15 @@ func TestLoadInvalidatesWhatGenerationsKey(t *testing.T) {
 	var opts Options
 	opts.fillDefaults()
 	e := newExplorer(&sc, opts)
-	w := &worker{e: e}
-	it := firstSiblingWithBoundary(t, e, w)
-	in := w.ck.(*instance)
+	it := firstSiblingWithBoundary(t, e)
+	in := e.ck.(*instance)
 	// The root run ended with every cache warm.
 	for p, dirty := range in.drvDirty {
 		if dirty {
 			t.Fatalf("processor %d's driver hash was never taken; the run fingerprinted nothing", p)
 		}
 	}
-	if n := in.fpStats(); n.recomputes == 0 || n.incremental == 0 || n.points == 0 || n.combines < n.points {
+	if n := in.fpStats(); n.FPRecomputes == 0 || n.FPIncremental == 0 || n.FPPoints == 0 || n.FPCombines < n.FPPoints {
 		t.Fatalf("the root run counted %+v", n)
 	}
 	in.load(&it.from.st)
@@ -52,7 +51,7 @@ func TestLoadInvalidatesWhatGenerationsKey(t *testing.T) {
 			t.Errorf("processor %d's driver hash survived the load", p)
 		}
 	}
-	if n := in.fpStats(); n != (fpCounts{}) {
+	if n := in.fpStats(); n != (Cost{}) {
 		t.Errorf("fingerprint counters at %+v after the load; they are per execution", n)
 	}
 	if checks, undecided := in.scStats(); checks != 0 || undecided != 0 {
@@ -75,8 +74,8 @@ func TestStepGuardCountsThePath(t *testing.T) {
 	var defaults Options
 	defaults.fillDefaults()
 	e := newExplorer(&sc, defaults)
-	(&worker{e: e}).run(workItem{}, 0)
-	guard := int(e.steps) / 2 // half the first path
+	e.run(workItem{}, 0)
+	guard := int(e.cost.Steps) / 2 // half the first path
 	opts := Options{MaxStates: 20000, NoMinimize: true, MaxStepsPerRun: guard}
 	resumed, err := Explore(sc, opts)
 	if err != nil {

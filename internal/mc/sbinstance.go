@@ -161,4 +161,4 @@ func (in *sbInstance) canonicalFP() uint64 {
 }
 
 // fpStats: nothing is cached on the baseline, so nothing is counted.
-func (in *sbInstance) fpStats() fpCounts { return fpCounts{} }
+func (in *sbInstance) fpStats() Cost { return Cost{} }

@@ -198,7 +198,7 @@ func childSleep(n int, base sleepSet, done []tagClass, pick tagClass, c *sleepCh
 	return c.carve(n, pick, base, done)
 }
 
-// sleepChunk is the array a worker's new sleep sets are carved from, a
+// sleepChunk is the array the explorer's new sleep sets are carved from, a
 // piece per set. Each piece is a full slice expression, so no append to
 // it can reach a neighbour. A chunk is never reset, only replaced when
 // full: work items on the frontier keep the pieces carved for them.

@@ -14,26 +14,14 @@ import (
 )
 
 // comparable strips the fields two searches with the same result
-// legitimately differ in: Resumed/ResumeNote report provenance,
-// Spills/Syncs/DiskBytes depend on the memory budget and on how many
-// checkpoints forced flushes, and Steps, ReplaySteps, FPRecomputes,
-// FPIncremental, FPPoints, FPCombines, Restores, PeakBoundaries and Store
-// count what the search cost
-// the host, which depends on which runs had a saved boundary to start
-// from (a resumed search replays its checkpointed frontier from reset).
-// Everything else — States, Runs, TotalRuns, Depth, Exhausted, BudgetHit,
-// the SC counters and verdict, the counterexample — must be
-// byte-identical.
+// legitimately differ in: Resumed/ResumeNote report provenance, and Cost
+// is what the search cost the host (see Cost). Everything else — States,
+// Runs, TotalRuns, Depth, Exhausted, BudgetHit, the SC counters and
+// verdict, the counterexample — must be byte-identical.
 func comparable(r Result) Result {
 	r.Resumed = false
 	r.ResumeNote = ""
-	r.Spills, r.Syncs = 0, 0
-	r.DiskBytes = 0
-	r.Steps, r.ReplaySteps = 0, 0
-	r.FPRecomputes, r.FPIncremental = 0, 0
-	r.FPPoints, r.FPCombines = 0, 0
-	r.Restores, r.PeakBoundaries = 0, 0
-	r.StoreHot, r.StoreDisk, r.StoreReads = 0, 0, 0
+	r.Cost = Cost{}
 	return r
 }
 

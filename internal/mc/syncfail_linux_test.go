@@ -11,6 +11,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"multicube/internal/statespace"
 )
 
 // openRuns lists the spilled runs of the store at dir that this process
@@ -91,7 +93,8 @@ func breakUnsyncedRun(t *testing.T, store, ckpt string) string {
 // pread with EISDIR, whether a lookup or a compaction reads it. The
 // search must stop at the frontier boundary that follows the failed
 // read — the run that saw it is not reported, and no run follows it —
-// with the error naming the run and no verdict.
+// with the error naming the run and no verdict. The error is the disk's,
+// not a corrupt checkpoint's: the run was sound when it was written.
 func TestStoreReadFailureStopsTheSearch(t *testing.T) {
 	sc, err := Preset("litmus-coww-3x3")
 	if err != nil {
@@ -118,6 +121,9 @@ func TestStoreReadFailureStopsTheSearch(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "run "+broken) || !strings.Contains(err.Error(), "is a directory") {
 		t.Fatalf("search over a run that cannot be read returned %v, want its read error naming %s", err, broken)
+	}
+	if errors.Is(err, statespace.ErrCorrupt) {
+		t.Fatalf("a failing read during the search is reported as a corrupt checkpoint: %v", err)
 	}
 	if res.Exhausted || res.Violation != nil || res.SCVerdict != "" {
 		t.Fatalf("failed search reports exhausted=%v, verdict %q, violation %v; want none",

@@ -211,7 +211,9 @@ func (r *run) validate(wantShard int) error {
 
 // lookup finds fp's stored sleep set: bloom reject, then the block whose
 // first key is the last fence key not above fp, read whole and scanned.
-// tc counts the lookups that passed the filter and their reads.
+// tc counts the lookups that passed the filter and their reads. A read
+// that fails is the disk's error, wrapped as it is: ErrCorrupt names a
+// damaged image found at resume, not a live search's failing disk.
 func (r *run) lookup(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
 	if !r.bloom.has(fp) {
 		return nil, false, nil
@@ -228,7 +230,7 @@ func (r *run) lookup(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
 	ents := block[:16*min(r.count-first, fenceStride)]
 	tc.DiskReads.Add(1)
 	if _, err := r.f.ReadAt(ents, r.indexOff+16*first); err != nil {
-		return nil, false, corrupt("run %s: index read: %v", filepath.Base(r.path), err)
+		return nil, false, fmt.Errorf("statespace: run %s: index read: %w", filepath.Base(r.path), err)
 	}
 	for ent := ents; len(ent) > 0 && binary.LittleEndian.Uint64(ent) <= fp; ent = ent[16:] {
 		if binary.LittleEndian.Uint64(ent) < fp {
@@ -242,7 +244,7 @@ func (r *run) lookup(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
 		raw := make([]byte, 8*n)
 		tc.DiskReads.Add(1)
 		if _, err := r.f.ReadAt(raw, r.payloadOff+8*int64(packed>>16)); err != nil {
-			return nil, false, corrupt("run %s: payload read: %v", filepath.Base(r.path), err)
+			return nil, false, fmt.Errorf("statespace: run %s: payload read: %w", filepath.Base(r.path), err)
 		}
 		sleep := make([]uint64, n)
 		for i := range sleep {
@@ -254,11 +256,11 @@ func (r *run) lookup(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
 }
 
 // forEach streams every entry in fingerprint order (compaction and
-// tests).
+// tests). A failed read is reported as lookup reports one.
 func (r *run) forEach(fn func(fp uint64, sleep []uint64)) error {
 	body := make([]byte, r.size)
 	if _, err := r.f.ReadAt(body, 0); err != nil {
-		return corrupt("run %s: read: %v", filepath.Base(r.path), err)
+		return fmt.Errorf("statespace: run %s: read: %w", filepath.Base(r.path), err)
 	}
 	for i := int64(0); i < r.count; i++ {
 		ent := body[r.indexOff+16*i:]
