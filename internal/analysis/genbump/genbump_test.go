@@ -94,7 +94,7 @@ func TestDetectsStrippedBumpCoherence(t *testing.T) {
 }
 
 // TestDetectsStrippedBumpBus does the same against the bus package:
-// Request mutates the fingerprint-visible arbitration queues, so its
+// Request mutates the fingerprint-visible arbitration queue, so its
 // bump must not be removable without the suite noticing.
 func TestDetectsStrippedBumpBus(t *testing.T) {
 	modRoot := analysistest.ModuleRoot(t)
@@ -103,7 +103,7 @@ func TestDetectsStrippedBumpBus(t *testing.T) {
 		t.Fatalf("unmodified internal/bus should be clean, got %d findings:\n%s", len(got), render(got))
 	}
 
-	overlay := stripBump(t, modRoot, "internal/bus/bus.go", "\tb.gen++\n\tp := pending{", "\tp := pending{")
+	overlay := stripBump(t, modRoot, "internal/bus/bus.go", "\tb.gen++\n\tb.queue = append(", "\tb.queue = append(")
 	got := runGenbump(t, modRoot, "./internal/bus", overlay)
 	if len(got) == 0 {
 		t.Fatal("genbump missed the stripped b.gen++ in (*Bus).Request")

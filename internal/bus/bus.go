@@ -109,8 +109,9 @@ type pending struct {
 	enqueued sim.Time
 }
 
-// GrantTag tags the deferred-grant kernel event of a bus (model-checking
-// mode only): when it fires, the bus picks one queued request to grant.
+// GrantTag tags the deferred-grant kernel event of a bus (only with a
+// chooser installed): when it fires, the bus picks one queued request to
+// grant.
 type GrantTag struct{ B *Bus }
 
 func (t GrantTag) String() string { return t.B.name + " grant" }
@@ -137,24 +138,22 @@ type Bus struct {
 	agents   []Agent
 	attached int
 
+	// queue holds every waiting request in arrival order, under every
+	// policy, so each source's requests stay in the order it made them.
+	//
 	//multicube:fpfield
-	fifo []pending // FIFO mode
-	//multicube:fpfield
-	perSrc [][]pending // RoundRobin mode, indexed by attach index
-	queued int
+	queue []pending
 	//multicube:fpfield
 	busy bool
 	last int // last granted attach index (RoundRobin)
 
-	// chooser, when set, arbitrates among all queued requests in place
-	// of the configured policy; candidate 0 is the policy's own pick, so
-	// a default chooser changes nothing.
-	chooser sim.Chooser
-	// deferGrants decouples enqueue from grant (model-checking mode): a
-	// Request on an idle bus schedules a zero-delay tagged grant event
-	// instead of granting inline, so requests enqueued "simultaneously"
-	// all reach arbitration before any is granted.
-	deferGrants  bool
+	// chooser, when set, arbitrates among the first queued request of
+	// every waiting source in place of the configured policy, and
+	// decouples enqueue from grant: a Request on an idle bus schedules a
+	// zero-delay tagged grant event instead of granting inline, so
+	// requests enqueued "simultaneously" all reach arbitration before any
+	// is granted.
+	chooser      sim.Chooser
 	grantPending bool
 	// inflight is the granted operation whose occupancy is running: what
 	// the pending delivery event will deliver.
@@ -166,16 +165,16 @@ type Bus struct {
 	// what they do is decided by the state Save and Load rewind.
 	deliverFn, grantFn func()
 
-	// gen counts mutations of fingerprint-visible bus state (queues,
+	// gen counts mutations of fingerprint-visible bus state (queue,
 	// busy/inflight). Incremental fingerprint caches compare it against a
 	// remembered value to skip rehashing an unchanged bus.
 	//
 	//multicube:gencounter
 	gen uint64
 
-	// scratch buffers reused by nextChosen, which runs once per grant
+	// scratch buffers reused by heads and next, which run once per grant
 	// under a model checker and must not allocate.
-	slotScratch []slot
+	headScratch []int
 	candScratch []sim.Candidate
 	seenScratch []bool
 
@@ -190,12 +189,10 @@ func New(k *sim.Kernel, name string, arb Arbitration) *Bus {
 }
 
 // Saved is a caller-owned buffer holding a bus at a kernel-step boundary:
-// its queues, the operation in flight, the arbitration pointer, the
+// its queue, the operation in flight, the arbitration pointer, the
 // generation and the counters. Save fills it and keeps its capacity.
 type Saved struct {
-	fifo         []pending
-	perSrc       [][]pending
-	queued       int
+	queue        []pending
 	busy         bool
 	last         int
 	grantPending bool
@@ -208,33 +205,23 @@ type Saved struct {
 // events the bus has pending belong to its kernel and are saved with it
 // (sim.Kernel.Save); their bodies read only the state saved here.
 func (b *Bus) Save(st *Saved) {
-	st.fifo = append(st.fifo[:0], b.fifo...)
-	for len(st.perSrc) < len(b.perSrc) {
-		st.perSrc = append(st.perSrc, nil)
-	}
-	for i, q := range b.perSrc {
-		st.perSrc[i] = append(st.perSrc[i][:0], q...)
-	}
-	st.queued, st.busy, st.last, st.grantPending = b.queued, b.busy, b.last, b.grantPending
+	st.queue = append(st.queue[:0], b.queue...)
+	st.busy, st.last, st.grantPending = b.busy, b.last, b.grantPending
 	st.inflight, st.gen, st.stats = b.inflight, b.gen, b.stats
 }
 
-// Load rewinds the bus to a state Save took from it, leaving its agents,
-// chooser and grant mode alone. Queues are dequeued in place (see
-// dequeue), so clearing one whole before refilling it drops every packet
-// its array still names. The generation comes back with the state
+// Load rewinds the bus to a state Save took from it, leaving its agents
+// and chooser alone. The queue is dequeued in place (see dequeue), so
+// clearing it whole before refilling it drops every packet its array
+// still names. The generation comes back with the state
 // it counts, so a cache keyed on it must be rewound or invalidated too:
 // generation g of the abandoned future is not generation g of the next.
 //
 //multicube:fpexempt restores the fingerprint-visible fields together with the generation that counts them
 func (b *Bus) Load(st *Saved) {
-	clear(b.fifo)
-	b.fifo = append(b.fifo[:0], st.fifo...)
-	for i, q := range b.perSrc {
-		clear(q)
-		b.perSrc[i] = append(q[:0], st.perSrc[i]...)
-	}
-	b.queued, b.busy, b.last, b.grantPending = st.queued, st.busy, st.last, st.grantPending
+	clear(b.queue)
+	b.queue = append(b.queue[:0], st.queue...)
+	b.busy, b.last, b.grantPending = st.busy, st.last, st.grantPending
 	b.inflight, b.gen, b.stats = st.inflight, st.gen, st.stats
 }
 
@@ -256,21 +243,17 @@ func (b *Bus) Attach(a Agent) int {
 	if a != nil {
 		b.agents = append(b.agents, a)
 	}
-	b.perSrc = append(b.perSrc, nil)
 	b.attached++
 	return b.attached - 1
 }
 
-// SetChooser routes arbitration through ch (nil restores the configured
-// policy). deferGrants additionally decouples enqueue from grant so that
-// a model checker sees every queued request as a grant candidate.
-func (b *Bus) SetChooser(ch sim.Chooser, deferGrants bool) {
-	b.chooser = ch
-	b.deferGrants = deferGrants
-}
+// SetChooser routes arbitration through ch and defers every grant to its
+// own event, so that a model checker sees every waiting source as a
+// grant candidate (nil restores the configured policy, granted inline).
+func (b *Bus) SetChooser(ch sim.Chooser) { b.chooser = ch }
 
 // Gen reports the mutation generation of the fingerprint-visible bus
-// state. It changes whenever the queues or the busy/inflight pair may
+// state. It changes whenever the queue or the busy/inflight pair may
 // have changed.
 func (b *Bus) Gen() uint64 { return b.gen }
 
@@ -281,16 +264,10 @@ func (b *Bus) Busy() bool { return b.busy }
 func (b *Bus) Inflight() Packet { return b.inflight }
 
 // ForEachQueued visits every queued (not yet granted) operation in
-// arbitration-queue order. Model checkers include the queues in state
-// fingerprints.
+// arrival order. Model checkers include the queue in state fingerprints.
 func (b *Bus) ForEachQueued(fn func(src int, pkt Packet)) {
-	for _, p := range b.fifo {
+	for _, p := range b.queue {
 		fn(p.src, p.pkt)
-	}
-	for _, q := range b.perSrc {
-		for _, p := range q {
-			fn(p.src, p.pkt)
-		}
 	}
 }
 
@@ -302,18 +279,10 @@ func (b *Bus) Request(src int, pkt Packet) {
 		panic(fmt.Sprintf("bus %s: request from unknown agent %d", b.name, src))
 	}
 	b.gen++
-	p := pending{src: src, pkt: pkt, enqueued: b.k.Now()}
-	if b.arb == FIFO {
-		b.fifo = append(b.fifo, p)
-	} else {
-		b.perSrc[src] = append(b.perSrc[src], p)
-	}
-	b.queued++
-	if b.queued > b.stats.MaxQueued {
-		b.stats.MaxQueued = b.queued
-	}
+	b.queue = append(b.queue, pending{src: src, pkt: pkt, enqueued: b.k.Now()})
+	b.stats.MaxQueued = max(b.stats.MaxQueued, len(b.queue))
 	if !b.busy {
-		if b.deferGrants {
+		if b.chooser != nil {
 			b.scheduleGrant()
 		} else {
 			b.grant()
@@ -322,21 +291,22 @@ func (b *Bus) Request(src int, pkt Packet) {
 }
 
 // scheduleGrant arranges arbitration as its own zero-delay kernel event
-// (model-checking mode), so every request enqueued before the event fires
+// (with a chooser installed), so every request enqueued before the event fires
 // participates, and the model checker can reorder the grant against other
 // pending activity.
 func (b *Bus) scheduleGrant() {
-	if b.grantPending || b.queued == 0 {
+	if b.grantPending || len(b.queue) == 0 {
 		return
 	}
 	b.grantPending = true
 	b.k.AfterTagged(0, GrantTag{b}, b.grantFn)
 }
 
-// dequeue removes and returns element i of a queue in place: the elements
-// behind it move down one slot and the vacated last slot is zeroed. The
-// queue never walks off the front of its array (an append after q = q[1:]
-// reallocates once the array is used up), and no slot names a granted packet.
+// dequeue removes and returns element i of the queue in place: the
+// elements behind it move down one slot and the vacated last slot is
+// zeroed. The queue never walks off the front of its array (an append
+// after q = q[1:] reallocates once the array is used up), and no slot
+// names a granted packet.
 func dequeue(q *[]pending, i int) pending {
 	s := *q
 	p := s[i]
@@ -346,106 +316,76 @@ func dequeue(q *[]pending, i int) pending {
 	return p
 }
 
-// next pops the operation to grant, per policy — or, with a chooser
-// installed, the chooser's pick among the head request of every waiting
-// source (per-source order is a hardware FIFO and is never violated).
+// next pops the operation to grant: the queue's head under FIFO, else
+// the first request of the first waiting source in policy order — or,
+// with a chooser installed, the chooser's pick among the first requests
+// of the waiting sources (a source's own requests are a hardware FIFO
+// and are never reordered). The queue must not be empty.
 //
 //multicube:fpexempt called only from grant, which bumps
-func (b *Bus) next() (pending, bool) {
-	if b.queued == 0 {
-		return pending{}, false
-	}
-	if b.chooser != nil && b.queued > 1 {
-		return b.nextChosen(), true
-	}
-	if b.arb == FIFO {
-		b.queued--
-		return dequeue(&b.fifo, 0), true
-	}
-	// Priority shares this scan: its last stays -1, so the walk is
-	// always ascending attach index from 0.
-	n := b.attached
-	for i := 1; i <= n; i++ {
-		src := (b.last + i) % n
-		if len(b.perSrc[src]) > 0 {
-			b.queued--
-			if b.arb == RoundRobin {
-				b.last = src
+func (b *Bus) next() pending {
+	i := 0
+	if b.chooser != nil || b.arb != FIFO {
+		heads := b.heads()
+		pick := 0
+		if b.chooser != nil && len(heads) > 1 {
+			cands := b.candScratch[:0]
+			for _, h := range heads {
+				cands = append(cands, sim.Candidate{Tag: b.queue[h].pkt})
 			}
-			return dequeue(&b.perSrc[src], 0), true
-		}
-	}
-	return pending{}, false
-}
-
-// nextChosen asks the chooser to arbitrate. Candidates are the head
-// request of each waiting source, in policy order, so choice 0 is the
-// policy's own pick.
-func (b *Bus) nextChosen() pending {
-	slots := b.slotScratch[:0]
-	cands := b.candScratch[:0]
-	add := func(list *[]pending, idx int) {
-		slots = append(slots, slot{list, idx})
-		cands = append(cands, sim.Candidate{Tag: (*list)[idx].pkt})
-	}
-	if b.arb == FIFO {
-		if len(b.seenScratch) < b.attached {
-			b.seenScratch = make([]bool, b.attached)
-		}
-		seen := b.seenScratch
-		for i := range seen {
-			seen[i] = false
-		}
-		for i := range b.fifo {
-			if src := b.fifo[i].src; !seen[src] {
-				seen[src] = true
-				add(&b.fifo, i)
+			b.candScratch = cands
+			pick = b.chooser.Choose(sim.ChoicePoint{Kind: "grant", Name: b.name}, cands)
+			if pick < 0 || pick >= len(heads) {
+				panic(fmt.Sprintf("bus %s: chooser picked %d of %d candidates", b.name, pick, len(heads)))
 			}
 		}
-	} else {
-		n := b.attached
-		for i := 1; i <= n; i++ {
-			src := (b.last + i) % n
-			if len(b.perSrc[src]) > 0 {
-				add(&b.perSrc[src], 0)
-			}
-		}
+		i = heads[pick]
 	}
-	idx := 0
-	if len(slots) > 1 {
-		idx = b.chooser.Choose(sim.ChoicePoint{Kind: "grant", Name: b.name}, cands)
-		if idx < 0 || idx >= len(slots) {
-			panic(fmt.Sprintf("bus %s: chooser picked %d of %d candidates", b.name, idx, len(slots)))
-		}
-	}
-	s := slots[idx]
-	b.slotScratch = slots
-	b.candScratch = cands
-	p := dequeue(s.list, s.idx)
-	b.queued--
+	p := dequeue(&b.queue, i)
 	if b.arb == RoundRobin {
 		b.last = p.src
 	}
 	return p
 }
 
-// slot locates one arbitration candidate inside a queue.
-type slot struct {
-	list *[]pending
-	idx  int
+// heads returns the queue index of each waiting source's first request,
+// in policy order: arrival order under FIFO, else ascending attach index
+// from the one after the last grantee (Priority's last stays -1, so it
+// always starts from 0). Index 0 is the policy's own pick.
+func (b *Bus) heads() []int {
+	if len(b.seenScratch) < b.attached {
+		b.seenScratch = make([]bool, b.attached)
+	}
+	seen := b.seenScratch
+	clear(seen)
+	heads := b.headScratch[:0]
+	for i := range b.queue {
+		if src := b.queue[i].src; !seen[src] {
+			seen[src] = true
+			heads = append(heads, i)
+		}
+	}
+	if b.arb != FIFO {
+		n := b.attached
+		rank := func(h int) int { return (b.queue[h].src - b.last - 1 + n) % n }
+		for i := 1; i < len(heads); i++ {
+			for j := i; j > 0 && rank(heads[j]) < rank(heads[j-1]); j-- {
+				heads[j], heads[j-1] = heads[j-1], heads[j]
+			}
+		}
+	}
+	b.headScratch = heads
+	return heads
 }
 
 // grant gives an idle bus to the next queued operation. It is called
 // inline, and is the body of the event scheduleGrant schedules.
 func (b *Bus) grant() {
 	b.grantPending = false
-	if b.busy {
+	if b.busy || len(b.queue) == 0 {
 		return
 	}
-	p, ok := b.next()
-	if !ok {
-		return
-	}
+	p := b.next()
 	b.gen++
 	b.busy = true
 	b.inflight = p.pkt
@@ -472,7 +412,7 @@ func (b *Bus) deliver() {
 	b.gen++
 	b.busy = false
 	b.inflight = nil
-	if b.deferGrants {
+	if b.chooser != nil {
 		b.scheduleGrant()
 	} else {
 		b.grant()

@@ -229,22 +229,21 @@ func TestMaxQueuedHighWater(t *testing.T) {
 	}
 }
 
-// checkQueues requires what in-place dequeue promises of every queue: it
-// stays at the front of its array (caps, the capacities seen so far,
-// never shrink) and names no packet in the slots past its length — a
-// granted operation is reachable only as Inflight. Load clears queues
+// checkQueue requires what in-place dequeue promises of the queue: it
+// stays at the front of its array (*capSeen, the capacity seen so far,
+// never shrinks) and names no packet in the slots past its length — a
+// granted operation is reachable only as Inflight. Load clears the queue
 // whole, so it holds after it too.
-func checkQueues(t *testing.T, b *Bus, caps []int, when string) {
+func checkQueue(t *testing.T, b *Bus, capSeen *int, when string) {
 	t.Helper()
-	for i, q := range append([][]pending{b.fifo}, b.perSrc...) {
-		if cap(q) < caps[i] {
-			t.Fatalf("%s: queue %d shrank from capacity %d to %d: sliced off the front of its array", when, i, caps[i], cap(q))
-		}
-		caps[i] = cap(q)
-		for j, p := range q[len(q):cap(q)] {
-			if p != (pending{}) {
-				t.Fatalf("%s: queue %d of length %d still names %+v in slot %d", when, i, len(q), p, len(q)+j)
-			}
+	q := b.queue
+	if cap(q) < *capSeen {
+		t.Fatalf("%s: queue shrank from capacity %d to %d: sliced off the front of its array", when, *capSeen, cap(q))
+	}
+	*capSeen = cap(q)
+	for j, p := range q[len(q):cap(q)] {
+		if p != (pending{}) {
+			t.Fatalf("%s: queue of length %d still names %+v in slot %d", when, len(q), p, len(q)+j)
 		}
 	}
 }
@@ -253,16 +252,19 @@ func checkQueues(t *testing.T, b *Bus, caps []int, when string) {
 // contended run — requests queued, an operation in flight, a deferred
 // grant pending — runs on, loads, and requires the rest of the run to
 // repeat itself: same deliveries at the same times, same counters, same
-// generation. The chooser and grant mode are not state and must survive.
+// generation. It runs with no chooser, granting inline as the DES does,
+// and with one, deferring grants; the chooser is not state and must
+// survive.
 func TestSaveLoadRewinds(t *testing.T) {
 	for _, arb := range []Arbitration{FIFO, RoundRobin, Priority} {
-		for _, deferGrants := range []bool{false, true} {
+		for _, ch := range []sim.Chooser{nil, grantFirst{}} {
+			deferGrants := ch != nil
 			k := sim.NewKernel()
 			b, r := New(k, "b", arb), &recorder{}
 			for i := 0; i < 3; i++ {
 				b.Attach(r)
 			}
-			b.SetChooser(sim.DefaultChooser{}, deferGrants)
+			b.SetChooser(ch)
 			for _, at := range []sim.Time{0, 150, 1000} {
 				at := at
 				k.At(at, func() {
@@ -274,12 +276,12 @@ func TestSaveLoadRewinds(t *testing.T) {
 			var ks sim.KernelState
 			var st Saved
 			var queued, inflight, grants int
-			caps := make([]int, 1+b.Agents())
+			capSeen := 0
 			for stop := 0; ; stop++ {
 				if !k.Step() {
 					break
 				}
-				checkQueues(t, b, caps, "after a step")
+				checkQueue(t, b, &capSeen, "after a step")
 				k.Save(&ks)
 				b.Save(&st)
 				b.ForEachQueued(func(int, Packet) { queued++ })
@@ -292,16 +294,16 @@ func TestSaveLoadRewinds(t *testing.T) {
 				gen, stats, seen := b.Gen(), b.Stats(), len(r.snoops)
 
 				k.Run()
-				checkQueues(t, b, caps, "drained")
+				checkQueue(t, b, &capSeen, "drained")
 				want := append([]snooped{}, r.snoops[seen:]...)
 				wantStats, wantGen := b.Stats(), b.Gen()
 
 				k.Load(&ks)
 				b.Load(&st)
-				checkQueues(t, b, caps, "after Load")
-				if b.Gen() != gen || b.Stats() != stats || b.chooser == nil || b.deferGrants != deferGrants {
-					t.Fatalf("%v defer=%v stop %d: after Load gen=%d stats=%+v chooser=%v defer=%v, saved gen=%d stats=%+v",
-						arb, deferGrants, stop, b.Gen(), b.Stats(), b.chooser, b.deferGrants, gen, stats)
+				checkQueue(t, b, &capSeen, "after Load")
+				if b.Gen() != gen || b.Stats() != stats || b.chooser != ch {
+					t.Fatalf("%v defer=%v stop %d: after Load gen=%d stats=%+v chooser=%v, saved gen=%d stats=%+v",
+						arb, deferGrants, stop, b.Gen(), b.Stats(), b.chooser, gen, stats)
 				}
 				r.snoops = r.snoops[:seen]
 				k.Run()
@@ -344,7 +346,7 @@ func TestNilRequesterArbitratesLikeAnAgent(t *testing.T) {
 			b.Attach(a)
 		}
 		if ch != nil {
-			b.SetChooser(ch, true)
+			b.SetChooser(ch)
 		}
 		for _, at := range []sim.Time{0, 30, 35, 200} {
 			at := at

@@ -19,6 +19,11 @@ type snoopSink struct{ order []string }
 func (r *snoopSink) Probe(b *Bus, p Packet) {}
 func (r *snoopSink) Snoop(b *Bus, p Packet) { r.order = append(r.order, p.(tpkt).name) }
 
+// grantFirst always grants the first candidate: the policy's own pick.
+type grantFirst struct{}
+
+func (grantFirst) Choose(sim.ChoicePoint, []sim.Candidate) int { return 0 }
+
 // grantLast always grants the last candidate (the most recently waiting
 // source).
 type grantLast struct{ points int }
@@ -33,7 +38,7 @@ func (c *grantLast) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 
 // deliver drives a bus with three same-instant requesters and returns the
 // delivery order.
-func deliver(t *testing.T, ch sim.Chooser, deferGrants bool) []string {
+func deliver(t *testing.T, ch sim.Chooser) []string {
 	t.Helper()
 	k := sim.NewKernel()
 	b := New(k, "row0", FIFO)
@@ -42,7 +47,7 @@ func deliver(t *testing.T, ch sim.Chooser, deferGrants bool) []string {
 	for i := range srcs {
 		srcs[i] = b.Attach(rec)
 	}
-	b.SetChooser(ch, deferGrants)
+	b.SetChooser(ch)
 	k.At(0, func() {
 		for i, src := range srcs {
 			b.Request(src, tpkt{name: string(rune('a' + i)), occ: 10})
@@ -60,22 +65,14 @@ func deliver(t *testing.T, ch sim.Chooser, deferGrants bool) []string {
 }
 
 func TestChooserArbitration(t *testing.T) {
-	base := deliver(t, nil, false)
-	if got := deliver(t, sim.DefaultChooser{}, false); !equal(got, base) {
-		t.Fatalf("DefaultChooser order %v != policy order %v", got, base)
-	}
-	// Without deferral the first request grabs the idle bus before the
-	// others enqueue; the chooser then arbitrates the remaining two.
-	if got := deliver(t, &grantLast{}, false); !equal(got, []string{"a", "c", "b"}) {
-		t.Fatalf("grant-last order = %v, want a,c,b", got)
-	}
-	// With deferred grants all three same-instant requests reach
-	// arbitration, so even the first grant is a choice.
-	if got := deliver(t, &grantLast{}, true); !equal(got, []string{"c", "b", "a"}) {
+	base := deliver(t, nil)
+	// A chooser defers grants, so all three same-instant requests reach
+	// arbitration and even the first grant is a choice.
+	if got := deliver(t, &grantLast{}); !equal(got, []string{"c", "b", "a"}) {
 		t.Fatalf("deferred grant-last order = %v, want c,b,a", got)
 	}
-	if got := deliver(t, sim.DefaultChooser{}, true); !equal(got, base) {
-		t.Fatalf("deferred DefaultChooser order %v != policy order %v", got, base)
+	if got := deliver(t, grantFirst{}); !equal(got, base) {
+		t.Fatalf("deferred grant-first order %v != policy order %v", got, base)
 	}
 }
 
@@ -85,7 +82,7 @@ func TestPerSourceOrderPreserved(t *testing.T) {
 	rec := &snoopSink{}
 	s0 := b.Attach(rec)
 	s1 := b.Attach(rec)
-	b.SetChooser(&grantLast{}, true)
+	b.SetChooser(&grantLast{})
 	k.At(0, func() {
 		b.Request(s0, tpkt{name: "a1", occ: 10})
 		b.Request(s0, tpkt{name: "a2", occ: 10})

@@ -46,16 +46,16 @@ var rewindFields = []fieldClasses{
 	{
 		of:      typeOf[sim.Kernel](),
 		rewound: []string{"now", "seq", "events", "lanes"},
-		hook:    []string{"chooser", "allEvents"},
+		hook:    []string{"chooser"},
 		wiring:  []string{"procs"},
 		scratch: []string{"fixed", "executed", "dispatching", "ordered", "cands"},
 	},
 	{
 		of:      typeOf[bus.Bus](),
-		rewound: []string{"fifo", "perSrc", "queued", "busy", "last", "grantPending", "inflight", "gen", "stats"},
-		hook:    []string{"chooser", "deferGrants"},
+		rewound: []string{"queue", "busy", "last", "grantPending", "inflight", "gen", "stats"},
+		hook:    []string{"chooser"},
 		wiring:  []string{"k", "name", "arb", "agents", "attached", "deliverFn", "grantFn"},
-		scratch: []string{"slotScratch", "candScratch", "seenScratch"},
+		scratch: []string{"headScratch", "candScratch", "seenScratch"},
 	},
 	{
 		of:      typeOf[cache.Cache](),

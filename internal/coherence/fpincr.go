@@ -70,7 +70,7 @@ type evRec struct {
 type busQ struct {
 	busy     bool
 	inflight *Op
-	perSrc   [][]*Op // queued ops grouped by physical attach index
+	bySrc    [][]*Op // queued ops grouped by physical attach index
 	nonEmpty int
 }
 
@@ -170,18 +170,18 @@ func (f *FPCache) snapBus(q *busQ, b *bus.Bus) {
 	if p := b.Inflight(); p != nil {
 		q.inflight = p.(*Op)
 	}
-	if len(q.perSrc) < b.Agents() {
-		q.perSrc = make([][]*Op, b.Agents())
+	if len(q.bySrc) < b.Agents() {
+		q.bySrc = make([][]*Op, b.Agents())
 	}
-	for i := range q.perSrc {
-		q.perSrc[i] = q.perSrc[i][:0]
+	for i := range q.bySrc {
+		q.bySrc[i] = q.bySrc[i][:0]
 	}
 	q.nonEmpty = 0
 	b.ForEachQueued(func(src int, pkt bus.Packet) {
-		if len(q.perSrc[src]) == 0 {
+		if len(q.bySrc[src]) == 0 {
 			q.nonEmpty++
 		}
-		q.perSrc[src] = append(q.perSrc[src], pkt.(*Op))
+		q.bySrc[src] = append(q.bySrc[src], pkt.(*Op))
 	})
 }
 
@@ -296,7 +296,7 @@ func busSig(q *busQ, srcKey func(src int) uint64) uint64 {
 		sig += sigWord(0x51, opBase(q.inflight), 0)
 	}
 	if q.nonEmpty > 0 {
-		for src, ops := range q.perSrc {
+		for src, ops := range q.bySrc {
 			for i, op := range ops {
 				sig += sigWord(0x52+srcKey(src)<<8, uint64(i), opBase(op))
 			}
@@ -378,8 +378,8 @@ func (f *FPCache) busFP(h *fphash.Hash, q *busQ, colBus bool, perm, inv, cperm, 
 		// Row-bus sources are column indices, visited in canonical
 		// column order.
 		for cc := 0; cc < f.n; cc++ {
-			if src := cinv[cc]; src < len(q.perSrc) {
-				emit(cc, q.perSrc[src])
+			if src := cinv[cc]; src < len(q.bySrc) {
+				emit(cc, q.bySrc[src])
 			}
 		}
 		return
@@ -388,12 +388,12 @@ func (f *FPCache) busFP(h *fphash.Hash, q *busQ, colBus bool, perm, inv, cperm, 
 	// (r, c)), visited in canonical row order; the memory module attaches
 	// last, at index n, and maps to itself.
 	for cr := 0; cr < f.n; cr++ {
-		if src := inv[cr]; src < len(q.perSrc) {
-			emit(cr, q.perSrc[src])
+		if src := inv[cr]; src < len(q.bySrc) {
+			emit(cr, q.bySrc[src])
 		}
 	}
-	if len(q.perSrc) > f.n {
-		emit(f.n, q.perSrc[f.n])
+	if len(q.bySrc) > f.n {
+		emit(f.n, q.bySrc[f.n])
 	}
 }
 

@@ -26,14 +26,14 @@ type fpOp struct {
 	line uint64
 }
 
-// canonChooser breaks every scheduling tie by the candidate's canonical
-// (row-permuted) content key. The default tie-break is physical
-// scheduling order, which is NOT symmetric under row relabeling — two
-// equal-time purge deliveries fire in row order, so a machine and its
-// relabeling would drift into genuinely different interleavings and the
-// mid-flight invariance property would be vacuously false. With the same
-// canonical policy installed on both machines they traverse isomorphic
-// executions step for step.
+// canonChooser makes every scheduling choice by the candidates'
+// canonical (row- and column-permuted) content keys, least first. The
+// chooser-less order is physical scheduling order, which is NOT symmetric
+// under row relabeling — two equal-time purge deliveries fire in row
+// order, so a machine and its relabeling would drift into genuinely
+// different interleavings and the mid-flight invariance property would
+// be vacuously false. With the same canonical policy installed on both
+// machines they traverse isomorphic executions step for step.
 type canonChooser struct {
 	s     *System
 	perm  []int // physical row -> canonical row; nil is identity
@@ -141,7 +141,7 @@ func buildStateRC(t testing.TB, n int, script []fpOp, rowMap, colMap []int, step
 	if colMap != nil {
 		cperm = invert(colMap)
 	}
-	s.SetChooser(&canonChooser{s: s, perm: perm, cperm: cperm})
+	s.EnableModelChecking(&canonChooser{s: s, perm: perm, cperm: cperm})
 	queues := make(map[topology.Coord][]fpOp)
 	var order []topology.Coord
 	for _, o := range script {

@@ -351,32 +351,18 @@ func MustNewSystem(k *sim.Kernel, cfg Config) *System {
 // Kernel returns the simulation kernel.
 func (s *System) Kernel() *sim.Kernel { return s.k }
 
-// SetChooser routes every scheduling tie-break — kernel event order among
-// equal-time events and bus arbitration among queued requesters — through
-// ch. A DefaultChooser (or nil) reproduces the historical schedules
-// bit-for-bit; the machine stays a timed discrete-event simulation.
-func (s *System) SetChooser(ch sim.Chooser) {
-	s.k.SetChooser(ch, false)
-	for _, b := range s.rows {
-		b.SetChooser(ch, false)
-	}
-	for _, b := range s.cols {
-		b.SetChooser(ch, false)
-	}
-}
-
 // EnableModelChecking puts the machine in exhaustive-exploration mode:
 // every pending kernel event is a dispatch candidate (the untimed
 // interpretation, where any message may take arbitrarily long), and bus
 // grants are deferred so all queued requests reach arbitration. The
 // chooser then decides every ordering. Used by internal/mc.
 func (s *System) EnableModelChecking(ch sim.Chooser) {
-	s.k.SetChooser(ch, true)
+	s.k.SetChooser(ch)
 	for _, b := range s.rows {
-		b.SetChooser(ch, true)
+		b.SetChooser(ch)
 	}
 	for _, b := range s.cols {
-		b.SetChooser(ch, true)
+		b.SetChooser(ch)
 	}
 }
 

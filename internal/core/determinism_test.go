@@ -21,7 +21,7 @@ func runSeeded(t *testing.T, ch sim.Chooser) (uint64, string) {
 	t.Helper()
 	m := core.MustNew(core.Config{N: 4, BlockWords: 4})
 	if ch != nil {
-		m.System().SetChooser(ch)
+		m.System().EnableModelChecking(ch)
 	}
 	h := fnv.New64a()
 	m.System().OpLog = func(dim coherence.Dim, issuer topology.Coord, op *coherence.Op) {
@@ -50,17 +50,23 @@ func TestSeededRunsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDefaultChooserReproducesSchedules guards the model checker's
-// choice-point seam: installing the DefaultChooser (which picks
-// candidate 0 everywhere) must reproduce the nil-chooser schedules
-// exactly — the seam may add choice points but must not move them.
+// firstChooser picks candidate 0 at every choice point: the earliest
+// pending event, and the arbitration policy's own grant.
+type firstChooser struct{}
+
+func (firstChooser) Choose(sim.ChoicePoint, []sim.Candidate) int { return 0 }
+
+// TestDefaultChooserReproducesSchedules pins the explorer's mode to the
+// DES: the untimed search (EnableModelChecking) always taking candidate
+// 0 must reproduce the nil-chooser schedules exactly, deferred grants
+// and all — the seam may add choice points but must not move them.
 func TestDefaultChooserReproducesSchedules(t *testing.T) {
 	dNil, sNil := runSeeded(t, nil)
-	dDef, sDef := runSeeded(t, sim.DefaultChooser{})
+	dDef, sDef := runSeeded(t, firstChooser{})
 	if dNil != dDef {
-		t.Fatalf("DefaultChooser changed the bus-operation sequence: %#x vs %#x", dNil, dDef)
+		t.Fatalf("the first-candidate chooser changed the bus-operation sequence: %#x vs %#x", dNil, dDef)
 	}
 	if sNil != sDef {
-		t.Fatalf("DefaultChooser changed the metrics:\n--- nil\n%s--- default\n%s", sNil, sDef)
+		t.Fatalf("the first-candidate chooser changed the metrics:\n--- nil\n%s--- first\n%s", sNil, sDef)
 	}
 }

@@ -65,7 +65,9 @@ const (
 // (default 256) backed by dir ("" disables the disk tier). Existing
 // entries under dir are counted — recovery is otherwise lazy, by
 // fingerprint on first Get — and abandoned temp files from a previous
-// crash are swept.
+// crash are swept. Entries live in two-character shard directories
+// (see path); anything else under dir, such as the server's corpus and
+// mc checkpoints, is not the cache's.
 func NewCache(dir string, maxMem int) (*Cache, error) {
 	if maxMem <= 0 {
 		maxMem = 256
@@ -85,28 +87,36 @@ func NewCache(dir string, maxMem int) (*Cache, error) {
 	return c, nil
 }
 
-// sweep counts recoverable entries and their bytes, deleting temp
-// droppings.
+// sweep counts recoverable entries, <dir>/<shard>/<fp>.json, and their
+// bytes, deleting temp droppings beside them.
 func (c *Cache) sweep() (int, int64, error) {
 	n, bytes := 0, int64(0)
-	err := filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		switch {
-		case strings.HasSuffix(d.Name(), ".json"):
-			n++
-			if fi, err := d.Info(); err == nil {
-				bytes += fi.Size()
-			}
-		case strings.Contains(d.Name(), ".tmp"):
-			//multicube:atomicwrite-ok temp droppings from writers killed mid-Put; never renamed, so never durable
-			os.Remove(path)
-		}
-		return nil
-	})
+	shards, err := os.ReadDir(c.dir)
 	if err != nil {
 		return 0, 0, fmt.Errorf("farm: cache recovery scan: %w", err)
+	}
+	for _, sh := range shards {
+		if !sh.IsDir() || len(sh.Name()) != 2 {
+			continue
+		}
+		dir := filepath.Join(c.dir, sh.Name())
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			return 0, 0, fmt.Errorf("farm: cache recovery scan: %w", err)
+		}
+		for _, f := range files {
+			switch {
+			case f.IsDir():
+			case strings.HasSuffix(f.Name(), ".json"):
+				n++
+				if fi, err := f.Info(); err == nil {
+					bytes += fi.Size()
+				}
+			case strings.Contains(f.Name(), ".tmp"):
+				//multicube:atomicwrite-ok temp droppings from writers killed mid-Put; never renamed, so never durable
+				os.Remove(filepath.Join(dir, f.Name()))
+			}
+		}
 	}
 	return n, bytes, nil
 }

@@ -91,6 +91,41 @@ func TestCacheDiskRecovery(t *testing.T) {
 	}
 }
 
+// TestCacheCountsOnlyItsEntries: the cache shares its directory with
+// the server's corpus (<dir>/corpus/*.json) and mc checkpoints
+// (<dir>/mc-checkpoints/...), and a cache opened over it counts only its
+// own <shard>/<fp>.json entries and their bytes.
+func TestCacheCountsOnlyItsEntries(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := NewCache(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Put("deadbeef", testResult(t, "deadbeef")); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(c1.path("deadbeef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []string{"corpus/42-multicube.json", "mc-checkpoints/ab/abcdef/MANIFEST.json"} {
+		path := filepath.Join(dir, filepath.FromSlash(other))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(`{"seed":42}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c2, err := NewCache(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, disk, bytes := c2.Stats(); disk != 1 || bytes != fi.Size() {
+		t.Fatalf("reopened cache counts %d disk entries of %d bytes, want 1 of %d", disk, bytes, fi.Size())
+	}
+}
+
 func TestCacheMemEvictionFallsBackToDisk(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir, 1)

@@ -115,3 +115,38 @@ func TestServerSurfacesResumeMetrics(t *testing.T) {
 		t.Fatalf("mc_jobs_resumed = %d on a farm that never resumed", m.MCJobsResumed)
 	}
 }
+
+// TestServerCheckpointsUnderCacheDir: a server with a CacheDir
+// checkpoints mc jobs under <CacheDir>/mc-checkpoints at the explorer's
+// default cadence, and a completed job leaves no checkpoint directory
+// behind; a server without a CacheDir does not checkpoint.
+func TestServerCheckpointsUnderCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	root := filepath.Join(dir, "mc-checkpoints")
+	if want := (executor{checkpointRoot: root}); s.exec != want {
+		t.Fatalf("executor %+v, want %+v", s.exec, want)
+	}
+	// read-race runs ~3300 executions: several checkpoints at 512.
+	_, st := postJob(t, ts, `{"kind":"mc","mc":{"preset":"read-race"}}`)
+	done := waitDone(t, ts, st.JobID)
+	if done.Verdict != "ok" {
+		t.Fatalf("job verdict %q (error %q), want ok", done.Verdict, done.Error)
+	}
+	fp := done.Fingerprint
+	if _, err := os.Stat(filepath.Join(root, fpShard(fp))); err != nil {
+		t.Fatalf("the job checkpointed nothing under %s: %v", root, err)
+	}
+	if _, err := os.Stat(filepath.Join(root, fpShard(fp), fp)); !os.IsNotExist(err) {
+		t.Fatalf("the completed job left its checkpoint directory behind (stat err %v)", err)
+	}
+
+	mem, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close(context.Background())
+	if mem.exec != (executor{}) {
+		t.Fatalf("a server without a CacheDir checkpoints: %+v", mem.exec)
+	}
+}

@@ -56,8 +56,9 @@ func (e *CorpusEntry) replay() jobspec.Spec {
 		BaseSeed: e.Seed, Count: 1, Machines: e.machine(), MaxStates: e.MaxStates}}
 }
 
-// OpenCorpus loads the corpus at dir, creating it if missing; dir ""
-// keeps the corpus in memory only.
+// OpenCorpus loads the corpus at dir, creating it if missing, and
+// deletes the temp files of Adds killed mid-write; dir "" keeps the
+// corpus in memory only.
 func OpenCorpus(dir string) (*Corpus, error) {
 	c := &Corpus{dir: dir, entries: make(map[string]CorpusEntry)}
 	if dir == "" {
@@ -71,6 +72,10 @@ func OpenCorpus(dir string) (*Corpus, error) {
 		return nil, fmt.Errorf("farm: corpus scan: %w", err)
 	}
 	for _, f := range files {
+		if !f.IsDir() && strings.Contains(f.Name(), ".tmp") {
+			//multicube:atomicwrite-ok temp droppings from writers killed mid-Add; never renamed, so never durable
+			os.Remove(filepath.Join(dir, f.Name()))
+		}
 		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
 			continue
 		}

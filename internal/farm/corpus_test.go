@@ -61,12 +61,20 @@ func TestCorpusSkipsCorruptFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "junk.json"), []byte("nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// An Add killed mid-write leaves its temp file behind.
+	dropping := filepath.Join(dir, "8-multicube.json.tmp123")
+	if err := os.WriteFile(dropping, []byte(`{"seed":8`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	c2, err := OpenCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d after corrupt file, want 1", c2.Len())
+	}
+	if _, err := os.Stat(dropping); !os.IsNotExist(err) {
+		t.Fatalf("temp dropping survived OpenCorpus (stat err %v)", err)
 	}
 }
 

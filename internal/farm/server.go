@@ -25,22 +25,18 @@ type Config struct {
 	QueueDepth int
 	// CacheDir is the on-disk result store; "" keeps results (and the
 	// swarm corpus) in memory only. The corpus lives under
-	// <CacheDir>/corpus.
+	// <CacheDir>/corpus. With a CacheDir, mc jobs are also resumable:
+	// each checkpoints its search, at the explorer's default cadence,
+	// under <CacheDir>/mc-checkpoints/<fp-prefix>/<fingerprint>, and a
+	// resubmission of a killed or timed-out job (which is never cached)
+	// resumes from the last checkpoint instead of starting over.
+	// Checkpoints of completed jobs are deleted — the cached result
+	// supersedes them.
 	CacheDir string
 	// CacheMemEntries bounds the in-memory result tier; default 256.
 	CacheMemEntries int
 	// JobTimeout is the per-job execution ceiling; default 2m.
 	JobTimeout time.Duration
-	// MCCheckpointDir, when set, makes mc jobs resumable: each job
-	// checkpoints its search under <dir>/<fp-prefix>/<fingerprint>, and a
-	// resubmission of a killed or timed-out job (which is never cached)
-	// resumes from the last checkpoint instead of starting over.
-	// Checkpoints of completed jobs are deleted — the cached result
-	// supersedes them.
-	MCCheckpointDir string
-	// MCCheckpointEvery is the executions-between-checkpoints cadence
-	// for resumable mc jobs; 0 uses the explorer default.
-	MCCheckpointEvery int
 	// RatePerSec and RateBurst are the per-client token bucket: a rate
 	// < 0 disables limiting, 0 means the default of 50/s (burst: 100).
 	RatePerSec float64
@@ -162,9 +158,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	corpusDir := ""
+	corpusDir, checkpointRoot := "", ""
 	if cfg.CacheDir != "" {
 		corpusDir = filepath.Join(cfg.CacheDir, "corpus")
+		checkpointRoot = filepath.Join(cfg.CacheDir, "mc-checkpoints")
 	}
 	corpus, err := OpenCorpus(corpusDir)
 	if err != nil {
@@ -172,15 +169,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		cache:   cache,
-		corpus:  corpus,
-		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
-		start:   time.Now(),
-		exec: executor{
-			checkpointRoot:    cfg.MCCheckpointDir,
-			mcCheckpointEvery: cfg.MCCheckpointEvery,
-		},
+		cfg:        cfg,
+		cache:      cache,
+		corpus:     corpus,
+		limiter:    newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
+		start:      time.Now(),
+		exec:       executor{checkpointRoot: checkpointRoot},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),

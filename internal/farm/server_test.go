@@ -452,3 +452,55 @@ func TestCorpusEndpointsRecordAndReplay(t *testing.T) {
 		t.Fatalf("second replay not served from cache: %+v", replay.Submitted)
 	}
 }
+
+// TestSimAndLitmusJobsEndToEnd submits one small job of each timed-machine
+// kind through the HTTP handler, checks its verdict and payload, and
+// requires the resubmission to be a byte-identical cache hit.
+func TestSimAndLitmusJobsEndToEnd(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, tc := range []struct {
+		kind, spec string
+		check      func(*jobspec.Result) error
+	}{
+		{"sim", `{"kind":"sim","sim":{"n":2,"seed":1,"requests":50}}`, func(r *jobspec.Result) error {
+			s := r.Sim
+			if s == nil || s.References != 2*2*50 || s.BusTransactions == 0 || s.ElapsedSimNS <= 0 ||
+				s.Efficiency <= 0 || s.Efficiency > 1 || s.BusRatePerMS <= 0 || len(s.Invariants) != 0 {
+				return fmt.Errorf("sim payload %+v", s)
+			}
+			return nil
+		}},
+		{"litmus", `{"kind":"litmus","litmus":{"test":"mp","seeds":3,"rounds":2}}`, func(r *jobspec.Result) error {
+			// mp has two variables: two placements, three seeds each.
+			if l := r.Litmus; l == nil || l.Runs != 6 || len(l.Failures) != 0 {
+				return fmt.Errorf("litmus payload %+v", l)
+			}
+			return nil
+		}},
+	} {
+		code, st := postJob(t, ts, tc.spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d, want 202", tc.kind, code)
+		}
+		done := waitDone(t, ts, st.JobID)
+		if done.Status != StateDone || done.Verdict != "ok" {
+			t.Fatalf("%s: job = %q/%q (error %q), want done/ok", tc.kind, done.Status, done.Verdict, done.Error)
+		}
+		var res jobspec.Result
+		if err := json.Unmarshal(done.Result, &res); err != nil {
+			t.Fatalf("%s: result: %v", tc.kind, err)
+		}
+		if res.Kind != tc.kind || res.Verdict != "ok" || res.Fingerprint != done.Fingerprint {
+			t.Fatalf("%s: result kind=%q verdict=%q fingerprint=%q, job fingerprint %q",
+				tc.kind, res.Kind, res.Verdict, res.Fingerprint, done.Fingerprint)
+		}
+		if err := tc.check(&res); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		code, again := postJob(t, ts, tc.spec)
+		if code != http.StatusOK || !again.Cached || !bytes.Equal(again.Result, done.Result) {
+			t.Fatalf("%s: resubmission = %d cached=%v, result byte-identical %v",
+				tc.kind, code, again.Cached, bytes.Equal(again.Result, done.Result))
+		}
+	}
+}

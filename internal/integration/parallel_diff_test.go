@@ -110,7 +110,7 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 	}
 	for _, n := range grids {
 		for _, seed := range seeds {
-			wl := workload.GenConfig{Seed: seed, Requests: 120, PShared: 0.4}
+			wl := workload.GenConfig{Seed: seed, Requests: 120, PShared: 0.4, PWrite: 0.3}
 			seq := pdRun(t, n, 0, "inline", core.Config{}, wl)
 			for _, w := range workers {
 				for _, mode := range pdModes {
@@ -135,17 +135,17 @@ func TestParallelMatchesSequentialVariants(t *testing.T) {
 		wl   workload.GenConfig
 	}{
 		{"snarf", core.Config{Snarf: true},
-			workload.GenConfig{Seed: 3, Requests: 150, PShared: 0.5}},
+			workload.GenConfig{Seed: 3, Requests: 150, PShared: 0.5, PWrite: 0.3}},
 		{"bounded", core.Config{CacheLines: 64, CacheAssoc: 2, MLTEntries: 8, MLTAssoc: 2},
-			workload.GenConfig{Seed: 9, Requests: 150, PShared: 0.4}},
+			workload.GenConfig{Seed: 9, Requests: 150, PShared: 0.4, PWrite: 0.3}},
 		{"exponential", core.Config{},
 			workload.GenConfig{Seed: 11, Requests: 150, Exponential: true, PShared: 0.6, PWrite: 0.5}},
 		{"writeheavy", core.Config{},
 			workload.GenConfig{Seed: 13, Requests: 150, PShared: 0.8, PWrite: 0.7, SharedLines: 4}},
 		{"l1", core.Config{L1Lines: 8, L1Assoc: 2},
-			workload.GenConfig{Seed: 17, Requests: 150, PShared: 0.4}},
+			workload.GenConfig{Seed: 17, Requests: 150, PShared: 0.4, PWrite: 0.3}},
 		{"priority", core.Config{Arbitration: bus.Priority},
-			workload.GenConfig{Seed: 19, Requests: 150, PShared: 0.5}},
+			workload.GenConfig{Seed: 19, Requests: 150, PShared: 0.5, PWrite: 0.3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,16 +2,13 @@ package sim
 
 // This file is the choice-point seam of the model checker (internal/mc).
 //
-// The kernel and the buses resolve scheduling ties deterministically: the
-// kernel dispatches equal-time events in scheduling order, and a bus
-// grants queued requests in arbitration-policy order. Both are arbitrary
-// tie-breaks of the hardware's nondeterminism — two requesters raising
-// their bus-request lines in the same cycle could be granted in either
-// order. A Chooser makes that tie-break explicit: every place the
-// simulator picks "the first" among several equally-legal alternatives
-// asks the Chooser instead, so a model checker can enumerate every
-// resolution while the default resolution stays byte-identical to the
-// pre-seam behavior.
+// Without a Chooser the kernel dispatches the earliest event, equal
+// times in scheduling order, and a bus grants its queue per arbitration
+// policy: the timed discrete-event simulation. Installing a Chooser
+// switches to the explorer's untimed search, in which a message may take
+// arbitrarily long: every pending event is a dispatch candidate, a bus
+// defers each grant to its own event so that every waiting requester
+// reaches arbitration, and the Chooser decides every ordering.
 
 // ChoicePoint identifies one nondeterministic decision offered to a
 // Chooser.
@@ -31,18 +28,11 @@ type Candidate struct {
 	Tag any
 }
 
-// Label renders a human-readable description of the candidate for
-// diagnostics. It formats on demand: the explorer resolves millions of
-// choice points and never reads labels, so candidates must not pay for
-// string formatting up front.
-func (c Candidate) Label() string { return labelFor(c.Tag) }
-
-// Chooser resolves nondeterministic ties. Choose must return an index in
-// [0, len(cands)); returning 0 everywhere reproduces the default
-// deterministic behavior. Choose is called only when len(cands) > 0; the
-// candidate order is deterministic (scheduling order for "sched",
-// arbitration-policy order for "grant"), so index 0 is always the choice
-// the unseamed simulator would have made.
+// Chooser resolves nondeterministic orderings. Choose must return an
+// index in [0, len(cands)); it is called only when len(cands) > 1. The
+// candidate order is deterministic: (time, sequence) order for "sched",
+// arbitration-policy order for "grant", so index 0 is the pick the timed
+// simulation would make from the same candidates.
 type Chooser interface {
 	Choose(cp ChoicePoint, cands []Candidate) int
 }
@@ -56,25 +46,4 @@ type Chooser interface {
 // transition fires, whether or not that firing was a real choice).
 type DispatchObserver interface {
 	Dispatched(tag any)
-}
-
-// DefaultChooser picks candidate 0 at every choice point, reproducing the
-// seeded FIFO schedules exactly.
-type DefaultChooser struct{}
-
-// Choose implements Chooser.
-func (DefaultChooser) Choose(ChoicePoint, []Candidate) int { return 0 }
-
-// labelFor renders a candidate tag for diagnostics.
-func labelFor(tag any) string {
-	switch v := tag.(type) {
-	case nil:
-		return "?"
-	case string:
-		return v
-	case interface{ String() string }:
-		return v.String()
-	default:
-		return "?"
-	}
 }

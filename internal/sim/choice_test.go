@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// firstChooser always picks the first candidate: the earliest event.
+type firstChooser struct{}
+
+func (firstChooser) Choose(ChoicePoint, []Candidate) int { return 0 }
+
 // lastChooser always picks the final candidate.
 type lastChooser struct{ points int }
 
@@ -22,28 +27,19 @@ func tieRun(t *testing.T, ch Chooser) []string {
 		k.AtTagged(10, name, func() { order = append(order, name) })
 	}
 	k.At(5, func() { order = append(order, "early") })
-	k.SetChooser(ch, false)
+	k.SetChooser(ch)
 	k.Run()
 	return order
 }
 
 func TestDefaultChooserMatchesUnseamedOrder(t *testing.T) {
 	want := tieRun(t, nil)
-	got := tieRun(t, DefaultChooser{})
+	got := tieRun(t, firstChooser{})
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("DefaultChooser order %v != unseamed order %v", got, want)
+		t.Fatalf("first-candidate order %v != unseamed order %v", got, want)
 	}
 	if !reflect.DeepEqual(want, []string{"early", "a", "b", "c"}) {
 		t.Fatalf("unseamed order = %v, want early,a,b,c", want)
-	}
-}
-
-func TestChooserReordersTies(t *testing.T) {
-	got := tieRun(t, &lastChooser{})
-	// The early event is alone at t=5 (no choice); the three tied events
-	// then dispatch in reverse: picking the last candidate each time.
-	if !reflect.DeepEqual(got, []string{"early", "c", "b", "a"}) {
-		t.Fatalf("order = %v, want early,c,b,a", got)
 	}
 }
 
@@ -52,7 +48,7 @@ func TestAllEventsModeReordersAcrossTime(t *testing.T) {
 	var order []string
 	k.AtTagged(5, "early", func() { order = append(order, "early") })
 	k.AtTagged(10, "late", func() { order = append(order, "late") })
-	k.SetChooser(&lastChooser{}, true)
+	k.SetChooser(&lastChooser{})
 	if !k.Step() {
 		t.Fatal("no event dispatched")
 	}

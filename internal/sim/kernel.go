@@ -182,14 +182,9 @@ type Kernel struct {
 	lanes  []lane // the pending events are the heap's and the lanes'
 	procs  []*Proc
 
-	// chooser, when set, resolves dispatch order among candidate events;
-	// nil keeps the historical (time, sequence) order with zero overhead.
+	// chooser, when set, picks the next event among every pending one;
+	// nil keeps the (time, sequence) order with zero overhead.
 	chooser Chooser
-	// allEvents widens the candidate set from "events sharing the
-	// earliest timestamp" to every pending event — the untimed
-	// interpretation a protocol model checker wants, where a message may
-	// take arbitrarily long and any pending action can happen next.
-	allEvents bool
 
 	// fixed counts the lanes' events: at zero Step reads the heap alone.
 	fixed int
@@ -345,16 +340,12 @@ func (k *Kernel) take(l, i int) {
 }
 
 // SetChooser routes event dispatch order through ch (nil restores the
-// default order). With allEvents false, only events sharing the earliest
-// timestamp are offered — a tie-break refinement that preserves the
-// timing model. With allEvents true, every pending event is a candidate:
-// the untimed interpretation under which a model checker explores all
-// message orderings regardless of latency constants; dispatching a later
-// event advances the clock past it, so time stays monotonic.
-func (k *Kernel) SetChooser(ch Chooser, allEvents bool) {
-	k.chooser = ch
-	k.allEvents = allEvents
-}
+// (time, sequence) order). Every pending event is a candidate: the
+// untimed interpretation under which a model checker explores all
+// message orderings regardless of latency constants. Dispatching a later
+// event advances the clock past it, and an earlier one dispatched after
+// it leaves the clock where it is, so time stays monotonic.
+func (k *Kernel) SetChooser(ch Chooser) { k.chooser = ch }
 
 // ForEachPending visits every pending event's (time, tag) in scheduling
 // order. Model checkers include the pending set in state fingerprints.
@@ -401,7 +392,7 @@ func (k *Kernel) ForEachPendingTag(fn func(tag any)) {
 func (k *Kernel) Dispatching() any { return k.dispatching }
 
 // Step dispatches one event — the single earliest, or the chooser's pick
-// among the candidate set when a Chooser is installed. It reports false
+// among every pending event when a Chooser is installed. It reports false
 // when no events remain.
 func (k *Kernel) Step() bool {
 	var e event
@@ -429,16 +420,10 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) choose() event {
 	ordered := k.sorted()
 	n := len(ordered)
-	if !k.allEvents {
-		n = 1
-		for n < len(ordered) && ordered[n].at == ordered[0].at {
-			n++
-		}
-	}
 	idx := 0
 	if n > 1 {
 		cands := k.cands[:0]
-		for _, e := range ordered[:n] {
+		for _, e := range ordered {
 			cands = append(cands, Candidate{Tag: e.tag})
 		}
 		k.cands = cands

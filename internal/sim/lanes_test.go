@@ -36,19 +36,12 @@ func (r *refKernel) sorted() []refEvent {
 }
 
 // step dispatches what the kernel would: the earliest event, or with a
-// chooser the pick'th candidate (pick taken modulo their number) among
-// the earliest-time ties or, with allEvents, among every pending event.
-func (r *refKernel) step(chosen, allEvents bool, pick int) uint64 {
+// chooser the pick'th pending event (pick taken modulo their number).
+func (r *refKernel) step(chosen bool, pick int) uint64 {
 	s := r.sorted()
-	n := 1
-	if chosen {
-		for n < len(s) && (allEvents || s[n].at == s[0].at) {
-			n++
-		}
-	}
 	e := s[0]
-	if n > 1 {
-		e = s[pick%n]
+	if chosen {
+		e = s[pick%len(s)]
 	}
 	r.events = slices.DeleteFunc(r.events, func(x refEvent) bool { return x.seq == e.seq })
 	r.now = max(r.now, e.at)
@@ -76,7 +69,7 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		k, ref := NewKernel(), &refKernel{}
 		ch := &pickChooser{}
-		var chosen, allEvents bool
+		var chosen bool
 		var got, want []uint64
 		var st KernelState
 		var saved *refKernel
@@ -95,7 +88,7 @@ func FuzzKernelOrder(f *testing.F) {
 			case 5, 6:
 				more := len(ref.events) > 0
 				if more {
-					want = append(want, ref.step(chosen, allEvents, arg))
+					want = append(want, ref.step(chosen, arg))
 				}
 				if k.Step() != more {
 					t.Fatalf("Step reported %v with %d pending in the model", !more, len(ref.events))
@@ -103,7 +96,7 @@ func FuzzKernelOrder(f *testing.F) {
 			case 7:
 				until := ref.now + Time(arg%16)*5
 				for s := ref.sorted(); len(s) > 0 && s[0].at <= until; s = ref.sorted() {
-					want = append(want, ref.step(chosen, allEvents, arg))
+					want = append(want, ref.step(chosen, arg))
 				}
 				ref.now = max(ref.now, until)
 				k.RunUntil(until)
@@ -116,11 +109,10 @@ func FuzzKernelOrder(f *testing.F) {
 					ref = &refKernel{saved.now, saved.seq, slices.Clone(saved.events)}
 				}
 			case 9:
-				chosen, allEvents = arg%3 != 0, arg%3 == 2
-				if chosen {
-					k.SetChooser(ch, allEvents)
+				if chosen = arg%2 != 0; chosen {
+					k.SetChooser(ch)
 				} else {
-					k.SetChooser(nil, false)
+					k.SetChooser(nil)
 				}
 			}
 			if !slices.Equal(got, want) {

@@ -244,8 +244,8 @@ func (m *Machine) mesi() bool { return m.cfg.Protocol == ProtocolMESI }
 // chooser then decides every ordering. Used by internal/mc to check the
 // write-once baseline protocol through the same seam as the Multicube.
 func (m *Machine) EnableModelChecking(ch sim.Chooser) {
-	m.k.SetChooser(ch, true)
-	m.bus.SetChooser(ch, true)
+	m.k.SetChooser(ch)
+	m.bus.SetChooser(ch)
 }
 
 // Bus exposes the shared bus for utilization metrics.

@@ -79,7 +79,7 @@ func TestPerProcPreservesOrder(t *testing.T) {
 }
 
 func TestCaptureDeterministic(t *testing.T) {
-	cfg := workload.GenConfig{Seed: 42, Requests: 50, PrivateLines: 4, SharedLines: 16}
+	cfg := workload.GenConfig{Seed: 42, Requests: 50, PrivateLines: 4, SharedLines: 16, PShared: 0.5, PWrite: 0.3}
 	a := generated(cfg, 3, 8)
 	b := generated(cfg, 3, 8)
 	if a.Len() != 150 || !equal(a, b) {
@@ -99,8 +99,8 @@ func TestCaptureDeterministic(t *testing.T) {
 // workload.
 func TestTraceReplaysWhatTheGeneratorRan(t *testing.T) {
 	for _, cfg := range []workload.GenConfig{
-		{Seed: 1, Requests: 60, Exponential: true},
-		{Seed: 1, Requests: 60},
+		{Seed: 1, Requests: 60, Exponential: true, PShared: 0.5, PWrite: 0.3},
+		{Seed: 1, Requests: 60, PShared: 0.5, PWrite: 0.3},
 		{Seed: 7, Requests: 40, Exponential: true, PrivateLines: 5, SharedLines: 12, PShared: 0.2, PWrite: 0.6},
 	} {
 		ran := core.MustNew(core.Config{N: 2, BlockWords: 8})

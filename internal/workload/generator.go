@@ -28,9 +28,11 @@ type GenConfig struct {
 	SharedLines int
 	// PrivateLines is each processor's private working set, in lines.
 	PrivateLines int
-	// PShared is the probability a reference targets the shared set.
+	// PShared is the probability a reference targets the shared set;
+	// zero means none does.
 	PShared float64
-	// PWrite is the probability a reference is a write.
+	// PWrite is the probability a reference is a write; zero means none
+	// is.
 	PWrite float64
 	// Requests is the number of references per processor.
 	Requests int
@@ -45,12 +47,6 @@ func (c *GenConfig) fillDefaults() {
 	}
 	if c.PrivateLines == 0 {
 		c.PrivateLines = 16
-	}
-	if c.PShared == 0 {
-		c.PShared = 0.5
-	}
-	if c.PWrite == 0 {
-		c.PWrite = 0.3
 	}
 	if c.Requests == 0 {
 		c.Requests = 100

@@ -11,7 +11,7 @@ import (
 // kernel batches with the partial-result marker set, and a background
 // context reproduces Run exactly.
 func TestRunCtxCancel(t *testing.T) {
-	cfg := GenConfig{Seed: 7, Requests: 200}
+	cfg := GenConfig{Seed: 7, Requests: 200, PShared: 0.5, PWrite: 0.3}
 
 	full := Run(core.MustNew(core.Config{N: 2}), cfg)
 	if full.Canceled {
@@ -39,7 +39,7 @@ func TestRunCtxCancel(t *testing.T) {
 func TestRunCtxProgress(t *testing.T) {
 	var calls int
 	var lastRefs, lastEvents uint64
-	rep := RunCtx(context.Background(), core.MustNew(core.Config{N: 2}), GenConfig{Seed: 3, Requests: 50},
+	rep := RunCtx(context.Background(), core.MustNew(core.Config{N: 2}), GenConfig{Seed: 3, Requests: 50, PShared: 0.5, PWrite: 0.3},
 		func(refs, events uint64) {
 			calls++
 			if refs < lastRefs || events < lastEvents {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"multicube/internal/core"
@@ -43,7 +44,7 @@ func TestRandExpMean(t *testing.T) {
 
 func TestGeneratorRunsAndReports(t *testing.T) {
 	m := core.MustNew(core.Config{N: 3, BlockWords: 8})
-	rep := Run(m, GenConfig{Seed: 1, Requests: 30, Think: 5 * sim.Microsecond})
+	rep := Run(m, GenConfig{Seed: 1, Requests: 30, Think: 5 * sim.Microsecond, PShared: 0.5, PWrite: 0.3})
 	if rep.References != 30*9 {
 		t.Fatalf("references = %d, want %d", rep.References, 30*9)
 	}
@@ -65,7 +66,7 @@ func TestGeneratorRunsAndReports(t *testing.T) {
 func TestGeneratorDeterminism(t *testing.T) {
 	run := func() (sim.Time, uint64) {
 		m := core.MustNew(core.Config{N: 3, BlockWords: 8})
-		rep := Run(m, GenConfig{Seed: 9, Requests: 25, Exponential: true})
+		rep := Run(m, GenConfig{Seed: 9, Requests: 25, Exponential: true, PShared: 0.5, PWrite: 0.3})
 		return rep.Elapsed, rep.BusTransactions
 	}
 	e1, b1 := run()
@@ -90,7 +91,7 @@ func TestGeneratorEfficiencyFallsWithLoad(t *testing.T) {
 
 func TestRunSingleBusGenerator(t *testing.T) {
 	m := singlebus.MustNew(singlebus.Config{Processors: 4, BlockWords: 16})
-	rep := RunSingleBus(m, GenConfig{Seed: 2, Requests: 20})
+	rep := RunSingleBus(m, GenConfig{Seed: 2, Requests: 20, PShared: 0.5, PWrite: 0.3})
 	if rep.References != 80 || rep.BusTransactions == 0 {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -189,6 +190,37 @@ func TestWorkQueuePushPop(t *testing.T) {
 	}
 	for _, err := range m.CheckInvariants() {
 		t.Errorf("invariant: %v", err)
+	}
+}
+
+// TestZeroProbabilitiesAreZero: a PShared and PWrite of zero mean no
+// shared reference and no store. The 0.5 and 0.3 an unset value gets
+// belong to the CLI's flags and jobspec's fill, not to the generator.
+func TestZeroProbabilitiesAreZero(t *testing.T) {
+	cfg := GenConfig{Seed: 1, Requests: 200, PrivateLines: 4, SharedLines: 8}
+	const procs, bw = 4, 8
+	sharedBase := uint64(procs * cfg.PrivateLines * bw)
+	refs := 0
+	References(cfg, procs, bw, func(proc int, write bool, addr uint64) {
+		refs++
+		if write || addr >= sharedBase {
+			t.Fatalf("processor %d drew write=%v at %d (shared set from %d)", proc, write, addr, sharedBase)
+		}
+	})
+	if refs != procs*cfg.Requests {
+		t.Fatalf("%d references, want %d", refs, procs*cfg.Requests)
+	}
+	m := core.MustNew(core.Config{N: 2, BlockWords: bw})
+	if rep := Run(m, cfg); rep.References != uint64(refs) {
+		t.Fatalf("Run issued %d references, References drew %d", rep.References, refs)
+	}
+	for id := 0; id < m.Processors(); id++ {
+		if w := m.Processor(id).Node().Stats().Writes; w != 0 {
+			t.Errorf("processor %d issued %d stores", id, w)
+		}
+	}
+	if got, want := cfg.Describe(), "shared=8/0% write=0%"; !strings.Contains(got, want) {
+		t.Errorf("Describe() = %q, want it to contain %q", got, want)
 	}
 }
 
