@@ -42,6 +42,23 @@ type Packet interface {
 	Occupancy() sim.Time
 }
 
+// Figure 2's caption: the one timing point the paper's evaluation runs
+// at. Both timed machines (coherence and singlebus) build every bus
+// occupancy and device delay from these, and the analytical model (mva)
+// reads them as nanoseconds (sim.Time counts 1 ns).
+const (
+	// WordTime is the bus transfer time per word: one bus word every 50 ns.
+	WordTime = 50 * sim.Nanosecond
+	// AddrWords is the bus occupancy, in word times, of an
+	// address-and-command operation.
+	AddrWords = 1
+	// CacheLatency is the snooping-cache access time before a controller
+	// can supply data.
+	CacheLatency = 750 * sim.Nanosecond
+	// MemoryLatency is the main memory access time.
+	MemoryLatency = 750 * sim.Nanosecond
+)
+
 // Agent is a device attached to a bus: a snooping cache controller or a
 // main memory module.
 type Agent interface {
@@ -334,7 +351,7 @@ func (b *Bus) next() pending {
 				cands = append(cands, sim.Candidate{Tag: b.queue[h].pkt})
 			}
 			b.candScratch = cands
-			pick = b.chooser.Choose(sim.ChoicePoint{Kind: "grant", Name: b.name}, cands)
+			pick = b.chooser.Choose(sim.ChoicePoint{Kind: sim.Grant, Bus: b}, cands)
 			if pick < 0 || pick >= len(heads) {
 				panic(fmt.Sprintf("bus %s: chooser picked %d of %d candidates", b.name, pick, len(heads)))
 			}

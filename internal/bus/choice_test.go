@@ -29,7 +29,7 @@ func (grantFirst) Choose(sim.ChoicePoint, []sim.Candidate) int { return 0 }
 type grantLast struct{ points int }
 
 func (c *grantLast) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
-	if cp.Kind == "grant" {
+	if cp.Kind == sim.Grant {
 		c.points++
 		return len(cands) - 1
 	}

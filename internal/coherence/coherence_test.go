@@ -66,9 +66,6 @@ func TestConfigValidation(t *testing.T) {
 	if s.Config().BlockWords != 16 {
 		t.Errorf("default block size = %d, want 16", s.Config().BlockWords)
 	}
-	if s.Config().Timing.WordTime != 50 {
-		t.Errorf("default word time = %v", s.Config().Timing.WordTime)
-	}
 }
 
 func TestReadMissUnmodified(t *testing.T) {

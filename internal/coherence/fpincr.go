@@ -220,7 +220,7 @@ func (f *FPCache) snapshotEvents(extra ExtraTagFunc) {
 // Fingerprint's busID: rows are kind 0 (index permuted at combine time),
 // columns kind 1, anything else kind 2.
 func (f *FPCache) busRef(b *bus.Bus) (uint64, int) {
-	switch idx := f.sys.busIndex(b); {
+	switch idx := f.sys.BusIndex(b); {
 	case idx < 0:
 		return 2, 0
 	case idx < f.n:

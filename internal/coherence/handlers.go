@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 
+	"multicube/internal/bus"
 	"multicube/internal/cache"
 	"multicube/internal/mlt"
 )
@@ -138,7 +139,7 @@ func (n *Node) rowRequest(op *Op) {
 		}
 		// Modified signal supplied in probeRow; forward onto my column.
 		flags := REQUEST | REMOVE | (op.Flags & ALLOC)
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.addrOp(op.Txn, flags, op.Origin, line, op.trace))
 		return
 	}
@@ -147,13 +148,13 @@ func (n *Node) rowRequest(op *Op) {
 			if e, ok := n.l2.Lookup(line); ok && e.State == Shared {
 				// The home-column controller has the line: it requests
 				// the row bus and sends the data itself.
-				n.issueRowAfter(n.sys.cfg.Timing.CacheLatency,
+				n.issueRowAfter(bus.CacheLatency,
 					n.sys.dataOp(READ, REPLY, op.Origin, line, e.Data, op.trace))
 				return
 			}
 		}
 		flags := REQUEST | MEMORY | (op.Flags & ALLOC)
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.addrOp(op.Txn, flags, op.Origin, line, op.trace))
 	}
 }
@@ -173,7 +174,7 @@ func (n *Node) colRequestRemove(op *Op) {
 		if n.id.Row == op.Origin.Row {
 			n.stats.Reissues++
 			flags := REQUEST | (op.Flags & ALLOC)
-			n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+			n.issueRowAfter(forwardLatency,
 				n.sys.addrOp(op.Txn, flags, op.Origin, op.Line, op.trace))
 		}
 		return
@@ -188,7 +189,7 @@ func (n *Node) colRequestRemove(op *Op) {
 			n.stats.Reissues++
 			n.restoreTableEntry(op)
 			flags := REQUEST | (op.Flags & ALLOC)
-			n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+			n.issueRowAfter(forwardLatency,
 				n.sys.addrOp(op.Txn, flags, op.Origin, op.Line, op.trace))
 		}
 		return
@@ -252,7 +253,7 @@ func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
 	// shared copy left behind has none, and must be victimizable again
 	// (SyncRelease already handles the degenerated ownership).
 	e.Pinned = false
-	lat := n.sys.cfg.Timing.CacheLatency
+	lat := bus.CacheLatency
 	switch {
 	case n.onHomeColumn(op.Line):
 		n.issueColAfter(lat, n.sys.dataOp(READ, REPLY|UPDATE|MEMORY, op.Origin, op.Line, e.Data, op.trace))
@@ -293,7 +294,7 @@ func (n *Node) sendOwnership(op *Op, e *cache.Entry) {
 	if op.Txn == SYNC {
 		reply.Data[LockWord], reply.Data[LinkWord] = 1, 0
 	}
-	n.issueAfter(dim, n.sys.cfg.Timing.CacheLatency, reply)
+	n.issueAfter(dim, bus.CacheLatency, reply)
 }
 
 // bounceOffReserved handles a READ or READMOD routed to a column whose
@@ -306,7 +307,7 @@ func (n *Node) bounceOffReserved(op *Op) {
 	n.stats.Deferred++
 	n.restoreTableEntry(op)
 	flags := REQUEST | (op.Flags & ALLOC)
-	n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+	n.issueRowAfter(forwardLatency,
 		n.sys.addrOp(op.Txn, flags, op.Origin, op.Line, op.trace))
 }
 
@@ -346,7 +347,7 @@ func (n *Node) colWritebackRemove(op *Op) {
 		// resolves: either the restore lands first (the remove succeeds) or
 		// a later claimant takes the line (nothing left to write).
 		n.stats.Reissues++
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.addrOp(WRITEBACK, REMOVE, n.id, op.Line, op.trace))
 		return
 	}
@@ -360,7 +361,7 @@ func (n *Node) colWritebackRemove(op *Op) {
 /* forward the memory update request to the home column */
 func (n *Node) rowUpdate(op *Op) {
 	if n.onHomeColumn(op.Line) {
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.dataOp(op.Txn, UPDATE|MEMORY, op.Origin, op.Line, op.Data, op.trace))
 	}
 }
@@ -411,7 +412,7 @@ func (n *Node) rowReadReply(op *Op) {
 	if op.Flags.Has(UPDATE) && n.onHomeColumn(op.Line) {
 		// READ (ROW, REPLY, UPDATE): the home-column controller writes
 		// the line back to memory.
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.dataOp(op.Txn, UPDATE|MEMORY, op.Origin, op.Line, op.Data, op.trace))
 	}
 }
@@ -444,7 +445,7 @@ func (n *Node) rowOwnershipReply(op *Op) {
 			n.issueCol(n.sys.addrOp(op.Txn, INSERT, op.Origin, op.Line, op.trace))
 			n.installOwned(op)
 		} else if n.id.Col == op.Origin.Col {
-			n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+			n.issueColAfter(forwardLatency,
 				n.sys.replyOp(op.Txn, REPLY|INSERT|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
 		}
 	}
@@ -475,7 +476,7 @@ func (n *Node) colReadReply(op *Op) {
 		} else {
 			n.snarf(op)
 			if n.id.Row == op.Origin.Row {
-				n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+				n.issueRowAfter(forwardLatency,
 					n.sys.forwardOp(op, REPLY, op.trace))
 			}
 		}
@@ -488,7 +489,7 @@ func (n *Node) colReadReply(op *Op) {
 		} else {
 			n.snarf(op)
 			if n.id.Row == op.Origin.Row {
-				n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+				n.issueRowAfter(forwardLatency,
 					n.sys.forwardOp(op, REPLY|UPDATE, op.trace))
 			}
 		}
@@ -500,7 +501,7 @@ func (n *Node) colReadReply(op *Op) {
 		} else {
 			n.snarf(op)
 			if n.id.Row == op.Origin.Row {
-				n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+				n.issueRowAfter(forwardLatency,
 					n.sys.forwardOp(op, REPLY, op.trace))
 			}
 		}
@@ -537,11 +538,10 @@ func (n *Node) colOwnershipReply(op *Op) {
 			n.notifyInvalidate(op.Line)
 			n.stats.Invalidations++
 		}
-		fwd := n.sys.cfg.Timing.ForwardLatency
 		if n.id.Row == op.Origin.Row {
-			n.issueRowAfter(fwd, n.sys.replyOp(op.Txn, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
+			n.issueRowAfter(forwardLatency, n.sys.replyOp(op.Txn, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
 		} else {
-			n.issueRowAfter(fwd, n.sys.addrOp(op.Txn, PURGE, op.Origin, op.Line, op.trace))
+			n.issueRowAfter(forwardLatency, n.sys.addrOp(op.Txn, PURGE, op.Origin, op.Line, op.trace))
 		}
 	default:
 		panic(fmt.Sprintf("coherence: node %v snooped unroutable ownership column reply %v", n.id, op))

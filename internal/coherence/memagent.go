@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 
+	"multicube/internal/bus"
 	"multicube/internal/memory"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
@@ -94,7 +95,7 @@ column bus request for unmodified data; memory supplies the desired
 func (m *Memory) handleRequest(op *Op) {
 	m.checkHome(op)
 	line := memory.Line(op.Line)
-	lat := m.sys.cfg.Timing.MemoryLatency
+	lat := bus.MemoryLatency
 	if !m.store.Valid(line) {
 		// The modified line tables were in an inconsistent state when
 		// this request was routed here; retransmit it as a request for

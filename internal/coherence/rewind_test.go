@@ -75,7 +75,7 @@ type rwChooser struct {
 }
 
 func (c *rwChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
-	if h := c.hook; h != nil && cp.Kind == "sched" {
+	if h := c.hook; h != nil && cp.Kind == sim.Sched {
 		c.hook = nil
 		h()
 	}

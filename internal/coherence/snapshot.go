@@ -351,8 +351,10 @@ type TagInfo struct {
 	FP uint64
 }
 
-// busIndex returns the machine-stable bus identity, or -1.
-func (s *System) busIndex(b *bus.Bus) int {
+// BusIndex returns the machine-stable bus identity used by TagInfo (rows
+// 0..N-1, then columns N..2N-1), or -1. The model checker uses it to
+// classify arbitration choice points, which carry their deciding bus.
+func (s *System) BusIndex(b *bus.Bus) int {
 	for r := 0; r < s.cfg.N; r++ {
 		if s.rows[r] == b {
 			return r
@@ -400,20 +402,20 @@ func (s *System) TagInfo(tag any) (info TagInfo, ok bool) {
 		h.Word(uint64(int64(t.Issuer().Row)))
 		h.Word(uint64(int64(t.Issuer().Col)))
 		h.Word(uint64(t.Dim()))
-		b := s.busIndex(s.enqueueBus(t))
+		b := s.BusIndex(s.enqueueBus(t))
 		h.Word(uint64(int64(b)))
 		h.Word(opIdentFP(t.Op))
 		return TagInfo{Kind: TagEnqueue, Bus: b, Issuer: t.Issuer(), FP: h.Sum()}, true
 	case bus.GrantTag:
 		h := fphash.New()
 		h.Word(0x11)
-		b := s.busIndex(t.B)
+		b := s.BusIndex(t.B)
 		h.Word(uint64(int64(b)))
 		return TagInfo{Kind: TagGrant, Bus: b, FP: h.Sum()}, true
 	case bus.DeliverTag:
 		h := fphash.New()
 		h.Word(0x12)
-		b := s.busIndex(t.B)
+		b := s.BusIndex(t.B)
 		h.Word(uint64(int64(b)))
 		if op, isOp := t.Pkt().(*Op); isOp {
 			h.Word(opIdentFP(op))
@@ -421,23 +423,6 @@ func (s *System) TagInfo(tag any) (info TagInfo, ok bool) {
 		return TagInfo{Kind: TagDeliver, Bus: b, FP: h.Sum()}, true
 	}
 	return TagInfo{Bus: -1}, false
-}
-
-// BusIndexByName maps a bus's diagnostic name to the machine-stable bus
-// identity used by TagInfo, or -1. The model checker uses it to classify
-// arbitration choice points, which are identified by bus name.
-func (s *System) BusIndexByName(name string) int {
-	for r := 0; r < s.cfg.N; r++ {
-		if s.rows[r].Name() == name {
-			return r
-		}
-	}
-	for c := 0; c < s.cfg.N; c++ {
-		if s.cols[c].Name() == name {
-			return s.cfg.N + c
-		}
-	}
-	return -1
 }
 
 // PacketFP fingerprints a bus packet (a *Op) for the model checker's

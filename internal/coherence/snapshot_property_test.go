@@ -72,7 +72,7 @@ func (c *canonChooser) key(tag any) uint64 {
 		}
 	}
 	hashBus := func(b *bus.Bus) {
-		idx := c.s.busIndex(b)
+		idx := c.s.BusIndex(b)
 		switch n := c.s.cfg.N; {
 		case idx >= 0 && idx < n:
 			idx = c.permRow(idx) // row buses permute with their rows
@@ -98,7 +98,7 @@ func (c *canonChooser) key(tag any) uint64 {
 		if op, ok := t.Pkt().(*Op); ok {
 			hashOp(op)
 		}
-	case *Op: // a queued packet at a bus "grant" choice point
+	case *Op: // a queued packet at a bus Grant choice point
 		h.Word(0x13)
 		hashOp(t)
 	default:

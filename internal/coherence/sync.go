@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 
+	"multicube/internal/bus"
 	"multicube/internal/cache"
 )
 
@@ -71,7 +72,7 @@ func (n *Node) replyFail(op *Op) {
 // the cheapest route: directly on a shared bus, or via the controller at
 // the intersection of my row and the origin's column.
 func (n *Node) routeNotification(op *Op, kind Flags) {
-	lat := n.sys.cfg.Timing.CacheLatency
+	lat := bus.CacheLatency
 	reply := n.sys.addrOp(op.Txn, REPLY|kind, op.Origin, op.Line, op.trace)
 	switch {
 	case n.id.Row == op.Origin.Row:
@@ -89,7 +90,7 @@ func (n *Node) rowReplyFail(op *Op) {
 		return
 	}
 	if n.id.Col == op.Origin.Col {
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.addrOp(op.Txn, REPLY|FAIL, op.Origin, op.Line, op.trace))
 	}
 }
@@ -100,7 +101,7 @@ func (n *Node) colReplyFail(op *Op) {
 		return
 	}
 	if n.id.Row == op.Origin.Row {
-		n.issueRowAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueRowAfter(forwardLatency,
 			n.sys.addrOp(op.Txn, REPLY|FAIL, op.Origin, op.Line, op.trace))
 	}
 }
@@ -139,7 +140,7 @@ func (n *Node) rowReplyQueued(op *Op) {
 		return
 	}
 	if n.id.Col == op.Origin.Col {
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency,
+		n.issueColAfter(forwardLatency,
 			n.sys.addrOp(SYNC, REPLY|QUEUED, op.Origin, op.Line, op.trace))
 	}
 }
@@ -181,7 +182,7 @@ func (n *Node) rowXfer(op *Op) {
 	if n.id.Col == op.Target.Col {
 		fwd := n.sys.dataOp(SYNC, XFER, op.Origin, op.Line, op.Data, op.trace)
 		fwd.Target = op.Target
-		n.issueColAfter(n.sys.cfg.Timing.ForwardLatency, fwd)
+		n.issueColAfter(forwardLatency, fwd)
 	}
 }
 

@@ -49,35 +49,10 @@ const (
 	LinkWord = 1
 )
 
-// Timing holds the temporal parameters of the machine, defaulted to the
-// figures the paper's evaluation uses.
-type Timing struct {
-	// WordTime is the bus transfer time per word (paper: 1 bus word
-	// every 50 ns).
-	WordTime sim.Time
-	// AddrWords is the bus occupancy, in word times, of an
-	// address-and-command operation.
-	AddrWords int
-	// CacheLatency is the snooping-cache access time before a controller
-	// can supply data (paper: 750 ns).
-	CacheLatency sim.Time
-	// MemoryLatency is the main memory access time (paper: 750 ns).
-	MemoryLatency sim.Time
-	// ForwardLatency is the controller overhead to relay an operation
-	// from one bus to the other.
-	ForwardLatency sim.Time
-}
-
-// DefaultTiming returns the constants from Figure 2's caption.
-func DefaultTiming() Timing {
-	return Timing{
-		WordTime:       50 * sim.Nanosecond,
-		AddrWords:      1,
-		CacheLatency:   750 * sim.Nanosecond,
-		MemoryLatency:  750 * sim.Nanosecond,
-		ForwardLatency: 0,
-	}
-}
+// forwardLatency is the controller overhead to relay an operation from
+// one bus to the other: none. Each relay still takes its own zero-delay
+// event, which the explorer sees as a transition of its own.
+const forwardLatency sim.Time = 0
 
 // Config describes one Wisconsin Multicube machine.
 type Config struct {
@@ -93,8 +68,6 @@ type Config struct {
 	// entries means unbounded.
 	MLTEntries int
 	MLTAssoc   int
-	// Timing defaults to DefaultTiming when zero.
-	Timing Timing
 	// Arbitration selects the bus arbitration policy.
 	Arbitration bus.Arbitration
 	// Snarf enables acquiring a recently-held invalid line in shared
@@ -106,12 +79,6 @@ func (c *Config) fillDefaults() {
 	if c.BlockWords == 0 {
 		c.BlockWords = 16
 	}
-	if c.Timing == (Timing{}) {
-		c.Timing = DefaultTiming()
-	}
-	if c.Timing.AddrWords == 0 {
-		c.Timing.AddrWords = 1
-	}
 }
 
 func (c *Config) validate() error {
@@ -120,9 +87,6 @@ func (c *Config) validate() error {
 	}
 	if c.BlockWords < 2 {
 		return fmt.Errorf("coherence: block size %d words, need at least 2 (lock and link words)", c.BlockWords)
-	}
-	if c.Timing.WordTime == 0 {
-		return fmt.Errorf("coherence: zero word time")
 	}
 	return nil
 }
@@ -439,11 +403,11 @@ func (s *System) decodeNode(w uint64) (topology.Coord, bool) {
 
 // addrOccupancy and dataOccupancy compute bus hold times.
 func (s *System) addrOccupancy() sim.Time {
-	return sim.Time(s.cfg.Timing.AddrWords) * s.cfg.Timing.WordTime
+	return bus.AddrWords * bus.WordTime
 }
 
 func (s *System) dataOccupancy() sim.Time {
-	return sim.Time(s.cfg.Timing.AddrWords+s.cfg.BlockWords) * s.cfg.Timing.WordTime
+	return sim.Time(bus.AddrWords+s.cfg.BlockWords) * bus.WordTime
 }
 
 // newOp returns an operation holding o, recycled from the free list when

@@ -52,8 +52,6 @@ type Config struct {
 	CacheAssoc int
 	MLTEntries int
 	MLTAssoc   int
-	// Timing carries the bus and device latencies.
-	Timing coherence.Timing
 	// Arbitration selects the bus service discipline (FIFO default; see
 	// bus.Arbitration). The paper's model is FCFS; the alternatives
 	// exist for the service-discipline ablation.
@@ -82,7 +80,6 @@ func New(cfg Config) (*Machine, error) {
 		CacheAssoc:  cfg.CacheAssoc,
 		MLTEntries:  cfg.MLTEntries,
 		MLTAssoc:    cfg.MLTAssoc,
-		Timing:      cfg.Timing,
 		Arbitration: cfg.Arbitration,
 		Snarf:       cfg.Snarf,
 	}

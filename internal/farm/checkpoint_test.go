@@ -12,7 +12,7 @@ import (
 	"multicube/internal/mc"
 )
 
-// mcSpec builds a normalized mc spec with its fingerprint.
+// mcSpec builds a normalized spec with its fingerprint.
 func mcSpec(t *testing.T, body string) (*jobspec.Spec, string) {
 	t.Helper()
 	var raw jobspec.Spec

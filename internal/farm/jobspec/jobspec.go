@@ -91,9 +91,10 @@ type SimSpec struct {
 	// hot set and per-processor private region.
 	SharedLines  int `json:"shared_lines,omitempty"`
 	PrivateLines int `json:"private_lines,omitempty"`
-	// PShared (default 0.5) and PWrite (default 0.3) steer the mix.
-	PShared float64 `json:"p_shared,omitempty"`
-	PWrite  float64 `json:"p_write,omitempty"`
+	// PShared (default 0.5) and PWrite (default 0.3) steer the mix;
+	// pointers, like Exponential, so that an explicit 0 stays 0.
+	PShared *float64 `json:"p_shared,omitempty"`
+	PWrite  *float64 `json:"p_write,omitempty"`
 	// Requests is references per processor; default 100.
 	Requests int `json:"requests,omitempty"`
 }
@@ -255,14 +256,16 @@ func (v *SimSpec) normalize() error {
 	if v.PrivateLines == 0 {
 		v.PrivateLines = 16
 	}
-	if v.PShared == 0 {
-		v.PShared = 0.5
+	if v.PShared == nil {
+		p := 0.5
+		v.PShared = &p
 	}
-	if v.PWrite == 0 {
-		v.PWrite = 0.3
+	if v.PWrite == nil {
+		p := 0.3
+		v.PWrite = &p
 	}
-	if v.PShared < 0 || v.PShared > 1 || v.PWrite < 0 || v.PWrite > 1 {
-		return fmt.Errorf("jobspec: sim probabilities out of [0,1]: p_shared=%v p_write=%v", v.PShared, v.PWrite)
+	if ps, pw := *v.PShared, *v.PWrite; ps < 0 || ps > 1 || pw < 0 || pw > 1 {
+		return fmt.Errorf("jobspec: sim probabilities out of [0,1]: p_shared=%v p_write=%v", ps, pw)
 	}
 	if v.Requests == 0 {
 		v.Requests = 100

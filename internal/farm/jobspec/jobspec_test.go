@@ -19,7 +19,7 @@ func specs(t *testing.T) []Spec {
 		},
 	}
 	return []Spec{
-		{Kind: KindSim, Sim: &SimSpec{N: 2, Seed: 1<<63 + 12345, PShared: 0.3, PWrite: 0.1, Requests: 40}},
+		{Kind: KindSim, Sim: &SimSpec{N: 2, Seed: 1<<63 + 12345, PShared: f64(0.3), PWrite: f64(0.1), Requests: 40}},
 		{Kind: KindMC, MC: &MCSpec{Preset: "sb-victim-race"}},
 		{Kind: KindMC, MC: &MCSpec{Scenario: inline, Options: MCOptions{MaxStates: 5000}}},
 		{Kind: KindLitmus, Litmus: &LitmusSpec{Test: "mp", Seeds: 2, Rounds: 2}},
@@ -82,6 +82,34 @@ func TestDefaultsDoNotSplitIdentity(t *testing.T) {
 	}
 }
 
+func f64(v float64) *float64 { return &v }
+
+// TestExplicitZeroIsNotADefault: an explicit zero probability is a
+// different job from an omitted one, which fills the default; and an
+// omitted one is the same job as the default spelled out.
+func TestExplicitZeroIsNotADefault(t *testing.T) {
+	fp := func(body string) string {
+		t.Helper()
+		var s Spec
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	zero := fp(`{"kind":"sim","sim":{"p_shared":0,"p_write":0}}`)
+	omitted := fp(`{"kind":"sim","sim":{}}`)
+	if zero == omitted {
+		t.Fatalf("explicit zero probabilities took the defaults' fingerprint %s", zero)
+	}
+	if spelled := fp(`{"kind":"sim","sim":{"p_shared":0.5,"p_write":0.3}}`); spelled != omitted {
+		t.Fatalf("defaulted and explicit probabilities split identity: %s vs %s", omitted, spelled)
+	}
+}
+
 // TestPresetExpansion: a preset job and the identical inline scenario
 // canonicalize to the same fingerprint (presets are spellings, not
 // identities).
@@ -111,7 +139,7 @@ func TestPresetExpansion(t *testing.T) {
 // form).
 func TestFloatAndSeedStability(t *testing.T) {
 	s := Spec{Kind: KindSim, Sim: &SimSpec{
-		N: 2, Seed: 18446744073709551615, PShared: 0.3, PWrite: 0.7, Requests: 10,
+		N: 2, Seed: 18446744073709551615, PShared: f64(0.3), PWrite: f64(0.7), Requests: 10,
 	}}
 	c, err := s.Canonical()
 	if err != nil {
@@ -145,7 +173,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindMC, MC: &MCSpec{Preset: "no-such-preset"}},
 		{Kind: KindMC, MC: &MCSpec{Preset: "read-race", Scenario: &mc.Scenario{}}},
 		{Kind: KindSim, Sim: &SimSpec{N: 99}},
-		{Kind: KindSim, Sim: &SimSpec{PShared: 1.5}},
+		{Kind: KindSim, Sim: &SimSpec{PShared: f64(1.5)}},
 		{Kind: KindLitmus, Litmus: &LitmusSpec{Test: "zzz"}},
 		{Kind: KindSwarm, Swarm: &SwarmSpec{Machines: "abacus"}},
 		{Kind: KindSwarm, Swarm: &SwarmSpec{Count: maxSwarmCount + 1}},

@@ -123,6 +123,18 @@ func fpShard(fp string) string {
 	return "xx"
 }
 
+// genConfig is the workload a normalized sim spec describes.
+func genConfig(spec *jobspec.SimSpec) workload.GenConfig {
+	return workload.GenConfig{
+		Seed:        spec.Seed,
+		Think:       sim.Time(spec.ThinkNS),
+		Exponential: spec.Exponential == nil || *spec.Exponential,
+		SharedLines: spec.SharedLines, PrivateLines: spec.PrivateLines,
+		PShared: *spec.PShared, PWrite: *spec.PWrite,
+		Requests: spec.Requests,
+	}
+}
+
 func (x *executor) runSim(ctx context.Context, spec *jobspec.SimSpec, res *jobspec.Result, report func(Progress)) {
 	m, err := core.New(core.Config{
 		N:          spec.N,
@@ -136,14 +148,7 @@ func (x *executor) runSim(ctx context.Context, spec *jobspec.SimSpec, res *jobsp
 		res.Error = err.Error()
 		return
 	}
-	rep := workload.RunCtx(ctx, m, workload.GenConfig{
-		Seed:        spec.Seed,
-		Think:       sim.Time(spec.ThinkNS),
-		Exponential: spec.Exponential == nil || *spec.Exponential,
-		SharedLines: spec.SharedLines, PrivateLines: spec.PrivateLines,
-		PShared: spec.PShared, PWrite: spec.PWrite,
-		Requests: spec.Requests,
-	}, func(refs, events uint64) {
+	rep := workload.RunCtx(ctx, m, genConfig(spec), func(refs, events uint64) {
 		report(Progress{References: refs, Events: events})
 	})
 	sr := &jobspec.SimResult{

@@ -129,9 +129,14 @@ type Options struct {
 	// exactly there (by panicking or killing the process).
 	faultHook func(string)
 	// onNew, when non-nil, is called with the canonical fingerprint of
-	// every state the search records for the first time, so tests can
-	// compare the sets two searches reach.
-	onNew func(fp uint64)
+	// every state the search records for the first time and the sleep set
+	// it records with it (sorted transition fingerprints, valid only for
+	// the call), so tests can compare what two searches reach and store.
+	onNew func(fp uint64, sleep []uint64)
+	// onBranch, when non-nil, is called with the candidates' classes at
+	// every choice point the search branches at under sleep sets: the
+	// transition identities sleep sets are drawn from and compared with.
+	onBranch func(cands []tagClass)
 }
 
 func (o *Options) fillDefaults() {
@@ -284,8 +289,8 @@ type checker interface {
 	// classify describes a kernel event tag to the reduction.
 	classify(tag any) tagClass
 	// grantClass describes one bus-arbitration candidate (the packet
-	// that would be granted) on the named bus.
-	grantClass(busName string, tag any) tagClass
+	// that would be granted) on the deciding bus, ChoicePoint.Bus.
+	grantClass(b, tag any) tagClass
 	// fpStats reports this execution's fingerprint cost, the FP
 	// counters of a Cost; zero where nothing is cached or canonicalised
 	// by sorting.
@@ -408,7 +413,7 @@ type boundary struct {
 type mcChooser struct {
 	n         int
 	classify  func(any) tagClass
-	grantCls  func(string, any) tagClass
+	grantCls  func(any, any) tagClass
 	depth     int
 	eager     bool
 	sleepOn   bool
@@ -490,7 +495,7 @@ func replayChooser(ck checker, n int, prefix []int, opts *Options) *mcChooser {
 }
 
 func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
-	isSched := cp.Kind == "sched"
+	isSched := cp.Kind == sim.Sched
 	var classes []tagClass
 	classesOf := func() []tagClass {
 		if classes == nil {
@@ -502,7 +507,7 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 				if isSched {
 					classes[i] = c.classify(cands[i].Tag)
 				} else {
-					classes[i] = c.grantCls(cp.Name, cands[i].Tag)
+					classes[i] = c.grantCls(cp.Bus, cands[i].Tag)
 				}
 			}
 		}
@@ -756,7 +761,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 			switch e.visited.Visit(fp, ch.fpBuf, e.opts.MaxStates) {
 			case statespace.OutcomeNew:
 				if e.opts.onNew != nil {
-					e.opts.onNew(fp)
+					e.opts.onNew(fp, ch.fpBuf)
 				}
 			case statespace.OutcomeSeen:
 				out.truncated = true
@@ -838,6 +843,9 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 				spawn(alt, nil)
 			}
 			continue
+		}
+		if e.opts.onBranch != nil {
+			e.opts.onBranch(t.cands)
 		}
 		c.done = append(c.done[:0], t.cands[t.pick])
 		for alt := 0; alt < t.n; alt++ {

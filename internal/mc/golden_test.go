@@ -11,8 +11,9 @@ import (
 
 // updateGolden regenerates testdata/preset_golden.json from the code under
 // test: go test ./internal/mc -run TestPresetGolden -update with
-// MC_LITMUS_EXHAUSTIVE=1 (every preset, about an hour on one core).
-var updateGolden = flag.Bool("update", false, "rewrite testdata/preset_golden.json")
+// MC_LITMUS_EXHAUSTIVE=1 (every preset, about an hour on one core); and
+// testdata/checkpoint_values.json with -run TestCheckpointValuesFrozen.
+var updateGolden = flag.Bool("update", false, "rewrite the golden tables under testdata")
 
 const goldenPath = "testdata/preset_golden.json"
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"multicube/internal/bus"
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/fphash"
@@ -259,11 +260,12 @@ func (in *instance) classify(tag any) tagClass {
 	return tagClass{kind: tkOther, bus: -1}
 }
 
-// grantClass describes one arbitration candidate: a grant on the named
+// grantClass describes one arbitration candidate: a grant on the deciding
 // bus of the specific queued packet, so distinct candidates get distinct
 // transition identities.
-func (in *instance) grantClass(busName string, tag any) tagClass {
-	idx := in.sys.BusIndexByName(busName)
+func (in *instance) grantClass(b, tag any) tagClass {
+	bb, _ := b.(*bus.Bus)
+	idx := in.sys.BusIndex(bb)
 	m := fphash.New()
 	m.Word(0x11)
 	m.Word(uint64(int64(idx)))

@@ -37,7 +37,7 @@ func reach(t *testing.T, sc Scenario, opts Options) (Result, map[uint64]bool) {
 	t.Helper()
 	seen := make(map[uint64]bool)
 	opts.MaxStates = reductionBudget
-	opts.onNew = func(fp uint64) { seen[fp] = true }
+	opts.onNew = func(fp uint64, _ []uint64) { seen[fp] = true }
 	res, err := Explore(sc, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func (in *sbInstance) classify(tag any) tagClass {
 	return tagClass{kind: tkOther, bus: -1}
 }
 
-func (in *sbInstance) grantClass(busName string, tag any) tagClass {
+func (in *sbInstance) grantClass(_, tag any) tagClass {
 	m := fphash.New()
 	m.Word(0x11)
 	if pkt, ok := tag.(bus.Packet); ok {

@@ -28,38 +28,22 @@ import (
 type MultiParams struct {
 	// N is processors per bus; K is the number of dimensions.
 	N, K int
-	// The remaining fields mirror Params.
-	BlockWords    int
-	WordTime      float64
-	AddrWords     int
-	CacheLatency  float64
-	MemoryLatency float64
-	RequestRate   float64
-	PUnmodified   float64
-	PInvalidate   float64
+	// RequestRate is per-processor bus requests per millisecond. The
+	// rest of the point (block size, line-state mix) is Defaults(N)'s.
+	RequestRate float64
 }
 
-// MultiDefaults returns the Figure 2 constants for an n^k machine.
+// MultiDefaults returns the Figure 2 point for an n^k machine.
 func MultiDefaults(n, k int) MultiParams {
-	return MultiParams{
-		N: n, K: k,
-		BlockWords:    16,
-		WordTime:      50,
-		AddrWords:     1,
-		CacheLatency:  750,
-		MemoryLatency: 750,
-		RequestRate:   25,
-		PUnmodified:   0.8,
-		PInvalidate:   0.2,
-	}
+	return MultiParams{N: n, K: k, RequestRate: Defaults(n).RequestRate}
 }
 
 func (p MultiParams) validate() error {
 	if p.N < 2 || p.K < 1 {
 		return fmt.Errorf("mva: multicube n=%d k=%d", p.N, p.K)
 	}
-	if p.BlockWords < 1 || p.WordTime <= 0 || p.RequestRate <= 0 {
-		return fmt.Errorf("mva: nonpositive block, word time or rate")
+	if p.RequestRate <= 0 {
+		return fmt.Errorf("mva: nonpositive rate")
 	}
 	if float64(p.N)*math.Pow(float64(p.N), float64(p.K-1)) > 1e9 {
 		return fmt.Errorf("mva: machine too large")
@@ -81,8 +65,9 @@ func SolveMulti(p MultiParams) (Result, error) {
 	buses := k * math.Pow(n, k-1) // total buses
 	z := 1e6 / p.RequestRate      // think time ns
 
-	tAddr := float64(p.AddrWords) * p.WordTime
-	tData := float64(p.AddrWords+p.BlockWords) * p.WordTime
+	d := Defaults(p.N)
+	tAddr := float64(addrWords) * wordTime
+	tData := float64(addrWords+d.BlockWords) * wordTime
 
 	// A transaction's critical path: k address hops out, k data hops
 	// back (one of each on a multi, k=1). Requests to modified lines pay
@@ -90,8 +75,8 @@ func SolveMulti(p MultiParams) (Result, error) {
 	hopsOut := k
 	hopsBack := k
 
-	pm := 1 - p.PUnmodified
-	puW := p.PUnmodified * p.PInvalidate
+	pm := 1 - d.PUnmodified
+	puW := d.PUnmodified * d.PInvalidate
 
 	// Broadcast cost (bus-seconds of short operations, spread over all
 	// buses): ~(N-1)/(n-1) operations per invalidating write.
@@ -110,7 +95,7 @@ func SolveMulti(p MultiParams) (Result, error) {
 	// transaction (the n^(k-1) memory modules see little contention at
 	// these rates; the 2-D solver models them explicitly, and the
 	// simplification costs a few percent at saturation only).
-	delay := pm*p.CacheLatency + (1-pm)*p.MemoryLatency
+	delay := pm*cacheLatency + (1-pm)*memoryLatency
 
 	x := m / (z + delay + critOps)
 	if cap := 1 / demand; x > cap {

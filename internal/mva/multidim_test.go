@@ -7,9 +7,9 @@ import (
 
 func TestMultiValidation(t *testing.T) {
 	bad := []MultiParams{
-		{N: 1, K: 2, BlockWords: 16, WordTime: 50, RequestRate: 25},
-		{N: 4, K: 0, BlockWords: 16, WordTime: 50, RequestRate: 25},
-		{N: 1000, K: 4, BlockWords: 16, WordTime: 50, RequestRate: 25},
+		{N: 1, K: 2, RequestRate: 25},
+		{N: 4, K: 0, RequestRate: 25},
+		{N: 1000, K: 4, RequestRate: 25},
 	}
 	for i, p := range bad {
 		if _, err := SolveMulti(p); err == nil {

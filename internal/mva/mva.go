@@ -29,11 +29,24 @@ package mva
 import (
 	"fmt"
 	"math"
+
+	"multicube/internal/bus"
 )
 
-// Params is one evaluation point of the model. Times are in nanoseconds;
-// RequestRate is bus requests per millisecond per processor (the paper's
-// x axis).
+// Figure 2's timing, which the timed machines read from internal/bus too,
+// in nanoseconds; and the fraction of modified-line requests that are
+// READ-MODs (ownership transfers, no memory update), the remainder being
+// READs, which add the memory-update operation.
+const (
+	wordTime         = float64(bus.WordTime)
+	addrWords        = bus.AddrWords
+	cacheLatency     = float64(bus.CacheLatency)
+	memoryLatency    = float64(bus.MemoryLatency)
+	pWriteToModified = 0.5
+)
+
+// Params is one evaluation point of the model. RequestRate is bus
+// requests per millisecond per processor (the paper's x axis).
 type Params struct {
 	// N is the number of processors per bus (n); the machine has n².
 	N int
@@ -43,14 +56,6 @@ type Params struct {
 	// transfer block size of Section 5 (small transfer blocks within
 	// large coherency blocks).
 	TransferWords int
-	// WordTime is the bus transfer time per word (50 ns in the paper).
-	WordTime float64
-	// AddrWords is the length of an address-and-command operation.
-	AddrWords int
-	// CacheLatency is the snooping-cache access time (750 ns).
-	CacheLatency float64
-	// MemoryLatency is the main memory access time (750 ns).
-	MemoryLatency float64
 	// RequestRate is per-processor bus requests per millisecond.
 	RequestRate float64
 	// PUnmodified is the probability the requested line is in global
@@ -60,10 +65,6 @@ type Params struct {
 	// is a write miss requiring the invalidation broadcast (0.2 in
 	// Figure 2; swept in Figure 3).
 	PInvalidate float64
-	// PWriteToModified is the fraction of modified-line requests that
-	// are READ-MODs (ownership transfers, no memory update); the
-	// remainder are READs, which add the memory-update operation.
-	PWriteToModified float64
 
 	// CutThrough, when set, forwards data onto the second bus as soon as
 	// the first words arrive (Section 5), hiding most of the first-leg
@@ -77,16 +78,11 @@ type Params struct {
 // Defaults returns the Figure 2 parameter set for n processors per row.
 func Defaults(n int) Params {
 	return Params{
-		N:                n,
-		BlockWords:       16,
-		WordTime:         50,
-		AddrWords:        1,
-		CacheLatency:     750,
-		MemoryLatency:    750,
-		RequestRate:      25,
-		PUnmodified:      0.8,
-		PInvalidate:      0.2,
-		PWriteToModified: 0.5,
+		N:           n,
+		BlockWords:  16,
+		RequestRate: 25,
+		PUnmodified: 0.8,
+		PInvalidate: 0.2,
 	}
 }
 
@@ -94,8 +90,8 @@ func (p Params) validate() error {
 	if p.N < 2 {
 		return fmt.Errorf("mva: n = %d", p.N)
 	}
-	if p.BlockWords < 1 || p.WordTime <= 0 || p.RequestRate <= 0 {
-		return fmt.Errorf("mva: nonpositive block, word time or rate")
+	if p.BlockWords < 1 || p.RequestRate <= 0 {
+		return fmt.Errorf("mva: nonpositive block or rate")
 	}
 	if p.PUnmodified < 0 || p.PUnmodified > 1 || p.PInvalidate < 0 || p.PInvalidate > 1 {
 		return fmt.Errorf("mva: probabilities out of range")
@@ -146,23 +142,23 @@ type class struct {
 
 // build derives the transaction classes from the protocol.
 func (p Params) build() []class {
-	tAddr := float64(p.AddrWords) * p.WordTime
+	tAddr := float64(addrWords) * wordTime
 	bw := p.BlockWords
 	if p.TransferWords > 0 && p.TransferWords < bw {
 		bw = p.TransferWords
 	}
-	tData := float64(p.AddrWords+bw) * p.WordTime
+	tData := float64(addrWords+bw) * wordTime
 
 	// Critical-path cost of the two data legs (Section 5): the first leg
 	// can be overlapped by cut-through forwarding, the second by
 	// requested-word-first transmission. Bus occupancy stays tData.
 	leg1 := tData
 	if p.CutThrough {
-		leg1 = float64(p.AddrWords+1) * p.WordTime
+		leg1 = float64(addrWords+1) * wordTime
 	}
 	leg2 := tData
 	if p.WordFirst {
-		leg2 = float64(p.AddrWords+1) * p.WordTime
+		leg2 = float64(addrWords+1) * wordTime
 	}
 
 	pm := 1 - p.PUnmodified
@@ -176,16 +172,16 @@ func (p Params) build() []class {
 	// row data (leg 2); the memory update is a sixth, off-path data
 	// operation on the home column plus the memory write.
 	readMod := class{
-		p: pm * (1 - p.PWriteToModified),
+		p: pm * (1 - pWriteToModified),
 		hops: []hop{
 			{rowBus, tAddr}, {colBus, tAddr},
 			{colBus, sEff(tData, leg1)}, {rowBus, sEff(tData, leg2)},
 		},
-		delay: p.CacheLatency,
+		delay: cacheLatency,
 	}
 	readMod.extra[colBus].time += tData // memory update op
 	readMod.extra[colBus].visits++
-	readMod.extra[memMod].time += p.MemoryLatency
+	readMod.extra[memMod].time += memoryLatency
 	readMod.extra[memMod].visits++
 	classes = append(classes, readMod)
 
@@ -193,12 +189,12 @@ func (p Params) build() []class {
 	// request, column request, remote cache access, data toward the
 	// requester (row then column legs), plus the off-path INSERT.
 	writeMod := class{
-		p: pm * p.PWriteToModified,
+		p: pm * pWriteToModified,
 		hops: []hop{
 			{rowBus, tAddr}, {colBus, tAddr},
 			{rowBus, sEff(tData, leg1)}, {colBus, sEff(tData, leg2)},
 		},
-		delay: p.CacheLatency,
+		delay: cacheLatency,
 	}
 	writeMod.extra[colBus].time += tAddr // modified line table INSERT
 	writeMod.extra[colBus].visits++
@@ -209,7 +205,7 @@ func (p Params) build() []class {
 	readUnmod := class{
 		p: puR,
 		hops: []hop{
-			{rowBus, tAddr}, {colBus, tAddr}, {memMod, p.MemoryLatency},
+			{rowBus, tAddr}, {colBus, tAddr}, {memMod, memoryLatency},
 			{colBus, sEff(tData, leg1)}, {rowBus, sEff(tData, leg2)},
 		},
 	}
@@ -223,7 +219,7 @@ func (p Params) build() []class {
 	inval := class{
 		p: puW,
 		hops: []hop{
-			{rowBus, tAddr}, {colBus, tAddr}, {memMod, p.MemoryLatency},
+			{rowBus, tAddr}, {colBus, tAddr}, {memMod, memoryLatency},
 			{colBus, sEff(tData, leg1)}, {rowBus, sEff(tData, leg2)},
 		},
 	}

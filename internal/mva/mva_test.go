@@ -8,10 +8,9 @@ import (
 
 func TestValidation(t *testing.T) {
 	bad := []Params{
-		{N: 1, BlockWords: 16, WordTime: 50, RequestRate: 25},
-		{N: 8, BlockWords: 0, WordTime: 50, RequestRate: 25},
-		{N: 8, BlockWords: 16, WordTime: 0, RequestRate: 25},
-		{N: 8, BlockWords: 16, WordTime: 50, RequestRate: 0},
+		{N: 1, BlockWords: 16, RequestRate: 25},
+		{N: 8, BlockWords: 0, RequestRate: 25},
+		{N: 8, BlockWords: 16, RequestRate: 0},
 	}
 	for i, p := range bad {
 		if _, err := Solve(p); err == nil {

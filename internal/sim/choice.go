@@ -10,14 +10,23 @@ package sim
 // defers each grant to its own event so that every waiting requester
 // reaches arbitration, and the Chooser decides every ordering.
 
+// ChoiceKind is the decision class of a choice point.
+type ChoiceKind uint8
+
+const (
+	// Sched is kernel event dispatch order.
+	Sched ChoiceKind = iota
+	// Grant is bus arbitration among queued requesters.
+	Grant
+)
+
 // ChoicePoint identifies one nondeterministic decision offered to a
 // Chooser.
 type ChoicePoint struct {
-	// Kind is the decision class: "sched" for kernel event dispatch
-	// order, "grant" for bus arbitration among queued requesters.
-	Kind string
-	// Name localizes the decision (a bus name; empty for the kernel).
-	Name string
+	Kind ChoiceKind
+	// Bus is the deciding bus of a Grant point, opaque to the kernel
+	// (internal/bus imports this package, not the reverse); nil for Sched.
+	Bus any
 }
 
 // Candidate is one alternative at a choice point.
@@ -30,8 +39,8 @@ type Candidate struct {
 
 // Chooser resolves nondeterministic orderings. Choose must return an
 // index in [0, len(cands)); it is called only when len(cands) > 1. The
-// candidate order is deterministic: (time, sequence) order for "sched",
-// arbitration-policy order for "grant", so index 0 is the pick the timed
+// candidate order is deterministic: (time, sequence) order for Sched,
+// arbitration-policy order for Grant, so index 0 is the pick the timed
 // simulation would make from the same candidates.
 type Chooser interface {
 	Choose(cp ChoicePoint, cands []Candidate) int

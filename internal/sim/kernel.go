@@ -427,7 +427,7 @@ func (k *Kernel) choose() event {
 			cands = append(cands, Candidate{Tag: e.tag})
 		}
 		k.cands = cands
-		idx = k.chooser.Choose(ChoicePoint{Kind: "sched"}, cands)
+		idx = k.chooser.Choose(ChoicePoint{Kind: Sched}, cands)
 		if idx < 0 || idx >= n {
 			panic(fmt.Sprintf("sim: chooser picked %d of %d candidates", idx, n))
 		}

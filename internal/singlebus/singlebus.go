@@ -78,12 +78,6 @@ type Config struct {
 	// CacheLines/CacheAssoc size each cache; zero lines means unbounded.
 	CacheLines int
 	CacheAssoc int
-	// Timing: per-word bus time, address words, and device latencies,
-	// matching the Multicube's constants for apples-to-apples benches.
-	WordTime      sim.Time
-	AddrWords     int
-	CacheLatency  sim.Time
-	MemoryLatency sim.Time
 	// Protocol selects the snooper: ProtocolWriteOnce (the default) or
 	// ProtocolMESI.
 	Protocol string
@@ -92,18 +86,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.BlockWords == 0 {
 		c.BlockWords = 16
-	}
-	if c.WordTime == 0 {
-		c.WordTime = 50 * sim.Nanosecond
-	}
-	if c.AddrWords == 0 {
-		c.AddrWords = 1
-	}
-	if c.CacheLatency == 0 {
-		c.CacheLatency = 750 * sim.Nanosecond
-	}
-	if c.MemoryLatency == 0 {
-		c.MemoryLatency = 750 * sim.Nanosecond
 	}
 }
 
@@ -297,24 +279,23 @@ func (m *Machine) TxnStats() (count uint64, mean sim.Time) {
 }
 
 // readOp is an atomic miss transaction: the bus is held for the address
-// cycles, the device access, and the block transfer.
+// cycles, the device access, and the block transfer. The bus and device
+// timing is the Multicube's (Figure 2's constants), so the two machines
+// compare at one point.
 func (m *Machine) readOp(kind opKind, origin int, line cache.Line) *op {
-	lat := m.cfg.MemoryLatency
-	if m.cfg.CacheLatency > lat {
-		lat = m.cfg.CacheLatency
-	}
+	lat := max(bus.MemoryLatency, bus.CacheLatency)
 	return &op{kind: kind, origin: origin, line: line,
-		occ: sim.Time(m.cfg.AddrWords+m.cfg.BlockWords)*m.cfg.WordTime + lat}
+		occ: sim.Time(bus.AddrWords+m.cfg.BlockWords)*bus.WordTime + lat}
 }
 
 func (m *Machine) dataOp(kind opKind, origin int, line cache.Line, data []uint64) *op {
 	buf := make([]uint64, m.cfg.BlockWords)
 	copy(buf, data)
 	return &op{kind: kind, origin: origin, line: line, data: buf,
-		occ: sim.Time(m.cfg.AddrWords+m.cfg.BlockWords) * m.cfg.WordTime}
+		occ: sim.Time(bus.AddrWords+m.cfg.BlockWords) * bus.WordTime}
 }
 
 func (m *Machine) wordOp(origin int, line cache.Line, offset int, value uint64) *op {
 	return &op{kind: opWriteWord, origin: origin, line: line, offset: offset, value: value,
-		occ: sim.Time(m.cfg.AddrWords+1) * m.cfg.WordTime}
+		occ: (bus.AddrWords + 1) * bus.WordTime}
 }
