@@ -29,7 +29,7 @@ func TestBounceOffReservedTail(t *testing.T) {
 	reader := s.Node(at(3, 0))
 	reader.Read(line, func(Result) { readerDone = true })
 	// Let the read bounce for a while before the queue drains.
-	k.RunFor(50 * sim.Microsecond)
+	k.RunUntil(k.Now() + 50*sim.Microsecond)
 	if readerDone {
 		t.Fatal("read completed while the line was queue-reserved")
 	}

@@ -20,7 +20,7 @@ import (
 //   - hook: installed by the harness. Save and Load leave it alone.
 //   - wiring: fixed when the machine is built — configuration, pointers
 //     between components, event bodies built once. For a kernel it also
-//     covers what Save refuses to run with (processes).
+//     covers what Save refuses to run with (processes, a held heap slot).
 //   - scratch: nothing a rewind has to bring back — a buffer reused
 //     within a step, a memo a rewind invalidates or one keyed on the
 //     labels that a rewind leaves valid, a host-work or
@@ -47,7 +47,7 @@ var rewindFields = []fieldClasses{
 		of:      typeOf[sim.Kernel](),
 		rewound: []string{"now", "seq", "events", "lanes"},
 		hook:    []string{"chooser"},
-		wiring:  []string{"procs"},
+		wiring:  []string{"procs", "held"},
 		scratch: []string{"fixed", "executed", "dispatching", "ordered", "cands"},
 	},
 	{

@@ -151,9 +151,6 @@ func (m *Machine) Run() sim.Time { return m.k.Run() }
 // Executed reports the events the kernel has dispatched.
 func (m *Machine) Executed() uint64 { return m.k.Executed() }
 
-// RunFor advances simulated time by d.
-func (m *Machine) RunFor(d sim.Time) { m.k.RunFor(d) }
-
 // Parallel reports false and Runner nil: the machine runs on one kernel.
 // They and Config.Parallel remain only because the benchmark harness
 // compiles against them; ROADMAP item 1 deletes them with its probeRunner.

@@ -188,6 +188,11 @@ type Kernel struct {
 
 	// fixed counts the lanes' events: at zero Step reads the heap alone.
 	fixed int
+	// held: the heap's top is the event whose body is running. Step
+	// leaves it in place, and the first event the body schedules into
+	// the heap takes its slot (one sift instead of a pop and a push);
+	// release removes it if the body scheduled none there.
+	held bool
 	// executed counts events dispatched, for diagnostics and tests.
 	executed uint64
 	// dispatching is the tag of the event being dispatched (Dispatching).
@@ -231,10 +236,17 @@ type KernelState struct {
 // part of it. Call it between steps (a Chooser's Choose counts: choose
 // consults it before touching the pending set or the clock). A kernel
 // with processes has goroutines parked mid-program, which a copy does
-// not capture, so it panics.
+// not capture, so it panics. So do Save and Load from an event body
+// that has scheduled nothing into the heap yet, or after such a body
+// panicked and before the next Step: its event still holds the heap's
+// top (see Step), which a copy would keep and a rewind would overwrite
+// under the body.
 func (k *Kernel) Save(st *KernelState) {
 	if len(k.procs) > 0 {
 		panic("sim: Save of a kernel with processes")
+	}
+	if k.held {
+		panic("sim: Save inside an event body")
 	}
 	st.now, st.seq = k.now, k.seq
 	assign(&st.events, k.events)
@@ -247,6 +259,9 @@ func (k *Kernel) Save(st *KernelState) {
 // events this kernel really dispatched since it was built or last
 // loaded, which is what a harness timing a run wants to read.
 func (k *Kernel) Load(st *KernelState) {
+	if k.held {
+		panic("sim: Load inside an event body")
+	}
 	k.now, k.seq = st.now, st.seq
 	assign((*[]event)(&k.events), st.events)
 	k.fixed = copyLanes(&k.lanes, st.lanes)
@@ -257,7 +272,12 @@ func (k *Kernel) Load(st *KernelState) {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of events waiting to run.
-func (k *Kernel) Pending() int { return len(k.events) + k.fixed }
+func (k *Kernel) Pending() int {
+	if k.held {
+		return len(k.events) - 1 + k.fixed
+	}
+	return len(k.events) + k.fixed
+}
 
 // Executed reports the number of events dispatched since the kernel was
 // built or Loaded: host work done, not a position in simulated history.
@@ -274,7 +294,13 @@ func (k *Kernel) AtTagged(t Time, tag any, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
-	k.events.push(event{at: t, seq: k.seq, fn: fn, tag: tag})
+	if e := (event{at: t, seq: k.seq, fn: fn, tag: tag}); k.held {
+		k.held = false
+		k.events[0] = e // it follows the event it replaces in (at, seq)
+		k.events.down(0)
+	} else {
+		k.events.push(e)
+	}
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -306,9 +332,21 @@ func (k *Kernel) AfterFixed(d Time, tag any, fn func()) {
 	k.lanes[i].events = append(k.lanes[i].events, event{at: k.now + d, seq: k.seq, fn: fn, tag: tag})
 }
 
+// release removes the event whose body is running from the heap's top
+// if its body scheduled nothing there. Whatever reads the heap calls it
+// first, so a body may read the pending set and an event whose body
+// panicked is never dispatched again.
+func (k *Kernel) release() {
+	if k.held {
+		k.held = false
+		k.events.remove(0)
+	}
+}
+
 // first returns the earliest pending event, nil if there is none, and
 // the lane it heads (-1: it is the heap's top).
 func (k *Kernel) first() (int, *event) {
+	k.release()
 	l, e := -1, (*event)(nil)
 	if len(k.events) > 0 {
 		e = &k.events[0]
@@ -360,6 +398,7 @@ func (k *Kernel) ForEachPending(fn func(at Time, tag any)) {
 // back here through ForEachPending while choose still reads the buffer:
 // nothing pending has moved, so it is rewritten with what it holds.
 func (k *Kernel) sorted() []scratchEvent {
+	k.release()
 	ordered := k.ordered[:0]
 	for l := -1; l < len(k.lanes); l++ {
 		evs := k.queue(l)
@@ -377,6 +416,7 @@ func (k *Kernel) sorted() []scratchEvent {
 // deterministic combination must make their per-event contribution
 // order-insensitive, e.g. by sorting derived hashes.
 func (k *Kernel) ForEachPendingTag(fn func(tag any)) {
+	k.release()
 	for l := -1; l < len(k.lanes); l++ {
 		evs := k.queue(l)
 		for i := range evs {
@@ -394,6 +434,16 @@ func (k *Kernel) Dispatching() any { return k.dispatching }
 // Step dispatches one event — the single earliest, or the chooser's pick
 // among every pending event when a Chooser is installed. It reports false
 // when no events remain.
+//
+// Without a chooser, an event from the heap's top keeps its slot while
+// its body runs, and the first event the body schedules into the heap
+// takes it over: one sift down where a pop and a push took two. The
+// result is the same, because the heap pops in (at, seq) order whatever
+// its layout. Nothing outside the kernel sees the held slot: Pending
+// discounts it and every other reader of the pending set releases it
+// first. A body that panics leaves the slot held, and the next Step or
+// read of the pending set releases it, so the event never runs again;
+// until then Save and Load refuse the kernel, as they do mid-body.
 func (k *Kernel) Step() bool {
 	var e event
 	if k.chooser != nil {
@@ -401,16 +451,18 @@ func (k *Kernel) Step() bool {
 			return false
 		}
 		e = k.choose()
-	} else if l, top := k.first(); top != nil {
-		e = *top
-		k.take(l, 0)
-	} else {
+	} else if l, top := k.first(); top == nil {
 		return false
+	} else if e = *top; l < 0 {
+		k.held = true
+	} else {
+		k.take(l, 0)
 	}
 	k.now = max(k.now, e.at) // a chooser may have run a later event
 	k.executed++
 	k.dispatching = e.tag
 	e.fn()
+	k.release()
 	return true
 }
 
@@ -475,6 +527,3 @@ func (k *Kernel) RunUntil(t Time) {
 		k.now = t
 	}
 }
-
-// RunFor runs the simulation for d nanoseconds of simulated time.
-func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }

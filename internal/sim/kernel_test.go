@@ -111,18 +111,6 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestRunForAdvancesRelative(t *testing.T) {
-	k := NewKernel()
-	k.RunFor(100)
-	if k.Now() != 100 {
-		t.Fatalf("Now() = %v, want 100", k.Now())
-	}
-	k.RunFor(50)
-	if k.Now() != 150 {
-		t.Fatalf("Now() = %v, want 150", k.Now())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	k := NewKernel()
 	if k.Step() {
@@ -323,6 +311,86 @@ func TestSaveRefusesProcs(t *testing.T) {
 		k.Save(new(KernelState))
 	}()
 	k.Run()
+}
+
+// mustPanic reports whether f panicked.
+func mustPanic(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// TestSaveLoadRefuseHeldSlot: until its body schedules an event into the
+// heap, the event being dispatched still holds the heap's top, which a
+// copy would keep and a rewind would overwrite under the body.
+func TestSaveLoadRefuseHeldSlot(t *testing.T) {
+	k := NewKernel()
+	var st KernelState
+	k.Save(&st)
+	ran := false
+	k.At(5, func() {
+		ran = true
+		if !mustPanic(func() { k.Save(&st) }) {
+			t.Error("Save inside an event body did not panic")
+		}
+		if !mustPanic(func() { k.Load(&st) }) {
+			t.Error("Load inside an event body did not panic")
+		}
+	})
+	k.Run()
+	if !ran || k.Pending() != 0 {
+		t.Fatalf("ran = %v, Pending() = %d after Run", ran, k.Pending())
+	}
+	k.Load(&st)
+	k.Save(&st)
+}
+
+// TestPanickingBodyRunsOnce: a caller that recovers from a body's panic
+// and keeps stepping never sees that event again, whether the body
+// panicked before scheduling anything (its event still held the heap's
+// top) or after, and the pending set stays exact in between. One run
+// reads the pending set after each panic; the other leaves the next Step
+// the first to touch the heap.
+func TestPanickingBodyRunsOnce(t *testing.T) {
+	for _, read := range []bool{false, true} {
+		k := NewKernel()
+		runs := map[string]int{}
+		var order []string
+		note := func(name string) func() {
+			return func() { runs[name]++; order = append(order, name) }
+		}
+		k.At(10, func() { runs["bare"]++; panic("bare") })
+		k.At(20, func() {
+			runs["scheduler"]++
+			k.After(5, note("successor"))
+			panic("scheduler")
+		})
+		k.At(30, note("last"))
+		for _, want := range [][]Time{{20, 30}, {25, 30}} {
+			if !mustPanic(func() { k.Step() }) {
+				t.Fatal("a body's panic did not reach Step's caller")
+			}
+			if got := k.Pending(); got != len(want) {
+				t.Errorf("Pending() = %d after a recovered panic, want %d", got, len(want))
+			}
+			if !read {
+				continue
+			}
+			var at []Time
+			k.ForEachPending(func(when Time, _ any) { at = append(at, when) })
+			if !reflect.DeepEqual(at, want) {
+				t.Errorf("pending at %v after a recovered panic, want %v", at, want)
+			}
+		}
+		k.Run()
+		want := map[string]int{"bare": 1, "scheduler": 1, "successor": 1, "last": 1}
+		if !reflect.DeepEqual(runs, want) || !reflect.DeepEqual(order, []string{"successor", "last"}) {
+			t.Fatalf("read=%v: runs %v in order %v, want %v in order [successor last]", read, runs, order, want)
+		}
+		if k.Pending() != 0 {
+			t.Fatalf("read=%v: Pending() = %d after Run", read, k.Pending())
+		}
+	}
 }
 
 // TestEventIs40Bytes holds the pending event to its four fields — time,

@@ -14,10 +14,43 @@ type refEvent struct {
 	seq uint64
 }
 
+// bodyPlan is what the body of an event does in a fuzzed program: it
+// schedules each of its children after delay d, into a lane if fixed,
+// and calls Pending before and after each of them and
+// ForEachPendingTag after the first look of them (never if look is
+// past the last).
+type bodyPlan struct {
+	children []refChild
+	look     int
+}
+
+type refChild struct {
+	d     Time
+	fixed bool
+}
+
 type refKernel struct {
 	now    Time
 	seq    uint64
 	events []refEvent
+	// plan is every event body's program; entry and born record, for
+	// each dispatched event, the pending set its body starts from (by
+	// seq) and the events it schedules, for the kernel's body to hold
+	// its own reads to.
+	plan        func(seq uint64) bodyPlan
+	entry, born map[uint64][]uint64
+}
+
+func newRefKernel(plan func(uint64) bodyPlan) *refKernel {
+	return &refKernel{plan: plan, entry: map[uint64][]uint64{}, born: map[uint64][]uint64{}}
+}
+
+// clone copies the clock, the counter and the pending set; the records
+// are shared, since a seq dispatched again has the same body.
+func (r *refKernel) clone() *refKernel {
+	c := *r
+	c.events = slices.Clone(r.events)
+	return &c
 }
 
 func (r *refKernel) schedule(d Time) uint64 {
@@ -37,6 +70,8 @@ func (r *refKernel) sorted() []refEvent {
 
 // step dispatches what the kernel would: the earliest event, or with a
 // chooser the pick'th pending event (pick taken modulo their number).
+// Then it runs the event's body: the pending set it starts from is
+// recorded, and its children are scheduled.
 func (r *refKernel) step(chosen bool, pick int) uint64 {
 	s := r.sorted()
 	e := s[0]
@@ -45,6 +80,17 @@ func (r *refKernel) step(chosen bool, pick int) uint64 {
 	}
 	r.events = slices.DeleteFunc(r.events, func(x refEvent) bool { return x.seq == e.seq })
 	r.now = max(r.now, e.at)
+	var entry []uint64
+	for _, x := range r.events {
+		entry = append(entry, x.seq)
+	}
+	slices.Sort(entry)
+	r.entry[e.seq] = entry
+	var born []uint64
+	for _, c := range r.plan(e.seq).children {
+		born = append(born, r.schedule(c.d))
+	}
+	r.born[e.seq] = born
 	return e.seq
 }
 
@@ -57,7 +103,11 @@ func (c *pickChooser) Choose(_ ChoicePoint, cands []Candidate) int { return c.pi
 // distinct delays than there are lanes, 0 among them, on the same grid
 // as the heap's so that times tie), Step, RunUntil, Save, Load and a
 // chooser that picks any candidate, and holds the dispatch sequence,
-// the clock and the pending set to the reference model's.
+// the clock and the pending set to the reference model's. Event bodies
+// schedule too — none, one or two events each, to the heap or a lane —
+// so a body's first heap event takes the slot its own event held, and
+// each body reads Pending and ForEachPendingTag at a point of its plan
+// (before, between or after its children) and holds them to the model.
 func FuzzKernelOrder(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 24; i++ {
@@ -67,12 +117,71 @@ func FuzzKernelOrder(f *testing.F) {
 	}
 	fixed := []Time{0, 5, 10, 15, 20, 30}
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		k, ref := NewKernel(), &refKernel{}
+		// A body's plan is read from the input at a place its seq picks;
+		// events past len(input) schedule nothing, which bounds the
+		// cascade.
+		input := prog
+		plan := func(seq uint64) bodyPlan {
+			n := uint64(len(input))
+			if seq > n {
+				return bodyPlan{}
+			}
+			a, b := input[seq*7%n], input[(seq*7+3)%n]
+			p := bodyPlan{look: int(a/3) % 4}
+			for i := range int(a % 3) {
+				c := refChild{fixed: b>>i&1 != 0}
+				if x := int(b>>(2+3*i)) & 7; c.fixed {
+					c.d = fixed[x%len(fixed)]
+				} else {
+					c.d = Time(x) * 5
+				}
+				p.children = append(p.children, c)
+			}
+			return p
+		}
+		k, ref := NewKernel(), newRefKernel(plan)
 		ch := &pickChooser{}
 		var chosen bool
 		var got, want []uint64
 		var st KernelState
 		var saved *refKernel
+		// body is the kernel's side of event seq: it checks its reads
+		// against what the model recorded when it dispatched seq and
+		// schedules the children the model did, under the model's seqs.
+		var body func(seq uint64) func()
+		body = func(seq uint64) func() {
+			return func() {
+				// The model dispatched first, so a wrong dispatch
+				// shows here, before its body can schedule anything.
+				if got = append(got, seq); len(got) > len(want) || want[len(got)-1] != seq {
+					t.Fatalf("the kernel dispatched\n%v\nthe model\n%v", got, want)
+				}
+				p := plan(seq)
+				pending := slices.Clone(ref.entry[seq])
+				for i := 0; ; i++ {
+					if k.Pending() != len(pending) {
+						t.Fatalf("event %d's body, %d children in: Pending() = %d, the model's %d", seq, i, k.Pending(), len(pending))
+					}
+					if i == p.look {
+						var tags []uint64
+						k.ForEachPendingTag(func(tag any) { tags = append(tags, tag.(uint64)) })
+						if slices.Sort(tags); !slices.Equal(tags, pending) {
+							t.Fatalf("event %d's body, %d children in: pending tags %v, the model's %v", seq, i, tags, pending)
+						}
+					}
+					if i == len(p.children) {
+						return
+					}
+					c, s := p.children[i], ref.born[seq][i]
+					if c.fixed {
+						k.AfterFixed(c.d, s, body(s))
+					} else {
+						k.AfterTagged(c.d, s, body(s))
+					}
+					pending = append(pending, s)
+				}
+			}
+		}
 		for ; len(prog) >= 2; prog = prog[2:] {
 			arg := int(prog[1])
 			ch.pick = arg
@@ -80,11 +189,11 @@ func FuzzKernelOrder(f *testing.F) {
 			case 0, 1:
 				d := Time(arg%8) * 5
 				seq := ref.schedule(d)
-				k.AfterTagged(d, seq, func() { got = append(got, seq) })
+				k.AfterTagged(d, seq, body(seq))
 			case 2, 3, 4:
 				d := fixed[arg%len(fixed)]
 				seq := ref.schedule(d)
-				k.AfterFixed(d, seq, func() { got = append(got, seq) })
+				k.AfterFixed(d, seq, body(seq))
 			case 5, 6:
 				more := len(ref.events) > 0
 				if more {
@@ -103,10 +212,10 @@ func FuzzKernelOrder(f *testing.F) {
 			case 8:
 				if arg%2 == 0 {
 					k.Save(&st)
-					saved = &refKernel{ref.now, ref.seq, slices.Clone(ref.events)}
+					saved = ref.clone()
 				} else if saved != nil {
 					k.Load(&st)
-					ref = &refKernel{saved.now, saved.seq, slices.Clone(saved.events)}
+					ref = saved.clone()
 				}
 			case 9:
 				if chosen = arg%2 != 0; chosen {
@@ -120,6 +229,12 @@ func FuzzKernelOrder(f *testing.F) {
 			}
 			if k.Now() != ref.now || k.Pending() != len(ref.events) {
 				t.Fatalf("kernel now=%v pending=%d, model now=%v pending=%d", k.Now(), k.Pending(), ref.now, len(ref.events))
+			}
+			// Reading the pending set ends a body's hold on the heap's
+			// top, so it is skipped after some operations: a Save or a
+			// Load may then come right after a Step.
+			if prog[0]/10%4 == 0 {
+				continue
 			}
 			var pending []refEvent
 			k.ForEachPending(func(at Time, tag any) { pending = append(pending, refEvent{at, tag.(uint64)}) })
@@ -155,5 +270,29 @@ func TestLanesAllocateNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { round(); k.Load(&st) }); allocs != 0 {
 		t.Errorf("a round and a Load allocated %v objects", allocs)
+	}
+}
+
+// TestRescheduleAllocatesNothing: a body that schedules its successor
+// through After writes it into the heap slot its own event held, so at a
+// depth of 64 pending events a rescheduling dispatch allocates nothing.
+func TestRescheduleAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	x := uint64(1)
+	var fn func()
+	fn = func() {
+		x = x*6364136223846793005 + 1442695040888963407
+		k.After(Time(x>>54), fn) // 0 to 1023 ns, ties included
+	}
+	for i := 0; i < 64; i++ {
+		k.After(Time(i), fn)
+	}
+	step := func() { k.Step() }
+	step()
+	if allocs := testing.AllocsPerRun(10000, step); allocs != 0 {
+		t.Errorf("a rescheduling Step allocated %v objects", allocs)
+	}
+	if k.Pending() != 64 {
+		t.Errorf("Pending() = %d, want 64", k.Pending())
 	}
 }
