@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"multicube/internal/cache"
@@ -58,6 +59,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(k, Config{N: 4, BlockWords: 1}); err == nil {
 		t.Error("1-word blocks accepted")
+	}
+	// A set of positions along a bus, and of columns holding a line in the
+	// modified line tables, is one word.
+	if _, err := NewSystem(k, Config{N: 65}); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("N=65: error %v, want one naming the limit of 64", err)
 	}
 	s, err := NewSystem(k, Config{N: 4})
 	if err != nil {
@@ -133,14 +139,12 @@ func TestWriteMissUnmodifiedNoCopies(t *testing.T) {
 	}
 	e.Data[0] = 77 // the processor's store
 
-	// Memory must now be invalid and every MLT in column 0 must know.
+	// Memory must now be invalid and column 0's MLT must know.
 	if s.MemoryAt(3).Store().Valid(memory.Line(line)) {
 		t.Error("memory still valid after READMOD")
 	}
-	for r := 0; r < 4; r++ {
-		if !s.Node(at(r, 0)).Table().Contains(3) {
-			t.Errorf("MLT at (%d,0) missing entry", r)
-		}
+	if !s.MLT().Contains(0, 3) {
+		t.Error("column 0's MLT missing entry")
 	}
 	checkQuiet(t, s)
 }
@@ -170,11 +174,9 @@ func TestReadOfModifiedLineRemote(t *testing.T) {
 	if !mem.Valid(memory.Line(line)) || mem.Peek(memory.Line(line))[1] != 55 {
 		t.Error("memory not updated")
 	}
-	// MLT entries in the holder's column are gone.
-	for r := 0; r < 4; r++ {
-		if s.Node(at(r, 0)).Table().Contains(2) {
-			t.Errorf("stale MLT entry at (%d,0)", r)
-		}
+	// The MLT entry in the holder's column is gone.
+	if s.MLT().Contains(0, 2) {
+		t.Error("stale MLT entry in column 0")
 	}
 	if res.Trace.Ops() == 0 {
 		t.Error("no ops traced")
@@ -492,22 +494,16 @@ func TestMemoryReissueOnInvalidLine(t *testing.T) {
 	do(t, k, func(done func(Result)) { holder.Write(line, done) })
 	holder.CacheEntry(line).Data[0] = 66
 
-	// Manually wipe the MLT entries in column 0 to simulate the
-	// inconsistent window ("a controller can, on occasion, simply discard
-	// such requests").
-	for r := 0; r < 4; r++ {
-		s.Node(at(r, 0)).Table().Remove(1)
-	}
+	// Manually wipe column 0's MLT entry to simulate the inconsistent
+	// window ("a controller can, on occasion, simply discard such
+	// requests").
+	s.MLT().Remove(0, 1)
 	reader := s.Node(at(2, 2))
 	doneCh := false
 	reader.Read(line, func(Result) { doneCh = true })
 	// Restore the entries while the request is in flight so the reissued
 	// request can find the line.
-	k.After(100, func() {
-		for r := 0; r < 4; r++ {
-			s.Node(at(r, 0)).Table().Insert(1)
-		}
-	})
+	k.After(100, func() { s.MLT().Insert(0, 1) })
 	k.Run()
 	if !doneCh {
 		t.Fatal("read never completed through the reissue path")

@@ -1,19 +1,21 @@
 package coherence
 
 import (
+	"math/bits"
+
 	"multicube/internal/bus"
+	"multicube/internal/mlt"
 	"multicube/internal/topology"
 )
 
 // This file delivers bus operations. Every controller snoops both its
 // buses, but each Appendix A procedure acts only at the positions the
 // operation names: the claimant of the modified-line signal, the home
-// column, the originator, or the forwarder on the originator's row or
-// column. So each bus has one snooper, attached after the nodes and the
-// memory module (which attach as requesters), and it enters only the
-// controllers the operation addresses (DESIGN.md §5 decision 11). The
-// handlers do not know: a controller left out would return without
-// touching anything.
+// column, or the holder that will serve a request. So each bus has one
+// snooper, attached after the nodes and the memory module (which attach
+// as requesters), and it enters only the controllers the operation
+// addresses (DESIGN.md §5 decision 11). The handlers do not know: a
+// controller left out would return without touching anything.
 //
 // Whom an operation addresses is written once, in the delivery table
 // below: ClassOf names the operation's class, delivery its addressee.
@@ -25,7 +27,7 @@ type DeliveryStats struct {
 	// NodeSnoops counts controllers entered to snoop an operation.
 	NodeSnoops uint64
 	// RowProbes and ColProbes count the operations whose probe phase
-	// walked the nodes of their bus.
+	// settled their wires.
 	RowProbes, ColProbes uint64
 	// OpsBuilt and OpsReused count the operations newOp allocated and reused.
 	OpsBuilt, OpsReused uint64
@@ -40,62 +42,85 @@ func (s *System) Delivered() DeliveryStats { return s.delivered }
 type snooper struct {
 	s     *System
 	dim   Dim
+	at    int     // the bus's row or column
 	nodes []*Node // on this bus, in attach order
 	mem   *Memory // the column's module; nil on a row bus
 }
 
-// Probe walks the bus's nodes for the only operations their probes act
-// on: a row REQUEST (the modified-line signal) and a column
-// REQUEST|REMOVE (holder-present and will-serve). Memory drives no wire.
+// Probe settles the wires of a row REQUEST and a column REQUEST|REMOVE;
+// memory drives no wire. On a row, the columns whose table holds the
+// line (one lookup) raise the modified-line signal in attach order, and
+// the first that a SuppressSignal hook leaves alone claims it. On a
+// column, the holders assert holder-present and will-serve.
 func (sn *snooper) Probe(_ *bus.Bus, pkt bus.Packet) {
 	op := pkt.(*Op)
-	switch {
+	switch s := sn.s; {
 	case sn.dim == Row && op.Flags.Has(REQUEST):
-		sn.s.delivered.RowProbes++
-		for _, n := range sn.nodes {
-			n.probeRow(op)
+		s.delivered.RowProbes++
+		for cols := s.mlt.Columns(mlt.Line(op.Line)); cols != 0; cols &= cols - 1 {
+			n := sn.nodes[bits.TrailingZeros64(cols)]
+			if s.SuppressSignal != nil && s.SuppressSignal(n.id, op) {
+				op.suppressed = true // injected fault: this controller stays silent
+				continue
+			}
+			if !op.modified {
+				op.modified, op.claimant = true, n.id
+			}
 		}
 	case sn.dim == Col && op.Flags.Has(REQUEST|REMOVE):
-		sn.s.delivered.ColProbes++
+		s.delivered.ColProbes++
 		for _, n := range sn.nodes {
 			n.probeCol(op)
 		}
 	}
 }
 
-// Snoop enters the addressed nodes in attach order, then, on a column,
-// the memory module if the operation is destined for it. With an
-// Observer installed every node is entered, each through observeSnoop,
-// so the observer sees the transitions of the whole bus. It is the last
-// code to touch the operation, which it releases (System.release).
+// Snoop updates the column's table, enters the addressed nodes in attach
+// order, then, on a column, the memory module if the operation is
+// destined for it. With an Observer installed every node is entered, each
+// through observeSnoop, so the observer sees the transitions of the whole
+// bus. It is the last code to touch the operation, which it releases.
 func (sn *snooper) Snoop(_ *bus.Bus, pkt bus.Packet) {
 	op := pkt.(*Op)
 	op.mustLive()
 	s := sn.s
-	first, second, all := s.addressed(sn.dim, op)
-	switch {
-	case s.Observer != nil:
+	c := ClassOf(sn.dim, op.Txn, op.Flags)
+	tabled := sn.applyTable(c, op)
+	to := s.addressed(sn.dim, c, op)
+	if s.Observer != nil {
 		s.delivered.NodeSnoops += uint64(len(sn.nodes))
 		for i, n := range sn.nodes {
-			n.observeSnoop(sn.dim, op, all || i == first || i == second)
+			n.observeSnoop(sn.dim, op, to&(1<<i) != 0, tabled)
 		}
-	case all:
-		s.delivered.NodeSnoops += uint64(len(sn.nodes))
-		for _, n := range sn.nodes {
-			n.snoop(sn.dim, op)
-		}
-	default:
-		for _, i := range [2]int{first, second} {
-			if i >= 0 {
-				s.delivered.NodeSnoops++
-				sn.nodes[i].snoop(sn.dim, op)
-			}
+	} else {
+		s.delivered.NodeSnoops += uint64(bits.OnesCount64(to))
+		for ; to != 0; to &= to - 1 {
+			sn.nodes[bits.TrailingZeros64(to)].snoop(sn.dim, op)
 		}
 	}
 	if sn.mem != nil && op.Flags.Has(MEMORY) {
 		sn.mem.snoop(op)
 	}
 	s.release(op)
+}
+
+// applyTable makes a column INSERT's or REMOVE's table update once, where
+// each controller updates its copy in the paper, records the outcome on
+// op and bumps every node of the column, whose fingerprint holds its lines.
+func (sn *snooper) applyTable(c OpClass, op *Op) bool {
+	switch t, line := sn.s.mlt, mlt.Line(op.Line); c {
+	case colRequestRemove, colWritebackRemove:
+		op.mltHad = t.Remove(sn.at, line)
+	case colOwnershipInsert, colInsert:
+		op.mltHad = t.Contains(sn.at, line)
+		op.victim, op.overflow = t.Insert(sn.at, line)
+	default:
+		return false
+	}
+	for _, n := range sn.nodes {
+		n.gen++
+	}
+	return true
 }
 
 // An Addressee names the controllers along a bus an operation's
@@ -106,13 +131,14 @@ func (sn *snooper) Snoop(_ *bus.Bus, pkt bus.Packet) {
 type Addressee uint8
 
 const (
-	ToAll              Addressee = iota // every node
-	ToClaimantElseHome                  // the claimant of the modified-line signal, else the home column
-	ToOrigin                            // the originator
-	ToOriginAndHome                     // the originator and the home column
-	ToForwarder                         // the node in the originator's column (row bus) or row (column bus)
-	ToHome                              // the home column
-	ToMemory                            // the column's memory module only
+	ToAll                 Addressee = iota // every node
+	ToClaimantElseHome                     // the claimant of the modified-line signal, else the home column
+	ToOrigin                               // the originator
+	ToOriginAndHome                        // the originator and the home column
+	ToForwarder                            // the node in the originator's column (row bus) or row (column bus)
+	ToForwarderAndServers                  // the forwarder and the nodes that asserted will-serve
+	ToHome                                 // the home column
+	ToNone                                 // no node; a MEMORY operation reaches the column's memory module
 )
 
 // An OpClass is a kind of bus operation as delivery tells them apart.
@@ -125,9 +151,12 @@ const (
 	rowOwnershipReply
 	rowUpdate
 	rowBroadcast
-	colRequestMemory
+	colMemory
+	colRequestRemove
 	colReadReply
-	colUpdateMemory
+	colOwnershipInsert
+	colInsert
+	colWritebackRemove
 	colBroadcast
 )
 
@@ -138,11 +167,14 @@ var delivery = [...]Addressee{
 	rowReadUpdateReply: ToOriginAndHome,
 	rowOwnershipReply:  ToForwarder, // READMOD, TAS and SYNC
 	rowUpdate:          ToHome,
-	rowBroadcast:       ToAll, // XFER, PURGE, and replies that fail, queue or purge
-	colRequestMemory:   ToMemory,
+	rowBroadcast:       ToAll,  // XFER, PURGE, and replies that fail, queue or purge
+	colMemory:          ToNone, // REQUEST|MEMORY, UPDATE|MEMORY
+	colRequestRemove:   ToForwarderAndServers,
 	colReadReply:       ToForwarder,
-	colUpdateMemory:    ToMemory,
-	colBroadcast:       ToAll, // REQUEST|REMOVE, XFER, INSERT, REMOVE, every other reply
+	colOwnershipInsert: ToOrigin,
+	colInsert:          ToNone,
+	colWritebackRemove: ToOrigin,
+	colBroadcast:       ToAll, // XFER, every other reply
 }
 
 // ClassOf classifies an operation of transaction txn with flags f on a bus
@@ -170,15 +202,21 @@ func ClassOf(dim Dim, txn Txn, f Flags) OpClass {
 	}
 	switch {
 	case f.Has(REQUEST | REMOVE):
+		return colRequestRemove
 	case f.Has(REQUEST | MEMORY):
-		return colRequestMemory
-	case f.Has(XFER):
+		return colMemory
+	case f.Has(XFER), f.Has(REPLY) && f&(FAIL|QUEUED) != 0:
+	case f.Has(REPLY) && txn == READ:
+		return colReadReply
+	case f.Has(REPLY | INSERT):
+		return colOwnershipInsert
 	case f.Has(REPLY):
-		if f&(FAIL|QUEUED) == 0 && txn == READ {
-			return colReadReply
-		}
-	case f.Has(UPDATE|MEMORY) && f&(INSERT|REMOVE) == 0:
-		return colUpdateMemory
+	case f.Has(INSERT):
+		return colInsert
+	case f.Has(REMOVE):
+		return colWritebackRemove
+	case f.Has(UPDATE | MEMORY):
+		return colMemory
 	}
 	return colBroadcast
 }
@@ -186,63 +224,57 @@ func ClassOf(dim Dim, txn Txn, f Flags) OpClass {
 // Addressee returns the class's row of the delivery table.
 func (c OpClass) Addressee() Addressee { return delivery[c] }
 
-// Three conditions beside the table widen delivery to the whole bus: a
+// Four conditions beside the table widen delivery to the whole bus: a
 // SuppressSignal hook on a row REQUEST (the suppressed node and its
 // discard are decided at probe time), snarfing on a READ reply (any
-// retained tag may capture it), and an Observer (Snoop). Suppressible
-// and Snarfable report the classes the first two widen.
+// retained tag may capture it), an insert that overflowed the column's
+// table (the displaced line's holder writes it back), and an Observer
+// (Snoop). Suppressible, Snarfable and Overflowable report the classes
+// the first three widen.
 func (c OpClass) Suppressible() bool { return c == rowRequest }
 func (c OpClass) Snarfable() bool {
 	return c == rowReadReply || c == rowReadUpdateReply || c == colReadReply
 }
+func (c OpClass) Overflowable() bool { return c == colOwnershipInsert || c == colInsert }
 
-// addressed reads op's row of the delivery table as positions along a
-// bus of dimension dim — the column of a node on a row bus, its row on a
-// column bus: at most two, ascending, -1 for none; or all of them. A node
-// outside the set would take no action, change no state and count
-// nothing.
-func (s *System) addressed(dim Dim, op *Op) (first, second int, all bool) {
-	c := ClassOf(dim, op.Txn, op.Flags)
-	if s.SuppressSignal != nil && c.Suppressible() || s.cfg.Snarf && c.Snarfable() {
-		return -1, -1, true
+// addressed reads the delivery table's row for op, of class c, as the set
+// of positions along a bus of dimension dim — the column of a node on a
+// row bus, its row on a column bus — bit i for position i. A node outside
+// the set would take no action, change no state and count nothing.
+func (s *System) addressed(dim Dim, c OpClass, op *Op) uint64 {
+	if s.SuppressSignal != nil && c.Suppressible() || s.cfg.Snarf && c.Snarfable() || op.overflow && c.Overflowable() {
+		return 1<<s.cfg.N - 1
 	}
 	switch delivery[c] {
 	case ToClaimantElseHome:
 		if op.modified {
-			return op.claimant.Col, -1, false
+			return 1 << op.claimant.Col
 		}
-		return s.homeColumn(op.Line), -1, false
+		return 1 << s.homeColumn(op.Line)
 	case ToOrigin, ToForwarder:
 		if dim == Row {
-			return op.Origin.Col, -1, false
+			return 1 << op.Origin.Col
 		}
-		return op.Origin.Row, -1, false
+		return 1 << op.Origin.Row
+	case ToForwarderAndServers:
+		return 1<<op.Origin.Row | op.servers
 	case ToOriginAndHome:
-		return pair(op.Origin.Col, s.homeColumn(op.Line))
+		return 1<<op.Origin.Col | 1<<s.homeColumn(op.Line)
 	case ToHome:
-		return s.homeColumn(op.Line), -1, false
-	case ToMemory:
-		return -1, -1, false
+		return 1 << s.homeColumn(op.Line)
+	case ToNone:
+		return 0
 	}
-	return -1, -1, true
+	return 1<<s.cfg.N - 1
 }
 
 // Addressed is addressed for op when the probe phase raised the
-// modified-line signal at claimant, or did not raise it (nil).
-func (s *System) Addressed(dim Dim, op Op, claimant *topology.Coord) (first, second int, all bool) {
+// modified-line signal at claimant (nil: nobody did) and will-serve at
+// the positions servers, and its table insert overflowed if overflow.
+func (s *System) Addressed(dim Dim, op Op, claimant *topology.Coord, servers uint64, overflow bool) uint64 {
 	if claimant != nil {
-		op.modified, op.claimed, op.claimant = true, true, *claimant
+		op.modified, op.claimant = true, *claimant
 	}
-	return s.addressed(dim, &op)
-}
-
-// pair orders two positions, dropping a duplicate.
-func pair(a, b int) (first, second int, all bool) {
-	switch {
-	case a == b:
-		return a, -1, false
-	case a > b:
-		return b, a, false
-	}
-	return a, b, false
+	op.servers, op.overflow = servers, overflow
+	return s.addressed(dim, ClassOf(dim, op.Txn, op.Flags), &op)
 }

@@ -65,7 +65,7 @@ var rewindFields = []fieldClasses{
 	},
 	{
 		of:      typeOf[mlt.Table](),
-		rewound: []string{"sets", "table", "clock", "inserts", "removes", "failures", "overflows"},
+		rewound: []string{"cols", "members", "gen"},
 		wiring:  []string{"cfg"},
 	},
 	{
@@ -76,7 +76,7 @@ var rewindFields = []fieldClasses{
 	},
 	{
 		of:      typeOf[Node](),
-		rewound: []string{"l2", "table", "pend", "wbCont", "wbTrace", "purgedAt", "gen", "stats"},
+		rewound: []string{"l2", "pend", "wbCont", "wbTrace", "purgedAt", "gen", "stats"},
 		hook:    []string{"OnInvalidate"},
 		wiring:  []string{"sys", "id", "rowIdx", "colIdx", "enqueueFn"},
 		// pendBuf is what pend points to: its state is pend's, and what it
@@ -91,7 +91,7 @@ var rewindFields = []fieldClasses{
 	},
 	{
 		of:      typeOf[System](),
-		rewound: []string{"k", "rows", "cols", "nodes", "mems", "acct", "dropped"},
+		rewound: []string{"k", "rows", "cols", "nodes", "mems", "mlt", "acct", "dropped"},
 		hook: []string{"OpLog", "Fault", "SuppressSignal", "DisableStaleReplyPoisoning", "Observer",
 			"inclusions", "onSkip"},
 		wiring:      []string{"grid", "cfg"},
@@ -101,10 +101,11 @@ var rewindFields = []fieldClasses{
 	{
 		// The explorer's fingerprint cache: a memo keyed on the rewind's
 		// labels, which no Save or Load touches (a hash is good wherever
-		// its label comes back); evs, evH and lines are buffers.
+		// its label comes back); evs and evH are buffers, and lines and
+		// read a memo that BeginPoint empties.
 		of:      typeOf[FPCache](),
 		wiring:  []string{"sys", "n", "snarf"},
-		scratch: []string{"lab", "nodeH", "memH", "rowQ", "colQ", "evs", "evH", "lines", "recomputes", "reused"},
+		scratch: []string{"lab", "nodeH", "memH", "rowQ", "colQ", "evs", "evH", "lines", "read", "recomputes", "reused"},
 	},
 }
 

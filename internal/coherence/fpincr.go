@@ -97,7 +97,8 @@ type FPCache struct {
 
 	evs   []evRec
 	evH   []uint64
-	lines []mlt.Line // nodeHash's buffer
+	lines [][]mlt.Line // each column's table, read once per point by nodeHash
+	read  uint64       // the columns of lines read at this point, bit c for column c
 
 	recomputes uint64 // component hashes rebuilt because their label moved
 	reused     uint64 // component hashes served from cache
@@ -107,7 +108,7 @@ type FPCache struct {
 func NewFPCache(s *System) *FPCache {
 	n := s.cfg.N
 	f := &FPCache{sys: s, n: n, snarf: s.cfg.Snarf, lab: make([]label, len(s.labels)),
-		nodeH: make([][]uint64, n), memH: make([]uint64, n),
+		nodeH: make([][]uint64, n), memH: make([]uint64, n), lines: make([][]mlt.Line, n),
 		rowQ: make([]busQ, n), colQ: make([]busQ, n)}
 	for r := range f.nodeH {
 		f.nodeH[r] = make([]uint64, n)
@@ -128,6 +129,7 @@ func (f *FPCache) ResetStats() { f.recomputes, f.reused = 0, 0 }
 func (f *FPCache) BeginPoint(extra ExtraTagFunc) {
 	s := f.sys
 	n := f.n
+	f.read = 0
 	for r, row := range s.nodes {
 		for c, nd := range row {
 			if f.stale((3+r)*n+c, nd.gen) {
@@ -499,9 +501,9 @@ func (f *FPCache) snarfWord(op *Op, inv, cinv []int) uint64 {
 	return h.Sum()
 }
 
-// nodeHash hashes one node's L2, MLT, pending transaction, and
-// write-back continuation — the same fields snapshot.go walks, none of
-// which name a row index.
+// nodeHash hashes one node's L2, its column's MLT (applyTable bumps the
+// node when it moves), pending transaction, and write-back continuation —
+// the same fields snapshot.go walks, none of which name a row index.
 func (f *FPCache) nodeHash(nd *Node) uint64 {
 	h := fphash.New()
 	h.Word(0x01)
@@ -519,9 +521,12 @@ func (f *FPCache) nodeHash(nd *Node) uint64 {
 	h.Word(uint64(count))
 	h.Word(sub.Sum())
 	h.Word(0x02)
-	f.lines = nd.table.AppendLines(f.lines[:0])
-	h.Word(uint64(len(f.lines)))
-	for _, l := range f.lines {
+	c := nd.id.Col
+	if f.read&(1<<c) == 0 {
+		f.lines[c], f.read = f.sys.mlt.AppendLines(c, f.lines[c][:0]), f.read|1<<c
+	}
+	h.Word(uint64(len(f.lines[c])))
+	for _, l := range f.lines[c] {
 		h.Word(uint64(l))
 	}
 	h.Word(0x03)

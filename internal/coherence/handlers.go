@@ -8,25 +8,6 @@ import (
 	"multicube/internal/mlt"
 )
 
-// probeRow implements the "modified line" signal: a special row bus line
-// supplied (by at most one node) a fixed number of bus cycles after a
-// request is placed on the bus, signifying that the desired line resides
-// in mode modified in a cache on the asserting node's column. The row's
-// snooper probes only for a REQUEST.
-func (n *Node) probeRow(op *Op) {
-	if n.table.Contains(mlt.Line(op.Line)) {
-		if n.sys.SuppressSignal != nil && n.sys.SuppressSignal(n.id, op) {
-			op.suppressed = true
-			return // injected fault: this controller stays silent
-		}
-		op.modified = true
-		if !op.claimed {
-			op.claimed = true
-			op.claimant = n.id
-		}
-	}
-}
-
 // probeCol asserts the column-bus holder-present and will-serve signals
 // for requests targeting a line this node holds. The column's snooper
 // probes only for a REQUEST|REMOVE.
@@ -47,14 +28,14 @@ func (n *Node) probeCol(op *Op) {
 		// only while sync state is live (the admission pinned this copy);
 		// on an ordinary data line word 1 is just data.
 		if !e.Pinned || e.Data[LinkWord] == 0 {
-			op.willServe = true
+			op.servers |= 1 << n.id.Row
 		}
 	case Reserved:
 		// An admitted queue tail answers (serving SYNC/TAS, or bouncing
 		// READ/READMOD); a joiner whose admission is still in flight
 		// stays silent.
 		if e.Data[LinkWord] == 0 && n.isQueuedTailFor(op.Line) {
-			op.willServe = true
+			op.servers |= 1 << n.id.Row
 		}
 	}
 }
@@ -105,7 +86,7 @@ func (n *Node) snoopCol(op *Op) {
 	case op.Flags.Has(REPLY):
 		n.colReply(op)
 	case op.Flags.Has(INSERT):
-		n.tableInsert(op.Line, op.trace)
+		n.tableInsert(op)
 	case op.Flags.Has(REMOVE):
 		n.colWritebackRemove(op)
 	case op.Flags.Has(UPDATE | MEMORY):
@@ -122,7 +103,7 @@ row bus request for data; the request is either forwarded to the column
 */
 func (n *Node) rowRequest(op *Op) {
 	line := op.Line
-	if n.table.Contains(mlt.Line(line)) {
+	if n.sys.mlt.Contains(n.id.Col, mlt.Line(line)) {
 		if op.suppressed {
 			// Injected fault (decided at probe time): discard the
 			// request; the home column and the memory valid bit will
@@ -130,14 +111,14 @@ func (n *Node) rowRequest(op *Op) {
 			n.sys.dropped++
 			return
 		}
-		if !op.claimed || op.claimant != n.id {
+		if op.claimant != n.id {
 			// Another controller won the claim (its table also holds
 			// the line — one of the two entries is stale and its REMOVE
 			// is in flight): only the claimant forwards, so the request
 			// is never duplicated.
 			return
 		}
-		// Modified signal supplied in probeRow; forward onto my column.
+		// Modified signal supplied in the row's probe; forward onto my column.
 		flags := REQUEST | REMOVE | (op.Flags & ALLOC)
 		n.issueColAfter(forwardLatency,
 			n.sys.addrOp(op.Txn, flags, op.Origin, line, op.trace))
@@ -166,8 +147,7 @@ column bus request for modified data; removing the modified line table
 */
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) colRequestRemove(op *Op) {
-	removed := n.table.Remove(mlt.Line(op.Line))
-	if !removed {
+	if !op.mltHad {
 		// Lost race: the controller on the originator's row retransmits
 		// the request on the row bus, where it is treated exactly as if
 		// it were a new request (but destined for the original requester).
@@ -179,7 +159,7 @@ func (n *Node) colRequestRemove(op *Op) {
 		}
 		return
 	}
-	if !op.willServe {
+	if op.servers == 0 {
 		// The remove succeeded but no controller on this column can
 		// answer right now (a queue admission in flight, a head with a
 		// queued successor, or a stale entry): the controller on the
@@ -205,7 +185,7 @@ func (n *Node) colRequestRemove(op *Op) {
 		// nonzero link means a SYNC queue is active and this copy is its
 		// head. The head serves nothing — the tail answers TAS/SYNC for
 		// its own column, and giving the line away to a READ/READMOD
-		// would strand the queued waiter (probeCol already kept willServe
+		// would strand the queued waiter (probeCol already kept will-serve
 		// down; this mirrors it at dispatch).
 		if e.Pinned && e.Data[LinkWord] != 0 {
 			return
@@ -325,11 +305,10 @@ write the line to memory; if the modified line table remove operation
 */
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) colWritebackRemove(op *Op) {
-	removed := n.table.Remove(mlt.Line(op.Line))
 	if op.Origin != n.id {
 		return
 	}
-	if removed {
+	if op.mltHad {
 		if e, ok := n.l2.Lookup(op.Line); ok && e.State == Modified {
 			if n.onHomeColumn(op.Line) {
 				n.issueCol(n.sys.dataOp(WRITEBACK, UPDATE|MEMORY, n.id, op.Line, e.Data, op.trace))
@@ -521,7 +500,7 @@ func (n *Node) colOwnershipReply(op *Op) {
 		if op.Origin == n.id {
 			n.installOwned(op)
 		}
-		n.tableInsert(op.Line, op.trace)
+		n.tableInsert(op)
 	case op.Flags.Has(PURGE):
 		/* column bus reply from memory to a READMOD request; a purge of
 		   all copies of the line is required; the data cache on the home

@@ -15,7 +15,6 @@ import (
 
 	"multicube/internal/cache"
 	"multicube/internal/linetable"
-	"multicube/internal/mlt"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
 )
@@ -76,13 +75,13 @@ type NodeStats struct {
 }
 
 // Node is one snooping-cache controller: a processor's large second-level
-// cache, its modified line table, and its connections to one row bus and
-// one column bus.
+// cache and its connections to one row bus and one column bus. Its
+// modified line table is its column's, which the machine keeps
+// (System.MLT).
 type Node struct {
-	sys   *System
-	id    topology.Coord
-	l2    *cache.Cache
-	table *mlt.Table
+	sys *System
+	id  topology.Coord
+	l2  *cache.Cache
 
 	rowIdx, colIdx int
 
@@ -134,13 +133,7 @@ func newNode(s *System, id topology.Coord) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, err := mlt.New(mlt.Config{Entries: s.cfg.MLTEntries, Assoc: s.cfg.MLTAssoc})
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{
-		sys: s, id: id, l2: l2, table: table,
-	}
+	n := &Node{sys: s, id: id, l2: l2}
 	n.enqueueFn = n.enqueue
 	return n, nil
 }
@@ -151,9 +144,6 @@ func (n *Node) ID() topology.Coord { return n.id }
 // Cache exposes the snooping cache, primarily for the machine layer's
 // word-level access and for invariant checks.
 func (n *Node) Cache() *cache.Cache { return n.l2 }
-
-// Table exposes the modified line table for invariant checks.
-func (n *Node) Table() *mlt.Table { return n.table }
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() NodeStats { return n.stats }
@@ -473,19 +463,19 @@ func (n *Node) writeLine(line cache.Line, state cache.State, data []uint64) *cac
 	return e
 }
 
-// tableInsert adds an entry to this node's modified line table, handling
-// overflow per Appendix A: the displaced entry's line, if held modified by
-// this node, is written back to memory and marked shared. Every node in
-// the column runs the same deterministic replacement, so exactly one node
-// (the holder) performs the writeback.
+// tableInsert handles the outcome of an insert into the column's modified
+// line table, which the column's snooper applied (applyTable), per
+// Appendix A: the displaced entry's line, if held modified by this node,
+// is written back to memory and marked shared. On an overflow every node
+// of the column is entered, so exactly one node (the holder) performs the
+// writeback.
 //
 //multicube:fpexempt called only under the snoop dispatchers, which bump
-func (n *Node) tableInsert(line cache.Line, trace *TxnTrace) {
-	victim, overflow := n.table.Insert(mlt.Line(line))
-	if !overflow {
+func (n *Node) tableInsert(op *Op) {
+	if !op.overflow {
 		return
 	}
-	ovLine := cache.Line(victim)
+	ovLine, trace := cache.Line(op.victim), op.trace
 	e, ok := n.l2.Lookup(ovLine)
 	if !ok {
 		return

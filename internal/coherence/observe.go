@@ -19,14 +19,14 @@ import (
 // without it.
 
 // LineView is a controller-local snapshot of everything bearing on one
-// line: the snooping-cache entry, the replicated modified-line-table
+// line: the snooping-cache entry, the column's modified-line-table
 // membership, the outstanding processor request, and the writeback
 // continuation.
 type LineView struct {
 	// State is the snooping-cache mode of the line (Invalid if absent).
 	State  cache.State
 	Pinned bool
-	// MLTHas reports modified-line-table membership at this node.
+	// MLTHas reports membership in the node's column's table.
 	MLTHas bool
 	// LockWord and LinkWord are the synchronization words of the cached
 	// copy; zero when the line is absent.
@@ -91,6 +91,8 @@ type SnoopEvent struct {
 	Suppressed    bool
 	HolderPresent bool
 	WillServe     bool
+	Serves        bool // Node asserted will-serve
+	Overflow      bool // the operation's table insert displaced a line
 
 	// Snarfable reports that the snarf optimization could capture this
 	// operation's payload at this node (a pre-state property: enabled,
@@ -108,7 +110,7 @@ type SnoopEvent struct {
 
 // lineView builds the controller-local view of op's line.
 func (n *Node) lineView(op *Op) LineView {
-	v := LineView{MLTHas: n.table.Contains(mlt.Line(op.Line)), WBCont: n.wbCont != nil}
+	v := LineView{MLTHas: n.sys.mlt.Contains(n.id.Col, mlt.Line(op.Line)), WBCont: n.wbCont != nil}
 	if e, ok := n.l2.Lookup(op.Line); ok {
 		v.State = e.State
 		v.Pinned = e.Pinned
@@ -128,8 +130,8 @@ func (n *Node) lineView(op *Op) LineView {
 }
 
 // observeSnoop dispatches op with the action-intent sink armed and
-// reports the transition to the installed Observer.
-func (n *Node) observeSnoop(dim Dim, op *Op, addressed bool) {
+// reports the transition to the installed Observer; tabled: applyTable ran.
+func (n *Node) observeSnoop(dim Dim, op *Op, addressed, tabled bool) {
 	s := n.sys
 	ev := SnoopEvent{
 		Node:          n.id,
@@ -143,13 +145,18 @@ func (n *Node) observeSnoop(dim Dim, op *Op, addressed bool) {
 		Home:          n.onHomeColumn(op.Line),
 		Addressed:     addressed,
 		Modified:      op.modified,
-		ClaimantSelf:  op.claimed && op.claimant == n.id,
+		ClaimantSelf:  op.modified && op.claimant == n.id,
 		Suppressed:    op.suppressed,
 		HolderPresent: op.holderPresent,
-		WillServe:     op.willServe,
+		WillServe:     op.servers != 0,
+		Serves:        dim == Col && op.servers&(1<<n.id.Row) != 0,
+		Overflow:      op.overflow,
 		Snarfable:     n.snarfEligible(op),
 		Before:        n.lineView(op),
 		StatsBefore:   n.stats,
+	}
+	if tabled {
+		ev.Before.MLTHas = op.mltHad
 	}
 	prev := s.obsSink
 	s.obsSink = &ev.Actions

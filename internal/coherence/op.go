@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"multicube/internal/cache"
+	"multicube/internal/mlt"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
 )
@@ -153,14 +154,13 @@ type Op struct {
 
 	// modified is the wired-OR row-bus "modified line" signal, supplied
 	// during the Probe phase by the (at most one) node whose modified
-	// line table holds the line.
+	// line table holds the line. claimant, set with it, arbitrates the
+	// forward when more than one column's table transiently holds the
+	// line (entries can be duplicated across columns for an instant
+	// while a stale entry awaits its REMOVE): exactly one node — the
+	// first prober, matching a hardware priority chain — forwards the
+	// request onto its column.
 	modified bool
-	// claimed/claimant arbitrate the forward when more than one node's
-	// table transiently holds the line (entries can be duplicated across
-	// columns for an instant while a stale entry awaits its REMOVE):
-	// exactly one node — the first prober, matching a hardware priority
-	// chain — forwards the request onto its column.
-	claimed  bool
 	claimant topology.Coord
 	// suppressed records a SuppressSignal fault-injection decision made
 	// at probe time, so the probe and snoop phases of the same operation
@@ -172,14 +172,16 @@ type Op struct {
 	// column; the signal lets the reserved tail defer to the data holder
 	// for READ and READMOD requests instead of bouncing them.
 	holderPresent bool
-	// willServe is a wired-OR column-bus signal asserted during the
-	// probe phase by a node that will respond to this REQUEST|REMOVE.
-	// If no node asserts it, the request would die with the table entry
-	// already removed (e.g. the queue tail's admission is still in
-	// flight, or the entry went stale); the controller on the
-	// originator's row then restores the entry and retransmits — the
-	// same revival idiom the protocol uses for lost races.
-	willServe bool
+	// servers is the wired-OR column-bus will-serve signal, a bit per row
+	// asserted during the probe phase by a node that will respond to this
+	// REQUEST|REMOVE. If no node asserts it, the request would die with
+	// the table entry already removed (e.g. the queue tail's admission is
+	// still in flight, or the entry went stale); the controller on the
+	// originator's row then restores the entry and retransmits — the same
+	// revival idiom the protocol uses for lost races.
+	servers          uint64
+	mltHad, overflow bool     // the column's table update (applyTable): line held before,
+	victim           mlt.Line // and displaced by an overflowing insert
 
 	occ   sim.Time
 	trace *TxnTrace

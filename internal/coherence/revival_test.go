@@ -24,9 +24,7 @@ func TestDuplicateTableEntriesForwardOnce(t *testing.T) {
 	// Manufacture the transient inconsistency: a stale duplicate entry in
 	// a second column (as exists for an instant while a stale entry's
 	// REMOVE is in flight).
-	for r := 0; r < 4; r++ {
-		s.Node(at(r, 3)).Table().Insert(mlt.Line(line))
-	}
+	s.MLT().Insert(3, mlt.Line(line))
 
 	forwards := 0
 	s.OpLog = func(dim Dim, issuer topology.Coord, op *Op) {
@@ -54,9 +52,7 @@ func TestDuplicateTableEntriesForwardOnce(t *testing.T) {
 	s.OpLog = nil
 	// The stale entries must be gone (consumed by a REMOVE) or the oracle
 	// will flag them.
-	for r := 0; r < 4; r++ {
-		s.Node(at(r, 3)).Table().Remove(mlt.Line(line))
-	}
+	s.MLT().Remove(3, mlt.Line(line))
 	checkQuiet(t, s)
 }
 
@@ -70,9 +66,7 @@ func TestRevivalOfUnanswerableRequest(t *testing.T) {
 	line := cache.Line(1)
 	s.MemoryAt(1).Store().Write(1, []uint64{9, 9, 9, 9})
 
-	for r := 0; r < 4; r++ {
-		s.Node(at(r, 3)).Table().Insert(mlt.Line(line)) // bogus entry, no holder
-	}
+	s.MLT().Insert(3, mlt.Line(line)) // bogus entry, no holder
 	reader := s.Node(at(2, 0))
 	completed := false
 	reader.Read(line, func(Result) { completed = true })
@@ -86,11 +80,9 @@ func TestRevivalOfUnanswerableRequest(t *testing.T) {
 	if s.Node(at(2, 3)).Stats().Reissues == 0 {
 		t.Error("row-match controller never revived the request")
 	}
-	// The bogus entries were restored by the revival and must be cleared
+	// The bogus entry was restored by the revival and must be cleared
 	// before the oracle runs (they reference no modified copy).
-	for r := 0; r < 4; r++ {
-		s.Node(at(r, 3)).Table().Remove(mlt.Line(line))
-	}
+	s.MLT().Remove(3, mlt.Line(line))
 	checkQuiet(t, s)
 }
 

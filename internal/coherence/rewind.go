@@ -29,15 +29,15 @@ import (
 // traces (their bus-operation counts keep growing).
 //
 // A rewind copies only what moved. Each row bus, column bus, memory module
-// and node — a component — carries a label, (epoch, generation), on the
-// machine and in every buffer, and a label never names two contents: in
-// an epoch a generation only rises, with every mutation, and whatever
-// lowers it opens a new epoch from a clock that is never rewound — a
-// Load that copies the component, once it moves on (until then it stands
-// under the buffer's label). Where the machine's label equals
-// the buffer's, Save and Load leave the component alone. Bare generations
-// would not do: generation g of the abandoned future is not generation g
-// of the next (DESIGN.md §5.9). The fingerprint cache keys its hashes on
+// and node, and the modified line tables — a component — carries a label,
+// (epoch, generation), on the machine and in every buffer, and a label
+// never names two contents: in an epoch a generation only rises, with
+// every mutation, and whatever lowers it opens a new epoch from a clock
+// that is never rewound — a Load that copies the component, once it moves
+// on (until then it stands under the buffer's label). Where the machine's
+// label equals the buffer's, Save and Load leave the component alone.
+// Bare generations would not do: generation g of the abandoned future is
+// not generation g of the next (DESIGN.md §5.9). The fingerprint cache keys its hashes on
 // the same labels (System.current), so it is neither saved nor loaded: a
 // hash taken under a label is good wherever the label comes back.
 
@@ -47,11 +47,12 @@ import (
 type Saved struct {
 	sys     *System // the machine it was taken from; Load accepts no other
 	k       sim.KernelState
-	labels  []label // of rows, cols, mems and nodes, as in System.labels
+	labels  []label // of rows, cols, mems, nodes and tables, as in System.labels
 	rows    []bus.Saved
 	cols    []bus.Saved
 	nodes   []nodeSaved // row-major
 	mems    []memSaved
+	mlt     mlt.Saved
 	acct    accounting
 	dropped uint64
 	// traces are the transaction traces reachable from the saved state,
@@ -104,7 +105,6 @@ func (s *System) same(st *Saved, i int, gen uint64, load bool) bool {
 
 type nodeSaved struct {
 	l2      cache.Saved
-	table   mlt.Saved
 	hasPend bool
 	pend    pending
 	wbCont  func()
@@ -163,6 +163,9 @@ func (s *System) Save(st *Saved) {
 			st.addTrace(nd.wbTrace)
 		}
 	}
+	if !s.same(st, len(s.labels)-1, s.mlt.Gen(), false) {
+		s.mlt.Save(&st.mlt)
+	}
 	st.acct = s.acct
 	st.dropped = s.dropped
 	s.forEachLiveOp(func(op *Op) { st.addTrace(op.trace) })
@@ -209,6 +212,9 @@ func (s *System) Load(st *Saved) {
 			}
 		}
 	}
+	if !s.same(st, len(s.labels)-1, s.mlt.Gen(), true) {
+		s.mlt.Load(&st.mlt)
+	}
 	s.acct = st.acct
 	s.dropped = st.dropped
 	for _, t := range st.traces {
@@ -216,10 +222,11 @@ func (s *System) Load(st *Saved) {
 	}
 	// An operation alive at the boundary may have been delivered in the
 	// future now abandoned and will be delivered again: its probe wires,
-	// which delivery only ever sets, go back to unasserted.
+	// which delivery only ever sets, and its table outcome go back to none.
 	s.forEachLiveOp(func(op *Op) {
-		op.modified, op.claimed, op.claimant = false, false, topology.Coord{}
-		op.suppressed, op.holderPresent, op.willServe = false, false, false
+		op.modified, op.claimant = false, topology.Coord{}
+		op.suppressed, op.holderPresent, op.servers = false, false, 0
+		op.mltHad, op.overflow, op.victim = false, false, 0
 	})
 }
 
@@ -248,7 +255,6 @@ func (s *System) forEachLiveOp(fn func(*Op)) {
 
 func (n *Node) save(st *nodeSaved) {
 	n.l2.Save(&st.l2)
-	n.table.Save(&st.table)
 	if st.hasPend = n.pend != nil; st.hasPend {
 		st.pend = *n.pend
 	} else {
@@ -262,7 +268,6 @@ func (n *Node) save(st *nodeSaved) {
 //multicube:fpexempt restores fingerprint-visible state together with the generation that counts it
 func (n *Node) load(st *nodeSaved) {
 	n.l2.Load(&st.l2)
-	n.table.Load(&st.table)
 	if st.hasPend {
 		n.pendBuf = st.pend
 		n.pend = &n.pendBuf

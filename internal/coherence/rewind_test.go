@@ -283,11 +283,15 @@ func publicState(s *System) string {
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			nd := s.Node(topology.Coord{Row: r, Col: c})
-			fmt.Fprintf(&b, "node(%d,%d) %+v gen=%d busy=%v hook=%v cache=%+v/%d mlt=%+v/%d\n", r, c,
+			fmt.Fprintf(&b, "node(%d,%d) %+v gen=%d busy=%v hook=%v cache=%+v/%d\n", r, c,
 				nd.Stats(), nd.gen, nd.Busy(), nd.OnInvalidate != nil,
-				nd.Cache().Stats(), nd.Cache().Len(), nd.Table().Stats(), nd.Table().Len())
+				nd.Cache().Stats(), nd.Cache().Len())
 		}
 	}
+	for c := 0; c < n; c++ {
+		fmt.Fprintf(&b, "mlt%d %+v/%d\n", c, s.mlt.Stats(c), len(s.mlt.AppendLines(c, nil)))
+	}
+	fmt.Fprintf(&b, "mlt gen=%d\n", s.mlt.Gen())
 	for c := 0; c < n; c++ {
 		st := s.MemoryAt(c).Store()
 		fmt.Fprintf(&b, "mem%d %+v invalid=%d\n", c, st.Stats(), st.InvalidLines())
@@ -412,7 +416,7 @@ func TestLoadEqualsReplay(t *testing.T) {
 						m.incrementalFP(m.fpc)
 					}
 					for _, op := range live {
-						if op.modified || op.claimed || op.holderPresent || op.willServe {
+						if op.modified || op.holderPresent || op.servers != 0 || op.mltHad || op.overflow {
 							rewired++
 						}
 					}
@@ -435,8 +439,9 @@ func TestLoadEqualsReplay(t *testing.T) {
 						t.Fatalf("%s: Executed %d after Load", where, m.k.Executed())
 					}
 					for _, op := range live {
-						if op.modified || op.claimed || op.claimant != (topology.Coord{}) || op.suppressed || op.holderPresent || op.willServe {
-							t.Fatalf("%s: %v came back from the abandoned future with probe wires asserted", where, op)
+						if op.modified || op.claimant != (topology.Coord{}) || op.suppressed || op.holderPresent ||
+							op.servers != 0 || op.mltHad || op.overflow || op.victim != 0 {
+							t.Fatalf("%s: %v came back from the abandoned future with probe wires or a table outcome asserted", where, op)
 						}
 					}
 					if len(ref.ch.picks) != b.picks {

@@ -5,6 +5,7 @@ import (
 	"multicube/internal/cache"
 	"multicube/internal/fphash"
 	"multicube/internal/memory"
+	"multicube/internal/mlt"
 	"multicube/internal/sim"
 	"multicube/internal/topology"
 )
@@ -104,7 +105,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	}
 
 	// opFP hashes one bus operation's protocol-visible fields. Transient
-	// probe-phase fields (modified/claimed/suppressed/...), the trace
+	// probe-phase fields (modified/claimant/suppressed/...), the trace
 	// pointer, occupancy (a pure function of data presence) and the
 	// absolute birth time are excluded. When snarfing is enabled, the
 	// relation born <= purgedAt[line] per node IS protocol-visible (it
@@ -138,6 +139,10 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 	}
 
 	// Nodes, in canonical (row, col) order.
+	lines := make([][]mlt.Line, n)
+	for c := range lines {
+		lines[c] = s.mlt.AppendLines(c, nil)
+	}
 	for cr := 0; cr < n; cr++ {
 		for cc := 0; cc < n; cc++ {
 			nd := s.nodes[inv[cr]][cinv[cc]]
@@ -151,7 +156,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 				}
 			})
 			h.Word(0x02)
-			for _, l := range nd.table.AppendLines(nil) { // already sorted
+			for _, l := range lines[nd.id.Col] { // already sorted
 				h.Word(uint64(l))
 			}
 			h.Word(0x03)

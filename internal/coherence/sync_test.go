@@ -81,10 +81,8 @@ func TestTASRemoteFailureLeavesLine(t *testing.T) {
 		t.Fatal("holder lost the line on a failed TAS")
 	}
 	// The MLT entry must have been restored so future requests route.
-	for r := 0; r < 4; r++ {
-		if !s.Node(at(r, 1)).Table().Contains(0) {
-			t.Errorf("MLT entry at (%d,1) not restored", r)
-		}
+	if !s.MLT().Contains(1, 0) {
+		t.Error("column 1's MLT entry not restored")
 	}
 	checkQuiet(t, s)
 }

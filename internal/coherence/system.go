@@ -124,8 +124,9 @@ type System struct {
 
 	rows  []*bus.Bus
 	cols  []*bus.Bus
-	nodes [][]*Node // [row][col]
-	mems  []*Memory // per column
+	nodes [][]*Node  // [row][col]
+	mems  []*Memory  // per column
+	mlt   *mlt.Table // every column's modified line table (DESIGN.md §2)
 
 	// acct is the transaction accounting Stats and StrayReplies read.
 	acct accounting
@@ -189,8 +190,8 @@ type System struct {
 	saved bool
 
 	// labels say under which epoch every component Save and Load copy one
-	// by one stands — row buses, column buses, memories, then nodes
-	// row-major — and clock is the last epoch drawn (rewind.go).
+	// by one stands — row buses, column buses, memories, nodes row-major,
+	// then the tables — and clock is the last epoch drawn (rewind.go).
 	// Bookkeeping of the rewind, not state: never saved or rewound, and
 	// drawn once by NewSystem. onSkip, when set, is told of every
 	// component a Save or a Load leaves in place; tests hold it to the
@@ -247,7 +248,11 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{k: k, grid: grid, cfg: cfg}
+	tables, err := mlt.New(mlt.Config{Entries: cfg.MLTEntries, Assoc: cfg.MLTAssoc}, cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	s := &System{k: k, grid: grid, cfg: cfg, mlt: tables}
 	n := cfg.N
 	s.rows = make([]*bus.Bus, n)
 	s.cols = make([]*bus.Bus, n)
@@ -288,15 +293,15 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		s.mems[c] = m
 	}
 	for i := 0; i < n; i++ {
-		row := &snooper{s: s, dim: Row, nodes: s.nodes[i]}
-		col := &snooper{s: s, dim: Col, nodes: make([]*Node, n), mem: s.mems[i]}
+		row := &snooper{s: s, dim: Row, at: i, nodes: s.nodes[i]}
+		col := &snooper{s: s, dim: Col, at: i, nodes: make([]*Node, n), mem: s.mems[i]}
 		for r := range col.nodes {
 			col.nodes[r] = s.nodes[r][i]
 		}
 		s.rows[i].Attach(row)
 		s.cols[i].Attach(col)
 	}
-	s.labels = make([]label, 3*n+n*n)
+	s.labels = make([]label, 3*n+n*n+1)
 	for i := range s.labels {
 		s.fresh(i)
 	}
@@ -343,6 +348,9 @@ func (s *System) Node(c topology.Coord) *Node { return s.nodes[c.Row][c.Col] }
 func (s *System) NodeByID(id topology.NodeID) *Node {
 	return s.Node(s.grid.Coord(id))
 }
+
+// MLT returns the modified line tables of the machine's columns.
+func (s *System) MLT() *mlt.Table { return s.mlt }
 
 // MemoryAt returns the memory module on column c.
 func (s *System) MemoryAt(c int) *Memory { return s.mems[c] }

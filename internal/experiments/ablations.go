@@ -71,9 +71,9 @@ func MLTSize(requests int) *stats.Table {
 			PShared: 0.8, PWrite: 0.6, SharedLines: 48, PrivateLines: 4,
 			Requests: requests,
 		})
-		var overflows uint64
-		for id := 0; id < m.Processors(); id++ {
-			overflows += m.Processor(id).Node().Table().Stats().Overflows
+		var overflows uint64 // over the paper's n copies of each column's table: n × the column's count
+		for c := 0; c < m.Config().N; c++ {
+			overflows += uint64(m.Config().N) * m.System().MLT().Stats(c).Overflows
 		}
 		name := "unbounded"
 		if entries > 0 {

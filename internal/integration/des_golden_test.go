@@ -228,15 +228,20 @@ func desGoldenRun(t *testing.T, c desGoldenCase) desGoldenEntry {
 	var l1Fills uint64
 	for id := 0; id < m.Processors(); id++ {
 		p := m.Processor(id)
-		c, t := p.Node().Cache().Stats(), p.Node().Table().Stats()
+		c := p.Node().Cache().Stats()
 		cs.Inserts += c.Inserts
 		cs.Evictions += c.Evictions
 		cs.Snarfs += c.Snarfs
-		ts.Inserts += t.Inserts
-		ts.Removes += t.Removes
-		ts.Failures += t.Failures
-		ts.Overflows += t.Overflows
 		l1Fills += p.Stats().L1Fills
+	}
+	// The table counts are summed over the paper's n copies of each
+	// column's table, as they were recorded: n times the column's counts.
+	for c, n := 0, uint64(m.Config().N); c < m.Config().N; c++ {
+		t := m.System().MLT().Stats(c)
+		ts.Inserts += n * t.Inserts
+		ts.Removes += n * t.Removes
+		ts.Failures += n * t.Failures
+		ts.Overflows += n * t.Overflows
 	}
 	e.Structure = fmt.Sprintf("cache inserts %d evictions %d snarfs %d; mlt inserts %d removes %d failures %d overflows %d; l1 fills %d; strays %d",
 		cs.Inserts, cs.Evictions, cs.Snarfs, ts.Inserts, ts.Removes, ts.Failures, ts.Overflows, l1Fills, m.System().StrayReplies())
@@ -244,8 +249,14 @@ func desGoldenRun(t *testing.T, c desGoldenCase) desGoldenEntry {
 		t.Errorf("invariant: %v", err)
 		e.Invariants++
 	}
-	// The final image: every memory module's lines and valid bits, then
-	// every snooping cache's resident lines, both in ascending order.
+	e.ImageHash = imageHash(m)
+	return e
+}
+
+// imageHash hashes a machine's final image: every memory module's lines
+// and valid bits, then every snooping cache's resident lines, both in
+// ascending order.
+func imageHash(m *core.Machine) string {
 	img := newWordHash()
 	n := m.Config().N
 	for col := 0; col < n; col++ {
@@ -271,8 +282,7 @@ func desGoldenRun(t *testing.T, c desGoldenCase) desGoldenEntry {
 			}
 		})
 	}
-	e.ImageHash = img.String()
-	return e
+	return img.String()
 }
 
 // TestDESGolden runs the timed machine over the benchmark's two mixes,

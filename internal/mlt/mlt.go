@@ -1,16 +1,16 @@
-// Package mlt implements the modified line table of Section 3: an
-// auxiliary tag store, one per processor, recording the addresses of all
-// lines held in modified mode by caches in that processor's column. All
-// tables in a column are kept identical by column-bus INSERT and REMOVE
-// side effects, so a row-bus request can be routed to the column holding
-// the modified line.
+// Package mlt implements the modified line tables of Section 3: an
+// auxiliary tag store per column recording the addresses of all lines
+// held in modified mode by caches in that column, so a row-bus request can
+// be routed to the column holding the modified line. The paper gives each
+// processor a copy, kept identical within a column by column-bus INSERT
+// and REMOVE side effects; here each column has one table, and one line
+// table maps a line to the columns holding it (Columns).
 //
-// The table is finite; on overflow the displaced line must be written back
+// A table is finite; on overflow the displaced line must be written back
 // to main memory and changed to global state unmodified (footnote 7 —
 // "this is why the modified line table is likely to be implemented as a
-// cache"). Replacement is deterministic (LRU over insertions), so that
-// every table in a column evicts the same entry for the same operation
-// sequence — the property the protocol's overflow handling relies on.
+// cache"). Replacement is deterministic (LRU over insertions) — the
+// property that kept the paper's copies of a column identical.
 // The package participates in the explorer's determinism contract: no
 // wall clock, no map-order dependence, no scheduling outside the chooser
 // seam. multicube-vet enforces this (see internal/analysis).
@@ -28,7 +28,11 @@ import (
 // Line addresses a coherency block; it matches cache.Line.
 type Line uint64
 
-// Config sizes a table. Entries == 0 means unbounded (no overflow).
+// MaxColumns is the most columns a Table holds: a column set is one word.
+const MaxColumns = 64
+
+// Config sizes each column's table. Entries == 0 means unbounded (no
+// overflow).
 type Config struct {
 	Entries int
 	Assoc   int // 0 with nonzero Entries means fully associative
@@ -56,122 +60,137 @@ type entry struct {
 	valid bool
 }
 
-// Table is one modified line table.
-type Table struct {
-	cfg   Config
-	sets  [][]entry                 // bounded mode
-	table linetable.Table[struct{}] // unbounded mode
+// column is one column's LRU sets, replacement clock and counters.
+type column struct {
+	sets  [][]entry // bounded mode
 	clock uint64
-
-	inserts   uint64
-	removes   uint64
-	failures  uint64
-	overflows uint64
+	stats Stats
 }
 
-// New returns an empty table.
-func New(cfg Config) (*Table, error) {
+// Table is the modified line tables of a machine's columns.
+type Table struct {
+	cfg     Config
+	cols    []column
+	members linetable.Table[uint64] // line → columns holding it, bit c for column c
+	gen     uint64                  // counts Insert and Remove; Load restores it
+}
+
+// New returns empty tables for n columns.
+func New(cfg Config, n int) (*Table, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{cfg: cfg}
+	if n < 1 || n > MaxColumns {
+		return nil, fmt.Errorf("mlt: %d columns, want 1 to at most %d (a set of columns is one word)", n, MaxColumns)
+	}
+	t := &Table{cfg: cfg, cols: make([]column, n)}
 	if cfg.Entries > 0 {
 		assoc := cfg.Assoc
 		if assoc == 0 {
 			assoc = cfg.Entries
 		}
-		nsets := cfg.Entries / assoc
-		t.sets = make([][]entry, nsets)
-		for i := range t.sets {
-			t.sets[i] = make([]entry, assoc)
+		for c := range t.cols {
+			t.cols[c].sets = make([][]entry, cfg.Entries/assoc)
+			for i := range t.cols[c].sets {
+				t.cols[c].sets[i] = make([]entry, assoc)
+			}
 		}
 	}
 	return t, nil
 }
 
 // MustNew is New but panics on error.
-func MustNew(cfg Config) *Table {
-	t, err := New(cfg)
+func MustNew(cfg Config, n int) *Table {
+	t, err := New(cfg, n)
 	if err != nil {
 		panic(err)
 	}
 	return t
 }
 
-// Saved is a caller-owned buffer holding a table's contents, replacement
-// clock and counters. Save fills it and keeps its capacity.
+// Saved is a caller-owned buffer holding the tables' contents,
+// replacement clocks and counters. Save fills it and keeps its capacity.
 type Saved struct {
-	entries []entry                   // the bounded table's slots, in set order
-	table   linetable.Table[struct{}] // the unbounded table
-	clock   uint64
-	stats   Stats
+	entries []entry // every bounded column's slots, column by column in set order
+	clocks  []uint64
+	stats   []Stats
+	members linetable.Table[uint64]
+	gen     uint64
 }
 
-// Save copies the table's contents into st.
+// Save copies the tables' contents into st.
 func (t *Table) Save(st *Saved) {
-	st.entries = st.entries[:0]
-	for _, set := range t.sets {
-		st.entries = append(st.entries, set...)
+	st.entries, st.clocks, st.stats = st.entries[:0], st.clocks[:0], st.stats[:0]
+	for c := range t.cols {
+		col := &t.cols[c]
+		for _, set := range col.sets {
+			st.entries = append(st.entries, set...)
+		}
+		st.clocks, st.stats = append(st.clocks, col.clock), append(st.stats, col.stats)
 	}
-	st.table.CopyFrom(&t.table)
-	st.clock, st.stats = t.clock, t.Stats()
+	st.members.CopyFrom(&t.members)
+	st.gen = t.gen
 }
 
-// Load replaces the table's contents with what Save copied from it (or
-// from a table of the same configuration).
+// Load replaces the tables' contents with what Save copied from them (or
+// from tables of the same configuration).
 func (t *Table) Load(st *Saved) {
 	entries := st.entries
-	for _, set := range t.sets {
-		entries = entries[copy(set, entries):]
+	for c := range t.cols {
+		col := &t.cols[c]
+		for _, set := range col.sets {
+			entries = entries[copy(set, entries):]
+		}
+		col.clock, col.stats = st.clocks[c], st.stats[c]
 	}
-	t.table.CopyFrom(&st.table)
-	t.clock = st.clock
-	t.inserts, t.removes, t.failures, t.overflows = st.stats.Inserts, st.stats.Removes, st.stats.Failures, st.stats.Overflows
+	t.members.CopyFrom(&st.members)
+	t.gen = st.gen
 }
+
+// Gen returns the generation, which every Insert and Remove bumps.
+func (t *Table) Gen() uint64 { return t.gen }
 
 func (t *Table) bounded() bool { return t.cfg.Entries > 0 }
 
-func (t *Table) setOf(line Line) []entry {
-	return t.sets[uint64(line)%uint64(len(t.sets))]
+func (col *column) setOf(line Line) []entry {
+	return col.sets[uint64(line)%uint64(len(col.sets))]
 }
 
-// Contains reports whether line has an entry — the check a controller
-// performs when snooping a row-bus request ("table entry found").
-func (t *Table) Contains(line Line) bool {
-	if !t.bounded() {
-		_, ok := t.table.Get(uint64(line))
-		return ok
-	}
-	set := t.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			return true
-		}
-	}
-	return false
+// Columns returns the columns whose table holds line, bit c for column c.
+func (t *Table) Columns(line Line) uint64 {
+	m, _ := t.members.Get(uint64(line))
+	return m
 }
 
-// Insert adds line, returning the displaced line and true on overflow.
-// Inserting a present line refreshes it and never overflows.
-func (t *Table) Insert(line Line) (victim Line, overflow bool) {
-	t.inserts++
-	t.clock++
+// Contains reports whether column c's table has an entry for line — the
+// check a controller performs when snooping a row-bus request ("table
+// entry found").
+func (t *Table) Contains(c int, line Line) bool { return t.Columns(line)&(1<<c) != 0 }
+
+// Insert adds line to column c's table, returning the displaced line and
+// true on overflow. Inserting a present line refreshes it and never
+// overflows.
+func (t *Table) Insert(c int, line Line) (victim Line, overflow bool) {
+	t.gen++
+	col := &t.cols[c]
+	col.stats.Inserts++
+	col.clock++
+	m := t.Columns(line)
+	if m&(1<<c) == 0 {
+		t.members.Put(uint64(line), m|1<<c)
+	}
 	if !t.bounded() {
-		t.table.Put(uint64(line), struct{}{})
 		return 0, false
 	}
-	set := t.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			set[i].used = t.clock
-			return 0, false
-		}
-	}
+	set := col.setOf(line)
 	slot := -1
 	for i := range set {
-		if !set[i].valid {
+		switch {
+		case set[i].valid && set[i].line == line:
+			set[i].used = col.clock
+			return 0, false
+		case !set[i].valid && slot < 0:
 			slot = i
-			break
 		}
 	}
 	if slot < 0 {
@@ -182,62 +201,55 @@ func (t *Table) Insert(line Line) (victim Line, overflow bool) {
 			}
 		}
 		victim, overflow = set[slot].line, true
-		t.overflows++
+		col.stats.Overflows++
+		t.drop(c, victim)
 	}
-	set[slot] = entry{line: line, used: t.clock, valid: true}
+	set[slot] = entry{line: line, used: col.clock, valid: true}
 	return victim, overflow
 }
 
-// Remove deletes line, reporting whether an entry was found — the
-// "remove failed" test that detects lost races in the protocol.
-func (t *Table) Remove(line Line) bool {
-	t.removes++
-	if !t.bounded() {
-		if t.table.Delete(uint64(line)) {
-			return true
-		}
-		t.failures++
+func (t *Table) drop(c int, line Line) {
+	if m := t.Columns(line) &^ (1 << c); m != 0 {
+		t.members.Put(uint64(line), m)
+	} else {
+		t.members.Delete(uint64(line))
+	}
+}
+
+// Remove deletes line from column c's table, reporting whether an entry
+// was found — the "remove failed" test that detects lost races in the
+// protocol.
+func (t *Table) Remove(c int, line Line) bool {
+	t.gen++
+	col := &t.cols[c]
+	col.stats.Removes++
+	if !t.Contains(c, line) {
+		col.stats.Failures++
 		return false
 	}
-	set := t.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			set[i] = entry{}
-			return true
-		}
-	}
-	t.failures++
-	return false
-}
-
-// Len reports the number of entries.
-func (t *Table) Len() int {
-	if !t.bounded() {
-		return t.table.Len()
-	}
-	n := 0
-	for _, set := range t.sets {
+	t.drop(c, line)
+	if t.bounded() {
+		set := col.setOf(line)
 		for i := range set {
-			if set[i].valid {
-				n++
+			if set[i].valid && set[i].line == line {
+				set[i] = entry{}
 			}
 		}
 	}
-	return n
+	return true
 }
 
-// AppendLines appends all entries to dst in ascending order: into a
-// caller's buffer for the fingerprint, into nil for invariant checks.
-func (t *Table) AppendLines(dst []Line) []Line {
+// AppendLines appends column c's entries to dst in ascending order: into
+// a caller's buffer for the fingerprint, into nil for invariant checks.
+// It reads every column's lines, so a caller that wants the lines of
+// several nodes of one column reads them once.
+func (t *Table) AppendLines(c int, dst []Line) []Line {
 	start := len(dst)
-	t.table.Each(func(l uint64, _ struct{}) { dst = append(dst, Line(l)) })
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].valid {
-				dst = append(dst, set[i].line)
-			}
+	t.members.Each(func(l uint64, m uint64) {
+		if m&(1<<c) != 0 {
+			dst = append(dst, Line(l))
 		}
-	}
+	})
 	slices.Sort(dst[start:])
 	return dst
 }
@@ -250,22 +262,5 @@ type Stats struct {
 	Overflows uint64
 }
 
-// Stats returns a snapshot of the counters.
-func (t *Table) Stats() Stats {
-	return Stats{Inserts: t.inserts, Removes: t.removes, Failures: t.failures, Overflows: t.overflows}
-}
-
-// Equal reports whether two tables hold exactly the same set of lines —
-// the identical-within-a-column invariant.
-func Equal(a, b *Table) bool {
-	la, lb := a.AppendLines(nil), b.AppendLines(nil)
-	if len(la) != len(lb) {
-		return false
-	}
-	for i := range la {
-		if la[i] != lb[i] {
-			return false
-		}
-	}
-	return true
-}
+// Stats returns a snapshot of column c's counters.
+func (t *Table) Stats(c int) Stats { return t.cols[c].stats }

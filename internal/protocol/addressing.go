@@ -15,16 +15,17 @@ import (
 
 // Addressed reports whether a controller in env is among those an
 // operation of kind ev is delivered to: the delivery table's row for ev,
-// read over Origin, SameRow, SameCol, Home, ClaimantSelf, ModifiedWire,
-// Suppressed and Snarfable. The machine reads the same row as positions
-// along the bus, and widens it to the whole bus under the fault hook,
-// snarfing or an Observer; this predicate widens only where the hook
-// fired (Suppressed) or the node could snarf (Snarfable), so it
+// read over the position and wire atoms. The machine reads the same row
+// as positions along the bus, and widens it to the whole bus under the
+// fault hook, snarfing, an overflowing insert or an Observer; this
+// predicate widens only where the hook fired (Suppressed), the node could
+// snarf (Snarfable) or the insert overflowed (Overflow), so it
 // under-approximates the machine's set, and Conformance holds the
 // machine to it.
 func Addressed(ev Event, env Env) bool {
 	c := coherence.ClassOf(ev.Dim, ev.Txn, ev.Flags)
-	if c.Suppressible() && env.Has(AtomSuppressed) || c.Snarfable() && env.Has(AtomSnarfable) {
+	if c.Suppressible() && env.Has(AtomSuppressed) || c.Snarfable() && env.Has(AtomSnarfable) ||
+		c.Overflowable() && env.Has(AtomOverflow) {
 		return true
 	}
 	switch c.Addressee() {
@@ -42,23 +43,25 @@ func Addressed(ev Event, env Env) bool {
 			return env.Has(AtomSameCol)
 		}
 		return env.Has(AtomSameRow)
+	case coherence.ToForwarderAndServers:
+		return env.Has(AtomSameRow) || env.Has(AtomServes)
 	case coherence.ToHome:
 		return env.Has(AtomHome)
-	case coherence.ToMemory:
+	case coherence.ToNone:
 		return false
 	}
 	return true
 }
 
 // addressingAtoms are the atoms Addressed reads.
-var addressingAtoms = G(Y(AtomOrigin), Y(AtomSameRow), Y(AtomSameCol), Y(AtomHome),
-	Y(AtomClaimantSelf), Y(AtomModifiedWire), Y(AtomSuppressed), Y(AtomSnarfable)).Care
+var addressingAtoms = G(Y(AtomOrigin), Y(AtomSameRow), Y(AtomSameCol), Y(AtomHome), Y(AtomClaimantSelf),
+	Y(AtomModifiedWire), Y(AtomServes), Y(AtomSuppressed), Y(AtomSnarfable), Y(AtomOverflow)).Care
 
 // acts reports whether a rule does anything: schedules a bus operation,
-// changes the line's state or table membership, or may issue traffic for
-// other lines.
+// changes the line's state, or may issue traffic for other lines. A table
+// change is the column snooper's (Conformance still checks the MLT clause).
 func (r *Rule) acts() bool {
-	return len(r.Actions) > 0 || r.Next.Kind != NextSame || r.MLT != MLTSame || r.SideTraffic
+	return len(r.Actions) > 0 || r.Next.Kind != NextSame || r.SideTraffic
 }
 
 // CheckAddressing proves that every rule that acts is enabled only at a

@@ -81,6 +81,11 @@ func consistent(ev Event, st cache.State, env Env, mask Env) bool {
 		has(AtomQueuedTail) && has(AtomPendMatch) {
 		return false
 	}
+	// Will-serve: a modified copy, or an admitted tail's reserved one, with no successor linked.
+	if ev.Flags.Has(coherence.REQUEST|coherence.REMOVE) && in(AtomServes, AtomLinkFree, AtomQueuedTail) &&
+		has(AtomServes) != (has(AtomLinkFree) && (st == coherence.Modified || st == coherence.Reserved && has(AtomQueuedTail))) {
+		return false
+	}
 	// Snarf captures only READ data into a retained invalid tag.
 	if in(AtomSnarfable) && has(AtomSnarfable) && (st != coherence.Invalid || ev.Txn != coherence.READ) {
 		return false

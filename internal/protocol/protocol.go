@@ -49,8 +49,8 @@ const (
 	// AtomHome: this node sits on the line's home (memory-interleave)
 	// column.
 	AtomHome
-	// AtomMLTHas: this node's replica of its column's modified line table
-	// holds the line (before dispatch).
+	// AtomMLTHas: its column's modified line table holds the line (before
+	// the operation).
 	AtomMLTHas
 	// AtomSuppressed: the row-bus modified-line signal was suppressed by
 	// fault injection at probe time.
@@ -93,6 +93,9 @@ const (
 	// AtomSnarfable: the snarf optimization would capture this
 	// operation's payload at this node.
 	AtomSnarfable
+	// AtomServes: this node asserted will-serve.
+	AtomServes
+	AtomOverflow // the operation's insert displaced a line from the column's table
 
 	numAtoms
 )
@@ -101,7 +104,7 @@ var atomNames = [...]string{
 	"Origin", "SameRow", "SameCol", "Home", "MLTHas", "Suppressed",
 	"ClaimantSelf", "ModifiedWire", "HolderPresent", "WillServe",
 	"LockFree", "LinkFree", "QueuedTail", "TargetSelf", "TargetSameCol",
-	"PendMatch", "PendPoisoned", "PendQueued", "Snarfable",
+	"PendMatch", "PendPoisoned", "PendQueued", "Snarfable", "Serves", "Overflow",
 }
 
 func (a Atom) String() string {
@@ -241,6 +244,8 @@ func EnvOf(ev *coherence.SnoopEvent) Env {
 	set(AtomPendPoisoned, ev.Before.PendMatches && ev.Before.PendPoisoned)
 	set(AtomPendQueued, ev.Before.PendMatches && ev.Before.PendQueued)
 	set(AtomSnarfable, ev.Snarfable)
+	set(AtomServes, ev.Serves)
+	set(AtomOverflow, ev.Overflow)
 	return e
 }
 

@@ -87,8 +87,12 @@ func Multicube() *Table {
 			"destined for the memory unit; controllers take no action",
 			ev(colBus, t, fREQ|fMEM), AnyState, G(), stay))
 		add(mk(fmt.Sprintf("col-insert/%v/mlt-insert", t),
-			"insert an entry into the modified line tables of the column; an overflowed victim held modified here is written back as side traffic and marked shared",
-			ev(colBus, t, fINS), AnyState, G(), stay).mlt(MLTPresent).side())
+			"insert an entry into the modified line table of the column",
+			ev(colBus, t, fINS), AnyState, G(N(AtomOverflow)), stay).mlt(MLTPresent),
+			mk(fmt.Sprintf("col-insert/%v/overflow", t),
+				"the insert displaced an entry: a victim held modified here is written back as side traffic and marked shared",
+				ev(colBus, t, fINS), AnyState, G(Y(AtomOverflow)), stay).mlt(MLTPresent).side().
+				unreachableIf(t != rm, "only mlt-overflow-lock, mlt-churn-3x3 and half the swarm bound the table, and none of them overflows it on a READ insert (the restore of an unanswered request), a TAS insert (mlt-overflow-lock's lands in an empty table) or a SYNC insert"))
 	}
 
 	add(rowReadReplyRules()...)
@@ -715,8 +719,7 @@ func colReadReplyRules(flags coherence.Flags, doc string, fwdFlags coherence.Fla
 }
 
 // colReplyInsertRules: COLUMN t (REPLY, INSERT) — an ownership transfer
-// on the requester's own column; every controller mirrors the table
-// insert.
+// on the requester's own column, which inserts the column's table entry.
 func colReplyInsertRules(t coherence.Txn) []*Rule {
 	e := ev(colBus, t, fRPL|fINS)
 	n := func(s string) string { return fmt.Sprintf("col-reply-insert/%v/%s", t, s) }
@@ -726,15 +729,19 @@ func colReplyInsertRules(t coherence.Txn) []*Rule {
 	}
 	return []*Rule{
 		mk(n("own-install"),
-			"the originator installs the line modified; the entry enters every replica of the column's table",
+			"the originator installs the line modified; the entry enters the column's table",
 			e, ownStates, G(Y(AtomOrigin), Y(AtomPendMatch)), to(mod)).mlt(MLTPresent).side(),
 		mk(n("stray"),
 			"an ownership reply nobody is waiting for; the table insert still happens",
 			e, AnyState, G(Y(AtomOrigin), N(AtomPendMatch)), stay).mlt(MLTPresent).side().
 			unreachable("an unclaimed ownership transfer would lose the only copy: the implementation panics (data) or trips the stray-reply check (ALLOC ack)"),
 		mk(n("mlt-mirror"),
-			"every controller on the column mirrors the table insert",
-			e, AnyState, G(N(AtomOrigin)), stay).mlt(MLTPresent).side(),
+			"the entry enters the column's table; nothing to do here",
+			e, AnyState, G(N(AtomOrigin), N(AtomOverflow)), stay).mlt(MLTPresent),
+		mk(n("overflow"),
+			"the insert displaced an entry: a victim held modified here is written back as side traffic and marked shared",
+			e, AnyState, G(N(AtomOrigin), Y(AtomOverflow)), stay).mlt(MLTPresent).side().
+			unreachable("the reply inserts the entry its own REQUEST|REMOVE removed from the column a moment before, so a single-entry table overflows only if another insert lands on the column between the two, which no bundled preset stages"),
 	}
 }
 
@@ -787,7 +794,7 @@ func colWritebackRemoveRules() []*Rule {
 	n := func(s string) string { return "col-wb-remove/WRITEBACK/" + s }
 	return []*Rule{
 		mk(n("mirror-remove"),
-			"every controller on the column mirrors the table remove",
+			"the entry leaves the column's table; nothing to do here",
 			e, AnyState, G(N(AtomOrigin)), stay).mlt(MLTAbsent),
 		mk(n("wb-update-home"),
 			"the remove succeeded and we still hold the line modified: write it to memory directly (home column), then continue",

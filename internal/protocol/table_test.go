@@ -263,14 +263,15 @@ func TestAddressingRejectsDefects(t *testing.T) {
 // (positions along a bus) and Addressed (a predicate over position atoms)
 // name the same nodes. It covers every event of the table on a 3×3 and a
 // 4×4 grid, at every originator, bus, home column, claimant and
-// modified-wire setting, with no widening condition and with each of the
-// two the table reads (a fired SuppressSignal hook, snarfing), under
-// which the machine must deliver to the whole bus. An operation the table
+// modified-wire setting, and every set of nodes asserting will-serve,
+// with no widening condition and with each of the three the table reads
+// (a fired SuppressSignal hook, snarfing, an insert that overflowed),
+// under which the machine must deliver to the whole bus. An operation the table
 // addresses to its originator travels on the originator's bus, so only
 // that bus is asked about it.
 func TestDeliveryReadersAgree(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		for _, widen := range []Atom{numAtoms, AtomSuppressed, AtomSnarfable} { // numAtoms: none
+		for _, widen := range []Atom{numAtoms, AtomSuppressed, AtomSnarfable, AtomOverflow} { // numAtoms: none
 			sys, err := coherence.NewSystem(sim.NewKernel(), coherence.Config{N: n, Snarf: widen == AtomSnarfable})
 			if err != nil {
 				t.Fatal(err)
@@ -280,8 +281,13 @@ func TestDeliveryReadersAgree(t *testing.T) {
 			}
 			for _, ev := range Multicube().Events() {
 				c := coherence.ClassOf(ev.Dim, ev.Txn, ev.Flags)
-				widened := widen == AtomSuppressed && c.Suppressible() || widen == AtomSnarfable && c.Snarfable()
+				widened := widen == AtomSuppressed && c.Suppressible() || widen == AtomSnarfable && c.Snarfable() ||
+					widen == AtomOverflow && c.Overflowable()
 				toOrigin := c.Addressee() == coherence.ToOrigin || c.Addressee() == coherence.ToOriginAndHome
+				serverSets := uint64(1) // only the empty set, unless the event is delivered to its servers
+				if c.Addressee() == coherence.ToForwarderAndServers {
+					serverSets = 1 << n
+				}
 				// node is the i-th node along bus b of the event's dimension.
 				node := func(b, i int) topology.Coord {
 					if ev.Dim == coherence.Row {
@@ -309,21 +315,24 @@ func TestDeliveryReadersAgree(t *testing.T) {
 									cl := node(b, k)
 									claimant = &cl
 								}
-								first, second, all := sys.Addressed(ev.Dim, op, claimant)
-								if widened && !all {
-									t.Errorf("%d×%d %v under %v: machine delivers to %d, %d, want the whole bus", n, n, ev, widen, first, second)
-								}
-								for i := 0; i < n; i++ {
-									p := node(b, i)
-									env := Env(0).With(AtomOrigin, p == origin).With(AtomSameRow, p.Row == origin.Row).
-										With(AtomSameCol, p.Col == origin.Col).With(AtomHome, p.Col == home).
-										With(AtomModifiedWire, k >= 0).With(AtomClaimantSelf, k == i)
-									if widen != numAtoms {
-										env = env.With(widen, true)
+								for servers := uint64(0); servers < serverSets; servers++ {
+									to := sys.Addressed(ev.Dim, op, claimant, servers, widen == AtomOverflow)
+									if widened && to != 1<<n-1 {
+										t.Errorf("%d×%d %v under %v: machine delivers to %b, want the whole bus", n, n, ev, widen, to)
 									}
-									if got, want := all || i == first || i == second, Addressed(ev, env); got != want {
-										t.Errorf("%d×%d %v origin %v home %d claimant %d, node %v: machine %v, Addressed %v",
-											n, n, ev, origin, home, k, p, got, want)
+									for i := 0; i < n; i++ {
+										p := node(b, i)
+										env := Env(0).With(AtomOrigin, p == origin).With(AtomSameRow, p.Row == origin.Row).
+											With(AtomSameCol, p.Col == origin.Col).With(AtomHome, p.Col == home).
+											With(AtomModifiedWire, k >= 0).With(AtomClaimantSelf, k == i).
+											With(AtomServes, servers&(1<<i) != 0)
+										if widen != numAtoms {
+											env = env.With(widen, true)
+										}
+										if got, want := to&(1<<i) != 0, Addressed(ev, env); got != want {
+											t.Errorf("%d×%d %v origin %v home %d claimant %d servers %b, node %v: machine %v, Addressed %v",
+												n, n, ev, origin, home, k, servers, p, got, want)
+										}
 									}
 								}
 							}

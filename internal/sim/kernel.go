@@ -124,21 +124,26 @@ func (h eventHeap) down(i0 int) bool {
 // machine has a word, a block and a device latency.
 const maxLanes = 4
 
-// lane is the FIFO of the events AfterFixed scheduled with delay d. It
-// holds few events (2.8 on average at a dispatch on des-shared), so a
-// dispatch moves the rest down a slot instead of keeping a head index,
-// and append reuses the array for good.
+// lane is the FIFO of the events AfterFixed scheduled with delay d:
+// events[head:] are pending and every other slot is zero. A dispatch
+// advances head; a drained lane starts over at the front of its array,
+// and AfterFixed moves a full array's events there before it appends.
 type lane struct {
 	d      Time
+	head   int
 	events []event
 }
 
-// remove deletes the lane's i-th event, keeping the rest in order.
+func (l *lane) pending() []event { return l.events[l.head:] }
+
+// remove deletes the lane's i-th pending event, moving the ones before it
+// up a slot (none for a dispatch, i = 0), and advances head.
 func (l *lane) remove(i int) {
-	n := len(l.events) - 1
-	copy(l.events[i:], l.events[i+1:])
-	l.events[n] = event{}
-	l.events = l.events[:n]
+	copy(l.events[l.head+1:], l.events[l.head:l.head+i])
+	l.events[l.head] = event{}
+	if l.head++; l.head == len(l.events) {
+		l.head, l.events = 0, l.events[:0]
+	}
 }
 
 // assign makes *dst a copy of src in *dst's array, dropping the
@@ -151,8 +156,8 @@ func assign(dst *[]event, src []event) {
 	}
 }
 
-// copyLanes makes *dst a copy of src, reusing its arrays, and returns
-// the number of events copied.
+// copyLanes makes *dst a copy of src's pending events, reusing its
+// arrays, and returns the number of events copied.
 func copyLanes(dst *[]lane, src []lane) (n int) {
 	lanes := *dst
 	if len(src) > cap(lanes) {
@@ -165,8 +170,8 @@ func copyLanes(dst *[]lane, src []lane) (n int) {
 			from = src[i]
 		}
 		if lanes[i].d = from.d; len(lanes[i].events)+len(from.events) > 0 {
-			assign(&lanes[i].events, from.events)
-			n += len(from.events)
+			assign(&lanes[i].events, from.pending())
+			lanes[i].head, n = 0, n+len(lanes[i].events)
 		}
 	}
 	*dst = lanes[:len(src)]
@@ -329,6 +334,10 @@ func (k *Kernel) AfterFixed(d Time, tag any, fn func()) {
 	}
 	k.seq++
 	k.fixed++
+	if l := &k.lanes[i]; l.head > 0 && len(l.events) == cap(l.events) {
+		clear(l.events[copy(l.events, l.events[l.head:]):])
+		l.events, l.head = l.events[:len(l.events)-l.head], 0
+	}
 	k.lanes[i].events = append(k.lanes[i].events, event{at: k.now + d, seq: k.seq, fn: fn, tag: tag})
 }
 
@@ -352,7 +361,7 @@ func (k *Kernel) first() (int, *event) {
 		e = &k.events[0]
 	}
 	for i := 0; k.fixed > 0 && i < len(k.lanes); i++ {
-		if h := k.lanes[i].events; len(h) > 0 && (e == nil || h[0].before(e)) {
+		if h := k.lanes[i].pending(); len(h) > 0 && (e == nil || h[0].before(e)) {
 			l, e = i, &h[0]
 		}
 	}
@@ -364,7 +373,7 @@ func (k *Kernel) queue(l int) []event {
 	if l < 0 {
 		return k.events
 	}
-	return k.lanes[l].events
+	return k.lanes[l].pending()
 }
 
 // take removes the event at position i of lane l, or of the heap.

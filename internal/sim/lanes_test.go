@@ -245,10 +245,13 @@ func FuzzKernelOrder(f *testing.F) {
 	})
 }
 
-// TestLanesAllocateNothing: a dispatch moves a lane's remaining events
-// down instead of walking off the front of its array, and a Load reuses
-// the arrays of the lanes it overwrites, so in steady state scheduling
-// and dispatching fixed-delay events allocates nothing.
+// TestLanesAllocateNothing: a dispatch advances its lane's head instead
+// of moving the remaining events down, and a lane whose array is full
+// moves its pending events to the front of the array before appending,
+// so in steady state — which compacts — scheduling and dispatching
+// fixed-delay events allocates nothing; a Load reuses the arrays of the
+// lanes it overwrites. Every slot of a lane's array outside its pending
+// events is zero: a dispatched event's closure is not kept alive.
 func TestLanesAllocateNothing(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
@@ -265,12 +268,33 @@ func TestLanesAllocateNothing(t *testing.T) {
 		}
 	}
 	round() // warm-up: the arrays reach their size
+	heads := 0
+	checkSlots := func(when string) {
+		t.Helper()
+		for _, l := range k.lanes {
+			all := l.events[:cap(l.events)]
+			for i := range all {
+				if pending := i >= l.head && i < len(l.events); !pending && (all[i].fn != nil || all[i].tag != nil || all[i].at != 0 || all[i].seq != 0) {
+					t.Fatalf("%s: lane %v slot %d of %d (pending %d to %d) still holds an event", when, l.d, i, len(all), l.head, len(l.events))
+				}
+			}
+			heads += l.head
+		}
+	}
+	for i := 0; i < 100; i++ {
+		round()
+		checkSlots("after a round")
+	}
+	if heads == 0 {
+		t.Fatal("no lane ever had its head past the front of its array")
+	}
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("AfterFixed + Step allocated %v objects a round", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { round(); k.Load(&st) }); allocs != 0 {
 		t.Errorf("a round and a Load allocated %v objects", allocs)
 	}
+	checkSlots("after a Load")
 }
 
 // TestRescheduleAllocatesNothing: a body that schedules its successor
