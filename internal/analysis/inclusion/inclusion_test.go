@@ -63,8 +63,8 @@ func TestDetectsStrippedPurgeCoherence(t *testing.T) {
 	}
 
 	overlay := stripPurge(t, modRoot, "internal/coherence/handlers.go",
-		"\tn.l2.Invalidate(op.Line)\n\tn.notifyInvalidate(op.Line)\n\tn.stats.Invalidations++",
-		"\tn.l2.Invalidate(op.Line)\n\tn.stats.Invalidations++")
+		"\tn.track(op.Line, n.l2.Invalidate(op.Line), Invalid)\n\tn.notifyInvalidate(op.Line)\n\tn.stats.Invalidations++",
+		"\tn.track(op.Line, n.l2.Invalidate(op.Line), Invalid)\n\tn.stats.Invalidations++")
 	got := runInclusion(t, modRoot, "./internal/coherence", overlay)
 	if len(got) == 0 {
 		t.Fatal("inclusion pass missed the stripped notifyInvalidate in serveReadModFromModified")

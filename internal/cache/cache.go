@@ -294,23 +294,24 @@ type Victim struct {
 
 // Insert places line into the cache in the given state, copying data (which
 // may be nil to allocate a zeroed block, or shorter than a block to fill a
-// prefix). It returns the victim that was displaced, if any. Inserting a
-// line that is already present overwrites its state and data in place and
-// displaces nothing.
-func (c *Cache) Insert(line Line, state State, data []uint64) Victim {
+// prefix). It returns the line's entry, the state the line was in before
+// (Invalid if absent) and the victim that was displaced, if any. Inserting
+// a line that is already present overwrites its state and data in place
+// and displaces nothing.
+func (c *Cache) Insert(line Line, state State, data []uint64) (*Entry, State, Victim) {
 	c.stats.Inserts++
 	c.clock++
 	if e := c.Probe(line); e != nil {
-		e.State = state
-		e.lastUse = c.clock
+		was := e.State
+		e.State, e.lastUse = state, c.clock
 		fillBlock(e.Data, data)
-		return Victim{}
+		return e, was, Victim{}
 	}
 	if !c.bounded() {
 		e := &Entry{Line: line, State: state, Data: make([]uint64, c.cfg.BlockWords), lastUse: c.clock, valid: true}
 		fillBlock(e.Data, data)
 		c.table.Put(uint64(line), e)
-		return Victim{}
+		return e, Invalid, Victim{}
 	}
 	set := c.setOf(line)
 	slot := -1
@@ -353,7 +354,7 @@ func (c *Cache) Insert(line Line, state State, data []uint64) Victim {
 	}
 	set[slot] = Entry{Line: line, State: state, Data: make([]uint64, c.cfg.BlockWords), lastUse: c.clock, valid: true}
 	fillBlock(set[slot].Data, data)
-	return v
+	return &set[slot], Invalid, v
 }
 
 // SelectVictim returns the entry that Insert would displace for line, or
@@ -386,31 +387,32 @@ func (c *Cache) SelectVictim(line Line) *Entry {
 }
 
 // Invalidate marks line Invalid, retaining its tag and clearing any pin
-// (only resident lines may be pinned). It reports whether the line was
-// present in a non-Invalid state.
-func (c *Cache) Invalidate(line Line) bool {
+// (only resident lines may be pinned). It returns the state the line was
+// in: Invalid if it was absent or already invalid.
+func (c *Cache) Invalidate(line Line) State {
 	e := c.Probe(line)
 	if e == nil || e.State == Invalid {
-		return false
+		return Invalid
 	}
-	e.State = Invalid
-	e.Pinned = false
-	return true
+	was := e.State
+	e.State, e.Pinned = Invalid, false
+	return was
 }
 
-// Drop removes line entirely, including a retained tag.
-func (c *Cache) Drop(line Line) {
-	if !c.bounded() {
+// Drop removes line entirely, including a retained tag, and returns the
+// state it was in (Invalid if absent).
+func (c *Cache) Drop(line Line) State {
+	e := c.Probe(line)
+	if e == nil {
+		return Invalid
+	}
+	was := e.State
+	if c.bounded() {
+		*e = Entry{}
+	} else {
 		c.table.Delete(uint64(line))
-		return
 	}
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].Line == line {
-			set[i] = Entry{}
-			return
-		}
-	}
+	return was
 }
 
 // MarkSnarf records that a retained-tag entry was refreshed from data

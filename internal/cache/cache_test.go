@@ -79,11 +79,17 @@ func TestInsertShortDataZeroFills(t *testing.T) {
 func TestReinsertOverwritesInPlace(t *testing.T) {
 	c := small(t)
 	c.Insert(5, shared, []uint64{1, 1, 1, 1})
-	v := c.Insert(5, modified, []uint64{2, 2, 2, 2})
+	got, was, v := c.Insert(5, modified, []uint64{2, 2, 2, 2})
 	if v.Displaced {
 		t.Error("re-insert displaced a victim")
 	}
+	if was != shared {
+		t.Errorf("re-insert reported prior state %d, want %d", was, shared)
+	}
 	e, _ := c.Lookup(5)
+	if got != e {
+		t.Error("re-insert returned another entry than Lookup finds")
+	}
 	if e.State != modified || e.Data[0] != 2 {
 		t.Errorf("re-insert did not overwrite: state=%d data=%v", e.State, e.Data)
 	}
@@ -98,7 +104,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0, shared, nil)
 	c.Insert(8, shared, nil)
 	c.Access(0) // make 8 the LRU
-	v := c.Insert(16, shared, nil)
+	_, _, v := c.Insert(16, shared, nil)
 	if !v.Displaced || v.Line != 8 {
 		t.Fatalf("victim = %+v, want line 8", v)
 	}
@@ -112,7 +118,7 @@ func TestInvalidSlotPreferredOverEviction(t *testing.T) {
 	c.Insert(0, shared, nil)
 	c.Insert(8, shared, nil)
 	c.Invalidate(8)
-	v := c.Insert(16, shared, nil)
+	_, _, v := c.Insert(16, shared, nil)
 	if !v.Displaced || v.Line != 8 || v.State != Invalid {
 		t.Fatalf("victim = %+v, want retained-tag line 8", v)
 	}
@@ -124,11 +130,11 @@ func TestInvalidSlotPreferredOverEviction(t *testing.T) {
 func TestRetainedTagAfterInvalidate(t *testing.T) {
 	c := small(t)
 	c.Insert(3, modified, []uint64{7, 7, 7, 7})
-	if !c.Invalidate(3) {
-		t.Fatal("Invalidate returned false for resident line")
+	if was := c.Invalidate(3); was != modified {
+		t.Fatalf("Invalidate of a resident modified line reported %d", was)
 	}
-	if c.Invalidate(3) {
-		t.Error("second Invalidate returned true")
+	if was := c.Invalidate(3); was != Invalid {
+		t.Errorf("second Invalidate reported %d, want Invalid", was)
 	}
 	if _, ok := c.Lookup(3); ok {
 		t.Error("invalid line still hits")
@@ -145,11 +151,15 @@ func TestRetainedTagAfterInvalidate(t *testing.T) {
 func TestDrop(t *testing.T) {
 	c := small(t)
 	c.Insert(3, shared, nil)
-	c.Drop(3)
+	if was := c.Drop(3); was != shared {
+		t.Errorf("Drop of a shared line reported %d", was)
+	}
 	if c.Probe(3) != nil {
 		t.Error("Drop left a tag behind")
 	}
-	c.Drop(99) // dropping an absent line is a no-op
+	if was := c.Drop(99); was != Invalid { // dropping an absent line is a no-op
+		t.Errorf("Drop of an absent line reported %d", was)
+	}
 }
 
 func TestSelectVictim(t *testing.T) {
@@ -179,7 +189,7 @@ func TestSelectVictim(t *testing.T) {
 func TestUnboundedNeverEvicts(t *testing.T) {
 	c := MustNew(Config{BlockWords: 2})
 	for i := Line(0); i < 10000; i++ {
-		if v := c.Insert(i, shared, nil); v.Displaced {
+		if _, _, v := c.Insert(i, shared, nil); v.Displaced {
 			t.Fatalf("unbounded cache displaced line %d", v.Line)
 		}
 	}
@@ -269,7 +279,7 @@ func TestPinnedEntriesSkippedByVictimSelection(t *testing.T) {
 	if v := c.SelectVictim(16); v == nil || v.Line != 8 {
 		t.Fatalf("victim = %+v, want unpinned line 8", v)
 	}
-	v := c.Insert(16, shared, nil)
+	_, _, v := c.Insert(16, shared, nil)
 	if !v.Displaced || v.Line != 8 {
 		t.Fatalf("Insert displaced %+v, want line 8", v)
 	}
@@ -301,7 +311,7 @@ func TestPinnedInvalidEntryNotReused(t *testing.T) {
 	e := c.Probe(0)
 	e.Pinned = true // a reserved SYNC placeholder with a retained tag
 	c.Insert(8, shared, nil)
-	v := c.Insert(16, shared, nil)
+	_, _, v := c.Insert(16, shared, nil)
 	if v.Displaced && v.Line == 0 {
 		t.Fatal("pinned retained tag displaced")
 	}

@@ -44,7 +44,8 @@ func (p *ProcessorCache) Contains(line Line) bool {
 // returned victim is informational; a clean write-through victim needs no
 // action.
 func (p *ProcessorCache) Fill(line Line, data []uint64) Victim {
-	return p.store.Insert(line, present, data)
+	_, _, v := p.store.Insert(line, present, data)
+	return v
 }
 
 // WriteThrough updates the word in place when the line is resident. The
@@ -59,7 +60,7 @@ func (p *ProcessorCache) WriteThrough(line Line, offset int, value uint64) {
 
 // Invalidate removes line, typically because the snooping cache lost it.
 func (p *ProcessorCache) Invalidate(line Line) bool {
-	return p.store.Invalidate(line)
+	return p.store.Invalidate(line) != Invalid
 }
 
 // Lines returns the resident lines in ascending order; tests use this to

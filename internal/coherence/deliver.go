@@ -11,11 +11,11 @@ import (
 // This file delivers bus operations. Every controller snoops both its
 // buses, but each Appendix A procedure acts only at the positions the
 // operation names: the claimant of the modified-line signal, the home
-// column, or the holder that will serve a request. So each bus has one
-// snooper, attached after the nodes and the memory module (which attach
-// as requesters), and it enters only the controllers the operation
-// addresses (DESIGN.md §5 decision 11). The handlers do not know: a
-// controller left out would return without touching anything.
+// column, a holder that will serve a request, those of a purged line. So
+// each bus has one snooper, attached after the nodes and the memory
+// module (which attach as requesters), and it enters only the controllers
+// the operation addresses (DESIGN.md §5 decision 11). The handlers do
+// not know: a controller left out would return without touching anything.
 //
 // Whom an operation addresses is written once, in the delivery table
 // below: ClassOf names the operation's class, delivery its addressee.
@@ -51,7 +51,8 @@ type snooper struct {
 // memory drives no wire. On a row, the columns whose table holds the
 // line (one lookup) raise the modified-line signal in attach order, and
 // the first that a SuppressSignal hook leaves alone claims it. On a
-// column, the holders assert holder-present and will-serve.
+// column, the nodes holding the line Modified or Reserved (one lookup;
+// under an Observer, every node) may assert will-serve, in attach order.
 func (sn *snooper) Probe(_ *bus.Bus, pkt bus.Packet) {
 	op := pkt.(*Op)
 	switch s := sn.s; {
@@ -69,8 +70,12 @@ func (sn *snooper) Probe(_ *bus.Bus, pkt bus.Packet) {
 		}
 	case sn.dim == Col && op.Flags.Has(REQUEST|REMOVE):
 		s.delivered.ColProbes++
-		for _, n := range sn.nodes {
-			n.probeCol(op)
+		rows := uint64(1)<<s.cfg.N - 1
+		if s.Observer == nil {
+			rows, _ = s.owners[sn.at].Get(uint64(op.Line))
+		}
+		for ; rows != 0; rows &= rows - 1 {
+			sn.nodes[bits.TrailingZeros64(rows)].probeCol(op)
 		}
 	}
 }
@@ -86,7 +91,16 @@ func (sn *snooper) Snoop(_ *bus.Bus, pkt bus.Packet) {
 	s := sn.s
 	c := ClassOf(sn.dim, op.Txn, op.Flags)
 	tabled := sn.applyTable(c, op)
-	to := s.addressed(sn.dim, c, op)
+	var sharers, readers uint64 // of a purge's line, read off the holder index
+	if c == rowPurge {
+		sharers, _ = s.sharers[sn.at].Get(uint64(op.Line))
+		for m := s.readers[sn.at]; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); sn.nodes[i].pend.line == op.Line {
+				readers |= 1 << i
+			}
+		}
+	}
+	to := s.addressed(sn.dim, c, op, sharers, readers)
 	if s.Observer != nil {
 		s.delivered.NodeSnoops += uint64(len(sn.nodes))
 		for i, n := range sn.nodes {
@@ -139,6 +153,7 @@ const (
 	ToForwarderAndServers                  // the forwarder and the nodes that asserted will-serve
 	ToHome                                 // the home column
 	ToNone                                 // no node; a MEMORY operation reaches the column's memory module
+	ToPurged                               // shared copies off the home column, a READ of the line outstanding, and a reply's originator
 )
 
 // An OpClass is a kind of bus operation as delivery tells them apart.
@@ -150,6 +165,7 @@ const (
 	rowReadUpdateReply
 	rowOwnershipReply
 	rowUpdate
+	rowPurge
 	rowBroadcast
 	colMemory
 	colRequestRemove
@@ -167,8 +183,9 @@ var delivery = [...]Addressee{
 	rowReadUpdateReply: ToOriginAndHome,
 	rowOwnershipReply:  ToForwarder, // READMOD, TAS and SYNC
 	rowUpdate:          ToHome,
-	rowBroadcast:       ToAll,  // XFER, PURGE, and replies that fail, queue or purge
-	colMemory:          ToNone, // REQUEST|MEMORY, UPDATE|MEMORY
+	rowPurge:           ToPurged, // PURGE, and a REPLY|PURGE that neither fails nor queues
+	rowBroadcast:       ToAll,    // XFER, and replies that fail or queue
+	colMemory:          ToNone,   // REQUEST|MEMORY, UPDATE|MEMORY
 	colRequestRemove:   ToForwarderAndServers,
 	colReadReply:       ToForwarder,
 	colOwnershipInsert: ToOrigin,
@@ -184,10 +201,11 @@ func ClassOf(dim Dim, txn Txn, f Flags) OpClass {
 		switch {
 		case f.Has(REQUEST):
 			return rowRequest
-		case f.Has(XFER):
+		case f.Has(XFER), f.Has(REPLY) && f&(FAIL|QUEUED) != 0:
+		case f.Has(PURGE):
+			return rowPurge
 		case f.Has(REPLY):
 			switch {
-			case f&(FAIL|QUEUED|PURGE) != 0:
 			case txn != READ:
 				return rowOwnershipReply
 			case f.Has(UPDATE):
@@ -240,8 +258,10 @@ func (c OpClass) Overflowable() bool { return c == colOwnershipInsert || c == co
 // addressed reads the delivery table's row for op, of class c, as the set
 // of positions along a bus of dimension dim — the column of a node on a
 // row bus, its row on a column bus — bit i for position i. A node outside
-// the set would take no action, change no state and count nothing.
-func (s *System) addressed(dim Dim, c OpClass, op *Op) uint64 {
+// the set would take no action, change no state and count nothing. A
+// purge reads sharers and readers, the positions holding its line Shared
+// and those whose outstanding READ is for it.
+func (s *System) addressed(dim Dim, c OpClass, op *Op, sharers, readers uint64) uint64 {
 	if s.SuppressSignal != nil && c.Suppressible() || s.cfg.Snarf && c.Snarfable() || op.overflow && c.Overflowable() {
 		return 1<<s.cfg.N - 1
 	}
@@ -264,17 +284,24 @@ func (s *System) addressed(dim Dim, c OpClass, op *Op) uint64 {
 		return 1 << s.homeColumn(op.Line)
 	case ToNone:
 		return 0
+	case ToPurged:
+		to := sharers&^(1<<s.homeColumn(op.Line)) | readers
+		if op.Flags.Has(REPLY) {
+			to |= 1 << op.Origin.Col
+		}
+		return to
 	}
 	return 1<<s.cfg.N - 1
 }
 
 // Addressed is addressed for op when the probe phase raised the
 // modified-line signal at claimant (nil: nobody did) and will-serve at
-// the positions servers, and its table insert overflowed if overflow.
-func (s *System) Addressed(dim Dim, op Op, claimant *topology.Coord, servers uint64, overflow bool) uint64 {
+// servers, the holder index reads sharers and readers, and its table
+// insert overflowed if overflow.
+func (s *System) Addressed(dim Dim, op Op, claimant *topology.Coord, servers, sharers, readers uint64, overflow bool) uint64 {
 	if claimant != nil {
 		op.modified, op.claimant = true, *claimant
 	}
 	op.servers, op.overflow = servers, overflow
-	return s.addressed(dim, ClassOf(dim, op.Txn, op.Flags), &op)
+	return s.addressed(dim, ClassOf(dim, op.Txn, op.Flags), &op, sharers, readers)
 }

@@ -23,7 +23,8 @@ import (
 //     covers what Save refuses to run with (processes, a held heap slot).
 //   - scratch: nothing a rewind has to bring back — a buffer reused
 //     within a step, a memo a rewind invalidates or one keyed on the
-//     labels that a rewind leaves valid, a host-work or
+//     labels that a rewind leaves valid, an index of rewound state that
+//     Load keeps up as it copies, a host-work or
 //     per-execution counter a rewind restarts, the free list of
 //     operations (Save stops adding to it).
 //   - bookkeeping: what the rewind itself runs on — the machine's half of
@@ -94,8 +95,11 @@ var rewindFields = []fieldClasses{
 		rewound: []string{"k", "rows", "cols", "nodes", "mems", "mlt", "acct", "dropped"},
 		hook: []string{"OpLog", "Fault", "SuppressSignal", "DisableStaleReplyPoisoning", "Observer",
 			"inclusions", "onSkip"},
-		wiring:      []string{"grid", "cfg"},
-		scratch:     []string{"obsSink", "delivered", "free", "fpIdent", "fpInv", "fpCInv"},
+		wiring: []string{"grid", "cfg"},
+		// sharers, owners and readers are the holder index: a function of
+		// the nodes' caches and requests, which Node.load takes out of it
+		// and puts back for every node a Load copies, so Save need not.
+		scratch:     []string{"obsSink", "delivered", "free", "fpIdent", "fpInv", "fpCInv", "sharers", "owners", "readers"},
 		bookkeeping: []string{"labels", "clock", "saved"},
 	},
 	{

@@ -8,9 +8,10 @@ import (
 	"multicube/internal/mlt"
 )
 
-// probeCol asserts the column-bus holder-present and will-serve signals
-// for requests targeting a line this node holds. The column's snooper
-// probes only for a REQUEST|REMOVE.
+// probeCol asserts the column-bus will-serve signal for requests
+// targeting a line this node holds. The column's snooper probes only for
+// a REQUEST|REMOVE, and only at the nodes holding its line Modified or
+// Reserved.
 func (n *Node) probeCol(op *Op) {
 	e, ok := n.l2.Lookup(op.Line)
 	if !ok {
@@ -18,7 +19,6 @@ func (n *Node) probeCol(op *Op) {
 	}
 	switch e.State {
 	case Modified:
-		op.holderPresent = true
 		// A queue head with an admitted successor stays silent for every
 		// transaction: serving a TAS/SYNC belongs to the tail, and
 		// surrendering the modified copy to a READ or READMOD would
@@ -228,7 +228,7 @@ func (n *Node) colRequestRemove(op *Op) {
 //
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
-	e.State = Shared
+	n.setState(e, Shared)
 	// A sync-active pin guards the modified copy's queue authority; the
 	// shared copy left behind has none, and must be victimizable again
 	// (SyncRelease already handles the degenerated ownership).
@@ -250,7 +250,7 @@ func (n *Node) serveReadFromModified(op *Op, e *cache.Entry) {
 //
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) serveReadModFromModified(op *Op, e *cache.Entry) {
-	n.l2.Invalidate(op.Line)
+	n.track(op.Line, n.l2.Invalidate(op.Line), Invalid)
 	n.notifyInvalidate(op.Line)
 	n.stats.Invalidations++
 	n.sendOwnership(op, e)
@@ -352,13 +352,22 @@ row bus operation to purge all shared copies of a line; the home column
 */
 //multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
 func (n *Node) rowPurge(op *Op) {
-	n.poisonPendingRead(op.Line)
 	if n.onHomeColumn(op.Line) {
+		n.poisonPendingRead(op.Line)
 		return
 	}
-	if e, ok := n.l2.Lookup(op.Line); ok && e.State == Shared {
-		n.l2.Invalidate(op.Line)
-		n.notifyInvalidate(op.Line)
+	n.purgeShared(op.Line)
+}
+
+// purgeShared poisons an outstanding READ of line and invalidates a
+// shared copy.
+//
+//multicube:fpexempt dispatched under snoopRow/snoopCol, which bump
+func (n *Node) purgeShared(line cache.Line) {
+	n.poisonPendingRead(line)
+	if e, ok := n.l2.Lookup(line); ok && e.State == Shared {
+		n.track(line, n.l2.Invalidate(line), Invalid)
+		n.notifyInvalidate(line)
 		n.stats.Invalidations++
 	}
 }
@@ -409,14 +418,7 @@ func (n *Node) rowOwnershipReply(op *Op) {
 			n.issueCol(n.sys.addrOp(op.Txn, INSERT, op.Origin, op.Line, op.trace))
 			n.installOwned(op)
 		} else {
-			n.poisonPendingRead(op.Line)
-			if !n.onHomeColumn(op.Line) {
-				if e, ok := n.l2.Lookup(op.Line); ok && e.State == Shared {
-					n.l2.Invalidate(op.Line)
-					n.notifyInvalidate(op.Line)
-					n.stats.Invalidations++
-				}
-			}
+			n.rowPurge(op)
 		}
 	default:
 		/* row bus reply to a READMOD request */
@@ -511,12 +513,7 @@ func (n *Node) colOwnershipReply(op *Op) {
 			n.installOwned(op)
 			return
 		}
-		n.poisonPendingRead(op.Line)
-		if e, ok := n.l2.Lookup(op.Line); ok && e.State == Shared {
-			n.l2.Invalidate(op.Line)
-			n.notifyInvalidate(op.Line)
-			n.stats.Invalidations++
-		}
+		n.purgeShared(op.Line)
 		if n.id.Row == op.Origin.Row {
 			n.issueRowAfter(forwardLatency, n.sys.replyOp(op.Txn, REPLY|PURGE|(op.Flags&ALLOC), op.Origin, op.Line, op.Data, op.trace))
 		} else {
@@ -590,7 +587,7 @@ func (n *Node) installOwned(op *Op) {
 		myLink := e.Data[LinkWord]
 		copy(e.Data, op.Data)
 		e.Data[LinkWord] = myLink
-		e.State = Modified
+		n.setState(e, Modified)
 		// Stay pinned while sync-active; SyncRelease unpins.
 	case op.Flags.Has(ALLOC):
 		e = n.writeLine(op.Line, Modified, nil)
@@ -610,6 +607,6 @@ func (n *Node) snarf(op *Op) {
 	}
 	e := n.l2.Probe(op.Line)
 	copy(e.Data, op.Data)
-	e.State = Shared
+	n.setState(e, Shared)
 	n.l2.MarkSnarf()
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"multicube/internal/cache"
@@ -33,6 +34,8 @@ import (
 //     subset of its node's snooping cache (the multilevel inclusion
 //     discipline: the write-through processor cache always holds a subset
 //     of the snooping cache, so the latter can snoop on its behalf).
+//  7. The holder index is the one the caches and requests give
+//     (CheckHolderIndex, which holds at every instant).
 func CheckInvariants(s *System) []error {
 	var errs []error
 	n := s.cfg.N
@@ -168,6 +171,55 @@ func CheckInvariants(s *System) []error {
 			if _, ok := nd.l2.Lookup(line); !ok {
 				errs = append(errs, fmt.Errorf("%s: L1 line %d not in snooping cache at %v (inclusion violated)",
 					iv.label, line, iv.node))
+			}
+		}
+	}
+	return append(errs, CheckHolderIndex(s)...)
+}
+
+// CheckHolderIndex rebuilds the holder index from the nodes' caches and
+// requests and returns every way the machine's differs: the READ masks,
+// and the entries of lines (of all lines held or named when none are
+// given). Unlike invariants 1–6 it holds at every instant.
+func CheckHolderIndex(s *System, lines ...cache.Line) []error {
+	var errs []error
+	n := s.cfg.N
+	if lines == nil {
+		add := func(line, _ uint64) { lines = append(lines, cache.Line(line)) }
+		for i := 0; i < n; i++ {
+			for _, nd := range s.nodes[i] {
+				nd.l2.ForEach(func(e *cache.Entry) { add(uint64(e.Line), 0) })
+			}
+			s.sharers[i].Each(add)
+			s.owners[i].Each(add)
+		}
+		slices.Sort(lines)
+		lines = slices.Compact(lines)
+	}
+	for i := 0; i < n; i++ {
+		var readers uint64
+		for c, nd := range s.nodes[i] {
+			if nd.pend != nil && nd.pend.txn == READ {
+				readers |= 1 << c
+			}
+		}
+		if readers != s.readers[i] {
+			errs = append(errs, fmt.Errorf("holder index: row %d has READs outstanding at columns %b, the index says %b", i, readers, s.readers[i]))
+		}
+		for _, line := range lines {
+			var shared, owned uint64 // at the columns of row i, the rows of column i
+			for j := 0; j < n; j++ {
+				if e, ok := s.nodes[i][j].l2.Lookup(line); ok && e.State == Shared {
+					shared |= 1 << j
+				}
+				if e, ok := s.nodes[j][i].l2.Lookup(line); ok && e.State >= Modified {
+					owned |= 1 << j
+				}
+			}
+			gotShared, _ := s.sharers[i].Get(uint64(line))
+			if gotOwned, _ := s.owners[i].Get(uint64(line)); gotShared != shared || gotOwned != owned {
+				errs = append(errs, fmt.Errorf("holder index: line %d shared at row %d's columns %b, owned at column %d's rows %b; the index says %b and %b",
+					line, i, shared, i, owned, gotShared, gotOwned))
 			}
 		}
 	}

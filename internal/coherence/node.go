@@ -104,8 +104,8 @@ type Node struct {
 	// keep the write-through processor cache a strict subset.
 	OnInvalidate func(line cache.Line)
 
-	// purgedAt records when each line last left this cache, gating the
-	// snarf optimization against stale in-flight replies.
+	// purgedAt records, when snarfing is on, when each line last left this
+	// cache, gating the snarf optimization against stale in-flight replies.
 	purgedAt linetable.Table[sim.Time]
 
 	// enqueueFn is the body of every device-latency event this node
@@ -325,7 +325,7 @@ func (n *Node) WriteBack(line cache.Line, done func(Result)) {
 	n.startWriteback(line, trace, func() {
 		// "mark line shared" — the generic (non-victim) path.
 		if e, ok := n.l2.Lookup(line); ok && e.State == Modified {
-			e.State = Shared
+			n.setState(e, Shared)
 		}
 		n.recordCompletion(trace)
 		done(Result{Trace: *trace})
@@ -336,10 +336,7 @@ func (n *Node) WriteBack(line cache.Line, done func(Result)) {
 // machine layer uses it for word-level loads and stores after Read/Write
 // complete.
 func (n *Node) CacheEntry(line cache.Line) *cache.Entry {
-	e, ok := n.l2.Lookup(line)
-	if !ok {
-		return nil
-	}
+	e, _ := n.l2.Lookup(line)
 	return e
 }
 
@@ -355,6 +352,9 @@ func (n *Node) beginPending(txn Txn, flags Flags, line cache.Line, done func(Res
 	tr := &TxnTrace{Txn: txn, Line: line, Started: n.sys.k.Now()}
 	n.pendBuf = pending{txn: txn, flags: flags, line: line, trace: tr, done: done}
 	n.pend = &n.pendBuf
+	if txn == READ {
+		n.sys.readers[n.id.Row] |= 1 << n.id.Col
+	}
 }
 
 // startTransaction is the miss path of the READ/READMOD/TAS initiation
@@ -370,7 +370,7 @@ func (n *Node) startTransaction(txn Txn, flags Flags, line cache.Line, done func
 		n.startWriteback(victim, wbTrace, func() {
 			// "wait for continue; mark line invalid" — the victim slot
 			// is freed for the incoming line.
-			n.l2.Invalidate(victim)
+			n.track(victim, n.l2.Invalidate(victim), Invalid)
 			n.notifyInvalidate(victim)
 			n.recordCompletion(wbTrace)
 			n.issueRequest()
@@ -409,6 +409,7 @@ func (n *Node) complete(op *Op, res Result) {
 		return
 	}
 	n.pend = nil
+	n.sys.readers[n.id.Row] &^= 1 << n.id.Col
 	res.Trace = *p.trace
 	n.recordCompletion(p.trace)
 	p.done(res)
@@ -423,7 +424,9 @@ func (n *Node) matchesPending(op *Op) bool {
 // notifyInvalidate tells the machine layer a line left the cache and
 // timestamps the departure for snarf staleness checks.
 func (n *Node) notifyInvalidate(line cache.Line) {
-	n.purgedAt.Put(uint64(line), n.sys.k.Now())
+	if n.sys.cfg.Snarf {
+		n.purgedAt.Put(uint64(line), n.sys.k.Now())
+	}
 	n.purgeUpper(line)
 }
 
@@ -449,18 +452,45 @@ func (n *Node) purgeUpper(line cache.Line) {
 //
 //multicube:fpexempt called only under the snoop dispatchers, which bump
 func (n *Node) writeLine(line cache.Line, state cache.State, data []uint64) *cache.Entry {
-	v := n.l2.Insert(line, state, data)
+	e, was, v := n.l2.Insert(line, state, data)
 	if v.Displaced && v.State == Modified {
 		panic(fmt.Sprintf("coherence: node %v displaced modified line %d on fill", n.id, v.Line))
 	}
 	if v.Displaced && v.State != Invalid {
+		n.track(v.Line, v.State, Invalid)
 		n.notifyInvalidate(v.Line)
 	}
-	e, ok := n.l2.Lookup(line)
-	if !ok {
-		panic("coherence: line missing immediately after insert")
-	}
+	n.track(line, was, state)
 	return e
+}
+
+// track moves line from state was to is in the holder index, as every
+// change of state does (Insert, Invalidate and Drop return the replaced).
+func (n *Node) track(line cache.Line, was, is cache.State) {
+	if (was == Shared) != (is == Shared) {
+		flipBit(&n.sys.sharers[n.id.Row], line, n.id.Col)
+	}
+	if (was >= Modified) != (is >= Modified) { // Modified or Reserved
+		flipBit(&n.sys.owners[n.id.Col], line, n.id.Row)
+	}
+}
+
+// setState sets a resident entry's state.
+//
+//multicube:fpexempt called only from entry points and the snoop dispatchers, which bump
+func (n *Node) setState(e *cache.Entry, st cache.State) {
+	n.track(e.Line, e.State, st)
+	e.State = st
+}
+
+// flipBit toggles bit in line's mask, which holds only nonzero masks.
+func flipBit(t *linetable.Table[uint64], line cache.Line, bit int) {
+	m, _ := t.Get(uint64(line))
+	if m ^= 1 << bit; m != 0 {
+		t.Put(uint64(line), m)
+	} else {
+		t.Delete(uint64(line))
+	}
 }
 
 // tableInsert handles the outcome of an insert into the column's modified
@@ -498,5 +528,5 @@ func (n *Node) tableInsert(op *Op) {
 	} else {
 		n.issueRow(n.sys.dataOp(WRITEBACK, UPDATE, n.id, ovLine, e.Data, trace))
 	}
-	e.State = Shared // "mark overflow line shared"
+	n.setState(e, Shared) // "mark overflow line shared"
 }

@@ -86,13 +86,12 @@ type SnoopEvent struct {
 	Addressed bool
 
 	// Probe-phase wire signals.
-	Modified      bool
-	ClaimantSelf  bool
-	Suppressed    bool
-	HolderPresent bool
-	WillServe     bool
-	Serves        bool // Node asserted will-serve
-	Overflow      bool // the operation's table insert displaced a line
+	Modified     bool
+	ClaimantSelf bool
+	Suppressed   bool
+	WillServe    bool
+	Serves       bool // Node asserted will-serve
+	Overflow     bool // the operation's table insert displaced a line
 
 	// Snarfable reports that the snarf optimization could capture this
 	// operation's payload at this node (a pre-state property: enabled,
@@ -134,26 +133,25 @@ func (n *Node) lineView(op *Op) LineView {
 func (n *Node) observeSnoop(dim Dim, op *Op, addressed, tabled bool) {
 	s := n.sys
 	ev := SnoopEvent{
-		Node:          n.id,
-		Dim:           dim,
-		Txn:           op.Txn,
-		Flags:         op.Flags,
-		Line:          op.Line,
-		Origin:        op.Origin,
-		Target:        op.Target,
-		HasData:       op.Data != nil,
-		Home:          n.onHomeColumn(op.Line),
-		Addressed:     addressed,
-		Modified:      op.modified,
-		ClaimantSelf:  op.modified && op.claimant == n.id,
-		Suppressed:    op.suppressed,
-		HolderPresent: op.holderPresent,
-		WillServe:     op.servers != 0,
-		Serves:        dim == Col && op.servers&(1<<n.id.Row) != 0,
-		Overflow:      op.overflow,
-		Snarfable:     n.snarfEligible(op),
-		Before:        n.lineView(op),
-		StatsBefore:   n.stats,
+		Node:         n.id,
+		Dim:          dim,
+		Txn:          op.Txn,
+		Flags:        op.Flags,
+		Line:         op.Line,
+		Origin:       op.Origin,
+		Target:       op.Target,
+		HasData:      op.Data != nil,
+		Home:         n.onHomeColumn(op.Line),
+		Addressed:    addressed,
+		Modified:     op.modified,
+		ClaimantSelf: op.modified && op.claimant == n.id,
+		Suppressed:   op.suppressed,
+		WillServe:    op.servers != 0,
+		Serves:       dim == Col && op.servers&(1<<n.id.Row) != 0,
+		Overflow:     op.overflow,
+		Snarfable:    n.snarfEligible(op),
+		Before:       n.lineView(op),
+		StatsBefore:  n.stats,
 	}
 	if tabled {
 		ev.Before.MLTHas = op.mltHad

@@ -166,12 +166,6 @@ type Op struct {
 	// at probe time, so the probe and snoop phases of the same operation
 	// fail consistently (a real dead controller is dead for both).
 	suppressed bool
-	// holderPresent is a wired-OR column-bus signal asserted by a node
-	// holding the line in modified mode. A SYNC queue can place the
-	// queue head (modified) and the queue tail (reserved) in the same
-	// column; the signal lets the reserved tail defer to the data holder
-	// for READ and READMOD requests instead of bouncing them.
-	holderPresent bool
 	// servers is the wired-OR column-bus will-serve signal, a bit per row
 	// asserted during the probe phase by a node that will respond to this
 	// REQUEST|REMOVE. If no node asserts it, the request would die with

@@ -225,7 +225,7 @@ func (s *System) Load(st *Saved) {
 	// which delivery only ever sets, and its table outcome go back to none.
 	s.forEachLiveOp(func(op *Op) {
 		op.modified, op.claimant = false, topology.Coord{}
-		op.suppressed, op.holderPresent, op.servers = false, false, 0
+		op.suppressed, op.servers = false, 0
 		op.mltHad, op.overflow, op.victim = false, false, 0
 	})
 }
@@ -267,12 +267,17 @@ func (n *Node) save(st *nodeSaved) {
 
 //multicube:fpexempt restores fingerprint-visible state together with the generation that counts it
 func (n *Node) load(st *nodeSaved) {
+	n.l2.ForEach(func(e *cache.Entry) { n.track(e.Line, e.State, Invalid) }) // out of the holder index,
 	n.l2.Load(&st.l2)
+	n.l2.ForEach(func(e *cache.Entry) { n.track(e.Line, Invalid, e.State) }) // and the loaded lines in
 	if st.hasPend {
 		n.pendBuf = st.pend
 		n.pend = &n.pendBuf
 	} else {
 		n.pend = nil
+	}
+	if n.sys.readers[n.id.Row] &^= 1 << n.id.Col; st.hasPend && st.pend.txn == READ {
+		n.sys.readers[n.id.Row] |= 1 << n.id.Col
 	}
 	n.wbCont, n.wbTrace = st.wbCont, st.wbTrace
 	n.purgedAt.CopyFrom(&st.purged)

@@ -348,10 +348,12 @@ func TestSemDiffSeesWhatARewindWould(t *testing.T) {
 // X with other contents. With X and Y both saved, loading one and then the
 // other, in both orders, must give each time the state a replay from the
 // initial state gives — and every component either load skipped must be
-// what the buffer holds.
+// what the buffer holds. A node reaches one generation with two contents
+// only when both branches entered it as often, which the addressed
+// delivery makes rare: forty seeds meet it at a few nodes.
 func TestRewindLabelsNeverAlias(t *testing.T) {
 	var aliased, skips int
-	for seed := uint64(1); seed <= 12; seed++ {
+	for seed := uint64(1); seed <= 40; seed++ {
 		rng := splitmix64(seed * 7919)
 		procs := rwPrograms(&rng, 3)
 		m := newRWMachine(t, 3, func(c *Config) { c.Snarf = true }, procs, seed)

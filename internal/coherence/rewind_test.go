@@ -416,7 +416,7 @@ func TestLoadEqualsReplay(t *testing.T) {
 						m.incrementalFP(m.fpc)
 					}
 					for _, op := range live {
-						if op.modified || op.holderPresent || op.servers != 0 || op.mltHad || op.overflow {
+						if op.modified || op.servers != 0 || op.mltHad || op.overflow {
 							rewired++
 						}
 					}
@@ -439,7 +439,7 @@ func TestLoadEqualsReplay(t *testing.T) {
 						t.Fatalf("%s: Executed %d after Load", where, m.k.Executed())
 					}
 					for _, op := range live {
-						if op.modified || op.claimant != (topology.Coord{}) || op.suppressed || op.holderPresent ||
+						if op.modified || op.claimant != (topology.Coord{}) || op.suppressed ||
 							op.servers != 0 || op.mltHad || op.overflow || op.victim != 0 {
 							t.Fatalf("%s: %v came back from the abandoned future with probe wires or a table outcome asserted", where, op)
 						}

@@ -23,7 +23,7 @@ import (
 func (n *Node) serveTASFromModified(op *Op, e *cache.Entry) {
 	if e.Data[LockWord] == 0 {
 		e.Data[LockWord] = 1 // the set happens at the executor
-		n.l2.Invalidate(op.Line)
+		n.track(op.Line, n.l2.Invalidate(op.Line), Invalid)
 		n.notifyInvalidate(op.Line)
 		n.sendOwnership(op, e)
 		return
@@ -41,7 +41,7 @@ func (n *Node) serveSyncAtHolder(op *Op, e *cache.Entry) {
 	if e.State == Modified && e.Data[LockWord] == 0 {
 		// Lock free, no queue: hand the line over immediately with the
 		// lock taken for the requester.
-		n.l2.Invalidate(op.Line)
+		n.track(op.Line, n.l2.Invalidate(op.Line), Invalid)
 		n.notifyInvalidate(op.Line)
 		n.sendOwnership(op, e)
 		return
@@ -120,7 +120,8 @@ func (n *Node) failPending(op *Op) {
 	if op.Txn == SYNC {
 		if e := n.l2.Probe(op.Line); e != nil && e.State == Reserved {
 			e.Pinned = false
-			n.l2.Drop(op.Line)
+			was := n.l2.Drop(op.Line)
+			n.track(op.Line, was, Invalid)
 			// The processor cache may still hold the line from before the
 			// reserved copy overwrote it (a prior shared read); dropping
 			// only the snooping copy would break multilevel inclusion.
@@ -205,7 +206,7 @@ func (n *Node) consumeXfer(op *Op) {
 	myLink := e.Data[LinkWord]
 	copy(e.Data, op.Data)
 	e.Data[LinkWord] = myLink
-	e.State = Modified
+	n.setState(e, Modified)
 	// Stay pinned: a victimized lock line would strand the queue behind
 	// us (the degenerate purge case Section 4 warns about).
 	if !n.matchesPending(op) {
@@ -259,7 +260,7 @@ func (n *Node) SyncAcquire(line cache.Line, done func(Result)) {
 		wbTrace := &TxnTrace{Txn: WRITEBACK, Line: victim, Started: n.sys.k.Now()}
 		//multicube:fpexempt continuation of SyncAcquire, which bumped at entry
 		n.startWriteback(victim, wbTrace, func() {
-			n.l2.Invalidate(victim)
+			n.track(victim, n.l2.Invalidate(victim), Invalid)
 			n.notifyInvalidate(victim)
 			n.recordCompletion(wbTrace)
 			issue()
@@ -291,7 +292,7 @@ func (n *Node) SyncRelease(line cache.Line) bool {
 	op.Data[LockWord] = 1 // the receiver acquires by transfer
 	op.Data[LinkWord] = 0 // the receiver keeps its own link word
 	op.Target = next
-	n.l2.Invalidate(line)
+	n.track(line, n.l2.Invalidate(line), Invalid)
 	n.notifyInvalidate(line)
 	if next.Col == n.id.Col {
 		n.issueCol(op)

@@ -5,6 +5,7 @@ import (
 
 	"multicube/internal/bus"
 	"multicube/internal/cache"
+	"multicube/internal/linetable"
 	"multicube/internal/memory"
 	"multicube/internal/mlt"
 	"multicube/internal/sim"
@@ -127,6 +128,12 @@ type System struct {
 	nodes [][]*Node  // [row][col]
 	mems  []*Memory  // per column
 	mlt   *mlt.Table // every column's modified line table (DESIGN.md §2)
+
+	// The holder index (DESIGN.md §5 decision 11): per row, line → the
+	// columns holding it Shared; per column, line → the rows holding it
+	// Modified or Reserved; per row, the columns with a READ outstanding.
+	sharers, owners []linetable.Table[uint64]
+	readers         []uint64
 
 	// acct is the transaction accounting Stats and StrayReplies read.
 	acct accounting
@@ -252,8 +259,9 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{k: k, grid: grid, cfg: cfg, mlt: tables}
 	n := cfg.N
+	s := &System{k: k, grid: grid, cfg: cfg, mlt: tables, sharers: make([]linetable.Table[uint64], n),
+		owners: make([]linetable.Table[uint64], n), readers: make([]uint64, n)}
 	s.rows = make([]*bus.Bus, n)
 	s.cols = make([]*bus.Bus, n)
 	for i := 0; i < n; i++ {

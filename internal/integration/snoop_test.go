@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/core"
 	"multicube/internal/mc"
@@ -15,18 +16,33 @@ import (
 
 // noOpCheck collects the snoop windows an Observer reports and fails on
 // any at a node the operation does not address that did something: a
-// scheduled bus operation, a changed line view, or a moved counter. A
+// scheduled bus operation, a changed line view, or a moved counter — and
+// on any after which the machine's holder index is not the one its
+// caches and outstanding requests give (coherence.CheckHolderIndex): the
+// whole index on a machine of at most 9 nodes, the READ masks and the
+// snooped line's entries on a larger one, where a rebuild per snoop
+// would cost minutes (CheckInvariants rebuilds it all at the end). A
 // column INSERT or REMOVE moves the line's table membership at every node
 // of the column, addressed or not: the column's snooper applies it to the
 // column's one table before it enters any node, so the view after must
 // show exactly that move.
 type noOpCheck struct {
 	t                      *testing.T
+	sys                    *coherence.System
 	addressed, unaddressed int
 	failures               int
 }
 
 func (c *noOpCheck) observe(ev coherence.SnoopEvent) {
+	var lines []cache.Line // all of them
+	if c.sys.Config().N > 3 {
+		lines = []cache.Line{ev.Line}
+	}
+	if errs := coherence.CheckHolderIndex(c.sys, lines...); len(errs) > 0 {
+		if c.failures++; c.failures <= 5 {
+			c.t.Errorf("after node %v snooped %v %v(%v) line %d: %v", ev.Node, ev.Dim, ev.Txn, ev.Flags, ev.Line, errs)
+		}
+	}
 	if ev.Addressed {
 		c.addressed++
 		return
@@ -53,10 +69,11 @@ func (c *noOpCheck) observe(ev coherence.SnoopEvent) {
 // leaves out. An Observer makes the snoopers enter every node, as every
 // controller of the hardware snoops; at every node the addressing
 // leaves out, the handler must schedule nothing, change nothing about
-// the line and count nothing. It runs on every TestDESGolden
-// configuration — both mixes, bounded caches and tables, the processor
-// cache, snarfing, every arbitration, the TAS and SYNC kernels — and on
-// every small explorer preset, where each interleaving is reached.
+// the line and count nothing, and the holder index must stay exact. It
+// runs on every TestDESGolden configuration — both mixes, bounded caches
+// and tables, the processor cache, snarfing, every arbitration, the TAS
+// and SYNC kernels — and on every small explorer preset, where each
+// interleaving is reached.
 func TestUnaddressedSnoopsAreNoOps(t *testing.T) {
 	for _, c := range desGoldenCases() {
 		c := c
@@ -65,7 +82,7 @@ func TestUnaddressedSnoopsAreNoOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chk := &noOpCheck{t: t}
+			chk := &noOpCheck{t: t, sys: m.System()}
 			m.System().Observer = chk.observe
 			c.run(t, m)
 			for _, err := range m.CheckInvariants() {
@@ -108,7 +125,7 @@ func TestUnaddressedSnoopsAreNoOps(t *testing.T) {
 		t.Run(g.Preset, func(t *testing.T) {
 			chk := &noOpCheck{t: t}
 			res, err := mc.Explore(sc, mc.Options{MaxStates: 5_000_000,
-				Instrument: func(s *coherence.System) { s.Observer = chk.observe }})
+				Instrument: func(s *coherence.System) { chk.sys, s.Observer = s, chk.observe }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,11 +141,12 @@ func TestUnaddressedSnoopsAreNoOps(t *testing.T) {
 
 // TestSnoopsPerBusOperation gates the addressed delivery on a count: on
 // the des-shared mix of the repository benchmark at N = 8, a bus
-// operation enters at most 2.5 controllers on average (eight if every
+// operation enters at most 1.2 controllers on average (eight if every
 // node snooped every operation, 3.54 when every column INSERT and REMOVE
-// entered the whole column), and the probe phase settles wires only for
-// a row REQUEST — by one table lookup — or a column REQUEST|REMOVE, the
-// two operations whose probes drive a wire.
+// entered the whole column, 2.14 when every row PURGE entered the whole
+// row), and the probe phase settles wires only for a row REQUEST — by one
+// table lookup — or a column REQUEST|REMOVE, the two operations whose
+// probes drive a wire.
 func TestSnoopsPerBusOperation(t *testing.T) {
 	m, err := core.New(core.Config{N: 8})
 	if err != nil {
@@ -157,8 +175,8 @@ func TestSnoopsPerBusOperation(t *testing.T) {
 	perOp := float64(d.NodeSnoops) / float64(ops)
 	t.Logf("%d bus operations: %.2f node snoops each; probes settled %d row and %d column operations",
 		ops, perOp, d.RowProbes, d.ColProbes)
-	if perOp > 2.5 {
-		t.Errorf("%.2f node snoops per bus operation, want at most 2.5", perOp)
+	if perOp > 1.2 {
+		t.Errorf("%.2f node snoops per bus operation, want at most 1.2", perOp)
 	}
 	if d.RowProbes != rowReqs || d.ColProbes != colReqRems {
 		t.Errorf("probes settled %d row and %d column operations; %d row REQUESTs and %d column REQUEST|REMOVEs were delivered",

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 
+	"multicube/internal/cache"
 	"multicube/internal/coherence"
 )
 
@@ -13,16 +14,17 @@ import (
 // here as a predicate over the position atoms, and every rule that does
 // anything must be guarded by a conjunction that implies it.
 
-// Addressed reports whether a controller in env is among those an
-// operation of kind ev is delivered to: the delivery table's row for ev,
-// read over the position and wire atoms. The machine reads the same row
+// Addressed reports whether a controller holding the line in state st, in
+// env, is among those an operation of kind ev is delivered to: the
+// delivery table's row for ev, read over the state and the position, wire
+// and pending-READ atoms. The machine reads the same row
 // as positions along the bus, and widens it to the whole bus under the
 // fault hook, snarfing, an overflowing insert or an Observer; this
 // predicate widens only where the hook fired (Suppressed), the node could
 // snarf (Snarfable) or the insert overflowed (Overflow), so it
 // under-approximates the machine's set, and Conformance holds the
 // machine to it.
-func Addressed(ev Event, env Env) bool {
+func Addressed(ev Event, st cache.State, env Env) bool {
 	c := coherence.ClassOf(ev.Dim, ev.Txn, ev.Flags)
 	if c.Suppressible() && env.Has(AtomSuppressed) || c.Snarfable() && env.Has(AtomSnarfable) ||
 		c.Overflowable() && env.Has(AtomOverflow) {
@@ -49,13 +51,16 @@ func Addressed(ev Event, env Env) bool {
 		return env.Has(AtomHome)
 	case coherence.ToNone:
 		return false
+	case coherence.ToPurged:
+		return st == coherence.Shared && !env.Has(AtomHome) || env.Has(AtomPendRead) ||
+			ev.Flags.Has(coherence.REPLY) && env.Has(AtomOrigin)
 	}
 	return true
 }
 
 // addressingAtoms are the atoms Addressed reads.
 var addressingAtoms = G(Y(AtomOrigin), Y(AtomSameRow), Y(AtomSameCol), Y(AtomHome), Y(AtomClaimantSelf),
-	Y(AtomModifiedWire), Y(AtomServes), Y(AtomSuppressed), Y(AtomSnarfable), Y(AtomOverflow)).Care
+	Y(AtomModifiedWire), Y(AtomServes), Y(AtomSuppressed), Y(AtomSnarfable), Y(AtomOverflow), Y(AtomPendRead)).Care
 
 // acts reports whether a rule does anything: schedules a bus operation,
 // changes the line's state, or may issue traffic for other lines. A table
@@ -86,7 +91,7 @@ func (t *Table) CheckAddressing() []error {
 			}
 			for idx := 0; idx < 1<<len(atoms); idx++ {
 				env := envOf(atoms, idx)
-				if consistent(r.Event, st, env, mask) && r.Guard.Matches(env) && !Addressed(r.Event, env) {
+				if consistent(r.Event, st, env, mask) && r.Guard.Matches(env) && !Addressed(r.Event, st, env) {
 					errs = append(errs, fmt.Errorf("rule %s acts at state %v env %v, which the delivery does not address",
 						r.Name, coherence.StateName(st), env))
 					break search

@@ -65,7 +65,7 @@ func (c *Conformance) Observe(sev coherence.SnoopEvent) {
 		return
 	}
 	c.hits[rule.Name]++
-	if !sev.Addressed && Addressed(evt, env) {
+	if !sev.Addressed && Addressed(evt, st, env) {
 		c.fail("rule %s: the table addresses node %v (env %v) but the machine does not deliver to it",
 			rule.Name, sev.Node, env)
 	}

@@ -60,9 +60,9 @@ const (
 	AtomClaimantSelf
 	// AtomModifiedWire: the wired-OR row-bus modified-line signal.
 	AtomModifiedWire
-	// AtomHolderPresent: the wired-OR column-bus signal asserted by a
-	// node holding the line modified.
-	AtomHolderPresent
+	// AtomPendRead: this node has a READ of the line outstanding (matching
+	// the operation or not) — one a purge poisons.
+	AtomPendRead
 	// AtomWillServe: the wired-OR column-bus signal asserted by the node
 	// that will answer this REQUEST|REMOVE.
 	AtomWillServe
@@ -102,7 +102,7 @@ const (
 
 var atomNames = [...]string{
 	"Origin", "SameRow", "SameCol", "Home", "MLTHas", "Suppressed",
-	"ClaimantSelf", "ModifiedWire", "HolderPresent", "WillServe",
+	"ClaimantSelf", "ModifiedWire", "PendRead", "WillServe",
 	"LockFree", "LinkFree", "QueuedTail", "TargetSelf", "TargetSameCol",
 	"PendMatch", "PendPoisoned", "PendQueued", "Snarfable", "Serves", "Overflow",
 }
@@ -232,7 +232,7 @@ func EnvOf(ev *coherence.SnoopEvent) Env {
 	set(AtomSuppressed, ev.Suppressed)
 	set(AtomClaimantSelf, ev.ClaimantSelf)
 	set(AtomModifiedWire, ev.Modified)
-	set(AtomHolderPresent, ev.HolderPresent)
+	set(AtomPendRead, ev.Before.HasPend && ev.Before.PendTxn == coherence.READ && ev.Before.PendLine == ev.Line)
 	set(AtomWillServe, ev.WillServe)
 	set(AtomLockFree, ev.Before.LockWord == 0)
 	set(AtomLinkFree, !ev.Before.Pinned || ev.Before.LinkWord == 0)

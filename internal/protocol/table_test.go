@@ -234,9 +234,11 @@ func TestAddressingCoversEveryRule(t *testing.T) {
 
 // TestAddressingRejectsDefects: the check fails a rule that acts outside
 // the addressed set — the home-column forward of a row UPDATE left to
-// every node, a READ reply's forward off the originator's row — and
-// passes the same rules when they do nothing.
+// every node, a READ reply's forward off the originator's row, a purge
+// invalidating a copy at the home column or a modified one — and passes
+// the same rules when they do nothing.
 func TestAddressingRejectsDefects(t *testing.T) {
+	purge := Event{Dim: coherence.Row, Txn: coherence.READMOD, Flags: coherence.PURGE}
 	upd := Event{Dim: coherence.Row, Txn: coherence.READ, Flags: coherence.UPDATE}
 	rpl := Event{Dim: coherence.Col, Txn: coherence.READ, Flags: coherence.REPLY | coherence.NOPURGE}
 	fwd := ActionSpec{Dim: coherence.Col, Txn: coherence.READ, Flags: coherence.UPDATE | coherence.MEMORY}
@@ -246,6 +248,8 @@ func TestAddressingRejectsDefects(t *testing.T) {
 			Actions: []ActionSpec{{Dim: coherence.Row, Txn: coherence.READ, Flags: coherence.REPLY}}},
 		{Name: "install-off-row", Event: rpl, States: AnyState, Guard: G(N(AtomSameRow)),
 			Next: Next{Kind: NextTo, State: coherence.Shared}},
+		{Name: "purge-at-home", Event: purge, States: S(shd), Guard: G(Y(AtomHome)), Next: Next{Kind: NextTo, State: inv}},
+		{Name: "purge-modified", Event: purge, States: S(mod), Guard: G(N(AtomHome)), Next: Next{Kind: NextTo, State: inv}},
 	} {
 		errs := New([]*Rule{r}).CheckAddressing()
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), r.Name) {
@@ -260,11 +264,13 @@ func TestAddressingRejectsDefects(t *testing.T) {
 }
 
 // TestDeliveryReadersAgree: the machine's reading of the delivery table
-// (positions along a bus) and Addressed (a predicate over position atoms)
-// name the same nodes. It covers every event of the table on a 3×3 and a
-// 4×4 grid, at every originator, bus, home column, claimant and
-// modified-wire setting, and every set of nodes asserting will-serve,
-// with no widening condition and with each of the three the table reads
+// (positions along a bus) and Addressed (a predicate over states and
+// position atoms) name the same nodes. It covers every event of the table
+// on a 3×3 and a 4×4 grid, at every originator, bus, home column, claimant
+// and modified-wire setting, every set of nodes asserting will-serve, and
+// for a purge, which has no probe phase, every set of nodes holding the
+// line Shared and every set with a READ of it outstanding, with no
+// widening condition and with each of the three the table reads
 // (a fired SuppressSignal hook, snarfing, an insert that overflowed),
 // under which the machine must deliver to the whole bus. An operation the table
 // addresses to its originator travels on the originator's bus, so only
@@ -283,10 +289,15 @@ func TestDeliveryReadersAgree(t *testing.T) {
 				c := coherence.ClassOf(ev.Dim, ev.Txn, ev.Flags)
 				widened := widen == AtomSuppressed && c.Suppressible() || widen == AtomSnarfable && c.Snarfable() ||
 					widen == AtomOverflow && c.Overflowable()
-				toOrigin := c.Addressee() == coherence.ToOrigin || c.Addressee() == coherence.ToOriginAndHome
-				serverSets := uint64(1) // only the empty set, unless the event is delivered to its servers
+				purge := c.Addressee() == coherence.ToPurged
+				toOrigin := c.Addressee() == coherence.ToOrigin || c.Addressee() == coherence.ToOriginAndHome ||
+					purge && ev.Flags.Has(coherence.REPLY)
+				serverSets, holderSets, claimants := uint64(1), uint64(1), n // only the empty sets, unless the event reads them
 				if c.Addressee() == coherence.ToForwarderAndServers {
 					serverSets = 1 << n
+				}
+				if purge {
+					holderSets, claimants = 1<<n, 0
 				}
 				// node is the i-th node along bus b of the event's dimension.
 				node := func(b, i int) topology.Coord {
@@ -309,29 +320,36 @@ func TestDeliveryReadersAgree(t *testing.T) {
 						}
 						for home := 0; home < n; home++ {
 							op := coherence.Op{Txn: ev.Txn, Flags: ev.Flags, Origin: origin, Line: cache.Line(home)}
-							for k := -1; k < n; k++ { // the claimant's position; -1: the wire stayed low
+							for k := -1; k < claimants; k++ { // the claimant's position; -1: the wire stayed low
 								var claimant *topology.Coord
 								if k >= 0 {
 									cl := node(b, k)
 									claimant = &cl
 								}
 								for servers := uint64(0); servers < serverSets; servers++ {
-									to := sys.Addressed(ev.Dim, op, claimant, servers, widen == AtomOverflow)
-									if widened && to != 1<<n-1 {
-										t.Errorf("%d×%d %v under %v: machine delivers to %b, want the whole bus", n, n, ev, widen, to)
-									}
-									for i := 0; i < n; i++ {
-										p := node(b, i)
-										env := Env(0).With(AtomOrigin, p == origin).With(AtomSameRow, p.Row == origin.Row).
-											With(AtomSameCol, p.Col == origin.Col).With(AtomHome, p.Col == home).
-											With(AtomModifiedWire, k >= 0).With(AtomClaimantSelf, k == i).
-											With(AtomServes, servers&(1<<i) != 0)
-										if widen != numAtoms {
-											env = env.With(widen, true)
+									for holders := uint64(0); holders < holderSets*holderSets; holders++ {
+										sharers, readers := holders%holderSets, holders/holderSets
+										to := sys.Addressed(ev.Dim, op, claimant, servers, sharers, readers, widen == AtomOverflow)
+										if widened && to != 1<<n-1 {
+											t.Errorf("%d×%d %v under %v: machine delivers to %b, want the whole bus", n, n, ev, widen, to)
 										}
-										if got, want := to&(1<<i) != 0, Addressed(ev, env); got != want {
-											t.Errorf("%d×%d %v origin %v home %d claimant %d servers %b, node %v: machine %v, Addressed %v",
-												n, n, ev, origin, home, k, servers, p, got, want)
+										for i := 0; i < n; i++ {
+											p := node(b, i)
+											env := Env(0).With(AtomOrigin, p == origin).With(AtomSameRow, p.Row == origin.Row).
+												With(AtomSameCol, p.Col == origin.Col).With(AtomHome, p.Col == home).
+												With(AtomModifiedWire, k >= 0).With(AtomClaimantSelf, k == i).
+												With(AtomServes, servers&(1<<i) != 0).With(AtomPendRead, readers&(1<<i) != 0)
+											if widen != numAtoms {
+												env = env.With(widen, true)
+											}
+											st := coherence.Invalid
+											if sharers&(1<<i) != 0 {
+												st = coherence.Shared
+											}
+											if got, want := to&(1<<i) != 0, Addressed(ev, st, env); got != want {
+												t.Errorf("%d×%d %v origin %v home %d claimant %d servers %b sharers %b readers %b, node %v: machine %v, Addressed %v",
+													n, n, ev, origin, home, k, servers, sharers, readers, p, got, want)
+											}
 										}
 									}
 								}
