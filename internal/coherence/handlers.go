@@ -366,7 +366,8 @@ func (n *Node) rowPurge(op *Op) {
 func (n *Node) purgeShared(line cache.Line) {
 	n.poisonPendingRead(line)
 	if e, ok := n.l2.Lookup(line); ok && e.State == Shared {
-		n.track(line, n.l2.Invalidate(line), Invalid)
+		n.setState(e, Invalid)
+		e.Pinned = false
 		n.notifyInvalidate(line)
 		n.stats.Invalidations++
 	}

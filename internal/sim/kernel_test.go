@@ -404,3 +404,67 @@ func TestEventIs40Bytes(t *testing.T) {
 		t.Fatalf("sim.event is %d bytes, want 40", got)
 	}
 }
+
+// BenchmarkThinkTimers prices one dispatch in the shape of des-private's:
+// 64 think timers, each of which reschedules itself by an exponential
+// delay (mean 10 µs, the generator's default), so nearly every dispatch
+// replaces the held top of a 64-event heap and sifts it down. The delays
+// are drawn once into a table, so the loop times the kernel and not the
+// generator. One op is one Step.
+func BenchmarkThinkTimers(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Time, 1024)
+	for i := range delays {
+		delays[i] = Time(rng.ExpFloat64() * float64(10*Microsecond))
+	}
+	k := NewKernel()
+	next := 0
+	var fn func()
+	fn = func() {
+		k.After(delays[next], fn)
+		next = (next + 1) % len(delays)
+	}
+	for range 64 {
+		fn()
+	}
+	b.ResetTimer()
+	for range b.N {
+		k.Step()
+	}
+}
+
+// TestLessIsBefore holds the heap's branch-free comparison to before: on
+// every pair of edge events — equal times whose sequence numbers differ
+// only in their high word, time 0, and time and sequence at 2⁶⁴−1, where
+// a 128-bit subtraction borrows or wraps — and on random pairs, half of
+// them drawn from a few values so that times and sequences tie.
+func TestLessIsBefore(t *testing.T) {
+	const top = ^uint64(0)
+	edges := []event{
+		{at: 0, seq: 0}, {at: 0, seq: 1}, {at: 0, seq: top},
+		{at: 7, seq: 1 << 32}, {at: 7, seq: 2 << 32}, {at: 7, seq: 1 << 63}, {at: 7, seq: top &^ (1<<32 - 1)},
+		{at: Time(top - 1), seq: top}, {at: Time(top), seq: 0}, {at: Time(top), seq: top - 1}, {at: Time(top), seq: top},
+	}
+	check := func(e, f *event) {
+		t.Helper()
+		if got, want := less(e, f), e.before(f); got != 0 && got != 1 || (got == 1) != want {
+			t.Fatalf("less(%d/%d, %d/%d) = %d, before says %v", e.at, e.seq, f.at, f.seq, got, want)
+		}
+	}
+	for i := range edges {
+		for j := range edges {
+			check(&edges[i], &edges[j])
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	draw := func() uint64 {
+		if rng.Intn(2) == 0 {
+			return []uint64{0, 1, 1 << 32, top - 1, top}[rng.Intn(5)]
+		}
+		return rng.Uint64()
+	}
+	for range 100000 {
+		e, f := event{at: Time(draw()), seq: draw()}, event{at: Time(draw()), seq: draw()}
+		check(&e, &f)
+	}
+}

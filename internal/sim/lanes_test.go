@@ -115,6 +115,20 @@ func FuzzKernelOrder(f *testing.F) {
 		rng.Read(prog)
 		f.Add(prog)
 	}
+	// Bursts of equal-time heap events grow the heap past its three full
+	// 4-ary levels (85 events) to a last family of one, two and three
+	// children; then every event runs, each body scheduling what its
+	// plan says, so sifts cross every partial family on the way down.
+	for _, n := range []int{86, 87, 88} {
+		var prog []byte
+		for i := range n {
+			prog = append(prog, 10, byte(i/8*5%8)) // a burst of 8 per time
+		}
+		for range 3 * n {
+			prog = append(prog, 15, 0)
+		}
+		f.Add(prog)
+	}
 	fixed := []Time{0, 5, 10, 15, 20, 30}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		// A body's plan is read from the input at a place its seq picks;
