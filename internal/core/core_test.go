@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/sim"
 )
@@ -45,6 +46,20 @@ func TestLineOf(t *testing.T) {
 	line, off := m.LineOf(19)
 	if line != 2 || off != 3 {
 		t.Errorf("LineOf(19) = (%d,%d), want (2,3)", line, off)
+	}
+}
+
+// TestLineOfDivides holds LineOf's shift and mask for a power-of-two
+// block, and its divide otherwise, to addr/bw and addr%bw.
+func TestLineOfDivides(t *testing.T) {
+	for bw := 2; bw <= 33; bw++ {
+		m := testMachine(t, Config{N: 2, BlockWords: bw})
+		for _, a := range []Addr{0, 1, Addr(bw - 1), Addr(bw), 12345, 1<<40 + 7, ^Addr(0)} {
+			line, off := m.LineOf(a)
+			if line != cache.Line(a/Addr(bw)) || off != int(a%Addr(bw)) {
+				t.Errorf("BlockWords %d: LineOf(%d) = (%d,%d)", bw, a, line, off)
+			}
+		}
 	}
 }
 

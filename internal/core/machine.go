@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multicube/internal/bus"
 	"multicube/internal/cache"
@@ -64,10 +65,11 @@ type Config struct {
 
 // Machine is one simulated Wisconsin Multicube.
 type Machine struct {
-	k     *sim.Kernel
-	sys   *coherence.System
-	procs []*Processor
-	cfg   Config
+	k          *sim.Kernel
+	sys        *coherence.System
+	procs      []*Processor
+	cfg        Config
+	blockShift uint // log2 BlockWords if that is a power of two, else 0
 }
 
 // New builds a machine.
@@ -89,6 +91,9 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{k: k, sys: sys, cfg: cfg}
 	m.cfg.BlockWords = sys.Config().BlockWords
+	if bw := m.cfg.BlockWords; bw&(bw-1) == 0 {
+		m.blockShift = uint(bits.TrailingZeros(uint(bw)))
+	}
 	n := cfg.N
 	m.procs = make([]*Processor, n*n)
 	grid := sys.Grid()
@@ -141,6 +146,9 @@ func (m *Machine) BlockWords() int { return m.cfg.BlockWords }
 // within it.
 func (m *Machine) LineOf(addr Addr) (cache.Line, int) {
 	bw := Addr(m.cfg.BlockWords)
+	if s := m.blockShift; s != 0 {
+		return cache.Line(addr >> s), int(addr & (bw - 1))
+	}
 	return cache.Line(addr / bw), int(addr % bw)
 }
 

@@ -168,7 +168,7 @@ func driveSystem(k *sim.Kernel, s *coherence.System, requests int) sysReport {
 		if remaining == 0 {
 			return
 		}
-		d := sim.Time(rng.Exp(float64(think)))
+		d := rng.ExpTime(think)
 		thinkSum += d
 		k.After(d, func() {
 			line := uint64(rng.Intn(24))
