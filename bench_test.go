@@ -97,7 +97,7 @@ func BenchmarkSyncPrimitives(b *testing.B) {
 }
 
 // BenchmarkDimensionSweep regenerates the Section 6 dimensionality
-// analysis with the generalized k-dimensional model.
+// analysis: Figure 2's model over k dimensions.
 func BenchmarkDimensionSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = len(experiments.Dimensions().Render())

@@ -1,29 +1,38 @@
 // Package mva implements an approximate mean-value analysis of the
 // Wisconsin Multicube, in the spirit of the Leutenegger–Vernon model
-// [LeVe88] whose results the paper reproduces as Figures 2–4.
+// [LeVe88] whose results the paper reproduces as Figures 2–4, over the
+// k-dimensional Multicube of Section 6.
 //
-// The machine is a closed queueing network: M = n² processors cycle
+// The machine is a closed queueing network: N = n^k processors cycle
 // between thinking (the mean time between bus requests, the reciprocal of
 // the per-processor bus request rate) and executing one coherence
-// transaction. A transaction visits queueing centers — the n row buses,
-// the n column buses, and the n memory modules — plus pure delays (the
-// 750 ns snooping-cache access of a remote supplier). Visit ratios and
-// service times per class are derived from the protocol's own
-// choreography (Section 3 / Appendix A):
+// transaction. A transaction visits queueing centers — the n^(k−1) buses
+// of each of the k dimensions and the n^(k−1) memory modules — plus pure
+// delays (the 750 ns snooping-cache access of a remote supplier).
+// Dimension 1 is the requester's row and dimension k the line's home
+// column. Visit ratios and service times per class are derived from the
+// protocol's own choreography (Section 3 / Appendix A):
 //
-//   - a request to a line in global state modified: row request, column
-//     request with REMOVE, remote cache access, then two data hops back
-//     (column, row), plus the memory-update operation for READs;
-//   - a READ to an unmodified line: row request, column request to
-//     memory, memory access, column data reply, row data reply;
+//   - a request to a line in global state modified: an address hop on
+//     each dimension out to the home (the REMOVE), remote cache access,
+//     then a data hop back on each dimension, plus the memory-update
+//     operation for READs;
+//   - a READ to an unmodified line: the same address hops to memory,
+//     memory access, and the data hops back;
 //   - an invalidating write miss to an unmodified line: the same memory
-//     path plus the broadcast — one short purge operation on every row
-//     bus and the modified-line-table INSERT on the requester's column
-//     (n+1 row and 3 column operations, Section 6).
+//     path plus the broadcast — a short purge on every other bus of each
+//     dimension it fans out over and the modified-line-table INSERT on
+//     the home dimension ((N−1)/(n−1) operations with the data hops,
+//     Section 6).
+//
+// At k = 2 these are exactly the row and column operations of Figure 2's
+// machine: the broadcast is n+1 row and 3 column operations.
 //
 // Requests are non-overlapping per processor, matching the paper's
 // assumption. The solver is the Schweitzer/Bard fixed point with the
-// arrival-theorem correction (M-1)/M.
+// arrival-theorem correction (M-1)/M; since a transaction's response time
+// never falls as throughput rises, the fixed point is the unique root of a
+// decreasing function, which the solver brackets.
 package mva
 
 import (
@@ -48,8 +57,10 @@ const (
 // Params is one evaluation point of the model. RequestRate is bus
 // requests per millisecond per processor (the paper's x axis).
 type Params struct {
-	// N is the number of processors per bus (n); the machine has n².
+	// N is the number of processors per bus (n); the machine has n^K.
 	N int
+	// K is the number of dimensions: 2 is the Wisconsin Multicube.
+	K int
 	// BlockWords is the coherency block size in bus words.
 	BlockWords int
 	// TransferWords, when nonzero and smaller than BlockWords, is the
@@ -66,9 +77,9 @@ type Params struct {
 	// Figure 2; swept in Figure 3).
 	PInvalidate float64
 
-	// CutThrough, when set, forwards data onto the second bus as soon as
-	// the first words arrive (Section 5), hiding most of the first-leg
-	// transfer latency. Bus occupancy is unchanged.
+	// CutThrough, when set, forwards data onto the next bus as soon as
+	// the first words arrive (Section 5), hiding most of the transfer
+	// latency of every data hop but the last. Bus occupancy is unchanged.
 	CutThrough bool
 	// WordFirst, when set, transmits the requested word first, hiding
 	// most of the final-leg transfer latency at the processor.
@@ -79,6 +90,7 @@ type Params struct {
 func Defaults(n int) Params {
 	return Params{
 		N:           n,
+		K:           2,
 		BlockWords:  16,
 		RequestRate: 25,
 		PUnmodified: 0.8,
@@ -87,8 +99,11 @@ func Defaults(n int) Params {
 }
 
 func (p Params) validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("mva: n = %d", p.N)
+	if p.N < 2 || p.K < 1 {
+		return fmt.Errorf("mva: n = %d, k = %d", p.N, p.K)
+	}
+	if math.Pow(float64(p.N), float64(p.K)) > 1e9 {
+		return fmt.Errorf("mva: machine too large")
 	}
 	if p.BlockWords < 1 || p.RequestRate <= 0 {
 		return fmt.Errorf("mva: nonpositive block or rate")
@@ -106,38 +121,35 @@ type Result struct {
 	Efficiency float64
 	// Response is the mean bus-transaction response time in ns.
 	Response float64
-	// RowUtil, ColUtil, MemUtil are per-center utilizations.
+	// RowUtil, ColUtil and MemUtil are per-center utilizations: of a bus
+	// of dimension 1 (a row), of the home dimension k (a column at
+	// k = 2), and of a memory module.
 	RowUtil, ColUtil, MemUtil float64
 	// Throughput is completed transactions per second, machine-wide.
 	Throughput float64
 }
 
-// center indexes the queueing center types.
-type center int
-
-const (
-	rowBus center = iota
-	colBus
-	memMod
-	nCenters
-)
-
-// hop is one critical-path visit to a center.
+// hop is one operation at a center: bus dimension d is center d−1, and
+// memory is center K.
 type hop struct {
-	c center
+	c int
 	s float64 // service time of this operation
 }
 
+// offPath is count operations of one size at a center, off the critical
+// path.
+type offPath struct {
+	hop
+	count float64
+}
+
 // class is one transaction class with its probability, critical path and
-// total (on- plus off-path) center demands.
+// off-path operations.
 type class struct {
 	p     float64
 	hops  []hop   // queueing visits on the critical path
 	delay float64 // pure delays on the critical path (remote cache)
-	extra [nCenters]struct {
-		time   float64 // off-critical-path bus-seconds on the center type
-		visits float64 // off-critical-path operations
-	}
+	off   []offPath
 }
 
 // build derives the transaction classes from the protocol.
@@ -149,8 +161,8 @@ func (p Params) build() []class {
 	}
 	tData := float64(addrWords+bw) * wordTime
 
-	// Critical-path cost of the two data legs (Section 5): the first leg
-	// can be overlapped by cut-through forwarding, the second by
+	// Critical-path cost of the data hops (Section 5): every hop but the
+	// last can be overlapped by cut-through forwarding, the last by
 	// requested-word-first transmission. Bus occupancy stays tData.
 	leg1 := tData
 	if p.CutThrough {
@@ -161,75 +173,75 @@ func (p Params) build() []class {
 		leg2 = float64(addrWords+1) * wordTime
 	}
 
+	k, home, mem := p.K, p.K-1, p.K
+	// trip is a critical path: an address hop on each dimension 1..k,
+	// the memory access when memory supplies the line, and k data hops
+	// back — home dimension first when the data retraces the request to
+	// the requester (k..1), dimension 1 first when it travels from the
+	// owner's row on to the requester (1..k).
+	trip := func(memory, retrace bool) []hop {
+		hops := make([]hop, 0, 2*k+1)
+		for c := 0; c < k; c++ {
+			hops = append(hops, hop{c, tAddr})
+		}
+		if memory {
+			hops = append(hops, hop{mem, memoryLatency})
+		}
+		for i := 0; i < k; i++ {
+			c, s := i, sEff(tData, leg1)
+			if retrace {
+				c = k - 1 - i
+			}
+			if i == k-1 {
+				s = sEff(tData, leg2)
+			}
+			hops = append(hops, hop{c, s})
+		}
+		return hops
+	}
+
 	pm := 1 - p.PUnmodified
 	puR := p.PUnmodified * (1 - p.PInvalidate)
 	puW := p.PUnmodified * p.PInvalidate
 
-	var classes []class
-
-	// Class 1a: READ to a modified line — 5 bus operations: row request,
-	// column request, remote cache access, column data (critical leg 1),
-	// row data (leg 2); the memory update is a sixth, off-path data
-	// operation on the home column plus the memory write.
-	readMod := class{
-		p: pm * (1 - pWriteToModified),
-		hops: []hop{
-			{rowBus, tAddr}, {colBus, tAddr},
-			{colBus, sEff(tData, leg1)}, {rowBus, sEff(tData, leg2)},
-		},
-		delay: cacheLatency,
+	// The broadcast of an invalidating write fans out from the home
+	// dimension k toward dimension 1. It reaches n^(k−d) buses of
+	// dimension d: one carries the data hop, each other a short purge (the
+	// n−1 other rows at k = 2). The home dimension also carries the INSERT.
+	var bcast []offPath
+	reached := 1.0
+	for c := home; c >= 0; c-- {
+		if reached > 1 {
+			bcast = append(bcast, offPath{hop{c, tAddr}, reached - 1})
+		}
+		reached *= float64(p.N)
 	}
-	readMod.extra[colBus].time += tData // memory update op
-	readMod.extra[colBus].visits++
-	readMod.extra[memMod].time += memoryLatency
-	readMod.extra[memMod].visits++
-	classes = append(classes, readMod)
+	bcast = append(bcast, offPath{hop{home, tAddr}, 1})
 
-	// Class 1b: READ-MOD to a modified line — 4 bus operations: row
-	// request, column request, remote cache access, data toward the
-	// requester (row then column legs), plus the off-path INSERT.
-	writeMod := class{
-		p: pm * pWriteToModified,
-		hops: []hop{
-			{rowBus, tAddr}, {colBus, tAddr},
-			{rowBus, sEff(tData, leg1)}, {colBus, sEff(tData, leg2)},
+	return []class{
+		// READ to a modified line — 5 bus operations at k = 2: row
+		// request, column request, remote cache access, column data
+		// (critical leg 1), row data (leg 2); the memory update is an
+		// off-path data operation on the home dimension plus the
+		// memory write.
+		{
+			p: pm * (1 - pWriteToModified), hops: trip(false, true), delay: cacheLatency,
+			off: []offPath{{hop{home, tData}, 1}, {hop{mem, memoryLatency}, 1}},
 		},
-		delay: cacheLatency,
-	}
-	writeMod.extra[colBus].time += tAddr // modified line table INSERT
-	writeMod.extra[colBus].visits++
-	classes = append(classes, writeMod)
-
-	// Class 2: READ to an unmodified line — row request, column request
-	// to memory, memory access, column data, row data (4 bus ops).
-	readUnmod := class{
-		p: puR,
-		hops: []hop{
-			{rowBus, tAddr}, {colBus, tAddr}, {memMod, memoryLatency},
-			{colBus, sEff(tData, leg1)}, {rowBus, sEff(tData, leg2)},
+		// READ-MOD to a modified line — 4 bus operations at k = 2: row
+		// request, column request, remote cache access, data toward the
+		// requester (row then column legs), plus the off-path INSERT.
+		{
+			p: pm * pWriteToModified, hops: trip(false, false), delay: cacheLatency,
+			off: []offPath{{hop{home, tAddr}, 1}},
 		},
+		// READ to an unmodified line — row request, column request to
+		// memory, memory access, column data, row data.
+		{p: puR, hops: trip(true, true)},
+		// Invalidating write miss to an unmodified line — the memory
+		// path plus the broadcast.
+		{p: puW, hops: trip(true, true), off: bcast},
 	}
-	classes = append(classes, readUnmod)
-
-	// Class 3: invalidating write miss to an unmodified line — the
-	// memory path plus the broadcast: the data reply travels the home
-	// column and the requester's row carrying the purge; every other row
-	// bus carries one short purge operation; the requester's column
-	// carries the INSERT. (n+1 row operations and 3 column operations.)
-	inval := class{
-		p: puW,
-		hops: []hop{
-			{rowBus, tAddr}, {colBus, tAddr}, {memMod, memoryLatency},
-			{colBus, sEff(tData, leg1)}, {rowBus, sEff(tData, leg2)},
-		},
-	}
-	inval.extra[rowBus].time += float64(p.N-1) * tAddr // purges on the other rows
-	inval.extra[rowBus].visits += float64(p.N - 1)
-	inval.extra[colBus].time += tAddr // INSERT
-	inval.extra[colBus].visits++
-	classes = append(classes, inval)
-
-	return classes
 }
 
 // sEff bounds the effective critical-path service by the occupancy: an
@@ -238,93 +250,133 @@ func sEff(occupancy, effective float64) float64 {
 	return math.Min(occupancy, effective)
 }
 
+// network is the closed network at one point: m customers thinking z ns
+// between transactions, and per transaction the mean critical-path delay
+// and, at one center of each kind, the demand (busy ns) and the second
+// moment of its service (Σ p·s²).
+type network struct {
+	m, z, delay    float64
+	classes        []class
+	demand, workSq []float64
+	wait           []float64 // scratch for residual
+}
+
+func (p Params) network() *network {
+	n := float64(p.N)
+	pool := math.Pow(n, float64(p.K-1)) // buses per dimension, memory modules
+	nw := &network{
+		m:       pool * n,
+		z:       1e6 / p.RequestRate, // rate is per ms
+		classes: p.build(),
+		demand:  make([]float64, p.K+1),
+		workSq:  make([]float64, p.K+1),
+		wait:    make([]float64, p.K+1),
+	}
+	// By symmetry each center of a kind takes 1/pool of the kind's work.
+	for _, cl := range nw.classes {
+		for _, h := range cl.hops {
+			nw.demand[h.c] += cl.p * h.s / pool
+			nw.workSq[h.c] += cl.p * h.s * h.s / pool
+		}
+		for _, o := range cl.off {
+			nw.demand[o.c] += cl.p * (o.count * o.s) / pool
+			nw.workSq[o.c] += cl.p * o.count * o.s * o.s / pool
+		}
+		nw.delay += cl.p * cl.delay
+	}
+	return nw
+}
+
+// residual is g(X) = m/(z + r(X)) − X, where r(X) is the response time
+// at throughput X (per ns). The wait at a FIFO center is the expected
+// unfinished work an arrival finds. With arrival rate a·X (arrival-theorem
+// correction (M-1)/M for a closed network), the work balance
+// W = a·X·(W·D + SQ/2) gives the M/G/1-like closed form
+// W = a·X·SQ/2 / (1 − a·X·D). Every wait, so r, is nondecreasing in X, and
+// g is strictly decreasing.
+func (nw *network) residual(x float64) float64 {
+	a := x * (nw.m - 1) / nw.m
+	for c := range nw.wait {
+		den := 1 - a*nw.demand[c]
+		if den < 1e-6 {
+			den = 1e-6
+		}
+		nw.wait[c] = a * nw.workSq[c] / 2 / den
+	}
+	r := nw.delay
+	for _, cl := range nw.classes {
+		for _, h := range cl.hops {
+			r += cl.p * (nw.wait[h.c] + h.s)
+		}
+	}
+	return nw.m/(nw.z+r) - x
+}
+
+// throughput is the fixed point X = m/(z + r(X)): the root of the
+// residual on [0, hi], where hi is the lesser of the bottleneck's
+// capacity 1/max(D) and the throughput with no bus or memory time. g(0)
+// is positive; if g is still nonnegative at hi, the bottleneck caps X.
+// The root is found by the Illinois variant of regula falsi, which keeps
+// it bracketed and halves a stale end's residual so both ends close in;
+// it stops when the bracket holds no float between its ends and returns
+// lo. The ends are then one ulp apart, so which one is returned does not
+// matter.
+func (nw *network) throughput() float64 {
+	hi := nw.m / (nw.z + nw.delay)
+	for _, d := range nw.demand {
+		if d > 0 && 1/d < hi {
+			hi = 1 / d
+		}
+	}
+	ghi := nw.residual(hi)
+	if ghi >= 0 {
+		return hi
+	}
+	lo, glo := 0.0, nw.residual(0)
+	side := 0
+	for {
+		x := lo + glo*(hi-lo)/(glo-ghi)
+		if !(lo < x && x < hi) {
+			x = lo + (hi-lo)/2
+			if !(lo < x && x < hi) {
+				return lo
+			}
+		}
+		switch g := nw.residual(x); {
+		case g > 0:
+			lo, glo = x, g
+			if side > 0 {
+				ghi /= 2
+			}
+			side = 1
+		case g < 0:
+			hi, ghi = x, g
+			if side < 0 {
+				glo /= 2
+			}
+			side = -1
+		default:
+			return x
+		}
+	}
+}
+
 // Solve evaluates the model.
 func Solve(p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	classes := p.build()
-	n := float64(p.N)
-	m := n * n               // customers
-	z := 1e6 / p.RequestRate // think time ns (rate is per ms)
-
-	// Aggregate per-center demands per transaction for one specific
-	// center of each type (divide by n by symmetry). demand is bus-
-	// seconds per transaction; workSq accumulates p·s², the second
-	// moment needed for the FIFO unfinished-work estimate.
-	var demand, workSq [nCenters]float64
-	var delay float64
-	for _, cl := range classes {
-		for _, h := range cl.hops {
-			demand[h.c] += cl.p * h.s / n
-			workSq[h.c] += cl.p * h.s * h.s / n
-		}
-		for c := center(0); c < nCenters; c++ {
-			demand[c] += cl.p * cl.extra[c].time / n
-			if cl.extra[c].visits > 0 {
-				s := cl.extra[c].time / cl.extra[c].visits
-				workSq[c] += cl.p * cl.extra[c].visits * s * s / n
-			}
-		}
-		delay += cl.p * cl.delay
-	}
-
-	// Fixed point on throughput. The wait at a FIFO center is the
-	// expected unfinished work an arrival finds. With arrival rate a·X
-	// (arrival-theorem correction (M-1)/M for a closed network), the
-	// work balance W = a·X·(W·D + SQ/2) gives the M/G/1-like closed
-	// form W = a·X·SQ/2 / (1 − a·X·D); the denominator shrinking to
-	// zero is saturation, which the closed loop resolves by lowering X.
-	x := m / (z + delay) // optimistic start
-	// The bottleneck center caps throughput: X ≤ 1/max(D).
-	xCap := math.Inf(1)
-	for c := center(0); c < nCenters; c++ {
-		if demand[c] > 0 && 1/demand[c] < xCap {
-			xCap = 1 / demand[c]
-		}
-	}
-	if x > xCap {
-		x = xCap
-	}
-	var wait [nCenters]float64
-	for iter := 0; iter < 20000; iter++ {
-		a := x * (m - 1) / m
-		for c := center(0); c < nCenters; c++ {
-			den := 1 - a*demand[c]
-			if den < 1e-6 {
-				den = 1e-6
-			}
-			wait[c] = a * workSq[c] / 2 / den
-		}
-		r := delay
-		for _, cl := range classes {
-			for _, h := range cl.hops {
-				r += cl.p * (wait[h.c] + h.s)
-			}
-		}
-		xNew := m / (z + r)
-		if xNew > xCap {
-			xNew = xCap
-		}
-		// Damp for stability near saturation.
-		xNew = 0.5*x + 0.5*xNew
-		if math.Abs(xNew-x) <= 1e-12*math.Max(1e-12, x) {
-			x = xNew
-			break
-		}
-		x = xNew
-	}
-
-	r := m/x - z
-	res := Result{
-		Efficiency: z / (z + r),
+	nw := p.network()
+	x := nw.throughput()
+	r := nw.m/x - nw.z
+	return Result{
+		Efficiency: nw.z / (nw.z + r),
 		Response:   r,
-		RowUtil:    x * demand[rowBus],
-		ColUtil:    x * demand[colBus],
-		MemUtil:    x * demand[memMod],
+		RowUtil:    x * nw.demand[0],
+		ColUtil:    x * nw.demand[p.K-1],
+		MemUtil:    x * nw.demand[p.K],
 		Throughput: x * 1e9, // x is per ns
-	}
-	return res, nil
+	}, nil
 }
 
 // MustSolve is Solve but panics on error.

@@ -7,20 +7,19 @@ import (
 )
 
 func TestValidation(t *testing.T) {
-	bad := []Params{
-		{N: 1, BlockWords: 16, RequestRate: 25},
-		{N: 8, BlockWords: 0, RequestRate: 25},
-		{N: 8, BlockWords: 16, RequestRate: 0},
-	}
-	for i, p := range bad {
+	// Each case is Defaults(8) with one field broken, so it fails for the
+	// rule it names.
+	for name, spoil := range map[string]func(*Params){
+		"n":           func(p *Params) { p.N = 1 },
+		"block":       func(p *Params) { p.BlockWords = 0 },
+		"rate":        func(p *Params) { p.RequestRate = 0 },
+		"probability": func(p *Params) { p.PUnmodified = 1.5 },
+	} {
+		p := Defaults(8)
+		spoil(&p)
 		if _, err := Solve(p); err == nil {
-			t.Errorf("case %d accepted", i)
+			t.Errorf("bad %s accepted", name)
 		}
-	}
-	p := Defaults(8)
-	p.PUnmodified = 1.5
-	if _, err := Solve(p); err == nil {
-		t.Error("probability out of range accepted")
 	}
 }
 
@@ -203,5 +202,51 @@ func TestFiguresRender(t *testing.T) {
 	// Default sweep path.
 	if Figure2(nil).Table().Rows() != len(RateSweep()) {
 		t.Error("default sweep rows mismatch")
+	}
+}
+
+// plots is every table of the model the benchmark harness prints, at its
+// default axes.
+func plots() []plot {
+	return []plot{
+		figure2Plot(nil), figure3Plot(nil), figure4Plot(nil),
+		blockTradeoffPlot(50), latencyPlot(nil), dimensionPlot(nil),
+	}
+}
+
+func TestFixedPointResidual(t *testing.T) {
+	// Every published point is the fixed point X = m/(z + r(X)), not an
+	// iterate a loop stopped on.
+	for _, pl := range plots() {
+		for _, c := range pl.curves {
+			for _, x := range pl.xs {
+				nw := c.at(x).network()
+				X := nw.throughput()
+				if g := nw.residual(X); math.Abs(g) > 1e-9*X {
+					t.Errorf("%s, %s at %g: residual %g at X = %g", pl.title, c.label, x, g, X)
+				}
+			}
+		}
+	}
+}
+
+func TestThroughputNondecreasingInRate(t *testing.T) {
+	// At the fixed point more offered load never completes less work:
+	// efficiency × rate (transactions per processor per ms) never falls
+	// along a curve over the request rate.
+	for _, pl := range plots() {
+		if pl.xLabel != "req/ms" {
+			continue
+		}
+		for _, c := range pl.curves {
+			prev := 0.0
+			for _, rate := range pl.xs {
+				x := MustSolve(c.at(rate)).Efficiency * rate
+				if x < prev {
+					t.Errorf("%s, %s: throughput %g at %g req/ms, below %g", pl.title, c.label, x, rate, prev)
+				}
+				prev = x
+			}
+		}
 	}
 }
