@@ -7,7 +7,7 @@
 // Usage:
 //
 //	multicube-mc -preset readmod-race [-budget 200000] [-depth-step 0]
-//	             [-inject] [-no-por] [-no-sleep]
+//	             [-inject] [-no-por]
 //	             [-no-minimize] [-quiet] [-json] [-checkfp]
 //	             [-store dir] [-mem-budget bytes] [-checkpoint dir]
 //	             [-checkpoint-every n] [-resume]
@@ -49,8 +49,7 @@ func run() int {
 	depth := flag.Int("depth", 0, "choice-depth bound (0 = unlimited)")
 	depthStep := flag.Int("depth-step", 0, "iterative-deepening step (0 = single full-depth pass)")
 	inject := flag.Bool("inject", false, "disable the stale-reply defense of DESIGN.md §5.6a")
-	noPOR := flag.Bool("no-por", false, "disable the partial-order reduction entirely")
-	noSleep := flag.Bool("no-sleep", false, "keep eager-firing but disable the sleep sets")
+	noPOR := flag.Bool("no-por", false, "disable the partial-order reduction")
 	noMin := flag.Bool("no-minimize", false, "skip counterexample shrinking")
 	scNodes := flag.Int("sc-nodes", 0, "per-execution SC search node budget for CheckSC scenarios (0 = memmodel default)")
 	quiet := flag.Bool("quiet", false, "suppress the bus trace on violations")
@@ -122,7 +121,6 @@ func run() int {
 		MaxDepth:        *depth,
 		DepthStep:       *depthStep,
 		DisablePOR:      *noPOR,
-		DisableSleep:    *noSleep,
 		NoMinimize:      *noMin,
 		SCNodes:         *scNodes,
 		CheckFP:         *checkFP,

@@ -351,7 +351,7 @@ func (b *Bus) next() pending {
 				cands = append(cands, sim.Candidate{Tag: b.queue[h].pkt})
 			}
 			b.candScratch = cands
-			pick = b.chooser.Choose(sim.ChoicePoint{Kind: sim.Grant, Bus: b}, cands)
+			pick = b.chooser.Choose(sim.ChoicePoint{Kind: sim.Grant}, cands)
 			if pick < 0 || pick >= len(heads) {
 				panic(fmt.Sprintf("bus %s: chooser picked %d of %d candidates", b.name, pick, len(heads)))
 			}

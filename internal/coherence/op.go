@@ -190,14 +190,13 @@ type Op struct {
 	issuer topology.Coord
 	dim    Dim
 
-	// fpIdent memoizes the transition-identity hash (opIdentFP) and
-	// fpBase the row-independent part of the operation's fingerprint
-	// hash (FPCache). Every fingerprint-visible field above is immutable
-	// once the op becomes visible to a fingerprint (the probe wires are
-	// rebuilt per delivery and are not hashed), so the memos never go
-	// stale.
-	fpIdentOK, fpBaseOK bool
-	fpIdent, fpBase     uint64
+	// fpBase memoizes the row-independent part of the operation's
+	// fingerprint hash (FPCache). Every fingerprint-visible field above is
+	// immutable once the op becomes visible to a fingerprint (the probe
+	// wires are rebuilt per delivery and are not hashed), so the memo
+	// never goes stale.
+	fpBaseOK bool
+	fpBase   uint64
 	// buf is the payload block the operation keeps across reuse, and
 	// released marks it as on the free list (System.release): issuing or
 	// delivering it then panics, until newOp hands it out again.

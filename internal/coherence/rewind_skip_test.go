@@ -121,7 +121,7 @@ func locate(path string, a, b reflect.Value) string {
 // operation recycled from a data-carrying one keeps while it carries none
 // (its Data is the state).
 var rewindScratch = map[string]bool{"cfg": true, "blockWords": true, "refScratch": true, "spare": true,
-	"fpIdentOK": true, "fpBaseOK": true, "fpIdent": true, "fpBase": true, "buf": true}
+	"fpBaseOK": true, "fpBase": true, "buf": true}
 
 // fieldsOf caches, per struct type, the fields semDiff walks — those not
 // in rewindScratch — with their names, and fieldNamed a field's index:

@@ -325,7 +325,7 @@ func (s *System) FingerprintRC(perm, cperm []int, extraTag func(tag any) (uint64
 // --- event-tag classification for partial-order reduction ----------------
 
 // TagKind classifies a kernel event tag for the model checker's
-// independence reasoning (internal/mc's persistent/sleep-set reduction).
+// independence reasoning (internal/mc's persistent-set reduction).
 type TagKind uint8
 
 const (
@@ -341,9 +341,8 @@ const (
 )
 
 // TagInfo describes one kernel event tag to the model checker: its
-// class, the identity of the bus it acts on, the issuing agent (enqueues
-// only), and a content fingerprint stable across replays of the same
-// state, usable as the transition's identity in sleep sets.
+// class, the identity of the bus it acts on, and the issuing agent
+// (enqueues only).
 type TagInfo struct {
 	Kind TagKind
 	// Bus identifies the bus machine-stably: row r is r, column c is
@@ -352,13 +351,10 @@ type TagInfo struct {
 	// Issuer is the enqueueing agent (Row -1 for a memory module);
 	// meaningful only for TagEnqueue.
 	Issuer topology.Coord
-	// FP is a content hash of the transition (class, bus, payload).
-	FP uint64
 }
 
 // BusIndex returns the machine-stable bus identity used by TagInfo (rows
-// 0..N-1, then columns N..2N-1), or -1. The model checker uses it to
-// classify arbitration choice points, which carry their deciding bus.
+// 0..N-1, then columns N..2N-1), or -1.
 func (s *System) BusIndex(b *bus.Bus) int {
 	for r := 0; r < s.cfg.N; r++ {
 		if s.rows[r] == b {
@@ -373,70 +369,16 @@ func (s *System) BusIndex(b *bus.Bus) int {
 	return -1
 }
 
-// opIdentFP hashes an operation's protocol-visible payload under the
-// identity row labeling, for transition identity (not state
-// canonicalization — sleep sets compare transitions along one replayed
-// path, where physical coordinates are stable).
-func opIdentFP(op *Op) uint64 {
-	if op.fpIdentOK {
-		return op.fpIdent
-	}
-	h := fphash.New()
-	h.Word(uint64(op.Txn))
-	h.Word(uint64(op.Flags))
-	h.Word(uint64(op.Line))
-	h.Word(uint64(int64(op.Origin.Row)))
-	h.Word(uint64(int64(op.Origin.Col)))
-	h.Word(uint64(int64(op.Target.Row)))
-	h.Word(uint64(int64(op.Target.Col)))
-	h.Bit(op.Data != nil)
-	for _, w := range op.Data {
-		h.Word(w)
-	}
-	op.fpIdent, op.fpIdentOK = h.Sum(), true
-	return h.Sum()
-}
-
 // TagInfo classifies tag for the model checker; ok is false for tags the
 // coherence layer does not recognize (the caller's own driver events).
 func (s *System) TagInfo(tag any) (info TagInfo, ok bool) {
 	switch t := tag.(type) {
 	case EnqueueTag:
-		h := fphash.New()
-		h.Word(0x10)
-		h.Word(uint64(int64(t.Issuer().Row)))
-		h.Word(uint64(int64(t.Issuer().Col)))
-		h.Word(uint64(t.Dim()))
-		b := s.BusIndex(s.enqueueBus(t))
-		h.Word(uint64(int64(b)))
-		h.Word(opIdentFP(t.Op))
-		return TagInfo{Kind: TagEnqueue, Bus: b, Issuer: t.Issuer(), FP: h.Sum()}, true
+		return TagInfo{Kind: TagEnqueue, Bus: s.BusIndex(s.enqueueBus(t)), Issuer: t.Issuer()}, true
 	case bus.GrantTag:
-		h := fphash.New()
-		h.Word(0x11)
-		b := s.BusIndex(t.B)
-		h.Word(uint64(int64(b)))
-		return TagInfo{Kind: TagGrant, Bus: b, FP: h.Sum()}, true
+		return TagInfo{Kind: TagGrant, Bus: s.BusIndex(t.B)}, true
 	case bus.DeliverTag:
-		h := fphash.New()
-		h.Word(0x12)
-		b := s.BusIndex(t.B)
-		h.Word(uint64(int64(b)))
-		if op, isOp := t.Pkt().(*Op); isOp {
-			h.Word(opIdentFP(op))
-		}
-		return TagInfo{Kind: TagDeliver, Bus: b, FP: h.Sum()}, true
+		return TagInfo{Kind: TagDeliver, Bus: s.BusIndex(t.B)}, true
 	}
 	return TagInfo{Bus: -1}, false
-}
-
-// PacketFP fingerprints a bus packet (a *Op) for the model checker's
-// transition identities at arbitration choice points; ok is false for
-// foreign packet types.
-func (s *System) PacketFP(pkt any) (uint64, bool) {
-	op, isOp := pkt.(*Op)
-	if !isOp {
-		return 0, false
-	}
-	return opIdentFP(op), true
 }

@@ -42,7 +42,10 @@ import (
 //
 // 2: mc.Scenario gained the Protocol field (single-bus snooper
 // selection), changing the canonical mc-job encoding.
-const SchemaVersion = 2
+// 3: the explorer lost its sleep sets and the option that turned them
+// off: mc and swarm results under the same canonical spec now carry
+// other States, Runs and Cost values.
+const SchemaVersion = 3
 
 // Job kinds.
 const (
@@ -121,7 +124,6 @@ type MCOptions struct {
 	MaxStepsPerRun int  `json:"max_steps_per_run,omitempty"`
 	MaxReissues    int  `json:"max_reissues,omitempty"`
 	DisablePOR     bool `json:"disable_por,omitempty"`
-	DisableSleep   bool `json:"disable_sleep,omitempty"`
 	NoMinimize     bool `json:"no_minimize,omitempty"`
 	SCNodes        int  `json:"sc_nodes,omitempty"`
 }
@@ -329,7 +331,6 @@ func (v *MCSpec) ExploreOptions() mc.Options {
 		MaxStepsPerRun: o.MaxStepsPerRun,
 		MaxReissues:    o.MaxReissues,
 		DisablePOR:     o.DisablePOR,
-		DisableSleep:   o.DisableSleep,
 		NoMinimize:     o.NoMinimize,
 		SCNodes:        o.SCNodes,
 	}

@@ -84,22 +84,26 @@ func TestDefaultsDoNotSplitIdentity(t *testing.T) {
 
 func f64(v float64) *float64 { return &v }
 
+// fingerprintOf decodes a submitted spec as the server does and
+// returns its fingerprint.
+func fingerprintOf(t *testing.T, body string) string {
+	t.Helper()
+	var s Spec
+	if err := json.Unmarshal([]byte(body), &s); err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestExplicitZeroIsNotADefault: an explicit zero probability is a
 // different job from an omitted one, which fills the default; and an
 // omitted one is the same job as the default spelled out.
 func TestExplicitZeroIsNotADefault(t *testing.T) {
-	fp := func(body string) string {
-		t.Helper()
-		var s Spec
-		if err := json.Unmarshal([]byte(body), &s); err != nil {
-			t.Fatal(err)
-		}
-		f, err := s.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
+	fp := func(body string) string { return fingerprintOf(t, body) }
 	zero := fp(`{"kind":"sim","sim":{"p_shared":0,"p_write":0}}`)
 	omitted := fp(`{"kind":"sim","sim":{}}`)
 	if zero == omitted {
@@ -107,6 +111,18 @@ func TestExplicitZeroIsNotADefault(t *testing.T) {
 	}
 	if spelled := fp(`{"kind":"sim","sim":{"p_shared":0.5,"p_write":0.3}}`); spelled != omitted {
 		t.Fatalf("defaulted and explicit probabilities split identity: %s vs %s", omitted, spelled)
+	}
+}
+
+// TestRemovedSleepOptionIsIgnored: a spec written for an explorer with
+// sleep sets may still carry "disable_sleep". It is accepted, because
+// decoding ignores a field the spec no longer has, and it names the same
+// job as the spec without it: both now run the one search there is.
+func TestRemovedSleepOptionIsIgnored(t *testing.T) {
+	with := fingerprintOf(t, `{"kind":"mc","mc":{"preset":"read-race","options":{"disable_sleep":true}}}`)
+	without := fingerprintOf(t, `{"kind":"mc","mc":{"preset":"read-race","options":{}}}`)
+	if with != without {
+		t.Fatalf("disable_sleep split identity: %s vs %s", with, without)
 	}
 }
 

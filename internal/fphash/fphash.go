@@ -1,11 +1,10 @@
-// Package fphash is the one hasher behind every state and transition
-// fingerprint of the model checker: the machine fingerprints of
-// internal/coherence (full-walk and incremental) and internal/singlebus
-// (full-walk), the driver and canonical-minimum combines of internal/mc, and the
-// transition identities sleep sets compare. Callers feed it a sequence of
-// 64-bit words — a byte or a bool is one word — and read the state back as
-// the fingerprint; what is fed, and so which states are told apart, is
-// theirs to define.
+// Package fphash is the one hasher behind every state fingerprint of the
+// model checker: the machine fingerprints of internal/coherence
+// (full-walk and incremental) and internal/singlebus (full-walk), and the
+// driver and canonical-minimum combines of internal/mc. Callers feed it a
+// sequence of 64-bit words — a byte or a bool is one word — and read the
+// state back as the fingerprint; what is fed, and so which states are told
+// apart, is theirs to define.
 //
 // One step costs an xor, a multiply and a shift-xor per word, where the
 // byte-wise FNV-1a it replaces paid eight multiplies. Both halves of a

@@ -17,24 +17,15 @@ const checkpointValuesPath = "testdata/checkpoint_values.json"
 var checkpointPresets = []string{"litmus-mp", "read-col-pair"}
 
 // checkpointValues is what a checkpoint of one search holds beyond its
-// frontier's choice prefixes — the canonical fingerprints in its visited
-// runs and the transition fingerprints of the sleep sets stored beside
-// them — and the candidate identities a resumed search compares those
-// sleep sets with. A grant at an arbitration point never enters a sleep
-// set (every candidate there is on the same bus, so all are dependent),
-// so only the last hash sees a grant's identity. Unlike
-// preset_golden.json these are fingerprint values: a change of hash,
-// labeling or transition identity moves them, and that is the change that
-// must bump optionsHash's version, because a checkpoint written before
-// would resume against values it no longer shares with the search.
+// frontier's choice prefixes: the canonical fingerprints in its visited
+// runs. Unlike preset_golden.json these are fingerprint values: a change
+// of hash or labeling moves them, and that is the change that must bump
+// optionsHash's version, because a checkpoint written before would resume
+// against values it no longer shares with the search.
 type checkpointValues struct {
-	Preset     string `json:"preset"`
-	States     int    `json:"states"`
-	Canonical  string `json:"canonical"`
-	SleepFPs   int    `json:"sleep_fps"`
-	Sleep      string `json:"sleep"`
-	Candidates int    `json:"candidates"`
-	Identities string `json:"identities"`
+	Preset    string `json:"preset"`
+	States    int    `json:"states"`
+	Canonical string `json:"canonical"`
 }
 
 type checkpointTable struct {
@@ -43,36 +34,22 @@ type checkpointTable struct {
 }
 
 // searchValues explores a preset with default options and hashes the
-// sorted canonical fingerprints it records, the sorted multiset of the
-// transition fingerprints their sleep sets carry, and that of the
-// candidates' fingerprints at every choice point it branches at.
+// sorted canonical fingerprints it records.
 func searchValues(t *testing.T, preset string) checkpointValues {
 	t.Helper()
 	sc, err := Preset(preset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var states, sleep, cands []uint64
-	opts := Options{
-		onNew: func(fp uint64, s []uint64) {
-			states = append(states, fp)
-			sleep = append(sleep, s...)
-		},
-		onBranch: func(cls []tagClass) {
-			for _, c := range cls {
-				cands = append(cands, c.fp)
-			}
-		},
-	}
-	res, err := Explore(sc, opts)
+	var states []uint64
+	res, err := Explore(sc, Options{onNew: func(fp uint64) { states = append(states, fp) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exhausted || res.States != len(states) {
 		t.Fatalf("%s: exhausted %v, %d states, %d recorded", preset, res.Exhausted, res.States, len(states))
 	}
-	return checkpointValues{Preset: preset, States: len(states), Canonical: sortedHash(states),
-		SleepFPs: len(sleep), Sleep: sortedHash(sleep), Candidates: len(cands), Identities: sortedHash(cands)}
+	return checkpointValues{Preset: preset, States: len(states), Canonical: sortedHash(states)}
 }
 
 func sortedHash(fps []uint64) string {
@@ -87,7 +64,7 @@ func sortedHash(fps []uint64) string {
 // TestCheckpointValuesFrozen holds the fingerprint values a checkpoint
 // stores to the committed table while optionsHash, which pins a
 // checkpoint to the explorer that wrote it, keeps its value: a resume
-// must find the states and sleep sets it saved under the same names.
+// must find the states it saved under the same names.
 func TestCheckpointValuesFrozen(t *testing.T) {
 	o := Options{}
 	o.fillDefaults()

@@ -54,13 +54,10 @@ type Options struct {
 	// default of 128. The protocol legitimately retries lost races, so
 	// the bound is generous rather than tight.
 	MaxReissues int
-	// DisablePOR turns off the partial-order reduction entirely (both
-	// the persistent-set eager-firing and the sleep sets), for
-	// cross-checking that the reduction hides no violations.
+	// DisablePOR turns off the partial-order reduction (persistent-set
+	// eager-firing), for cross-checking that the reduction hides no
+	// violations.
 	DisablePOR bool
-	// DisableSleep turns off only the sleep-set half of the reduction,
-	// leaving persistent-set eager-firing active.
-	DisableSleep bool
 	// NoMinimize skips counterexample shrinking.
 	NoMinimize bool
 	// SCNodes caps the per-execution sequential-consistency search (the
@@ -129,14 +126,9 @@ type Options struct {
 	// exactly there (by panicking or killing the process).
 	faultHook func(string)
 	// onNew, when non-nil, is called with the canonical fingerprint of
-	// every state the search records for the first time and the sleep set
-	// it records with it (sorted transition fingerprints, valid only for
-	// the call), so tests can compare what two searches reach and store.
-	onNew func(fp uint64, sleep []uint64)
-	// onBranch, when non-nil, is called with the candidates' classes at
-	// every choice point the search branches at under sleep sets: the
-	// transition identities sleep sets are drawn from and compared with.
-	onBranch func(cands []tagClass)
+	// every state the search records for the first time, so tests can
+	// compare what two searches reach and store.
+	onNew func(fp uint64)
 }
 
 func (o *Options) fillDefaults() {
@@ -214,8 +206,8 @@ type Cost struct {
 	PeakBoundaries int
 	// StoreHot, StoreDisk and StoreReads say which tier of the visited
 	// store answered revisits: those the hot map answered, the run lookups
-	// that passed a bloom filter, and the reads those made — one each, two
-	// where a sleep set is stored (statespace.Store.Tier).
+	// that passed a bloom filter, and the reads those made — one each
+	// (statespace.Store.Tier).
 	StoreHot, StoreDisk, StoreReads uint64
 	// Spills, Syncs and DiskBytes describe the visited store's disk tier:
 	// shard evictions performed, runs this process's checkpoints fsynced
@@ -288,9 +280,6 @@ type checker interface {
 	canonicalFP() uint64
 	// classify describes a kernel event tag to the reduction.
 	classify(tag any) tagClass
-	// grantClass describes one bus-arbitration candidate (the packet
-	// that would be granted) on the deciding bus, ChoicePoint.Bus.
-	grantClass(b, tag any) tagClass
 	// fpStats reports this execution's fingerprint cost, the FP
 	// counters of a Cost; zero where nothing is cached or canonicalised
 	// by sorting.
@@ -316,46 +305,24 @@ func newChecker(sc *Scenario, sh *shared) checker {
 	return newInstance(sc, sh)
 }
 
-// take records one resolved choice point. Beyond the prefix, under the
-// sleep-set reduction, it also records the candidates' classes and the
-// sleep set in force, which the spawner needs to seed sibling branches.
-// cands is a piece of the chooser's per-run arena, valid like the take
-// itself until the explorer's next run; sleepAt is a kept set, which
-// children may hand on to a work item.
+// take records one resolved choice point: the pick and the number of
+// candidates it was picked from.
 type take struct {
-	pick    int
-	n       int
-	cands   []tagClass
-	sleepAt sleepSet
+	pick int
+	n    int
 }
 
-// leavesSibling reports whether children will spawn a branch at this
-// choice point: an alternative to the pick that is not slept (any
-// alternative, with sleep sets off).
-func (t *take) leavesSibling() bool {
-	if t.cands == nil {
-		return t.n > 1
-	}
-	for alt := range t.cands {
-		if alt != t.pick && !t.sleepAt.contains(t.cands[alt].fp) {
-			return true
-		}
-	}
-	return false
-}
-
-// workItem is one pending branch: the scripted choices that lead to it
-// plus the sleep set that becomes active once they are replayed. prefix
-// are the picks before the last — a slice of one array the spawning run
-// built for all the siblings it left, never written again — and last is
-// that one; a bare replay and an item read back from a checkpoint keep
-// the whole sequence in prefix, and the root, the zero item, has none.
-// from, when set, is a boundary on the path that the spawning run saved.
+// workItem is one pending branch: the scripted choices that lead to it.
+// prefix are the picks before the last — a slice of one array the
+// spawning run built for all the siblings it left, never written again —
+// and last is that one; a bare replay and an item read back from a
+// checkpoint keep the whole sequence in prefix, and the root, the zero
+// item, has none. from, when set, is a boundary on the path that the
+// spawning run saved.
 type workItem struct {
 	prefix   []int
 	last     int
 	scripted int // len(prefix), and one more where last counts
-	sleep    sleepSet
 	from     *boundary
 }
 
@@ -395,29 +362,15 @@ type boundary struct {
 }
 
 // mcChooser scripts an execution: the first choice points follow the work
-// item, the rest pick the first non-slept candidate (plain 0 when sleep
-// sets are off). Reduction happens here — an eager pick is
-// NOT recorded as a choice point, which is sound because the persistent
-// decision is a pure function of the candidate set and therefore replays
-// identically.
-//
-// Sleep bookkeeping: the chooser implements sim.DispatchObserver, so it
-// sees every dispatched kernel event — including single-candidate
-// dispatches and eager fires — and drops sleep members dependent with
-// each executed transition. The work item's sleep set activates exactly
-// when its prefix's final pick has dispatched: for a scheduler choice
-// the chooser arms and installs it on the next Dispatched callback (the
-// picked event itself, which must not be filtered against it); for an
-// arbitration choice the grant event has already dispatched, so it
-// installs immediately.
+// item, the rest pick candidate 0. Reduction happens here — an eager pick
+// is NOT recorded as a choice point, which is sound because the
+// persistent decision is a pure function of the candidate set and
+// therefore replays identically.
 type mcChooser struct {
-	n         int
-	classify  func(any) tagClass
-	grantCls  func(any, any) tagClass
-	depth     int
-	eager     bool
-	sleepOn   bool
-	initSleep sleepSet
+	n        int
+	classify func(any) tagClass
+	depth    int
+	eager    bool
 
 	// item scripts the first scripted choice points of the path; the
 	// machine starts from a boundary that covers the first covered of
@@ -425,25 +378,13 @@ type mcChooser struct {
 	item    workItem
 	covered int
 
-	sleep    sleepSet
-	armed    bool
-	active   bool
 	taken    []take
 	limitHit bool
-	blocked  bool
 
-	// clsScratch backs classesOf between choice points. kept is the
-	// run's arena for the classes a take records (take.cands), emptied by
-	// start; fpBuf holds the sleep set's fingerprints for one Visit.
+	// clsScratch backs the candidates' classes at one scheduler choice
+	// point; kids is children's buffer.
 	clsScratch []tagClass
-	kept       []tagClass
-	fpBuf      []uint64
-
-	// chunk is what afterExec and children carve new sleep sets from;
-	// done and kids are children's buffers.
-	chunk sleepChunk
-	done  []tagClass
-	kids  []workItem
+	kids       []workItem
 
 	// atBoundary, when set, is told about every scheduler choice point
 	// beyond the prefix that leaves an alternative for a sibling branch,
@@ -458,13 +399,7 @@ type mcChooser struct {
 // newMCChooser returns a chooser bound to ck under the options'
 // reduction; start scripts it for one execution.
 func newMCChooser(ck checker, n int, opts *Options) *mcChooser {
-	return &mcChooser{
-		n:        n,
-		classify: ck.classify,
-		grantCls: ck.grantClass,
-		eager:    !opts.DisablePOR,
-		sleepOn:  !opts.DisablePOR && !opts.DisableSleep,
-	}
+	return &mcChooser{n: n, classify: ck.classify, eager: !opts.DisablePOR}
 }
 
 // start scripts the chooser for one execution of the work item under the
@@ -473,48 +408,32 @@ func newMCChooser(ck checker, n int, opts *Options) *mcChooser {
 // from a boundary saved there — so the execution resumes at that one.
 func (c *mcChooser) start(it workItem, depth, covered int) {
 	c.item, c.covered = it, covered
-	c.depth, c.initSleep = depth, it.sleep
-	c.sleep, c.armed, c.active = nil, false, false
-	c.taken, c.kept = c.taken[:0], c.kept[:0]
-	c.limitHit, c.blocked = false, false
-	if c.sleepOn && it.scripted == 0 {
-		c.active = true
-		c.sleep = c.initSleep
-	}
+	c.depth = depth
+	c.taken = c.taken[:0]
+	c.limitHit = false
 }
 
 // replayChooser scripts a counterexample re-execution: prefix picks,
-// then default 0, with the same eager-firing as exploration but no sleep
-// sets (a Violation's Choices records every resolved choice point up to
-// the failure, so the replay is exact either way).
+// then default 0, with the same eager-firing as exploration (a
+// Violation's Choices records every resolved choice point up to the
+// failure, so the replay is exact).
 func replayChooser(ck checker, n int, prefix []int, opts *Options) *mcChooser {
 	c := newMCChooser(ck, n, opts)
-	c.sleepOn = false
 	c.start(workItem{prefix: prefix, scripted: len(prefix)}, 0, 0)
 	return c
 }
 
 func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 	isSched := cp.Kind == sim.Sched
-	var classes []tagClass
-	classesOf := func() []tagClass {
-		if classes == nil {
-			if cap(c.clsScratch) < len(cands) {
-				c.clsScratch = make([]tagClass, len(cands))
-			}
-			classes = c.clsScratch[:len(cands)]
-			for i := range cands {
-				if isSched {
-					classes[i] = c.classify(cands[i].Tag)
-				} else {
-					classes[i] = c.grantCls(cp.Bus, cands[i].Tag)
-				}
-			}
-		}
-		return classes
-	}
 	if c.eager && isSched {
-		if i := persistentIndex(c.n, classesOf()); i >= 0 {
+		if cap(c.clsScratch) < len(cands) {
+			c.clsScratch = make([]tagClass, len(cands))
+		}
+		classes := c.clsScratch[:len(cands)]
+		for i := range cands {
+			classes[i] = c.classify(cands[i].Tag)
+		}
+		if i := persistentIndex(c.n, classes); i >= 0 {
 			return i
 		}
 	}
@@ -530,57 +449,11 @@ func (c *mcChooser) Choose(cp sim.ChoicePoint, cands []sim.Candidate) int {
 		if pick < 0 || pick >= len(cands) {
 			pick = 0
 		}
-	} else if c.sleepOn && isSched {
-		pick = -1
-		cls := classesOf()
-		for i := range cands {
-			if !c.sleep.contains(cls[i].fp) {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
-			// Every enabled transition is slept: everything from here is
-			// covered by sibling branches. Truncate the run.
-			c.blocked = true
-			return 0
-		}
-	}
-	tk := take{pick: pick, n: len(cands)}
-	if !scripted && c.sleepOn {
-		from := len(c.kept)
-		c.kept = append(c.kept, classesOf()...)
-		tk.cands = c.kept[from:len(c.kept):len(c.kept)]
-		tk.sleepAt = c.sleep
-	}
-	if !scripted && isSched && c.atBoundary != nil && tk.leavesSibling() {
+	} else if isSched && c.atBoundary != nil && len(cands) > 1 {
 		c.atBoundary(pos)
 	}
-	c.taken = append(c.taken, tk)
-	if c.sleepOn && pos+1 == c.item.scripted {
-		if isSched {
-			c.armed = true
-		} else {
-			c.sleep = c.initSleep
-			c.active = true
-		}
-	}
+	c.taken = append(c.taken, take{pick: pick, n: len(cands)})
 	return pick
-}
-
-// Dispatched implements sim.DispatchObserver: sleep members stop being
-// skippable once a dependent transition executes.
-func (c *mcChooser) Dispatched(tag any) {
-	if c.armed {
-		c.armed = false
-		c.active = true
-		c.sleep = c.initSleep
-		return
-	}
-	if !c.active || len(c.sleep) == 0 {
-		return
-	}
-	c.sleep = c.sleep.afterExec(c.n, c.classify(tag), &c.chunk)
 }
 
 // pos is the number of choice points resolved on the path so far.
@@ -589,14 +462,10 @@ func (c *mcChooser) pos() int { return c.covered + len(c.taken) }
 // choices is the choice sequence of the path so far.
 func (c *mcChooser) choices() []int { return choicesOf(&c.item, c.covered, c.taken) }
 
-// The visited-state table lives in internal/statespace: each canonical
-// fingerprint maps to the smallest sleep set (as sorted transition
-// fingerprints) it has been explored with — arriving with a superset
-// means everything from here was already covered; anything else
-// re-explores and the table keeps the intersection. An empty stored set
-// — always the case with sleep sets off — truncates every revisit, PR
-// 1's behavior. statespace.Store preserves that contract bit-for-bit
-// while adding the disk tier and checkpoints.
+// The visited-state table lives in internal/statespace. The explorer
+// records every state with an empty sleep set, so any revisit of a
+// canonical fingerprint truncates the run — PR 1's behavior, kept
+// bit-for-bit through the disk tier and checkpoints.
 
 // explorer holds the cross-run state of one exploration. The machine is
 // rewound from run to run, not rebuilt, and the chooser keeps its
@@ -643,7 +512,6 @@ type runOut struct {
 	truncated bool // stopped at an already-visited state
 	limitHit  bool // the depth bound forced a default choice
 	stepsHit  bool // the per-run step guard fired
-	blocked   bool // every enabled transition was slept
 	budgetCut bool // this run hit the state budget
 	// saved are the boundaries the run saved, in path order, and from the
 	// one it started from (nil after a reset); children hands them to the
@@ -743,10 +611,6 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 		}
 		k.Step()
 		steps++
-		if ch.blocked {
-			out.blocked = true
-			break
-		}
 		if track && ch.pos() < ch.item.scripted {
 			replayed++
 			continue
@@ -757,11 +621,10 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 		}
 		if track {
 			fp := ck.canonicalFP()
-			ch.fpBuf = ch.sleep.fps(ch.fpBuf)
-			switch e.visited.Visit(fp, ch.fpBuf, e.opts.MaxStates) {
+			switch e.visited.Visit(fp, nil, e.opts.MaxStates) {
 			case statespace.OutcomeNew:
 				if e.opts.onNew != nil {
-					e.opts.onNew(fp, ch.fpBuf)
+					e.opts.onNew(fp)
 				}
 			case statespace.OutcomeSeen:
 				out.truncated = true
@@ -774,7 +637,7 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 			}
 		}
 	}
-	if out.violation == nil && !out.truncated && !out.blocked && !out.stepsHit && !out.budgetCut && k.Pending() == 0 {
+	if out.violation == nil && !out.truncated && !out.stepsHit && !out.budgetCut && k.Pending() == 0 {
 		out.violation = ck.quiescenceCheck()
 	}
 	out.taken, out.covered, out.ch = ch.taken, ch.covered, ch
@@ -797,17 +660,14 @@ func (e *explorer) execute(ck checker, ch *mcChooser, track bool, base int) runO
 
 // children spawns the unexplored alternatives of every choice point a
 // run resolved beyond its prefix (positions inside the prefix belong to
-// ancestor runs). Under the sleep-set reduction, alternatives already
-// slept at the point are skipped, and each spawned sibling inherits the
-// point's sleep set plus its earlier siblings, filtered to the members
-// independent of its own pick. Each sibling also takes hold of the last
-// boundary the run saved at or before its choice point — for a scheduler
-// point the one saved at the point itself, for an arbitration point an
-// earlier one, a step or two back — or, failing that, the boundary the
-// run itself started from. The siblings share their prefixes: slices of
-// one copy of the run's choices, made when the first of them is spawned,
-// and their sleep sets are carved from the chooser's chunk. The returned
-// slice is the chooser's buffer, valid until the explorer's next run.
+// ancestor runs), n−1 down to 1 at each. Each sibling takes hold of the
+// last boundary the run saved at or before its choice point — for a
+// scheduler point the one saved at the point itself, for an arbitration
+// point an earlier one, a step or two back — or, failing that, the
+// boundary the run itself started from. The siblings share their
+// prefixes: slices of one copy of the run's choices, made when the first
+// of them is spawned. The returned slice is the chooser's buffer, valid
+// until the explorer's next run.
 func (e *explorer) children(it workItem, r runOut) []workItem {
 	c := r.ch
 	if c == nil {
@@ -828,36 +688,14 @@ func (e *explorer) children(it workItem, r runOut) []workItem {
 		if nsaved > 0 {
 			from = r.saved[nsaved-1]
 		}
-		spawn := func(alt int, sleep sleepSet) {
-			if picks == nil {
-				picks = choicesOf(&it, r.covered, r.taken)
-			}
-			out = append(out, workItem{prefix: picks[:p:p], last: alt, scripted: p + 1, sleep: sleep, from: from})
+		if picks == nil {
+			picks = choicesOf(&it, r.covered, r.taken)
+		}
+		for alt := t.n - 1; alt >= 1; alt-- {
+			out = append(out, workItem{prefix: picks[:p:p], last: alt, scripted: p + 1, from: from})
 			if from != nil {
 				from.refs++
 			}
-		}
-		if t.cands == nil {
-			// Sleep sets off: spawn every alternative.
-			for alt := t.n - 1; alt >= 1; alt-- {
-				spawn(alt, nil)
-			}
-			continue
-		}
-		if e.opts.onBranch != nil {
-			e.opts.onBranch(t.cands)
-		}
-		c.done = append(c.done[:0], t.cands[t.pick])
-		for alt := 0; alt < t.n; alt++ {
-			if alt == t.pick {
-				continue
-			}
-			cls := t.cands[alt]
-			if t.sleepAt.contains(cls.fp) {
-				continue
-			}
-			spawn(alt, childSleep(e.n, t.sleepAt, c.done, cls, &c.chunk))
-			c.done = append(c.done, cls)
 		}
 	}
 	c.kids = out
@@ -1065,9 +903,9 @@ func Explore(sc Scenario, opts Options) (Result, error) {
 	}
 }
 
-// replayRun re-executes a bare choice prefix with defaults beyond it and
-// no sleep sets — the semantics Violation.Choices is defined against —
-// on a machine of its own, checking every step.
+// replayRun re-executes a bare choice prefix with defaults beyond it —
+// the semantics Violation.Choices is defined against — on a machine of
+// its own, checking every step.
 func (e *explorer) replayRun(prefix []int) runOut {
 	ck := newChecker(e.sc, e.sh)
 	ch := replayChooser(ck, e.n, prefix, &e.opts)

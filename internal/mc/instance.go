@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"multicube/internal/bus"
 	"multicube/internal/cache"
 	"multicube/internal/coherence"
 	"multicube/internal/fphash"
@@ -236,14 +235,7 @@ func (in *instance) enableMC(ch sim.Chooser) { in.sys.EnableModelChecking(ch) }
 // events defer to the coherence layer's TagInfo.
 func (in *instance) classify(tag any) tagClass {
 	if st, ok := tag.(stepTag); ok {
-		if cls := in.sh.stepCls; st.proc < len(cls) && st.step < len(cls[st.proc]) {
-			return cls[st.proc][st.step]
-		}
-		m := fphash.New()
-		m.Word(0x20)
-		m.Word(uint64(st.proc))
-		m.Word(uint64(st.step))
-		return tagClass{kind: tkStep, bus: -1, at: in.sc.Procs[st.proc].At, fp: m.Sum()}
+		return tagClass{kind: tkStep, bus: -1, at: in.sc.Procs[st.proc].At}
 	}
 	if ti, ok := in.sys.TagInfo(tag); ok {
 		kind := tkOther
@@ -255,24 +247,9 @@ func (in *instance) classify(tag any) tagClass {
 		case coherence.TagDeliver:
 			kind = tkDeliver
 		}
-		return tagClass{kind: kind, bus: ti.Bus, at: ti.Issuer, fp: ti.FP}
+		return tagClass{kind: kind, bus: ti.Bus, at: ti.Issuer}
 	}
 	return tagClass{kind: tkOther, bus: -1}
-}
-
-// grantClass describes one arbitration candidate: a grant on the deciding
-// bus of the specific queued packet, so distinct candidates get distinct
-// transition identities.
-func (in *instance) grantClass(b, tag any) tagClass {
-	bb, _ := b.(*bus.Bus)
-	idx := in.sys.BusIndex(bb)
-	m := fphash.New()
-	m.Word(0x11)
-	m.Word(uint64(int64(idx)))
-	if fp, ok := in.sys.PacketFP(tag); ok {
-		m.Word(fp)
-	}
-	return tagClass{kind: tkGrant, bus: idx, fp: m.Sum()}
 }
 
 // --- per-step and quiescence oracles ------------------------------------

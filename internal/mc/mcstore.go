@@ -5,13 +5,12 @@ import (
 	"fmt"
 
 	"multicube/internal/statespace"
-	"multicube/internal/topology"
 )
 
 // This file adapts the explorer to internal/statespace: hashing the
 // scenario and options so a checkpoint is pinned to one exploration, and
-// packing work items (choice prefix + sleep set) into the store's
-// frontier encoding.
+// packing work items (choice prefixes) into the store's frontier
+// encoding.
 
 // scenarioHash fingerprints the (defaults-filled) scenario. Scenario is
 // a plain exported struct, so its JSON encoding is deterministic and
@@ -41,13 +40,13 @@ func scenarioHash(sc *Scenario) string {
 // single-bus states are fingerprinted by the full walk alone; v5: the
 // snarf eligibility bits of an in-flight READ are hashed, not packed; v6:
 // the canonical fingerprint is the minimum over the relabelings that sort
-// the row and column signatures, not over all of them).
+// the row and column signatures, not over all of them; v7: sleep sets are
+// gone, so run files and frontier records hold none, and the hashed
+// string lost their option's field and a deleted test option's slot).
 func optionsHash(o *Options) string {
-	// The trailing false held a test-only option since deleted: kept so
-	// that checkpoints written before keep their hash and still resume.
-	s := fmt.Sprintf("v6|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+	s := fmt.Sprintf("v7|%d|%d|%d|%d|%d|%v|%d",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-		o.DisablePOR, o.DisableSleep, o.SCNodes, false)
+		o.DisablePOR, o.SCNodes)
 	return fmt.Sprintf("%016x", fnvString(s))
 }
 
@@ -59,41 +58,6 @@ func fnvString(s string) uint64 {
 	return h
 }
 
-// packSleep encodes a sleep set as two words per member: the class
-// fields packed into signed 16-bit lanes, then the identity fingerprint.
-// Bus indices and coordinates are tiny (grids are at most a few dozen
-// wide), so 16 bits per lane is comfortable.
-func packSleep(s sleepSet) []uint64 {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, 2*len(s))
-	for _, u := range s {
-		w := uint64(u.kind)<<48 |
-			uint64(uint16(int16(u.bus)))<<32 |
-			uint64(uint16(int16(u.at.Row)))<<16 |
-			uint64(uint16(int16(u.at.Col)))
-		out = append(out, w, u.fp)
-	}
-	return out
-}
-
-func unpackSleep(w []uint64) sleepSet {
-	if len(w) == 0 {
-		return nil
-	}
-	out := make(sleepSet, 0, len(w)/2)
-	for i := 0; i+1 < len(w); i += 2 {
-		out = append(out, tagClass{
-			kind: uint8(w[i] >> 48),
-			bus:  int(int16(uint16(w[i] >> 32))),
-			at:   topology.Coord{Row: int(int16(uint16(w[i] >> 16))), Col: int(int16(uint16(w[i])))},
-			fp:   w[i+1],
-		})
-	}
-	return out
-}
-
 // itemsToFrontier converts the DFS stack for checkpointing, preserving
 // order (resume pops in the same order the interrupted pass would have).
 // A record holds the item's whole choice sequence, shared prefix and last
@@ -102,7 +66,7 @@ func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
 	out := make([]statespace.FrontierItem, len(stack))
 	for i := range stack {
 		it := &stack[i]
-		out[i] = statespace.FrontierItem{Prefix: choicesOf(it, it.scripted, nil), Sleep: packSleep(it.sleep)}
+		out[i] = statespace.FrontierItem{Prefix: choicesOf(it, it.scripted, nil)}
 	}
 	return out
 }
@@ -110,7 +74,7 @@ func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
 func frontierToItems(items []statespace.FrontierItem) []workItem {
 	out := make([]workItem, len(items))
 	for i, f := range items {
-		out[i] = workItem{prefix: f.Prefix, scripted: len(f.Prefix), sleep: unpackSleep(f.Sleep)}
+		out[i] = workItem{prefix: f.Prefix, scripted: len(f.Prefix)}
 	}
 	return out
 }

@@ -8,7 +8,7 @@ import (
 // deepRun fabricates the work item and the outcome of a run depth choice
 // points into a path: started from a boundary two points before the end
 // of the item's script, it resolved those two and then three points of
-// its own, each with three candidates (sleep sets off).
+// its own, each with three candidates.
 func deepRun(depth int) (workItem, runOut) {
 	it := workItem{prefix: make([]int, depth-1), last: 2, scripted: depth}
 	for i := range it.prefix {

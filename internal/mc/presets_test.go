@@ -2,17 +2,18 @@ package mc
 
 import "testing"
 
-// TestSleepFindsInjectedBug cross-checks the sleep-set reduction against
-// the injected §5.6a bug: pruning interleavings must not prune the race.
-func TestSleepFindsInjectedBug(t *testing.T) {
+// TestReductionFindsInjectedBug cross-checks the partial-order reduction
+// against the injected §5.6a bug: the reduced and the unreduced search
+// must both find the race.
+func TestReductionFindsInjectedBug(t *testing.T) {
 	sc, err := Preset("read-race")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.InjectStaleReply = true
 	for _, opts := range []Options{
-		{MaxStates: 400000},                     // persistent + sleep
-		{MaxStates: 400000, DisableSleep: true}, // persistent only
+		{MaxStates: 400000},                   // persistent-set eager firing
+		{MaxStates: 400000, DisablePOR: true}, // unreduced
 	} {
 		res, err := Explore(sc, opts)
 		if err != nil {

@@ -3,7 +3,6 @@ package mc
 import (
 	"fmt"
 
-	"multicube/internal/bus"
 	"multicube/internal/cache"
 	"multicube/internal/fphash"
 	"multicube/internal/sim"
@@ -82,17 +81,6 @@ func (in *sbInstance) enableMC(ch sim.Chooser) { in.m.EnableModelChecking(ch) }
 // pending event can observe or extend the one bus queue.
 func (in *sbInstance) classify(tag any) tagClass {
 	return tagClass{kind: tkOther, bus: -1}
-}
-
-func (in *sbInstance) grantClass(_, tag any) tagClass {
-	m := fphash.New()
-	m.Word(0x11)
-	if pkt, ok := tag.(bus.Packet); ok {
-		if fp, ok := in.m.PacketFP(pkt); ok {
-			m.Word(fp)
-		}
-	}
-	return tagClass{kind: tkOther, bus: -1, fp: m.Sum()}
 }
 
 // stepCheck verifies the invariant that must hold in EVERY state: at

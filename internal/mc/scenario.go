@@ -21,10 +21,9 @@
 // load. Exploration is an iterative-deepening
 // DFS over choice sequences with a visited-state table keyed by canonical
 // fingerprints (internal/coherence's Fingerprint, minimized over row and
-// column relabelings), and a partial-order reduction (sleep.go): a
-// persistent-set rule that eager-fires an enabled event independent of
-// every other enabled one, and sleep sets that prune the interleavings a
-// sibling branch already covers.
+// column relabelings), and a partial-order reduction (por.go): a
+// persistent-set rule that eager-fires an enabled enqueue independent of
+// every other enabled event.
 //
 // Nondeterminism model: the machine is explored under the untimed
 // interpretation — any pending event (a bus grant, a delivery, a

@@ -33,10 +33,6 @@ type shared struct {
 	procOrder [][]int
 	// progH is each processor's static program hash (op kinds and lines).
 	progH []uint64
-	// stepCls precomputes the tagClass of every (processor, step) driver
-	// event: classify runs per candidate per choice point, and driver
-	// step classes are static.
-	stepCls [][]tagClass
 
 	checkFP bool
 	oracle  fpOracle // checkFP only
@@ -66,17 +62,6 @@ func newShared(sc *Scenario, opts *Options) *shared {
 			m.Word(op.Line)
 		}
 		sh.progH[p] = m.Sum()
-	}
-	sh.stepCls = make([][]tagClass, len(sc.Procs))
-	for p, pr := range sc.Procs {
-		sh.stepCls[p] = make([]tagClass, len(pr.Ops)+1)
-		for step := range sh.stepCls[p] {
-			m := fphash.New()
-			m.Word(0x20)
-			m.Word(uint64(p))
-			m.Word(uint64(step))
-			sh.stepCls[p][step] = tagClass{kind: tkStep, bus: -1, at: pr.At, fp: m.Sum()}
-		}
 	}
 	if !sc.SingleBus {
 		sh.fixedCol = usedHomeColumns(sc)

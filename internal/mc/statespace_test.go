@@ -366,10 +366,13 @@ func TestResumeNothingToResume(t *testing.T) {
 // files hold the fingerprints of the incremental cache the baseline no
 // longer has, "v4|…", whose run files hold a snarfing state's
 // eligibility bits packed into a word where this explorer hashes them,
-// and "v5|…", whose run files hold the minimum over all twelve
-// relabelings of a 3×3 state where this explorer keeps the minimum over
-// those that sort its signatures — so resume must refuse it as
-// mismatched, say so, and search afresh to the uninterrupted result.
+// "v5|…", whose run files hold the minimum over all twelve relabelings of
+// a 3×3 state where this explorer keeps the minimum over those that sort
+// its signatures, and "v6|…", the default search of an explorer with sleep
+// sets, whose run files and frontier records hold them — so resume must
+// refuse it as mismatched, say so, and search afresh to the uninterrupted
+// result. The false after DisablePOR is the sleep-set option those
+// explorers hashed, off by default.
 func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	for _, c := range []struct {
 		version, preset string
@@ -379,22 +382,27 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 		{"v2", "read-race", 400000, func(o *Options) string {
 			return fmt.Sprintf("v2|%d|%d|%d|%d|%d|%v|%v|%d|%v|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, false, false)
+				o.DisablePOR, false, o.SCNodes, false, false)
 		}},
 		{"v3", "litmus-iriw-sb", 400000, func(o *Options) string {
 			return fmt.Sprintf("v3|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, false)
+				o.DisablePOR, false, o.SCNodes, false)
 		}},
 		{"v4", "read-snarf", 3000, func(o *Options) string {
 			return fmt.Sprintf("v4|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, false)
+				o.DisablePOR, false, o.SCNodes, false)
 		}},
 		{"v5", "litmus-coww-3x3", 3000, func(o *Options) string {
 			return fmt.Sprintf("v5|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
-				o.DisablePOR, o.DisableSleep, o.SCNodes, false)
+				o.DisablePOR, false, o.SCNodes, false)
+		}},
+		{"v6", "litmus-mp", 400000, func(o *Options) string {
+			return fmt.Sprintf("v6|%d|%d|%d|%d|%d|%v|%v|%d|%v",
+				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+				o.DisablePOR, false, o.SCNodes, false)
 		}},
 	} {
 		t.Run(c.version, func(t *testing.T) {

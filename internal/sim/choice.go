@@ -24,16 +24,12 @@ const (
 // Chooser.
 type ChoicePoint struct {
 	Kind ChoiceKind
-	// Bus is the deciding bus of a Grant point, opaque to the kernel
-	// (internal/bus imports this package, not the reverse); nil for Sched.
-	Bus any
 }
 
 // Candidate is one alternative at a choice point.
 type Candidate struct {
 	// Tag is the scheduling tag of the underlying event or the queued
-	// bus packet; model checkers use it to classify and fingerprint the
-	// alternative.
+	// bus packet; model checkers use it to classify the alternative.
 	Tag any
 }
 
@@ -44,15 +40,4 @@ type Candidate struct {
 // simulation would make from the same candidates.
 type Chooser interface {
 	Choose(cp ChoicePoint, cands []Candidate) int
-}
-
-// DispatchObserver is an optional extension of Chooser: when the
-// installed chooser also implements it, the kernel reports every
-// dispatched event's tag — including single-candidate dispatches that
-// never reach Choose. Model checkers use the stream to maintain state
-// that must track execution rather than choice points alone (the
-// sleep-set reduction removes a slept transition when a dependent
-// transition fires, whether or not that firing was a real choice).
-type DispatchObserver interface {
-	Dispatched(tag any)
 }

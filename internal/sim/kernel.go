@@ -496,9 +496,9 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// choose removes the event the chooser picks and reports it to a
-// DispatchObserver. Candidates are presented in (time, sequence) order,
-// so choice 0 is exactly the event the default path would dispatch.
+// choose removes the event the chooser picks. Candidates are presented in
+// (time, sequence) order, so choice 0 is exactly the event the default
+// path would dispatch.
 func (k *Kernel) choose() event {
 	ordered := k.sorted()
 	n := len(ordered)
@@ -519,9 +519,6 @@ func (k *Kernel) choose() event {
 	// has moved since, so removal is by index instead of the historical
 	// O(pending) scan by sequence number.
 	k.take(e.lane, e.idx)
-	if obs, ok := k.chooser.(DispatchObserver); ok {
-		obs.Dispatched(e.tag)
-	}
 	return e.event
 }
 

@@ -172,9 +172,6 @@ type Machine struct {
 
 	txnCount   uint64
 	txnLatency sim.Time
-
-	// fpIdent is the cached identity permutation PacketFP hashes under.
-	fpIdent []int
 }
 
 // New builds the machine on a fresh kernel.

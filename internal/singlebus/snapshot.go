@@ -189,20 +189,3 @@ func (m *Machine) Fingerprint(perm []int, extraTag func(tag any) (uint64, bool))
 
 	return h.Sum()
 }
-
-// PacketFP fingerprints one bus operation under the identity relabeling,
-// for the model checker's transition identities at arbitration choice
-// points; ok is false for foreign packet types.
-func (m *Machine) PacketFP(pkt bus.Packet) (uint64, bool) {
-	o, isOp := pkt.(*op)
-	if !isOp {
-		return 0, false
-	}
-	if len(m.fpIdent) != len(m.procs) {
-		m.fpIdent = make([]int, len(m.procs))
-		for i := range m.fpIdent {
-			m.fpIdent[i] = i
-		}
-	}
-	return o.fp(m.fpIdent), true
-}
