@@ -129,8 +129,8 @@ func TestDetectsStrippedBumpStatespace(t *testing.T) {
 	}
 
 	overlay := stripBump(t, modRoot, "internal/statespace/statespace.go",
-		"\tsh.runs = append(sh.runs, r)\n\tsh.gen++\n\tsh.hot = make(map[uint64][]uint64)\n",
-		"\tsh.runs = append(sh.runs, r)\n\tsh.hot = make(map[uint64][]uint64)\n")
+		"\tsh.runs = append(sh.runs, r)\n\tsh.gen++\n\tsh.hot = make(map[uint64]struct{})\n",
+		"\tsh.runs = append(sh.runs, r)\n\tsh.hot = make(map[uint64]struct{})\n")
 	got := runGenbump(t, modRoot, "./internal/statespace", overlay)
 	if len(got) == 0 {
 		t.Fatal("genbump missed the stripped sh.gen++ in (*Store).spillShard")

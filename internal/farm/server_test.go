@@ -332,8 +332,13 @@ func TestRateLimitReturns429WithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestQueueBackpressure ends by closing the server with a budget already
+// spent, as a SIGTERM past its grace period would: the running job is
+// canceled and the queued one with it. Its body takes milliseconds; the
+// cleanup's drain, which would wait for the accepted searches to finish,
+// took 6–12 s.
 func TestQueueBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	// Distinct slow-ish jobs; with one worker and one queue slot, at
 	// least one of the later submissions must be rejected with 429.
 	presets := []string{"readmod-race", "sync-race", "mlt-overflow-lock", "read-race"}
@@ -347,6 +352,9 @@ func TestQueueBackpressure(t *testing.T) {
 	if !rejected {
 		t.Fatal("no submission hit queue backpressure")
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	s.Close(ctx)
 }
 
 // TestGracefulDrainCancelsInFlight covers the SIGTERM path: Close with

@@ -7,7 +7,7 @@ import (
 // BenchmarkExplore measures the model checker's state-exploration
 // throughput on the 2×2 presets (the 3×3 ones are too slow for a bench
 // loop). Each iteration is a full bounded exploration from scratch with
-// the default persistent/sleep-set reduction; the custom states/sec
+// the default persistent-set reduction; the custom states/sec
 // metric is the number the optimization work cares about — ns/op tracks
 // scenario size, states/sec tracks the explorer. The repository's
 // benchmark (`go run ./benchmark`, workload mc-deep-spill) is the

@@ -462,10 +462,9 @@ func (c *mcChooser) pos() int { return c.covered + len(c.taken) }
 // choices is the choice sequence of the path so far.
 func (c *mcChooser) choices() []int { return choicesOf(&c.item, c.covered, c.taken) }
 
-// The visited-state table lives in internal/statespace. The explorer
-// records every state with an empty sleep set, so any revisit of a
-// canonical fingerprint truncates the run — PR 1's behavior, kept
-// bit-for-bit through the disk tier and checkpoints.
+// The visited-state table lives in internal/statespace, a set of
+// canonical fingerprints: any revisit truncates the run, in RAM, from a
+// spilled run and after a resume alike.
 
 // explorer holds the cross-run state of one exploration. The machine is
 // rewound from run to run, not rebuilt, and the chooser keeps its

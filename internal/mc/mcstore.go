@@ -42,9 +42,11 @@ func scenarioHash(sc *Scenario) string {
 // the canonical fingerprint is the minimum over the relabelings that sort
 // the row and column signatures, not over all of them; v7: sleep sets are
 // gone, so run files and frontier records hold none, and the hashed
-// string lost their option's field and a deleted test option's slot).
+// string lost their option's field and a deleted test option's slot; v8:
+// the store is a set, so a run is version 2, with no payload words, and a
+// frontier record is its prefix alone, MCSSFR03).
 func optionsHash(o *Options) string {
-	s := fmt.Sprintf("v7|%d|%d|%d|%d|%d|%v|%d",
+	s := fmt.Sprintf("v8|%d|%d|%d|%d|%d|%v|%d",
 		o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 		o.DisablePOR, o.SCNodes)
 	return fmt.Sprintf("%016x", fnvString(s))
@@ -62,19 +64,19 @@ func fnvString(s string) uint64 {
 // order (resume pops in the same order the interrupted pass would have).
 // A record holds the item's whole choice sequence, shared prefix and last
 // choice alike.
-func itemsToFrontier(stack []workItem) []statespace.FrontierItem {
-	out := make([]statespace.FrontierItem, len(stack))
+func itemsToFrontier(stack []workItem) [][]int {
+	out := make([][]int, len(stack))
 	for i := range stack {
 		it := &stack[i]
-		out[i] = statespace.FrontierItem{Prefix: choicesOf(it, it.scripted, nil)}
+		out[i] = choicesOf(it, it.scripted, nil)
 	}
 	return out
 }
 
-func frontierToItems(items []statespace.FrontierItem) []workItem {
-	out := make([]workItem, len(items))
-	for i, f := range items {
-		out[i] = workItem{prefix: f.Prefix, scripted: len(f.Prefix)}
+func frontierToItems(prefixes [][]int) []workItem {
+	out := make([]workItem, len(prefixes))
+	for i, p := range prefixes {
+		out[i] = workItem{prefix: p, scripted: len(p)}
 	}
 	return out
 }

@@ -368,11 +368,13 @@ func TestResumeNothingToResume(t *testing.T) {
 // eligibility bits packed into a word where this explorer hashes them,
 // "v5|…", whose run files hold the minimum over all twelve relabelings of
 // a 3×3 state where this explorer keeps the minimum over those that sort
-// its signatures, and "v6|…", the default search of an explorer with sleep
-// sets, whose run files and frontier records hold them — so resume must
+// its signatures, "v6|…", the default search of an explorer with sleep
+// sets, whose run files and frontier records hold them, and "v7|…", whose
+// run files carry an empty payload word per key and whose frontier
+// records carry an empty sleep-set length word per item — so resume must
 // refuse it as mismatched, say so, and search afresh to the uninterrupted
-// result. The false after DisablePOR is the sleep-set option those
-// explorers hashed, off by default.
+// result. The false after DisablePOR is the sleep-set option the
+// explorers before v7 hashed, off by default.
 func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 	for _, c := range []struct {
 		version, preset string
@@ -403,6 +405,11 @@ func TestResumeRejectsOlderHasherCheckpoint(t *testing.T) {
 			return fmt.Sprintf("v6|%d|%d|%d|%d|%d|%v|%v|%d|%v",
 				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
 				o.DisablePOR, false, o.SCNodes, false)
+		}},
+		{"v7", "litmus-corr", 400000, func(o *Options) string {
+			return fmt.Sprintf("v7|%d|%d|%d|%d|%d|%v|%d",
+				o.MaxStates, o.MaxDepth, o.DepthStep, o.MaxStepsPerRun, o.MaxReissues,
+				o.DisablePOR, o.SCNodes)
 		}},
 	} {
 		t.Run(c.version, func(t *testing.T) {

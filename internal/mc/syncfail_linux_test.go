@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -193,5 +196,100 @@ func TestStoreSyncFailureStopsTheSearch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(comparable(base), comparable(resumed)) {
 		t.Fatalf("resumed search differs:\n  base:    %+v\n  resumed: %+v", base, resumed)
+	}
+}
+
+// writeFailures are the two write paths of a checkpointing search and the
+// file-size limits that make each fail first on litmus-coww-3x3. Under
+// an 8 KiB budget with a checkpoint every 2 000 runs, the frontiers stay
+// under 23 KiB while a compacted run outgrows 24 KiB after run 5 000, two
+// checkpoints in. With no budget and a checkpoint every 500 runs,
+// the runs stay under 2 KiB while the second frontier is 40 KiB and the
+// first 15.
+var writeFailures = []struct {
+	path   string
+	limit  uint64
+	budget int64
+	every  int
+}{
+	{"spill", 24 << 10, 8 << 10, 2000},
+	{"frontier", 16 << 10, 0, 500},
+}
+
+// TestStoreWriteFailureStopsTheSearch is ROADMAP item 4(b)'s full disk on
+// the write path. A child test process caps its own file size with
+// RLIMIT_FSIZE and ignores SIGXFSZ, so the first write past the cap
+// returns EFBIG after a short write, the path ENOSPC takes. The search
+// must stop with that error and no verdict, leave no temp file behind,
+// and the last durable checkpoint must resume, without the cap, to the
+// uninterrupted result.
+func TestStoreWriteFailureStopsTheSearch(t *testing.T) {
+	if dir := os.Getenv("MC_FSIZE_DIR"); dir != "" {
+		c := writeFailures[0]
+		if os.Getenv("MC_FSIZE_PATH") == "frontier" {
+			c = writeFailures[1]
+		}
+		signal.Ignore(syscall.SIGXFSZ)
+		var rl syscall.Rlimit
+		if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &rl); err != nil {
+			t.Fatal(err)
+		}
+		rl.Cur = c.limit
+		if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &rl); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Preset("litmus-coww-3x3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Explore(sc, Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: c.every, MemBudget: c.budget})
+		if !errors.Is(err, syscall.EFBIG) {
+			t.Fatalf("search past the file-size limit returned %v, want EFBIG", err)
+		}
+		if res.Exhausted || res.Violation != nil || res.SCVerdict != "" {
+			t.Fatalf("failed search reports exhausted=%v, verdict %q, violation %v; want none",
+				res.Exhausted, res.SCVerdict, res.Violation)
+		}
+		fmt.Printf("stopped at run %d: %v\n", res.Runs, err)
+		return
+	}
+
+	sc, err := Preset("litmus-coww-3x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Explore(sc, Options{MaxStates: 400000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range writeFailures {
+		t.Run(c.path, func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(os.Args[0], "-test.run", "^TestStoreWriteFailureStopsTheSearch$", "-test.v")
+			cmd.Env = append(os.Environ(), "MC_FSIZE_DIR="+dir, "MC_FSIZE_PATH="+c.path)
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("child: %v\n%s", err, out)
+			}
+			if !bytes.Contains(out, []byte("statespace: "+c.path+": ")) {
+				t.Fatalf("the search did not stop on a failed %s write:\n%s", c.path, out)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) > 0 {
+				t.Fatalf("the failed %s write left %v behind", c.path, left)
+			}
+			// The resumed search writes no further checkpoint: 64 shards
+			// flushed and fsynced every 500 runs cost seconds.
+			res, err := Explore(sc, Options{MaxStates: 400000, CheckpointDir: dir, CheckpointEvery: 1 << 30, MemBudget: c.budget, Resume: true})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if !res.Resumed {
+				t.Fatalf("resume after the failed %s write searched afresh: %s", c.path, res.ResumeNote)
+			}
+			if !reflect.DeepEqual(comparable(base), comparable(res)) {
+				t.Fatalf("resumed search differs:\n  base:    %+v\n  resumed: %+v", base, res)
+			}
+			t.Logf("%s", bytes.TrimSpace(out[bytes.Index(out, []byte("stopped at")):]))
+		})
 	}
 }

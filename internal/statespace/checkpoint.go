@@ -32,9 +32,9 @@ const (
 	// 1 MiB lowers from 6: a schema-1 manifest is refused as corrupt.
 	manifestSchema = 2
 	frontierSuffix = ".ssf"
-	// "MCSSFR02" read as a LE word. 01 carried a third word per item (a
-	// distributed-handoff skip count); such a file fails the magic check.
-	frontierMagic = 0x4d43_5353_4652_3032
+	// "MCSSFR03" read as a LE word. 01 and 02 carried more words per item
+	// than its prefix; such a file fails the magic check.
+	frontierMagic = 0x4d43_5353_4652_3033
 )
 
 // ErrNoCheckpoint reports that the checkpoint directory holds no
@@ -66,14 +66,6 @@ type Meta struct {
 	Counters     map[string]uint64 `json:"counters,omitempty"`
 }
 
-// FrontierItem is one pending DFS work item in serialized form: the
-// choice prefix and the sleep set activating after its replay (as the
-// transition fingerprints internal/mc reconstructs).
-type FrontierItem struct {
-	Prefix []int
-	Sleep  []uint64
-}
-
 type manifest struct {
 	Schema int    `json:"schema"`
 	Seq    uint64 `json:"seq"`
@@ -86,8 +78,8 @@ type manifest struct {
 	Spills      int64  `json:"spills"`
 	Frontier    string `json:"frontier"`
 	FrontierSum string `json:"frontier_sum"`
-	// Shards lists every shard with on-disk runs, oldest run first
-	// (lookup order is newest-wins).
+	// Shards lists every shard with on-disk runs, oldest run first; a
+	// shard's runs hold disjoint keys.
 	Shards []manifestShard `json:"shards,omitempty"`
 }
 
@@ -103,9 +95,10 @@ type manifestRun struct {
 }
 
 // WriteCheckpoint atomically persists the store plus the given frontier
-// and metadata. The caller must be quiescent (the sequential explorer
-// checkpoints only between runs).
-func (s *Store) WriteCheckpoint(meta Meta, frontier []FrontierItem) error {
+// (the pending DFS work items, each as its choice prefix) and metadata.
+// The caller must be quiescent (the sequential explorer checkpoints only
+// between runs).
+func (s *Store) WriteCheckpoint(meta Meta, frontier [][]int) error {
 	if s.cfg.CheckpointDir == "" || s.cfg.Dir == "" {
 		return errors.New("statespace: checkpointing requires spill and checkpoint directories")
 	}
@@ -226,8 +219,8 @@ func (s *Store) gc(keep map[string]bool) error {
 // Resume reopens a checkpointed store. The scenario and options hashes
 // must match the manifest's; every run and the frontier must validate.
 // On success the returned store serves Visit from the checkpoint's runs
-// and the frontier items reconstruct the DFS stack.
-func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, []FrontierItem, error) {
+// and the frontier's prefixes reconstruct the DFS stack.
+func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, [][]int, error) {
 	if cfg.CheckpointDir == "" || cfg.Dir == "" {
 		return nil, Meta{}, nil, errors.New("statespace: resume requires spill and checkpoint directories")
 	}
@@ -253,7 +246,7 @@ func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, []Front
 		return nil, Meta{}, nil, corrupt("manifest shard bits %d", m.ShardBits)
 	}
 	s := newStore(cfg, m.ShardBits)
-	fail := func(err error) (*Store, Meta, []FrontierItem, error) {
+	fail := func(err error) (*Store, Meta, [][]int, error) {
 		s.Close()
 		return nil, Meta{}, nil, err
 	}
@@ -321,8 +314,8 @@ func Clear(cfg Config) error {
 }
 
 // writeFrontier persists the DFS stack and returns its checksum.
-func writeFrontier(path string, items []FrontierItem) (uint64, error) {
-	buf := encodeFrontier(items)
+func writeFrontier(path string, prefixes [][]int) (uint64, error) {
+	buf := encodeFrontier(prefixes)
 	if err := durable.WriteFile(path, buf); err != nil {
 		return 0, fmt.Errorf("statespace: frontier: %w", err)
 	}
@@ -330,29 +323,25 @@ func writeFrontier(path string, items []FrontierItem) (uint64, error) {
 }
 
 // encodeFrontier lays out the DFS stack: magic, item count, then each
-// item's prefix and sleep set (a length word, then the words), with an
-// FNV trailer.
+// item's choice prefix (a length word, then the choices), with an FNV
+// trailer.
 // The stack order is preserved exactly — resume must pop in the same
 // order the interrupted pass would have.
-func encodeFrontier(items []FrontierItem) []byte {
-	buf := make([]byte, 0, 64+32*len(items))
+func encodeFrontier(prefixes [][]int) []byte {
+	buf := make([]byte, 0, 64+32*len(prefixes))
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put(frontierMagic)
-	put(uint64(len(items)))
-	for _, it := range items {
-		put(uint64(len(it.Prefix)))
-		for _, p := range it.Prefix {
+	put(uint64(len(prefixes)))
+	for _, prefix := range prefixes {
+		put(uint64(len(prefix)))
+		for _, p := range prefix {
 			put(uint64(int64(p)))
-		}
-		put(uint64(len(it.Sleep)))
-		for _, f := range it.Sleep {
-			put(f)
 		}
 	}
 	return binary.LittleEndian.AppendUint64(buf, fnvBytes(buf))
 }
 
-func readFrontier(path, wantSum string) ([]FrontierItem, error) {
+func readFrontier(path, wantSum string) ([][]int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, corrupt("frontier %s: %v", filepath.Base(path), err)
@@ -374,53 +363,36 @@ func readFrontier(path, wantSum string) ([]FrontierItem, error) {
 		at++
 		return v, true
 	}
-	bad := func() ([]FrontierItem, error) {
+	bad := func() ([][]int, error) {
 		return nil, corrupt("frontier %s: truncated records", filepath.Base(path))
 	}
 	if magic, ok := next(); !ok || magic != frontierMagic {
 		return nil, corrupt("frontier %s: bad magic", filepath.Base(path))
 	}
-	// An item is at least its two length words: a count the words present
+	// An item is at least its length word: a count the words present
 	// cannot hold is damage, caught here before it sizes an allocation.
 	n, ok := next()
-	if !ok || n > uint64(words-at)/2 {
+	if !ok || n > uint64(words-at) {
 		return bad()
 	}
-	items := make([]FrontierItem, 0, n)
+	prefixes := make([][]int, 0, n)
 	for i := uint64(0); i < n; i++ {
-		var it FrontierItem
 		pn, ok := next()
-		if !ok || pn > uint64(words) {
+		if !ok || pn > uint64(words-at) {
 			return bad()
 		}
+		var prefix []int
 		if pn > 0 {
-			it.Prefix = make([]int, pn)
-			for j := range it.Prefix {
-				v, ok := next()
-				if !ok {
-					return bad()
-				}
-				it.Prefix[j] = int(int64(v))
+			prefix = make([]int, pn)
+			for j := range prefix {
+				v, _ := next()
+				prefix[j] = int(int64(v))
 			}
 		}
-		sn, ok := next()
-		if !ok || sn > uint64(words) {
-			return bad()
-		}
-		if sn > 0 {
-			it.Sleep = make([]uint64, sn)
-			for j := range it.Sleep {
-				v, ok := next()
-				if !ok {
-					return bad()
-				}
-				it.Sleep[j] = v
-			}
-		}
-		items = append(items, it)
+		prefixes = append(prefixes, prefix)
 	}
 	if at != words {
 		return nil, corrupt("frontier %s: trailing records", filepath.Base(path))
 	}
-	return items, nil
+	return prefixes, nil
 }

@@ -101,7 +101,7 @@ func TestCheckpointPinsOnlySyncedRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	visit := func(n int) {
 		for i := 0; i < n; i++ {
-			s.Visit(uint64(rng.Intn(600))*0x9e3779b97f4a7c15, randSleep(rng), 1<<30)
+			s.Visit(uint64(rng.Intn(600))*0x9e3779b97f4a7c15, nil, 1<<30)
 		}
 	}
 	// checkpoint writes one and requires that every run its manifest
@@ -174,7 +174,7 @@ func TestFailedSyncLeavesNoManifest(t *testing.T) {
 		s.Visit(fp, nil, 1<<30)
 	}
 	meta := Meta{ScenarioHash: "a", OptionsHash: "b", Depth: 1}
-	frontier := []FrontierItem{{Prefix: []int{1}}}
+	frontier := [][]int{{1}}
 	if err := s.WriteCheckpoint(meta, frontier); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestFailedSyncLeavesNoManifest(t *testing.T) {
 	}
 	victim.f.Close() // its Sync now fails; r.f stays set, as on a failing disk
 
-	err = s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b", Depth: 2}, []FrontierItem{{Prefix: []int{2}}})
+	err = s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b", Depth: 2}, [][]int{{2}})
 	if !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), "sync "+filepath.Base(victim.path)) {
 		t.Fatalf("WriteCheckpoint over a failing run: %v, want its sync error", err)
 	}

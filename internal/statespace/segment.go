@@ -10,12 +10,11 @@ import (
 )
 
 // A run is one immutable sorted segment of a shard, spilled from the hot
-// map. On-disk layout, little-endian uint64 words throughout:
+// set. On-disk layout, little-endian uint64 words throughout:
 //
-//	header  (5 words): magic, version|shard<<32, count, bloomWords, payloadWords
+//	header  (4 words): magic, version|shard<<32, count, bloomWords
 //	bloom   (bloomWords words): membership filter over the index keys
-//	index   (count × 2 words): fp, payloadOff<<16 | sleepLen — sorted by fp
-//	payload (payloadWords words): concatenated sleep-set words
+//	index   (count words): the fingerprints, ascending
 //	trailer (1 word): FNV-1a 64 over every preceding byte
 //
 // The trailer makes truncation and bit rot detectable: openRun streams
@@ -24,25 +23,20 @@ import (
 // exploration). That pass also keeps every fenceStride-th index key in
 // RAM (the fence), so a lookup afterwards is a bloom reject, or a binary
 // search of the fence and one ReadAt of the block of index entries it
-// points at, plus one of the payload when the stored set is not empty —
-// served from the page cache in the common case.
+// points at — served from the page cache in the common case.
 const (
-	runMagic   = 0x4d43_5353_4547_3031 // "MCSSEG01" read as a LE word
-	runVersion = 1
+	runMagic = 0x4d43_5353_4547_3031 // "MCSSEG01" read as a LE word
+	// Version 1 followed each key with a packed payload word and ended the
+	// index with a payload section; such a run is refused as corrupt.
+	runVersion = 2
 	runSuffix  = ".run"
 
-	runHeaderWords = 5
-	maxSleepWords  = 1 << 16 // index packs the length into 16 bits
+	runHeaderWords = 4
 
-	// fenceStride index entries make one block: 512 bytes, a single read,
+	// fenceStride index entries make one block: 256 bytes, a single read,
 	// for 0.25 bytes of fence a key beside the bloom filter's 1.5.
 	fenceStride = 32
 )
-
-type runEnt struct {
-	fp    uint64
-	sleep []uint64
-}
 
 type run struct {
 	path   string
@@ -54,51 +48,33 @@ type run struct {
 	bloom  bloom
 	fence  []uint64 // the first key of every block of fenceStride index entries
 
-	indexOff   int64
-	payloadOff int64
+	indexOff int64
 }
 
 func runName(shard int, seq uint64) string {
 	return fmt.Sprintf("shard-%02d-%06d%s", shard, seq, runSuffix)
 }
 
-// writeRun writes ents (sorted by fp, unique keys) as a new run under
-// dir — a temp file renamed into place, durable.WriteFile's shape without
-// its fsync — then re-opens it, which validates the image back. The run
+// writeRun writes keys (ascending, unique) as a new run under dir — a
+// temp file renamed into place, durable.WriteFile's shape without its
+// fsync — then re-opens it, which validates the image back. The run
 // becomes durable only when a checkpoint pins it (Store.syncRuns).
-func writeRun(dir string, shard int, seq uint64, ents []runEnt) (*run, error) {
-	payloadWords := 0
-	for _, e := range ents {
-		if len(e.sleep) >= maxSleepWords {
-			return nil, fmt.Errorf("statespace: sleep set of %d words exceeds the run format bound", len(e.sleep))
-		}
-		payloadWords += len(e.sleep)
+func writeRun(dir string, shard int, seq uint64, keys []uint64) (*run, error) {
+	bl := newBloom(len(keys))
+	for _, fp := range keys {
+		bl.add(fp)
 	}
-	bl := newBloom(len(ents))
-	for _, e := range ents {
-		bl.add(e.fp)
-	}
-	words := runHeaderWords + len(bl.words) + 2*len(ents) + payloadWords + 1
-	buf := make([]byte, 0, 8*words)
+	buf := make([]byte, 0, 8*(runHeaderWords+len(bl.words)+len(keys)+1))
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put(runMagic)
 	put(uint64(runVersion) | uint64(shard)<<32)
-	put(uint64(len(ents)))
+	put(uint64(len(keys)))
 	put(uint64(len(bl.words)))
-	put(uint64(payloadWords))
 	for _, w := range bl.words {
 		put(w)
 	}
-	off := 0
-	for _, e := range ents {
-		put(e.fp)
-		put(uint64(off)<<16 | uint64(len(e.sleep)))
-		off += len(e.sleep)
-	}
-	for _, e := range ents {
-		for _, w := range e.sleep {
-			put(w)
-		}
+	for _, fp := range keys {
+		put(fp)
 	}
 	put(fnvBytes(buf))
 
@@ -173,28 +149,25 @@ func (r *run) validate(wantShard int) error {
 	// Bound every header count by the words the file holds before any
 	// arithmetic on it: a count near 2⁶¹ would wrap the size sum back onto
 	// the real size, pass the check below and size an allocation.
-	if word(2) > words/2 || word(3) == 0 || word(3) > words || word(4) > words {
+	if word(2) > words || word(3) == 0 || word(3) > words {
 		return bad("header counts exceed its %d bytes", len(body))
 	}
 	r.count = int64(word(2))
-	bloomWords, payloadWords := int64(word(3)), int64(word(4))
-	r.size = 8 * (runHeaderWords + bloomWords + 2*r.count + payloadWords + 1)
+	bloomWords := int64(word(3))
+	r.size = 8 * (runHeaderWords + bloomWords + r.count + 1)
 	if int64(len(body)) != r.size {
 		return bad("size %d, want %d", len(body), r.size)
 	}
 	r.indexOff = 8 * (runHeaderWords + bloomWords)
-	r.payloadOff = r.indexOff + 16*r.count
 	if r.sum = word(words - 1); fnvBytes(body[:r.size-8]) != r.sum {
 		return bad("checksum mismatch")
 	}
 	// The checksum vouches for the writer, not the layout: hold the index
-	// to what lookup's binary search and forEach's slicing assume — keys
-	// ascending, every sleep set inside the payload.
+	// to what lookup's binary search assumes — keys strictly ascending.
 	r.fence = make([]uint64, 0, (r.count+fenceStride-1)/fenceStride)
 	for i, prev := int64(0), uint64(0); i < r.count; i++ {
-		ent := body[r.indexOff+16*i:]
-		key, packed := binary.LittleEndian.Uint64(ent), binary.LittleEndian.Uint64(ent[8:])
-		if (i > 0 && key <= prev) || packed>>16+packed&(maxSleepWords-1) > uint64(payloadWords) {
+		key := binary.LittleEndian.Uint64(body[r.indexOff+8*i:])
+		if i > 0 && key <= prev {
 			return bad("malformed index entry %d", i)
 		}
 		if i%fenceStride == 0 {
@@ -209,75 +182,49 @@ func (r *run) validate(wantShard int) error {
 	return nil
 }
 
-// lookup finds fp's stored sleep set: bloom reject, then the block whose
-// first key is the last fence key not above fp, read whole and scanned.
-// tc counts the lookups that passed the filter and their reads. A read
-// that fails is the disk's error, wrapped as it is: ErrCorrupt names a
-// damaged image found at resume, not a live search's failing disk.
-func (r *run) lookup(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
+// lookup reports whether the run holds fp: bloom reject, then the block
+// whose first key is the last fence key not above fp, read whole and
+// scanned. tc counts the lookups that passed the filter and their reads.
+// A read that fails is the disk's error, wrapped as it is: ErrCorrupt
+// names a damaged image found at resume, not a live search's failing
+// disk.
+func (r *run) lookup(fp uint64, tc *TierCounts) (bool, error) {
 	if !r.bloom.has(fp) {
-		return nil, false, nil
+		return false, nil
 	}
 	tc.DiskLookups.Add(1)
 	b, found := slices.BinarySearch(r.fence, fp)
 	if !found {
 		if b--; b < 0 {
-			return nil, false, nil // below the run's first key
+			return false, nil // below the run's first key
 		}
 	}
 	first := int64(b) * fenceStride
-	var block [16 * fenceStride]byte
-	ents := block[:16*min(r.count-first, fenceStride)]
+	var block [8 * fenceStride]byte
+	keys := block[:8*min(r.count-first, fenceStride)]
 	tc.DiskReads.Add(1)
-	if _, err := r.f.ReadAt(ents, r.indexOff+16*first); err != nil {
-		return nil, false, fmt.Errorf("statespace: run %s: index read: %w", filepath.Base(r.path), err)
+	if _, err := r.f.ReadAt(keys, r.indexOff+8*first); err != nil {
+		return false, fmt.Errorf("statespace: run %s: index read: %w", filepath.Base(r.path), err)
 	}
-	for ent := ents; len(ent) > 0 && binary.LittleEndian.Uint64(ent) <= fp; ent = ent[16:] {
-		if binary.LittleEndian.Uint64(ent) < fp {
-			continue
+	for ; len(keys) > 0; keys = keys[8:] {
+		if key := binary.LittleEndian.Uint64(keys); key >= fp {
+			return key == fp, nil
 		}
-		packed := binary.LittleEndian.Uint64(ent[8:])
-		n := int(packed & (maxSleepWords - 1))
-		if n == 0 {
-			return nil, true, nil
-		}
-		raw := make([]byte, 8*n)
-		tc.DiskReads.Add(1)
-		if _, err := r.f.ReadAt(raw, r.payloadOff+8*int64(packed>>16)); err != nil {
-			return nil, false, fmt.Errorf("statespace: run %s: payload read: %w", filepath.Base(r.path), err)
-		}
-		sleep := make([]uint64, n)
-		for i := range sleep {
-			sleep[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
-		return sleep, true, nil
 	}
-	return nil, false, nil
+	return false, nil
 }
 
-// forEach streams every entry in fingerprint order (compaction and
+// appendKeys appends the run's keys, ascending, to dst (compaction and
 // tests). A failed read is reported as lookup reports one.
-func (r *run) forEach(fn func(fp uint64, sleep []uint64)) error {
-	body := make([]byte, r.size)
-	if _, err := r.f.ReadAt(body, 0); err != nil {
-		return fmt.Errorf("statespace: run %s: read: %w", filepath.Base(r.path), err)
+func (r *run) appendKeys(dst []uint64) ([]uint64, error) {
+	index := make([]byte, 8*r.count)
+	if _, err := r.f.ReadAt(index, r.indexOff); err != nil {
+		return dst, fmt.Errorf("statespace: run %s: read: %w", filepath.Base(r.path), err)
 	}
-	for i := int64(0); i < r.count; i++ {
-		ent := body[r.indexOff+16*i:]
-		fp := binary.LittleEndian.Uint64(ent)
-		packed := binary.LittleEndian.Uint64(ent[8:])
-		n := int(packed & (maxSleepWords - 1))
-		off := int64(packed >> 16)
-		var sleep []uint64
-		if n > 0 {
-			sleep = make([]uint64, n)
-			for j := range sleep {
-				sleep[j] = binary.LittleEndian.Uint64(body[r.payloadOff+8*(off+int64(j)):])
-			}
-		}
-		fn(fp, sleep)
+	for ; len(index) > 0; index = index[8:] {
+		dst = append(dst, binary.LittleEndian.Uint64(index))
 	}
-	return nil
+	return dst, nil
 }
 
 func (r *run) close() error {

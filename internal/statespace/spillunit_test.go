@@ -10,64 +10,43 @@ import (
 	"testing"
 )
 
-// craftRun returns a checksummed run image for shard 0 holding only the
-// given header counts.
-func craftRun(count, bloomWords, payloadWords uint64) []byte {
-	var buf []byte
-	for _, w := range []uint64{runMagic, runVersion, count, bloomWords, payloadWords} {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
+// craftRun returns a checksummed run image for shard 0 holding the given
+// header counts and then the given words.
+func craftRun(count, bloomWords uint64, body ...uint64) []byte {
+	buf := le(append([]uint64{runMagic, runVersion, count, bloomWords}, body...)...)
 	return binary.LittleEndian.AppendUint64(buf, fnvBytes(buf))
 }
 
-// craftedRuns are 48-byte run files whose header counts make the size sum
-// 8·(5 + bloom + 2·count + payload + 1) wrap back onto 48, so the size
-// and trailer checks of an openRun that adds before it bounds both pass.
-// The first used to end the process in make([]uint64, 1<<61); the ones
-// with no bloom words were opened as runs of up to 2⁶⁰ entries.
-var craftedRuns = map[string][]byte{
-	"bloomWords wraps":   craftRun(0, 1<<61, 0),
-	"count wraps":        craftRun(1<<60, 0, 0),
-	"payloadWords wraps": craftRun(0, 0, 1<<61),
-	"the sum wraps":      craftRun(1<<58, 1<<60, 1<<59),
-	"bloomWords is -1":   craftRun(0, ^uint64(0), 1),
+// craftedRuns holds one run image for each check openRun makes of a run
+// file, and one for each clause of the header-count check. The 40-byte
+// images whose count or bloom length passes the file's words would make
+// the size 8·(4 + bloom + count + 1) wrap back onto 40, so the size and
+// trailer checks of an openRun that adds before it bounds both pass: such
+// an image would index 2⁶¹ keys or size an allocation of 2⁶¹ words. A run
+// with keys and no bloom words would answer absent for every key.
+var craftedRuns = []crafted{
+	{"short header", "short header", le(runMagic, runVersion, 0, 1)},
+	{"version 1", "bad magic/version", le(runMagic, 1, 0, 1, 0, 0)},
+	{"another shard", "shard 1, want 0", le(runMagic, runVersion|1<<32, 0, 1, 0, 0)},
+	{"count beyond the file", "header counts exceed", craftRun(1<<61-1, 1)},
+	{"no bloom words", "header counts exceed", craftRun(1, 0, 5)},
+	{"bloom beyond the file", "header counts exceed", craftRun(0, 1<<61)},
+	{"a word too few", "size 48, want 56", craftRun(1, 1, 0)},
+	{"trailer not the sum", "checksum mismatch", le(runMagic, runVersion, 0, 1, 0, 0)},
+	{"keys out of order", "malformed index entry 1", craftRun(2, 1, 0, 9, 1)},
 }
 
 func TestOpenRunRejectsCraftedFiles(t *testing.T) {
-	for name, image := range craftedRuns {
+	for _, c := range craftedRuns {
 		path := filepath.Join(t.TempDir(), runName(0, 1))
-		if err := os.WriteFile(path, image, 0o644); err != nil {
+		if err := os.WriteFile(path, c.body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if r, err := openRun(path, 0); !errors.Is(err, ErrCorrupt) {
+		if r, err := openRun(path, 0); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
 			if r != nil {
 				r.close()
 			}
-			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
-		}
-	}
-	// A well-checksummed index that lies about its own layout would take
-	// forEach past the image: unsorted keys, a sleep set beyond the payload.
-	for name, ents := range map[string][2][2]uint64{
-		"keys out of order":        {{9, 0}, {1, 0}},
-		"sleep beyond the payload": {{1, 0}, {9, 5<<16 | 3}},
-	} {
-		buf := craftRun(2, 1, 0)[:8*runHeaderWords]
-		buf = binary.LittleEndian.AppendUint64(buf, 0) // the bloom word
-		for _, e := range ents {
-			buf = binary.LittleEndian.AppendUint64(buf, e[0])
-			buf = binary.LittleEndian.AppendUint64(buf, e[1])
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, fnvBytes(buf))
-		path := filepath.Join(t.TempDir(), runName(0, 1))
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if r, err := openRun(path, 0); !errors.Is(err, ErrCorrupt) {
-			if r != nil {
-				r.close()
-			}
-			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+			t.Errorf("%s: error %v, want ErrCorrupt for %q", c.name, err, c.want)
 		}
 	}
 }
@@ -144,7 +123,7 @@ func checkpointAt(t testing.TB, budget int64, n int) (Config, []uint64) {
 		fps[i] = rng.Uint64()
 		s.Visit(fps[i], nil, 1<<30)
 	}
-	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, []FrontierItem{{Prefix: []int{1}}}); err != nil {
+	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, [][]int{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -228,7 +207,7 @@ func TestResumeRejectsBadShardGeometry(t *testing.T) {
 // file's own claims, or another kind of error.
 func FuzzOpenRun(f *testing.F) {
 	dir := f.TempDir()
-	r, err := writeRun(dir, 0, 1, []runEnt{{fp: 1, sleep: []uint64{2, 3}}, {fp: 9}, {fp: 1 << 63, sleep: []uint64{7}}})
+	r, err := writeRun(dir, 0, 1, []uint64{1, 9, 1 << 63})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -239,8 +218,8 @@ func FuzzOpenRun(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-8])
-	for _, image := range craftedRuns {
-		f.Add(image)
+	for _, c := range craftedRuns {
+		f.Add(c.body)
 	}
 	path := filepath.Join(dir, "fuzz"+runSuffix)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -257,11 +236,11 @@ func FuzzOpenRun(f *testing.F) {
 		defer r.close()
 		// The filter the image carries need not match its index, so with
 		// it a lookup only has to answer; with one that passes everything,
-		// every key forEach lists is found with its sleep set and the keys
-		// around it are not.
-		for _, e := range listRun(t, r) {
-			if _, _, err := r.lookup(e.fp, new(TierCounts)); err != nil {
-				t.Fatalf("lookup %#x in a run openRun accepted: %v", e.fp, err)
+		// every key appendKeys lists is found and the keys around it are
+		// not.
+		for _, fp := range listRun(t, r) {
+			if _, err := r.lookup(fp, new(TierCounts)); err != nil {
+				t.Fatalf("lookup %#x in a run openRun accepted: %v", fp, err)
 			}
 		}
 		saturate(r)

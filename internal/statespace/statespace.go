@@ -2,16 +2,14 @@
 // internal/mc's in-memory sharded table into a storage subsystem whose
 // capacity is bounded by disk, not RAM.
 //
-// The store keeps up to 64 shards keyed by the top bits of the canonical
-// state fingerprint (fewer under a small memory budget, see shardBits), so
-// shard order IS fingerprint order and iteration is deterministic by
-// construction. Each shard holds a hot map plus a stack
-// of immutable, sorted, checksummed on-disk runs (spilled under a hard
-// memory budget, newest-wins on overlap, bloom-filtered so absent-key
-// probes stay in RAM). Entries map a state fingerprint to the smallest
-// sleep set it has been explored with — the same subset/intersection
-// contract internal/mc's visitedSet implemented, preserved bit-for-bit
-// so a memory-only Store is a drop-in replacement.
+// The store is a set of canonical state fingerprints. It keeps up to 64
+// shards keyed by the top bits of the fingerprint (fewer under a small
+// memory budget, see shardBits), so shard order IS fingerprint order and
+// iteration is deterministic by construction. Each shard holds a hot set
+// plus a stack of immutable, sorted, checksummed on-disk runs (spilled
+// under a hard memory budget, bloom-filtered so absent-key probes stay in
+// RAM). A key is stored once: a visit that finds it in any tier records
+// nothing, so a shard's runs and its hot set hold disjoint keys.
 //
 // On top of the tiered table sit atomic checkpoints (manifest + frontier
 // + spilled shards, each written through internal/durable) that let a
@@ -34,7 +32,6 @@
 package statespace
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -70,9 +67,11 @@ const (
 	// handful of files.
 	maxRunsPerShard = 4
 
-	// entryOverhead approximates the hot-map bookkeeping cost of one
-	// entry (bucket slot, key, slice header) beyond its sleep words. The
-	// budget is an engineering bound, not an exact accounting.
+	// entryOverhead is what the budget charges for one hot entry. It was
+	// set when an entry also carried a slice header, where a set entry
+	// holds its key alone, but it fixes the visit on which every spill
+	// lands, so it stays until a measured change retunes it. The budget is
+	// an engineering bound, not an exact accounting.
 	entryOverhead = 64
 )
 
@@ -85,46 +84,41 @@ type Config struct {
 	// the largest shard to a sorted run under Dir. Zero means unbounded.
 	// Below 1 MiB it also sets how many shards the store keeps (shardBits).
 	// What a spilled run keeps in RAM — its bloom filter and fence, 1.75
-	// bytes a key against the 64 and up of a hot entry — is not charged to
-	// it: that would shrink the hot tier as the disk tier grows, and every
-	// spill that costs is a file (minSpillBytes).
+	// bytes a key against the 64 charged for a hot entry — is not charged
+	// to it: that would shrink the hot tier as the disk tier grows, and
+	// every spill that costs is a file (minSpillBytes).
 	MemBudget int64
 	// CheckpointDir holds the manifest and frontier files; "" disables
 	// checkpoints. May equal Dir.
 	CheckpointDir string
 }
 
-// Outcome is the result of one Visit, mirroring the explorer's original
-// visitNew/visitAgain/visitSeen/visitBudget semantics.
+// Outcome is the result of one Visit.
 type Outcome uint8
 
 const (
 	// OutcomeNew: first visit; the state was recorded.
 	OutcomeNew Outcome = iota
-	// OutcomeAgain: seen before, but with a sleep set that skipped
-	// successors this visit covers; the stored set shrank to the
-	// intersection and the state must be re-explored.
-	OutcomeAgain
-	// OutcomeSeen: seen before with a subset of this sleep set; every
-	// successor from here is already covered.
+	// OutcomeSeen: the state is already stored; every successor from here
+	// is already covered.
 	OutcomeSeen
 	// OutcomeBudget: the state budget is exhausted; nothing was recorded.
 	OutcomeBudget
 )
 
-// shard is one fingerprint range: a hot map over a stack of immutable
-// sorted runs. The generation counter is the checkpoint dirtiness test —
-// a shard whose gen still equals spilledGen has nothing hot to flush.
+// shard is one fingerprint range: a hot set over a stack of immutable
+// sorted runs, all of them disjoint. The generation counter is the
+// checkpoint dirtiness test — a shard whose gen still equals spilledGen
+// has nothing hot to flush.
 type shard struct {
 	mu sync.Mutex
 	// gen counts hot-tier mutations.
 	gen uint64 //multicube:gencounter
-	// hot maps fingerprint → smallest sleep set, shadowing the runs below
-	// (an entry here overrides any on-disk value for the same key).
-	hot map[uint64][]uint64 //multicube:fpfield guard=shard
+	// hot holds the fingerprints recorded since the shard last spilled.
+	hot map[uint64]struct{} //multicube:fpfield guard=shard
 	// bytes estimates the hot tier's memory cost.
 	bytes int64
-	// runs is the on-disk tier, oldest first; lookups scan newest first.
+	// runs is the on-disk tier, oldest first.
 	runs []*run
 	// spilledGen is the gen value the newest run covers.
 	spilledGen uint64
@@ -149,7 +143,7 @@ type Store struct {
 	seq       atomic.Uint64 // file-name sequence (never a timestamp)
 
 	// Tier says which tier answered the visits of states already stored:
-	// those the hot map answered, the run lookups that passed the run's
+	// those the hot set answered, the run lookups that passed the run's
 	// bloom filter, and the ReadAt calls those made. Host cost, kept across
 	// Reset; a resumed search sets it to what its checkpoint recorded.
 	Tier TierCounts
@@ -228,7 +222,7 @@ func newStore(cfg Config, bits int) *Store {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.gen++
-		sh.hot = make(map[uint64][]uint64)
+		sh.hot = make(map[uint64]struct{})
 	}
 	return s
 }
@@ -274,33 +268,21 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Visit records an arrival at state fp carrying the given sorted sleep
-// set, against a table capped at max states. The contract is exactly the
-// in-memory table's: a stored subset truncates (OutcomeSeen), anything
-// else shrinks the stored set to the intersection and re-explores
-// (OutcomeAgain), a first arrival records the set (OutcomeNew) unless
-// the budget is exhausted (OutcomeBudget). Visit keeps no reference to
-// sleep: the caller may refill it for the next arrival.
-func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
+// Visit records an arrival at state fp against a table capped at max
+// states: OutcomeSeen if fp is stored, else OutcomeNew once it is
+// recorded, or OutcomeBudget if the table is full. The middle parameter
+// is ignored; it was the arrival's sleep set, which the explorer no
+// longer keeps.
+func (s *Store) Visit(fp uint64, _ []uint64, max int) Outcome {
 	sh := &s.shards[fp>>s.shift] // a shift by 64 (one shard) yields 0
 	sh.mu.Lock()
-	if stored, ok := sh.hot[fp]; ok {
-		s.Tier.HotHits.Add(1)
-		if subsetOf(stored, sleep) {
-			sh.mu.Unlock()
-			return OutcomeSeen
-		}
-		inter := intersectSorted(stored, sleep)
-		sh.gen++
-		sh.hot[fp] = inter
-		delta := int64(8 * (len(inter) - len(stored)))
-		sh.bytes += delta
+	if _, ok := sh.hot[fp]; ok {
 		sh.mu.Unlock()
-		s.bytes.Add(delta)
-		return OutcomeAgain
+		s.Tier.HotHits.Add(1)
+		return OutcomeSeen
 	}
 	if len(sh.runs) > 0 {
-		stored, ok, err := sh.lookupRuns(fp, &s.Tier)
+		ok, err := sh.lookupRuns(fp, &s.Tier)
 		if err != nil {
 			sh.mu.Unlock()
 			s.fail(err)
@@ -309,19 +291,8 @@ func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 			return OutcomeSeen
 		}
 		if ok {
-			if subsetOf(stored, sleep) {
-				sh.mu.Unlock()
-				return OutcomeSeen
-			}
-			inter := intersectSorted(stored, sleep)
-			sh.gen++
-			sh.hot[fp] = inter // shadows the on-disk value
-			grow := int64(entryOverhead + 8*len(inter))
-			sh.bytes += grow
 			sh.mu.Unlock()
-			s.bytes.Add(grow)
-			s.maybeSpill()
-			return OutcomeAgain
+			return OutcomeSeen
 		}
 	}
 	if s.count.Add(1) > int64(max) {
@@ -330,29 +301,23 @@ func (s *Store) Visit(fp uint64, sleep []uint64, max int) Outcome {
 		return OutcomeBudget
 	}
 	sh.gen++
-	sh.hot[fp] = append([]uint64(nil), sleep...)
-	grow := int64(entryOverhead + 8*len(sleep))
-	sh.bytes += grow
+	sh.hot[fp] = struct{}{}
+	sh.bytes += entryOverhead
 	sh.mu.Unlock()
-	s.bytes.Add(grow)
+	s.bytes.Add(entryOverhead)
 	s.maybeSpill()
 	return OutcomeNew
 }
 
-// lookupRuns searches the on-disk tier newest-first (the newest run
-// holds the smallest — most recently intersected — set for a key that
-// appears in several). Caller holds the shard lock.
-func (sh *shard) lookupRuns(fp uint64, tc *TierCounts) ([]uint64, bool, error) {
+// lookupRuns reports whether one of the shard's runs holds fp, newest
+// run first. Caller holds the shard lock.
+func (sh *shard) lookupRuns(fp uint64, tc *TierCounts) (bool, error) {
 	for i := len(sh.runs) - 1; i >= 0; i-- {
-		sleep, ok, err := sh.runs[i].lookup(fp, tc)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return sleep, true, nil
+		if ok, err := sh.runs[i].lookup(fp, tc); ok || err != nil {
+			return ok, err
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // maybeSpill evicts the largest hot shards to disk until the estimate is
@@ -385,7 +350,7 @@ func (s *Store) maybeSpill() {
 }
 
 // spillShard writes shard i's hot entries as one sorted run and clears
-// the hot map. Compaction merges the run stack once it exceeds
+// the hot set. Compaction merges the run stack once it exceeds
 // maxRunsPerShard.
 func (s *Store) spillShard(i int) error {
 	sh := &s.shards[i]
@@ -394,18 +359,18 @@ func (s *Store) spillShard(i int) error {
 	if len(sh.hot) == 0 {
 		return nil
 	}
-	ents := make([]runEnt, 0, len(sh.hot))
-	for fp, sleep := range sh.hot { // collect-then-sort: order restored below
-		ents = append(ents, runEnt{fp: fp, sleep: sleep})
+	keys := make([]uint64, 0, len(sh.hot))
+	for fp := range sh.hot { // collect-then-sort: order restored below
+		keys = append(keys, fp)
 	}
-	slices.SortFunc(ents, func(a, b runEnt) int { return cmp.Compare(a.fp, b.fp) })
-	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), ents)
+	slices.Sort(keys)
+	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), keys)
 	if err != nil {
 		return err
 	}
 	sh.runs = append(sh.runs, r)
 	sh.gen++
-	sh.hot = make(map[uint64][]uint64)
+	sh.hot = make(map[uint64]struct{})
 	s.bytes.Add(-sh.bytes)
 	sh.bytes = 0
 	sh.spilledGen = sh.gen
@@ -417,25 +382,21 @@ func (s *Store) spillShard(i int) error {
 	return nil
 }
 
-// compactLocked merges a shard's whole run stack into one run
-// (newest-wins per key) and deletes the inputs — except inputs the
-// newest durable manifest still references, which are only closed and
-// left for the next checkpoint's gc. Caller holds the shard lock.
+// compactLocked merges a shard's whole run stack into one run and
+// deletes the inputs — except inputs the newest durable manifest still
+// references, which are only closed and left for the next checkpoint's
+// gc. The runs hold disjoint keys, so the merge is a sort of their
+// concatenation. Caller holds the shard lock.
 func (s *Store) compactLocked(sh *shard, i int) error {
-	merged := make(map[uint64][]uint64)
-	for _, r := range sh.runs { // oldest first: later (newer) runs win
-		if err := r.forEach(func(fp uint64, sleep []uint64) {
-			merged[fp] = sleep
-		}); err != nil {
+	var keys []uint64
+	for _, r := range sh.runs {
+		var err error
+		if keys, err = r.appendKeys(keys); err != nil {
 			return err
 		}
 	}
-	ents := make([]runEnt, 0, len(merged))
-	for fp, sleep := range merged { // collect-then-sort: order restored below
-		ents = append(ents, runEnt{fp: fp, sleep: sleep})
-	}
-	slices.SortFunc(ents, func(a, b runEnt) int { return cmp.Compare(a.fp, b.fp) })
-	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), ents)
+	slices.Sort(keys)
+	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), keys)
 	if err != nil {
 		return err
 	}
@@ -479,7 +440,7 @@ func (s *Store) Reset() error {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.gen++
-		sh.hot = make(map[uint64][]uint64)
+		sh.hot = make(map[uint64]struct{})
 		sh.bytes = 0
 		sh.spilledGen = sh.gen
 		for _, r := range sh.runs {
@@ -522,39 +483,4 @@ func (s *Store) Close() error {
 		sh.mu.Unlock()
 	}
 	return first
-}
-
-// subsetOf reports a ⊆ b for sorted fingerprint slices (the sleep-set
-// encoding internal/mc stores).
-func subsetOf(a, b []uint64) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// intersectSorted returns a ∩ b for sorted fingerprint slices.
-func intersectSorted(a, b []uint64) []uint64 {
-	var out []uint64
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i < len(b) && b[i] == x {
-			out = append(out, x)
-			i++
-		}
-	}
-	return out
 }

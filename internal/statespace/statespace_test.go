@@ -10,50 +10,25 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// refVisited is the straightforward in-memory reference: fp → smallest
-// sleep set, with the exact subset/intersection contract the Store must
-// preserve across spilling and compaction.
-type refVisited struct {
-	m     map[uint64][]uint64
-	count int
-}
+// refVisited is the straightforward in-memory reference: a set of
+// fingerprints capped at max states, the contract the Store must keep
+// across spilling and compaction.
+type refVisited map[uint64]bool
 
-func (r *refVisited) visit(fp uint64, sleep []uint64, max int) Outcome {
-	if stored, ok := r.m[fp]; ok {
-		if subsetOf(stored, sleep) {
-			return OutcomeSeen
-		}
-		r.m[fp] = intersectSorted(stored, sleep)
-		return OutcomeAgain
+func (r refVisited) visit(fp uint64, max int) Outcome {
+	if r[fp] {
+		return OutcomeSeen
 	}
-	if r.count >= max {
+	if len(r) >= max {
 		return OutcomeBudget
 	}
-	r.count++
-	r.m[fp] = sleep
+	r[fp] = true
 	return OutcomeNew
-}
-
-func randSleep(rng *rand.Rand) []uint64 {
-	n := rng.Intn(6)
-	if n == 0 {
-		return nil
-	}
-	set := make(map[uint64]bool, n)
-	for len(set) < n {
-		set[uint64(rng.Intn(40))*0x9e37+1] = true
-	}
-	out := make([]uint64, 0, n)
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // TestVisitMatchesReference drives the store and the reference with the
@@ -70,28 +45,27 @@ func TestVisitMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: Open: %v", budget, err)
 		}
-		ref := &refVisited{m: make(map[uint64][]uint64)}
+		ref := refVisited{}
 		rng := rand.New(rand.NewSource(7))
 		const max = 500
 		for i := 0; i < 20000; i++ {
-			// Small fp universe so keys repeat and intersections happen;
-			// spread across shards via multiplication.
+			// Small fp universe so keys repeat, from the hot set and from
+			// the runs alike; spread across shards via multiplication.
 			fp := uint64(rng.Intn(700)) * 0x9e3779b97f4a7c15
-			sleep := randSleep(rng)
-			got := s.Visit(fp, sleep, max)
-			want := ref.visit(fp, sleep, max)
+			got := s.Visit(fp, nil, max)
+			want := ref.visit(fp, max)
 			if got != want {
 				t.Fatalf("budget %d: visit %d (fp %x): got %v, want %v", budget, i, fp, got, want)
 			}
 		}
-		if s.States() != ref.count {
-			t.Fatalf("budget %d: states %d, want %d", budget, s.States(), ref.count)
+		if s.States() != len(ref) {
+			t.Fatalf("budget %d: states %d, want %d", budget, s.States(), len(ref))
 		}
 		if err := s.Err(); err != nil {
 			t.Fatalf("budget %d: sticky error: %v", budget, err)
 		}
-		if budget > 0 && s.Spills() == 0 {
-			t.Fatalf("budget %d produced no spills; workload too small", budget)
+		if budget > 0 && (s.Spills() == 0 || s.Tier.DiskLookups.Load() == 0) {
+			t.Fatalf("budget %d: %d spills, %d disk lookups; workload too small", budget, s.Spills(), s.Tier.DiskLookups.Load())
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -102,29 +76,25 @@ func TestVisitMatchesReference(t *testing.T) {
 func TestRunRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(3))
-	ents := make([]runEnt, 0, 200)
+	keys := make([]uint64, 0, 200)
 	seen := make(map[uint64]bool)
-	for len(ents) < 200 {
+	for len(keys) < 200 {
 		fp := rng.Uint64()
 		if seen[fp] {
 			continue
 		}
 		seen[fp] = true
-		ents = append(ents, runEnt{fp: fp, sleep: randSleep(rng)})
+		keys = append(keys, fp)
 	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].fp < ents[b].fp })
-	r, err := writeRun(dir, 5, 1, ents)
+	slices.Sort(keys)
+	r, err := writeRun(dir, 5, 1, keys)
 	if err != nil {
 		t.Fatalf("writeRun: %v", err)
 	}
 	defer r.close()
-	for _, e := range ents {
-		got, ok, err := r.lookup(e.fp, new(TierCounts))
-		if err != nil || !ok {
-			t.Fatalf("lookup %x: ok=%v err=%v", e.fp, ok, err)
-		}
-		if !reflect.DeepEqual(got, e.sleep) && !(len(got) == 0 && len(e.sleep) == 0) {
-			t.Fatalf("lookup %x: got %v, want %v", e.fp, got, e.sleep)
+	for _, fp := range keys {
+		if ok, err := r.lookup(fp, new(TierCounts)); err != nil || !ok {
+			t.Fatalf("lookup %x: ok=%v err=%v", fp, ok, err)
 		}
 	}
 	for i := 0; i < 1000; i++ {
@@ -132,23 +102,18 @@ func TestRunRoundTrip(t *testing.T) {
 		if seen[fp] {
 			continue
 		}
-		if _, ok, _ := r.lookup(fp, new(TierCounts)); ok {
+		if ok, _ := r.lookup(fp, new(TierCounts)); ok {
 			t.Fatalf("lookup of absent %x reported present", fp)
 		}
 	}
-	var walked int
-	if err := r.forEach(func(fp uint64, sleep []uint64) { walked++ }); err != nil {
-		t.Fatalf("forEach: %v", err)
-	}
-	if walked != len(ents) {
-		t.Fatalf("forEach walked %d, want %d", walked, len(ents))
+	if got, err := r.appendKeys(nil); err != nil || !slices.Equal(got, keys) {
+		t.Fatalf("appendKeys: %d keys, %v; want the %d written", len(got), err, len(keys))
 	}
 }
 
 func TestOpenRunDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	ents := []runEnt{{fp: 1, sleep: []uint64{2, 3}}, {fp: 9, sleep: nil}}
-	r, err := writeRun(dir, 0, 1, ents)
+	r, err := writeRun(dir, 0, 1, []uint64{1, 9})
 	if err != nil {
 		t.Fatalf("writeRun: %v", err)
 	}
@@ -199,16 +164,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	type rec struct {
-		fp    uint64
-		sleep []uint64
-	}
-	var visits []rec
+	var visits []uint64
 	for i := 0; i < 3000; i++ {
 		fp := uint64(rng.Intn(400)) * 0x9e3779b97f4a7c15
-		sl := randSleep(rng)
-		visits = append(visits, rec{fp, sl})
-		s.Visit(fp, sl, 1<<30)
+		visits = append(visits, fp)
+		s.Visit(fp, nil, 1<<30)
 	}
 	meta := Meta{
 		ScenarioHash: "scen",
@@ -216,11 +176,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Depth:        40,
 		Counters:     map[string]uint64{"runs": 17, "fp_inc": 99},
 	}
-	frontier := []FrontierItem{
-		{Prefix: []int{0, 2, 1}, Sleep: []uint64{5, 9}},
-		{Prefix: nil, Sleep: nil},
-		{Prefix: []int{4}, Sleep: []uint64{1}},
-	}
+	frontier := [][]int{{0, 2, 1}, nil, {4}}
 	if err := s.WriteCheckpoint(meta, frontier); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
@@ -243,11 +199,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if s2.States() != wantStates {
 		t.Fatalf("states: got %d, want %d", s2.States(), wantStates)
 	}
-	// Every visited state must answer Seen when revisited with a superset
-	// (its stored set is ⊆ what it was visited with).
-	for _, v := range visits {
-		if got := s2.Visit(v.fp, v.sleep, 1<<30); got != OutcomeSeen && got != OutcomeAgain {
-			t.Fatalf("resumed visit %x: got %v", v.fp, got)
+	// Every visited state answers Seen.
+	for _, fp := range visits {
+		if got := s2.Visit(fp, nil, 1<<30); got != OutcomeSeen {
+			t.Fatalf("resumed visit %x: got %v", fp, got)
 		}
 	}
 	if s2.States() != wantStates {
@@ -255,35 +210,45 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadFrontierRejectsCraftedFiles feeds readFrontier well-checksummed
-// files whose contents lie. The item count is read from the file and sizes
-// an allocation: a count of 2^40 in a 32-byte file used to end the process
-// with an out-of-memory fault instead of ErrCorrupt. A frontier in the
-// previous record layout (magic 01, three words per item) must fail the
-// magic check rather than be misread.
+// TestReadFrontierRejectsCraftedFiles feeds readFrontier one file for
+// each of its checks. All but the last carry a valid checksum, so their
+// contents lie: the item count is read from the file and sizes an
+// allocation, and a count of 2^40 in a 32-byte file used to end the
+// process with an out-of-memory fault instead of ErrCorrupt. A frontier in
+// the previous record layout (magic 02, a sleep-set length word after each
+// prefix) must fail the magic check rather than be misread.
 func TestReadFrontierRejectsCraftedFiles(t *testing.T) {
-	for _, c := range craftedFrontiers {
-		sum := fnvBytes(c.body)
-		buf := binary.LittleEndian.AppendUint64(append([]byte(nil), c.body...), sum)
+	refused := func(name, want string, file []byte) {
 		path := filepath.Join(t.TempDir(), "frontier-000001"+frontierSuffix)
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if items, err := readFrontier(path, fmt.Sprintf("%016x", sum)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %d items, error %v; want ErrCorrupt", c.name, len(items), err)
+		sum := binary.LittleEndian.Uint64(file[len(file)-8:])
+		if items, err := readFrontier(path, fmt.Sprintf("%016x", sum)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %d items, error %v; want ErrCorrupt for %q", name, len(items), err, want)
 		}
 	}
+	for _, c := range craftedFrontiers {
+		refused(c.name, c.want, binary.LittleEndian.AppendUint64(append([]byte(nil), c.body...), fnvBytes(c.body)))
+	}
+	valid := encodeFrontier([][]int{{1, 2}})
+	refused("trailer not the body's sum", "checksum mismatch", binary.LittleEndian.AppendUint64(valid[:len(valid)-8], 1))
 }
 
-// craftedFrontiers are frontier bodies, the checksum trailer left off,
-// whose contents lie.
-var craftedFrontiers = []struct {
-	name string
-	body []byte
-}{
-	{"count beyond the file", le(frontierMagic, 1<<40, 0)},
-	{"count one too many", le(frontierMagic, 2, 0, 0, 0)},
-	{"previous layout", le(frontierMagic-1, 1, 0, 0, 0)},
+// crafted is a file whose contents lie — a whole run image, or a
+// frontier body with its checksum trailer left off — and what its refusal
+// says.
+type crafted struct {
+	name, want string
+	body       []byte
+}
+
+var craftedFrontiers = []crafted{
+	{"shorter than a header", "malformed length", le(frontierMagic)},
+	{"the MCSSFR02 layout", "bad magic", le(frontierMagic-1, 2, 1, 5, 0, 0, 0)},
+	{"count beyond the file", "truncated records", le(frontierMagic, 1<<40, 0)},
+	{"prefix beyond the file", "truncated records", le(frontierMagic, 1, 2, 7)},
+	{"trailing words", "trailing records", le(frontierMagic, 1, 0, 0)},
 }
 
 func le(words ...uint64) []byte {
@@ -296,12 +261,12 @@ func le(words ...uint64) []byte {
 
 // FuzzReadFrontier: whatever records a frontier file holds under a valid
 // checksum (the harness appends one, so that mutations reach the record
-// parser), readFrontier refuses them with ErrCorrupt or returns items that
-// writeFrontier encodes to those very bytes — never a panic, never an
+// parser), readFrontier refuses them with ErrCorrupt or returns prefixes
+// that writeFrontier encodes to those very bytes — never a panic, never an
 // allocation the file's own size does not bound.
 func FuzzReadFrontier(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "frontier-000001"+frontierSuffix)
-	for _, items := range [][]FrontierItem{nil, {{Prefix: []int{0, 2, -1}}, {Sleep: []uint64{7, 1 << 63}}, {Prefix: []int{1}, Sleep: []uint64{3}}}} {
+	for _, items := range [][][]int{nil, {{0, 2, -1}, nil, {1}}} {
 		valid := encodeFrontier(items)
 		f.Add(valid[:len(valid)-8])
 	}
@@ -342,7 +307,7 @@ func TestResumeRefusesMismatchAndCorruption(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
-		s.Visit(uint64(rng.Intn(300))*0x9e3779b97f4a7c15, randSleep(rng), 1<<30)
+		s.Visit(uint64(rng.Intn(300))*0x9e3779b97f4a7c15, nil, 1<<30)
 	}
 	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, nil); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
@@ -394,16 +359,16 @@ func TestCheckpointSupersedesPrevious(t *testing.T) {
 	defer s.Close()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1500; i++ {
-		s.Visit(uint64(rng.Intn(250))*0x9e3779b97f4a7c15, randSleep(rng), 1<<30)
+		s.Visit(uint64(rng.Intn(250))*0x9e3779b97f4a7c15, nil, 1<<30)
 	}
-	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, []FrontierItem{{Prefix: []int{1}}}); err != nil {
+	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, [][]int{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1500; i++ {
-		s.Visit(uint64(rng.Intn(500))*0x9e3779b97f4a7c15, randSleep(rng), 1<<30)
+		s.Visit(uint64(rng.Intn(500))*0x9e3779b97f4a7c15, nil, 1<<30)
 	}
 	want := s.States()
-	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, []FrontierItem{{Prefix: []int{2, 3}}}); err != nil {
+	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, [][]int{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	// Exactly one frontier file survives GC.
@@ -420,7 +385,7 @@ func TestCheckpointSupersedesPrevious(t *testing.T) {
 	if s2.States() != want {
 		t.Fatalf("states: got %d, want %d", s2.States(), want)
 	}
-	if len(frontier) != 1 || len(frontier[0].Prefix) != 2 {
+	if len(frontier) != 1 || len(frontier[0]) != 2 {
 		t.Fatalf("frontier: got %+v, want the second checkpoint's", frontier)
 	}
 }
@@ -442,7 +407,7 @@ func TestCompactionPreservesCheckpointedRuns(t *testing.T) {
 	for fp := uint64(1); fp <= 3; fp++ {
 		s.Visit(fp, nil, 1<<30)
 	}
-	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, []FrontierItem{{Prefix: []int{1}}}); err != nil {
+	if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, [][]int{{1}}); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	var pinnedRuns []string
@@ -533,7 +498,7 @@ func TestResetClearsDisk(t *testing.T) {
 	defer s.Close()
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 3000; i++ {
-		s.Visit(rng.Uint64(), randSleep(rng), 1<<30)
+		s.Visit(rng.Uint64(), nil, 1<<30)
 	}
 	if s.Spills() == 0 {
 		t.Fatal("workload produced no spills")
