@@ -15,9 +15,8 @@
 //     with or without default, are deterministic and allowed
 //
 // Escape hatch: //multicube:chooser-ok <reason> on the statement's line or
-// the line above — for concurrency whose results are re-derived
-// deterministically (the parallel explorer's worker pool) or that
-// implements the seam itself (the coroutine pump).
+// the line above — for concurrency that implements the seam itself. The
+// one such site is the coroutine pump in internal/sim.
 package chooserseam
 
 import (

@@ -61,7 +61,7 @@ func TestDetectsUnsortedSpillStatespace(t *testing.T) {
 	if !bytes.Contains(src, needle) {
 		t.Fatal("statespace.go no longer contains the spill sort; update the overlay anchor")
 	}
-	// The first occurrence is spillShard's; compactLocked keeps its own,
+	// The first occurrence is spillShard's; compact keeps its own,
 	// so the slices import stays used.
 	overlay := map[string][]byte{path: bytes.Replace(src, needle, nil, 1)}
 	got := run(overlay)

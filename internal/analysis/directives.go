@@ -35,8 +35,8 @@ import (
 //
 //	//multicube:chooser-ok <reason>
 //	    On (or before) a go statement or select: the nondeterminism is
-//	    outside the explored state space (e.g. a worker pool whose results
-//	    are re-derived deterministically).
+//	    outside the explored state space (the one such site is the
+//	    coroutine pump in internal/sim, which implements the seam).
 //
 //	//multicube:inclusion
 //	    Package marker (any file). Opts the package into the inclusion

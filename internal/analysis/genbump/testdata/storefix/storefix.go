@@ -1,11 +1,11 @@
-// Package storefix models internal/statespace's tiered-store idioms for
-// the genbump analyzer: a sharded visited table whose hot map is
-// fingerprint-visible, guarded by the per-shard generation counter the
-// checkpoint dirtiness test reads. Losing a bump here makes a dirty
-// shard look clean and a checkpoint silently incomplete.
+// Package storefix exercises the genbump analyzer's rules for a
+// map-typed field: a sharded table whose hot map is fingerprint-visible
+// and guarded by a per-shard generation counter. Every write, delete
+// and clear of the map must bump the counter, or reach a helper whose
+// callers do.
 package storefix
 
-// shard mirrors statespace.shard: hot entries shadow on-disk runs.
+// shard is one range of a sharded table: a hot map over on-disk runs.
 type shard struct {
 	gen   uint64              //multicube:gencounter
 	hot   map[uint64][]uint64 //multicube:fpfield guard=shard

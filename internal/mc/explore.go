@@ -729,7 +729,7 @@ func (e *explorer) report(runs, depth, frontier int) {
 // the visited store's.
 func (e *explorer) costNow() Cost {
 	c, st := e.cost, e.visited
-	c.StoreHot, c.StoreDisk, c.StoreReads = st.Tier.HotHits.Load(), st.Tier.DiskLookups.Load(), st.Tier.DiskReads.Load()
+	c.StoreHot, c.StoreDisk, c.StoreReads = st.Tier.HotHits, st.Tier.DiskLookups, st.Tier.DiskReads
 	c.Spills, c.Syncs, c.DiskBytes = st.Spills(), st.Syncs(), st.DiskBytes()
 	return c
 }

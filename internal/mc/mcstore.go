@@ -128,9 +128,7 @@ func (e *explorer) restoreCounters(c map[string]uint64, init *passOut) {
 	e.cost.Steps = c["steps"]
 	e.cost.ReplaySteps = c["replay_steps"]
 	e.cost.Restores = c["restores"]
-	e.visited.Tier.HotHits.Store(c["store_hot"])
-	e.visited.Tier.DiskLookups.Store(c["store_disk"])
-	e.visited.Tier.DiskReads.Store(c["store_reads"])
+	e.visited.Tier = statespace.TierCounts{HotHits: c["store_hot"], DiskLookups: c["store_disk"], DiskReads: c["store_reads"]}
 }
 
 // checkpoint atomically persists the search at a frontier boundary. The

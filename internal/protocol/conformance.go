@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"multicube/internal/coherence"
 )
@@ -18,12 +17,10 @@ import (
 // clauses. Mismatches are collected (deduplicated by message), never
 // panicked, so a single run reports every distinct divergence at once.
 //
-// The collector is safe for concurrent use, so machines running on
-// several goroutines may share one.
+// The collector is not safe for concurrent use.
 type Conformance struct {
 	table *Table
 
-	mu         sync.Mutex
 	events     uint64
 	hits       map[string]uint64
 	mismatches map[string]uint64
@@ -50,8 +47,6 @@ func (c *Conformance) Observe(sev coherence.SnoopEvent) {
 	st := sev.Before.State
 	env := EnvOf(&sev)
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.events++
 
 	group := c.table.Group(evt)
@@ -186,16 +181,12 @@ func fmtSpecs(specs []ActionSpec) string {
 
 // Events returns the number of snoop windows observed.
 func (c *Conformance) Events() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.events
 }
 
 // Mismatches returns the distinct divergence messages in first-seen
 // order, each with its occurrence count.
 func (c *Conformance) Mismatches() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.order))
 	for _, msg := range c.order {
 		out = append(out, fmt.Sprintf("%s (x%d)", msg, c.mismatches[msg]))
@@ -205,8 +196,6 @@ func (c *Conformance) Mismatches() []string {
 
 // Hits returns the per-rule exercise counts (rules never hit are absent).
 func (c *Conformance) Hits() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make(map[string]uint64, len(c.hits))
 	for k, v := range c.hits {
 		out[k] = v

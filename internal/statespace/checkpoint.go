@@ -96,30 +96,24 @@ type manifestRun struct {
 
 // WriteCheckpoint atomically persists the store plus the given frontier
 // (the pending DFS work items, each as its choice prefix) and metadata.
-// The caller must be quiescent (the sequential explorer checkpoints only
-// between runs).
+// The explorer checkpoints only between runs.
 func (s *Store) WriteCheckpoint(meta Meta, frontier [][]int) error {
 	if s.cfg.CheckpointDir == "" || s.cfg.Dir == "" {
 		return errors.New("statespace: checkpointing requires spill and checkpoint directories")
 	}
-	// Flush every dirty shard so the run stacks alone reproduce the
-	// table; clean shards (gen unmoved since their last spill) keep their
-	// existing runs. Each run the manifest will name is then synced.
+	// Flush every dirty shard — one with a non-empty hot set — so the run
+	// stacks alone reproduce the table; spillShard leaves a clean shard's
+	// runs as they are. Each run the manifest will name is then synced.
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		dirty := len(sh.hot) > 0
-		sh.mu.Unlock()
-		if dirty {
-			if err := s.spillShard(i); err != nil {
-				return err
-			}
+		if err := s.spillShard(i); err != nil {
+			return err
 		}
-		if err := s.syncRuns(sh); err != nil {
+		if err := s.syncRuns(&s.shards[i]); err != nil {
 			return err
 		}
 	}
-	seq := s.seq.Add(1)
+	s.seq++
+	seq := s.seq
 	frontierFile := fmt.Sprintf("frontier-%06d%s", seq, frontierSuffix)
 	fsum, err := writeFrontier(filepath.Join(s.cfg.CheckpointDir, frontierFile), frontier)
 	if err != nil {
@@ -130,14 +124,13 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier [][]int) error {
 		Seq:         seq,
 		ShardBits:   64 - int(s.shift),
 		Meta:        meta,
-		States:      s.count.Load(),
-		Spills:      s.spills.Load(),
+		States:      s.count,
+		Spills:      s.spills,
 		Frontier:    frontierFile,
 		FrontierSum: fmt.Sprintf("%016x", fsum),
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
 		if len(sh.runs) > 0 {
 			ms := manifestShard{Shard: i}
 			for _, r := range sh.runs {
@@ -149,7 +142,6 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier [][]int) error {
 			}
 			m.Shards = append(m.Shards, ms)
 		}
-		sh.mu.Unlock()
 	}
 	data, err := json.MarshalIndent(&m, "", " ")
 	if err != nil {
@@ -169,15 +161,13 @@ func (s *Store) WriteCheckpoint(meta Meta, frontier [][]int) error {
 	// the new pinned set, and everything else — including runs a
 	// compaction retired but could not unlink while the previous
 	// manifest named them — is garbage.
-	s.setPinned(keep)
+	s.pinned = keep
 	return s.gc(keep)
 }
 
 // syncRuns fsyncs each of the shard's runs that no checkpoint has synced
 // yet: a spill leaves its run unsynced, as no crash reads an unnamed run.
 func (s *Store) syncRuns(sh *shard) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	for _, r := range sh.runs {
 		if r.synced {
 			continue
@@ -186,7 +176,7 @@ func (s *Store) syncRuns(sh *shard) error {
 			return fmt.Errorf("statespace: checkpoint: sync %s: %w", filepath.Base(r.path), err)
 		}
 		r.synced = true
-		s.syncs.Add(1)
+		s.syncs++
 	}
 	return nil
 }
@@ -272,17 +262,14 @@ func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, [][]int
 			}
 			r.synced = true // a manifest named it, so a checkpoint synced it
 			sh.runs = append(sh.runs, r)
-			s.diskBytes.Add(r.size)
+			s.diskBytes += r.size
 		}
-		sh.spilledGen = sh.gen
 	}
 	frontier, err := readFrontier(filepath.Join(cfg.CheckpointDir, m.Frontier), m.FrontierSum)
 	if err != nil {
 		return fail(err)
 	}
-	s.count.Store(m.States)
-	s.spills.Store(m.Spills)
-	s.seq.Store(m.Seq)
+	s.count, s.spills, s.seq = m.States, m.Spills, m.Seq
 	// The adopted manifest stays the resume point until this process
 	// writes its own checkpoint; its files must survive compaction.
 	keep := map[string]bool{m.Frontier: true}
@@ -291,7 +278,7 @@ func Resume(cfg Config, scenarioHash, optionsHash string) (*Store, Meta, [][]int
 			keep[r.File] = true
 		}
 	}
-	s.setPinned(keep)
+	s.pinned = keep
 	return s, m.Meta, frontier, nil
 }
 

@@ -104,17 +104,27 @@ func TestCheckpointPinsOnlySyncedRuns(t *testing.T) {
 			s.Visit(uint64(rng.Intn(600))*0x9e3779b97f4a7c15, nil, 1<<30)
 		}
 	}
-	// checkpoint writes one and requires that every run its manifest
-	// names is synced, and that it synced each of them no earlier
-	// checkpoint had, once.
+	// checkpoint writes one and requires that it spilled exactly the
+	// shards holding hot entries, that every run its manifest names is
+	// synced, and that it synced each of them no earlier checkpoint had,
+	// once.
 	checkpoint := func() {
 		t.Helper()
 		if unsynced(s) == 0 {
 			t.Fatal("no unsynced run before the checkpoint; the workload did not spill")
 		}
-		before, wasSynced := s.Syncs(), synced(s)
+		dirty := 0
+		for i := range s.shards {
+			if len(s.shards[i].hot) > 0 {
+				dirty++
+			}
+		}
+		before, spills, wasSynced := s.Syncs(), s.Spills(), synced(s)
 		if err := s.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, nil); err != nil {
 			t.Fatal(err)
+		}
+		if got := s.Spills() - spills; got != dirty {
+			t.Fatalf("checkpoint spilled %d shards, want the %d with hot entries", got, dirty)
 		}
 		live, fresh := liveRuns(s), 0
 		for _, name := range namedRuns(t, dir) {
@@ -149,11 +159,15 @@ func TestCheckpointPinsOnlySyncedRuns(t *testing.T) {
 	if n := unsynced(s2); n != 0 {
 		t.Fatalf("%d runs adopted by Resume count as unsynced", n)
 	}
+	spills := s2.Spills()
 	if err := s2.WriteCheckpoint(Meta{ScenarioHash: "a", OptionsHash: "b"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Syncs() != 0 {
 		t.Fatalf("a checkpoint of adopted runs synced %d of them again", s2.Syncs())
+	}
+	if got := s2.Spills() - spills; got != 0 {
+		t.Fatalf("an idle checkpoint of a resumed store spilled %d shards", got)
 	}
 }
 

@@ -192,7 +192,7 @@ func (r *run) lookup(fp uint64, tc *TierCounts) (bool, error) {
 	if !r.bloom.has(fp) {
 		return false, nil
 	}
-	tc.DiskLookups.Add(1)
+	tc.DiskLookups++
 	b, found := slices.BinarySearch(r.fence, fp)
 	if !found {
 		if b--; b < 0 {
@@ -202,7 +202,7 @@ func (r *run) lookup(fp uint64, tc *TierCounts) (bool, error) {
 	first := int64(b) * fenceStride
 	var block [8 * fenceStride]byte
 	keys := block[:8*min(r.count-first, fenceStride)]
-	tc.DiskReads.Add(1)
+	tc.DiskReads++
 	if _, err := r.f.ReadAt(keys, r.indexOff+8*first); err != nil {
 		return false, fmt.Errorf("statespace: run %s: index read: %w", filepath.Base(r.path), err)
 	}

@@ -34,11 +34,11 @@ func checkLookups(t testing.TB, r *run) {
 	}
 	var tc TierCounts
 	for _, fp := range keys {
-		before := tc.DiskReads.Load()
+		before := tc.DiskReads
 		if ok, err := r.lookup(fp, &tc); err != nil || !ok {
 			t.Fatalf("lookup %#x: %v, %v; appendKeys lists it", fp, ok, err)
 		}
-		if reads := tc.DiskReads.Load() - before; reads != 1 {
+		if reads := tc.DiskReads - before; reads != 1 {
 			t.Fatalf("lookup %#x made %d reads, want 1", fp, reads)
 		}
 	}
@@ -54,7 +54,7 @@ func checkLookups(t testing.TB, r *run) {
 			t.Fatalf("lookup of absent %#x: %v, %v", fp, ok, err)
 		}
 	}
-	if l, n := tc.DiskLookups.Load(), tc.DiskReads.Load(); n > l {
+	if l, n := tc.DiskLookups, tc.DiskReads; n > l {
 		t.Fatalf("%d reads for %d lookups past the filter", n, l)
 	}
 }

@@ -15,12 +15,14 @@
 // + spilled shards, each written through internal/durable) that let a
 // killed exploration resume with a byte-identical verdict.
 //
+// A Store has one owner, the explorer goroutine that opened it, and is
+// not safe for concurrent use. A shard is the spill unit, not a lock: a
+// checkpoint flushes exactly the shards whose hot set is non-empty.
+//
 // The package participates in the explorer's determinism contract: no
 // wall clock anywhere — checkpoint metadata carries a sequence number,
 // never a timestamp — and no map-order dependence. multicube-vet
-// enforces both (see internal/analysis), and genbump enforces that every
-// hot-tier mutation bumps the shard generation the checkpoint dirtiness
-// test relies on.
+// enforces both (see internal/analysis).
 //
 // Checkpoint files are durable state: frontiers and manifests go through
 // durable.WriteFile, a run is fsynced when a checkpoint pins it (its
@@ -38,28 +40,26 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 const (
 	// maxShardBits caps the shard index at the top 6 bits of a
-	// fingerprint: 64 shards, the locking unit of concurrent visitors.
+	// fingerprint: 64 shards, each a spill unit.
 	maxShardBits = 6
 
 	// minSpillBytes is the least share of a memory budget a shard may be
-	// left with. A shard is the locking unit and also the spill unit:
-	// canonical fingerprints are uniform, so when the budget trips the
-	// fullest of 2^b shards holds about twice budget>>b, and that is all
-	// one run file can carry away. A run costs a create, rename, reopen and
-	// validating read-back whatever it holds — 0.02–0.05 ms unsynced for 1
-	// to 230 entries on the recording host (EXPERIMENTS.md "PR 33") against
-	// 0.18 µs to insert one. At 64 shards a 64 KiB budget spilled 31 entries
-	// a file, about 1 µs each; at 16 KiB a shard a run carries some 400 at
-	// 0.1 µs each, below the 2.7 µs a later lookup in it pays in pread
-	// probes. The spilling litmus-coww-3x3 pass was flat from 8 KiB up when
-	// runs were fsynced (36, 20, 12, 8 spills at 8–64 KiB: 167–195 ms), so a
-	// larger unit buys nothing and leaves concurrent visitors fewer locks.
+	// left with. A shard is the spill unit: canonical fingerprints are
+	// uniform, so when the budget trips the fullest of 2^b shards holds
+	// about twice budget>>b, and that is all one run file can carry away. A
+	// run costs a create, rename, reopen and validating read-back whatever
+	// it holds — 0.02–0.05 ms unsynced for 1 to 230 entries on the recording
+	// host (EXPERIMENTS.md "PR 33") against 0.18 µs to insert one. At 64
+	// shards a 64 KiB budget spilled 31 entries a file, about 1 µs each; at
+	// 16 KiB a shard a run carries some 400 at 0.1 µs each, below the 2.7 µs
+	// a later lookup in it pays in pread probes. The spilling
+	// litmus-coww-3x3 pass was flat from 8 KiB up when runs were fsynced
+	// (36, 20, 12, 8 spills at 8–64 KiB: 167–195 ms), so a larger unit buys
+	// nothing.
 	minSpillBytes = 16 << 10
 
 	// maxRunsPerShard bounds the on-disk run stack per shard; beyond it a
@@ -107,26 +107,19 @@ const (
 )
 
 // shard is one fingerprint range: a hot set over a stack of immutable
-// sorted runs, all of them disjoint. The generation counter is the
-// checkpoint dirtiness test — a shard whose gen still equals spilledGen
-// has nothing hot to flush.
+// sorted runs, all of them disjoint. A shard is dirty — a checkpoint
+// has something to flush — exactly when its hot set is non-empty.
 type shard struct {
-	mu sync.Mutex
-	// gen counts hot-tier mutations.
-	gen uint64 //multicube:gencounter
 	// hot holds the fingerprints recorded since the shard last spilled.
-	hot map[uint64]struct{} //multicube:fpfield guard=shard
+	hot map[uint64]struct{}
 	// bytes estimates the hot tier's memory cost.
 	bytes int64
 	// runs is the on-disk tier, oldest first.
 	runs []*run
-	// spilledGen is the gen value the newest run covers.
-	spilledGen uint64
 }
 
-// Store is the tiered visited-state table. It is safe for concurrent
-// Visit calls (per-shard locking, like the in-memory table it replaces);
-// checkpoint and reset operations require the caller to be quiescent.
+// Store is the tiered visited-state table. It is not safe for concurrent
+// use: the explorer that opened it is its only caller.
 type Store struct {
 	cfg Config
 	// shards has 1<<bits elements and shift is 64-bits: shard index = the
@@ -135,12 +128,12 @@ type Store struct {
 	shards []shard
 	shift  uint
 
-	count     atomic.Int64 // distinct states recorded
-	bytes     atomic.Int64 // hot-tier estimate across shards
-	spills    atomic.Int64
-	syncs     atomic.Int64 // runs fsynced by checkpoints (host cost)
-	diskBytes atomic.Int64
-	seq       atomic.Uint64 // file-name sequence (never a timestamp)
+	count     int64 // distinct states recorded
+	bytes     int64 // hot-tier estimate across shards
+	spills    int64
+	syncs     int64 // runs fsynced by checkpoints (host cost)
+	diskBytes int64
+	seq       uint64 // file-name sequence (never a timestamp)
 
 	// Tier says which tier answered the visits of states already stored:
 	// those the hot set answered, the run lookups that passed the run's
@@ -148,38 +141,19 @@ type Store struct {
 	// Reset; a resumed search sets it to what its checkpoint recorded.
 	Tier TierCounts
 
-	spillMu sync.Mutex // serializes victim selection and eviction
-
 	// pinned holds the file basenames the newest durable manifest
 	// references. Compaction and Reset must not unlink them — a crash
 	// before the next checkpoint would leave that manifest naming deleted
 	// files and the resume would degrade to a fresh exploration. They are
 	// closed instead and swept by the next checkpoint's gc, whose renamed
 	// manifest no longer names them.
-	pinMu  sync.Mutex
 	pinned map[string]bool
 
-	errMu sync.Mutex
-	err   error // sticky first I/O failure; Visit degrades to OutcomeSeen
+	err error // sticky first I/O failure; Visit degrades to OutcomeSeen
 }
 
 // TierCounts is Store.Tier.
-type TierCounts struct{ HotHits, DiskLookups, DiskReads atomic.Uint64 }
-
-// isPinned reports whether the newest durable manifest references name.
-func (s *Store) isPinned(name string) bool {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	return s.pinned[name]
-}
-
-// setPinned replaces the pinned set with the freshly renamed (or adopted)
-// manifest's file basenames.
-func (s *Store) setPinned(keep map[string]bool) {
-	s.pinMu.Lock()
-	s.pinned = keep
-	s.pinMu.Unlock()
-}
+type TierCounts struct{ HotHits, DiskLookups, DiskReads uint64 }
 
 // Open creates a store under cfg. A non-empty Dir is created and swept
 // of temp droppings; stale run files from a previous process are removed
@@ -220,9 +194,7 @@ func shardBits(memBudget int64) int {
 func newStore(cfg Config, bits int) *Store {
 	s := &Store{cfg: cfg, shards: make([]shard, 1<<bits), shift: uint(64 - bits)}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.gen++
-		sh.hot = make(map[uint64]struct{})
+		s.shards[i].hot = make(map[uint64]struct{})
 	}
 	return s
 }
@@ -254,19 +226,13 @@ func sweepStale(dir string) error {
 // frontier boundaries and aborts, so a degraded Visit answer is never
 // silently folded into a verdict.
 func (s *Store) fail(err error) {
-	s.errMu.Lock()
 	if s.err == nil {
 		s.err = err
 	}
-	s.errMu.Unlock()
 }
 
 // Err reports the sticky first I/O failure, if any.
-func (s *Store) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
+func (s *Store) Err() error { return s.err }
 
 // Visit records an arrival at state fp against a table capped at max
 // states: OutcomeSeen if fp is stored, else OutcomeNew once it is
@@ -275,42 +241,35 @@ func (s *Store) Err() error {
 // longer keeps.
 func (s *Store) Visit(fp uint64, _ []uint64, max int) Outcome {
 	sh := &s.shards[fp>>s.shift] // a shift by 64 (one shard) yields 0
-	sh.mu.Lock()
 	if _, ok := sh.hot[fp]; ok {
-		sh.mu.Unlock()
-		s.Tier.HotHits.Add(1)
+		s.Tier.HotHits++
 		return OutcomeSeen
 	}
 	if len(sh.runs) > 0 {
 		ok, err := sh.lookupRuns(fp, &s.Tier)
 		if err != nil {
-			sh.mu.Unlock()
 			s.fail(err)
 			// Degrade conservatively: truncate this branch. The explorer
 			// aborts on Err at the next frontier boundary.
 			return OutcomeSeen
 		}
 		if ok {
-			sh.mu.Unlock()
 			return OutcomeSeen
 		}
 	}
-	if s.count.Add(1) > int64(max) {
-		s.count.Add(-1)
-		sh.mu.Unlock()
+	if s.count >= int64(max) {
 		return OutcomeBudget
 	}
-	sh.gen++
+	s.count++
 	sh.hot[fp] = struct{}{}
 	sh.bytes += entryOverhead
-	sh.mu.Unlock()
-	s.bytes.Add(entryOverhead)
+	s.bytes += entryOverhead
 	s.maybeSpill()
 	return OutcomeNew
 }
 
 // lookupRuns reports whether one of the shard's runs holds fp, newest
-// run first. Caller holds the shard lock.
+// run first.
 func (sh *shard) lookupRuns(fp uint64, tc *TierCounts) (bool, error) {
 	for i := len(sh.runs) - 1; i >= 0; i-- {
 		if ok, err := sh.runs[i].lookup(fp, tc); ok || err != nil {
@@ -321,21 +280,12 @@ func (sh *shard) lookupRuns(fp uint64, tc *TierCounts) (bool, error) {
 }
 
 // maybeSpill evicts the largest hot shards to disk until the estimate is
-// back under budget. Serialized so concurrent visitors pick distinct
-// victims at most once.
+// back under budget.
 func (s *Store) maybeSpill() {
-	if s.cfg.MemBudget <= 0 || s.bytes.Load() <= s.cfg.MemBudget {
-		return
-	}
-	s.spillMu.Lock()
-	defer s.spillMu.Unlock()
-	for s.bytes.Load() > s.cfg.MemBudget {
+	for s.cfg.MemBudget > 0 && s.bytes > s.cfg.MemBudget {
 		victim, victimBytes := -1, int64(0)
 		for i := range s.shards {
-			s.shards[i].mu.Lock()
-			b := s.shards[i].bytes
-			s.shards[i].mu.Unlock()
-			if b > victimBytes {
+			if b := s.shards[i].bytes; b > victimBytes {
 				victim, victimBytes = i, b
 			}
 		}
@@ -354,8 +304,6 @@ func (s *Store) maybeSpill() {
 // maxRunsPerShard.
 func (s *Store) spillShard(i int) error {
 	sh := &s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if len(sh.hot) == 0 {
 		return nil
 	}
@@ -364,30 +312,28 @@ func (s *Store) spillShard(i int) error {
 		keys = append(keys, fp)
 	}
 	slices.Sort(keys)
-	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), keys)
+	s.seq++
+	r, err := writeRun(s.cfg.Dir, i, s.seq, keys)
 	if err != nil {
 		return err
 	}
 	sh.runs = append(sh.runs, r)
-	sh.gen++
 	sh.hot = make(map[uint64]struct{})
-	s.bytes.Add(-sh.bytes)
+	s.bytes -= sh.bytes
 	sh.bytes = 0
-	sh.spilledGen = sh.gen
-	s.spills.Add(1)
-	s.diskBytes.Add(r.size)
+	s.spills++
+	s.diskBytes += r.size
 	if len(sh.runs) > maxRunsPerShard {
-		return s.compactLocked(sh, i)
+		return s.compact(sh, i)
 	}
 	return nil
 }
 
-// compactLocked merges a shard's whole run stack into one run and
-// deletes the inputs — except inputs the newest durable manifest still
-// references, which are only closed and left for the next checkpoint's
-// gc. The runs hold disjoint keys, so the merge is a sort of their
-// concatenation. Caller holds the shard lock.
-func (s *Store) compactLocked(sh *shard, i int) error {
+// compact merges a shard's whole run stack into one run and deletes the
+// inputs — except inputs the newest durable manifest still references,
+// which are only closed and left for the next checkpoint's gc. The runs
+// hold disjoint keys, so the merge is a sort of their concatenation.
+func (s *Store) compact(sh *shard, i int) error {
 	var keys []uint64
 	for _, r := range sh.runs {
 		var err error
@@ -396,13 +342,14 @@ func (s *Store) compactLocked(sh *shard, i int) error {
 		}
 	}
 	slices.Sort(keys)
-	r, err := writeRun(s.cfg.Dir, i, s.seq.Add(1), keys)
+	s.seq++
+	r, err := writeRun(s.cfg.Dir, i, s.seq, keys)
 	if err != nil {
 		return err
 	}
 	for _, old := range sh.runs {
-		s.diskBytes.Add(-old.size)
-		if s.isPinned(filepath.Base(old.path)) {
+		s.diskBytes -= old.size
+		if s.pinned[filepath.Base(old.path)] {
 			if err := old.close(); err != nil {
 				return err
 			}
@@ -413,57 +360,49 @@ func (s *Store) compactLocked(sh *shard, i int) error {
 		}
 	}
 	sh.runs = append(sh.runs[:0], r)
-	s.diskBytes.Add(r.size)
+	s.diskBytes += r.size
 	return nil
 }
 
 // States reports the number of distinct states recorded.
-func (s *Store) States() int { return int(s.count.Load()) }
+func (s *Store) States() int { return int(s.count) }
 
 // Spills reports how many shard evictions have run.
-func (s *Store) Spills() int { return int(s.spills.Load()) }
+func (s *Store) Spills() int { return int(s.spills) }
 
 // Syncs reports how many runs this process's checkpoints have fsynced:
 // none without a checkpoint directory.
-func (s *Store) Syncs() int { return int(s.syncs.Load()) }
+func (s *Store) Syncs() int { return int(s.syncs) }
 
 // DiskBytes reports the current on-disk tier size.
-func (s *Store) DiskBytes() int64 { return s.diskBytes.Load() }
+func (s *Store) DiskBytes() int64 { return s.diskBytes }
 
 // MemBytes reports the current hot-tier estimate.
-func (s *Store) MemBytes() int64 { return s.bytes.Load() }
+func (s *Store) MemBytes() int64 { return s.bytes }
 
 // Reset clears the store for a fresh deepening iteration: every hot
 // entry, every run file, the counters. The configuration is kept.
 func (s *Store) Reset() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.gen++
 		sh.hot = make(map[uint64]struct{})
 		sh.bytes = 0
-		sh.spilledGen = sh.gen
 		for _, r := range sh.runs {
 			// Same crash-window rule as compaction: a manifest-referenced
 			// run is closed, not unlinked, until a new manifest is durable.
-			if s.isPinned(filepath.Base(r.path)) {
+			if s.pinned[filepath.Base(r.path)] {
 				if err := r.close(); err != nil {
-					sh.mu.Unlock()
 					return err
 				}
 				continue
 			}
 			if err := r.remove(); err != nil {
-				sh.mu.Unlock()
 				return err
 			}
 		}
 		sh.runs = nil
-		sh.mu.Unlock()
 	}
-	s.count.Store(0)
-	s.bytes.Store(0)
-	s.diskBytes.Store(0)
+	s.count, s.bytes, s.diskBytes = 0, 0, 0
 	return nil
 }
 
@@ -473,14 +412,12 @@ func (s *Store) Close() error {
 	var first error
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
 		for _, r := range sh.runs {
 			if err := r.close(); err != nil && first == nil {
 				first = err
 			}
 		}
 		sh.runs = nil
-		sh.mu.Unlock()
 	}
 	return first
 }

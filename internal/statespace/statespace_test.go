@@ -64,8 +64,8 @@ func TestVisitMatchesReference(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatalf("budget %d: sticky error: %v", budget, err)
 		}
-		if budget > 0 && (s.Spills() == 0 || s.Tier.DiskLookups.Load() == 0) {
-			t.Fatalf("budget %d: %d spills, %d disk lookups; workload too small", budget, s.Spills(), s.Tier.DiskLookups.Load())
+		if budget > 0 && (s.Spills() == 0 || s.Tier.DiskLookups == 0) {
+			t.Fatalf("budget %d: %d spills, %d disk lookups; workload too small", budget, s.Spills(), s.Tier.DiskLookups)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -426,11 +426,7 @@ func TestCompactionPreservesCheckpointedRuns(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatalf("sticky error: %v", err)
 	}
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	live := len(sh.runs)
-	sh.mu.Unlock()
-	if live != 1 {
+	if live := len(s.shards[0].runs); live != 1 {
 		t.Fatalf("shard 0 holds %d runs; compaction did not trigger", live)
 	}
 	for _, name := range pinnedRuns {
